@@ -15,10 +15,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
-	"synts/internal/obs"
 	"synts/internal/service"
 )
 
@@ -51,11 +49,9 @@ func runLoadgenCmd(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			return err
-		}
-		obs.TraceEnable("loadgen")
+	finishTrace, err := startTraceArtifact(*traceDir, "loadgen", "loadgen", stderr)
+	if err != nil {
+		return err
 	}
 
 	rep, err := service.RunLoad(service.LoadOptions{
@@ -78,13 +74,8 @@ func runLoadgenCmd(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *traceDir != "" {
-		obs.TraceDisable()
-		p := filepath.Join(*traceDir, "loadgen.trace.jsonl")
-		if err := obs.WriteTraceFile(p); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "synts loadgen: trace artifact: %s\n", p)
+	if err := finishTrace(); err != nil {
+		return err
 	}
 	raw, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

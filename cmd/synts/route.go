@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -127,17 +126,16 @@ func runRouteCmd(args []string, stdout, stderr io.Writer) error {
 	if err := faults.Enable(*chaosSpec, *chaosSeed); err != nil {
 		return fmt.Errorf("-chaos: %w", err)
 	}
-	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			return err
-		}
-		obs.TraceEnable(traceProcName("route", *addr))
-	}
 
 	mux := newRouteMux(rt)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
+		return err
+	}
+	finishTrace, err := startTraceArtifact(*traceDir, "route", traceProcName("route", ln.Addr().String()), stderr)
+	if err != nil {
+		ln.Close()
 		return err
 	}
 	rt.Start()
@@ -164,15 +162,7 @@ func runRouteCmd(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	if *traceDir != "" {
-		obs.TraceDisable()
-		p := filepath.Join(*traceDir, traceProcName("route", *addr)+".trace.jsonl")
-		if err := obs.WriteTraceFile(p); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "synts route: trace artifact: %s\n", p)
-	}
-	return nil
+	return finishTrace()
 }
 
 // newRouteMux builds the router's handler tree: the routed /v1/solve plus

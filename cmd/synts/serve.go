@@ -28,7 +28,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"syscall"
@@ -140,12 +139,6 @@ func runServeCmd(args []string, stdout, stderr io.Writer) error {
 	if err := faults.Enable(*chaosSpec, *chaosSeed); err != nil {
 		return fmt.Errorf("-chaos: %w", err)
 	}
-	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			return err
-		}
-		obs.TraceEnable(traceProcName("serve", *addr))
-	}
 
 	svc, err := service.New(service.Config{Shards: *shards, QueueLen: *queueLen, WarmDir: *warmDir, TenantCap: *tenantCap})
 	if err != nil {
@@ -154,6 +147,11 @@ func runServeCmd(args []string, stdout, stderr io.Writer) error {
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
+		return err
+	}
+	finishTrace, err := startTraceArtifact(*traceDir, "serve", traceProcName("serve", ln.Addr().String()), stderr)
+	if err != nil {
+		ln.Close()
 		return err
 	}
 	srv := &http.Server{Handler: newServeMux(svc)}
@@ -231,13 +229,8 @@ loop:
 			return err
 		}
 	}
-	if *traceDir != "" {
-		obs.TraceDisable()
-		p := filepath.Join(*traceDir, traceProcName("serve", *addr)+".trace.jsonl")
-		if err := obs.WriteTraceFile(p); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "synts serve: trace artifact: %s\n", p)
+	if err := finishTrace(); err != nil {
+		return err
 	}
 	return runErr
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -176,4 +179,42 @@ func TestDrainServe(t *testing.T) {
 			t.Fatalf("timeout: clean=%v aborted=%v", clean, aborted)
 		}
 	})
+}
+
+// Two daemons started on port 0 with one shared -trace-dir write two
+// artifacts: each is named (and its spans stamped) from the address the
+// daemon actually bound, not from the "127.0.0.1:0" flag value.
+func TestServeTraceArtifactNamedByBoundAddress(t *testing.T) {
+	dir := t.TempDir()
+	var want []string
+	for i := 0; i < 2; i++ {
+		var stderr bytes.Buffer
+		err := runServeCmd([]string{"-addr", "127.0.0.1:0", "-shards", "1", "-exit-when-done", "-trace-dir", dir},
+			io.Discard, &stderr)
+		if err != nil {
+			t.Fatalf("runServeCmd: %v\nstderr: %s", err, stderr.String())
+		}
+		_, rest, ok := strings.Cut(stderr.String(), "listening on http://")
+		if !ok {
+			t.Fatalf("stderr missing listen line: %s", stderr.String())
+		}
+		addr := strings.Fields(rest)[0]
+		want = append(want, traceProcName("serve", addr)+".trace.jsonl")
+		// Hold the first daemon's port so the second is bound elsewhere.
+		if ln, err := net.Listen("tcp", addr); err == nil {
+			defer ln.Close()
+		}
+	}
+	got, err := filepath.Glob(filepath.Join(dir, "*.trace.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("%d trace artifacts %v, want 2 distinct ones %v", len(got), got, want)
+	}
+	for _, name := range want {
+		if _, err := obs.ReadTraceFile(filepath.Join(dir, name)); err != nil {
+			t.Errorf("artifact %s: %v", name, err)
+		}
+	}
 }

@@ -218,9 +218,36 @@ func readTraceArtifacts(path string) ([]obs.TraceSpan, int, error) {
 	return spans, len(names), nil
 }
 
-// traceProcName derives a per-process artifact/proc name from a listen
-// address ("serve", "127.0.0.1:9200" → "serve-127-0-0-1-9200"), keeping
-// the artifact filename shell- and filesystem-safe.
+// startTraceArtifact begins one process's -trace-dir lifecycle: it
+// creates dir and starts the trace collector under proc. The returned
+// finish stops the collector, writes dir/<proc>.trace.jsonl and names the
+// artifact on stderr. With dir empty tracing stays off and finish does
+// nothing.
+func startTraceArtifact(dir, cmd, proc string, stderr io.Writer) (finish func() error, err error) {
+	if dir == "" {
+		return func() error { return nil }, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	obs.TraceEnable(proc)
+	return func() error {
+		obs.TraceDisable()
+		p := filepath.Join(dir, proc+".trace.jsonl")
+		if err := obs.WriteTraceFile(p); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "synts %s: trace artifact: %s\n", cmd, p)
+		return nil
+	}, nil
+}
+
+// traceProcName derives a per-process artifact/proc name from a bound
+// listen address ("serve", "127.0.0.1:9200" → "serve-127-0-0-1-9200"),
+// keeping the artifact filename shell- and filesystem-safe. It must be
+// the bound address, not the -addr flag: daemons started on port 0 would
+// otherwise share one name, overwrite each other's artifact and collide
+// on the proc key the stitcher aligns clocks by.
 func traceProcName(prefix, addr string) string {
 	mapped := strings.Map(func(r rune) rune {
 		switch {

@@ -52,9 +52,8 @@ type backend struct {
 	name    string // host:port, the ledger/metrics label
 	breaker *Breaker
 
-	mu       sync.Mutex
-	ready    bool
-	lastSpan int64 // most recent request span served here, for DAG chaining
+	mu    sync.Mutex
+	ready bool
 }
 
 func (b *backend) isReady() bool {
@@ -283,15 +282,12 @@ func (rt *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	digest := BodyDigest(body)
-	sp := obs.StartSpan("route.request")
-	defer sp.End()
 
-	// Incoming distributed-trace context. The route.request span parents
-	// one route.hop per backend examined (skips included, as zero-length
-	// hops), so the stitched tree shows the whole ring walk.
+	// Incoming distributed-trace context. The route.request trace span
+	// parents one route.hop per backend examined (skips included, as
+	// zero-length hops), so the stitched tree shows the whole ring walk.
 	tr := &routeTrace{tc: ParseTraceHeaders(req.Header)}
 	if tr.tc.Valid() {
-		sp.SetTrace(tr.tc.TraceHex(), hexOrEmpty(tr.tc.Parent), tr.tc.Hop)
 		tr.reqSpan = obs.TraceDerive(tr.tc.Trace, tr.tc.Parent, obs.TSRouteRequest, 0)
 		tr.on = obs.TraceEnabled()
 		if tr.on {
@@ -325,7 +321,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 			continue
 		}
 		attempted++
-		ok, done := rt.tryBackend(w, b, idx, body, digest, window, hops, start, sp, tr)
+		ok, done := rt.tryBackend(w, b, idx, body, digest, window, hops, start, tr)
 		if done {
 			return
 		}
@@ -398,7 +394,7 @@ func hexOrEmpty(id uint64) string {
 // tryBackend proxies the request to one backend. Returns done=true when a
 // response (success or passthrough) was written; ok=false when the
 // attempt failed and the caller should fail over.
-func (rt *Router) tryBackend(w http.ResponseWriter, b *backend, idx int, body []byte, digest, window uint64, hops int, start time.Time, sp *obs.Span, tr *routeTrace) (ok, done bool) {
+func (rt *Router) tryBackend(w http.ResponseWriter, b *backend, idx int, body []byte, digest, window uint64, hops int, start time.Time, tr *routeTrace) (ok, done bool) {
 	red := "route.backend.b" + strconv.Itoa(idx)
 	obs.C(red + ".requests").Add(1)
 
@@ -490,7 +486,7 @@ func (rt *Router) tryBackend(w http.ResponseWriter, b *backend, idx int, body []
 	}
 
 	// Success (or a passthrough 4xx/shed the backend chose): stamp routing
-	// metadata, chain the request span per backend, and relay.
+	// metadata and relay.
 	b.breaker.RecordT(true, trace)
 	obs.H(red + ".latency_ns").Observe(float64(time.Since(start)))
 	if resp.StatusCode != http.StatusOK {
@@ -498,11 +494,6 @@ func (rt *Router) tryBackend(w http.ResponseWriter, b *backend, idx int, body []
 	} else {
 		obs.C(red + ".ok").Add(1)
 	}
-	b.mu.Lock()
-	sp.DependsOn(b.lastSpan)
-	b.lastSpan = sp.ID()
-	b.mu.Unlock()
-
 	h := w.Header()
 	for k, vs := range resp.Header {
 		for _, v := range vs {

@@ -53,17 +53,6 @@ type Netlist struct {
 	numNets  int
 	driver   []int32 // net -> index into Gates, or -1 for a primary input
 	inputPos []int32 // net -> position in Inputs, or -1 for internal nets
-
-	// Connectivity precomputed once at Build time for the incremental
-	// timing engines (package timing): fanout lists in CSR form and the
-	// logic level of every gate. Both are derived data — they add nothing
-	// a walk over Gates could not recompute — but the event-driven engine
-	// consults them per changed net, so they are built once here instead
-	// of once per analyzer.
-	fanoutStart []int32 // net -> first index into fanoutGates; len numNets+1
-	fanoutGates []int32 // concatenated per-net gate-index lists, ascending
-	gateLevel   []int32 // gate -> logic level (primary inputs are level 0)
-	maxLevel    int32   // deepest gate level
 }
 
 // NumNets returns the total number of signal nodes.
@@ -72,22 +61,6 @@ func (n *Netlist) NumNets() int { return n.numNets }
 // Driver returns the index of the gate driving net t, or -1 if t is a
 // primary input.
 func (n *Netlist) Driver(t Net) int { return int(n.driver[t]) }
-
-// Fanout returns the indices of the gates that read net t, in ascending
-// (and therefore topological) order. The slice aliases the netlist's
-// internal storage and must not be modified.
-func (n *Netlist) Fanout(t Net) []int32 {
-	return n.fanoutGates[n.fanoutStart[t]:n.fanoutStart[t+1]]
-}
-
-// GateLevel returns the logic level of gate gi: 1 + the maximum level of
-// its input nets, where primary inputs sit at level 0. Gates on the same
-// level never feed each other, which is what lets the event-driven engine
-// drain its dirty worklist one level at a time.
-func (n *Netlist) GateLevel(gi int) int { return int(n.gateLevel[gi]) }
-
-// NumLevels returns the number of distinct gate levels (deepest level + 1).
-func (n *Netlist) NumLevels() int { return int(n.maxLevel) + 1 }
 
 // Area returns the total combinational cell area in INV units.
 func (n *Netlist) Area() float64 {
@@ -313,60 +286,21 @@ func (b *Builder) Build() (*Netlist, error) {
 			return nil, fmt.Errorf("netlist %s: net %d has no driver", b.n.Name, t)
 		}
 	}
-	b.n.precomputeConnectivity()
+	b.n.indexInputs()
 	out := b.n
 	b.n = Netlist{} // poison further use
 	return &out, nil
 }
 
-// precomputeConnectivity fills the CSR fanout lists and gate levels. Gates
-// are visited in topological order, so per-net fanout lists come out in
-// ascending gate-index order and each gate's input levels are already final
-// when its own level is computed.
-func (n *Netlist) precomputeConnectivity() {
+// indexInputs fills inputPos, the net -> input-position map SetBusUint
+// packs vectors through.
+func (n *Netlist) indexInputs() {
 	n.inputPos = make([]int32, n.numNets)
 	for i := range n.inputPos {
 		n.inputPos[i] = -1
 	}
 	for i, t := range n.Inputs {
 		n.inputPos[t] = int32(i)
-	}
-	counts := make([]int32, n.numNets+1)
-	for _, g := range n.Gates {
-		for i := 0; i < g.Kind.NumInputs(); i++ {
-			counts[g.In[i]+1]++
-		}
-	}
-	n.fanoutStart = counts
-	for t := 1; t <= n.numNets; t++ {
-		n.fanoutStart[t] += n.fanoutStart[t-1]
-	}
-	n.fanoutGates = make([]int32, n.fanoutStart[n.numNets])
-	next := make([]int32, n.numNets)
-	copy(next, n.fanoutStart[:n.numNets])
-	for gi, g := range n.Gates {
-		for i := 0; i < g.Kind.NumInputs(); i++ {
-			t := g.In[i]
-			n.fanoutGates[next[t]] = int32(gi)
-			next[t]++
-		}
-	}
-
-	netLevel := make([]int32, n.numNets) // primary inputs stay 0
-	n.gateLevel = make([]int32, len(n.Gates))
-	for gi, g := range n.Gates {
-		var worst int32
-		for i := 0; i < g.Kind.NumInputs(); i++ {
-			if l := netLevel[g.In[i]]; l > worst {
-				worst = l
-			}
-		}
-		lvl := worst + 1
-		n.gateLevel[gi] = lvl
-		netLevel[g.Out] = lvl
-		if lvl > n.maxLevel {
-			n.maxLevel = lvl
-		}
 	}
 }
 

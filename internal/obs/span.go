@@ -38,10 +38,6 @@ type Span struct {
 
 	submitter int64
 	deps      []int64
-
-	traceID     string
-	traceParent string
-	hop         string
 }
 
 // SpanRecord is one completed span as stored in the registry.
@@ -59,14 +55,6 @@ type SpanRecord struct {
 	// Deps are explicit happens-before edges: IDs of spans whose work this
 	// span logically depends on (see Span.DependsOn).
 	Deps []int64
-	// TraceID/TraceParent/Hop carry the incoming distributed-trace context
-	// on request spans (see tracespan.go): the 16-hex trace ID, the
-	// upstream span that issued the hop, and how the request arrived
-	// (first/retry/hedge/failover). Empty for spans outside a traced
-	// request.
-	TraceID     string
-	TraceParent string
-	Hop         string
 }
 
 var spanIDs atomic.Int64
@@ -154,18 +142,6 @@ func (s *Span) SetSubmitter(id int64) {
 	s.submitter = id
 }
 
-// SetTrace records the incoming distributed-trace context (trace ID,
-// upstream parent span, hop kind) on the span; nil-safe. Request handlers
-// call it so the in-process span DAG can be joined to fleet-wide traces.
-func (s *Span) SetTrace(traceID, parent, hop string) {
-	if s == nil {
-		return
-	}
-	s.traceID = traceID
-	s.traceParent = parent
-	s.hop = hop
-}
-
 // DependsOn records happens-before edges to the given span IDs; nil-safe,
 // zero IDs are skipped. The target spans need not have started (or ended)
 // yet — edges are resolved when the DAG is reconstructed.
@@ -188,18 +164,15 @@ func (s *Span) End() {
 	}
 	end := time.Now()
 	rec := SpanRecord{
-		Name:        s.name,
-		ID:          s.id,
-		Parent:      s.parent,
-		TID:         s.tid,
-		Gid:         s.gid,
-		StartNs:     s.start.Sub(s.r.epoch).Nanoseconds(),
-		DurNs:       end.Sub(s.start).Nanoseconds(),
-		Submitter:   s.submitter,
-		Deps:        s.deps,
-		TraceID:     s.traceID,
-		TraceParent: s.traceParent,
-		Hop:         s.hop,
+		Name:      s.name,
+		ID:        s.id,
+		Parent:    s.parent,
+		TID:       s.tid,
+		Gid:       s.gid,
+		StartNs:   s.start.Sub(s.r.epoch).Nanoseconds(),
+		DurNs:     end.Sub(s.start).Nanoseconds(),
+		Submitter: s.submitter,
+		Deps:      s.deps,
 	}
 	r := s.r
 	r.popActive(s.gid, s.id)

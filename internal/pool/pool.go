@@ -211,6 +211,27 @@ func (g *Group) submit(cancel <-chan struct{}, cancelErr func() error, fn func()
 	}()
 }
 
+// Run executes fn on the calling goroutine with the pool's per-task
+// treatment and returns its error: the submitted/completed counters and
+// the pool.worker_busy_ns histogram while obs is enabled, the chaos
+// harness's task-start hooks with the injected-panic retry budget, and
+// panic recovery into *PanicError. It is for long-lived workers that keep
+// their own queues (the solver service's shards): a Group's first-error
+// cancellation would poison every later task, and a panic in one task must
+// never take the worker down.
+func Run(fn func() error) error {
+	if !obs.Enabled() {
+		return runTask(fn)
+	}
+	obs.C("pool.tasks.submitted").Add(1)
+	started := time.Now()
+	defer func() {
+		obs.H("pool.worker_busy_ns").Observe(float64(time.Since(started)))
+		obs.C("pool.tasks.completed").Add(1)
+	}()
+	return runTask(fn)
+}
+
 // runTask executes fn with panic recovery and the chaos-harness task-start
 // hooks. Injected panics fire before fn runs (so nothing is half-done) and
 // are retried within the faults package's budget; a real panic from fn is

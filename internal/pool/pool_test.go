@@ -566,3 +566,28 @@ func TestTaskSubmitterZeroWithoutSpan(t *testing.T) {
 		}
 	}
 }
+
+func TestWorkerRunReturnsErrors(t *testing.T) {
+	if err := Run(func() error { return nil }); err != nil {
+		t.Fatalf("nil-error task: %v", err)
+	}
+	want := errors.New("boom")
+	if err := Run(func() error { return want }); !errors.Is(err, want) {
+		t.Fatalf("error passthrough: %v", err)
+	}
+}
+
+func TestWorkerRunRecoversPanics(t *testing.T) {
+	err := Run(func() error { panic("request bug") })
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("panic not wrapped as *PanicError: %v", err)
+	}
+	if pe.Value != "request bug" {
+		t.Errorf("panic value %v", pe.Value)
+	}
+	// The calling worker survives: the next Run works.
+	if err := Run(func() error { return nil }); err != nil {
+		t.Fatalf("Run poisoned after panic: %v", err)
+	}
+}

@@ -93,11 +93,10 @@ type Analysis struct {
 	WorkersDetail []WorkerStat `json:"workers_detail,omitempty"`
 
 	// Submitters attributes the pool-task busy time to the stage of the
-	// span that submitted each task (the Submitter edge): for a batch run
-	// that is the experiment driver ("exp.run"), for the solver service
-	// the request span ("service.request"), so service wall-clock can be
-	// split from background work sharing the same pool. Tasks whose
-	// submitter span is unknown (or none) aggregate under "(none)".
+	// span that submitted each task (the Submitter edge), for example the
+	// experiment driver ("exp.run") or the profile build that fanned the
+	// task out. Tasks whose submitter span is unknown (or none) aggregate
+	// under "(none)".
 	Submitters []StageTotal `json:"submitters,omitempty"`
 
 	StragglerTID     int     `json:"straggler_tid"`      // worker with the most busy time

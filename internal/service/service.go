@@ -11,14 +11,14 @@
 // internal/flight) → warm-start (completed payloads served from an
 // internal/ckpt-backed cache) → shard (payload-keyed dispatch onto
 // bounded per-shard queues; a full queue sheds the request with 429) →
-// solve (guard-band screening, then SolvePoly on a pool.Worker) →
+// solve (guard-band screening, then SolvePoly under pool.Run) →
 // respond. Every stage is observable: RED metrics, queue-depth /
 // shed / coalesce / warm-start series through internal/obs, per-tenant
-// latency histograms, a span per request chained per tenant into the
-// span DAG internal/sched analyses, and telemetry ledger events
-// (estimate/decision/barrier per solve, fallback for guard rejections
-// and chaos drops, shed for admission rejections) in the same canonical
-// synts-events/v1 ledger as the batch experiments.
+// latency histograms, synts-trace/v1 request/queue/solve spans for
+// traced callers while the trace collector is on, and telemetry ledger
+// events (estimate/decision/barrier per solve, fallback for guard
+// rejections and chaos drops, shed for admission rejections) in the same
+// canonical synts-events/v1 ledger as the batch experiments.
 package service
 
 import (
@@ -98,20 +98,18 @@ type outcome struct {
 // job is one queued unit of shard work. run is a closure (rather than the
 // request itself) so tests can occupy a shard deterministically.
 type job struct {
-	run       func() *solveResult
-	submitter int64 // request span ID, for the pool.task Submitter edge
-	res       *solveResult
-	err       error
-	done      chan struct{}
-	enq       time.Time // when dispatch enqueued the job
-	started   time.Time // when the shard worker picked it up
-	finished  time.Time // when the solve completed
+	run      func() *solveResult
+	res      *solveResult
+	err      error
+	done     chan struct{}
+	enq      time.Time // when dispatch enqueued the job
+	started  time.Time // when the shard worker picked it up
+	finished time.Time // when the solve completed
 }
 
 type shard struct {
-	jobs   chan *job
-	worker *pool.Worker
-	depth  string // gauge name, precomputed
+	jobs  chan *job
+	depth string // gauge name, precomputed
 }
 
 // Service is one solver daemon instance. Create with New, mount with
@@ -135,9 +133,6 @@ type Service struct {
 	draining atomic.Bool
 	inFlight sync.WaitGroup
 
-	spanMu   sync.Mutex
-	lastSpan map[string]int64 // tenant -> most recent request span ID
-
 	tenantMu   sync.Mutex
 	tenantLoad map[string]int // tenant -> in-flight count (TenantCap > 0)
 }
@@ -158,7 +153,6 @@ func New(cfg Config) (*Service, error) {
 		stages:     make(map[string]*core.Config),
 		stageSet:   make(map[string]bool),
 		tsrs:       exp.TSRs(),
-		lastSpan:   make(map[string]int64),
 		tenantLoad: make(map[string]int),
 	}
 	s.levels = len(s.tsrs)
@@ -181,9 +175,8 @@ func New(cfg Config) (*Service, error) {
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
 		sh := &shard{
-			jobs:   make(chan *job, cfg.QueueLen),
-			worker: pool.NewWorker(),
-			depth:  fmt.Sprintf("service.queue_depth.s%d", i),
+			jobs:  make(chan *job, cfg.QueueLen),
+			depth: fmt.Sprintf("service.queue_depth.s%d", i),
 		}
 		s.shards[i] = sh
 		s.workerWg.Add(1)
@@ -269,14 +262,14 @@ func (s *Service) Close() {
 	s.workerWg.Wait()
 }
 
-// runShard is one shard's worker loop: dequeue, solve under the full
-// pool-task treatment, hand the result back.
+// runShard is one shard's worker loop: dequeue, solve under pool.Run,
+// hand the result back.
 func (s *Service) runShard(sh *shard) {
 	defer s.workerWg.Done()
 	for jb := range sh.jobs {
 		obs.G(sh.depth).Set(float64(len(sh.jobs)))
 		jb.started = time.Now()
-		err := sh.worker.Run(jb.submitter, func() error {
+		err := pool.Run(func() error {
 			jb.res = jb.run()
 			return nil
 		})
@@ -337,14 +330,14 @@ func (s *Service) solve(r *SolveRequest) *solveResult {
 // A full queue returns errQueueFull immediately — bounded queues shed,
 // they do not build unbounded latency. delay is the req-slow chaos
 // penalty, paid on the worker so it consumes real shard capacity.
-func (s *Service) dispatch(key uint64, r *SolveRequest, submitter int64, delay time.Duration) (*job, error) {
+func (s *Service) dispatch(key uint64, r *SolveRequest, delay time.Duration) (*job, error) {
 	sh := s.shards[key%uint64(len(s.shards))]
 	jb := &job{run: func() *solveResult {
 		if delay > 0 {
 			time.Sleep(delay)
 		}
 		return s.solve(r)
-	}, submitter: submitter, done: make(chan struct{}), enq: time.Now()}
+	}, done: make(chan struct{}), enq: time.Now()}
 	select {
 	case sh.jobs <- jb:
 		obs.G(sh.depth).Set(float64(len(sh.jobs)))
@@ -422,26 +415,6 @@ func (s *Service) process(r *SolveRequest, w http.ResponseWriter, tc fleet.Trace
 	}
 	defer s.tenantRelease(r.Tenant)
 
-	// Per-request span, chained per tenant (Deps: this request logically
-	// follows the tenant's previous one — the paper's consecutive barrier
-	// intervals) so sched.Analyze recovers per-tenant critical paths.
-	var sp *obs.Span
-	if obs.Enabled() {
-		s.spanMu.Lock()
-		sp = obs.StartSpan("service.request:" + r.Tenant)
-		sp.DependsOn(s.lastSpan[r.Tenant])
-		s.lastSpan[r.Tenant] = sp.ID()
-		s.spanMu.Unlock()
-		if tc.Valid() {
-			parent := ""
-			if tc.Parent != 0 {
-				parent = obs.TraceHex(tc.Parent)
-			}
-			sp.SetTrace(trace, parent, tc.Hop)
-		}
-	}
-	defer sp.End()
-
 	reqDig := requestDigest(r)
 	if faults.RequestDrop(reqDig) {
 		obs.C("service.chaos.req_drop").Add(1)
@@ -471,7 +444,7 @@ func (s *Service) process(r *SolveRequest, w http.ResponseWriter, tc fleet.Trace
 			return &outcome{res: cached, warm: true}, nil
 		}
 		obs.C("service.warm.miss").Add(1)
-		jb, err := s.dispatch(key, r, sp.ID(), delay)
+		jb, err := s.dispatch(key, r, delay)
 		if err != nil {
 			return nil, err
 		}

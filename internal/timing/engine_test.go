@@ -38,7 +38,7 @@ func engineFamilies() map[string]*netlist.Netlist {
 }
 
 // mutate flips each input bit with probability 1/p, leaving runs of held
-// bits so the incremental engines see realistic partial-toggle vectors.
+// bits so the block engine sees realistic partial-toggle vectors.
 func mutate(rng *rand.Rand, in []bool, p int) {
 	for i := range in {
 		if rng.Intn(p) == 0 {
@@ -48,9 +48,8 @@ func mutate(rng *rand.Rand, in []bool, p int) {
 }
 
 // The core equivalence property, on every netlist family: the levelized
-// Analyzer, the event-driven Incremental engine and the bit-parallel
-// BlockAnalyzer produce bit-identical float64 delays, identical settled
-// values, and identical touched-gate counts for the same vector stream.
+// Analyzer and the bit-parallel BlockAnalyzer produce bit-identical float64
+// delays and identical touched-gate counts for the same vector stream.
 // Blocks are fed at deliberately ragged sizes (1..64) so block-boundary
 // carry of the previous settled state is exercised.
 func TestEngineEquivalenceAcrossFamilies(t *testing.T) {
@@ -77,10 +76,8 @@ func TestEngineEquivalenceAcrossFamilies(t *testing.T) {
 			}
 
 			lv := NewAnalyzer(n)
-			ev := NewIncremental(n)
 			ba := NewBlockAnalyzer(n)
 			lv.Reset(vecs[0])
-			ev.Reset(vecs[0])
 			ba.Reset(vecs[0])
 
 			wantDelay := make([]float64, steps)
@@ -90,19 +87,6 @@ func TestEngineEquivalenceAcrossFamilies(t *testing.T) {
 				wantDelay[i] = lv.Step(vecs[i+1])
 				wantTouch[i] = lv.Touched() - prevTouched
 				prevTouched = lv.Touched()
-
-				if got := ev.Step(vecs[i+1]); got != wantDelay[i] {
-					t.Fatalf("step %d: Incremental delay %v, Analyzer %v", i, got, wantDelay[i])
-				}
-				for tn := 0; tn < n.NumNets(); tn++ {
-					if ev.Values()[tn] != lv.Values()[tn] {
-						t.Fatalf("step %d: Incremental net %d = %v, Analyzer %v",
-							i, tn, ev.Values()[tn], lv.Values()[tn])
-					}
-				}
-			}
-			if ev.Touched() != lv.Touched() {
-				t.Fatalf("Incremental touched %d, Analyzer %d", ev.Touched(), lv.Touched())
 			}
 
 			// Feed the same stream to the block engine in ragged blocks.
@@ -182,8 +166,8 @@ func TestBitEvalMatchesEval(t *testing.T) {
 	}
 }
 
-// The incremental engines must panic on Step/StepBlock before Reset, like
-// the levelized analyzer does.
+// The block engine must panic on StepBlock before Reset, like the
+// levelized analyzer does.
 func TestIncrementalEnginesRequireReset(t *testing.T) {
 	n := netlist.NewAdderNetlist(netlist.AdderRipple, 8)
 	mustPanic := func(name string, f func()) {
@@ -194,16 +178,13 @@ func TestIncrementalEnginesRequireReset(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("Incremental.Step", func() {
-		NewIncremental(n).Step(make([]bool, len(n.Inputs)))
-	})
 	mustPanic("BlockAnalyzer.StepBlock", func() {
 		NewBlockAnalyzer(n).StepBlock(make([]uint64, len(n.Inputs)), 1, make([]float64, 1), nil)
 	})
 }
 
-// A single-gate sanity check with closed-form expectations: the incremental
-// engines report the exact library delay for an unmasked transition and 0
+// A single-gate sanity check with closed-form expectations: the block
+// engine reports the exact library delay for an unmasked transition and 0
 // for a masked one, mirroring TestLevelizedMaskedTransition.
 func TestIncrementalMaskedTransition(t *testing.T) {
 	b := netlist.NewBuilder("mask")
@@ -212,15 +193,6 @@ func TestIncrementalMaskedTransition(t *testing.T) {
 	x := b.Input("b")
 	b.Output("y", b.Gate(gates.AND2, a, x))
 	n := b.MustBuild()
-
-	ev := NewIncremental(n)
-	ev.Reset([]bool{false, false})
-	if got := ev.Step([]bool{true, false}); got != 0 {
-		t.Fatalf("masked toggle delay = %v, want 0", got)
-	}
-	if got := ev.Step([]bool{true, true}); got != gates.AND2.Delay() {
-		t.Fatalf("unmasked delay = %v, want %v", got, gates.AND2.Delay())
-	}
 
 	ba := NewBlockAnalyzer(n)
 	ba.Reset([]bool{false, false})

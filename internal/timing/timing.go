@@ -18,20 +18,14 @@
 //     does model glitches. Used to validate the levelized pass and for the
 //     glitch-sensitivity ablation.
 //
-// Two further engines compute the levelized model faster while reproducing
-// its delays bit for bit (same float arithmetic per gate, same visit order
-// within a fanout cone):
+// BlockAnalyzer.StepBlock computes the levelized model faster while
+// reproducing its delays bit for bit (same float arithmetic per gate, same
+// gate order): a BitEval pass evaluates 64 consecutive vectors at once (one
+// uint64 lane-word per net), and the per-vector arrival walk then consumes
+// precomputed toggle masks instead of re-evaluating gates. This is the
+// engine behind trace.DelayTrace's default -engine=event path.
 //
-//   - Incremental.Step: event-driven. Per vector it re-walks only the
-//     fanout cone of the changed inputs, using the netlist's precomputed
-//     fanout lists and a level-ordered dirty worklist.
-//   - BlockAnalyzer.StepBlock: bit-parallel + event-driven. A BitEval pass
-//     evaluates 64 consecutive vectors at once (one uint64 lane-word per
-//     net), and the per-vector arrival walk then consumes precomputed
-//     toggle masks instead of re-evaluating gates. This is the engine
-//     behind trace.DelayTrace's default -engine=event path.
-//
-// For both, the delay of a vector is the time of the last transition on any
+// For every model, the delay of a vector is the time of the last transition on any
 // primary output: outputs that are still switching when the clock edge
 // arrives are what Razor flags.
 package timing
