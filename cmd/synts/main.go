@@ -36,7 +36,6 @@ import (
 	"synts/internal/pool"
 	"synts/internal/report"
 	"synts/internal/simprof"
-	"synts/internal/telemetry"
 	"synts/internal/trace"
 	"synts/internal/workload"
 )
@@ -146,17 +145,10 @@ func main() {
 	if obsRequested(*stats, *statsJSON, *traceOut) {
 		obs.Enable()
 	}
-	if *eventsOut != "" {
-		telemetry.Enable()
-		// Past the in-memory cap, overflow streams to a spill file beside
-		// the ledger; the final write merges it back in canonical order.
-		if err := telemetry.SetSpill(*eventsOut + ".spill"); err != nil {
-			fmt.Fprintf(os.Stderr, "synts: -events-out: %v\n", err)
-			os.Exit(1)
-		}
-		if *eventsCap > 0 {
-			telemetry.SetMemCap(*eventsCap)
-		}
+	finishEvents, err := startEventsLedger(*eventsOut, *eventsCap, "synts", os.Stderr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "synts: %v\n", err)
+		os.Exit(1)
 	}
 	if *simprofOut != "" {
 		simprof.Enable()
@@ -196,15 +188,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "synts: %v\n", err)
 		os.Exit(1)
 	}
-	if *eventsOut != "" {
-		if err := telemetry.WriteJSONLFile(*eventsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "synts: %v\n", err)
-			os.Exit(1)
-		}
-		if torn := telemetry.Torn(); torn > 0 {
-			fmt.Fprintf(os.Stderr, "synts: %d spill line(s) torn by fault injection; unparseable lines were skipped (%d) in the final merge\n",
-				torn, telemetry.SpillSkipped())
-		}
+	if err := finishEvents(); err != nil {
+		fmt.Fprintf(os.Stderr, "synts: %v\n", err)
+		os.Exit(1)
 	}
 	if *simprofOut != "" {
 		if err := writeSimprofArtifacts(*simprofOut); err != nil {

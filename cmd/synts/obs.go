@@ -1,11 +1,12 @@
 package main
 
 // Observability wiring for cmd/synts: the -stats / -stats-json / -trace-out
-// flags turn the obs layer on for the run and export it afterwards, and
-// -cpuprofile / -memprofile expose the stdlib pprof profilers. Everything
-// here writes to stderr or to named files — stdout carries only the
-// experiment artefacts, so instrumented runs stay byte-identical to plain
-// ones (asserted by TestRunAllOutputIdenticalWithStats).
+// flags turn the obs layer on for the run and export it afterwards,
+// -events-out records the decision ledger for batch runs and daemons
+// alike, and -cpuprofile / -memprofile expose the stdlib pprof profilers.
+// Everything here writes to stderr or to named files — stdout carries only
+// the experiment artefacts, so instrumented runs stay byte-identical to
+// plain ones (asserted by TestRunAllOutputIdenticalWithStats).
 
 import (
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"runtime/pprof"
 
 	"synts/internal/obs"
+	"synts/internal/telemetry"
 )
 
 // obsRequested reports whether any instrumentation sink was asked for.
@@ -72,6 +74,37 @@ func writeObsArtifacts(stats bool, statsJSON, traceOut string, stderr io.Writer)
 		}
 	}
 	return nil
+}
+
+// startEventsLedger begins one process's -events-out lifecycle: it turns
+// the decision ledger on, keeps up to memCap events in memory (0 = the
+// 2^21 default) and spills the overflow to path.spill. The returned
+// finish writes the canonical ledger to path and reports torn spill lines
+// on stderr under the who prefix. With path empty the ledger stays off —
+// nothing would ever read it — and finish does nothing.
+func startEventsLedger(path string, memCap int, who string, stderr io.Writer) (finish func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	telemetry.Enable()
+	// Past the in-memory cap, overflow streams to a spill file beside the
+	// ledger; the final write merges it back in canonical order.
+	if err := telemetry.SetSpill(path + ".spill"); err != nil {
+		return nil, fmt.Errorf("-events-out: %w", err)
+	}
+	if memCap > 0 {
+		telemetry.SetMemCap(memCap)
+	}
+	return func() error {
+		if err := telemetry.WriteJSONLFile(path); err != nil {
+			return err
+		}
+		if torn := telemetry.Torn(); torn > 0 {
+			fmt.Fprintf(stderr, "%s: %d spill line(s) torn by fault injection; unparseable lines were skipped (%d) in the final merge\n",
+				who, torn, telemetry.SpillSkipped())
+		}
+		return nil
+	}, nil
 }
 
 // startCPUProfile begins a pprof CPU profile; the returned stop function

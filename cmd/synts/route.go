@@ -7,9 +7,9 @@ package main
 // function of the body), and /readyz probes keep the health view fresh
 // on a seeded-jitter loop. The router carries the same observability
 // surface as serve — /metrics Prometheus exposition, per-backend RED
-// metrics, breaker/failover events in the synts-events/v1 ledger via
-// -events-out — and the same deterministic -chaos injector, extended
-// with the fleet classes (backend-down, backend-flap, resp-torn,
+// metrics, breaker/failover events in the synts-events/v1 ledger when
+// -events-out names a file — and the same deterministic -chaos injector,
+// extended with the fleet classes (backend-down, backend-flap, resp-torn,
 // net-slow) so a kill-a-backend drill is reproducible from a seed.
 //
 // -plan N skips serving entirely: it prints the routing plan for the
@@ -35,7 +35,6 @@ import (
 	"synts/internal/fleet"
 	"synts/internal/obs"
 	"synts/internal/service"
-	"synts/internal/telemetry"
 )
 
 func runRouteCmd(args []string, stdout, stderr io.Writer) error {
@@ -52,7 +51,7 @@ func runRouteCmd(args []string, stdout, stderr io.Writer) error {
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default 2s)")
 	chaosSpec := fs.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (fleet classes: backend-down, backend-flap, resp-torn, net-slow)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the fault injector's decisions")
-	eventsOut := fs.String("events-out", "", "write the router ledger (synts-events/v1 JSONL, breaker + failover events) to `file` on shutdown")
+	eventsOut := fs.String("events-out", "", "record the router ledger and write it (synts-events/v1 JSONL, breaker + failover events) to `file` on shutdown; without it no ledger is recorded")
 	traceDir := fs.String("trace-dir", "", "record distributed-trace context on routed requests and write the router's synts-trace/v1 artifact into `dir` on shutdown")
 	plan := fs.Int("plan", 0, "print the routing plan for the first `N` seeded loadgen bodies and exit (no server)")
 	planSeed := fs.Int64("plan-seed", 1, "request-stream seed for -plan (matches loadgen -seed)")
@@ -115,13 +114,12 @@ func runRouteCmd(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	// Routing implies instrumentation, same as serving.
+	// As in serve: the metrics registry is always on, the ledger only
+	// when -events-out names a file.
 	obs.Enable()
-	telemetry.Enable()
-	if *eventsOut != "" {
-		if err := telemetry.SetSpill(*eventsOut + ".spill"); err != nil {
-			return err
-		}
+	finishEvents, err := startEventsLedger(*eventsOut, 0, "synts route", stderr)
+	if err != nil {
+		return err
 	}
 	if err := faults.Enable(*chaosSpec, *chaosSeed); err != nil {
 		return fmt.Errorf("-chaos: %w", err)
@@ -157,10 +155,8 @@ func runRouteCmd(args []string, stdout, stderr io.Writer) error {
 	if err := srv.Close(); err != nil {
 		fmt.Fprintf(stderr, "synts route: close: %v\n", err)
 	}
-	if *eventsOut != "" {
-		if err := telemetry.WriteJSONLFile(*eventsOut); err != nil {
-			return err
-		}
+	if err := finishEvents(); err != nil {
+		return err
 	}
 	return finishTrace()
 }

@@ -14,7 +14,14 @@ package main
 // admission (new solve requests answer 503 draining, /readyz flips) and
 // waits — bounded by -drain-timeout — for in-flight requests and
 // background experiments to complete; a second signal or the timeout
-// abandons what remains. Either way the -events-out ledger is written.
+// abandons what remains. Either way shutdown writes the -events-out and
+// -trace-dir artifacts that were asked for.
+//
+// The metrics registry and the simulation profile are always on: the
+// endpoints are the point of serving. The decision ledger records only
+// when -events-out names a file, as in batch runs. Online SynTS calls the
+// solver every barrier interval, and a daemon without a sink would
+// otherwise keep a copy of every answer it gives.
 
 import (
 	"bytes"
@@ -116,7 +123,7 @@ func runServeCmd(args []string, stdout, stderr io.Writer) error {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work before aborting (0 = forever)")
 	chaosSpec := fs.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (adds req-slow, req-drop to the batch classes)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the fault injector's decisions")
-	eventsOut := fs.String("events-out", "", "write the decision ledger (synts-events/v1 JSONL) to `file` on shutdown")
+	eventsOut := fs.String("events-out", "", "record the decision ledger and write it (synts-events/v1 JSONL) to `file` on shutdown; without it no ledger is recorded")
 	traceDir := fs.String("trace-dir", "", "record incoming distributed-trace context and write this daemon's synts-trace/v1 artifact into `dir` on shutdown")
 	exitWhenDone := fs.Bool("exit-when-done", false, "shut down once the background experiments finish (instead of serving until signalled)")
 	fs.Usage = func() {
@@ -127,14 +134,11 @@ func runServeCmd(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// Serving implies instrumentation: the endpoints are the whole point.
 	obs.Enable()
-	telemetry.Enable()
 	simprof.Enable()
-	if *eventsOut != "" {
-		if err := telemetry.SetSpill(*eventsOut + ".spill"); err != nil {
-			return err
-		}
+	finishEvents, err := startEventsLedger(*eventsOut, 0, "synts serve", stderr)
+	if err != nil {
+		return err
 	}
 	if err := faults.Enable(*chaosSpec, *chaosSeed); err != nil {
 		return fmt.Errorf("-chaos: %w", err)
@@ -224,10 +228,8 @@ loop:
 		// Only a fully drained service can close its shard queues safely.
 		svc.Close()
 	}
-	if *eventsOut != "" {
-		if err := telemetry.WriteJSONLFile(*eventsOut); err != nil {
-			return err
-		}
+	if err := finishEvents(); err != nil {
+		return err
 	}
 	if err := finishTrace(); err != nil {
 		return err

@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +18,8 @@ import (
 
 	"synts/internal/obs"
 	"synts/internal/service"
+	"synts/internal/simprof"
+	"synts/internal/telemetry"
 )
 
 // The serve mux with a mounted service exposes the solve API next to the
@@ -127,6 +131,75 @@ func TestMetricsUnderConcurrentScrapeAndWrite(t *testing.T) {
 	wg.Wait()
 	if scrapes == 0 {
 		t.Fatal("no scrapes completed")
+	}
+}
+
+// A daemon without -events-out runs in flat memory: with serve's sinkless
+// instrumentation (metrics registry and simulation profile on, ledger
+// off), a stream of distinct payloads from distinct tenants leaves almost
+// nothing behind per request. The warm-start cache is bounded by WarmCap
+// and shrunk here so only state that grows without bound shows. Tenant
+// names must not reach /metrics either: "lu-contig" and "lu.contig" fold
+// to one Prometheus name, and the exposition must stay grammar-valid.
+func TestSinklessServeRetainsNoPerRequestState(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	simprof.Enable()
+	defer simprof.Disable()
+	telemetry.Disable()
+	svc, err := service.New(service.Config{Shards: 2, QueueLen: 16, WarmCap: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { svc.Drain(); svc.Close() }()
+	mux := newServeMux(svc)
+
+	const warmup, n = 200, 2000
+	reqs := service.GenStream(service.GenOptions{Seed: 13, RepeatFrac: -1}, warmup+n)
+	bodies := make([][]byte, len(reqs))
+	for i := range reqs {
+		reqs[i].Tenant = fmt.Sprintf("tenant-%05d", i)
+		bodies[i], _ = json.Marshal(&reqs[i])
+	}
+	post := func(body []byte) {
+		t.Helper()
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("/v1/solve status %d: %s", rr.Code, rr.Body.String())
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second cycle frees sync.Pool victims too
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// The first requests allocate the registry families and solver tables.
+	for _, b := range bodies[:warmup] {
+		post(b)
+	}
+	before := heap()
+	for _, b := range bodies[warmup:] {
+		post(b)
+	}
+	kb := (float64(heap()) - float64(before)) / n / 1024
+	runtime.KeepAlive(bodies) // counted in both readings, not freed between them
+	t.Logf("%d requests retained %.3f KB each", n, kb)
+	if kb > 1 {
+		t.Errorf("%d requests retained %.2f KB each, want under 1 KB", n, kb)
+	}
+
+	for i, tenant := range []string{"lu-contig", "lu.contig"} {
+		reqs[i].Tenant = tenant
+		body, _ := json.Marshal(&reqs[i])
+		post(body)
+	}
+	rr := httptest.NewRecorder()
+	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if err := obs.ValidatePrometheusText(rr.Body.Bytes()); err != nil {
+		t.Fatalf("/metrics grammatically invalid after look-alike tenants: %v", err)
 	}
 }
 

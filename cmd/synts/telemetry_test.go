@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -178,6 +179,67 @@ func TestServeExitWhenDone(t *testing.T) {
 	}
 	if len(events) != 0 {
 		t.Errorf("expected an empty ledger, got %d events", len(events))
+	}
+}
+
+// Without -events-out a daemon records no ledger: nothing would ever read
+// it, and each answer would leave its estimate/decision/barrier events in
+// the heap for as long as the daemon runs.
+func TestServeWithoutEventsOutRecordsNoLedger(t *testing.T) {
+	telemetry.Disable() // TestServeExitWhenDone leaves the ledger on
+	var stderr bytes.Buffer
+	err := runServeCmd([]string{"-addr", "127.0.0.1:0", "-shards", "1", "-exit-when-done"}, io.Discard, &stderr)
+	if err != nil {
+		t.Fatalf("runServeCmd: %v\nstderr: %s", err, stderr.String())
+	}
+	if telemetry.Enabled() {
+		t.Fatal("serve without -events-out left the decision ledger recording")
+	}
+}
+
+// The -events-out lifecycle shared by batch runs, serve and route: an
+// empty path leaves the ledger off and finish does nothing; a path turns
+// it on, and finish writes every event — those spilled past the
+// in-memory cap included — as a readable ledger and removes the spill.
+func TestStartEventsLedger(t *testing.T) {
+	telemetry.Disable()
+	finish, err := startEventsLedger("", 0, "synts", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if telemetry.Enabled() {
+		t.Fatal("an empty -events-out turned the ledger on")
+	}
+	if err := finish(); err != nil {
+		t.Fatalf("finish without a sink: %v", err)
+	}
+
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	finish, err = startEventsLedger(path, 2, "synts", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer telemetry.Disable()
+	defer telemetry.SetMemCap(0)
+	if !telemetry.Enabled() {
+		t.Fatal("-events-out did not turn the ledger on")
+	}
+	const n = 5 // two held in memory, three spilled past the cap
+	for i := 0; i < n; i++ {
+		telemetry.Record(telemetry.Event{Kind: telemetry.KindDecision, Bench: "b", Stage: "s", Solver: "SynTS", Core: i})
+	}
+	if err := finish(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := telemetry.ReadJSONLFile(path)
+	if err != nil {
+		t.Fatalf("ledger not readable: %v", err)
+	}
+	if len(events) != n {
+		t.Errorf("ledger holds %d events, want %d", len(events), n)
+	}
+	if _, err := os.Stat(path + ".spill"); !os.IsNotExist(err) {
+		t.Errorf("spill file left behind (stat err %v)", err)
 	}
 }
 

@@ -182,20 +182,33 @@ func TestRouteMetricsScrape(t *testing.T) {
 		}
 		return resp
 	}
-	// Wait for the probe loop to mark the fleet ready.
+	// Wait until the probe loop has marked both backends ready. A solve
+	// sent earlier can skip a not-yet-probed b1 and land on b0, whose 500
+	// opens b0's breaker for the whole cooldown; the bad-first request
+	// below would then skip b0 and never fail over.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp := post(bodyTo[1])
+		resp, err := http.Get(front.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ready, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
+		if strings.Contains(string(ready), "(2/2 backends)") {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("fleet never became ready (last status %d)", resp.StatusCode)
+			t.Fatalf("fleet never became ready (last /readyz %q)", ready)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	resp := post(bodyTo[0])
+	resp := post(bodyTo[1])
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("good-first request: status %d, want 200", resp.StatusCode)
+	}
+	resp = post(bodyTo[0])
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || resp.Header.Get(fleet.HeaderFailover) == "" {

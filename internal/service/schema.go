@@ -33,8 +33,8 @@ type CoreCurve struct {
 
 // SolveRequest is one /v1/solve request body: a tenant's per-interval
 // solve. Tenant and Seq identify the request (they feed the request
-// digest and the per-tenant span chain); Stage, Theta and Cores are the
-// solve payload proper and alone determine the answer.
+// digest); Stage, Theta and Cores are the solve payload proper and alone
+// determine the answer.
 type SolveRequest struct {
 	Tenant string      `json:"tenant"`
 	Seq    int         `json:"seq"`

@@ -13,12 +13,13 @@
 // bounded per-shard queues; a full queue sheds the request with 429) →
 // solve (guard-band screening, then SolvePoly under pool.Run) →
 // respond. Every stage is observable: RED metrics, queue-depth /
-// shed / coalesce / warm-start series through internal/obs, per-tenant
-// latency histograms, synts-trace/v1 request/queue/solve spans for
-// traced callers while the trace collector is on, and telemetry ledger
-// events (estimate/decision/barrier per solve, fallback for guard
-// rejections and chaos drops, shed for admission rejections) in the same
-// canonical synts-events/v1 ledger as the batch experiments.
+// shed / coalesce / warm-start series and a latency histogram through
+// internal/obs, synts-trace/v1 request/queue/solve spans for traced
+// callers while the trace collector is on, and — while the ledger
+// records — telemetry events (estimate/decision/barrier per solve,
+// fallback for guard rejections and chaos drops, shed for admission
+// rejections) in the same canonical synts-events/v1 ledger as the batch
+// experiments.
 package service
 
 import (
@@ -375,9 +376,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, req *http.Request) {
 	}
 
 	status := s.process(&sr, w, fleet.ParseTraceHeaders(req.Header), start)
-	lat := float64(time.Since(start))
-	obs.H("service.latency_ns").Observe(lat)
-	obs.H("service.latency_ns.tenant." + sr.Tenant).Observe(lat)
+	obs.H("service.latency_ns").Observe(float64(time.Since(start)))
 	switch {
 	case status == http.StatusOK:
 		obs.C("service.requests.ok").Add(1)
