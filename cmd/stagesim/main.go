@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"synts/internal/exp"
 	"synts/internal/stats"
@@ -79,8 +78,7 @@ func main() {
 		stats.Percentile(delays, 0.5), stats.Percentile(delays, 0.9),
 		stats.Percentile(delays, 0.99), stats.Percentile(delays, 1.0), sc.TCrit)
 
-	sort.Float64s(delays)
-	prof := trace.Profile{N: len(delays), TCrit: sc.TCrit, SortedDelays: delays}
+	prof := trace.NewProfile(sc.TCrit, delays)
 	fmt.Println("error probability vs timing speculation ratio:")
 	for _, r := range exp.TSRs() {
 		fmt.Printf("  r=%.3f  err=%.5f\n", r, prof.Err(r))

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 
 	"synts/internal/core"
 	"synts/internal/isa"
@@ -58,8 +57,7 @@ func AdderAblation(b *Bench) (*report.Table, error) {
 			}
 			delays = append(delays, an.Step(in))
 		}
-		sort.Float64s(delays)
-		p := trace.Profile{N: len(delays), TCrit: crit, SortedDelays: delays}
+		p := trace.NewProfile(crit, delays)
 		t.AddRow(kind.String(), len(n.Gates), crit, p.Err(0.64), p.Err(0.784), p.Err(0.928))
 	}
 	return t, nil
@@ -109,12 +107,7 @@ func DelayModelAblation(b *Bench, window int) (*report.Table, error) {
 			maxGap = gap
 		}
 	}
-	mk := func(d []float64) trace.Profile {
-		s := append([]float64(nil), d...)
-		sort.Float64s(s)
-		return trace.Profile{N: len(s), TCrit: sc.TCrit, SortedDelays: s}
-	}
-	pl, pe := mk(dl), mk(de)
+	pl, pe := trace.NewProfile(sc.TCrit, dl), trace.NewProfile(sc.TCrit, de)
 	t := &report.Table{
 		Title: fmt.Sprintf("Ablation: delay model (SimpleALU, %s, %d vectors): levelized vs event-driven",
 			b.Name, len(dl)),
@@ -428,8 +421,7 @@ func VariationAblation(b *Bench) (*report.Table, error) {
 			}
 			delays = append(delays, an.Step(in))
 		}
-		sort.Float64s(delays)
-		p := trace.Profile{N: len(delays), TCrit: crit, SortedDelays: delays}
+		p := trace.NewProfile(crit, delays)
 		t.AddRow(sigma, crit, p.Err(0.64), p.Err(0.784), p.Err(0.928))
 	}
 	return t, nil

@@ -113,6 +113,8 @@ func LoadBench(name string, opts Options) (*Bench, error) {
 	if opts.MaxIntervals > 0 {
 		for _, s := range streams {
 			if len(s.Intervals) > opts.MaxIntervals {
+				// Nil the dropped tail so its instructions can be freed.
+				clear(s.Intervals[opts.MaxIntervals:])
 				s.Intervals = s.Intervals[:opts.MaxIntervals]
 			}
 		}

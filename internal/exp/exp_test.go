@@ -57,10 +57,20 @@ func TestLoadBenchTruncatesIntervals(t *testing.T) {
 	opts := testOptions()
 	opts.MaxIntervals = 2
 	b := loadBench(t, "ocean", opts)
+	dropped := 0
 	for _, s := range b.Streams {
 		if len(s.Intervals) != 2 {
 			t.Fatalf("thread %d has %d intervals, want 2", s.Thread, len(s.Intervals))
 		}
+		for i, iv := range s.Intervals[:cap(s.Intervals)][opts.MaxIntervals:] {
+			if iv != nil {
+				t.Errorf("thread %d: dropped interval %d still reachable (%d instructions)", s.Thread, opts.MaxIntervals+i, len(iv))
+			}
+			dropped++
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no interval was dropped; the fixture does not exercise truncation")
 	}
 }
 

@@ -15,7 +15,6 @@ package gpgpu
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"synts/internal/fixedpoint"
 	"synts/internal/isa"
@@ -73,28 +72,40 @@ func qv(f func(l int) fixedpoint.Q) vec {
 
 func (vb *vecBuilder) qop(op isa.Op, a, b vec) vec { return vb.emit(op, a, b) }
 
+// catalog lists the §5.5 programs in Programs order. Each generator seeds
+// its own rand source from seed+k, so a program generated alone equals the
+// one Programs returns.
+var catalog = []struct {
+	name string
+	gen  func(n int, seed int64) Program
+}{
+	{"BlackScholes", blackScholes},
+	{"MatrixMult", matrixMult},
+	{"BinarySearch", binarySearch},
+	{"FFT", fftG},
+	{"EigenValue", eigenValue},
+	{"StreamCluster", streamCluster},
+	{"Raytrace", raytraceG},
+	{"Swaptions", swaptions},
+	{"X264", x264},
+}
+
 // Programs returns the benchmark set of §5.5, sized by the iteration
 // count n (the thesis analyses 16k instructions per VALU). Adjacent lanes
 // process adjacent work-items, the source of the homogeneity.
 func Programs(n int, seed int64) []Program {
-	return []Program{
-		blackScholes(n, seed),
-		matrixMult(n, seed),
-		binarySearch(n, seed),
-		fftG(n, seed),
-		eigenValue(n, seed),
-		streamCluster(n, seed),
-		raytraceG(n, seed),
-		swaptions(n, seed),
-		x264(n, seed),
+	ps := make([]Program, len(catalog))
+	for i, c := range catalog {
+		ps[i] = c.gen(n, seed)
 	}
+	return ps
 }
 
-// ProgramByName returns the named program from Programs.
+// ProgramByName generates only the named program from Programs.
 func ProgramByName(name string, n int, seed int64) (Program, error) {
-	for _, p := range Programs(n, seed) {
-		if p.Name == name {
-			return p, nil
+	for _, c := range catalog {
+		if c.name == name {
+			return c.gen(n, seed), nil
 		}
 	}
 	return Program{}, fmt.Errorf("gpgpu: unknown program %q", name)
@@ -336,11 +347,7 @@ func LaneErr(p Program, r float64) [LaneCount]float64 {
 	var out [LaneCount]float64
 	for l := 0; l < LaneCount; l++ {
 		sc := trace.NewStageCircuit(trace.SimpleALU)
-		iv := laneInsts(p, l)
-		delays := sc.DelayTrace(iv)
-		sort.Float64s(delays)
-		prof := trace.Profile{N: len(iv), TCrit: sc.TCrit, SortedDelays: delays}
-		out[l] = prof.Err(r)
+		out[l] = trace.NewProfile(sc.TCrit, sc.DelayTrace(laneInsts(p, l))).Err(r)
 	}
 	return out
 }

@@ -1,10 +1,11 @@
 package gpgpu
 
 import (
-	"synts/internal/trace"
+	"reflect"
 	"testing"
 
 	"synts/internal/isa"
+	"synts/internal/trace"
 )
 
 func TestProgramsGenerate(t *testing.T) {
@@ -30,11 +31,23 @@ func TestProgramsGenerate(t *testing.T) {
 }
 
 func TestProgramByName(t *testing.T) {
-	if _, err := ProgramByName("MatrixMult", 10, 1); err != nil {
-		t.Fatal(err)
+	for _, want := range Programs(50, 3) {
+		got, err := ProgramByName(want.Name, 50, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ProgramByName(%q) differs from the Programs entry", want.Name)
+		}
 	}
 	if _, err := ProgramByName("nope", 10, 1); err == nil {
 		t.Fatal("unknown program must error")
+	}
+	// Only the named program is built.
+	one := testing.AllocsPerRun(5, func() { matrixMult(200, 1) })
+	byName := testing.AllocsPerRun(5, func() { ProgramByName("MatrixMult", 200, 1) })
+	if byName > one+4 {
+		t.Errorf("ProgramByName allocates %v times, building MatrixMult alone %v", byName, one)
 	}
 }
 

@@ -133,6 +133,7 @@ func Run(in Input) (*Result, error) {
 				ci.Busy += in.SwitchPenalty // regulator/PLL relock stall
 			}
 			prevV[t], prevR[t] = a.VIdx[t], a.RIdx[t]
+			cut := p.Cut(r * p.TCrit)
 			cycles := 0.0
 			for i, inst := range iv {
 				cycles++ // issue
@@ -140,7 +141,7 @@ func Run(in Input) (*Result, error) {
 					ci.Misses++
 					cycles += missPenalty
 				}
-				if p.Delays[i] > r*p.TCrit {
+				if p.Codes[i] >= cut {
 					ci.Errors++
 					cycles += in.Platform.CPenalty
 				}

@@ -2,12 +2,14 @@ package mcsim
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
 	"synts/internal/core"
 	"synts/internal/cpu"
+	"synts/internal/isa"
 	"synts/internal/trace"
 	"synts/internal/vscale"
 	"synts/internal/workload"
@@ -274,4 +276,60 @@ func TestSwitchPenaltyChargesOnlyChanges(t *testing.T) {
 		t.Fatalf("switch penalties undercharged: extra %v, want >= %v", got, wantExtra)
 	}
 	in.SwitchPenalty = 0
+}
+
+// Differential check of the simulator's code compare against a float64
+// count of delays above r * TCrit, at every TSR, on an empty window, an
+// all-zero window and random windows with heavy duplicates whose levels
+// include r * TCrit itself.
+func TestRunErrorsMatchFloatReference(t *testing.T) {
+	cfg := platform()
+	const tcrit = 8 // a power of two, so r * tcrit is exact
+	levels := []float64{0, 1.5, 7.875}
+	for _, r := range cfg.TSRs {
+		levels = append(levels, r*tcrit)
+	}
+	rng := rand.New(rand.NewSource(17))
+	delays := [][][]float64{{{}, make([]float64, 30)}} // [interval][core]
+	for ii := 0; ii < 3; ii++ {
+		w := make([][]float64, 2)
+		for c := range w {
+			w[c] = make([]float64, rng.Intn(500))
+			for i := range w[c] {
+				w[c][i] = levels[rng.Intn(len(levels))]
+			}
+		}
+		delays = append(delays, w)
+	}
+	in := Input{Platform: cfg, Cache: cpu.DefaultL1()}
+	for c := 0; c < 2; c++ {
+		s := &workload.Stream{Thread: c}
+		var profs []*trace.Profile
+		for _, w := range delays {
+			s.Intervals = append(s.Intervals, make([]isa.Inst, len(w[c]))) // NOPs: no cache traffic
+			profs = append(profs, trace.NewProfile(tcrit, w[c]))
+		}
+		in.Streams = append(in.Streams, s)
+		in.Profiles = append(in.Profiles, profs)
+	}
+	for rIdx, r := range cfg.TSRs {
+		in.Assignments = []core.Assignment{uniform(cfg, 2, 0, rIdx)}
+		res, err := Run(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ii, w := range delays {
+			for c, d := range w {
+				want := 0
+				for _, x := range d {
+					if x > r*tcrit {
+						want++
+					}
+				}
+				if got := res.Cores[ii][c].Errors; got != want {
+					t.Fatalf("r %v interval %d core %d: %d errors, float reference %d", r, ii, c, got, want)
+				}
+			}
+		}
+	}
 }

@@ -53,11 +53,13 @@ func JointReplayScoped(kernel string, stageNames []string, profiles []*trace.Pro
 	if len(profiles) == 0 {
 		return JointResult{}, fmt.Errorf("razor: no stage profiles")
 	}
-	n := len(profiles[0].Delays)
-	for _, p := range profiles[1:] {
-		if len(p.Delays) != n {
-			return JointResult{}, fmt.Errorf("razor: stage windows differ in length: %d vs %d", len(p.Delays), n)
+	n := len(profiles[0].Codes)
+	cuts := make([]uint32, len(profiles))
+	for s, p := range profiles {
+		if len(p.Codes) != n {
+			return JointResult{}, fmt.Errorf("razor: stage windows differ in length: %d vs %d", len(p.Codes), n)
 		}
+		cuts[s] = p.Cut(r * p.TCrit)
 	}
 	attr := kernel != "" && simprof.Enabled() && len(stageNames) == len(profiles)
 	for _, p := range profiles {
@@ -74,7 +76,7 @@ func JointReplayScoped(kernel string, stageNames []string, profiles []*trace.Pro
 	for i := 0; i < n; i++ {
 		flagged := false
 		for s, p := range profiles {
-			if p.Delays[i] > r*p.TCrit {
+			if p.Codes[i] >= cuts[s] {
 				res.StageErrors[s]++
 				flagged = true
 				if attr {

@@ -82,8 +82,8 @@ func TestJointReplayValidation(t *testing.T) {
 	if _, err := JointReplay(nil, 0.8); err == nil {
 		t.Error("empty profile set accepted")
 	}
-	a := &trace.Profile{Delays: make([]float64, 5), TCrit: 1}
-	b := &trace.Profile{Delays: make([]float64, 6), TCrit: 1}
+	a := trace.NewProfile(1, make([]float64, 5))
+	b := trace.NewProfile(1, make([]float64, 6))
 	if _, err := JointReplay([]*trace.Profile{a, b}, 0.8); err == nil {
 		t.Error("mismatched windows accepted")
 	}

@@ -46,8 +46,11 @@ func (r Result) ErrorRate() float64 {
 // speculative period r * TCrit at the reference voltage). Each instruction
 // issues in one cycle; an instruction whose stage output settles after the
 // clock edge is caught by the shadow latch and costs cPenalty extra cycles.
+// The delays are compacted with trace.NewProfile first, so every replay
+// runs the one loop in replayAttr.
 func Replay(delays []float64, tclk float64, cPenalty float64) Result {
-	return replayAttr(delays, nil, tclk, cPenalty, nil)
+	p := trace.NewProfile(0, delays)
+	return replayAttr(p.Codes, nil, p.Cut(tclk), tclk, cPenalty, nil)
 }
 
 // opAccum collects one replay site's per-opcode attribution before it is
@@ -65,19 +68,21 @@ type opAccum struct {
 	chaosCyc float64
 }
 
-// replayAttr is the one Razor replay loop. ops (aligned with delays) is
-// consulted only when acc is non-nil.
-func replayAttr(delays []float64, ops []isa.Op, tclk float64, cPenalty float64, acc *opAccum) Result {
+// replayAttr is the one Razor replay loop over a window of profile codes
+// clocked at tclk: an instruction errs when its code is >= cut, the
+// window's Profile.Cut(tclk). ops (aligned with codes) is consulted only
+// when acc is non-nil.
+func replayAttr(codes []uint32, ops []isa.Op, cut uint32, tclk float64, cPenalty float64, acc *opAccum) Result {
 	if tclk <= 0 {
 		panic(fmt.Sprintf("razor: non-positive clock period %v", tclk))
 	}
-	if acc != nil && len(ops) != len(delays) {
-		panic(fmt.Sprintf("razor: %d ops for %d delays", len(ops), len(delays)))
+	if acc != nil && len(ops) != len(codes) {
+		panic(fmt.Sprintf("razor: %d ops for %d codes", len(ops), len(codes)))
 	}
-	res := Result{Instructions: len(delays)}
-	for i, d := range delays {
+	res := Result{Instructions: len(codes)}
+	for i, c := range codes {
 		res.Cycles++
-		erred := d > tclk
+		erred := c >= cut
 		if erred {
 			res.Errors++
 			res.Cycles += cPenalty
@@ -143,12 +148,7 @@ func (a *opAccum) flush(kernel, stage, phase string, coreID, interval int) {
 // both the observed result and the analytic cycles from Eq. 4.1 for
 // comparison (base CPI added in both).
 func ReplayProfile(p *trace.Profile, r float64, cPenalty float64) (Result, float64) {
-	res := Replay(p.Delays, r*p.TCrit, cPenalty)
-	// Memory-stall cycles from the cache model apply identically in both.
-	stall := (p.CPIBase - 1) * float64(p.N)
-	res.Cycles += stall
-	analytic := float64(p.N) * (p.Err(r)*cPenalty + p.CPIBase)
-	return res, analytic
+	return ReplayProfileScoped(telemetry.Scope{}, "", p, r, cPenalty)
 }
 
 // ReplayProfileScoped is ReplayProfile with ledger attribution: when the
@@ -164,10 +164,11 @@ func ReplayProfile(p *trace.Profile, r float64, cPenalty float64) (Result, float
 // cross-checks this).
 func ReplayProfileScoped(sc telemetry.Scope, solver string, p *trace.Profile, r float64, cPenalty float64) (Result, float64) {
 	var acc *opAccum
-	if simprof.Enabled() && !sc.Zero() && len(p.Ops) == len(p.Delays) {
+	if simprof.Enabled() && !sc.Zero() && len(p.Ops) == len(p.Codes) {
 		acc = &opAccum{}
 	}
-	res := replayAttr(p.Delays, p.Ops, r*p.TCrit, cPenalty, acc)
+	tclk := r * p.TCrit
+	res := replayAttr(p.Codes, p.Ops, p.Cut(tclk), tclk, cPenalty, acc)
 	// Memory-stall cycles from the cache model apply identically in both.
 	stall := (p.CPIBase - 1) * float64(p.N)
 	res.Cycles += stall
@@ -316,6 +317,8 @@ func samplingStatsScoped(sc telemetry.Scope, profiles []*trace.Profile, tsrs []f
 	}
 	// Precompute all rates so the estimator closure is cheap and pure.
 	stats := make([]threadSampling, len(profiles))
+	tclks := make([]float64, s)
+	cuts := make([]uint32, s)
 	for i, p := range profiles {
 		st := threadSampling{
 			Rates:  make([]float64, s),
@@ -327,12 +330,16 @@ func samplingStatsScoped(sc telemetry.Scope, profiles []*trace.Profile, tsrs []f
 		if n < 0 {
 			panic("razor: negative sampling budget")
 		}
-		if n > len(p.Delays) {
-			n = len(p.Delays)
+		if n > len(p.Codes) {
+			n = len(p.Codes)
 		}
 		var acc *opAccum
-		if simprof.Enabled() && !sc.Zero() && len(p.Ops) == len(p.Delays) {
+		if simprof.Enabled() && !sc.Zero() && len(p.Ops) == len(p.Codes) {
 			acc = &opAccum{}
+		}
+		for k, r := range tsrs {
+			tclks[k] = r * p.TCrit
+			cuts[k] = p.Cut(tclks[k])
 		}
 		for g := 0; g*granule < n; g++ {
 			k := g % s
@@ -345,7 +352,7 @@ func samplingStatsScoped(sc telemetry.Scope, profiles []*trace.Profile, tsrs []f
 			if acc != nil {
 				ops = p.Ops[lo:hi]
 			}
-			res := replayAttr(p.Delays[lo:hi], ops, tsrs[k]*p.TCrit, cPenalty, acc)
+			res := replayAttr(p.Codes[lo:hi], ops, cuts[k], tclks[k], cPenalty, acc)
 			st.Errs[k] += res.Errors
 			st.Counts[k] += res.Instructions
 			st.Cycles[k] += res.Cycles

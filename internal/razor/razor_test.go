@@ -3,7 +3,7 @@ package razor
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"reflect"
 	"testing"
 
 	"synts/internal/cpu"
@@ -79,20 +79,25 @@ func TestReplayMatchesAnalyticSPI(t *testing.T) {
 	}
 }
 
-func syntheticProfile(rng *rand.Rand, n int, tcrit float64) *trace.Profile {
+// syntheticProfile draws n delays uniformly from [0, scale*tcrit).
+func syntheticProfile(rng *rand.Rand, n int, tcrit, scale float64) *trace.Profile {
 	delays := make([]float64, n)
 	for i := range delays {
-		delays[i] = rng.Float64() * tcrit
+		delays[i] = rng.Float64() * tcrit * scale
 	}
-	sorted := append([]float64(nil), delays...)
-	sort.Float64s(sorted)
-	return &trace.Profile{N: n, CPIBase: 1, TCrit: tcrit, Delays: delays, SortedDelays: sorted}
+	return cpiOneProfile(tcrit, delays)
+}
+
+func cpiOneProfile(tcrit float64, delays []float64) *trace.Profile {
+	p := trace.NewProfile(tcrit, delays)
+	p.CPIBase = 1
+	return p
 }
 
 func TestSamplingEstimatorConvergesToTruth(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	// Uniform delays: Err(r) = 1 - r, an easy truth to estimate.
-	p := syntheticProfile(rng, 60000, 100)
+	p := syntheticProfile(rng, 60000, 100, 1)
 	tsrs := []float64{0.64, 0.8, 1.0}
 	est := SamplingEstimator([]*trace.Profile{p}, tsrs, 60000, 5)
 	for k, r := range tsrs {
@@ -112,9 +117,7 @@ func TestSamplingEstimatorUsesOnlyPrefix(t *testing.T) {
 	for i := n / 2; i < n; i++ {
 		delays[i] = 99
 	}
-	sorted := append([]float64(nil), delays...)
-	sort.Float64s(sorted)
-	p := &trace.Profile{N: n, CPIBase: 1, TCrit: 100, Delays: delays, SortedDelays: sorted}
+	p := cpiOneProfile(100, delays)
 	est := SamplingEstimator([]*trace.Profile{p}, []float64{0.5, 1.0}, n/2, 5)
 	if got := est(0, 0); got != 0 {
 		t.Fatalf("prefix-only sampling must see no errors, got %v", got)
@@ -124,7 +127,7 @@ func TestSamplingEstimatorUsesOnlyPrefix(t *testing.T) {
 func TestSamplingEstimatorShortInterval(t *testing.T) {
 	// NSamp larger than the interval: clamp, don't panic.
 	rng := rand.New(rand.NewSource(6))
-	p := syntheticProfile(rng, 30, 100)
+	p := syntheticProfile(rng, 30, 100, 1)
 	est := SamplingEstimator([]*trace.Profile{p}, []float64{0.5, 0.75, 1.0}, 1000, 5)
 	for k := 0; k < 3; k++ {
 		if r := est(0, k); r < 0 || r > 1 {
@@ -135,7 +138,7 @@ func TestSamplingEstimatorShortInterval(t *testing.T) {
 
 func TestPerfectEstimator(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	p := syntheticProfile(rng, 1000, 100)
+	p := syntheticProfile(rng, 1000, 100, 1)
 	tsrs := []float64{0.7, 1.0}
 	est := PerfectEstimator([]*trace.Profile{p}, tsrs)
 	for k, r := range tsrs {
@@ -152,14 +155,9 @@ func TestPerfectEstimator(t *testing.T) {
 func TestSamplingIdentifiesCriticalThread(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 20; trial++ {
-		hot := syntheticProfile(rng, 8000, 100)
-		cold := syntheticProfile(rng, 8000, 100)
+		hot := syntheticProfile(rng, 8000, 100, 1)
 		// Scale down the cold thread's delays so it errs less.
-		for i := range cold.Delays {
-			cold.Delays[i] *= 0.5
-		}
-		copy(cold.SortedDelays, cold.Delays)
-		sort.Float64s(cold.SortedDelays)
+		cold := syntheticProfile(rng, 8000, 100, 0.5)
 		tsrs := []float64{0.64, 0.8, 1.0}
 		est := SamplingEstimator([]*trace.Profile{hot, cold}, tsrs, 800, 5)
 		if est(0, 0) <= est(1, 0) {
@@ -259,5 +257,121 @@ func TestReplayProfileScopedSimprofReconciles(t *testing.T) {
 	}
 	if math.Abs(evs[0].Cycles-cycSum) > 1e-9*math.Abs(cycSum) {
 		t.Errorf("ledger cycles = %v, profiler cycles = %v", evs[0].Cycles, cycSum)
+	}
+}
+
+// floatReplay is the Razor replay loop as it ran over float64 delays
+// before profiles were compacted into codes: the reference the code
+// compare must reproduce exactly.
+func floatReplay(delays []float64, tclk, cPenalty float64) Result {
+	res := Result{Instructions: len(delays)}
+	for _, d := range delays {
+		res.Cycles++
+		if d > tclk {
+			res.Errors++
+			res.Cycles += cPenalty
+		}
+	}
+	return res
+}
+
+// stageWindows returns cases of three same-length stage windows: empty,
+// all-zero, and random windows drawing from a few levels (heavy
+// duplicates) that include 0.
+func stageWindows(rng *rand.Rand) [][3][]float64 {
+	cases := [][3][]float64{{nil, nil, nil}, {make([]float64, 40), make([]float64, 40), make([]float64, 40)}}
+	for trial := 0; trial < 30; trial++ {
+		n := rng.Intn(2000)
+		var c [3][]float64
+		for s := range c {
+			levels := make([]float64, 1+rng.Intn(10))
+			for k := 1; k < len(levels); k++ {
+				levels[k] = float64(1+rng.Intn(64)) * 0.125
+			}
+			c[s] = make([]float64, n)
+			for i := range c[s] {
+				c[s][i] = levels[rng.Intn(len(levels))]
+			}
+		}
+		cases = append(cases, c)
+	}
+	return cases
+}
+
+// Differential check of every replay over compact profiles against the
+// float64 reference: Replay, ReplayProfile (cycles and Eq. 4.1), the
+// sampling phase's per-level counts and JointReplay, at clock periods
+// exactly equal to a delay level and at the paper's TSRs.
+func TestReplaysMatchFloatReference(t *testing.T) {
+	tcrits := [3]float64{8, 16, 4} // powers of two: r*tcrit lands exactly on a level
+	const cPenalty, cpiBase, granule = 5.0, 1.25, 3
+	rng := rand.New(rand.NewSource(16))
+	for ci, c := range stageWindows(rng) {
+		var ps [3]*trace.Profile
+		for s := range c {
+			ps[s] = trace.NewProfile(tcrits[s], c[s])
+			ps[s].CPIBase = cpiBase
+		}
+		rs := []float64{0.64, 0.784, 1.0}
+		for _, l := range ps[0].Levels {
+			if l.Delay > 0 {
+				rs = append(rs, l.Delay/tcrits[0])
+			}
+		}
+		n := len(c[0])
+		for _, r := range rs {
+			tclk := r * tcrits[0]
+			want := floatReplay(c[0], tclk, cPenalty)
+			if got := Replay(c[0], tclk, cPenalty); got != want {
+				t.Fatalf("case %d tclk %v: Replay %+v, reference %+v", ci, tclk, got, want)
+			}
+			res, analytic := ReplayProfile(ps[0], r, cPenalty)
+			stall := (cpiBase - 1) * float64(n)
+			wantErr := 0.0
+			if n > 0 {
+				wantErr = float64(want.Errors) / float64(n)
+			}
+			if res.Errors != want.Errors || res.Cycles != want.Cycles+stall ||
+				analytic != float64(n)*(wantErr*cPenalty+cpiBase) {
+				t.Fatalf("case %d r %v: ReplayProfile %+v / %v, reference %+v", ci, r, res, analytic, want)
+			}
+
+			joint, err := JointReplay(ps[:], r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantJoint := JointResult{Instructions: n, StageErrors: make([]int, 3)}
+			for i := 0; i < n; i++ {
+				flagged := false
+				for s := range c {
+					if c[s][i] > r*tcrits[s] {
+						wantJoint.StageErrors[s]++
+						flagged = true
+					}
+				}
+				if flagged {
+					wantJoint.Errors++
+				}
+			}
+			if joint.Errors != wantJoint.Errors || !reflect.DeepEqual(joint.StageErrors, wantJoint.StageErrors) {
+				t.Fatalf("case %d r %v: JointReplay %+v, reference %+v", ci, r, joint, wantJoint)
+			}
+		}
+
+		budget := rng.Intn(n + 10)
+		st := samplingStats(ps[:1], rs, []int{budget}, cPenalty, granule)[0]
+		errs, counts, cycles := make([]int, len(rs)), make([]int, len(rs)), make([]float64, len(rs))
+		for g := 0; g*granule < min(budget, n); g++ {
+			k := g % len(rs)
+			lo, hi := g*granule, min((g+1)*granule, budget, n)
+			res := floatReplay(c[0][lo:hi], rs[k]*tcrits[0], cPenalty)
+			errs[k] += res.Errors
+			counts[k] += res.Instructions
+			cycles[k] += res.Cycles
+		}
+		if !reflect.DeepEqual(st.Errs, errs) || !reflect.DeepEqual(st.Counts, counts) || !reflect.DeepEqual(st.Cycles, cycles) {
+			t.Fatalf("case %d: sampling errs %v counts %v cycles %v, reference %v %v %v",
+				ci, st.Errs, st.Counts, st.Cycles, errs, counts, cycles)
+		}
 	}
 }

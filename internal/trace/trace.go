@@ -8,8 +8,11 @@
 package trace
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -367,39 +370,105 @@ func (sc *StageCircuit) delayTraceEvent(iv []isa.Inst, perInst bool) ([]float64,
 
 // Profile is the per-thread, per-barrier-interval characterisation that
 // feeds the SynTS solvers: instruction count, baseline CPI and the
-// empirical error-probability function.
+// empirical error-probability function. Each sensitized delay is stored
+// once, as a code into the window's table of distinct delays, which is
+// all both consumers need: err(r) counts the delays above r * TCrit, and
+// a Razor replay only asks whether each delay exceeds the clock (Cut).
 type Profile struct {
 	Thread   int
 	Interval int
 	N        int
 	CPIBase  float64
 	TCrit    float64
-	// Delays holds each instruction's sensitized delay in program order —
+	// Levels holds the window's distinct sensitized delays in ascending
+	// order, each with the number of instructions at or above it.
+	Levels []Level
+	// Codes holds each instruction's index into Levels in program order —
 	// what a Razor pipeline replay (or the online sampling phase) consumes.
-	Delays []float64
-	// Ops holds each instruction's opcode, aligned with Delays, so replay
+	// A window can have more distinct delays than a uint16 holds (one
+	// ComplexALU window of the paper suite has 89,897), hence uint32.
+	Codes []uint32
+	// Ops holds each instruction's opcode, aligned with Codes, so replay
 	// sites can attribute errors and cycles to the opcode that caused them
-	// (the simprof profiler). Always populated, independent of whether
-	// profiling is enabled, so profiles compare DeepEqual either way.
+	// (the simprof profiler). BuildProfiles always populates it, independent
+	// of whether profiling is enabled, so profiles compare DeepEqual either
+	// way.
 	Ops []isa.Op
-	// SortedDelays is the same data ascending, for O(log n) Err lookups.
-	SortedDelays []float64
+}
+
+// Level is one distinct sensitized delay of a window.
+type Level struct {
+	Delay   float64
+	AtLeast int // instructions whose delay is >= Delay
+}
+
+// NewProfile compacts one window's per-instruction sensitized delays
+// (program order) into a profile with N = len(delays); the caller fills
+// in Thread, Interval, CPIBase and Ops. delays is not modified.
+func NewProfile(tcrit float64, delays []float64) *Profile {
+	// Number the distinct delays in order of first appearance, one map
+	// lookup per run of equal delays, then renumber them ascending: this
+	// sorts only the distinct delays, not the whole window.
+	ids := make(map[float64]uint32)
+	var vals []float64
+	var counts []int
+	codes := make([]uint32, len(delays))
+	for i, d := range delays {
+		if i > 0 && d == delays[i-1] {
+			codes[i] = codes[i-1]
+			counts[codes[i]]++
+			continue
+		}
+		id, ok := ids[d]
+		if !ok {
+			id = uint32(len(vals))
+			ids[d] = id
+			vals = append(vals, d)
+			counts = append(counts, 0)
+		}
+		codes[i] = id
+		counts[id]++
+	}
+	if uint64(len(vals)) > math.MaxUint32 {
+		panic(fmt.Sprintf("trace: %d distinct delays overflow uint32 codes", len(vals)))
+	}
+	order := make([]uint32, len(vals)) // first-appearance ids, ascending by delay
+	for k := range order {
+		order[k] = uint32(k)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return cmp.Compare(vals[a], vals[b]) })
+	rank := make([]uint32, len(vals))
+	levels := make([]Level, len(vals))
+	atLeast := 0
+	for k := len(order) - 1; k >= 0; k-- {
+		id := order[k]
+		rank[id] = uint32(k)
+		atLeast += counts[id]
+		levels[k] = Level{Delay: vals[id], AtLeast: atLeast}
+	}
+	for i, id := range codes {
+		codes[i] = rank[id]
+	}
+	return &Profile{N: len(delays), TCrit: tcrit, Levels: levels, Codes: codes}
+}
+
+// Cut returns the index of the first level whose delay exceeds limit: an
+// instruction's delay is above limit exactly when its code is >= Cut(limit),
+// so a replay at clock period limit compares codes against one cut hoisted
+// out of its loop.
+func (p *Profile) Cut(limit float64) uint32 {
+	return uint32(sort.Search(len(p.Levels), func(k int) bool { return p.Levels[k].Delay > limit }))
 }
 
 // Err returns the empirical error probability at TSR r: the fraction of
 // the interval's instructions whose sensitized delay exceeds r * TCrit.
 // It is non-increasing in r and exactly 0 at r = 1.
 func (p *Profile) Err(r float64) float64 {
-	if p.N == 0 || len(p.SortedDelays) == 0 {
+	k := int(p.Cut(r * p.TCrit))
+	if p.N == 0 || k == len(p.Levels) {
 		return 0
 	}
-	limit := r * p.TCrit
-	// Count delays strictly greater than limit.
-	idx := sort.SearchFloat64s(p.SortedDelays, limit)
-	for idx < len(p.SortedDelays) && p.SortedDelays[idx] <= limit {
-		idx++
-	}
-	return float64(len(p.SortedDelays)-idx) / float64(p.N)
+	return float64(p.Levels[k].AtLeast) / float64(p.N)
 }
 
 // CoreThread adapts the profile to the solver's Thread type.
@@ -409,10 +478,10 @@ func (p *Profile) CoreThread() core.Thread {
 
 // MaxDelay returns the largest sensitized delay observed (0 if none).
 func (p *Profile) MaxDelay() float64 {
-	if len(p.SortedDelays) == 0 {
+	if len(p.Levels) == 0 {
 		return 0
 	}
-	return p.SortedDelays[len(p.SortedDelays)-1]
+	return p.Levels[len(p.Levels)-1].Delay
 }
 
 // BuildProfiles characterises every thread and barrier interval of a
@@ -518,17 +587,9 @@ func BuildProfilesScopedCtx(ctx context.Context, kernel string, streams []*workl
 				if kernel != "" && simprof.Enabled() {
 					recordIssueAttr(kernel, t, ii, sc, iv)
 				}
-				sorted := append([]float64(nil), delays...)
-				sort.Float64s(sorted)
-				out[t][ii] = &Profile{
-					Thread:       t,
-					Interval:     ii,
-					N:            len(iv),
-					TCrit:        sc.TCrit,
-					Delays:       delays,
-					Ops:          opsOf(iv),
-					SortedDelays: sorted,
-				}
+				p := NewProfile(sc.TCrit, delays)
+				p.Thread, p.Interval, p.Ops = t, ii, opsOf(iv)
+				out[t][ii] = p
 				return nil
 			})
 		}
@@ -606,21 +667,11 @@ func BuildProfilesSerial(streams []*workload.Stream, stage Stage, cacheCfg cpu.C
 		}
 		out[t] = make([]*Profile, len(s.Intervals))
 		for ii, iv := range s.Intervals {
-			delays := sc.DelayTrace(iv)
-			sorted := append([]float64(nil), delays...)
-			sort.Float64s(sorted)
+			p := NewProfile(sc.TCrit, sc.DelayTrace(iv))
 			res := cpu.MeasureCPI(iv, cache)
 			recordCacheCounters(res)
-			out[t][ii] = &Profile{
-				Thread:       t,
-				Interval:     ii,
-				N:            len(iv),
-				CPIBase:      res.CPI,
-				TCrit:        sc.TCrit,
-				Delays:       delays,
-				Ops:          opsOf(iv),
-				SortedDelays: sorted,
-			}
+			p.Thread, p.Interval, p.CPIBase, p.Ops = t, ii, res.CPI, opsOf(iv)
+			out[t][ii] = p
 		}
 	}
 	return out, nil

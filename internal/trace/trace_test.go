@@ -2,8 +2,10 @@ package trace
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -130,9 +132,9 @@ func randomInsts(rng *rand.Rand, n int, wide bool) []isa.Inst {
 func profileOf(t *testing.T, iv []isa.Inst, stage Stage) *Profile {
 	t.Helper()
 	sc := NewStageCircuit(stage)
-	d := sc.DelayTrace(iv)
-	sort.Float64s(d)
-	return &Profile{N: len(iv), TCrit: sc.TCrit, SortedDelays: d, CPIBase: 1}
+	p := NewProfile(sc.TCrit, sc.DelayTrace(iv))
+	p.CPIBase = 1
+	return p
 }
 
 func TestErrMonotoneAndZeroAtOne(t *testing.T) {
@@ -166,12 +168,140 @@ func TestWideOperandsErrMoreThanNarrow(t *testing.T) {
 }
 
 func TestEmptyProfile(t *testing.T) {
-	p := &Profile{N: 0, TCrit: 100}
+	p := NewProfile(100, nil)
 	if p.Err(0.5) != 0 {
 		t.Error("empty profile must have zero error probability")
 	}
 	if p.MaxDelay() != 0 {
 		t.Error("empty profile MaxDelay must be 0")
+	}
+}
+
+// sortedOracle is the float64 form a profile kept before it was
+// compacted into levels and codes: every delay sorted ascending, err(r)
+// found by a binary search plus a walk over the delays equal to the
+// limit. It is the reference the compact form must reproduce exactly.
+type sortedOracle struct {
+	tcrit  float64
+	sorted []float64
+}
+
+func newSortedOracle(tcrit float64, delays []float64) sortedOracle {
+	sorted := append([]float64(nil), delays...)
+	sort.Float64s(sorted)
+	return sortedOracle{tcrit: tcrit, sorted: sorted}
+}
+
+func (o sortedOracle) err(r float64) float64 {
+	if len(o.sorted) == 0 {
+		return 0
+	}
+	limit := r * o.tcrit
+	idx := sort.SearchFloat64s(o.sorted, limit)
+	for idx < len(o.sorted) && o.sorted[idx] <= limit {
+		idx++
+	}
+	return float64(len(o.sorted)-idx) / float64(len(o.sorted))
+}
+
+func (o sortedOracle) maxDelay() float64 {
+	if len(o.sorted) == 0 {
+		return 0
+	}
+	return o.sorted[len(o.sorted)-1]
+}
+
+// oracleWindows returns delay windows that stress the compact form: empty,
+// all-zero, a single delay, and random windows drawing from a few levels
+// (heavy duplicates) that include 0.
+func oracleWindows(rng *rand.Rand) [][]float64 {
+	ws := [][]float64{nil, {}, make([]float64, 100), {37.5}}
+	for trial := 0; trial < 40; trial++ {
+		levels := make([]float64, 1+rng.Intn(12))
+		for k := 1; k < len(levels); k++ {
+			levels[k] = float64(rng.Intn(400)) * 0.25
+		}
+		w := make([]float64, rng.Intn(3000))
+		for i := range w {
+			w[i] = levels[rng.Intn(len(levels))]
+		}
+		ws = append(ws, w)
+	}
+	return ws
+}
+
+// Differential check of the compact profile against the sorted-float64
+// oracle: codes decode losslessly, Err and MaxDelay match exactly at every
+// limit equal to a level and just either side of it, and Cut splits each
+// window exactly where a float compare would.
+func TestProfileMatchesSortedOracle(t *testing.T) {
+	const tcrit = 8 // a power of two, so r = limit/tcrit maps back exactly
+	rng := rand.New(rand.NewSource(14))
+	for wi, delays := range oracleWindows(rng) {
+		p := NewProfile(tcrit, delays)
+		o := newSortedOracle(tcrit, delays)
+		if p.N != len(delays) || len(p.Codes) != len(delays) {
+			t.Fatalf("window %d: N %d, %d codes for %d delays", wi, p.N, len(p.Codes), len(delays))
+		}
+		for i, c := range p.Codes {
+			if p.Levels[c].Delay != delays[i] {
+				t.Fatalf("window %d: code %d of instruction %d decodes to %v, want %v", wi, c, i, p.Levels[c].Delay, delays[i])
+			}
+		}
+		if got, want := p.MaxDelay(), o.maxDelay(); got != want {
+			t.Fatalf("window %d: MaxDelay %v, oracle %v", wi, got, want)
+		}
+		limits := []float64{-1, 0, 1e9}
+		for _, l := range p.Levels {
+			limits = append(limits, l.Delay, math.Nextafter(l.Delay, math.Inf(-1)), math.Nextafter(l.Delay, math.Inf(1)))
+		}
+		for _, limit := range limits {
+			r := limit / tcrit
+			if got, want := p.Err(r), o.err(r); got != want {
+				t.Fatalf("window %d: Err(%v) = %v, oracle %v", wi, r, got, want)
+			}
+			cut := p.Cut(limit)
+			for i, d := range delays {
+				if (p.Codes[i] >= cut) != (d > limit) {
+					t.Fatalf("window %d: delay %v vs limit %v: code %d, cut %d", wi, d, limit, p.Codes[i], cut)
+				}
+			}
+		}
+	}
+}
+
+// A profile retains its codes, opcodes and level table and nothing else:
+// at most 8 bytes per instruction (4 for the code, 1 for the opcode, the
+// rest for the levels), where two float64 copies of every delay took 17.
+func TestBuildProfilesRetainsCompactProfiles(t *testing.T) {
+	k, err := workload.ByName("radix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := workload.RunKernel(k, 4, 2, 2016)
+	n := 0
+	for _, s := range streams {
+		n += s.TotalInstructions()
+	}
+	NewStageCircuit(SimpleALU) // the netlist cache is kept once per process
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second cycle frees sync.Pool victims too
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	profs, err := BuildProfiles(streams, SimpleALU, cpu.DefaultL1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	perInst := (float64(heap()) - float64(before)) / float64(n)
+	runtime.KeepAlive(profs)
+	runtime.KeepAlive(streams) // counted in both readings, not freed between them
+	t.Logf("%d instructions retained %.2f bytes each", n, perInst)
+	if perInst > 8 {
+		t.Errorf("profiles retain %.2f bytes per instruction, want at most 8", perInst)
 	}
 }
 
