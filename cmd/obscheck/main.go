@@ -228,11 +228,6 @@ func checkFleetTrace(path string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", f, err)
 		}
-		for i := range spans {
-			if err := spans[i].Validate(); err != nil {
-				return fmt.Errorf("%s: span %d: %w", f, i+1, err)
-			}
-		}
 		var canon bytes.Buffer
 		if err := obs.WriteTraceJSONL(&canon, spans); err != nil {
 			return err

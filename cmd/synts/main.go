@@ -67,11 +67,11 @@ var (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: synts [flags] <experiment>...\n       synts bench [-o FILE] [-size N]\n       synts serve [-addr HOST:PORT] [experiment ...]\n       synts route -backends URL,URL,... [-addr HOST:PORT]\n       synts loadgen [-url URL] [-rps N] [-duration D] [-o FILE]\n       synts explain [-events FILE] <benchmark>\n       synts sweep [-bench NAME] [-jlist 1,2,4] [-engines levelized,event] [-o FILE]\n       synts trace [-dir DIR] [artifact.jsonl ...] [-merged FILE]\n\nexperiments:\n")
+		fmt.Fprintf(os.Stderr, "usage: synts [flags] <experiment>...\n       synts serve [-addr HOST:PORT] [experiment ...]\n       synts route -backends URL,URL,... [-addr HOST:PORT]\n       synts loadgen [-url URL] [-rps N] [-duration D] [-o FILE]\n       synts explain [-events FILE] <benchmark>\n       synts sweep [-bench NAME] [-jlist 1,2,4] [-engines levelized,event] [-o FILE]\n       synts trace [-dir DIR] [artifact.jsonl ...] [-merged FILE]\n\nexperiments:\n")
 		for _, e := range experiments {
 			fmt.Fprintf(os.Stderr, "  %-10s %s\n", e.name, e.desc)
 		}
-		fmt.Fprintf(os.Stderr, "  %-10s run everything\n  %-10s write BENCH_synts.json (machine-readable benchmarks)\n  %-10s serve the solver (/v1/solve), /metrics, expvar and pprof over HTTP\n  %-10s front several serve daemons with a consistent-hash failover router\n  %-10s drive a live serve instance with a seeded open-loop request stream\n  %-10s aggregate the decision ledger into the paper-facing tables\n  %-10s measure the -j x -engine scaling matrix (synts-sweep/v1 + report)\n  %-10s stitch per-process trace artifacts and attribute tail latency\n\nflags:\n", "all", "bench", "serve", "route", "loadgen", "explain", "sweep", "trace")
+		fmt.Fprintf(os.Stderr, "  %-10s run everything\n  %-10s serve the solver (/v1/solve), /metrics, expvar and pprof over HTTP\n  %-10s front several serve daemons with a consistent-hash failover router\n  %-10s drive a live serve instance with a seeded open-loop request stream\n  %-10s aggregate the decision ledger into the paper-facing tables\n  %-10s measure the -j x -engine scaling matrix (synts-sweep/v1 + report)\n  %-10s stitch per-process trace artifacts and attribute tail latency\n\nflags:\n", "all", "serve", "route", "loadgen", "explain", "sweep", "trace")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -86,12 +86,6 @@ func main() {
 	}
 	trace.SetEngine(eng)
 	switch flag.Arg(0) {
-	case "bench":
-		if err := runBenchCmd(flag.Args()[1:], os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "synts bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	case "serve":
 		if err := runServeCmd(flag.Args()[1:], os.Stdout, os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "synts serve: %v\n", err)

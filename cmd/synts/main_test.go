@@ -244,64 +244,6 @@ func TestStatsJSONAndTraceOutSchemas(t *testing.T) {
 	}
 }
 
-// The bench reporter must emit the documented schema with plausible
-// numbers for every suite entry.
-func TestBenchReportSchema(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench suite takes tens of seconds")
-	}
-	rep, err := runBenchReport(1, false, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != benchSchema {
-		t.Errorf("schema = %q", rep.Schema)
-	}
-	if rep.GoMaxProcs <= 0 || rep.Timestamp == "" || rep.GoVersion == "" {
-		t.Errorf("missing metadata: %+v", rep)
-	}
-	names, _, err := benchSuite(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Benchmarks) != len(names) {
-		t.Fatalf("%d results, want %d", len(rep.Benchmarks), len(names))
-	}
-	for _, e := range rep.Benchmarks {
-		if e.Name == "" || e.Iterations <= 0 || e.NsPerOp <= 0 {
-			t.Errorf("implausible entry: %+v", e)
-		}
-	}
-	var disabled, enabled BenchEntry
-	for _, e := range rep.Benchmarks {
-		switch e.Name {
-		case "obs/CounterDisabled":
-			disabled = e
-		case "obs/CounterEnabled":
-			enabled = e
-		}
-	}
-	if disabled.NsPerOp <= 0 || disabled.NsPerOp > enabled.NsPerOp {
-		t.Errorf("disabled counter (%v ns/op) must be cheaper than enabled (%v ns/op)",
-			disabled.NsPerOp, enabled.NsPerOp)
-	}
-	if disabled.AllocsPerOp != 0 {
-		t.Errorf("disabled counter allocates %d per op, want 0", disabled.AllocsPerOp)
-	}
-	var telDisabled BenchEntry
-	for _, e := range rep.Benchmarks {
-		if e.Name == "telemetry/RecordDisabled" {
-			telDisabled = e
-		}
-	}
-	if telDisabled.Name == "" {
-		t.Fatal("suite missing telemetry/RecordDisabled")
-	}
-	if telDisabled.AllocsPerOp != 0 {
-		t.Errorf("disabled telemetry Record allocates %d per op, want 0", telDisabled.AllocsPerOp)
-	}
-}
-
 // An interrupted checkpointed run, resumed, must reproduce the
 // uninterrupted byte stream exactly: the resumed experiments replay their
 // stored buffers and the rest recompute into the same request-order flush.

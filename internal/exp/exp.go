@@ -348,9 +348,6 @@ func Nominal(cfg *core.Config, intervals [][]core.Thread) Totals {
 	return SolveAll(cfg, intervals, core.SolveNominal, 0)
 }
 
-// BenchNames maps short benchmark identifiers used on the command line.
-func BenchNames() []string { return workload.FullSuite() }
-
 // StageByName parses a stage name.
 func StageByName(name string) (trace.Stage, error) {
 	for _, s := range trace.Stages() {

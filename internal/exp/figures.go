@@ -8,7 +8,6 @@ import (
 	"synts/internal/core"
 	"synts/internal/gpgpu"
 	"synts/internal/mcsim"
-	"synts/internal/netlist"
 	"synts/internal/obs"
 	"synts/internal/pool"
 	"synts/internal/razor"
@@ -788,7 +787,3 @@ func OverheadReport() (*report.Table, core.Overheads, error) {
 	t.AddRow("power overhead vs core", fmt.Sprintf("%.2f%% (paper: 3.41%%)", ov.Power*100))
 	return t, ov, nil
 }
-
-// NewMultiplierAreaCheck is used by the overhead tests to confirm areas
-// come from real netlists rather than constants.
-func NewMultiplierAreaCheck() float64 { return netlist.NewMultiplier(8).Area() }

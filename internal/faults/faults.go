@@ -7,8 +7,8 @@
 //
 // The package follows the obs/telemetry discipline: injection is gated on
 // one atomic load, every hook is safe (and a no-op) while disabled, and
-// the disabled hot path performs zero allocations (benchmarked as
-// faults/EstimateDisabled in the `synts bench` suite). Decisions are pure
+// the disabled hot path performs zero allocations (BenchmarkEstimateDisabled,
+// pinned by TestDisabledEstimateZeroAllocs). Decisions are pure
 // functions of the configured seed and the hook's arguments — never of
 // wall-clock time, goroutine scheduling, or call order — so a chaos run is
 // reproducible: the same seed corrupts the same estimates regardless of

@@ -67,12 +67,6 @@ func (h *Histogram) Observe(v float64) {
 	h.buckets[k].Add(1)
 }
 
-// ObserveSince records the nanoseconds elapsed since start; convenience
-// for the common scoped-timing pattern. No-op on nil.
-func (h *Histogram) ObserveSince(startNs, nowNs int64) {
-	h.Observe(float64(nowNs - startNs))
-}
-
 // Count returns the number of observations (0 on nil).
 func (h *Histogram) Count() uint64 {
 	if h == nil {

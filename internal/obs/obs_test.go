@@ -46,6 +46,15 @@ func TestDisabledAccessorsAreNilAndSafe(t *testing.T) {
 	if s.Child("y") != nil {
 		t.Error("nil span child must be nil")
 	}
+	for name, f := range map[string]func(){
+		"C(n).Add(1)":        func() { C("x").Add(1) },
+		"H(n).Observe(1)":    func() { H("x").Observe(1) },
+		"StartSpan(n).End()": func() { StartSpan("x").End() },
+	} {
+		if allocs := testing.AllocsPerRun(1000, f); allocs != 0 {
+			t.Errorf("disabled %s allocates %.1f/op, want 0", name, allocs)
+		}
+	}
 }
 
 func TestEnableResetsAndRecords(t *testing.T) {

@@ -276,7 +276,8 @@ func WriteTraceFile(path string) error {
 }
 
 // ReadTraceJSONL parses a synts-trace/v1 artifact, rejecting unknown
-// schemas and unknown span fields.
+// schemas, unknown span fields and spans that fail Validate, so every
+// reader sees only spans inside the closed vocabulary.
 func ReadTraceJSONL(r io.Reader) ([]TraceSpan, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -307,6 +308,9 @@ func ReadTraceJSONL(r io.Reader) ([]TraceSpan, error) {
 		dec.DisallowUnknownFields()
 		var sp TraceSpan
 		if err := dec.Decode(&sp); err != nil {
+			return nil, fmt.Errorf("trace artifact line %d: %w", line, err)
+		}
+		if err := sp.Validate(); err != nil {
 			return nil, fmt.Errorf("trace artifact line %d: %w", line, err)
 		}
 		spans = append(spans, sp)

@@ -68,7 +68,7 @@ func TestTraceCollector(t *testing.T) {
 
 // Artifact round-trip: write → read preserves the spans, the writer's
 // output is canonical (re-serialising is a fixed point), and unknown
-// schemas and span fields are rejected.
+// schemas, unknown span fields and invalid spans are rejected.
 func TestTraceJSONLRoundTrip(t *testing.T) {
 	spans := []TraceSpan{
 		{Trace: TraceHex(3), Span: TraceHex(5), Name: TSClientRequest, Kind: HopRoot, Proc: "p", StartNs: 0, DurNs: 10},
@@ -99,6 +99,10 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 	bad := "{\"schema\":\"synts-trace/v1\"}\n{\"trace\":\"00\",\"span\":\"00\",\"name\":\"x\",\"kind\":\"y\",\"proc\":\"p\",\"start_ns\":0,\"dur_ns\":0,\"bogus\":1}\n"
 	if _, err := ReadTraceJSONL(strings.NewReader(bad)); err == nil {
 		t.Error("unknown span field accepted")
+	}
+	negLane := "{\"schema\":\"synts-trace/v1\"}\n{\"trace\":\"0000000000000001\",\"span\":\"0000000000000002\",\"name\":\"client.attempt\",\"kind\":\"first\",\"proc\":\"p\",\"lane\":-1,\"start_ns\":0,\"dur_ns\":0}\n"
+	if _, err := ReadTraceJSONL(strings.NewReader(negLane)); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("span with a negative lane: err = %v, want a line-2 rejection", err)
 	}
 }
 

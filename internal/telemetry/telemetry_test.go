@@ -173,6 +173,28 @@ func TestRecordDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
+func BenchmarkRecordDisabled(b *testing.B) {
+	Disable()
+	ev := Event{Kind: KindDecision, Bench: "radix", Stage: "SimpleALU", Solver: "SynTS"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Record(ev)
+	}
+}
+
+func BenchmarkRecordEnabled(b *testing.B) {
+	Enable()
+	defer func() {
+		Disable()
+		defaultLedger.Reset()
+	}()
+	ev := Event{Kind: KindDecision, Bench: "radix", Stage: "SimpleALU", Solver: "SynTS"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Record(ev)
+	}
+}
+
 func TestLedgerCapCountsDrops(t *testing.T) {
 	var l Ledger
 	l.events = make([]Event, maxEvents) // simulate a full ledger

@@ -237,8 +237,7 @@ func (sc *StageCircuit) SeekPC(earlier [][]isa.Inst) {
 // delays, so the choice never changes any downstream artefact. The
 // trace.gate_evals counter records *touched* gates (gates with at least
 // one changed input, plus one full pass for the priming vector) — an
-// engine-independent measure of the work the vector stream demands, which
-// is what makes the event engine's win attributable in BENCH_synts.json.
+// engine-independent measure of the work the vector stream demands.
 func (sc *StageCircuit) DelayTrace(iv []isa.Inst) []float64 {
 	perInst := simprof.Enabled() // issue-phase attribution wants per-op touched counts
 	var delays []float64
@@ -497,21 +496,10 @@ func BuildProfiles(streams []*workload.Stream, stage Stage, cacheCfg cpu.CacheCo
 	return BuildProfilesWorkersCtx(context.Background(), streams, stage, cacheCfg, 0)
 }
 
-// BuildProfilesCtx is BuildProfiles with a cancellation context: intervals
-// not yet submitted when ctx is cancelled are skipped and ctx's error is
-// returned.
-func BuildProfilesCtx(ctx context.Context, streams []*workload.Stream, stage Stage, cacheCfg cpu.CacheConfig) ([][]*Profile, error) {
-	return BuildProfilesWorkersCtx(ctx, streams, stage, cacheCfg, 0)
-}
-
-// BuildProfilesWorkers is BuildProfiles with an explicit worker-pool size;
-// workers <= 0 means GOMAXPROCS.
-func BuildProfilesWorkers(streams []*workload.Stream, stage Stage, cacheCfg cpu.CacheConfig, workers int) ([][]*Profile, error) {
-	return BuildProfilesWorkersCtx(context.Background(), streams, stage, cacheCfg, workers)
-}
-
-// BuildProfilesWorkersCtx is the fully-parameterised profile builder:
-// explicit worker count plus a cancellation context.
+// BuildProfilesWorkersCtx is BuildProfiles with an explicit worker-pool
+// size (workers <= 0 means GOMAXPROCS) and a cancellation context:
+// intervals not yet submitted when ctx is cancelled are skipped and ctx's
+// error is returned.
 func BuildProfilesWorkersCtx(ctx context.Context, streams []*workload.Stream, stage Stage, cacheCfg cpu.CacheConfig, workers int) ([][]*Profile, error) {
 	return BuildProfilesScopedCtx(ctx, "", streams, stage, cacheCfg, workers)
 }

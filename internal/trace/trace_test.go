@@ -373,7 +373,7 @@ func TestBuildProfilesParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			par, err := BuildProfilesWorkers(streams, stage, cpu.DefaultL1(), workers)
+			par, err := BuildProfilesWorkersCtx(context.Background(), streams, stage, cpu.DefaultL1(), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
