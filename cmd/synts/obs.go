@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"runtime/pprof"
 
 	"synts/internal/obs"
@@ -137,6 +138,9 @@ func writeHeapProfile(path string) error {
 		return err
 	}
 	defer f.Close()
+	// The profile's "in use" means "as of the last GC"; collect now so it
+	// means at exit.
+	runtime.GC()
 	if err := pprof.WriteHeapProfile(f); err != nil {
 		return fmt.Errorf("heap profile: %w", err)
 	}

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -151,5 +153,49 @@ func TestRunAllCtxCheckpointFaultIsolated(t *testing.T) {
 	}
 	if _, ok := store.Load("fig6.18"); ok {
 		t.Error("Load returned a checkpoint that was never durably written")
+	}
+}
+
+// heapBallast is what retainHeapBallast allocates, live until the test
+// drops it.
+var heapBallast []byte
+
+//go:noinline
+func retainHeapBallast() { heapBallast = make([]byte, 64<<20) }
+
+// -memprofile reports the heap at exit, not as of the last GC: 64 MB that
+// a collection saw live and the run then dropped reads as 0 in use.
+func TestWriteHeapProfileIsCurrent(t *testing.T) {
+	retainHeapBallast()
+	runtime.GC()
+	heapBallast = nil
+	path := filepath.Join(t.TempDir(), "heap.pb.gz")
+	if err := writeHeapProfile(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := simprof.Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := slices.IndexFunc(prof.SampleTypes, func(st simprof.ParsedValueType) bool { return st.Type == "inuse_space" })
+	if col < 0 {
+		t.Fatalf("no inuse_space column in %+v", prof.SampleTypes)
+	}
+	var samples, inuse int64
+	for _, s := range prof.Samples {
+		if slices.ContainsFunc(s.Stack, func(f string) bool { return strings.HasSuffix(f, ".retainHeapBallast") }) {
+			samples++
+			inuse += s.Values[col]
+		}
+	}
+	if samples == 0 {
+		t.Fatal("the ballast allocation is missing from the heap profile")
+	}
+	if inuse != 0 {
+		t.Errorf("dropped ballast reads %d bytes in use, want 0", inuse)
 	}
 }

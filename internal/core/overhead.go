@@ -13,7 +13,11 @@ package core
 // rename, caches...) is a documented multiplier, the standard way such
 // per-module synthesis numbers are extrapolated to a core.
 
-import "fmt"
+import (
+	"fmt"
+
+	"synts/internal/gates"
+)
 
 // OverheadInputs describes one core's accounting inputs.
 type OverheadInputs struct {
@@ -23,10 +27,10 @@ type OverheadInputs struct {
 	// PipeRegBits is the number of pipeline-register bits guarded by Razor
 	// flip-flops (the stages' input widths).
 	PipeRegBits int
-	// FFArea and RazorFFArea are per-bit areas (gates package constants).
+	// FFArea and RazorFFArea are per-bit areas in INV units.
 	FFArea, RazorFFArea float64
 	// RazorFFEnergyOverhead is the fractional per-bit dynamic energy
-	// increase of a Razor flip-flop (gates package constant).
+	// increase of a Razor flip-flop.
 	RazorFFEnergyOverhead float64
 	// RestOfCoreFactor scales the speculative-stage area to the whole core:
 	// core area = (comb + seq) * RestOfCoreFactor. The IVM-style out-of-
@@ -49,9 +53,9 @@ type OverheadInputs struct {
 // caller fills CombArea and PipeRegBits from real netlists.
 func DefaultOverheadInputs() OverheadInputs {
 	return OverheadInputs{
-		FFArea:                6.0,
-		RazorFFArea:           15.5,
-		RazorFFEnergyOverhead: 0.28,
+		FFArea:                gates.FFArea,
+		RazorFFArea:           gates.RazorFFArea,
+		RazorFFEnergyOverhead: gates.RazorFFEnergyOverhead,
 		RestOfCoreFactor:      6.0,
 		SamplingFraction:      0.10,
 		SamplingEnergyFactor:  0.25,

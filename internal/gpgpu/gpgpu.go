@@ -346,8 +346,7 @@ func laneInsts(p Program, lane int) []isa.Inst {
 func LaneErr(p Program, r float64) [LaneCount]float64 {
 	var out [LaneCount]float64
 	for l := 0; l < LaneCount; l++ {
-		sc := trace.NewStageCircuit(trace.SimpleALU)
-		out[l] = trace.NewProfile(sc.TCrit, sc.DelayTrace(laneInsts(p, l))).Err(r)
+		out[l] = trace.NewStageCircuit(trace.SimpleALU).Profile(laneInsts(p, l)).Err(r)
 	}
 	return out
 }

@@ -128,7 +128,7 @@ func TestLaneErrBounds(t *testing.T) {
 	}
 }
 
-// LaneErr rides on trace.DelayTrace, so the process-wide engine selection
+// LaneErr rides on a StageCircuit trace, so the process-wide engine selection
 // must not change its result in any lane.
 func TestLaneErrEngineIndependent(t *testing.T) {
 	p, _ := ProgramByName("FFT", 150, 3)

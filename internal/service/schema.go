@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"synts/internal/core"
 	"synts/internal/fleet"
 )
 
@@ -181,12 +182,12 @@ func requestDigest(r *SolveRequest) uint64 {
 // name it: 16 lowercase hex digits.
 func DigestID(d uint64) string { return fmt.Sprintf("%016x", d) }
 
-// validate screens a request against the platform before admission.
-// tsrLevels is the platform's TSR-level count (every curve must sample
-// every level). Violations are client errors (HTTP 400), distinct from
+// validate screens a request against the platform (one solver config per
+// stage) before admission. Every curve must sample every TSR level of
+// the stage. Violations are client errors (HTTP 400), distinct from
 // guard-band rejections, which are service decisions about plausible-
 // looking but implausible data and answer 200 with fallback cores.
-func (r *SolveRequest) validate(stages map[string]bool, tsrLevels int) error {
+func (r *SolveRequest) validate(stages map[string]*core.Config) error {
 	if r.Tenant == "" {
 		return fmt.Errorf("empty tenant")
 	}
@@ -196,7 +197,8 @@ func (r *SolveRequest) validate(stages map[string]bool, tsrLevels int) error {
 	if r.Seq < 0 {
 		return fmt.Errorf("negative seq %d", r.Seq)
 	}
-	if !stages[r.Stage] {
+	cfg := stages[r.Stage]
+	if cfg == nil {
 		return fmt.Errorf("unknown stage %q", r.Stage)
 	}
 	if math.IsNaN(r.Theta) || math.IsInf(r.Theta, 0) || r.Theta < 0 {
@@ -215,13 +217,45 @@ func (r *SolveRequest) validate(stages map[string]bool, tsrLevels int) error {
 		if math.IsNaN(c.CPIBase) || math.IsInf(c.CPIBase, 0) || c.CPIBase <= 0 {
 			return fmt.Errorf("core %d: cpi_base %v: want > 0", i, c.CPIBase)
 		}
-		if len(c.Rates) != tsrLevels {
-			return fmt.Errorf("core %d: %d rates for %d TSR levels", i, len(c.Rates), tsrLevels)
+		if len(c.Rates) != len(cfg.TSRs) {
+			return fmt.Errorf("core %d: %d rates for %d TSR levels", i, len(c.Rates), len(cfg.TSRs))
 		}
 		// NaN/range/monotonicity implausibilities are deliberately NOT
 		// rejected here: they flow to the guard band, which pins the core
 		// to nominal and records a fallback event — the paper's graceful
 		// degradation, observable instead of a 400.
+	}
+	return r.checkFinite(cfg)
+}
+
+// checkFinite rejects a request whose magnitudes overflow the solver:
+// every (voltage, TSR) time and energy of every core, and the cost of
+// every assignment, must be finite. The solver sees error probabilities
+// in [0, 1] (the guard band pins any other curve to the pessimal one),
+// and time and energy grow with the probability, so probability 1 bounds
+// them all; the bound on cost is every core's largest energy plus theta
+// times the largest time.
+func (r *SolveRequest) checkFinite(cfg *core.Config) error {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	certain := func(float64) float64 { return 1 }
+	var energy, texec float64
+	for i, c := range r.Cores {
+		th := core.Thread{N: c.N, CPIBase: c.CPIBase, Err: certain}
+		var maxE float64
+		for _, v := range cfg.Voltages {
+			for _, tsr := range cfg.TSRs {
+				t, e := cfg.ThreadTime(th, v, tsr), cfg.ThreadEnergy(th, v, tsr)
+				if !finite(t) || !finite(e) {
+					return fmt.Errorf("core %d: n %v with cpi_base %v overflows the time or energy at %v V, TSR %v", i, c.N, c.CPIBase, v, tsr)
+				}
+				maxE = math.Max(maxE, e)
+				texec = math.Max(texec, t)
+			}
+		}
+		energy += maxE
+	}
+	if cost := energy + r.Theta*texec; !finite(cost) {
+		return fmt.Errorf("theta %v overflows the cost of an assignment", r.Theta)
 	}
 	return nil
 }

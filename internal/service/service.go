@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -118,11 +119,9 @@ type shard struct {
 type Service struct {
 	cfg    Config
 	stages map[string]*core.Config
-	// stageSet and levels are the request-validation view of the platform.
-	stageSet map[string]bool
-	levels   int
-	tsrs     []float64
-	guard    core.GuardPolicy
+	levels int
+	tsrs   []float64
+	guard  core.GuardPolicy
 
 	shards   []*shard
 	workerWg sync.WaitGroup
@@ -152,7 +151,6 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:        cfg,
 		stages:     make(map[string]*core.Config),
-		stageSet:   make(map[string]bool),
 		tsrs:       exp.TSRs(),
 		tenantLoad: make(map[string]int),
 	}
@@ -163,7 +161,6 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("service: stage %s platform: %w", st, err)
 		}
 		s.stages[st.String()] = c
-		s.stageSet[st.String()] = true
 	}
 	warm, err := newWarmCache(cfg.WarmDir, cfg.WarmCap, s.gridKey())
 	if err != nil {
@@ -369,7 +366,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := sr.validate(s.stageSet, s.levels); err != nil {
+	if err := sr.validate(s.stages); err != nil {
 		obs.C("service.requests.client_error").Add(1)
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
@@ -466,8 +463,11 @@ func (s *Service) process(r *SolveRequest, w http.ResponseWriter, tc fleet.Trace
 			return s.shed(r, w, trace, start, ShedQueueFull, http.StatusTooManyRequests)
 		}
 		obs.C("service.solve.errors").Add(1)
+		// The error may carry a recovered panic's stack: it is for the
+		// operator's log, not the client's body.
+		log.Printf("service: solve %s failed: %v", DigestID(reqDig), err)
 		stampServerNs(w, start)
-		http.Error(w, "solve failed: "+err.Error(), http.StatusInternalServerError)
+		http.Error(w, "solve failed: internal error", http.StatusInternalServerError)
 		return http.StatusInternalServerError
 	}
 

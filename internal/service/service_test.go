@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -170,6 +171,56 @@ func TestSolveRejectsBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", m.name, resp.StatusCode)
 		}
+	}
+}
+
+// Bodies whose every field is in range but whose products overflow: each
+// (voltage, TSR) cost of the first, and every time of the second, is
+// +Inf, so SolvePoly has no finite candidate. Admission answers 400.
+func TestSolveRejectsOverflowingBodies(t *testing.T) {
+	_, srv := newTestService(t, Config{Shards: 1, QueueLen: 4})
+	rates := `"rates":[0.2,0.1,0.05,0.01,0.001,0]`
+	bodies := map[string]string{
+		"theta 1e308, n 1e10": `{"tenant":"t","seq":0,"stage":"SimpleALU","theta":1e308,"cores":[{"n":1e10,"cpi_base":1.2,` + rates + `}]}`,
+		"n 1e308, cpi 10":     `{"tenant":"t","seq":0,"stage":"SimpleALU","theta":1,"cores":[{"n":1e308,"cpi_base":10,` + rates + `}]}`,
+	}
+	for name, body := range bodies {
+		t.Run(name, func(t *testing.T) {
+			resp, err := http.Post(srv.URL+"/v1/solve", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("status %d, want 400; body %s", resp.StatusCode, raw)
+			}
+		})
+	}
+}
+
+// A solve that panics answers 500 with a fixed body: the recovered
+// panic's stack goes to the daemon's log, never to the client.
+func TestSolvePanicAnswersFixed500(t *testing.T) {
+	var logged bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&logged)
+	if err := faults.Enable("task-panic=1", 42); err != nil {
+		t.Fatal(err)
+	}
+	defer faults.Disable()
+	_, srv := newTestService(t, Config{Shards: 1, QueueLen: 4})
+	resp := postSolve(t, srv.URL, validRequest("fft", 0))
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500; body %s", resp.StatusCode, raw)
+	}
+	if got := strings.TrimSpace(string(raw)); got != "solve failed: internal error" {
+		t.Errorf("500 body %q, want the fixed message", got)
+	}
+	if !strings.Contains(logged.String(), "goroutine ") {
+		t.Errorf("the panic's stack was not logged: %q", logged.String())
 	}
 }
 
@@ -608,11 +659,11 @@ func TestGenStreamDeterministicAndValid(t *testing.T) {
 	if bytes.Equal(ab, cb) {
 		t.Fatal("different seeds produced identical streams")
 	}
-	stages := map[string]bool{"Decode": true, "SimpleALU": true, "ComplexALU": true}
+	svc, _ := newTestService(t, Config{})
 	repeated := 0
 	seen := map[uint64]bool{}
 	for i := range a {
-		if err := a[i].validate(stages, 6); err != nil {
+		if err := a[i].validate(svc.stages); err != nil {
 			t.Fatalf("generated request %d invalid: %v", i, err)
 		}
 		key := payloadDigest(&a[i])

@@ -100,7 +100,10 @@ func TestRandomNetlistCrossValidation(t *testing.T) {
 // by a vector stream (derived from stream bytes — each byte's low bits
 // toggle the corresponding primary inputs), the levelized Analyzer and the
 // bit-parallel BlockAnalyzer must produce bit-identical delays and
-// touched-gate counts.
+// touched-gate counts. The same BlockAnalyzer is then Reset on a
+// fuzz-derived vector and replays a second stream (the first reversed) in
+// other ragged blocks, and must agree with a fresh analyzer on every delay
+// and touched count: reuse across windows is exact.
 // CI runs it for a short budget on every push; the seed corpus is checked
 // in under testdata/fuzz.
 func FuzzStepEquivalence(f *testing.F) {
@@ -141,25 +144,10 @@ func FuzzStepEquivalence(f *testing.F) {
 
 		// Replay through the block engine in ragged blocks; block size is
 		// itself fuzz-derived so boundaries land everywhere.
-		blockSize := 1 + int(nGates)%64
 		inWords := make([]uint64, nIn)
 		delays := make([]float64, 64)
 		touched := make([]int64, 64)
-		for start := 0; start < len(vecs); start += blockSize {
-			k := blockSize
-			if start+k > len(vecs) {
-				k = len(vecs) - start
-			}
-			for i := range inWords {
-				inWords[i] = 0
-			}
-			for j := 0; j < k; j++ {
-				for i, v := range vecs[start+j] {
-					if v {
-						inWords[i] |= 1 << uint(j)
-					}
-				}
-			}
+		replay(vecs, 1+int(nGates)%64, inWords, func(start, k int) {
 			ba.StepBlock(inWords, k, delays, touched)
 			for j := 0; j < k; j++ {
 				if delays[j] != wantDelay[start+j] {
@@ -171,11 +159,64 @@ func FuzzStepEquivalence(f *testing.F) {
 						start+j, touched[j], wantTouch[start+j])
 				}
 			}
-		}
+		})
 		if ba.Touched() != lv.Touched() {
 			t.Fatalf("touched totals diverged: levelized %d, block %d", lv.Touched(), ba.Touched())
 		}
+
+		// Reuse: Reset the same analyzer on a fuzz-derived vector and
+		// replay the stream reversed; a fresh analyzer primed alike is the
+		// reference.
+		for i := range in {
+			in[i] = rng.Intn(2) == 1
+		}
+		fresh := NewBlockAnalyzer(n)
+		before := ba.Touched()
+		ba.Reset(in)
+		fresh.Reset(in)
+		for s := range vecs {
+			c := stream[len(stream)-1-s]
+			for i := 0; i < nIn; i++ {
+				if c&(1<<uint(i)) != 0 {
+					in[i] = !in[i]
+				}
+			}
+			vecs[s] = append(vecs[s][:0], in...)
+		}
+		freshDelays := make([]float64, 64)
+		freshTouched := make([]int64, 64)
+		replay(vecs, 1+(int(nGates)/3+len(stream))%64, inWords, func(start, k int) {
+			ba.StepBlock(inWords, k, delays, touched)
+			fresh.StepBlock(inWords, k, freshDelays, freshTouched)
+			for j := 0; j < k; j++ {
+				if delays[j] != freshDelays[j] || touched[j] != freshTouched[j] {
+					t.Fatalf("reused step %d: delay %v, touched %d; fresh analyzer %v, %d",
+						start+j, delays[j], touched[j], freshDelays[j], freshTouched[j])
+				}
+			}
+		})
+		if got := ba.Touched() - before; got != fresh.Touched() {
+			t.Fatalf("reused analyzer touched %d gates, fresh analyzer %d", got, fresh.Touched())
+		}
 	})
+}
+
+// replay packs vecs into blocks of blockSize vectors (the last one
+// ragged), bit j of inWords[i] holding input i of the block's j-th vector,
+// and calls step with each block's first vector index and size.
+func replay(vecs [][]bool, blockSize int, inWords []uint64, step func(start, k int)) {
+	for start := 0; start < len(vecs); start += blockSize {
+		k := min(blockSize, len(vecs)-start)
+		clear(inWords)
+		for j := 0; j < k; j++ {
+			for i, v := range vecs[start+j] {
+				if v {
+					inWords[i] |= 1 << uint(j)
+				}
+			}
+		}
+		step(start, k)
+	}
 }
 
 // STA on a random circuit must upper-bound the settle time of an

@@ -59,9 +59,9 @@ type StageCircuit struct {
 	TCrit   float64 // STA critical path, ps at nominal voltage
 
 	in []bool // scratch input vector
-	// lastTouched holds, per instruction of the most recent DelayTrace
-	// call, the number of gates the timing engine touched (nil unless the
-	// simprof profiler was on). Touched counts are a property of the
+	// lastTouched holds, per instruction of the most recent trace, the
+	// number of gates the timing engine touched (nil unless the simprof
+	// profiler was on). Touched counts are a property of the
 	// vector stream, not the engine, so attribution is engine-independent.
 	lastTouched []int64
 	pc          uint32 // synthetic program counter (Decode stage)
@@ -238,44 +238,75 @@ func (sc *StageCircuit) SeekPC(earlier [][]isa.Inst) {
 // trace.gate_evals counter records *touched* gates (gates with at least
 // one changed input, plus one full pass for the priming vector) — an
 // engine-independent measure of the work the vector stream demands.
+//
+// The trace runs while holding one of GOMAXPROCS process-wide slots (see
+// slot), so it may wait for a running trace to finish.
 func (sc *StageCircuit) DelayTrace(iv []isa.Inst) []float64 {
-	perInst := simprof.Enabled() // issue-phase attribution wants per-op touched counts
-	var delays []float64
-	var touched int64
-	if CurrentEngine() == EngineLevelized {
-		delays, touched = sc.delayTraceLevelized(iv, perInst)
-	} else {
-		delays, touched = sc.delayTraceEvent(iv, perInst)
-	}
-	if obs.Enabled() {
-		obs.C("trace.gate_evals").Add(touched)
-		obs.C("trace.instructions").Add(int64(len(iv)))
-	}
-	return delays
+	return sc.delayTraceWith(CurrentEngine(), iv)
 }
 
 // DelayTraceLevelized runs the window through the levelized reference
 // engine regardless of the process-wide selection (benchmarks and
 // equivalence tests).
 func (sc *StageCircuit) DelayTraceLevelized(iv []isa.Inst) []float64 {
-	d, _ := sc.delayTraceLevelized(iv, false)
-	return d
+	return sc.delayTraceWith(EngineLevelized, iv)
 }
 
 // DelayTraceEvent runs the window through the bit-parallel + event-driven
 // engine regardless of the process-wide selection.
 func (sc *StageCircuit) DelayTraceEvent(iv []isa.Inst) []float64 {
-	d, _ := sc.delayTraceEvent(iv, false)
-	return d
+	return sc.delayTraceWith(EngineEvent, iv)
+}
+
+func (sc *StageCircuit) delayTraceWith(e Engine, iv []isa.Inst) []float64 {
+	delays := make([]float64, len(iv))
+	s := acquireSlot()
+	defer s.release()
+	sc.trace(s, e, iv, delays)
+	return delays
+}
+
+// Profile returns NewProfile(sc.TCrit, sc.DelayTrace(iv)), running the
+// trace and the compaction in one slot: the delays land in the slot's
+// buffer and are numbered with its tables, so the window allocates only
+// the profile it returns.
+func (sc *StageCircuit) Profile(iv []isa.Inst) *Profile {
+	s := acquireSlot()
+	defer s.release()
+	return s.profile(sc, iv)
+}
+
+// profile is Profile on a slot the caller already holds.
+func (s *slot) profile(sc *StageCircuit, iv []isa.Inst) *Profile {
+	s.delays = slices.Grow(s.delays[:0], len(iv))[:len(iv)]
+	sc.trace(s, CurrentEngine(), iv, s.delays)
+	return s.nb.profile(sc.TCrit, s.delays)
+}
+
+// trace fills delays (len(iv)) with the window's sensitized delays using
+// engine e and the slot's analyzer, and records the window on the obs
+// counters.
+func (sc *StageCircuit) trace(s *slot, e Engine, iv []isa.Inst, delays []float64) {
+	clear(delays)
+	perInst := simprof.Enabled() // issue-phase attribution wants per-op touched counts
+	var touched int64
+	if e == EngineLevelized {
+		touched = sc.delayTraceLevelized(iv, delays, perInst)
+	} else {
+		touched = sc.delayTraceEvent(s, iv, delays, perInst)
+	}
+	if obs.Enabled() {
+		obs.C("trace.gate_evals").Add(touched)
+		obs.C("trace.instructions").Add(int64(len(iv)))
+	}
 }
 
 // delayTraceLevelized is the reference path: one full levelized pass per
-// driving vector. Returns the delays and the total touched-gate count;
-// with perInst it also records per-instruction touched counts in
+// driving vector, on a fresh analyzer. It returns the window's touched-gate
+// count; with perInst it also records per-instruction touched counts in
 // sc.lastTouched (nil otherwise).
-func (sc *StageCircuit) delayTraceLevelized(iv []isa.Inst, perInst bool) ([]float64, int64) {
+func (sc *StageCircuit) delayTraceLevelized(iv []isa.Inst, delays []float64, perInst bool) int64 {
 	an := timing.NewAnalyzer(sc.Netlist)
-	delays := make([]float64, len(iv))
 	var touched []int64
 	if perInst {
 		touched = make([]int64, len(iv))
@@ -299,18 +330,19 @@ func (sc *StageCircuit) delayTraceLevelized(iv []isa.Inst, perInst bool) ([]floa
 		}
 	}
 	sc.lastTouched = touched
-	return delays, an.Touched()
+	return an.Touched()
 }
 
 // delayTraceEvent is the fast path: driving vectors are packed 64 at a
 // time into uint64 lanes (bit j of inWords[i] = input i of the block's
 // j-th vector), one bit-parallel pass settles each block, and each
 // vector's delay comes from an event-driven walk of its changed-net
-// fanout cone. Delays are bit-identical to delayTraceLevelized.
-func (sc *StageCircuit) delayTraceEvent(iv []isa.Inst, perInst bool) ([]float64, int64) {
+// fanout cone. Delays are bit-identical to delayTraceLevelized. The
+// analyzer is the slot's, re-primed by the window's first driving vector.
+func (sc *StageCircuit) delayTraceEvent(s *slot, iv []isa.Inst, delays []float64, perInst bool) int64 {
 	n := sc.Netlist
-	ba := timing.NewBlockAnalyzer(n)
-	delays := make([]float64, len(iv))
+	ba := s.blockAnalyzer(sc)
+	before := ba.Touched()
 	var touched []int64
 	var blockTouched []int64
 	if perInst {
@@ -364,7 +396,7 @@ func (sc *StageCircuit) delayTraceEvent(iv []isa.Inst, perInst bool) ([]float64,
 	}
 	flush()
 	sc.lastTouched = touched
-	return delays, ba.Touched()
+	return ba.Touched() - before
 }
 
 // Profile is the per-thread, per-barrier-interval characterisation that
@@ -405,12 +437,28 @@ type Level struct {
 // (program order) into a profile with N = len(delays); the caller fills
 // in Thread, Interval, CPIBase and Ops. delays is not modified.
 func NewProfile(tcrit float64, delays []float64) *Profile {
+	return new(numbering).profile(tcrit, delays)
+}
+
+// numbering is NewProfile's scratch: the map from each distinct delay to
+// its first-appearance id and, per id, the delay, its count and its rank
+// by delay. A slot keeps one, so a window's tables are not allocated anew.
+type numbering struct {
+	ids         map[float64]uint32
+	vals        []float64
+	counts      []int
+	order, rank []uint32
+}
+
+func (nb *numbering) profile(tcrit float64, delays []float64) *Profile {
 	// Number the distinct delays in order of first appearance, one map
 	// lookup per run of equal delays, then renumber them ascending: this
 	// sorts only the distinct delays, not the whole window.
-	ids := make(map[float64]uint32)
-	var vals []float64
-	var counts []int
+	if nb.ids == nil {
+		nb.ids = make(map[float64]uint32)
+	}
+	clear(nb.ids)
+	vals, counts := nb.vals[:0], nb.counts[:0]
 	codes := make([]uint32, len(delays))
 	for i, d := range delays {
 		if i > 0 && d == delays[i-1] {
@@ -418,25 +466,27 @@ func NewProfile(tcrit float64, delays []float64) *Profile {
 			counts[codes[i]]++
 			continue
 		}
-		id, ok := ids[d]
+		id, ok := nb.ids[d]
 		if !ok {
 			id = uint32(len(vals))
-			ids[d] = id
+			nb.ids[d] = id
 			vals = append(vals, d)
 			counts = append(counts, 0)
 		}
 		codes[i] = id
 		counts[id]++
 	}
+	nb.vals, nb.counts = vals, counts
 	if uint64(len(vals)) > math.MaxUint32 {
 		panic(fmt.Sprintf("trace: %d distinct delays overflow uint32 codes", len(vals)))
 	}
-	order := make([]uint32, len(vals)) // first-appearance ids, ascending by delay
+	order := slices.Grow(nb.order[:0], len(vals))[:len(vals)] // first-appearance ids, ascending by delay
 	for k := range order {
 		order[k] = uint32(k)
 	}
 	slices.SortFunc(order, func(a, b uint32) int { return cmp.Compare(vals[a], vals[b]) })
-	rank := make([]uint32, len(vals))
+	rank := slices.Grow(nb.rank[:0], len(vals))[:len(vals)]
+	nb.order, nb.rank = order, rank
 	levels := make([]Level, len(vals))
 	atLeast := 0
 	for k := len(order) - 1; k >= 0; k-- {
@@ -570,12 +620,11 @@ func BuildProfilesScopedCtx(ctx context.Context, kernel string, streams []*workl
 				ssp.End()
 				iv := s.Intervals[ii]
 				dsp := bsp.Child("trace.delay_trace")
-				delays := sc.DelayTrace(iv)
+				p := sc.Profile(iv)
 				dsp.End()
 				if kernel != "" && simprof.Enabled() {
 					recordIssueAttr(kernel, t, ii, sc, iv)
 				}
-				p := NewProfile(sc.TCrit, delays)
 				p.Thread, p.Interval, p.Ops = t, ii, opsOf(iv)
 				out[t][ii] = p
 				return nil
@@ -606,9 +655,9 @@ func opsOf(iv []isa.Inst) []isa.Op {
 // each instruction that drives the stage costs one issue cycle, and its
 // energy is the touched-gate count its vector demanded (the same
 // accounting as the trace.gate_evals obs counter, but keyed per opcode).
-// Touched counts come from the DelayTrace call that just ran
-// (sc.lastTouched) and are engine-independent, so simprof artefacts stay
-// byte-identical whichever engine produced them.
+// Touched counts come from the trace that just ran (sc.lastTouched) and
+// are engine-independent, so simprof artefacts stay byte-identical
+// whichever engine produced them.
 func recordIssueAttr(kernel string, thread, interval int, sc *StageCircuit, iv []isa.Inst) {
 	var counts [isa.NumOps]int64
 	var work [isa.NumOps]int64
@@ -655,7 +704,7 @@ func BuildProfilesSerial(streams []*workload.Stream, stage Stage, cacheCfg cpu.C
 		}
 		out[t] = make([]*Profile, len(s.Intervals))
 		for ii, iv := range s.Intervals {
-			p := NewProfile(sc.TCrit, sc.DelayTrace(iv))
+			p := sc.Profile(iv)
 			res := cpu.MeasureCPI(iv, cache)
 			recordCacheCounters(res)
 			p.Thread, p.Interval, p.CPIBase, p.Ops = t, ii, res.CPI, opsOf(iv)

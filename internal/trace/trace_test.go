@@ -7,10 +7,12 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"synts/internal/cpu"
 	"synts/internal/isa"
+	"synts/internal/netlist"
 	"synts/internal/obs"
 	"synts/internal/simprof"
 	"synts/internal/workload"
@@ -283,7 +285,7 @@ func TestBuildProfilesRetainsCompactProfiles(t *testing.T) {
 	for _, s := range streams {
 		n += s.TotalInstructions()
 	}
-	NewStageCircuit(SimpleALU) // the netlist cache is kept once per process
+	warmSlots(streams, SimpleALU) // the netlist cache and the slots are kept once per process
 	heap := func() uint64 {
 		runtime.GC()
 		runtime.GC() // the second cycle frees sync.Pool victims too
@@ -302,6 +304,199 @@ func TestBuildProfilesRetainsCompactProfiles(t *testing.T) {
 	t.Logf("%d instructions retained %.2f bytes each", n, perInst)
 	if perInst > 8 {
 		t.Errorf("profiles retain %.2f bytes per instruction, want at most 8", perInst)
+	}
+}
+
+// warmSlots runs every window of streams at stage through every slot, so
+// each slot holds the analyzer and the buffer and table sizes these
+// windows need, and a build measured afterwards grows none of them.
+func warmSlots(streams []*workload.Stream, stage Stage) {
+	held := make([]*slot, cap(slotPool()))
+	for i := range held {
+		held[i] = acquireSlot()
+	}
+	for _, s := range held {
+		for _, st := range streams {
+			for ii, iv := range st.Intervals {
+				sc := NewStageCircuit(stage)
+				sc.SeekPC(st.Intervals[:ii])
+				s.profile(sc, iv)
+			}
+		}
+	}
+	for _, s := range held {
+		s.release()
+	}
+}
+
+// A warmed build allocates little beyond the profiles it returns: at most
+// 12 bytes per instruction in every stage, where a fresh analyzer, delay
+// slice and numbering tables per window took 140 (Decode), 227
+// (SimpleALU) and 1,255 (ComplexALU).
+func TestBuildProfilesAllocationBound(t *testing.T) {
+	k, err := workload.ByName("radix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := workload.RunKernel(k, 4, 2, 2016)
+	n := 0
+	for _, s := range streams {
+		n += s.TotalInstructions()
+	}
+	for _, stage := range Stages() {
+		warmSlots(streams, stage)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		profs, err := BuildProfiles(streams, stage, cpu.DefaultL1())
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(profs)
+		perInst := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+		t.Logf("%v: %d instructions, %.2f bytes allocated each", stage, n, perInst)
+		if perInst > 12 {
+			t.Errorf("%v: a warmed build allocates %.2f bytes per instruction, want at most 12", stage, perInst)
+		}
+	}
+}
+
+// The slots bound the traces in flight: concurrent builds from more
+// goroutines than GOMAXPROCS, over every stage, never run more than
+// GOMAXPROCS traces at once, and each matches the serial reference.
+func TestBuildProfilesSlotBound(t *testing.T) {
+	k, err := workload.ByName("radix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := workload.RunKernel(k, 4, 1, 42)
+	want := map[Stage][][]*Profile{}
+	for _, stage := range Stages() {
+		if want[stage], err = BuildProfilesSerial(streams, stage, cpu.DefaultL1()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	procs := runtime.GOMAXPROCS(0)
+	peakInFlight.Store(0)
+	var wg sync.WaitGroup
+	for i := 0; i < 2*procs+1; i++ {
+		stage := Stages()[i%len(Stages())]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := BuildProfilesWorkersCtx(context.Background(), streams, stage, cpu.DefaultL1(), 4)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(got, want[stage]) {
+				t.Errorf("%v: concurrent build differs from the serial reference", stage)
+			}
+		}()
+	}
+	wg.Wait()
+	peak := int(peakInFlight.Load())
+	t.Logf("GOMAXPROCS %d, peak traces in flight %d", procs, peak)
+	if peak < 1 || peak > procs {
+		t.Errorf("peak traces in flight %d, want 1..%d", peak, procs)
+	}
+	if free := len(slotPool()); free != cap(slotPool()) {
+		t.Errorf("%d of %d slots free after every build returned", free, cap(slotPool()))
+	}
+}
+
+// One slot reused for windows of every stage, in mixed order and with
+// per-instruction attribution on, computes exactly what a fresh slot
+// does: the same delays, profile, per-instruction touched counts and
+// trace.gate_evals total.
+func TestSlotReuseMatchesFreshSlot(t *testing.T) {
+	k, err := workload.ByName("radix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := workload.RunKernel(k, 2, 1, 7)
+	type window struct {
+		stage     Stage
+		thread, i int
+	}
+	var ws []window
+	for _, stage := range Stages() {
+		for ti, s := range streams {
+			for ii := range s.Intervals {
+				ws = append(ws, window{stage, ti, ii})
+			}
+		}
+	}
+	rand.New(rand.NewSource(16)).Shuffle(len(ws), func(a, b int) { ws[a], ws[b] = ws[b], ws[a] })
+	simprof.Enable()
+	defer simprof.Disable()
+	obs.Enable()
+	defer obs.Disable()
+	type result struct {
+		p       *Profile
+		delays  []float64
+		touched []int64
+		gates   int64
+	}
+	run := func(s *slot, w window) result {
+		ivs := streams[w.thread].Intervals
+		sc := NewStageCircuit(w.stage)
+		sc.SeekPC(ivs[:w.i])
+		before := obs.C("trace.gate_evals").Value()
+		p := s.profile(sc, ivs[w.i])
+		return result{p, append([]float64(nil), s.delays...), sc.lastTouched, obs.C("trace.gate_evals").Value() - before}
+	}
+	reused := acquireSlot()
+	defer reused.release()
+	for _, w := range ws {
+		want := run(new(slot), w)
+		got := run(reused, w)
+		if want.touched == nil {
+			t.Fatal("no per-instruction touched counts with simprof on")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v thread %d interval %d: reused slot differs from a fresh one", w.stage, w.thread, w.i)
+		}
+	}
+}
+
+// A trace that panics still releases its slot, and the next trace through
+// that slot is exact.
+func TestSlotReleasedOnPanic(t *testing.T) {
+	k, err := workload.ByName("radix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv := workload.RunKernel(k, 2, 1, 7)[0].Intervals[0]
+	pool := slotPool()
+	// Hold every slot but one, so each trace below runs on the same slot.
+	held := make([]*slot, cap(pool)-1)
+	for i := range held {
+		held[i] = acquireSlot()
+	}
+	defer func() {
+		for _, s := range held {
+			s.release()
+		}
+	}()
+	want := new(slot).profile(NewStageCircuit(SimpleALU), iv)
+	NewStageCircuit(SimpleALU).Profile(iv) // leaves the slot's analyzer mid-stream
+
+	broken := NewStageCircuit(SimpleALU)
+	broken.bBus = netlist.Bus{Name: "b", Nets: []netlist.Net{-1}}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a trace through a broken bus did not panic")
+			}
+		}()
+		broken.Profile(iv)
+	}()
+	if len(pool) != 1 {
+		t.Fatalf("%d slots free after the panic, want 1", len(pool))
+	}
+	if got := NewStageCircuit(SimpleALU).Profile(iv); !reflect.DeepEqual(got, want) {
+		t.Fatal("the trace after a panic differs from a fresh slot's")
 	}
 }
 
