@@ -12,6 +12,7 @@ package synts_test
 // the trace/profile construction cost.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -253,7 +254,7 @@ func BenchmarkFig6_18(b *testing.B) {
 	var worstOnline float64
 	for i := 0; i < b.N; i++ {
 		for _, st := range trace.Stages() {
-			rows, err := exp.Fig618(benches, st)
+			rows, err := exp.Fig618Ctx(context.Background(), benches, st)
 			if err != nil {
 				b.Fatal(err)
 			}

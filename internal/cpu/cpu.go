@@ -203,19 +203,3 @@ func MeasureCPIScoped(kernel string, coreID, interval int, stage string, iv []is
 	res.CPI = 1 + float64(stall)/float64(res.Instructions)
 	return res
 }
-
-// ArrivalTimes returns, for one barrier interval, each thread's arrival
-// time at the barrier when all run at the same clock period and their own
-// CPI — the Fig 1.4 "threads arrive at different times" measurement.
-// ns[i] is thread i's instruction count, cpi[i] its CPI, tclk the clock
-// period (arbitrary units).
-func ArrivalTimes(ns []int, cpi []float64, tclk float64) []float64 {
-	if len(ns) != len(cpi) {
-		panic(fmt.Sprintf("cpu: %d instruction counts vs %d CPIs", len(ns), len(cpi)))
-	}
-	out := make([]float64, len(ns))
-	for i := range ns {
-		out[i] = float64(ns[i]) * cpi[i] * tclk
-	}
-	return out
-}

@@ -172,22 +172,6 @@ func TestMeasureCPIPersistsWarmth(t *testing.T) {
 	}
 }
 
-func TestArrivalTimes(t *testing.T) {
-	got := ArrivalTimes([]int{100, 200}, []float64{1, 1.5}, 2)
-	if got[0] != 200 || got[1] != 600 {
-		t.Fatalf("arrivals = %v", got)
-	}
-}
-
-func TestArrivalTimesMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on mismatched slices")
-		}
-	}()
-	ArrivalTimes([]int{1}, []float64{1, 2}, 1)
-}
-
 func TestMeasureCPIHitMissCounts(t *testing.T) {
 	c, _ := NewCache(DefaultL1())
 	iv := []isa.Inst{

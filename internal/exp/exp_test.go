@@ -1,12 +1,16 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"synts/internal/core"
+	"synts/internal/isa"
 	"synts/internal/trace"
 )
 
@@ -71,6 +75,30 @@ func TestLoadBenchTruncatesIntervals(t *testing.T) {
 	}
 	if dropped == 0 {
 		t.Fatal("no interval was dropped; the fixture does not exercise truncation")
+	}
+}
+
+// Running a kernel allocates at most 2.5 times the instruction bytes its
+// streams keep: each interval is recorded in chunks the thread reuses and
+// sealed once at its exact size, where growing it by append allocated
+// 4.7 to 5.4 times. fmm, barnes and raytrace keep every interval, so no
+// bytes LoadBench drops count against them. The test is not parallel, so
+// the TotalAlloc delta is this run's.
+func TestLoadBenchAllocationBound(t *testing.T) {
+	for _, name := range []string{"fmm", "barnes", "raytrace"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b := loadBench(t, name, DefaultOptions())
+		runtime.ReadMemStats(&after)
+		kept := 0
+		for _, s := range b.Streams {
+			kept += s.TotalInstructions()
+		}
+		ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(uintptr(kept)*unsafe.Sizeof(isa.Inst{}))
+		t.Logf("%s: %d instructions kept, %.2fx their bytes allocated", name, kept, ratio)
+		if ratio > 2.5 {
+			t.Errorf("%s: running the kernel allocated %.2fx the bytes its streams keep, want at most 2.5x", name, ratio)
+		}
 	}
 }
 
@@ -291,7 +319,7 @@ func TestFig617EstimatesTrackActual(t *testing.T) {
 func TestFig618Shape(t *testing.T) {
 	opts := testOptions()
 	benches := []*Bench{loadBench(t, "radix", opts), loadBench(t, "ocean", opts)}
-	rows, err := Fig618(benches, trace.SimpleALU)
+	rows, err := Fig618Ctx(context.Background(), benches, trace.SimpleALU)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -534,15 +534,11 @@ type EDPRow struct {
 	OfflineEDPAbs float64
 }
 
-// Fig618 computes the normalized-EDP comparison (Fig 6.18) for one stage
-// across the given benchmarks, at the balanced theta (w = 1). Benchmarks
-// fan out over the worker pool; each row lands at its benchmark's index.
-func Fig618(benches []*Bench, stage trace.Stage) ([]EDPRow, error) {
-	return Fig618Ctx(context.Background(), benches, stage)
-}
-
-// Fig618Ctx is Fig618 with a cancellation context threaded through the
-// per-benchmark fan-out and each row's profile builds and online solve.
+// Fig618Ctx computes the normalized-EDP comparison (Fig 6.18) for one
+// stage across the given benchmarks, at the balanced theta (w = 1).
+// Benchmarks fan out over the worker pool; each row lands at its
+// benchmark's index. ctx is threaded through the per-benchmark fan-out
+// and each row's profile builds and online solve.
 func Fig618Ctx(ctx context.Context, benches []*Bench, stage trace.Stage) ([]EDPRow, error) {
 	rows := make([]EDPRow, len(benches))
 	if err := pool.ForEachCtx(ctx, 0, len(benches), func(i int) error {

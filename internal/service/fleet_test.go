@@ -3,10 +3,13 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -304,5 +307,74 @@ func TestLoadgenFailoverCountIdentity(t *testing.T) {
 	}
 	if rep.Failovers == 0 {
 		t.Fatalf("no failovers though one backend drains: %+v", rep)
+	}
+}
+
+// Bodies whose time, energy or cost overflows answer 400 through a router
+// too, and a 400 is the client's fault, not the backend's: after six of
+// them no breaker of a two-daemon fleet has opened, and a valid body still
+// answers 200. Were the bodies admitted, each would panic the solver into
+// a 500 on both daemons, and two would open both breakers.
+func TestOverflowingBodiesLeaveBreakersClosed(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	_, srvA := newTestService(t, Config{Shards: 1, QueueLen: 8})
+	_, srvB := newTestService(t, Config{Shards: 1, QueueLen: 8})
+	rt, err := fleet.NewRouter(fleet.RouterConfig{
+		Backends:      []string{srvA.URL, srvB.URL},
+		ProbeInterval: 10 * time.Millisecond,
+		Breaker:       fleet.BreakerConfig{Failures: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	rt.Register(mux)
+	front := httptest.NewServer(mux)
+	defer front.Close()
+	rt.Start()
+	defer rt.Stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.Healthy() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("router never saw both backends ready")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(front.URL+"/v1/solve", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(raw)
+	}
+	rates := `"rates":[0.2,0.1,0.05,0.01,0.001,0]`
+	for seq := 0; seq < 3; seq++ {
+		for _, core := range []string{`"theta":1e308,"cores":[{"n":1e10,"cpi_base":1.2,`, `"theta":1,"cores":[{"n":1e308,"cpi_base":10,`} {
+			body := fmt.Sprintf(`{"tenant":"t","seq":%d,"stage":"SimpleALU",%s%s}]}`, seq, core, rates)
+			if status, raw := post(body); status != http.StatusBadRequest {
+				t.Errorf("seq %d: status %d, want 400; body %s", seq, status, raw)
+			}
+		}
+	}
+	snap := obs.Default().Snapshot()
+	if n := snap.Counters["route.breaker.open"]; n != 0 {
+		t.Errorf("%d breakers opened on overflowing bodies, want 0", n)
+	}
+	for i := 0; i < 2; i++ {
+		if st := snap.Gauges[fmt.Sprintf("route.backend.b%d.breaker_state", i)]; st != float64(fleet.BreakerClosed) {
+			t.Errorf("backend %d breaker state %v, want closed", i, fleet.BreakerState(st))
+		}
+	}
+	valid, err := json.Marshal(validRequest("t", 99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, raw := post(string(valid)); status != http.StatusOK {
+		t.Errorf("valid body after the overflowing ones: status %d, want 200; body %s", status, raw)
 	}
 }

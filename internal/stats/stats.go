@@ -99,19 +99,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Percentile returns the p-quantile (0..1) of xs by nearest-rank on a
 // sorted copy. It panics on empty input.
 func Percentile(xs []float64, p float64) float64 {

@@ -481,7 +481,9 @@ func WriteJSONLFile(path string) error {
 }
 
 // ReadJSONL parses a ledger written by WriteJSONL, verifying the schema
-// header. Unknown fields are rejected so schema drift fails loudly.
+// header and validating every event (Event.Validate), so a reader never
+// returns an event the writer's contract forbids. Unknown fields and data
+// after a line's JSON value are rejected so schema drift fails loudly.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
@@ -489,9 +491,7 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		return nil, fmt.Errorf("telemetry: empty ledger (missing schema header)")
 	}
 	var h header
-	dec := json.NewDecoder(bytes.NewReader(sc.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&h); err != nil {
+	if err := decodeLine(sc.Bytes(), &h); err != nil {
 		return nil, fmt.Errorf("telemetry: bad schema header: %w", err)
 	}
 	if h.Schema != SchemaVersion {
@@ -504,9 +504,10 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 			continue
 		}
 		var e Event
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&e); err != nil {
+		if err := decodeLine(line, &e); err != nil {
+			return nil, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
+		}
+		if err := e.Validate(); err != nil {
 			return nil, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
 		}
 		events = append(events, e)
@@ -515,6 +516,20 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		return nil, err
 	}
 	return events, nil
+}
+
+// decodeLine decodes one ledger line's JSON value into v, rejecting
+// unknown fields and anything after the value.
+func decodeLine(line []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("data after the JSON value")
+	}
+	return nil
 }
 
 // ReadJSONLFile reads a ledger file.

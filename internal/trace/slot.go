@@ -15,8 +15,11 @@ import (
 // allocated per window:
 //
 //   - one BlockAnalyzer per stage netlist (4.2 MB for ComplexALU);
-//   - the window's float64 delay buffer and NewProfile's numbering
-//     tables, which Profile uses and DelayTrace does not.
+//   - the numbering tables that turn delays into profile codes.
+//
+// The slot keeps no delay buffer: the engines hand each delay to the
+// numbering as they produce it, and it writes the codes of the profile
+// the window returns (see numbering).
 //
 // Reuse is exact. A window's first driving vector re-primes the analyzer
 // with Reset, which re-evaluates every net's settled value; StepBlock
@@ -26,7 +29,6 @@ import (
 // delta over the call. The numbering tables are emptied before each use.
 type slot struct {
 	blocks [len(stageNames)]*timing.BlockAnalyzer
-	delays []float64
 	nb     numbering
 }
 

@@ -259,53 +259,51 @@ func (sc *StageCircuit) DelayTraceEvent(iv []isa.Inst) []float64 {
 }
 
 func (sc *StageCircuit) delayTraceWith(e Engine, iv []isa.Inst) []float64 {
-	delays := make([]float64, len(iv))
 	s := acquireSlot()
 	defer s.release()
-	sc.trace(s, e, iv, delays)
+	p := s.profile(sc, e, iv)
+	delays := make([]float64, len(iv))
+	for i, c := range p.Codes {
+		delays[i] = p.Levels[c].Delay
+	}
 	return delays
 }
 
 // Profile returns NewProfile(sc.TCrit, sc.DelayTrace(iv)), running the
-// trace and the compaction in one slot: the delays land in the slot's
-// buffer and are numbered with its tables, so the window allocates only
+// trace and the compaction in one slot: each delay is numbered with the
+// slot's tables as the engine produces it, so the window allocates only
 // the profile it returns.
 func (sc *StageCircuit) Profile(iv []isa.Inst) *Profile {
 	s := acquireSlot()
 	defer s.release()
-	return s.profile(sc, iv)
+	return s.profile(sc, CurrentEngine(), iv)
 }
 
-// profile is Profile on a slot the caller already holds.
-func (s *slot) profile(sc *StageCircuit, iv []isa.Inst) *Profile {
-	s.delays = slices.Grow(s.delays[:0], len(iv))[:len(iv)]
-	sc.trace(s, CurrentEngine(), iv, s.delays)
-	return s.nb.profile(sc.TCrit, s.delays)
-}
-
-// trace fills delays (len(iv)) with the window's sensitized delays using
-// engine e and the slot's analyzer, and records the window on the obs
-// counters.
-func (sc *StageCircuit) trace(s *slot, e Engine, iv []isa.Inst, delays []float64) {
-	clear(delays)
+// profile traces the window with engine e on a slot the caller already
+// holds, numbering each instruction's delay as it is produced, and
+// records the window on the obs counters.
+func (s *slot) profile(sc *StageCircuit, e Engine, iv []isa.Inst) *Profile {
+	s.nb.start(len(iv))
 	perInst := simprof.Enabled() // issue-phase attribution wants per-op touched counts
 	var touched int64
 	if e == EngineLevelized {
-		touched = sc.delayTraceLevelized(iv, delays, perInst)
+		touched = sc.delayTraceLevelized(iv, &s.nb, perInst)
 	} else {
-		touched = sc.delayTraceEvent(s, iv, delays, perInst)
+		touched = sc.delayTraceEvent(s, iv, perInst)
 	}
 	if obs.Enabled() {
 		obs.C("trace.gate_evals").Add(touched)
 		obs.C("trace.instructions").Add(int64(len(iv)))
 	}
+	return s.nb.profile(sc.TCrit)
 }
 
 // delayTraceLevelized is the reference path: one full levelized pass per
-// driving vector, on a fresh analyzer. It returns the window's touched-gate
-// count; with perInst it also records per-instruction touched counts in
-// sc.lastTouched (nil otherwise).
-func (sc *StageCircuit) delayTraceLevelized(iv []isa.Inst, delays []float64, perInst bool) int64 {
+// driving vector, on a fresh analyzer. It numbers every instruction's
+// delay with nb and returns the window's touched-gate count; with perInst
+// it also records per-instruction touched counts in sc.lastTouched (nil
+// otherwise).
+func (sc *StageCircuit) delayTraceLevelized(iv []isa.Inst, nb *numbering, perInst bool) int64 {
 	an := timing.NewAnalyzer(sc.Netlist)
 	var touched []int64
 	if perInst {
@@ -315,14 +313,16 @@ func (sc *StageCircuit) delayTraceLevelized(iv []isa.Inst, delays []float64, per
 	var prev int64
 	for i, in := range iv {
 		if !sc.Drives(in) {
-			continue // delay 0: inputs held
+			nb.add(i, 0) // inputs held
+			continue
 		}
 		vec := sc.Vector(in)
 		if !primed {
 			an.Reset(vec) // first driving vector establishes state
 			primed = true
+			nb.add(i, 0)
 		} else {
-			delays[i] = an.Step(vec)
+			nb.add(i, an.Step(vec))
 		}
 		if perInst {
 			touched[i] = an.Touched() - prev
@@ -337,9 +337,11 @@ func (sc *StageCircuit) delayTraceLevelized(iv []isa.Inst, delays []float64, per
 // time into uint64 lanes (bit j of inWords[i] = input i of the block's
 // j-th vector), one bit-parallel pass settles each block, and each
 // vector's delay comes from an event-driven walk of its changed-net
-// fanout cone. Delays are bit-identical to delayTraceLevelized. The
-// analyzer is the slot's, re-primed by the window's first driving vector.
-func (sc *StageCircuit) delayTraceEvent(s *slot, iv []isa.Inst, delays []float64, perInst bool) int64 {
+// fanout cone. Delays are bit-identical to delayTraceLevelized, and reach
+// the slot's numbering when their block is flushed, after the held
+// instructions interleaved with it. The analyzer is the slot's, re-primed
+// by the window's first driving vector.
+func (sc *StageCircuit) delayTraceEvent(s *slot, iv []isa.Inst, perInst bool) int64 {
 	n := sc.Netlist
 	ba := s.blockAnalyzer(sc)
 	before := ba.Touched()
@@ -359,7 +361,7 @@ func (sc *StageCircuit) delayTraceEvent(s *slot, iv []isa.Inst, delays []float64
 		}
 		ba.StepBlock(inWords, lanes, blockDelays, blockTouched)
 		for j := 0; j < lanes; j++ {
-			delays[lanePos[j]] = blockDelays[j]
+			s.nb.add(lanePos[j], blockDelays[j])
 			if perInst {
 				touched[lanePos[j]] = blockTouched[j]
 			}
@@ -372,12 +374,14 @@ func (sc *StageCircuit) delayTraceEvent(s *slot, iv []isa.Inst, delays []float64
 	primed := false
 	for i, in := range iv {
 		if !sc.Drives(in) {
-			continue // delay 0: inputs held
+			s.nb.add(i, 0) // inputs held
+			continue
 		}
 		vec := sc.Vector(in)
 		if !primed {
 			ba.Reset(vec) // first driving vector establishes state
 			primed = true
+			s.nb.add(i, 0)
 			if perInst {
 				touched[i] = int64(len(n.Gates))
 			}
@@ -437,50 +441,71 @@ type Level struct {
 // (program order) into a profile with N = len(delays); the caller fills
 // in Thread, Interval, CPIBase and Ops. delays is not modified.
 func NewProfile(tcrit float64, delays []float64) *Profile {
-	return new(numbering).profile(tcrit, delays)
+	var nb numbering
+	nb.start(len(delays))
+	for i, d := range delays {
+		nb.add(i, d)
+	}
+	return nb.profile(tcrit)
 }
 
-// numbering is NewProfile's scratch: the map from each distinct delay to
-// its first-appearance id and, per id, the delay, its count and its rank
-// by delay. A slot keeps one, so a window's tables are not allocated anew.
+// numbering compacts a window's delays as they arrive: it gives each
+// distinct delay an id in order of first arrival and writes each
+// instruction's id straight into the codes of the profile it will return,
+// then renumbers the ids ascending by delay, which sorts only the distinct
+// delays, not the whole window. The event engine hands over a block's
+// delays only after the held instructions interleaved with it, so delays
+// arrive out of program order; that does not change the result, because
+// an instruction's final code is the rank of its delay among the window's
+// distinct delays and each level's count is the number of instructions
+// with that delay. A slot keeps one, so a window's tables are not
+// allocated anew.
 type numbering struct {
-	ids         map[float64]uint32
-	vals        []float64
-	counts      []int
+	ids         map[float64]uint32 // delay -> first-arrival id
+	vals        []float64          // per id: the delay
+	counts      []int              // per id: instructions with that delay
 	order, rank []uint32
+	codes       []uint32 // the window's codes, first-arrival ids until profile
+	last        uint32   // id of the latest delay, so a run of equal delays costs no lookup
 }
 
-func (nb *numbering) profile(tcrit float64, delays []float64) *Profile {
-	// Number the distinct delays in order of first appearance, one map
-	// lookup per run of equal delays, then renumber them ascending: this
-	// sorts only the distinct delays, not the whole window.
+// start begins a window of n instructions.
+func (nb *numbering) start(n int) {
 	if nb.ids == nil {
 		nb.ids = make(map[float64]uint32)
 	}
 	clear(nb.ids)
-	vals, counts := nb.vals[:0], nb.counts[:0]
-	codes := make([]uint32, len(delays))
-	for i, d := range delays {
-		if i > 0 && d == delays[i-1] {
-			codes[i] = codes[i-1]
-			counts[codes[i]]++
-			continue
-		}
-		id, ok := nb.ids[d]
-		if !ok {
-			id = uint32(len(vals))
+	nb.vals, nb.counts = nb.vals[:0], nb.counts[:0]
+	nb.codes = make([]uint32, n)
+}
+
+// add numbers instruction i's delay d. Each instruction of the window is
+// added exactly once, in any order.
+func (nb *numbering) add(i int, d float64) {
+	id := nb.last
+	if len(nb.vals) == 0 || nb.vals[id] != d {
+		var ok bool
+		if id, ok = nb.ids[d]; !ok {
+			id = uint32(len(nb.vals))
 			nb.ids[d] = id
-			vals = append(vals, d)
-			counts = append(counts, 0)
+			nb.vals = append(nb.vals, d)
+			nb.counts = append(nb.counts, 0)
 		}
-		codes[i] = id
-		counts[id]++
+		nb.last = id
 	}
-	nb.vals, nb.counts = vals, counts
+	nb.codes[i] = id
+	nb.counts[id]++
+}
+
+// profile renumbers the window's codes by rank and returns its profile,
+// which takes the codes.
+func (nb *numbering) profile(tcrit float64) *Profile {
+	vals, counts, codes := nb.vals, nb.counts, nb.codes
+	nb.codes = nil
 	if uint64(len(vals)) > math.MaxUint32 {
 		panic(fmt.Sprintf("trace: %d distinct delays overflow uint32 codes", len(vals)))
 	}
-	order := slices.Grow(nb.order[:0], len(vals))[:len(vals)] // first-appearance ids, ascending by delay
+	order := slices.Grow(nb.order[:0], len(vals))[:len(vals)] // first-arrival ids, ascending by delay
 	for k := range order {
 		order[k] = uint32(k)
 	}
@@ -498,7 +523,7 @@ func (nb *numbering) profile(tcrit float64, delays []float64) *Profile {
 	for i, id := range codes {
 		codes[i] = rank[id]
 	}
-	return &Profile{N: len(delays), TCrit: tcrit, Levels: levels, Codes: codes}
+	return &Profile{N: len(codes), TCrit: tcrit, Levels: levels, Codes: codes}
 }
 
 // Cut returns the index of the first level whose delay exceeds limit: an

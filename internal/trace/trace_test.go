@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -272,6 +273,44 @@ func TestProfileMatchesSortedOracle(t *testing.T) {
 	}
 }
 
+// A trace numbers its delays as they stream, in the event engine's
+// arrival order rather than program order, and must still build exactly
+// the profile NewProfile builds from the program-order delays: for every
+// window of radix in every stage under both engines, for an empty window
+// and for a window that never drives the stage.
+func TestStreamedProfileMatchesNewProfile(t *testing.T) {
+	k, err := workload.ByName("radix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := workload.RunKernel(k, 4, 1, 2016)
+	adds := make([]isa.Inst, 200)
+	for i := range adds {
+		adds[i] = isa.Inst{Op: isa.ADD, A: uint32(i), B: uint32(3 * i)}
+	}
+	defer SetEngine(CurrentEngine())
+	for _, e := range []Engine{EngineEvent, EngineLevelized} {
+		SetEngine(e)
+		for _, stage := range Stages() {
+			check := func(what string, earlier [][]isa.Inst, iv []isa.Inst) {
+				streamed, traced := NewStageCircuit(stage), NewStageCircuit(stage)
+				streamed.SeekPC(earlier)
+				traced.SeekPC(earlier)
+				if got, want := streamed.Profile(iv), NewProfile(traced.TCrit, traced.DelayTrace(iv)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v engine, %v, %s: streamed profile differs from NewProfile", e, stage, what)
+				}
+			}
+			for ti, s := range streams {
+				for ii, iv := range s.Intervals {
+					check(fmt.Sprintf("thread %d interval %d", ti, ii), s.Intervals[:ii], iv)
+				}
+			}
+			check("empty window", nil, nil)
+			check("window of adds", nil, adds) // drives no ComplexALU
+		}
+	}
+}
+
 // A profile retains its codes, opcodes and level table and nothing else:
 // at most 8 bytes per instruction (4 for the code, 1 for the opcode, the
 // rest for the levels), where two float64 copies of every delay took 17.
@@ -320,7 +359,7 @@ func warmSlots(streams []*workload.Stream, stage Stage) {
 			for ii, iv := range st.Intervals {
 				sc := NewStageCircuit(stage)
 				sc.SeekPC(st.Intervals[:ii])
-				s.profile(sc, iv)
+				s.profile(sc, CurrentEngine(), iv)
 			}
 		}
 	}
@@ -443,8 +482,12 @@ func TestSlotReuseMatchesFreshSlot(t *testing.T) {
 		sc := NewStageCircuit(w.stage)
 		sc.SeekPC(ivs[:w.i])
 		before := obs.C("trace.gate_evals").Value()
-		p := s.profile(sc, ivs[w.i])
-		return result{p, append([]float64(nil), s.delays...), sc.lastTouched, obs.C("trace.gate_evals").Value() - before}
+		p := s.profile(sc, CurrentEngine(), ivs[w.i])
+		delays := make([]float64, p.N)
+		for i, c := range p.Codes {
+			delays[i] = p.Levels[c].Delay
+		}
+		return result{p, delays, sc.lastTouched, obs.C("trace.gate_evals").Value() - before}
 	}
 	reused := acquireSlot()
 	defer reused.release()
@@ -479,7 +522,7 @@ func TestSlotReleasedOnPanic(t *testing.T) {
 			s.release()
 		}
 	}()
-	want := new(slot).profile(NewStageCircuit(SimpleALU), iv)
+	want := new(slot).profile(NewStageCircuit(SimpleALU), CurrentEngine(), iv)
 	NewStageCircuit(SimpleALU).Profile(iv) // leaves the slot's analyzer mid-stream
 
 	broken := NewStageCircuit(SimpleALU)

@@ -155,11 +155,3 @@ func (m *TableModel) TNom(v float64) float64 {
 	t0, t1 := ts[i-1], ts[i]
 	return t0 + (v-v0)*(t1-t0)/(v1-v0)
 }
-
-// Energy returns the dynamic switching energy multiplier at voltage v
-// relative to the reference voltage: E ∝ V². This follows the paper's
-// Eq. 4.3, en_i = alpha * V_i^2 * cycles.
-func Energy(m Model, v float64) float64 {
-	r := v / m.VRef()
-	return r * r
-}

@@ -135,16 +135,6 @@ func TestAlphaPowerPanicsBelowThreshold(t *testing.T) {
 	m.TNom(m.Vth)
 }
 
-func TestEnergyQuadratic(t *testing.T) {
-	m := PaperTable()
-	if got := Energy(m, 1.0); got != 1.0 {
-		t.Errorf("Energy at VRef = %v, want 1", got)
-	}
-	if got, want := Energy(m, 0.5), 0.25; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Energy(0.5) = %v, want %v", got, want)
-	}
-}
-
 // Property: for any valid supply voltage above threshold, the alpha-power
 // model is monotone (lower voltage -> slower circuit).
 func TestAlphaPowerMonotoneProperty(t *testing.T) {

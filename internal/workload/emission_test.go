@@ -124,6 +124,45 @@ func TestRunTrimsTrailingEmptyInterval(t *testing.T) {
 	}
 }
 
+// Intervals whose lengths sit on and around the chunk boundaries come back
+// whole and in order on every thread, from chunks reused across intervals
+// of different lengths, and an empty interval is nil. Each instruction's
+// operands encode its thread, interval and index.
+func TestIntervalsCrossChunkBoundaries(t *testing.T) {
+	lens := []int{0, 1, chunkSize - 1, chunkSize, chunkSize + 1, 3*chunkSize + 5}
+	const threads = 3
+	length := func(thread, k int) int { return lens[(k+thread)%len(lens)] }
+	streams := Run(threads, 1, func(tc *TC) {
+		for k := range lens {
+			if k > 0 {
+				tc.Barrier()
+			}
+			for i := 0; i < length(tc.ID(), k); i++ {
+				tc.Add(uint32(tc.ID()<<8|k), uint32(i))
+			}
+		}
+	})
+	for _, s := range streams {
+		if len(s.Intervals) != len(lens) {
+			t.Fatalf("thread %d has %d intervals, want %d", s.Thread, len(s.Intervals), len(lens))
+		}
+		for k, iv := range s.Intervals {
+			n := length(s.Thread, k)
+			if len(iv) != n || cap(iv) != n {
+				t.Fatalf("thread %d interval %d: len %d cap %d, want %d", s.Thread, k, len(iv), cap(iv), n)
+			}
+			if n == 0 && iv != nil {
+				t.Errorf("thread %d interval %d: empty interval is not nil", s.Thread, k)
+			}
+			for i, in := range iv {
+				if in.A != uint32(s.Thread<<8|k) || in.B != uint32(i) {
+					t.Fatalf("thread %d interval %d instruction %d carries (%#x, %d)", s.Thread, k, i, in.A, in.B)
+				}
+			}
+		}
+	}
+}
+
 func TestRngIsPerThreadDeterministic(t *testing.T) {
 	vals := make([][]int, 2)
 	for trial := 0; trial < 2; trial++ {

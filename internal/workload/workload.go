@@ -74,16 +74,26 @@ func (b *Barrier) Wait() {
 	b.mu.Unlock()
 }
 
+// chunkSize is the length of the chunks a thread records its open barrier
+// interval in (8,192 instructions, 224 KiB).
+const chunkSize = 8192
+
 // TC is the per-thread context handed to kernel bodies. Every operation
 // method computes the architectural result in Go *and* appends the dynamic
 // instruction (with live operand values) to the thread's trace.
 // TC is not safe for concurrent use; each thread owns its own.
+//
+// The open interval is recorded in fixed-size chunks that the thread
+// reuses from one interval to the next, and a barrier seals it into one
+// exactly sized slice, so a kernel run allocates about twice the
+// instruction bytes it keeps instead of regrowing every interval.
 type TC struct {
 	id      int
 	threads int
 	barrier *Barrier
 	rng     *rand.Rand
-	cur     []isa.Inst
+	chunks  [][]isa.Inst // each chunkSize long; chunk k holds instructions k*chunkSize...
+	n       int          // instructions in the open interval
 	out     *Stream
 	regCtr  uint32
 }
@@ -107,10 +117,29 @@ func (tc *TC) regs() (rd, rs, rt uint8) {
 
 func (tc *TC) emit(op isa.Op, a, b, c uint32, imm uint16, addr, result uint32) {
 	rd, rs, rt := tc.regs()
-	tc.cur = append(tc.cur, isa.Inst{
+	k := tc.n / chunkSize
+	if k == len(tc.chunks) {
+		tc.chunks = append(tc.chunks, make([]isa.Inst, chunkSize))
+	}
+	tc.chunks[k][tc.n%chunkSize] = isa.Inst{
 		Op: op, Rd: rd, Rs: rs, Rt: rt, Imm: imm,
 		A: a, B: b, C: c, Addr: addr, Result: result,
-	})
+	}
+	tc.n++
+}
+
+// seal appends the open interval to the stream as one exactly sized slice
+// (nil when empty) and starts the next interval in the same chunks.
+func (tc *TC) seal() {
+	var iv []isa.Inst
+	if tc.n > 0 {
+		iv = make([]isa.Inst, tc.n)
+		for off := 0; off < tc.n; off += chunkSize {
+			copy(iv[off:], tc.chunks[off/chunkSize])
+		}
+	}
+	tc.out.Intervals = append(tc.out.Intervals, iv)
+	tc.n = 0
 }
 
 // Add emits ADD and returns a+b.
@@ -250,8 +279,7 @@ func (tc *TC) Loop(n int, body func(i int)) {
 // Barrier ends the current barrier interval: the buffered instructions are
 // sealed into the stream and the thread blocks until all threads arrive.
 func (tc *TC) Barrier() {
-	tc.out.Intervals = append(tc.out.Intervals, tc.cur)
-	tc.cur = nil
+	tc.seal()
 	tc.barrier.Wait()
 }
 
@@ -343,8 +371,7 @@ func Run(threads int, seed int64, body func(tc *TC)) []*Stream {
 		go func(tc *TC) {
 			defer wg.Done()
 			body(tc)
-			tc.out.Intervals = append(tc.out.Intervals, tc.cur)
-			tc.cur = nil
+			tc.seal()
 		}(tc)
 	}
 	wg.Wait()

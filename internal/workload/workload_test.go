@@ -183,9 +183,13 @@ func TestAllKernelsRun(t *testing.T) {
 			if total < 1000 {
 				t.Errorf("suspiciously small trace: %d instructions", total)
 			}
-			// Every instruction must carry a valid op.
+			// Every instruction must carry a valid op, and every interval
+			// is sealed at its exact size.
 			for _, s := range streams {
-				for _, iv := range s.Intervals {
+				for ii, iv := range s.Intervals {
+					if cap(iv) != len(iv) {
+						t.Fatalf("thread %d interval %d: cap %d, len %d", s.Thread, ii, cap(iv), len(iv))
+					}
 					for _, in := range iv {
 						if !in.Op.Valid() {
 							t.Fatalf("invalid op %d", in.Op)
