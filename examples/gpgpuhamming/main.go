@@ -58,7 +58,7 @@ func main() {
 	}
 	fmt.Printf("\nper-lane error probability at r=0.64: min %.4f, max %.4f (spread %.4f)\n", lo, hi, hi-lo)
 
-	h := gpgpu.Analyze(p)
+	h := gpgpu.Analyze(p, hs)
 	fmt.Printf("max pairwise histogram distance: %.3f (0 = identical, 2 = disjoint)\n", h.MaxPairDistance)
 	fmt.Println("\nconclusion: lanes are homogeneous; per-core timing speculation is already optimal here.")
 }

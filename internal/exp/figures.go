@@ -332,7 +332,7 @@ func Fig510(program string, n int, seed int64) (*report.Table, gpgpu.Homogeneity
 		t.AddRow(fmt.Sprintf("VALU %d", l), bin(0, 4), bin(5, 9), bin(10, 14),
 			bin(15, 19), bin(20, 24), bin(25, 32), h.Mean())
 	}
-	return t, gpgpu.Analyze(p), nil
+	return t, gpgpu.Analyze(p, hs), nil
 }
 
 // ParetoPoint is one (theta-weight, normalized time, normalized energy)

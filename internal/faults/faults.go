@@ -30,7 +30,6 @@ package faults
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -151,7 +150,6 @@ func TaskPanicRetryBudget() int { return taskPanicRetries }
 type config struct {
 	seed  int64
 	rates map[string]float64 // class -> rate; absent = class inactive
-	spec  string             // canonical spec string, for logging
 }
 
 var (
@@ -163,30 +161,6 @@ var (
 // Enabled reports whether fault injection is active: one atomic load, the
 // only cost every hook pays while the injector is off.
 func Enabled() bool { return enabled.Load() }
-
-// Active reports whether a specific class is being injected.
-func Active(class string) bool {
-	if !enabled.Load() {
-		return false
-	}
-	c := current.Load()
-	if c == nil {
-		return false
-	}
-	_, ok := c.rates[class]
-	return ok
-}
-
-// Spec returns the canonical form of the active spec ("" while disabled).
-func Spec() string {
-	if !enabled.Load() {
-		return ""
-	}
-	if c := current.Load(); c != nil {
-		return c.spec
-	}
-	return ""
-}
 
 // Enable parses a spec and starts injecting. "off" (or "") disables.
 func Enable(spec string, seed int64) error {
@@ -241,19 +215,7 @@ func parseSpec(spec string, seed int64) (*config, error) {
 		}
 		rates[class] = rate
 	}
-	classes := make([]string, 0, len(rates))
-	for cl := range rates {
-		classes = append(classes, cl)
-	}
-	sort.Strings(classes)
-	var b strings.Builder
-	for i, cl := range classes {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%g", cl, rates[cl])
-	}
-	return &config{seed: seed, rates: rates, spec: b.String()}, nil
+	return &config{seed: seed, rates: rates}, nil
 }
 
 // hash mixes the seed, a class tag and the hook arguments into a uniform

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"strings"
 	"testing"
@@ -46,20 +47,16 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// A parsed spec holds exactly the classes it names, each at its default
+// rate unless the spec gives one.
 func TestCanonicalSpec(t *testing.T) {
-	if err := Enable("task-panic,sample-noise", 1); err != nil {
+	c, err := parseSpec("task-panic,sample-noise", 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer Disable()
-	want := "sample-noise=0.25,task-panic=0.05"
-	if got := Spec(); got != want {
-		t.Errorf("Spec() = %q, want %q", got, want)
-	}
-	if !Active(SampleNoise) || !Active(TaskPanic) {
-		t.Error("configured classes not Active")
-	}
-	if Active(SampleNaN) {
-		t.Error("unconfigured class reported Active")
+	want := map[string]float64{SampleNoise: 0.25, TaskPanic: 0.05}
+	if !maps.Equal(c.rates, want) {
+		t.Errorf("parsed rates %v, want %v", c.rates, want)
 	}
 }
 
@@ -75,9 +72,6 @@ func TestDisabledHooksAreIdentity(t *testing.T) {
 		t.Errorf("ReplayErrors = %v, want passthrough", got)
 	}
 	TaskStart(1, 0) // must not panic or stall
-	if Spec() != "" {
-		t.Errorf("Spec() = %q while disabled", Spec())
-	}
 }
 
 // Same seed and arguments must make identical decisions regardless of

@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"time"
 )
@@ -116,21 +118,16 @@ func TestFleetHookRates(t *testing.T) {
 
 // The spec grammar accepts the new classes (they are listed in Classes).
 func TestFleetSpecParsing(t *testing.T) {
-	defer Disable()
-	if err := Enable("backend-down=0.5,backend-flap,resp-torn=0.1,net-slow", 1); err != nil {
+	c, err := parseSpec("backend-down=0.5,backend-flap,resp-torn=0.1,net-slow", 1)
+	if err != nil {
 		t.Fatalf("fleet spec rejected: %v", err)
 	}
-	for _, cl := range []string{BackendDown, BackendFlap, RespTorn, NetSlow} {
-		if !Active(cl) {
-			t.Fatalf("class %s not active", cl)
-		}
-		found := false
-		for _, c := range Classes() {
-			if c == cl {
-				found = true
-			}
-		}
-		if !found {
+	want := map[string]float64{BackendDown: 0.5, BackendFlap: 0.25, RespTorn: 0.1, NetSlow: 0.25}
+	if !maps.Equal(c.rates, want) {
+		t.Fatalf("parsed rates %v, want %v", c.rates, want)
+	}
+	for cl := range want {
+		if !slices.Contains(Classes(), cl) {
 			t.Fatalf("class %s missing from Classes()", cl)
 		}
 	}

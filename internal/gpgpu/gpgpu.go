@@ -72,9 +72,10 @@ func qv(f func(l int) fixedpoint.Q) vec {
 
 func (vb *vecBuilder) qop(op isa.Op, a, b vec) vec { return vb.emit(op, a, b) }
 
-// catalog lists the §5.5 programs in Programs order. Each generator seeds
-// its own rand source from seed+k, so a program generated alone equals the
-// one Programs returns.
+// catalog lists the benchmark set of §5.5. Each generator seeds its own
+// rand source from seed+k, and n is the iteration count (the thesis
+// analyses 16k instructions per VALU). Adjacent lanes process adjacent
+// work-items, the source of the homogeneity.
 var catalog = []struct {
 	name string
 	gen  func(n int, seed int64) Program
@@ -90,18 +91,7 @@ var catalog = []struct {
 	{"X264", x264},
 }
 
-// Programs returns the benchmark set of §5.5, sized by the iteration
-// count n (the thesis analyses 16k instructions per VALU). Adjacent lanes
-// process adjacent work-items, the source of the homogeneity.
-func Programs(n int, seed int64) []Program {
-	ps := make([]Program, len(catalog))
-	for i, c := range catalog {
-		ps[i] = c.gen(n, seed)
-	}
-	return ps
-}
-
-// ProgramByName generates only the named program from Programs.
+// ProgramByName generates the named program of the catalog.
 func ProgramByName(name string, n int, seed int64) (Program, error) {
 	for _, c := range catalog {
 		if c.name == name {
@@ -331,29 +321,25 @@ type Homogeneity struct {
 	ErrSpread float64
 }
 
-// laneInsts converts one lane's slice of a vector program into scalar
-// instructions for the stage-circuit delay analysis.
-func laneInsts(p Program, lane int) []isa.Inst {
-	iv := make([]isa.Inst, len(p.Insts))
-	for i, vi := range p.Insts {
-		iv[i] = isa.Inst{Op: vi.Op, A: vi.A[lane], B: vi.B[lane]}
-	}
-	return iv
-}
-
 // LaneErr returns each lane's empirical error probability at TSR r, from
 // the vector-ALU (SimpleALU netlist) delay trace of its work-item stream.
+// One buffer holds each lane's scalar instructions in turn: Profile keeps
+// no reference to the window it is given.
 func LaneErr(p Program, r float64) [LaneCount]float64 {
 	var out [LaneCount]float64
+	iv := make([]isa.Inst, len(p.Insts))
 	for l := 0; l < LaneCount; l++ {
-		out[l] = trace.NewStageCircuit(trace.SimpleALU).Profile(laneInsts(p, l)).Err(r)
+		for i, vi := range p.Insts {
+			iv[i] = isa.Inst{Op: vi.Op, A: vi.A[l], B: vi.B[l]}
+		}
+		out[l] = trace.NewStageCircuit(trace.SimpleALU).Profile(iv).Err(r)
 	}
 	return out
 }
 
-// Analyze runs the full §5.5 study for one program.
-func Analyze(p Program) Homogeneity {
-	hs := HammingHistograms(p)
+// Analyze runs the full §5.5 study for one program, given its lanes'
+// Hamming histograms (HammingHistograms(p)).
+func Analyze(p Program, hs [LaneCount]*stats.Histogram) Homogeneity {
 	var h Homogeneity
 	for i := 0; i < LaneCount; i++ {
 		for j := i + 1; j < LaneCount; j++ {

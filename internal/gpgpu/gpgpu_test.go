@@ -2,14 +2,29 @@ package gpgpu
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"synts/internal/isa"
 	"synts/internal/trace"
 )
 
+// programs generates every catalog program through ProgramByName.
+func programs(t *testing.T, n int, seed int64) []Program {
+	t.Helper()
+	ps := make([]Program, len(catalog))
+	for i, c := range catalog {
+		p, err := ProgramByName(c.name, n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps[i] = p
+	}
+	return ps
+}
+
 func TestProgramsGenerate(t *testing.T) {
-	ps := Programs(200, 1)
+	ps := programs(t, 200, 1)
 	if len(ps) < 6 {
 		t.Fatalf("only %d programs", len(ps))
 	}
@@ -31,13 +46,13 @@ func TestProgramsGenerate(t *testing.T) {
 }
 
 func TestProgramByName(t *testing.T) {
-	for _, want := range Programs(50, 3) {
-		got, err := ProgramByName(want.Name, 50, 3)
+	for _, c := range catalog {
+		got, err := ProgramByName(c.name, 50, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("ProgramByName(%q) differs from the Programs entry", want.Name)
+		if want := c.gen(50, 3); !reflect.DeepEqual(got, want) || got.Name != c.name {
+			t.Errorf("ProgramByName(%q) differs from its generator's program %q", c.name, want.Name)
 		}
 	}
 	if _, err := ProgramByName("nope", 10, 1); err == nil {
@@ -52,8 +67,8 @@ func TestProgramByName(t *testing.T) {
 }
 
 func TestProgramsDeterministic(t *testing.T) {
-	a := Programs(100, 7)
-	b := Programs(100, 7)
+	a := programs(t, 100, 7)
+	b := programs(t, 100, 7)
 	for i := range a {
 		if len(a[i].Insts) != len(b[i].Insts) {
 			t.Fatalf("%s: nondeterministic length", a[i].Name)
@@ -91,8 +106,8 @@ func TestLaneOutputsLockStep(t *testing.T) {
 // identical, and per-lane error probabilities are tightly clustered —
 // homogeneity, so per-core TS suffices on this architecture.
 func TestLanesAreHomogeneous(t *testing.T) {
-	for _, p := range Programs(400, 42) {
-		h := Analyze(p)
+	for _, p := range programs(t, 400, 42) {
+		h := Analyze(p, HammingHistograms(p))
 		if h.MaxPairDistance > 0.35 {
 			t.Errorf("%s: lane Hamming histograms diverge: L1 distance %.3f", p.Name, h.MaxPairDistance)
 		}
@@ -125,6 +140,30 @@ func TestLaneErrBounds(t *testing.T) {
 		if e != 0 {
 			t.Fatalf("lane %d err at r=1 must be 0, got %v", l, e)
 		}
+	}
+}
+
+// One lane buffer serves all 16 lanes: after warm-up, LaneErr on
+// BlackScholes at the batch size allocates at most 200 bytes per vector
+// instruction, where a buffer per lane took about 558. Lanes take the
+// process-wide trace slots in turn, so the warm-up makes enough calls to
+// leave every slot holding its analyzer and numbering tables.
+func TestLaneErrAllocationBound(t *testing.T) {
+	p, err := ProgramByName("BlackScholes", 16000/6, 2016)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < (runtime.GOMAXPROCS(0)+LaneCount-1)/LaneCount; i++ {
+		LaneErr(p, 0.64)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	LaneErr(p, 0.64)
+	runtime.ReadMemStats(&after)
+	perInst := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(p.Insts))
+	t.Logf("%d vector instructions, %.1f bytes allocated each", len(p.Insts), perInst)
+	if perInst > 200 {
+		t.Errorf("LaneErr allocates %.1f bytes per vector instruction, want at most 200", perInst)
 	}
 }
 

@@ -375,12 +375,3 @@ func samplingStatsScoped(sc telemetry.Scope, profiles []*trace.Profile, tsrs []f
 	}
 	return stats
 }
-
-// PerfectEstimator returns an estimator that reports the true error
-// probabilities — the offline oracle, used to isolate estimation error from
-// sampling-phase overhead in the online evaluation.
-func PerfectEstimator(profiles []*trace.Profile, tsrs []float64) core.ErrEstimator {
-	return func(thread, rIdx int) float64 {
-		return profiles[thread].Err(tsrs[rIdx])
-	}
-}

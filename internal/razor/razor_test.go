@@ -136,18 +136,6 @@ func TestSamplingEstimatorShortInterval(t *testing.T) {
 	}
 }
 
-func TestPerfectEstimator(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	p := syntheticProfile(rng, 1000, 100, 1)
-	tsrs := []float64{0.7, 1.0}
-	est := PerfectEstimator([]*trace.Profile{p}, tsrs)
-	for k, r := range tsrs {
-		if est(0, k) != p.Err(r) {
-			t.Fatalf("perfect estimator must equal Err")
-		}
-	}
-}
-
 // Property: the sampling estimate is within a few points of the full-trace
 // truth for statistically stationary delay streams, and always identifies
 // the more error-prone of two threads (the "critical thread is always

@@ -2,6 +2,9 @@ package simprof
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -241,4 +244,63 @@ func TestParseRejectsTruncated(t *testing.T) {
 	if _, err := Parse(raw[:len(raw)-3]); err == nil {
 		t.Error("truncated profile parsed without error")
 	}
+}
+
+// gzipBytes returns data gzipped.
+func gzipBytes(t testing.TB, data []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// A gzip stream that inflates past the cap is an error whatever it holds:
+// 8 KB of gzip that inflates to the cap plus one byte is refused before it
+// is parsed, while one that inflates to exactly the cap is read in full
+// (and then refused only as a profile).
+func TestParseCapsInflatedSize(t *testing.T) {
+	_, err := Parse(gzipBytes(t, make([]byte, maxInflatedBytes+1)))
+	if err == nil || !strings.Contains(err.Error(), "inflates past") {
+		t.Fatalf("a stream inflating to the cap + 1: err %v, want the inflated-size error", err)
+	}
+	_, err = Parse(gzipBytes(t, make([]byte, maxInflatedBytes)))
+	if err == nil || strings.Contains(err.Error(), "inflates past") {
+		t.Fatalf("a stream inflating to the cap: err %v, want a profile error", err)
+	}
+}
+
+// FuzzParse: any input, raw proto or gzip, gives a profile or an error,
+// never a panic. The seeds are a size-1 batch run's -simprof-out artifact
+// (testdata/size1.pb.gz), as written and gunzipped: most mutations of the
+// gzip bytes only fail decompression, so the raw form reaches the decoder.
+func FuzzParse(f *testing.F) {
+	gz, err := os.ReadFile("testdata/size1.pb.gz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{gz, raw} {
+		if _, err := Parse(seed); err != nil {
+			f.Fatalf("the seed artifact does not parse: %v", err)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if p, err := Parse(data); err == nil && p == nil {
+			t.Fatal("Parse returned neither a profile nor an error")
+		}
+	})
 }

@@ -36,15 +36,24 @@ type Parsed struct {
 	DefaultSampleType string
 }
 
+// maxInflatedBytes bounds the gunzipped size of a profile Parse accepts:
+// far above a real artifact (a size-1 batch run writes 97 KB raw), so a
+// small gzip bomb fails with an error instead of allocating without bound.
+const maxInflatedBytes = 8 << 20
+
 // Parse decodes a pprof artifact, transparently gunzipping when the
-// input starts with the gzip magic bytes.
+// input starts with the gzip magic bytes. A gzipped input that inflates
+// past maxInflatedBytes (8 MiB) is an error.
 func Parse(data []byte) (*Parsed, error) {
 	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
 		zr, err := gzip.NewReader(bytes.NewReader(data))
 		if err != nil {
 			return nil, fmt.Errorf("simprof: gunzip: %w", err)
 		}
-		raw, err := io.ReadAll(zr)
+		raw, err := io.ReadAll(io.LimitReader(zr, maxInflatedBytes+1))
+		if err == nil && len(raw) > maxInflatedBytes {
+			err = fmt.Errorf("inflates past %d bytes", maxInflatedBytes)
+		}
 		if cerr := zr.Close(); err == nil {
 			err = cerr
 		}

@@ -75,13 +75,15 @@ type BlockAnalyzer struct {
 	be   *BitEval
 	tog  []uint64 // per net: bit j = net toggles between vectors j-1 and j
 	last []bool   // per net: settled value after the most recent vector
-	// arr holds arrival lanes as math.Float64bits words, arr[net*64+j],
-	// valid where the net's toggle bit j is set. Arrivals are always
-	// non-negative, and IEEE doubles >= 0 order identically to their bit
-	// patterns as uint64s — so the per-lane max runs in the integer
-	// domain, where "exclude a non-toggling input" is a branch-free AND
-	// with an all-zeros mask (+0.0) instead of an unpredictable branch.
+	// arr holds arrival lanes as math.Float64bits words in rows of 64:
+	// net t's lane j is arr[row[t]*64+j], valid where t's toggle bit j is
+	// set. Arrivals are always non-negative, and IEEE doubles >= 0 order
+	// identically to their bit patterns as uint64s — so the per-lane max
+	// runs in the integer domain, where "exclude a non-toggling input" is
+	// a branch-free AND with an all-zeros mask (+0.0) instead of an
+	// unpredictable branch.
 	arr     []uint64
+	row     []int32 // per net: its arrival row; see arrivalRows
 	numIn   []uint8 // per gate: operand count (avoids a Kind lookup per gate)
 	outSet  []bool
 	inited  bool
@@ -90,15 +92,14 @@ type BlockAnalyzer struct {
 
 // NewBlockAnalyzer returns a block analyzer for the netlist.
 func NewBlockAnalyzer(n *netlist.Netlist) *BlockAnalyzer {
+	row, rows := arrivalRows(n)
 	s := &BlockAnalyzer{
-		n:    n,
-		be:   NewBitEval(n),
-		tog:  make([]uint64, n.NumNets()),
-		last: make([]bool, n.NumNets()),
-		arr:  make([]uint64, n.NumNets()*64),
-		// Primary-input arrival lanes stay at their zero value (+0.0)
-		// forever: a toggling input's transition arrives at t = 0, and
-		// input nets are never gate outputs, so nothing overwrites them.
+		n:      n,
+		be:     NewBitEval(n),
+		tog:    make([]uint64, n.NumNets()),
+		last:   make([]bool, n.NumNets()),
+		arr:    make([]uint64, rows*64),
+		row:    row,
 		numIn:  make([]uint8, len(n.Gates)),
 		outSet: make([]bool, n.NumNets()),
 	}
@@ -109,6 +110,59 @@ func NewBlockAnalyzer(n *netlist.Netlist) *BlockAnalyzer {
 		s.outSet[t] = true
 	}
 	return s
+}
+
+// arrivalRows gives each gate output a row of 64 arrival lanes for its
+// lifetime only, from its driving gate to its last reader in gate order,
+// and returns the per-net row table and the number of rows. Walking the
+// gates in order, a gate's output takes a free row (or a new one) before
+// the gate's inputs whose last reader it is return theirs, so a gate
+// never writes a row it reads; an output no gate reads returns its row at
+// once, its arrival having reached the delays when its own gate ran.
+// Primary inputs, and any net no gate drives, share row 0, which nothing
+// writes: it stays +0.0, the arrival of an input transition.
+//
+// Sharing is exact because arr is scratch within one block. A gate writes
+// exactly the lanes in which its output toggles, and a reader loads a
+// lane unmasked only where that input toggled — a lane its driver wrote
+// earlier in the same block, while the row was still the driver's. Every
+// other load is masked to +0.0 whatever the row holds.
+func arrivalRows(n *netlist.Netlist) (row []int32, rows int) {
+	lastRead := make([]int32, n.NumNets()) // per net: last reading gate, or -1
+	for t := range lastRead {
+		lastRead[t] = -1
+	}
+	for gi := range n.Gates {
+		g := &n.Gates[gi]
+		for _, t := range g.In[:g.Kind.NumInputs()] {
+			lastRead[t] = int32(gi)
+		}
+	}
+	row = make([]int32, n.NumNets())
+	rows = 1
+	var free []int32
+	for gi := range n.Gates {
+		g := &n.Gates[gi]
+		if k := len(free); k > 0 {
+			row[g.Out] = free[k-1]
+			free = free[:k-1]
+		} else {
+			row[g.Out] = int32(rows)
+			rows++
+		}
+		if lastRead[g.Out] < 0 {
+			free = append(free, row[g.Out])
+		}
+		for _, t := range g.In[:g.Kind.NumInputs()] {
+			// Primary inputs hold row 0 for good; a net read on two pins
+			// returns its row once.
+			if lastRead[t] == int32(gi) && row[t] != 0 {
+				free = append(free, row[t])
+				lastRead[t] = -1
+			}
+		}
+	}
+	return row, rows
 }
 
 // Netlist returns the netlist under analysis.
@@ -171,7 +225,7 @@ func (s *BlockAnalyzer) StepBlock(inWords []uint64, k int, delays []float64, tou
 	// the output toggles some input toggled, so the true max is >= 0 and
 	// a zeroed loser can never win — and the max tree compares uint64 bit
 	// patterns. The common 2- and 3-input shapes are specialised.
-	tog, arr := s.tog, s.arr
+	tog, arr, row := s.tog, s.arr, s.row
 	gs := n.Gates
 	for gi := range gs {
 		g := &gs[gi]
@@ -202,10 +256,10 @@ func (s *BlockAnalyzer) StepBlock(inWords []uint64, k int, delays []float64, tou
 		if m == 0 {
 			continue // inputs moved but the output value held in every lane
 		}
-		r0 := arr[in0*64 : in0*64+64 : in0*64+64]
-		r1 := arr[in1*64 : in1*64+64 : in1*64+64]
-		base := int(g.Out) * 64
-		ro := arr[base : base+64 : base+64]
+		b0, b1, bo := int(row[in0])*64, int(row[in1])*64, int(row[g.Out])*64
+		r0 := arr[b0 : b0+64 : b0+64]
+		r1 := arr[b1 : b1+64 : b1+64]
+		ro := arr[bo : bo+64 : bo+64]
 		gd := g.Delay
 		isOut := s.outSet[g.Out]
 		switch kIn {
@@ -227,7 +281,8 @@ func (s *BlockAnalyzer) StepBlock(inWords []uint64, k int, delays []float64, tou
 		case 3:
 			in2 := int(g.In[2])
 			w2 := tog[in2]
-			r2 := arr[in2*64 : in2*64+64 : in2*64+64]
+			b2 := int(row[in2]) * 64
+			r2 := arr[b2 : b2+64 : b2+64]
 			for ; m != 0; m &= m - 1 {
 				j := bits.TrailingZeros64(m)
 				t0 := r0[j] & -(w0 >> uint(j) & 1)

@@ -1,7 +1,10 @@
 package timing
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"synts/internal/gates"
@@ -204,5 +207,98 @@ func TestIncrementalMaskedTransition(t *testing.T) {
 	}
 	if delays[1] != gates.AND2.Delay() {
 		t.Fatalf("block unmasked delay = %v, want %v", delays[1], gates.AND2.Delay())
+	}
+}
+
+// Arrival rows are shared only by nets whose lifetimes are disjoint: on
+// every family (whose decode and simplealu are the 32-bit stage circuits),
+// the 32-bit ComplexALU, and 40 random netlists, some of which read one
+// net on two pins of a gate. A net lives from its driving gate to its last
+// reader (to its driver if nothing reads it).
+func TestArrivalRowsShareOnlyDisjointLifetimes(t *testing.T) {
+	nets := engineFamilies()
+	nets["complexalu32"] = netlist.NewComplexALU(32)
+	rng := rand.New(rand.NewSource(2016))
+	twoPins := 0
+	for i := 0; i < 40; i++ {
+		n := randomNetlist(rng, 2+rng.Intn(6), 10+rng.Intn(60))
+		if slices.ContainsFunc(n.Gates, readsOneNetTwice) {
+			twoPins++
+		}
+		nets[fmt.Sprintf("random%02d", i)] = n
+	}
+	if twoPins == 0 {
+		t.Fatal("no random netlist reads one net on two pins of a gate")
+	}
+	for name, n := range nets {
+		ba := NewBlockAnalyzer(n)
+		row, rows := ba.row, len(ba.arr)/64
+		for _, in := range n.Inputs {
+			if row[in] != 0 {
+				t.Fatalf("%s: primary input %d on row %d, want 0", name, in, row[in])
+			}
+		}
+		end := make([]int, n.NumNets()) // per gate output: its last reader
+		for gi, g := range n.Gates {
+			end[g.Out] = gi
+			for _, in := range g.In[:g.Kind.NumInputs()] {
+				end[in] = gi
+			}
+		}
+		onRow := make([][]int, rows) // per row: the gates writing it, in order
+		for gi, g := range n.Gates {
+			r := row[g.Out]
+			if r <= 0 || int(r) >= rows {
+				t.Fatalf("%s: gate %d output on row %d of %d", name, gi, r, rows)
+			}
+			for _, in := range g.In[:g.Kind.NumInputs()] {
+				if row[in] == r {
+					t.Fatalf("%s: gate %d writes row %d, which its input %d holds", name, gi, r, in)
+				}
+			}
+			onRow[r] = append(onRow[r], gi)
+		}
+		for r, gs := range onRow {
+			for i := 1; i < len(gs); i++ {
+				if prev := n.Gates[gs[i-1]].Out; end[prev] >= gs[i] {
+					t.Fatalf("%s: row %d holds net %d over gates %d..%d and net %d from gate %d",
+						name, r, prev, gs[i-1], end[prev], n.Gates[gs[i]].Out, gs[i])
+				}
+			}
+		}
+		if name == "complexalu32" {
+			t.Logf("%s: %d rows for %d nets", name, rows, n.NumNets())
+			if rows > 512 {
+				t.Errorf("%s: %d arrival rows, want at most 512", name, rows)
+			}
+		}
+	}
+}
+
+// readsOneNetTwice reports whether g reads one net on two of its pins.
+func readsOneNetTwice(g netlist.Gate) bool {
+	in := g.In[:g.Kind.NumInputs()]
+	for i := range in {
+		if slices.Contains(in[i+1:], in[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// NewBlockAnalyzer holds arrival lanes for live nets only: on the 32-bit
+// ComplexALU, where a row per net took 4.08 MB, it allocates at most 1 MB.
+// Not parallel: it reads the process-wide allocation count.
+func TestBlockAnalyzerScratchBound(t *testing.T) {
+	n := netlist.NewComplexALU(32)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ba := NewBlockAnalyzer(n)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ba)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NewBlockAnalyzer(ComplexALU 32) allocated %d bytes", got)
+	if got > 1<<20 {
+		t.Errorf("NewBlockAnalyzer(ComplexALU 32) allocated %d bytes, want at most 1 MiB", got)
 	}
 }

@@ -178,6 +178,7 @@ type EventSim struct {
 	fanout [][]int32 // net -> gate indices it feeds
 	outSet []bool
 	inited bool
+	h      eventHeap // event queue; each Step empties it and keeps its capacity
 }
 
 // NewEventSim returns an event-driven simulator for the netlist.
@@ -267,7 +268,7 @@ func (s *EventSim) Step(in []bool) float64 {
 		panic("timing: Step before Reset")
 	}
 	n := s.n
-	var h eventHeap
+	h := s.h[:0]
 	var seq int64
 	for i, t := range n.Inputs {
 		if s.vals[t] != in[i] {
@@ -303,6 +304,7 @@ func (s *EventSim) Step(in []bool) float64 {
 			panic("timing: unbounded event time (combinational loop?)")
 		}
 	}
+	s.h = h
 	return settle
 }
 

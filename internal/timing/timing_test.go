@@ -152,6 +152,29 @@ func TestEventSimGlitchExceedsLevelized(t *testing.T) {
 	}
 }
 
+// EventSim keeps its event queue between steps: once a step has grown it,
+// stepping SimpleALU back and forth between two vectors allocates nothing
+// (a fresh queue per step took 20 allocations per pair).
+func TestEventSimStepAllocationFree(t *testing.T) {
+	n := netlist.NewSimpleALU(32)
+	rng := rand.New(rand.NewSource(5))
+	a, b := make([]bool, len(n.Inputs)), make([]bool, len(n.Inputs))
+	for i := range a {
+		a[i], b[i] = rng.Intn(2) == 1, rng.Intn(2) == 1
+	}
+	ev := NewEventSim(n)
+	ev.Reset(a)
+	want := ev.Step(b)
+	if allocs := testing.AllocsPerRun(20, func() {
+		ev.Step(a)
+		if got := ev.Step(b); got != want {
+			t.Fatalf("repeated step settles at %v, first at %v", got, want)
+		}
+	}); allocs != 0 {
+		t.Errorf("EventSim.Step allocates %v times per pair of steps, want 0", allocs)
+	}
+}
+
 func TestEventSimMatchesLevelizedOnGlitchFreeChain(t *testing.T) {
 	n := chain(7)
 	lv, ev := NewAnalyzer(n), NewEventSim(n)

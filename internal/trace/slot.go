@@ -14,7 +14,7 @@ import (
 // the scratch a trace needs is kept by the slot instead of being
 // allocated per window:
 //
-//   - one BlockAnalyzer per stage netlist (4.2 MB for ComplexALU);
+//   - one BlockAnalyzer per stage netlist (0.38 MB for ComplexALU);
 //   - the numbering tables that turn delays into profile codes.
 //
 // The slot keeps no delay buffer: the engines hand each delay to the
