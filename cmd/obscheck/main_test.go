@@ -218,7 +218,7 @@ func TestCheckSimprofRejectsBadFrames(t *testing.T) {
 	if err := checkSimprof(path, "", false); err == nil || !strings.Contains(err.Error(), "phase") {
 		t.Fatalf("accepted an unknown phase frame (err = %v)", err)
 	}
-	simprof.Reset()
+	simprof.Enable() // clears the first sample
 	simprof.Record(
 		simprof.Key{Kernel: "b", Core: 0, Interval: 0, Phase: simprof.PhaseReplay, Op: "FROB", Stage: "SimpleALU"},
 		simprof.Values{Cycles: 1, Instrs: 1})

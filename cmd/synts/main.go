@@ -67,7 +67,7 @@ var (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: synts [flags] <experiment>...\n       synts serve [-addr HOST:PORT] [experiment ...]\n       synts route -backends URL,URL,... [-addr HOST:PORT]\n       synts loadgen [-url URL] [-rps N] [-duration D] [-o FILE]\n       synts explain [-events FILE] <benchmark>\n       synts sweep [-bench NAME] [-jlist 1,2,4] [-engines levelized,event] [-o FILE]\n       synts trace [-dir DIR] [artifact.jsonl ...] [-merged FILE]\n\nexperiments:\n")
+		fmt.Fprintf(os.Stderr, "usage: synts [flags] <experiment>...\n       synts serve [-addr HOST:PORT]\n       synts route -backends URL,URL,... [-addr HOST:PORT]\n       synts loadgen [-url URL] [-rps N] [-duration D] [-o FILE]\n       synts explain [-events FILE] <benchmark>\n       synts sweep [-bench NAME] [-jlist 1,2,4] [-engines levelized,event] [-o FILE]\n       synts trace [-dir DIR] [artifact.jsonl ...] [-merged FILE]\n\nexperiments:\n")
 		for _, e := range experiments {
 			fmt.Fprintf(os.Stderr, "  %-10s %s\n", e.name, e.desc)
 		}
@@ -86,15 +86,19 @@ func main() {
 	}
 	trace.SetEngine(eng)
 	switch flag.Arg(0) {
-	case "serve":
-		if err := runServeCmd(flag.Args()[1:], os.Stdout, os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "synts serve: %v\n", err)
-			os.Exit(1)
+	case "serve", "route":
+		// A daemon's first SIGINT/SIGTERM drains it; a second abandons the
+		// drain (serveUntilStopped).
+		stop := make(chan os.Signal, 1)
+		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+		var err error
+		if flag.Arg(0) == "serve" {
+			err = runServeCmd(flag.Args()[1:], stop, os.Stderr)
+		} else {
+			err = runRouteCmd(flag.Args()[1:], stop, os.Stdout, os.Stderr)
 		}
-		return
-	case "route":
-		if err := runRouteCmd(flag.Args()[1:], os.Stdout, os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "synts route: %v\n", err)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "synts %s: %v\n", flag.Arg(0), err)
 			os.Exit(1)
 		}
 		return

@@ -18,7 +18,6 @@ package main
 // byte-identical plans — CI diffs them to pin placement determinism.
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -26,9 +25,7 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"synts/internal/faults"
@@ -37,16 +34,13 @@ import (
 	"synts/internal/service"
 )
 
-func runRouteCmd(args []string, stdout, stderr io.Writer) error {
+func runRouteCmd(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("route", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:9186", "listen address for the routed /v1/solve and /metrics")
 	backends := fs.String("backends", "", "comma-separated `list` of synts serve base URLs (required)")
-	replicas := fs.Int("replicas", 0, "ring vnodes per backend (0 = default 64)")
 	probeInterval := fs.Duration("probe-interval", 500*time.Millisecond, "/readyz probe period (plus seeded jitter)")
 	probeSeed := fs.Int64("probe-seed", 1, "seed for the probe loop's jitter")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-attempt proxy timeout")
-	maxHops := fs.Int("max-hops", 0, "failover hop budget per request (0 = all backends)")
 	breakerFailures := fs.Int("breaker-failures", 0, "consecutive failures that open a backend's breaker (0 = default 5)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default 2s)")
 	chaosSpec := fs.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (fleet classes: backend-down, backend-flap, resp-torn, net-slow)")
@@ -78,11 +72,8 @@ func runRouteCmd(args []string, stdout, stderr io.Writer) error {
 
 	rt, err := fleet.NewRouter(fleet.RouterConfig{
 		Backends:      urls,
-		Replicas:      *replicas,
 		ProbeInterval: *probeInterval,
 		ProbeSeed:     *probeSeed,
-		Timeout:       *timeout,
-		MaxHops:       *maxHops,
 		Breaker: fleet.BreakerConfig{
 			Failures: *breakerFailures,
 			Cooldown: *breakerCooldown,
@@ -125,8 +116,6 @@ func runRouteCmd(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-chaos: %w", err)
 	}
 
-	mux := newRouteMux(rt)
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -137,23 +126,11 @@ func runRouteCmd(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	rt.Start()
-	srv := &http.Server{Handler: mux}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Fprintf(stderr, "synts route: listening on http://%s, fronting %d backend(s)\n", ln.Addr(), len(urls))
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	select {
-	case s := <-sig:
-		fmt.Fprintf(stderr, "synts route: %v, shutting down\n", s)
-	case err := <-serveErr:
-		return fmt.Errorf("http server: %w", err)
-	}
-	rt.Stop()
-	if err := srv.Close(); err != nil {
-		fmt.Fprintf(stderr, "synts route: close: %v\n", err)
+	// Stopping the probe loop is the router's whole drain: proxied
+	// requests finish under serveUntilStopped's shutdown bound.
+	if _, err := serveUntilStopped("route", ln, newRouteMux(rt), stop, rt.Stop, 0, stderr); err != nil {
+		return err
 	}
 	if err := finishEvents(); err != nil {
 		return err
@@ -168,15 +145,6 @@ func runRouteCmd(args []string, stdout, stderr io.Writer) error {
 func newRouteMux(rt *fleet.Router) *http.ServeMux {
 	mux := http.NewServeMux()
 	rt.Register(mux)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		obs.C("route.scrapes").Add(1)
-		var buf bytes.Buffer
-		if err := obs.Default().WritePrometheus(&buf); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write(buf.Bytes())
-	})
+	mux.HandleFunc("/metrics", metricsHandler("route.scrapes"))
 	return mux
 }

@@ -3,15 +3,21 @@ package main
 import (
 	"bytes"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"synts/internal/obs"
+	"synts/internal/telemetry"
 )
 
 // planOut runs `synts route -plan` and returns its stdout.
 func planOut(t *testing.T, args ...string) string {
 	t.Helper()
 	var out bytes.Buffer
-	if err := runRouteCmd(args, &out, io.Discard); err != nil {
+	if err := runRouteCmd(args, nil, &out, io.Discard); err != nil {
 		t.Fatalf("route %v: %v", args, err)
 	}
 	return out.String()
@@ -55,7 +61,42 @@ func TestRoutePlanDeterministic(t *testing.T) {
 // Without -backends the command is a usage error, not a panic or a
 // served-but-empty router.
 func TestRouteRequiresBackends(t *testing.T) {
-	if err := runRouteCmd([]string{"-plan", "5"}, io.Discard, io.Discard); err == nil {
+	if err := runRouteCmd([]string{"-plan", "5"}, nil, io.Discard, io.Discard); err == nil {
 		t.Fatal("route without -backends succeeded")
+	}
+}
+
+// runRouteCmd past -plan: on a port-0 listener in front of one backend,
+// with a signal already waiting, the router comes up, drains and writes
+// a header-only router ledger and a trace artifact named from the
+// address it bound.
+func TestRouteServesUntilStopped(t *testing.T) {
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "ready\n")
+	}))
+	defer backend.Close()
+	dir := t.TempDir()
+	eventsPath := filepath.Join(dir, "router_events.jsonl")
+	defer telemetry.Disable()
+	var stderr bytes.Buffer
+	err := runRouteCmd([]string{"-addr", "127.0.0.1:0", "-backends", backend.URL,
+		"-events-out", eventsPath, "-trace-dir", dir}, interrupted(), io.Discard, &stderr)
+	if err != nil {
+		t.Fatalf("runRouteCmd: %v\nstderr: %s", err, stderr.String())
+	}
+	events, err := telemetry.ReadJSONLFile(eventsPath)
+	if err != nil {
+		t.Fatalf("router ledger not readable: %v", err)
+	}
+	if len(events) != 0 {
+		t.Errorf("router ledger holds %d events, want none", len(events))
+	}
+	_, rest, ok := strings.Cut(stderr.String(), "listening on http://")
+	if !ok {
+		t.Fatalf("stderr missing listen line: %s", stderr.String())
+	}
+	addr := strings.TrimSuffix(strings.Fields(rest)[0], ",")
+	if _, err := obs.ReadTraceFile(filepath.Join(dir, traceProcName("route", addr)+".trace.jsonl")); err != nil {
+		t.Errorf("trace artifact: %v\nstderr: %s", err, stderr.String())
 	}
 }

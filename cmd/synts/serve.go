@@ -1,27 +1,25 @@
 package main
 
-// `synts serve` turns the batch tool into a long-running process: the
-// solver itself is exposed as a service (POST /v1/solve, backed by
-// internal/service's sharded workers with coalescing, warm starts and
-// load shedding) and the instrumentation can be watched live — Prometheus
-// text exposition at /metrics (bridged from internal/obs), the stdlib
-// expvar JSON at /debug/vars, net/http/pprof at /debug/pprof/, and
-// /healthz + /readyz for orchestration. Experiments named on the command
-// line run in the background on the usual worker pool, so a long
-// evaluation can be scraped while it progresses.
+// `synts serve` is the solver daemon: it answers POST /v1/solve, backed
+// by internal/service's sharded workers with coalescing, warm starts and
+// load shedding, the request online SynTS makes at every barrier
+// interval. Its instrumentation can be watched live — Prometheus text
+// exposition at /metrics (bridged from internal/obs), the stdlib expvar
+// JSON at /debug/vars, net/http/pprof at /debug/pprof/, and /healthz +
+// /readyz for orchestration.
 //
-// Shutdown drains instead of aborting: the first SIGINT/SIGTERM stops
-// admission (new solve requests answer 503 draining, /readyz flips) and
-// waits — bounded by -drain-timeout — for in-flight requests and
-// background experiments to complete; a second signal or the timeout
-// abandons what remains. Either way shutdown writes the -events-out and
-// -trace-dir artifacts that were asked for.
+// Shutdown drains instead of aborting (serveUntilStopped, shared with
+// `synts route`): the first SIGINT/SIGTERM stops admission (new solve
+// requests answer 503 draining, /readyz flips) and waits — bounded by
+// -drain-timeout — for in-flight requests to complete; a second signal or
+// the timeout abandons what remains. Either way shutdown writes the
+// -events-out and -trace-dir artifacts that were asked for.
 //
-// The metrics registry and the simulation profile are always on: the
-// endpoints are the point of serving. The decision ledger records only
-// when -events-out names a file, as in batch runs. Online SynTS calls the
-// solver every barrier interval, and a daemon without a sink would
-// otherwise keep a copy of every answer it gives.
+// The metrics registry is always on: the endpoints are the point of
+// serving. The decision ledger records only when -events-out names a
+// file, as in batch runs. Online SynTS calls the solver every barrier
+// interval, and a daemon without a sink would otherwise keep a copy of
+// every answer it gives.
 
 import (
 	"bytes"
@@ -34,60 +32,25 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
 	"runtime"
-	"sync"
-	"syscall"
 	"time"
 
-	"synts/internal/exp"
 	"synts/internal/faults"
 	"synts/internal/obs"
 	"synts/internal/service"
-	"synts/internal/simprof"
 	"synts/internal/telemetry"
 )
-
-// expvarOnce guards expvar.Publish, which panics on duplicate names
-// (tests build the mux repeatedly in one process).
-var expvarOnce sync.Once
 
 // newServeMux builds the serve handler tree around an optional solver
 // service. Factored out of runServeCmd so tests can drive it through
 // httptest without binding a socket.
 func newServeMux(svc *service.Service) *http.ServeMux {
-	expvarOnce.Do(func() {
-		expvar.Publish("synts_telemetry_events", expvar.Func(func() any {
-			return telemetry.Len()
-		}))
-	})
 	mux := http.NewServeMux()
 	if svc != nil {
 		svc.Register(mux)
 	}
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		defer obs.StartSpan("serve.scrape").End()
-		obs.C("serve.scrapes").Add(1)
-		obs.G("telemetry.events").Set(float64(telemetry.Len()))
-		var buf bytes.Buffer
-		if err := obs.Default().WritePrometheus(&buf); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write(buf.Bytes())
-	})
+	mux.HandleFunc("/metrics", metricsHandler("serve.scrapes"))
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/simprof", func(w http.ResponseWriter, req *http.Request) {
-		// Simulation-domain profile: the same gzipped profile.proto bytes
-		// -simprof-out writes, served live so `go tool pprof
-		// http://HOST/debug/simprof` attributes simulated cycles mid-run.
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Disposition", `attachment; filename="simprof.pb.gz"`)
-		if err := simprof.WriteProfile(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -98,44 +61,58 @@ func newServeMux(svc *service.Service) *http.ServeMux {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprint(w, "synts serve\n\n/v1/solve       POST a synts-solve-req/v1 per-interval solve\n/healthz        process liveness\n/readyz         admission readiness (503 while draining)\n/metrics        Prometheus text exposition\n/debug/vars     expvar JSON\n/debug/pprof/   pprof index\n/debug/simprof  simulation-domain pprof profile (gzipped profile.proto)\n")
+		fmt.Fprint(w, "synts serve\n\n/v1/solve       POST a synts-solve-req/v1 per-interval solve\n/healthz        process liveness\n/readyz         admission readiness (503 while draining)\n/metrics        Prometheus text exposition\n/debug/vars     expvar JSON\n/debug/pprof/   pprof index\n")
 	})
 	return mux
 }
 
-// runServeCmd implements the serve subcommand. It blocks until signalled
-// (or until the background experiments finish, with -exit-when-done),
-// drains, shuts the listener down and writes the -events-out ledger if
-// one was requested.
-func runServeCmd(args []string, stdout, stderr io.Writer) error {
+// metricsHandler is /metrics for both daemons: it counts the scrape under
+// scrapes, refreshes the ledger-size gauge and writes the registry's
+// Prometheus text exposition. It records no span: a daemon runs for as
+// long as it is scraped, and a span per scrape would grow the span store
+// and every later scrape's copy of it.
+func metricsHandler(scrapes string) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		obs.C(scrapes).Add(1)
+		obs.G("telemetry.events").Set(float64(telemetry.Len()))
+		var buf bytes.Buffer
+		if err := obs.Default().WritePrometheus(&buf); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.Write(buf.Bytes())
+	}
+}
+
+// runServeCmd implements the serve subcommand. It serves until the first
+// value on stop, drains, shuts the listener down and writes the
+// -events-out ledger and -trace-dir artifact if they were requested.
+func runServeCmd(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:9187", "listen address for /v1/solve, /metrics, /debug/vars, /debug/pprof/")
-	size := fs.Int("size", 2, "workload size knob for background experiments")
-	seed := fs.Int64("seed", 2016, "workload data seed")
-	threads := fs.Int("threads", 4, "cores/threads")
-	maxIv := fs.Int("intervals", 3, "barrier intervals analysed per benchmark")
-	jobs := fs.Int("j", runtime.NumCPU(), "background experiments run concurrently")
 	shards := fs.Int("shards", runtime.NumCPU(), "solver service worker shards")
 	queueLen := fs.Int("queue", 64, "per-shard bounded queue length (full queues shed with 429)")
 	tenantCap := fs.Int("max-inflight-per-tenant", 0, "per-tenant in-flight admission cap (429/tenant-cap beyond it; 0 = off)")
 	warmDir := fs.String("warm-dir", "", "persist the solve warm-start cache to `dir` (synts-ckpt/v1)")
-	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work before aborting (0 = forever)")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before aborting (0 = forever)")
 	chaosSpec := fs.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (adds req-slow, req-drop to the batch classes)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the fault injector's decisions")
 	eventsOut := fs.String("events-out", "", "record the decision ledger and write it (synts-events/v1 JSONL) to `file` on shutdown; without it no ledger is recorded")
 	traceDir := fs.String("trace-dir", "", "record incoming distributed-trace context and write this daemon's synts-trace/v1 artifact into `dir` on shutdown")
-	exitWhenDone := fs.Bool("exit-when-done", false, "shut down once the background experiments finish (instead of serving until signalled)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: synts serve [-addr HOST:PORT] [flags] [experiment ...]\n\nflags:\n")
+		fmt.Fprintf(stderr, "usage: synts serve [-addr HOST:PORT] [flags]\n\nflags:\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
 
 	obs.Enable()
-	simprof.Enable()
 	finishEvents, err := startEventsLedger(*eventsOut, 0, "synts serve", stderr)
 	if err != nil {
 		return err
@@ -158,71 +135,10 @@ func runServeCmd(args []string, stdout, stderr io.Writer) error {
 		ln.Close()
 		return err
 	}
-	srv := &http.Server{Handler: newServeMux(svc)}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Fprintf(stderr, "synts serve: listening on http://%s (/v1/solve, /metrics, /debug/vars, /debug/pprof/)\n", ln.Addr())
-
-	// Background experiments, if any. Artefacts still go to stdout in
-	// request order; metrics update live as the pool works. The cancellable
-	// context is the abort path: drain timeout or a second signal.
-	names := fs.Args()
-	if len(names) == 1 && names[0] == "all" {
-		names = names[:0]
-		for _, e := range experiments {
-			names = append(names, e.name)
-		}
-	}
-	runCtx, cancelRun := context.WithCancel(context.Background())
-	defer cancelRun()
-	var runDone chan error // nil (blocks forever) unless background work exists
-	if len(names) > 0 {
-		runDone = make(chan error, 1)
-		opts := exp.DefaultOptions()
-		opts.Size = *size
-		opts.Seed = *seed
-		opts.Threads = *threads
-		opts.MaxIntervals = *maxIv
-		go func() { runDone <- runAllCtx(runCtx, names, opts, *jobs, false, stdout, stderr, nil, false) }()
-	} else if *exitWhenDone {
-		runDone = make(chan error, 1)
-		runDone <- nil
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-
-	var runErr error
-	clean := false
-loop:
-	for {
-		select {
-		case s := <-sig:
-			fmt.Fprintf(stderr, "synts serve: %v, draining (signal again to abort)\n", s)
-			runErr, clean = drainServe(svc, runDone, sig, *drainTimeout, cancelRun, stderr)
-			break loop
-		case err := <-serveErr:
-			return fmt.Errorf("http server: %w", err)
-		case runErr = <-runDone:
-			if runErr != nil {
-				fmt.Fprintf(stderr, "synts serve: background run failed: %v\n", runErr)
-			} else {
-				fmt.Fprintf(stderr, "synts serve: background experiments done\n")
-			}
-			runDone = nil // don't select on the drained channel again
-			if *exitWhenDone {
-				svc.Drain()
-				clean = true
-				break loop
-			}
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(stderr, "synts serve: shutdown: %v\n", err)
+	clean, err := serveUntilStopped("serve", ln, newServeMux(svc), stop, svc.Drain, *drainTimeout, stderr)
+	if err != nil {
+		return err
 	}
 	if clean {
 		// Only a fully drained service can close its shard queues safely.
@@ -231,45 +147,48 @@ loop:
 	if err := finishEvents(); err != nil {
 		return err
 	}
-	if err := finishTrace(); err != nil {
-		return err
-	}
-	return runErr
+	return finishTrace()
 }
 
-// drainServe is the graceful half of shutdown: stop admission, then wait
-// for the service's in-flight requests and the background experiments —
-// bounded by the drain timeout and by a second signal, either of which
-// cancels the experiment context and abandons the wait. Returns the
-// background run's error (nil if it was abandoned) and whether the drain
-// completed cleanly.
-func drainServe(svc *service.Service, runDone chan error, sig <-chan os.Signal, timeout time.Duration, abort context.CancelFunc, stderr io.Writer) (runErr error, clean bool) {
+// serveUntilStopped is the lifecycle `synts serve` and `synts route`
+// share. It serves h on ln until the first value on stop, then runs
+// drain; a second value on stop, or the timeout (0 = none), abandons the
+// drain. In every case it then shuts the server down, giving requests
+// still in flight 5 s, waits for Serve to return, and reports whether the
+// drain finished. cmd prefixes its stderr lines.
+func serveUntilStopped(cmd string, ln net.Listener, h http.Handler, stop <-chan os.Signal, drain func(), timeout time.Duration, stderr io.Writer) (clean bool, err error) {
+	srv := &http.Server{Handler: h}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	select {
+	case s := <-stop:
+		fmt.Fprintf(stderr, "synts %s: %v, draining (signal again to abort)\n", cmd, s)
+	case err := <-serveErr:
+		return false, fmt.Errorf("http server: %w", err)
+	}
+
 	drained := make(chan struct{})
-	go func() { svc.Drain(); close(drained) }()
+	go func() { drain(); close(drained) }()
 	var timeC <-chan time.Time
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
 		defer t.Stop()
 		timeC = t.C
 	}
-	for drained != nil || runDone != nil {
-		select {
-		case <-drained:
-			drained = nil
-		case runErr = <-runDone:
-			if runErr != nil {
-				fmt.Fprintf(stderr, "synts serve: background run failed: %v\n", runErr)
-			}
-			runDone = nil
-		case <-timeC:
-			fmt.Fprintf(stderr, "synts serve: drain timed out after %v, aborting\n", timeout)
-			abort()
-			return runErr, false
-		case s := <-sig:
-			fmt.Fprintf(stderr, "synts serve: %v again, aborting\n", s)
-			abort()
-			return runErr, false
-		}
+	select {
+	case <-drained:
+		clean = true
+	case <-timeC:
+		fmt.Fprintf(stderr, "synts %s: drain timed out after %v, aborting\n", cmd, timeout)
+	case s := <-stop:
+		fmt.Fprintf(stderr, "synts %s: %v again, aborting\n", cmd, s)
 	}
-	return runErr, true
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		fmt.Fprintf(stderr, "synts %s: shutdown: %v\n", cmd, err)
+	}
+	<-serveErr // http.ErrServerClosed: Shutdown has closed ln
+	return clean, nil
 }

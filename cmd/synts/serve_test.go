@@ -16,9 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"synts/internal/fleet"
 	"synts/internal/obs"
 	"synts/internal/service"
-	"synts/internal/simprof"
 	"synts/internal/telemetry"
 )
 
@@ -135,17 +135,15 @@ func TestMetricsUnderConcurrentScrapeAndWrite(t *testing.T) {
 }
 
 // A daemon without -events-out runs in flat memory: with serve's sinkless
-// instrumentation (metrics registry and simulation profile on, ledger
-// off), a stream of distinct payloads from distinct tenants leaves almost
-// nothing behind per request. The warm-start cache is bounded by WarmCap
-// and shrunk here so only state that grows without bound shows. Tenant
-// names must not reach /metrics either: "lu-contig" and "lu.contig" fold
-// to one Prometheus name, and the exposition must stay grammar-valid.
+// instrumentation (metrics registry on, ledger off), a stream of distinct
+// payloads from distinct tenants leaves almost nothing behind per
+// request. The warm-start cache is bounded by WarmCap and shrunk here so
+// only state that grows without bound shows. Tenant names must not reach
+// /metrics either: "lu-contig" and "lu.contig" fold to one Prometheus
+// name, and the exposition must stay grammar-valid.
 func TestSinklessServeRetainsNoPerRequestState(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
-	simprof.Enable()
-	defer simprof.Disable()
 	telemetry.Disable()
 	svc, err := service.New(service.Config{Shards: 2, QueueLen: 16, WarmCap: 1})
 	if err != nil {
@@ -203,55 +201,92 @@ func TestSinklessServeRetainsNoPerRequestState(t *testing.T) {
 	}
 }
 
-// drainServe: a clean drain waits for the service and the background run;
-// a second signal aborts the wait and cancels the background context.
+// serveUntilStopped: a clean drain returns clean, and a second signal or
+// the drain timeout abandons a drain that never finishes. However the
+// drain ends, the listener refuses connections once the helper returns.
 func TestDrainServe(t *testing.T) {
 	svc, err := service.New(service.Config{Shards: 1, QueueLen: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
+	never := make(chan struct{})
+	defer close(never)
+	hang := func() { <-never }
 
-	t.Run("clean", func(t *testing.T) {
-		runDone := make(chan error, 1)
-		runDone <- nil
-		var stderr bytes.Buffer
-		runErr, clean := drainServe(svc, runDone, nil, time.Minute, func() {}, &stderr)
-		if runErr != nil || !clean {
-			t.Fatalf("clean drain: err=%v clean=%v", runErr, clean)
-		}
-		// The service no longer admits.
-		rr := httptest.NewRecorder()
-		mux := http.NewServeMux()
-		svc.Register(mux)
-		req := httptest.NewRequest("GET", "/readyz", nil)
-		mux.ServeHTTP(rr, req)
-		if rr.Code != http.StatusServiceUnavailable {
-			t.Errorf("readyz after drain: %d", rr.Code)
-		}
-	})
+	for _, tc := range []struct {
+		name    string
+		drain   func()
+		signals int
+		timeout time.Duration
+		clean   bool
+	}{
+		{"clean", svc.Drain, 1, time.Minute, true},
+		{"second signal aborts", hang, 2, time.Minute, false},
+		{"timeout aborts", hang, 1, time.Millisecond, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan os.Signal, tc.signals)
+			for i := 0; i < tc.signals; i++ {
+				stop <- os.Interrupt
+			}
+			var stderr bytes.Buffer
+			clean, err := serveUntilStopped("serve", ln, newServeMux(svc), stop, tc.drain, tc.timeout, &stderr)
+			if err != nil || clean != tc.clean {
+				t.Fatalf("clean=%v err=%v, want clean=%v\nstderr: %s", clean, err, tc.clean, stderr.String())
+			}
+			if c, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+				c.Close()
+				t.Error("listener still accepts connections after serveUntilStopped returned")
+			}
+		})
+	}
 
-	t.Run("second signal aborts", func(t *testing.T) {
-		runDone := make(chan error, 1) // background run never finishes
-		sig := make(chan os.Signal, 1)
-		sig <- os.Interrupt
-		aborted := false
-		var stderr bytes.Buffer
-		_, clean := drainServe(svc, runDone, sig, time.Minute, func() { aborted = true }, &stderr)
-		if clean || !aborted {
-			t.Fatalf("second signal: clean=%v aborted=%v", clean, aborted)
-		}
-	})
+	// The clean drain left the service refusing admission.
+	rr := httptest.NewRecorder()
+	newServeMux(svc).ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if rr.Code != http.StatusServiceUnavailable {
+		t.Errorf("readyz after drain: %d", rr.Code)
+	}
+}
 
-	t.Run("timeout aborts", func(t *testing.T) {
-		runDone := make(chan error, 1)
-		aborted := false
-		var stderr bytes.Buffer
-		_, clean := drainServe(svc, runDone, nil, time.Millisecond, func() { aborted = true }, &stderr)
-		if clean || !aborted {
-			t.Fatalf("timeout: clean=%v aborted=%v", clean, aborted)
+// However often a daemon is scraped, /metrics records no span: the span
+// store stays empty and the exposition carries no span family.
+func TestScrapesRecordNoSpan(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	rt, err := fleet.NewRouter(fleet.RouterConfig{Backends: []string{"http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1000
+	for _, d := range []struct {
+		name string
+		mux  *http.ServeMux
+	}{{"serve", newServeMux(nil)}, {"route", newRouteMux(rt)}} {
+		var last *httptest.ResponseRecorder
+		for i := 0; i < n; i++ {
+			last = httptest.NewRecorder()
+			d.mux.ServeHTTP(last, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			if last.Code != http.StatusOK {
+				t.Fatalf("%s /metrics status %d", d.name, last.Code)
+			}
 		}
-	})
+		if spans, _ := obs.Default().SpanRecords(); len(spans) != 0 {
+			t.Errorf("%d %s scrapes left %d span records", n, d.name, len(spans))
+		}
+		body := last.Body.String()
+		if strings.Contains(body, "synts_span_") {
+			t.Errorf("%s /metrics carries a span family:\n%s", d.name, body)
+		}
+		if want := fmt.Sprintf("\nsynts_%s_scrapes_total %d\n", d.name, n); !strings.Contains(body, want) {
+			t.Errorf("%s /metrics missing %q", d.name, strings.TrimSpace(want))
+		}
+	}
 }
 
 // Two daemons started on port 0 with one shared -trace-dir write two
@@ -262,8 +297,7 @@ func TestServeTraceArtifactNamedByBoundAddress(t *testing.T) {
 	var want []string
 	for i := 0; i < 2; i++ {
 		var stderr bytes.Buffer
-		err := runServeCmd([]string{"-addr", "127.0.0.1:0", "-shards", "1", "-exit-when-done", "-trace-dir", dir},
-			io.Discard, &stderr)
+		err := runServeCmd([]string{"-addr", "127.0.0.1:0", "-shards", "1", "-trace-dir", dir}, interrupted(), &stderr)
 		if err != nil {
 			t.Fatalf("runServeCmd: %v\nstderr: %s", err, stderr.String())
 		}

@@ -13,7 +13,6 @@ import (
 
 	"synts/internal/exp"
 	"synts/internal/obs"
-	"synts/internal/simprof"
 	"synts/internal/telemetry"
 )
 
@@ -77,19 +76,14 @@ func TestEventsOutIdenticalAcrossJobCounts(t *testing.T) {
 	}
 }
 
-// The serve mux must expose valid Prometheus text on /metrics and valid
-// expvar JSON on /debug/vars.
+// The serve mux must expose valid Prometheus text on /metrics, carrying
+// the ledger size, and valid expvar JSON on /debug/vars.
 func TestServeMuxEndpoints(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	telemetry.Enable()
 	defer telemetry.Disable()
 	telemetry.Record(telemetry.Event{Kind: telemetry.KindDecision, Bench: "b", Stage: "s", Solver: "SynTS"})
-	simprof.Enable()
-	defer simprof.Disable()
-	simprof.Record(
-		simprof.Key{Kernel: "b", Core: 0, Interval: 0, Phase: simprof.PhaseReplay, Op: "ADD", Stage: "SimpleALU"},
-		simprof.Values{Cycles: 3, Errors: 1, Energy: 3, Instrs: 2})
 
 	srv := httptest.NewServer(newServeMux(nil))
 	defer srv.Close()
@@ -109,9 +103,9 @@ func TestServeMuxEndpoints(t *testing.T) {
 	if err := obs.ValidatePrometheusText(body); err != nil {
 		t.Fatalf("/metrics is not valid exposition text: %v\n%s", err, body)
 	}
-	for _, want := range []string{"synts_serve_scrapes_total", "synts_telemetry_events"} {
+	for _, want := range []string{"\nsynts_serve_scrapes_total 1\n", "\nsynts_telemetry_events 1\n"} {
 		if !strings.Contains(string(body), want) {
-			t.Errorf("/metrics missing %q", want)
+			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
 		}
 	}
 
@@ -125,28 +119,8 @@ func TestServeMuxEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &vars); err != nil {
 		t.Fatalf("/debug/vars is not JSON: %v", err)
 	}
-	if n, ok := vars["synts_telemetry_events"].(float64); !ok || n < 1 {
-		t.Errorf("synts_telemetry_events = %v, want >= 1", vars["synts_telemetry_events"])
-	}
-
-	resp, err = http.Get(srv.URL + "/debug/simprof")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/simprof status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
-		t.Errorf("/debug/simprof Content-Type = %q", ct)
-	}
-	prof, err := simprof.Parse(body)
-	if err != nil {
-		t.Fatalf("/debug/simprof is not a parseable profile: %v", err)
-	}
-	if len(prof.Samples) == 0 {
-		t.Error("/debug/simprof served a profile with no samples")
+	if _, ok := vars["memstats"]; !ok {
+		t.Error("/debug/vars has no memstats")
 	}
 
 	resp, err = http.Get(srv.URL + "/nope")
@@ -159,14 +133,19 @@ func TestServeMuxEndpoints(t *testing.T) {
 	}
 }
 
-// runServeCmd with -exit-when-done and no experiments must come up, write
-// the (header-only) ledger, and exit cleanly without a signal.
+// runServeCmd with a signal already waiting must come up, drain, write
+// the (header-only) ledger and exit cleanly. Experiment names are no
+// longer serve's business: given any, it refuses to start.
 func TestServeExitWhenDone(t *testing.T) {
+	if err := runServeCmd([]string{"-addr", "127.0.0.1:0", "all"}, nil, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "unexpected arguments") {
+		t.Fatalf("serve with an experiment name: err = %v, want unexpected arguments", err)
+	}
+
 	eventsPath := filepath.Join(t.TempDir(), "events.jsonl")
+	defer telemetry.Disable()
 	var stderr bytes.Buffer
-	err := runServeCmd(
-		[]string{"-addr", "127.0.0.1:0", "-exit-when-done", "-events-out", eventsPath},
-		io.Discard, &stderr)
+	err := runServeCmd([]string{"-addr", "127.0.0.1:0", "-events-out", eventsPath}, interrupted(), &stderr)
 	if err != nil {
 		t.Fatalf("runServeCmd: %v\nstderr: %s", err, stderr.String())
 	}
@@ -182,13 +161,21 @@ func TestServeExitWhenDone(t *testing.T) {
 	}
 }
 
+// interrupted returns a daemon stop channel holding one signal, so the
+// daemon drains and shuts down as soon as it is serving.
+func interrupted() <-chan os.Signal {
+	stop := make(chan os.Signal, 1)
+	stop <- os.Interrupt
+	return stop
+}
+
 // Without -events-out a daemon records no ledger: nothing would ever read
 // it, and each answer would leave its estimate/decision/barrier events in
 // the heap for as long as the daemon runs.
 func TestServeWithoutEventsOutRecordsNoLedger(t *testing.T) {
-	telemetry.Disable() // TestServeExitWhenDone leaves the ledger on
+	telemetry.Disable()
 	var stderr bytes.Buffer
-	err := runServeCmd([]string{"-addr", "127.0.0.1:0", "-shards", "1", "-exit-when-done"}, io.Discard, &stderr)
+	err := runServeCmd([]string{"-addr", "127.0.0.1:0", "-shards", "1"}, interrupted(), &stderr)
 	if err != nil {
 		t.Fatalf("runServeCmd: %v\nstderr: %s", err, stderr.String())
 	}

@@ -21,13 +21,15 @@ const RouterSolverName = "fleet-route"
 // maxRouteBody mirrors the service's request-body bound.
 const maxRouteBody = 1 << 20
 
+// attemptTimeout bounds one proxied attempt to one backend.
+const attemptTimeout = 10 * time.Second
+
 // RouterConfig sizes a consistent-hash solve router.
 type RouterConfig struct {
-	// Backends are the daemon base URLs traffic is hashed onto. Required.
+	// Backends are the daemon base URLs traffic is hashed onto, each
+	// placed on the ring at the package's default virtual-node count.
+	// Required.
 	Backends []string
-	// Replicas is the ring's virtual-node count per backend; <= 0 means
-	// the package default (64).
-	Replicas int
 	// ProbeInterval is the /readyz health-check period; <= 0 means 500ms.
 	// Each cycle adds a seeded jitter in [0, interval/4) so a fleet of
 	// routers never probes in lockstep and a given seed reproduces the
@@ -35,11 +37,6 @@ type RouterConfig struct {
 	ProbeInterval time.Duration
 	// ProbeSeed seeds the probe jitter (and nothing else).
 	ProbeSeed int64
-	// Timeout bounds one proxied attempt to one backend; <= 0 means 10s.
-	Timeout time.Duration
-	// MaxHops bounds how many backends one request may be tried on;
-	// <= 0 means every backend once.
-	MaxHops int
 	// Breaker configures the per-backend circuit breakers.
 	Breaker BreakerConfig
 	// Transport overrides the proxy HTTP transport (tests).
@@ -90,15 +87,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 500 * time.Millisecond
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
-	}
-	if cfg.MaxHops <= 0 || cfg.MaxHops > len(cfg.Backends) {
-		cfg.MaxHops = len(cfg.Backends)
-	}
 	rt := &Router{
 		cfg:   cfg,
-		ring:  NewRing(cfg.Backends, cfg.Replicas),
+		ring:  NewRing(cfg.Backends, 0),
 		hc:    &http.Client{Transport: cfg.Transport},
 		start: time.Now(),
 		stop:  make(chan struct{}),
@@ -304,11 +295,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 	seq := rt.ring.Seq(digest)
 	window := rt.chaosWindow()
 	hops := 0
-	attempted := 0
 	for _, idx := range seq {
-		if attempted >= rt.cfg.MaxHops {
-			break
-		}
 		b := rt.backends[idx]
 		if !b.isReady() {
 			obs.C("route.remapped").Add(1)
@@ -320,7 +307,6 @@ func (rt *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 			tr.recordSkip(b, "breaker-open")
 			continue
 		}
-		attempted++
 		ok, done := rt.tryBackend(w, b, idx, body, digest, window, hops, start, tr)
 		if done {
 			return
@@ -452,7 +438,7 @@ func (rt *Router) tryBackend(w http.ResponseWriter, b *backend, idx int, body []
 		}
 		SetTraceHeaders(req.Header, tr.tc.Trace, hopSpan, fwdHop)
 	}
-	hc := &http.Client{Transport: rt.cfg.Transport, Timeout: rt.cfg.Timeout}
+	hc := &http.Client{Transport: rt.cfg.Transport, Timeout: attemptTimeout}
 	resp, err := hc.Do(req)
 	if err != nil {
 		rt.failAttempt(b, red, "backend-error", trace)

@@ -54,6 +54,47 @@ func TestParseTraceHeadersMalformed(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceHeaders: every daemon and router request passes its
+// headers through ParseTraceHeaders. For any header values it returns
+// either the zero context or one with a non-zero trace and a hop kind
+// the artifact validator admits, and Set → Parse round-trips any
+// non-zero trace, parent and admitted hop kind.
+func FuzzParseTraceHeaders(f *testing.F) {
+	f.Add("00000000deadbeef", "0000000000001234", obs.HopRetry, uint64(0xdeadbeef), uint64(0x1234), uint8(1))
+	f.Add("", "", "", uint64(1), uint64(0), uint8(0))
+	f.Add("0", "not-hex", "teleport", uint64(1<<63), uint64(1), uint8(2))
+	f.Add("10000000000000000", "-1", obs.HopFailover, ^uint64(0), ^uint64(0), uint8(3))
+	f.Add("+ff", "0x10", " hedge", uint64(0xff), uint64(0x10), uint8(7))
+	hops := []string{obs.HopFirst, obs.HopRetry, obs.HopHedge, obs.HopFailover}
+	f.Fuzz(func(t *testing.T, trace, parent, hop string, id, span uint64, kind uint8) {
+		h := http.Header{}
+		h.Set(HeaderTrace, trace)
+		h.Set(HeaderParentSpan, parent)
+		h.Set(HeaderHop, hop)
+		tc := ParseTraceHeaders(h)
+		if tc != (TraceCtx{}) {
+			switch tc.Hop {
+			case obs.HopFirst, obs.HopRetry, obs.HopHedge, obs.HopFailover:
+			default:
+				t.Fatalf("headers %q %q %q parsed to hop kind %q", trace, parent, hop, tc.Hop)
+			}
+			if tc.Trace == 0 {
+				t.Fatalf("headers %q %q %q parsed to a zero trace with context %+v", trace, parent, hop, tc)
+			}
+		}
+
+		if id == 0 {
+			return
+		}
+		want := TraceCtx{Trace: id, Parent: span, Hop: hops[int(kind)%len(hops)]}
+		out := http.Header{}
+		SetTraceHeaders(out, want.Trace, want.Parent, want.Hop)
+		if got := ParseTraceHeaders(out); got != want {
+			t.Fatalf("round-trip of %+v = %+v", want, got)
+		}
+	})
+}
+
 // Timing headers parse defensively: absent, malformed and negative all
 // read as zero so breakdown arithmetic never goes negative on bad input.
 func TestHeaderNs(t *testing.T) {

@@ -1,6 +1,7 @@
 package mcsim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -47,7 +48,7 @@ func loadInput(t *testing.T, bench string) Input {
 	}
 	streams := workload.RunKernel(k, 4, 1, 17)
 	cacheCfg := cpu.DefaultL1()
-	profs, err := trace.BuildProfiles(streams, trace.SimpleALU, cacheCfg)
+	profs, err := trace.BuildProfilesWorkersCtx(context.Background(), streams, trace.SimpleALU, cacheCfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ func addVia(n *Netlist, a, b uint64) (sum uint64, cout bool) {
 	n.SetBusUint(in, n.InputBus("a"), a)
 	n.SetBusUint(in, n.InputBus("b"), b)
 	vals := n.Eval(in, nil)
-	return BusUint(vals, n.OutputBus("s")), BusUint(vals, n.OutputBus("cout")) == 1
+	return busUint(vals, n.OutputBus("s")), busUint(vals, n.OutputBus("cout")) == 1
 }
 
 func TestAdderKindsString(t *testing.T) {
@@ -107,8 +107,8 @@ func TestDivider8Exhaustive(t *testing.T) {
 			n.SetBusUint(in, n.InputBus("a"), uint64(a))
 			n.SetBusUint(in, n.InputBus("b"), uint64(b))
 			vals := n.Eval(in, nil)
-			q := BusUint(vals, n.OutputBus("q"))
-			r := BusUint(vals, n.OutputBus("r"))
+			q := busUint(vals, n.OutputBus("q"))
+			r := busUint(vals, n.OutputBus("r"))
 			if q != uint64(a/b) || r != uint64(a%b) {
 				t.Fatalf("%d/%d = q %d r %d, want q %d r %d", a, b, q, r, a/b, a%b)
 			}
@@ -122,10 +122,10 @@ func TestDividerByZeroIsDefined(t *testing.T) {
 	n.SetBusUint(in, n.InputBus("a"), 0xAB)
 	n.SetBusUint(in, n.InputBus("b"), 0)
 	vals := n.Eval(in, nil)
-	if q := BusUint(vals, n.OutputBus("q")); q != 0xFF {
+	if q := busUint(vals, n.OutputBus("q")); q != 0xFF {
 		t.Errorf("q = %#x, want all-ones", q)
 	}
-	if r := BusUint(vals, n.OutputBus("r")); r != 0xAB {
+	if r := busUint(vals, n.OutputBus("r")); r != 0xAB {
 		t.Errorf("r = %#x, want dividend", r)
 	}
 }
@@ -141,8 +141,8 @@ func TestDivider32Property(t *testing.T) {
 		n.SetBusUint(in, n.InputBus("a"), uint64(a))
 		n.SetBusUint(in, n.InputBus("b"), uint64(b))
 		vals = n.Eval(in, vals)
-		return BusUint(vals, n.OutputBus("q")) == uint64(a/b) &&
-			BusUint(vals, n.OutputBus("r")) == uint64(a%b)
+		return busUint(vals, n.OutputBus("q")) == uint64(a/b) &&
+			busUint(vals, n.OutputBus("r")) == uint64(a%b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

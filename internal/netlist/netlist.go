@@ -125,18 +125,6 @@ func (n *Netlist) SetBusUint(in []bool, bus Bus, v uint64) {
 	}
 }
 
-// BusUint reads the value of a bus from a full net-value slice (as returned
-// by Eval), LSB first.
-func BusUint(vals []bool, bus Bus) uint64 {
-	var v uint64
-	for i, t := range bus.Nets {
-		if vals[t] {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
-}
-
 // Builder constructs a Netlist. Nets can only be created by Input/InputBusN
 // or as gate outputs, so every net has exactly one driver and the gate list
 // is topologically ordered by construction.

@@ -8,6 +8,18 @@ import (
 	"synts/internal/isa"
 )
 
+// busUint reads the value of a bus from a full net-value slice (as
+// returned by Eval), LSB first.
+func busUint(vals []bool, bus Bus) uint64 {
+	var v uint64
+	for i, t := range bus.Nets {
+		if vals[t] {
+			v |= 1 << uint(i)
+		}
+	}
+	return v
+}
+
 func TestBuilderSingleGate(t *testing.T) {
 	b := NewBuilder("t")
 	a := b.Input("a")
@@ -81,7 +93,7 @@ func evalALU(n *Netlist, op int, a, x uint64, width int) uint64 {
 	n.SetBusUint(in, n.InputBus("a"), a)
 	n.SetBusUint(in, n.InputBus("b"), x)
 	vals := n.Eval(in, nil)
-	return BusUint(vals, n.OutputBus("y"))
+	return busUint(vals, n.OutputBus("y"))
 }
 
 func TestSimpleALU8Exhaustive(t *testing.T) {
@@ -166,7 +178,7 @@ func TestSimpleALUFlags(t *testing.T) {
 		n.SetBusUint(in, n.InputBus("a"), a)
 		n.SetBusUint(in, n.InputBus("b"), b)
 		vals := n.Eval(in, nil)
-		return BusUint(vals, n.OutputBus("flags")) & 1
+		return busUint(vals, n.OutputBus("flags")) & 1
 	}
 	if carry(0xFF, 0x01) != 1 {
 		t.Error("0xFF + 1 must set carry flag")
@@ -184,7 +196,7 @@ func TestMultiplier8Exhaustive(t *testing.T) {
 			n.SetBusUint(in, n.InputBus("a"), uint64(a))
 			n.SetBusUint(in, n.InputBus("b"), uint64(x))
 			vals := n.Eval(in, nil)
-			got := BusUint(vals, n.OutputBus("p"))
+			got := busUint(vals, n.OutputBus("p"))
 			if want := uint64(a * x); got != want {
 				t.Fatalf("mult8 %d*%d: got %d, want %d", a, x, got, want)
 			}
@@ -200,7 +212,7 @@ func TestMultiplier32Property(t *testing.T) {
 		n.SetBusUint(in, n.InputBus("a"), uint64(a))
 		n.SetBusUint(in, n.InputBus("b"), uint64(x))
 		vals = n.Eval(in, vals)
-		return BusUint(vals, n.OutputBus("p")) == uint64(a)*uint64(x)
+		return busUint(vals, n.OutputBus("p")) == uint64(a)*uint64(x)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -225,7 +237,7 @@ func TestComplexALUMulAndMac(t *testing.T) {
 		if mac {
 			want += uint64(c)
 		}
-		return BusUint(vals, n.OutputBus("p")) == want
+		return busUint(vals, n.OutputBus("p")) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -249,7 +261,7 @@ func TestBarrelShifterStandalone(t *testing.T) {
 				n.SetBusUint(in, n.InputBus("sh"), uint64(s))
 				n.SetBusUint(in, n.InputBus("dir"), uint64(d))
 				vals := n.Eval(in, nil)
-				got := uint16(BusUint(vals, n.OutputBus("y")))
+				got := uint16(busUint(vals, n.OutputBus("y")))
 				want := v << uint(s)
 				if d == 1 {
 					want = v >> uint(s)
@@ -269,7 +281,7 @@ func TestDecodeOneHot(t *testing.T) {
 		w := isa.Encode(isa.Inst{Op: isa.Op(op), Rd: 1, Rs: 2, Rt: 3})
 		n.SetBusUint(in, n.InputBus("instr"), uint64(w))
 		vals := n.Eval(in, nil)
-		oh := BusUint(vals, n.OutputBus("onehot"))
+		oh := busUint(vals, n.OutputBus("onehot"))
 		if oh != 1<<uint(op) {
 			t.Errorf("op %v: onehot = %#x, want %#x", isa.Op(op), oh, 1<<uint(op))
 		}
@@ -283,7 +295,7 @@ func TestDecodeControlSignals(t *testing.T) {
 		w := isa.Encode(isa.Inst{Op: op})
 		n.SetBusUint(in, n.InputBus("instr"), uint64(w))
 		vals := n.Eval(in, nil)
-		return BusUint(vals, n.OutputBus("ctrl"))
+		return busUint(vals, n.OutputBus("ctrl"))
 	}
 	const (
 		regWrite = 1 << 0
@@ -327,7 +339,7 @@ func TestDecodeALUOpMatchesSimpleALUEncoding(t *testing.T) {
 		w := isa.Encode(isa.Inst{Op: op})
 		n.SetBusUint(in, n.InputBus("instr"), uint64(w))
 		vals := n.Eval(in, nil)
-		if got := BusUint(vals, n.OutputBus("aluop")); got != aluop {
+		if got := busUint(vals, n.OutputBus("aluop")); got != aluop {
 			t.Errorf("%v: aluop = %d, want %d", op, got, aluop)
 		}
 	}
@@ -350,7 +362,7 @@ func TestDecodeImmediateSignExtension(t *testing.T) {
 		w := isa.Encode(isa.Inst{Op: c.op, Imm: c.imm, Rt: 0x1f})
 		n.SetBusUint(in, n.InputBus("instr"), uint64(w))
 		vals := n.Eval(in, nil)
-		if got := uint32(BusUint(vals, n.OutputBus("imm"))); got != c.want {
+		if got := uint32(busUint(vals, n.OutputBus("imm"))); got != c.want {
 			t.Errorf("%v imm %#x: got %#x, want %#x", c.op, c.imm, got, c.want)
 		}
 	}
@@ -363,7 +375,7 @@ func TestDecodeRsEqRt(t *testing.T) {
 		w := isa.Encode(isa.Inst{Op: isa.ADD, Rs: rs, Rt: rt})
 		n.SetBusUint(in, n.InputBus("instr"), uint64(w))
 		vals := n.Eval(in, nil)
-		got := BusUint(vals, n.OutputBus("rseqrt")) == 1
+		got := busUint(vals, n.OutputBus("rseqrt")) == 1
 		if got != want {
 			t.Errorf("rs=%d rt=%d: rseqrt = %v, want %v", rs, rt, got, want)
 		}

@@ -18,11 +18,12 @@ import (
 // edges for the internal/sched analyzer:
 //
 //   - Deps (DependsOn) are happens-before ordering edges: this span's work
-//     logically follows the dependency's work. trace.BuildProfiles links
-//     each (thread, interval) build to the same thread's previous interval,
-//     so the per-thread program-order chains — and with them the critical
-//     path of the execution DAG — survive into the span records even though
-//     the scheduler runs the intervals concurrently.
+//     logically follows the dependency's work.
+//     trace.BuildProfilesScopedCtx links each (thread, interval) build to
+//     the same thread's previous interval, so the per-thread program-order
+//     chains — and with them the critical path of the execution DAG —
+//     survive into the span records even though the scheduler runs the
+//     intervals concurrently.
 //   - Submitter is an attribution edge: for a pool task, the span that was
 //     active on the submitting goroutine when the task was enqueued. It
 //     answers "which pipeline stage asked for this work" without implying
@@ -61,8 +62,8 @@ var spanIDs atomic.Int64
 
 // ReserveSpanID allocates a span ID without starting a span, so callers
 // can wire dependency edges between spans that have not started yet (the
-// per-interval ordering edges in trace.BuildProfiles reserve the whole
-// grid up front). Returns 0 while instrumentation is disabled; a reserved
+// per-interval ordering edges in trace.BuildProfilesScopedCtx reserve the
+// whole grid up front). Returns 0 while instrumentation is disabled; a reserved
 // ID is spent by passing it to StartSpanID.
 func ReserveSpanID() int64 {
 	if !enabled.Load() {

@@ -289,21 +289,12 @@ func (g *Group) Wait() error {
 	return g.err
 }
 
-// ForEach runs fn(0) … fn(n-1) on at most limit concurrent goroutines
+// ForEachCtx runs fn(0) … fn(n-1) on at most limit concurrent goroutines
 // (limit <= 0 means GOMAXPROCS) and returns the first error. Indices whose
 // task never ran because of an earlier failure are simply skipped; callers
-// that need every index must check the returned error.
-func ForEach(limit, n int, fn func(i int) error) error {
-	g := New(limit)
-	for i := 0; i < n; i++ {
-		g.Go(func() error { return fn(i) })
-	}
-	return g.Wait()
-}
-
-// ForEachCtx is ForEach with a cancellation context: indices not yet
-// submitted when ctx is cancelled are skipped and the context's error is
-// returned (unless a task failed first).
+// that need every index must check the returned error. Indices not yet
+// submitted when ctx is cancelled are skipped too, and the context's
+// error is returned (unless a task failed first).
 func ForEachCtx(ctx context.Context, limit, n int, fn func(i int) error) error {
 	g := New(limit)
 	for i := 0; i < n; i++ {

@@ -138,7 +138,7 @@ func TestDefaultLimitFromGOMAXPROCS(t *testing.T) {
 
 func TestForEach(t *testing.T) {
 	var sum atomic.Int64
-	if err := ForEach(4, 100, func(i int) error {
+	if err := ForEachCtx(context.Background(), 4, 100, func(i int) error {
 		sum.Add(int64(i))
 		return nil
 	}); err != nil {
@@ -150,19 +150,19 @@ func TestForEach(t *testing.T) {
 }
 
 func TestForEachError(t *testing.T) {
-	err := ForEach(1, 10, func(i int) error {
+	err := ForEachCtx(context.Background(), 1, 10, func(i int) error {
 		if i == 3 {
 			return fmt.Errorf("task %d failed", i)
 		}
 		return nil
 	})
 	if err == nil || err.Error() != "task 3 failed" {
-		t.Fatalf("ForEach error = %v, want task 3 failure", err)
+		t.Fatalf("ForEachCtx error = %v, want task 3 failure", err)
 	}
 }
 
 func TestForEachZeroTasks(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { return errors.New("never") }); err != nil {
+	if err := ForEachCtx(context.Background(), 4, 0, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -175,7 +175,7 @@ func TestPoolMetricsAndSpans(t *testing.T) {
 	defer obs.Disable()
 	const n = 20
 	var ran atomic.Int64
-	if err := ForEach(3, n, func(i int) error {
+	if err := ForEachCtx(context.Background(), 3, n, func(i int) error {
 		ran.Add(1)
 		return nil
 	}); err != nil {
@@ -222,7 +222,7 @@ func TestPoolMetricsWithError(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	boom := errors.New("boom")
-	err := ForEach(2, 10, func(i int) error {
+	err := ForEachCtx(context.Background(), 2, 10, func(i int) error {
 		if i == 0 {
 			return boom
 		}
@@ -341,19 +341,6 @@ func TestForEachCtxTaskErrorWins(t *testing.T) {
 	}
 }
 
-func TestForEachCtxNoCancelMatchesForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEachCtx(context.Background(), 4, 100, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := sum.Load(); got != 4950 {
-		t.Errorf("sum = %d, want 4950", got)
-	}
-}
-
 // Satellite: submitted must reconcile with completed + dropped so the
 // metrics no longer skew after first-error cancellation.
 func TestPoolMetricsDroppedReconciles(t *testing.T) {
@@ -361,7 +348,7 @@ func TestPoolMetricsDroppedReconciles(t *testing.T) {
 	defer obs.Disable()
 	boom := errors.New("boom")
 	const n = 10
-	err := ForEach(1, n, func(i int) error {
+	err := ForEachCtx(context.Background(), 1, n, func(i int) error {
 		if i == 0 {
 			return boom
 		}
@@ -412,11 +399,11 @@ func TestInjectedPanicsRetried(t *testing.T) {
 	}
 	defer faults.Disable()
 	var ran atomic.Int32
-	if err := ForEach(4, 30, func(i int) error {
+	if err := ForEachCtx(context.Background(), 4, 30, func(i int) error {
 		ran.Add(1)
 		return nil
 	}); err != nil {
-		t.Fatalf("ForEach under task-panic=0.5 = %v, want nil (retries absorb injected panics)", err)
+		t.Fatalf("ForEachCtx under task-panic=0.5 = %v, want nil (retries absorb injected panics)", err)
 	}
 	if got := ran.Load(); got != 30 {
 		t.Errorf("ran %d tasks, want 30", got)
@@ -511,7 +498,7 @@ func TestStallWatchdogSilentUnderDeadline(t *testing.T) {
 	var buf syncBuffer
 	SetStallWatchdog(time.Second, &buf)
 	defer SetStallWatchdog(0, nil)
-	if err := ForEach(2, 10, func(i int) error { return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), 2, 10, func(i int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if out := buf.String(); out != "" {
@@ -556,7 +543,7 @@ func TestTaskSubmitterEdge(t *testing.T) {
 func TestTaskSubmitterZeroWithoutSpan(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
-	if err := ForEach(2, 3, func(i int) error { return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), 2, 3, func(i int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	recs, _ := obs.Default().SpanRecords()

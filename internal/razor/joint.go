@@ -13,7 +13,7 @@ import (
 // stage); in a real Razor pipeline every in-flight instruction can be
 // flagged by any stage's shadow latch, so the per-instruction error
 // probability composes across stages. This file quantifies that
-// composition: JointReplay counts an error whenever *any* stage's
+// composition: JointReplayScoped counts an error whenever *any* stage's
 // sensitized delay exceeds its own speculative period, which is exact
 // (per-instruction correlation included), and IndependentUpperBound gives
 // the p = 1 - prod(1 - p_s) approximation a per-stage analysis would
@@ -35,20 +35,15 @@ func (r JointResult) ErrorRate() float64 {
 	return float64(r.Errors) / float64(r.Instructions)
 }
 
-// JointReplay composes the per-stage delay traces of the *same* instruction
-// window at TSR r. All profiles must describe the same window (equal N, in
-// program order); each stage uses its own TCrit.
-func JointReplay(profiles []*trace.Profile, r float64) (JointResult, error) {
-	return JointReplayScoped("", nil, profiles, r)
-}
-
-// JointReplayScoped is JointReplay with simprof attribution: per-stage,
-// per-opcode shadow-latch flag counts land under phase "joint" for the
-// given kernel (stageNames aligned with profiles). Cycles and energy are
-// zero — the joint study counts flags, it does not model recovery — so
-// these buckets appear in the pprof replay_errors view but are dropped
-// from the cycle-weighted folded output. With kernel == "", a nil
-// stageNames or the profiler disabled, it is exactly JointReplay.
+// JointReplayScoped composes the per-stage delay traces of the *same*
+// instruction window at TSR r. All profiles must describe the same window
+// (equal N, in program order); each stage uses its own TCrit. With a
+// kernel name, stageNames aligned with profiles and the profiler enabled,
+// per-stage, per-opcode shadow-latch flag counts land in simprof under
+// phase "joint" for that kernel. Cycles and energy are zero — the joint
+// study counts flags, it does not model recovery — so these buckets
+// appear in the pprof replay_errors view but are dropped from the
+// cycle-weighted folded output. Attribution never changes the result.
 func JointReplayScoped(kernel string, stageNames []string, profiles []*trace.Profile, r float64) (JointResult, error) {
 	if len(profiles) == 0 {
 		return JointResult{}, fmt.Errorf("razor: no stage profiles")

@@ -1,6 +1,7 @@
 package razor
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,7 +19,7 @@ func jointProfiles(t *testing.T) []*trace.Profile {
 	streams := workload.RunKernel(k, 4, 1, 11)
 	out := make([]*trace.Profile, 0, 3)
 	for _, st := range trace.Stages() {
-		profs, err := trace.BuildProfiles(streams, st, cpu.DefaultL1())
+		profs, err := trace.BuildProfilesWorkersCtx(context.Background(), streams, st, cpu.DefaultL1(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +31,7 @@ func jointProfiles(t *testing.T) []*trace.Profile {
 func TestJointReplayBounds(t *testing.T) {
 	ps := jointProfiles(t)
 	for _, r := range []float64{0.64, 0.784, 0.928, 1.0} {
-		res, err := JointReplay(ps, r)
+		res, err := JointReplayScoped("", nil, ps, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +60,7 @@ func TestJointReplayBounds(t *testing.T) {
 
 func TestJointVsIndependence(t *testing.T) {
 	ps := jointProfiles(t)
-	res, err := JointReplay(ps, 0.64)
+	res, err := JointReplayScoped("", nil, ps, 0.64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +80,12 @@ func TestJointVsIndependence(t *testing.T) {
 }
 
 func TestJointReplayValidation(t *testing.T) {
-	if _, err := JointReplay(nil, 0.8); err == nil {
+	if _, err := JointReplayScoped("", nil, nil, 0.8); err == nil {
 		t.Error("empty profile set accepted")
 	}
 	a := trace.NewProfile(1, make([]float64, 5))
 	b := trace.NewProfile(1, make([]float64, 6))
-	if _, err := JointReplay([]*trace.Profile{a, b}, 0.8); err == nil {
+	if _, err := JointReplayScoped("", nil, []*trace.Profile{a, b}, 0.8); err == nil {
 		t.Error("mismatched windows accepted")
 	}
 }

@@ -5,9 +5,10 @@
 //
 // Two roles in the reproduction:
 //
-//   - Replay is the cycle-level reference simulation used to validate the
-//     analytic SPI model of Eq. 4.1 (the solvers use the equation; this
-//     package shows the equation matches a faithful replay).
+//   - ReplayProfileScoped is the cycle-level reference simulation used to
+//     validate the analytic SPI model of Eq. 4.1 (the solvers use the
+//     equation; this package shows the equation matches a faithful
+//     replay).
 //   - SamplingEstimator implements the online sampling phase (§4.3): the
 //     first N_samp instructions of a barrier interval run in S slots, one
 //     per TSR level, and the per-slot Razor error counts become the
@@ -41,23 +42,11 @@ func (r Result) ErrorRate() float64 {
 	return float64(r.Errors) / float64(r.Instructions)
 }
 
-// Replay runs a window of per-instruction sensitized delays through a
-// Razor pipeline clocked at tclk (same units as the delays, i.e. the
-// speculative period r * TCrit at the reference voltage). Each instruction
-// issues in one cycle; an instruction whose stage output settles after the
-// clock edge is caught by the shadow latch and costs cPenalty extra cycles.
-// The delays are compacted with trace.NewProfile first, so every replay
-// runs the one loop in replayAttr.
-func Replay(delays []float64, tclk float64, cPenalty float64) Result {
-	p := trace.NewProfile(0, delays)
-	return replayAttr(p.Codes, nil, p.Cut(tclk), tclk, cPenalty, nil)
-}
-
 // opAccum collects one replay site's per-opcode attribution before it is
 // flushed to simprof in a handful of Record calls — the hot loop never
 // touches the profiler's lock. A nil *opAccum disables attribution; the
-// Result is identical either way because Replay and every scoped variant
-// share this one loop.
+// Result is identical either way because every replay shares this one
+// loop.
 type opAccum struct {
 	cycles [isa.NumOps]float64
 	errors [isa.NumOps]int64
@@ -69,9 +58,12 @@ type opAccum struct {
 }
 
 // replayAttr is the one Razor replay loop over a window of profile codes
-// clocked at tclk: an instruction errs when its code is >= cut, the
-// window's Profile.Cut(tclk). ops (aligned with codes) is consulted only
-// when acc is non-nil.
+// clocked at tclk (same units as the delays, i.e. the speculative period
+// r * TCrit at the reference voltage). Each instruction issues in one
+// cycle; an instruction whose stage output settles after the clock edge —
+// its code is >= cut, the window's Profile.Cut(tclk) — is caught by the
+// shadow latch and costs cPenalty extra cycles. ops (aligned with codes)
+// is consulted only when acc is non-nil.
 func replayAttr(codes []uint32, ops []isa.Op, cut uint32, tclk float64, cPenalty float64, acc *opAccum) Result {
 	if tclk <= 0 {
 		panic(fmt.Sprintf("razor: non-positive clock period %v", tclk))
@@ -144,18 +136,13 @@ func (a *opAccum) flush(kernel, stage, phase string, coreID, interval int) {
 	}
 }
 
-// ReplayProfile replays one thread's whole interval at TSR r and returns
-// both the observed result and the analytic cycles from Eq. 4.1 for
-// comparison (base CPI added in both).
-func ReplayProfile(p *trace.Profile, r float64, cPenalty float64) (Result, float64) {
-	return ReplayProfileScoped(telemetry.Scope{}, "", p, r, cPenalty)
-}
-
-// ReplayProfileScoped is ReplayProfile with ledger attribution: when the
-// telemetry ledger is recording and the scope is non-zero, the replay's
-// observed error count, cycle cost and Eq. 4.1 analytic cycles are
-// recorded as one replay event. Unscoped callers (ablations, tests) use
-// ReplayProfile and stay ledger-silent.
+// ReplayProfileScoped replays one thread's whole interval at TSR r and
+// returns both the observed result and the analytic cycles from Eq. 4.1
+// for comparison (base CPI added in both). When the telemetry ledger is
+// recording and the scope is non-zero, the replay's observed error count,
+// cycle cost and Eq. 4.1 analytic cycles are recorded as one replay
+// event. Unscoped callers (ablations, tests) pass the zero scope and stay
+// ledger-silent.
 // When the simprof profiler is enabled (and the scope non-zero), the
 // same replay also attributes per-opcode cycles and errors under phase
 // "replay", with the CPI-base stall cycles under the synthetic

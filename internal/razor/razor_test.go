@@ -1,6 +1,7 @@
 package razor
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -13,9 +14,16 @@ import (
 	"synts/internal/workload"
 )
 
+// replay runs a window of sensitized delays through the one replay loop
+// at clock period tclk, compacted as a profile build compacts it.
+func replay(delays []float64, tclk, cPenalty float64) Result {
+	p := trace.NewProfile(0, delays)
+	return replayAttr(p.Codes, nil, p.Cut(tclk), tclk, cPenalty, nil)
+}
+
 func TestReplayCountsErrors(t *testing.T) {
 	delays := []float64{10, 50, 90, 130}
-	res := Replay(delays, 100, 5)
+	res := replay(delays, 100, 5)
 	if res.Instructions != 4 {
 		t.Fatalf("instructions = %d", res.Instructions)
 	}
@@ -32,14 +40,14 @@ func TestReplayCountsErrors(t *testing.T) {
 
 func TestReplayBoundaryIsSafe(t *testing.T) {
 	// A delay exactly equal to the clock period latches correctly.
-	res := Replay([]float64{100}, 100, 5)
+	res := replay([]float64{100}, 100, 5)
 	if res.Errors != 0 {
 		t.Fatal("delay == tclk must not be an error")
 	}
 }
 
 func TestReplayEmptyAndPanics(t *testing.T) {
-	if r := Replay(nil, 100, 5); r.Cycles != 0 || r.ErrorRate() != 0 {
+	if r := replay(nil, 100, 5); r.Cycles != 0 || r.ErrorRate() != 0 {
 		t.Fatal("empty replay must be all zeros")
 	}
 	defer func() {
@@ -47,7 +55,7 @@ func TestReplayEmptyAndPanics(t *testing.T) {
 			t.Fatal("non-positive tclk did not panic")
 		}
 	}()
-	Replay([]float64{1}, 0, 5)
+	replay([]float64{1}, 0, 5)
 }
 
 // The load-bearing consistency check: the replay's observed error rate at
@@ -59,14 +67,14 @@ func TestReplayMatchesAnalyticSPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	streams := workload.RunKernel(k, 4, 1, 9)
-	profs, err := trace.BuildProfiles(streams, trace.SimpleALU, cpu.DefaultL1())
+	profs, err := trace.BuildProfilesWorkersCtx(context.Background(), streams, trace.SimpleALU, cpu.DefaultL1(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ths := range profs {
 		for _, p := range ths {
 			for _, r := range []float64{0.64, 0.8, 0.95, 1.0} {
-				res, analytic := ReplayProfile(p, r, 5)
+				res, analytic := ReplayProfileScoped(telemetry.Scope{}, "", p, r, 5)
 				if math.Abs(res.Cycles-analytic) > 1e-6*math.Max(analytic, 1) {
 					t.Fatalf("thread %d interval %d r=%v: replay %v cycles, Eq 4.1 %v",
 						p.Thread, p.Interval, r, res.Cycles, analytic)
@@ -193,7 +201,7 @@ func TestReplayProfileScopedSimprofReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 	streams := workload.RunKernel(k, 2, 1, 2016)
-	profs, err := trace.BuildProfiles(streams, trace.SimpleALU, cpu.DefaultL1())
+	profs, err := trace.BuildProfilesWorkersCtx(context.Background(), streams, trace.SimpleALU, cpu.DefaultL1(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +211,7 @@ func TestReplayProfileScopedSimprofReconciles(t *testing.T) {
 
 	simprof.Disable()
 	telemetry.Disable()
-	refRes, refAn := ReplayProfile(p, r, cPenalty)
+	refRes, refAn := ReplayProfileScoped(telemetry.Scope{}, "", p, r, cPenalty)
 
 	simprof.Enable()
 	defer simprof.Disable()
@@ -287,8 +295,9 @@ func stageWindows(rng *rand.Rand) [][3][]float64 {
 }
 
 // Differential check of every replay over compact profiles against the
-// float64 reference: Replay, ReplayProfile (cycles and Eq. 4.1), the
-// sampling phase's per-level counts and JointReplay, at clock periods
+// float64 reference: the replay loop, ReplayProfileScoped (cycles and
+// Eq. 4.1), the sampling phase's per-level counts and JointReplayScoped,
+// at clock periods
 // exactly equal to a delay level and at the paper's TSRs.
 func TestReplaysMatchFloatReference(t *testing.T) {
 	tcrits := [3]float64{8, 16, 4} // powers of two: r*tcrit lands exactly on a level
@@ -310,10 +319,10 @@ func TestReplaysMatchFloatReference(t *testing.T) {
 		for _, r := range rs {
 			tclk := r * tcrits[0]
 			want := floatReplay(c[0], tclk, cPenalty)
-			if got := Replay(c[0], tclk, cPenalty); got != want {
+			if got := replay(c[0], tclk, cPenalty); got != want {
 				t.Fatalf("case %d tclk %v: Replay %+v, reference %+v", ci, tclk, got, want)
 			}
-			res, analytic := ReplayProfile(ps[0], r, cPenalty)
+			res, analytic := ReplayProfileScoped(telemetry.Scope{}, "", ps[0], r, cPenalty)
 			stall := (cpiBase - 1) * float64(n)
 			wantErr := 0.0
 			if n > 0 {
@@ -324,7 +333,7 @@ func TestReplaysMatchFloatReference(t *testing.T) {
 				t.Fatalf("case %d r %v: ReplayProfile %+v / %v, reference %+v", ci, r, res, analytic, want)
 			}
 
-			joint, err := JointReplay(ps[:], r)
+			joint, err := JointReplayScoped("", nil, ps[:], r)
 			if err != nil {
 				t.Fatal(err)
 			}

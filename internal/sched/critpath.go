@@ -1,7 +1,7 @@
 // Package sched is the scheduler-observability layer: it reconstructs the
 // execution DAG of a run from the span records the obs layer collected
 // (parent/child nesting, pool-task Submitter attribution edges, and the
-// explicit happens-before Deps edges trace.BuildProfiles emits per
+// explicit happens-before Deps edges trace.BuildProfilesScopedCtx emits per
 // (thread, interval)), and turns the DAG into answers a scaling study
 // needs — the critical path, the measured serial fraction, per-stage
 // aggregate time, queue-wait vs worker-busy vs idle attribution, and

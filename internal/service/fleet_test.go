@@ -120,8 +120,9 @@ func marshalReq(t *testing.T, r *SolveRequest) io.Reader {
 }
 
 // A shared warm dir is never trusted blindly: torn blobs (a writer died
-// mid-write, resp-torn style) and foreign-but-parseable blobs are
-// rejected entry by entry, counted, and re-solved — never served.
+// mid-write, resp-torn style), foreign-but-parseable blobs and plausible
+// results that do not fit the request they are filed under are rejected
+// entry by entry, counted, and re-solved — never served.
 func TestWarmDirRejectsCorruptEntries(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -135,7 +136,7 @@ func TestWarmDirRejectsCorruptEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := svc.warm.get(key); ok {
+		if _, ok := svc.warm.get(key, len(req.Cores)); ok {
 			t.Fatal("warm hit before any solve")
 		}
 		svc.warm.put(key, svc.solve(req))
@@ -158,24 +159,35 @@ func TestWarmDirRejectsCorruptEntries(t *testing.T) {
 	}
 	defer func() { svc2.Drain(); svc2.Close() }()
 	before := obs.C("service.warm.rejected").Value()
-	if _, ok := svc2.warm.get(key); ok {
+	if _, ok := svc2.warm.get(key, len(req.Cores)); ok {
 		t.Fatal("torn warm entry was served")
 	}
 	if got := obs.C("service.warm.rejected").Value(); got != before+1 {
 		t.Fatalf("warm.rejected = %d after torn blob, want %d", got, before+1)
 	}
 
-	// A blob that parses as JSON under the right ckpt key but is not a
-	// plausible solve result (foreign writer) is rejected too.
-	bogus, _ := json.Marshal(&solveResult{Schema: ResultSchema}) // zero cores
-	if err := svc2.warm.store.Save(entryName(key), bogus); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := svc2.warm.get(key); ok {
-		t.Fatal("implausible warm entry was served")
-	}
-	if got := obs.C("service.warm.rejected").Value(); got != before+2 {
-		t.Fatalf("warm.rejected = %d after implausible blob, want %d", got, before+2)
+	// Blobs that parse as JSON under the right ckpt key but are not a
+	// plausible answer to this two-core request (a foreign writer, or
+	// another request's result) are rejected too.
+	oneCore := *svc2.solve(req)
+	oneCore.Cores = oneCore.Cores[:1]
+	badVIdx := *svc2.solve(req)
+	badVIdx.Cores[1].VIdx = svc2.warm.voltages
+	for i, bogus := range []*solveResult{
+		{Schema: ResultSchema}, // zero cores
+		&oneCore,
+		&badVIdx,
+	} {
+		raw, _ := json.Marshal(bogus)
+		if err := svc2.warm.store.Save(entryName(key), raw); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := svc2.warm.get(key, len(req.Cores)); ok {
+			t.Fatalf("implausible warm entry %d (%d cores) was served", i, len(bogus.Cores))
+		}
+		if got, want := obs.C("service.warm.rejected").Value(), before+2+int64(i); got != want {
+			t.Fatalf("warm.rejected = %d after implausible blob %d, want %d", got, i, want)
+		}
 	}
 
 	// A fresh, whole entry is still accepted afterwards.
@@ -185,7 +197,7 @@ func TestWarmDirRejectsCorruptEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { svc3.Drain(); svc3.Close() }()
-	if _, ok := svc3.warm.get(key); !ok {
+	if _, ok := svc3.warm.get(key, len(req.Cores)); !ok {
 		t.Fatal("repaired warm entry not served")
 	}
 }

@@ -162,7 +162,8 @@ func New(cfg Config) (*Service, error) {
 		}
 		s.stages[st.String()] = c
 	}
-	warm, err := newWarmCache(cfg.WarmDir, cfg.WarmCap, s.gridKey())
+	platform := s.stages[trace.Stages()[0].String()]
+	warm, err := newWarmCache(cfg.WarmDir, cfg.WarmCap, s.gridKey(), len(platform.Voltages), s.levels)
 	if err != nil {
 		return nil, fmt.Errorf("service: warm dir: %w", err)
 	}
@@ -435,7 +436,7 @@ func (s *Service) process(r *SolveRequest, w http.ResponseWriter, tc fleet.Trace
 
 	key := payloadDigest(r)
 	out, err, kind := s.inflight.Do(key, func() (*outcome, error) {
-		if cached, ok := s.warm.get(key); ok {
+		if cached, ok := s.warm.get(key, len(r.Cores)); ok {
 			obs.C("service.warm.hit").Add(1)
 			return &outcome{res: cached, warm: true}, nil
 		}

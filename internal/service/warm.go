@@ -21,15 +21,18 @@ type warmCache struct {
 	m     map[uint64]*solveResult
 	cap   int
 	store *ckpt.Store // nil = memory only
+	// voltages and levels are the platform's table sizes: every v_idx and
+	// r_idx of a blob read from the store must index them.
+	voltages, levels int
 }
 
 // newWarmCache opens the warm layer. dir == "" keeps it memory-only;
 // memCap <= 0 uses a default sized for CI loads.
-func newWarmCache(dir string, memCap int, gridKey ckpt.Key) (*warmCache, error) {
+func newWarmCache(dir string, memCap int, gridKey ckpt.Key, voltages, levels int) (*warmCache, error) {
 	if memCap <= 0 {
 		memCap = 4096
 	}
-	w := &warmCache{m: make(map[uint64]*solveResult), cap: memCap}
+	w := &warmCache{m: make(map[uint64]*solveResult), cap: memCap, voltages: voltages, levels: levels}
 	if dir != "" {
 		st, err := ckpt.Open(dir, gridKey)
 		if err != nil {
@@ -51,16 +54,18 @@ func (w *warmCache) persisted() int {
 	return len(w.store.Names())
 }
 
-// get returns the cached result for a payload digest, consulting memory
-// first and the ckpt store second. The warm dir may be shared by several
-// daemons (two `synts serve` processes behind the router), so nothing read
-// from disk is trusted: a torn, foreign or implausible blob is rejected
-// entry by entry — counted in service.warm.rejected, never served, never
-// fatal — and only a fully validated result is promoted into memory.
+// get returns the cached result for a payload digest of a request with
+// the given core count, consulting memory first and the ckpt store
+// second. The warm dir may be shared by several daemons (two `synts
+// serve` processes behind the router), so nothing read from disk is
+// trusted: a torn, foreign or implausible blob, or one that does not fit
+// the request it is filed under, is rejected entry by entry — counted in
+// service.warm.rejected, never served, never fatal — and only a fully
+// validated result is promoted into memory.
 // Writes are tmp-then-rename atomic, so a sharer normally only ever sees
 // whole entries; the read-side checks are the defence for everything
 // abnormal (crashed writers, stray files, resp-torn-style corruption).
-func (w *warmCache) get(key uint64) (*solveResult, bool) {
+func (w *warmCache) get(key uint64, cores int) (*solveResult, bool) {
 	w.mu.Lock()
 	r, ok := w.m[key]
 	w.mu.Unlock()
@@ -79,7 +84,7 @@ func (w *warmCache) get(key uint64) (*solveResult, bool) {
 		return nil, false
 	}
 	var res solveResult
-	if err := json.Unmarshal(raw, &res); err != nil || !resultValid(&res) {
+	if err := json.Unmarshal(raw, &res); err != nil || !w.valid(&res, cores) {
 		obs.C("service.warm.rejected").Add(1)
 		return nil, false
 	}
@@ -87,16 +92,15 @@ func (w *warmCache) get(key uint64) (*solveResult, bool) {
 	return &res, true
 }
 
-// resultValid screens a deserialised solveResult before it may be served:
-// the schema tag, at least one core within the platform limit, and finite
-// non-negative aggregates. It rejects blobs that parse as JSON but are
-// not a plausible solve answer (a foreign writer's file that happens to
-// unmarshal, or a prefix that survived truncation inside a string).
-func resultValid(r *solveResult) bool {
-	if r.Schema != ResultSchema {
-		return false
-	}
-	if len(r.Cores) == 0 || len(r.Cores) > MaxCores {
+// valid screens a deserialised solveResult before it may answer a
+// request with the given core count: the schema tag, one core per
+// request core, every v_idx and r_idx inside the platform tables, and
+// finite non-negative aggregates. It rejects blobs that parse as JSON but
+// are not a plausible answer to the request (a foreign writer's file that
+// happens to unmarshal, or a prefix that survived truncation inside a
+// string); the ledger and the response index the cores by request core.
+func (w *warmCache) valid(r *solveResult, cores int) bool {
+	if r.Schema != ResultSchema || len(r.Cores) != cores {
 		return false
 	}
 	for _, v := range []float64{r.Energy, r.TExec, r.Cost} {
@@ -105,6 +109,9 @@ func resultValid(r *solveResult) bool {
 		}
 	}
 	for _, c := range r.Cores {
+		if c.VIdx < 0 || c.VIdx >= w.voltages || c.RIdx < 0 || c.RIdx >= w.levels {
+			return false
+		}
 		for _, v := range []float64{c.V, c.TSR, c.Err, c.Replays, c.Energy, c.Time} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 				return false

@@ -94,13 +94,6 @@ func Enable() {
 // Disable stops recording. Samples already recorded stay readable.
 func Disable() { enabled.Store(false) }
 
-// Reset drops all recorded samples without changing the enabled state.
-func Reset() {
-	mu.Lock()
-	store = make(map[Key][]Values)
-	mu.Unlock()
-}
-
 // Record adds one contribution to a bucket. It is safe for concurrent
 // use and a zero-alloc no-op while the profiler is disabled. Callers
 // should batch per-instruction work into one Values per (key) flush —

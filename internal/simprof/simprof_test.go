@@ -10,10 +10,7 @@ import (
 func testEntriesReset(t *testing.T) {
 	t.Helper()
 	Enable()
-	t.Cleanup(func() {
-		Disable()
-		Reset()
-	})
+	t.Cleanup(Disable)
 }
 
 func TestSnapshotAccumulatesAndSorts(t *testing.T) {
@@ -37,8 +34,8 @@ func TestSnapshotAccumulatesAndSorts(t *testing.T) {
 }
 
 func TestRecordDisabledIsNoOp(t *testing.T) {
+	Enable() // clears the store
 	Disable()
-	Reset()
 	Record(Key{Kernel: "radix", Op: "ADD"}, Values{Cycles: 1})
 	if got := Snapshot(); len(got) != 0 {
 		t.Fatalf("disabled Record stored %d entries", len(got))
@@ -49,7 +46,6 @@ func TestRecordDisabledIsNoOp(t *testing.T) {
 // inside the replay and delay-trace hot loops.
 func TestRecordDisabledZeroAllocs(t *testing.T) {
 	Disable()
-	Reset()
 	k := Key{Kernel: "radix", Core: 3, Interval: 1, Phase: PhaseReplay, Op: "MUL", Stage: "ComplexALU"}
 	v := Values{Cycles: 6, Errors: 1, Energy: 6, Instrs: 1}
 	if allocs := testing.AllocsPerRun(1000, func() { Record(k, v) }); allocs != 0 {
@@ -75,10 +71,7 @@ func TestSnapshotOrderIndependent(t *testing.T) {
 
 	run := func(perm []int) ([]Entry, []byte) {
 		Enable()
-		defer func() {
-			Disable()
-			Reset()
-		}()
+		defer Disable()
 		for _, i := range perm {
 			Record(k, contribs[i])
 		}
@@ -157,10 +150,7 @@ func BenchmarkRecordDisabled(b *testing.B) {
 
 func BenchmarkRecordEnabled(b *testing.B) {
 	Enable()
-	defer func() {
-		Disable()
-		Reset()
-	}()
+	defer Disable()
 	k := Key{Kernel: "radix", Core: 1, Interval: 0, Phase: PhaseReplay, Op: "ADD", Stage: "SimpleALU"}
 	v := Values{Cycles: 6, Errors: 1, Energy: 6, Instrs: 1}
 	b.ReportAllocs()

@@ -425,9 +425,9 @@ type Profile struct {
 	Codes []uint32
 	// Ops holds each instruction's opcode, aligned with Codes, so replay
 	// sites can attribute errors and cycles to the opcode that caused them
-	// (the simprof profiler). BuildProfiles always populates it, independent
-	// of whether profiling is enabled, so profiles compare DeepEqual either
-	// way.
+	// (the simprof profiler). Profile building always populates it,
+	// independent of whether profiling is enabled, so profiles compare
+	// DeepEqual either way.
 	Ops []isa.Op
 }
 
@@ -558,23 +558,17 @@ func (p *Profile) MaxDelay() float64 {
 	return p.Levels[len(p.Levels)-1].Delay
 }
 
-// BuildProfiles characterises every thread and barrier interval of a
-// workload for one stage. The work fans out over a bounded worker pool
-// (GOMAXPROCS workers) at (thread, interval) granularity: each interval's
-// delay trace runs as an independent task on a fresh StageCircuit
-// fast-forwarded to the interval's starting fetch PC, while each thread's
-// CPI measurement stays one in-order task so its private cache (one core
-// per thread) remains warm across intervals. Results are assembled by
-// index, so the output is byte-identical to BuildProfilesSerial regardless
-// of scheduling. The result is indexed [thread][interval].
-func BuildProfiles(streams []*workload.Stream, stage Stage, cacheCfg cpu.CacheConfig) ([][]*Profile, error) {
-	return BuildProfilesWorkersCtx(context.Background(), streams, stage, cacheCfg, 0)
-}
-
-// BuildProfilesWorkersCtx is BuildProfiles with an explicit worker-pool
-// size (workers <= 0 means GOMAXPROCS) and a cancellation context:
-// intervals not yet submitted when ctx is cancelled are skipped and ctx's
-// error is returned.
+// BuildProfilesWorkersCtx characterises every thread and barrier
+// interval of a workload for one stage. The work fans out over a bounded
+// worker pool (workers <= 0 means GOMAXPROCS) at (thread, interval)
+// granularity: each interval's delay trace runs as an independent task
+// on a fresh StageCircuit fast-forwarded to the interval's starting fetch
+// PC, while each thread's CPI measurement stays one in-order task so its
+// private cache (one core per thread) remains warm across intervals.
+// Results are assembled by index, so the output is byte-identical to
+// BuildProfilesSerial regardless of scheduling. The result is indexed
+// [thread][interval]. Intervals not yet submitted when ctx is cancelled
+// are skipped and ctx's error is returned.
 func BuildProfilesWorkersCtx(ctx context.Context, streams []*workload.Stream, stage Stage, cacheCfg cpu.CacheConfig, workers int) ([][]*Profile, error) {
 	return BuildProfilesScopedCtx(ctx, "", streams, stage, cacheCfg, workers)
 }

@@ -333,7 +333,7 @@ func TestBuildProfilesRetainsCompactProfiles(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	before := heap()
-	profs, err := BuildProfiles(streams, SimpleALU, cpu.DefaultL1())
+	profs, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, cpu.DefaultL1(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestBuildProfilesAllocationBound(t *testing.T) {
 		warmSlots(streams, stage)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		profs, err := BuildProfiles(streams, stage, cpu.DefaultL1())
+		profs, err := BuildProfilesWorkersCtx(context.Background(), streams, stage, cpu.DefaultL1(), 0)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -549,7 +549,7 @@ func TestBuildProfilesEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	streams := workload.RunKernel(k, 4, 1, 42)
-	profs, err := BuildProfiles(streams, SimpleALU, cpu.DefaultL1())
+	profs, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, cpu.DefaultL1(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +581,7 @@ func TestBuildProfilesEndToEnd(t *testing.T) {
 func TestRadixHeterogeneityEndToEnd(t *testing.T) {
 	k, _ := workload.ByName("radix")
 	streams := workload.RunKernel(k, 4, 2, 42)
-	profs, err := BuildProfiles(streams, SimpleALU, cpu.DefaultL1())
+	profs, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, cpu.DefaultL1(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,8 +647,8 @@ func TestSeekPCMatchesWalkedCircuit(t *testing.T) {
 }
 
 func TestBuildProfilesNoStreams(t *testing.T) {
-	if _, err := BuildProfiles(nil, SimpleALU, cpu.DefaultL1()); err == nil {
-		t.Error("BuildProfiles(nil) must error")
+	if _, err := BuildProfilesWorkersCtx(context.Background(), nil, SimpleALU, cpu.DefaultL1(), 0); err == nil {
+		t.Error("a build with no streams must error")
 	}
 	if _, err := BuildProfilesSerial(nil, SimpleALU, cpu.DefaultL1()); err == nil {
 		t.Error("BuildProfilesSerial(nil) must error")
@@ -659,7 +659,7 @@ func TestBuildProfilesBadCacheConfig(t *testing.T) {
 	k, _ := workload.ByName("ocean")
 	streams := workload.RunKernel(k, 2, 1, 1)
 	bad := cpu.CacheConfig{Lines: 3, LineBytes: 64, MissPenalty: 20}
-	if _, err := BuildProfiles(streams, SimpleALU, bad); err == nil {
+	if _, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, bad, 0); err == nil {
 		t.Error("invalid cache config must propagate out of the worker pool")
 	}
 }
@@ -687,7 +687,7 @@ func BenchmarkBuildProfilesParallel(b *testing.B) {
 	streams := benchProfileStreams(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildProfiles(streams, SimpleALU, cpu.DefaultL1()); err != nil {
+		if _, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, cpu.DefaultL1(), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -696,7 +696,7 @@ func BenchmarkBuildProfilesParallel(b *testing.B) {
 func TestIntervalThreadsTranspose(t *testing.T) {
 	k, _ := workload.ByName("ocean")
 	streams := workload.RunKernel(k, 2, 1, 1)
-	profs, err := BuildProfiles(streams, Decode, cpu.DefaultL1())
+	profs, err := BuildProfilesWorkersCtx(context.Background(), streams, Decode, cpu.DefaultL1(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -729,7 +729,7 @@ func TestBuildProfilesUnchangedByInstrumentation(t *testing.T) {
 	}
 	obs.Enable()
 	defer obs.Disable()
-	got, err := BuildProfiles(streams, SimpleALU, cpu.DefaultL1())
+	got, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, cpu.DefaultL1(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -765,7 +765,7 @@ func TestProfilesUnchangedBySimprof(t *testing.T) {
 	}
 	streams := workload.RunKernel(k, 2, 1, 2016)
 	simprof.Disable()
-	ref, err := BuildProfiles(streams, SimpleALU, cpu.DefaultL1())
+	ref, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, cpu.DefaultL1(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -808,7 +808,7 @@ func BenchmarkBuildProfilesStats(b *testing.B) {
 	defer obs.Disable()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildProfiles(streams, SimpleALU, cpu.DefaultL1()); err != nil {
+		if _, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, cpu.DefaultL1(), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -927,7 +927,7 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
-// BuildProfiles must wire each (thread, interval) build span to the same
+// A profile build must wire each (thread, interval) build span to the same
 // thread's previous interval via a happens-before Deps edge — the logical
 // program order SeekPC breaks for scheduling, preserved so the sched
 // analyzer can reconstruct per-thread chains and the critical path.
@@ -944,7 +944,7 @@ func TestBuildProfilesDepEdges(t *testing.T) {
 	}
 	obs.Enable()
 	defer obs.Disable()
-	if _, err := BuildProfiles(streams, SimpleALU, cpu.DefaultL1()); err != nil {
+	if _, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, cpu.DefaultL1(), 0); err != nil {
 		t.Fatal(err)
 	}
 	recs, dropped := obs.Default().SpanRecords()
