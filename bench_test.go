@@ -427,26 +427,17 @@ func BenchmarkDelayTraceSimpleALU(b *testing.B) {
 	b.ReportMetric(float64(len(iv)), "instructions")
 }
 
-// The two engines side by side on the same stream; the ratio is the
-// tentpole speedup the README perf table quotes.
+// The levelized reference on BenchmarkDelayTraceSimpleALU's stream; the
+// ratio of the two is the engine speedup the README perf table quotes.
 func BenchmarkDelayTraceSimpleALULevelized(b *testing.B) {
 	bd := loadBench(b, "radix")
 	iv := bd.Streams[0].Intervals[0]
 	sc := trace.NewStageCircuit(trace.SimpleALU)
+	trace.SetEngine(trace.EngineLevelized)
+	defer trace.SetEngine(trace.EngineEvent)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc.DelayTraceLevelized(iv)
-	}
-	b.ReportMetric(float64(len(iv)), "instructions")
-}
-
-func BenchmarkDelayTraceSimpleALUEvent(b *testing.B) {
-	bd := loadBench(b, "radix")
-	iv := bd.Streams[0].Intervals[0]
-	sc := trace.NewStageCircuit(trace.SimpleALU)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.DelayTraceEvent(iv)
+		sc.DelayTrace(iv)
 	}
 	b.ReportMetric(float64(len(iv)), "instructions")
 }

@@ -1,14 +1,13 @@
 // Command obscheck validates the observability artifacts a synts run
 // emits: the -stats-json snapshot, the -trace-out Chrome trace, the
-// -events-out decision ledger, the -simprof-out simulation profile, the
-// `synts sweep` scaling artifact and the `synts loadgen` load report. CI
-// runs it against freshly generated files so a schema regression fails
-// the build instead of silently shipping artifacts no dashboard can
-// parse.
+// -events-out decision ledger, the -simprof-out simulation profile and
+// the `synts loadgen` load report. CI runs it against freshly generated
+// files so a schema regression fails the build instead of silently
+// shipping artifacts no dashboard can parse.
 //
 // Usage:
 //
-//	obscheck -stats stats.json -trace trace.json -events events.jsonl -ckpt ckptdir -simprof simprof.pb.gz -sweep sweep.json -load load.json
+//	obscheck -stats stats.json -trace trace.json -events events.jsonl -ckpt ckptdir -simprof simprof.pb.gz -load load.json
 //
 // Any flag may be omitted to check only the others. When both -events and
 // -simprof are given, the profiler's replay- and sampling-phase totals are
@@ -42,13 +41,12 @@ func main() {
 	eventsPath := flag.String("events", "", "path to an -events-out decision ledger (synts-events/v1 JSONL)")
 	ckptPath := flag.String("ckpt", "", "path to a -checkpoint-dir directory (synts-ckpt/v1)")
 	simprofPath := flag.String("simprof", "", "path to a -simprof-out simulation profile (gzipped pprof profile.proto)")
-	sweepPath := flag.String("sweep", "", "path to a `synts sweep` artifact (synts-sweep/v1)")
 	loadPath := flag.String("load", "", "path to a `synts loadgen` report (synts-load/v1)")
 	allowEmpty := flag.Bool("allow-empty", false, "accept a ledger or profile with zero events/samples (schema is still enforced)")
 	eventsRequire := flag.String("events-require", "decision,barrier,estimate", "comma-separated event `kinds` the -events ledger must contain (a router ledger carries breaker,failover instead of the batch kinds)")
 	flag.Parse()
-	if *statsPath == "" && *tracePath == "" && *eventsPath == "" && *ckptPath == "" && *simprofPath == "" && *sweepPath == "" && *loadPath == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (need -stats, -trace, -events, -ckpt, -simprof, -sweep and/or -load)")
+	if *statsPath == "" && *tracePath == "" && *eventsPath == "" && *ckptPath == "" && *simprofPath == "" && *loadPath == "" {
+		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (need -stats, -trace, -events, -ckpt, -simprof and/or -load)")
 		os.Exit(2)
 	}
 	failed := false
@@ -68,7 +66,6 @@ func main() {
 	check(*eventsPath, func(p string) error { return checkEvents(p, *allowEmpty, *eventsRequire) })
 	check(*ckptPath, checkCkpt)
 	check(*simprofPath, func(p string) error { return checkSimprof(p, *eventsPath, *allowEmpty) })
-	check(*sweepPath, checkSweep)
 	check(*loadPath, checkLoad)
 	if failed {
 		os.Exit(1)
@@ -88,24 +85,6 @@ func checkLoad(path string) error {
 		return fmt.Errorf("not a load report: %w", err)
 	}
 	return r.Validate()
-}
-
-// checkSweep enforces the synts-sweep/v1 contract via the internal/sched
-// validator: schema and meta presence, at least two strictly increasing
-// distinct -j points per engine normalised to speedup 1 at the smallest,
-// span-derived attribution reconciling with the measured wall clock within
-// 5%, per-stage span sums consistent with worker-busy and pool capacity,
-// and a scaling fit per engine with parameters in range.
-func checkSweep(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var a sched.SweepArtifact
-	if err := json.Unmarshal(raw, &a); err != nil {
-		return fmt.Errorf("not a sweep artifact: %w", err)
-	}
-	return sched.ValidateSweep(&a)
 }
 
 // checkStats enforces the snapshot contract: parseable as obs.Snapshot,

@@ -10,7 +10,6 @@ import (
 
 	"synts/internal/ckpt"
 	"synts/internal/obs"
-	"synts/internal/sched"
 	"synts/internal/simprof"
 	"synts/internal/telemetry"
 )
@@ -271,87 +270,6 @@ func TestCheckCkpt(t *testing.T) {
 	}
 	if err := checkCkpt(dir); err == nil {
 		t.Fatal("accepted a checkpoint with the wrong schema version")
-	}
-}
-
-// validSweepArtifact fabricates an internally consistent synts-sweep/v1
-// artifact (mirroring what `synts sweep` emits).
-func validSweepArtifact() *sched.SweepArtifact {
-	mkConfig := func(engine string, jobs int, wallNs int64, speedup float64) sched.SweepConfig {
-		parallel := wallNs * 3 / 4
-		busy := int64(jobs) * parallel
-		an := &sched.Analysis{
-			WallNs:       wallNs,
-			SpanWallNs:   wallNs,
-			SerialNs:     wallNs - parallel,
-			ParallelNs:   parallel,
-			AttributedNs: wallNs,
-			SerialFrac:   float64(wallNs-parallel) / float64(wallNs),
-			Workers:      jobs,
-			WorkerBusyNs: busy,
-			Stages: []sched.StageTotal{
-				{Stage: sched.TaskSpanName, Count: 2, TotalNs: busy},
-				{Stage: "trace.interval_build", Count: 2, TotalNs: busy / 2},
-			},
-		}
-		return sched.SweepConfig{Engine: engine, Jobs: jobs, WallNs: wallNs, Speedup: speedup, Analysis: an}
-	}
-	meta := sched.SweepMeta{
-		RunMeta:   obs.NewRunMeta(),
-		Timestamp: "2026-01-01T00:00:00Z",
-		Bench:     "radix",
-		Threads:   4,
-		Intervals: 2,
-		Stages:    []string{"SimpleALU"},
-		Engines:   []string{"event"},
-		Jobs:      []int{1, 2},
-	}
-	art := &sched.SweepArtifact{Schema: sched.SweepSchema, Meta: meta}
-	c1 := mkConfig("event", 1, 1_000_000_000, 1)
-	c2 := mkConfig("event", 2, 600_000_000, 1_000_000_000.0/600_000_000.0)
-	art.Configs = []sched.SweepConfig{c1, c2}
-	pts := []sched.SpeedupPoint{{Jobs: 1, Speedup: c1.Speedup}, {Jobs: 2, Speedup: c2.Speedup}}
-	art.Fits = []sched.SweepFit{{Engine: "event", Points: pts, Amdahl: sched.FitAmdahl(pts), USL: sched.FitUSL(pts)}}
-	return art
-}
-
-func writeSweep(t *testing.T, art *sched.SweepArtifact) string {
-	t.Helper()
-	raw, err := json.Marshal(art)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "sweep.json")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestCheckSweepAcceptsValidArtifact(t *testing.T) {
-	if err := checkSweep(writeSweep(t, validSweepArtifact())); err != nil {
-		t.Fatalf("valid sweep artifact rejected: %v", err)
-	}
-}
-
-func TestCheckSweepRejects(t *testing.T) {
-	art := validSweepArtifact()
-	art.Schema = "synts-sweep/v0"
-	if err := checkSweep(writeSweep(t, art)); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Errorf("wrong schema: err = %v", err)
-	}
-	art = validSweepArtifact()
-	art.Configs[1].Analysis.AttributedNs = art.Configs[1].WallNs * 2
-	art.Configs[1].Analysis.SerialNs = art.Configs[1].Analysis.AttributedNs - art.Configs[1].Analysis.ParallelNs
-	if err := checkSweep(writeSweep(t, art)); err == nil || !strings.Contains(err.Error(), "reconcile") {
-		t.Errorf("attribution gap: err = %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "junk.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := checkSweep(path); err == nil {
-		t.Error("unparseable file accepted")
 	}
 }
 

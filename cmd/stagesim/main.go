@@ -25,15 +25,8 @@ func main() {
 	thread := flag.Int("thread", 0, "thread whose stream to analyse")
 	size := flag.Int("size", 2, "workload size knob")
 	seed := flag.Int64("seed", 2016, "workload data seed")
-	engine := flag.String("engine", "event", "timing engine: event or levelized (output is identical either way)")
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	flag.Parse()
-
-	eng, err := trace.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
-	trace.SetEngine(eng)
 
 	if *list {
 		for _, k := range workload.All() {

@@ -67,11 +67,11 @@ var (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: synts [flags] <experiment>...\n       synts serve [-addr HOST:PORT]\n       synts route -backends URL,URL,... [-addr HOST:PORT]\n       synts loadgen [-url URL] [-rps N] [-duration D] [-o FILE]\n       synts explain [-events FILE] <benchmark>\n       synts sweep [-bench NAME] [-jlist 1,2,4] [-engines levelized,event] [-o FILE]\n       synts trace [-dir DIR] [artifact.jsonl ...] [-merged FILE]\n\nexperiments:\n")
+		fmt.Fprintf(os.Stderr, "usage: synts [flags] <experiment>...\n       synts serve [-addr HOST:PORT]\n       synts route -backends URL,URL,... [-addr HOST:PORT]\n       synts loadgen [-url URL] [-rps N] [-duration D] [-o FILE]\n       synts explain [-events FILE] <benchmark>\n       synts trace [-dir DIR] [artifact.jsonl ...] [-merged FILE]\n\nexperiments:\n")
 		for _, e := range experiments {
 			fmt.Fprintf(os.Stderr, "  %-10s %s\n", e.name, e.desc)
 		}
-		fmt.Fprintf(os.Stderr, "  %-10s run everything\n  %-10s serve the solver (/v1/solve), /metrics, expvar and pprof over HTTP\n  %-10s front several serve daemons with a consistent-hash failover router\n  %-10s drive a live serve instance with a seeded open-loop request stream\n  %-10s aggregate the decision ledger into the paper-facing tables\n  %-10s measure the -j x -engine scaling matrix (synts-sweep/v1 + report)\n  %-10s stitch per-process trace artifacts and attribute tail latency\n\nflags:\n", "all", "serve", "route", "loadgen", "explain", "sweep", "trace")
+		fmt.Fprintf(os.Stderr, "  %-10s run everything\n  %-10s serve the solver (/v1/solve), /metrics, expvar and pprof over HTTP\n  %-10s front several serve daemons with a consistent-hash failover router\n  %-10s drive a live serve instance with a seeded open-loop request stream\n  %-10s aggregate the decision ledger into the paper-facing tables\n  %-10s stitch per-process trace artifacts and attribute tail latency\n\nflags:\n", "all", "serve", "route", "loadgen", "explain", "trace")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -111,12 +111,6 @@ func main() {
 	case "explain":
 		if err := runExplainCmd(flag.Args()[1:], os.Stdout, os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "synts explain: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "sweep":
-		if err := runSweepCmd(flag.Args()[1:], os.Stdout, os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "synts sweep: %v\n", err)
 			os.Exit(1)
 		}
 		return

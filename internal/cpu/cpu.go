@@ -140,14 +140,6 @@ type CPIResult struct {
 	CPI          float64
 }
 
-// HitRatio returns Hits/Accesses (0 when the window made no accesses).
-func (r CPIResult) HitRatio() float64 {
-	if r.Accesses == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(r.Accesses)
-}
-
 // MeasureCPI replays an instruction window through the cache and returns
 // the error-free CPI: one cycle per instruction plus the stall cycles of
 // data-cache misses. The cache persists across calls, so per-interval

@@ -187,38 +187,4 @@ func TestMeasureCPIHitMissCounts(t *testing.T) {
 	if res.Hits+res.Misses != res.Accesses {
 		t.Fatal("hit and miss counts must partition the accesses")
 	}
-	if got, want := res.HitRatio(), 1.0/3.0; got != want {
-		t.Fatalf("hit ratio = %v, want %v", got, want)
-	}
-	if (CPIResult{}).HitRatio() != 0 {
-		t.Fatal("hit ratio of an access-free window must be 0")
-	}
-}
-
-// TestHitRatioNaNFree pins the degenerate-denominator contract: HitRatio
-// must return a finite value in [0,1] for every shape MeasureCPI can
-// produce, including windows with no memory accesses at all.
-func TestHitRatioNaNFree(t *testing.T) {
-	cases := []struct {
-		name string
-		res  CPIResult
-		want float64
-	}{
-		{"zero value", CPIResult{}, 0},
-		{"instructions but no accesses", CPIResult{Instructions: 100}, 0},
-		{"all hits", CPIResult{Instructions: 10, Accesses: 4, Hits: 4}, 1},
-		{"all misses", CPIResult{Instructions: 10, Accesses: 4, Misses: 4}, 0},
-		{"mixed", CPIResult{Instructions: 10, Accesses: 4, Hits: 3, Misses: 1}, 0.75},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := tc.res.HitRatio()
-			if got != got { // NaN check without importing math
-				t.Fatalf("HitRatio() = NaN for %+v", tc.res)
-			}
-			if got != tc.want {
-				t.Fatalf("HitRatio() = %v, want %v", got, tc.want)
-			}
-		})
-	}
 }

@@ -48,7 +48,7 @@ func loadInput(t *testing.T, bench string) Input {
 	}
 	streams := workload.RunKernel(k, 4, 1, 17)
 	cacheCfg := cpu.DefaultL1()
-	profs, err := trace.BuildProfilesWorkersCtx(context.Background(), streams, trace.SimpleALU, cacheCfg, 0)
+	profs, err := trace.BuildProfilesScopedCtx(context.Background(), "", streams, trace.SimpleALU, cacheCfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

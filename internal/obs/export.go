@@ -31,9 +31,9 @@ type SpanSummary struct {
 
 // RunMeta makes an artifact self-describing: the toolchain, platform and
 // run configuration that produced it. The runtime fields are filled by
-// NewRunMeta; the application fields (Engine, Seed, Size) are the
-// caller's, so every -stats-json snapshot and sweep artifact records the
-// exact configuration a dashboard needs to compare runs.
+// SetRunMeta; the application fields (Engine, Seed, Size) are the
+// caller's, so every -stats-json snapshot records the exact configuration
+// a dashboard needs to compare runs.
 type RunMeta struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
@@ -43,18 +43,6 @@ type RunMeta struct {
 	Engine     string `json:"engine,omitempty"`
 	Seed       int64  `json:"seed"`
 	Size       int    `json:"size"`
-}
-
-// NewRunMeta fills the runtime-derived meta fields; the caller sets the
-// application ones.
-func NewRunMeta() RunMeta {
-	return RunMeta{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
 }
 
 // Snapshot is the machine-readable state of a registry, written by
@@ -74,11 +62,16 @@ type Snapshot struct {
 // SetRunMeta attaches the self-describing meta block (see RunMeta); the
 // runtime fields are filled automatically.
 func (s *Snapshot) SetRunMeta(engine string, seed int64, size int) {
-	m := NewRunMeta()
-	m.Engine = engine
-	m.Seed = seed
-	m.Size = size
-	s.Meta = &m
+	s.Meta = &RunMeta{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Engine:     engine,
+		Seed:       seed,
+		Size:       size,
+	}
 }
 
 // Snapshot digests the registry's current state.

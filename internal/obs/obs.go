@@ -56,18 +56,11 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
-	spanMu    sync.Mutex
-	spans     []SpanRecord
-	dropped   int64
-	epoch     time.Time
-	nextTID   atomic.Int64
-	startOnce sync.Once
-
-	// active tracks each goroutine's stack of open span IDs so pool
-	// submission sites can resolve the span that asked for the work
-	// (CurrentSpanID) without explicit plumbing.
-	activeMu sync.Mutex
-	active   map[int64][]int64
+	spanMu  sync.Mutex
+	spans   []SpanRecord
+	dropped int64
+	epoch   time.Time
+	nextTID atomic.Int64
 }
 
 var defaultRegistry = NewRegistry()
@@ -81,7 +74,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		active:   make(map[int64][]int64),
 		epoch:    time.Now(),
 	}
 	return r
@@ -99,9 +91,6 @@ func (r *Registry) reset() {
 	r.dropped = 0
 	r.epoch = time.Now()
 	r.spanMu.Unlock()
-	r.activeMu.Lock()
-	r.active = make(map[int64][]int64)
-	r.activeMu.Unlock()
 	r.nextTID.Store(0)
 }
 

@@ -17,8 +17,8 @@ import (
 // Fleet-wide distributed tracing.
 //
 // A TraceSpan is one hop-scoped timing record tied to a logical request
-// (a trace). Unlike the in-process Span DAG (span.go), whose IDs are
-// process-local atomics, trace spans carry content-derived 64-bit IDs:
+// (a trace). Unlike the in-process batch Span (span.go), which carries no
+// ID at all, trace spans carry content-derived 64-bit IDs:
 // the trace ID is the FNV-1a digest of the request body (unique per
 // request in a seeded loadgen stream, reproducible run-to-run) and every
 // span ID is derived by hashing (trace, parent, name, index). Two runs of

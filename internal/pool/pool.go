@@ -8,7 +8,7 @@
 // Failure handling: a task panic is recovered, converted into a *PanicError
 // carrying the goroutine stack, and treated like any other first error —
 // the slot is released and Wait returns instead of deadlocking. GoCtx and
-// ForEachCtx additionally stop admitting tasks once a context.Context is
+// ForEachCtx stop admitting tasks once their context.Context is
 // cancelled, so SIGINT/SIGTERM unwinds the whole pipeline promptly. An
 // optional stall watchdog (SetStallWatchdog) dumps all goroutine stacks
 // when a single task runs past a deadline. Injected panics from the
@@ -19,7 +19,7 @@
 // submitted/completed/dropped, queue wait (submission to slot acquisition)
 // and worker busy time, and wraps every task in a span pinned to its
 // worker's Chrome-trace row; with obs disabled the added cost is one
-// atomic load per Go call.
+// atomic load per GoCtx call.
 package pool
 
 import (
@@ -87,11 +87,11 @@ func dumpStalledStacks(d time.Duration) {
 	fmt.Fprintf(stallWriter, "pool: watchdog: task still running after %v; goroutine dump:\n%s\n", d, buf[:n])
 }
 
-// Group runs tasks on at most limit goroutines at a time. Go blocks the
+// Group runs tasks on at most limit goroutines at a time. GoCtx blocks the
 // submitting goroutine while the pool is full, so submission order is also
 // start order; with limit 1 the tasks run strictly sequentially. After a
 // task returns a non-nil error (or panics, or the submission context is
-// cancelled), subsequent Go calls skip their task and Wait returns the
+// cancelled), subsequent GoCtx calls skip their task and Wait returns the
 // first error.
 type Group struct {
 	sem  chan int // worker slot ids; receive to acquire, send back to release
@@ -129,31 +129,16 @@ func (g *Group) fail(err error) {
 	})
 }
 
-// Go submits a task, blocking until a worker slot is free. If an earlier
-// task has already failed, the task is dropped without running: the pool's
-// contract is first-error cancellation, not best-effort completion.
-func (g *Group) Go(fn func() error) {
-	g.submit(nil, nil, fn)
-}
-
-// GoCtx is Go with a submission context: once ctx is cancelled, the task
-// (and every later one submitted with that ctx) is dropped without running
-// and Wait returns ctx's error — unless a task error arrived first, which
-// keeps first-error precedence.
+// GoCtx submits a task, blocking until a worker slot is free. If an
+// earlier task has already failed, the task is dropped without running:
+// the pool's contract is first-error cancellation, not best-effort
+// completion. Once ctx is cancelled, the task (and every later one
+// submitted with that ctx) is dropped too and Wait returns ctx's error —
+// unless a task error arrived first, which keeps first-error precedence.
 func (g *Group) GoCtx(ctx context.Context, fn func() error) {
-	g.submit(ctx.Done(), ctx.Err, fn)
-}
-
-func (g *Group) submit(cancel <-chan struct{}, cancelErr func() error, fn func() error) {
 	var submitted time.Time
-	var submitter int64
 	if obs.Enabled() {
 		submitted = time.Now()
-		// The innermost span open on the submitting goroutine is the
-		// pipeline stage that asked for this task; the task span records
-		// it as its Submitter attribution edge so the sched analyzer can
-		// group worker time under the stage that caused it.
-		submitter = obs.CurrentSpanID()
 		obs.C("pool.tasks.submitted").Add(1)
 	}
 	drop := func(failErr error) {
@@ -168,8 +153,8 @@ func (g *Group) submit(cancel <-chan struct{}, cancelErr func() error, fn func()
 	case <-g.done:
 		drop(nil)
 		return
-	case <-cancel:
-		drop(cancelErr())
+	case <-ctx.Done():
+		drop(ctx.Err())
 		return
 	default:
 	}
@@ -178,8 +163,8 @@ func (g *Group) submit(cancel <-chan struct{}, cancelErr func() error, fn func()
 	case <-g.done:
 		drop(nil)
 		return
-	case <-cancel:
-		drop(cancelErr())
+	case <-ctx.Done():
+		drop(ctx.Err())
 		return
 	case slot = <-g.sem:
 	}
@@ -193,7 +178,6 @@ func (g *Group) submit(cancel <-chan struct{}, cancelErr func() error, fn func()
 		if obs.Enabled() {
 			sp = obs.StartSpan("pool.task")
 			sp.SetTID(g.tid0 + slot)
-			sp.SetSubmitter(submitter)
 			started = time.Now()
 		}
 		defer func() {

@@ -25,7 +25,7 @@ func TestZeroTasks(t *testing.T) {
 func TestSingleTask(t *testing.T) {
 	g := New(1)
 	ran := false
-	g.Go(func() error { ran = true; return nil })
+	g.GoCtx(context.Background(), func() error { ran = true; return nil })
 	if err := g.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +37,8 @@ func TestSingleTask(t *testing.T) {
 func TestFirstErrorWins(t *testing.T) {
 	first := errors.New("boom")
 	g := New(1) // limit 1: strictly sequential, so "first" is well defined
-	g.Go(func() error { return first })
-	g.Go(func() error { return errors.New("later") })
+	g.GoCtx(context.Background(), func() error { return first })
+	g.GoCtx(context.Background(), func() error { return errors.New("later") })
 	if err := g.Wait(); err != first {
 		t.Fatalf("Wait = %v, want the first error", err)
 	}
@@ -47,13 +47,13 @@ func TestFirstErrorWins(t *testing.T) {
 func TestCancellationSkipsQueuedTasks(t *testing.T) {
 	g := New(1)
 	var ran atomic.Int32
-	g.Go(func() error { return errors.New("fail fast") })
+	g.GoCtx(context.Background(), func() error { return errors.New("fail fast") })
 	if err := g.Wait(); err == nil {
 		t.Fatal("want error")
 	}
 	// Everything submitted after the failure must be dropped.
 	for i := 0; i < 10; i++ {
-		g.Go(func() error { ran.Add(1); return nil })
+		g.GoCtx(context.Background(), func() error { ran.Add(1); return nil })
 	}
 	if err := g.Wait(); err == nil {
 		t.Fatal("error must persist across Wait calls")
@@ -70,7 +70,7 @@ func TestDoneClosesOnError(t *testing.T) {
 		t.Fatal("Done closed before any failure")
 	default:
 	}
-	g.Go(func() error { return errors.New("x") })
+	g.GoCtx(context.Background(), func() error { return errors.New("x") })
 	if err := g.Wait(); err == nil {
 		t.Fatal("want error")
 	}
@@ -86,7 +86,7 @@ func TestBoundedConcurrency(t *testing.T) {
 	g := New(limit)
 	var inFlight, peak atomic.Int32
 	for i := 0; i < 50; i++ {
-		g.Go(func() error {
+		g.GoCtx(context.Background(), func() error {
 			n := inFlight.Add(1)
 			for {
 				p := peak.Load()
@@ -112,7 +112,7 @@ func TestLimitOneIsSequentialInSubmissionOrder(t *testing.T) {
 	var mu sync.Mutex
 	var order []int
 	for i := 0; i < 20; i++ {
-		g.Go(func() error {
+		g.GoCtx(context.Background(), func() error {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
@@ -241,7 +241,7 @@ func TestPoolMetricsWithError(t *testing.T) {
 // its slot, and cancel the group — never deadlock Wait.
 func TestPanicReturnsErrorNotDeadlock(t *testing.T) {
 	g := New(2)
-	g.Go(func() error { panic("kaboom") })
+	g.GoCtx(context.Background(), func() error { panic("kaboom") })
 	done := make(chan error, 1)
 	go func() { done <- g.Wait() }()
 	select {
@@ -264,7 +264,7 @@ func TestPanicReturnsErrorNotDeadlock(t *testing.T) {
 	}
 	// The slot must have been released: later groups of the same size work,
 	// and this group keeps dropping tasks rather than hanging.
-	g.Go(func() error { return nil })
+	g.GoCtx(context.Background(), func() error { return nil })
 	if err := g.Wait(); err == nil {
 		t.Fatal("panic error must persist")
 	}
@@ -273,12 +273,12 @@ func TestPanicReturnsErrorNotDeadlock(t *testing.T) {
 func TestPanicCancelsQueuedTasks(t *testing.T) {
 	g := New(1)
 	var ran atomic.Int32
-	g.Go(func() error { panic("first") })
+	g.GoCtx(context.Background(), func() error { panic("first") })
 	if err := g.Wait(); err == nil {
 		t.Fatal("want panic error")
 	}
 	for i := 0; i < 5; i++ {
-		g.Go(func() error { ran.Add(1); return nil })
+		g.GoCtx(context.Background(), func() error { ran.Add(1); return nil })
 	}
 	if err := g.Wait(); err == nil {
 		t.Fatal("panic error must persist")
@@ -418,7 +418,7 @@ func TestInjectedPanicBudgetExhausted(t *testing.T) {
 	}
 	defer faults.Disable()
 	g := New(1)
-	g.Go(func() error { return nil })
+	g.GoCtx(context.Background(), func() error { return nil })
 	err := g.Wait()
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -438,7 +438,7 @@ func TestRealPanicNotRetried(t *testing.T) {
 	defer faults.Disable()
 	var attempts atomic.Int32
 	g := New(1)
-	g.Go(func() error {
+	g.GoCtx(context.Background(), func() error {
 		attempts.Add(1)
 		panic("real bug")
 	})
@@ -474,7 +474,7 @@ func TestStallWatchdogDumpsStacks(t *testing.T) {
 	SetStallWatchdog(5*time.Millisecond, &buf)
 	defer SetStallWatchdog(0, nil)
 	g := New(1)
-	g.Go(func() error {
+	g.GoCtx(context.Background(), func() error {
 		time.Sleep(60 * time.Millisecond)
 		return nil
 	})
@@ -503,54 +503,6 @@ func TestStallWatchdogSilentUnderDeadline(t *testing.T) {
 	}
 	if out := buf.String(); out != "" {
 		t.Errorf("watchdog fired for fast tasks:\n%.200s", out)
-	}
-}
-
-// Every pool task must record the span that was open on the submitting
-// goroutine as its Submitter attribution edge, so the sched analyzer can
-// group worker time under the pipeline stage that caused it.
-func TestTaskSubmitterEdge(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	stage := obs.StartSpan("pipeline.stage")
-	stageID := stage.ID()
-	g := New(2)
-	for i := 0; i < 4; i++ {
-		g.Go(func() error { return nil })
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	stage.End()
-	recs, _ := obs.Default().SpanRecords()
-	tasks := 0
-	for _, r := range recs {
-		if r.Name != "pool.task" {
-			continue
-		}
-		tasks++
-		if r.Submitter != stageID {
-			t.Errorf("task %d: Submitter = %d, want submitting span %d", r.ID, r.Submitter, stageID)
-		}
-	}
-	if tasks != 4 {
-		t.Fatalf("recorded %d pool.task spans, want 4", tasks)
-	}
-}
-
-// Without an open span on the submitting goroutine the edge is absent,
-// not garbage.
-func TestTaskSubmitterZeroWithoutSpan(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	if err := ForEachCtx(context.Background(), 2, 3, func(i int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	recs, _ := obs.Default().SpanRecords()
-	for _, r := range recs {
-		if r.Name == "pool.task" && r.Submitter != 0 {
-			t.Errorf("task %d: Submitter = %d, want 0 (no span was open)", r.ID, r.Submitter)
-		}
 	}
 }
 

@@ -19,7 +19,7 @@ func jointProfiles(t *testing.T) []*trace.Profile {
 	streams := workload.RunKernel(k, 4, 1, 11)
 	out := make([]*trace.Profile, 0, 3)
 	for _, st := range trace.Stages() {
-		profs, err := trace.BuildProfilesWorkersCtx(context.Background(), streams, st, cpu.DefaultL1(), 0)
+		profs, err := trace.BuildProfilesScopedCtx(context.Background(), "", streams, st, cpu.DefaultL1(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,7 +67,7 @@ func TestReplayMatchesAnalyticSPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	streams := workload.RunKernel(k, 4, 1, 9)
-	profs, err := trace.BuildProfilesWorkersCtx(context.Background(), streams, trace.SimpleALU, cpu.DefaultL1(), 0)
+	profs, err := trace.BuildProfilesScopedCtx(context.Background(), "", streams, trace.SimpleALU, cpu.DefaultL1(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestReplayProfileScopedSimprofReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 	streams := workload.RunKernel(k, 2, 1, 2016)
-	profs, err := trace.BuildProfilesWorkersCtx(context.Background(), streams, trace.SimpleALU, cpu.DefaultL1(), 0)
+	profs, err := trace.BuildProfilesScopedCtx(context.Background(), "", streams, trace.SimpleALU, cpu.DefaultL1(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,15 @@
+// Package sched stitches per-process synts-trace/v1 span artifacts
+// (loadgen, router, daemons — each on its own monotonic clock) into
+// fleet-wide trace trees, marks each tree's critical path, and attributes
+// tail latency to the hops on it (`synts trace`, `obscheck -trace`).
+//
+// Span IDs are content-derived (obs.TraceDerive), so the parent/child
+// edges line up across artifacts without any runtime coordination; only
+// the clocks disagree, and those are reconciled by anchoring each
+// process's first span inside its parent's send/receive envelope (the
+// child cannot have started before the parent sent the request nor ended
+// after the parent saw the response — the classic messaging bound on
+// distributed clock skew).
 package sched
 
 import (
@@ -7,17 +19,6 @@ import (
 
 	"synts/internal/obs"
 )
-
-// stitch.go merges per-process synts-trace/v1 span artifacts (loadgen,
-// router, daemons — each on its own monotonic clock) into fleet-wide trace
-// trees, extending the critical-path analysis in critpath.go across
-// process boundaries. Span IDs are content-derived (obs.TraceDerive), so
-// the parent/child edges line up across artifacts without any runtime
-// coordination; only the clocks disagree, and those are reconciled by
-// anchoring each process's first span inside its parent's send/receive
-// envelope (the child cannot have started before the parent sent the
-// request nor ended after the parent saw the response — the classic
-// messaging bound on distributed clock skew).
 
 // TraceNode is one span placed on the stitched, trace-local timeline
 // (root starts at 0).

@@ -14,7 +14,6 @@ import (
 	"synts/internal/faults"
 	"synts/internal/fleet"
 	"synts/internal/obs"
-	"synts/internal/sched"
 	"synts/internal/telemetry"
 )
 
@@ -624,7 +623,7 @@ func TestSpanStoreStaysFlat(t *testing.T) {
 
 	recs, _ := obs.Default().SpanRecords()
 	for _, r := range recs {
-		if strings.HasPrefix(r.Name, "service.request") || r.Name == "route.request" || r.Name == sched.TaskSpanName {
+		if strings.HasPrefix(r.Name, "service.request") || r.Name == "route.request" || r.Name == "pool.task" {
 			t.Errorf("request left a %q span record", r.Name)
 		}
 	}

@@ -45,9 +45,6 @@ func (e *BitEval) EvalBlock(inWords []uint64) {
 	}
 }
 
-// Word returns net t's packed values for the current block.
-func (e *BitEval) Word(t netlist.Net) uint64 { return e.words[t] }
-
 // BlockAnalyzer composes the two fast engines: a BitEval pass computes the
 // settled value of every net for a block of up to 64 consecutive vectors,
 // turning each net's activity into a 64-bit toggle mask, and a single

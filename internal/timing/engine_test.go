@@ -159,7 +159,7 @@ func TestBitEvalMatchesEval(t *testing.T) {
 			for j := 0; j < 64; j++ {
 				ref = n.Eval(vecs[j], ref)
 				for tn := 0; tn < n.NumNets(); tn++ {
-					got := be.Word(netlist.Net(tn))>>uint(j)&1 == 1
+					got := be.words[tn]>>uint(j)&1 == 1
 					if got != ref[tn] {
 						t.Fatalf("lane %d net %d: BitEval %v, Eval %v", j, tn, got, ref[tn])
 					}

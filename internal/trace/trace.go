@@ -242,26 +242,9 @@ func (sc *StageCircuit) SeekPC(earlier [][]isa.Inst) {
 // The trace runs while holding one of GOMAXPROCS process-wide slots (see
 // slot), so it may wait for a running trace to finish.
 func (sc *StageCircuit) DelayTrace(iv []isa.Inst) []float64 {
-	return sc.delayTraceWith(CurrentEngine(), iv)
-}
-
-// DelayTraceLevelized runs the window through the levelized reference
-// engine regardless of the process-wide selection (benchmarks and
-// equivalence tests).
-func (sc *StageCircuit) DelayTraceLevelized(iv []isa.Inst) []float64 {
-	return sc.delayTraceWith(EngineLevelized, iv)
-}
-
-// DelayTraceEvent runs the window through the bit-parallel + event-driven
-// engine regardless of the process-wide selection.
-func (sc *StageCircuit) DelayTraceEvent(iv []isa.Inst) []float64 {
-	return sc.delayTraceWith(EngineEvent, iv)
-}
-
-func (sc *StageCircuit) delayTraceWith(e Engine, iv []isa.Inst) []float64 {
 	s := acquireSlot()
 	defer s.release()
-	p := s.profile(sc, e, iv)
+	p := s.profile(sc, CurrentEngine(), iv)
 	delays := make([]float64, len(iv))
 	for i, c := range p.Codes {
 		delays[i] = p.Levels[c].Delay
@@ -550,35 +533,23 @@ func (p *Profile) CoreThread() core.Thread {
 	return core.Thread{N: float64(p.N), CPIBase: p.CPIBase, Err: p.Err}
 }
 
-// MaxDelay returns the largest sensitized delay observed (0 if none).
-func (p *Profile) MaxDelay() float64 {
-	if len(p.Levels) == 0 {
-		return 0
-	}
-	return p.Levels[len(p.Levels)-1].Delay
-}
-
-// BuildProfilesWorkersCtx characterises every thread and barrier
-// interval of a workload for one stage. The work fans out over a bounded
-// worker pool (workers <= 0 means GOMAXPROCS) at (thread, interval)
-// granularity: each interval's delay trace runs as an independent task
-// on a fresh StageCircuit fast-forwarded to the interval's starting fetch
-// PC, while each thread's CPI measurement stays one in-order task so its
-// private cache (one core per thread) remains warm across intervals.
-// Results are assembled by index, so the output is byte-identical to
+// BuildProfilesScopedCtx characterises every thread and barrier interval
+// of a workload for one stage. The work fans out over a bounded worker
+// pool (workers <= 0 means GOMAXPROCS) at (thread, interval) granularity:
+// each interval's delay trace runs as an independent task on a fresh
+// StageCircuit fast-forwarded to the interval's starting fetch PC, while
+// each thread's CPI measurement stays one in-order task so its private
+// cache (one core per thread) remains warm across intervals. Results are
+// assembled by index, so the output is byte-identical to
 // BuildProfilesSerial regardless of scheduling. The result is indexed
 // [thread][interval]. Intervals not yet submitted when ctx is cancelled
 // are skipped and ctx's error is returned.
-func BuildProfilesWorkersCtx(ctx context.Context, streams []*workload.Stream, stage Stage, cacheCfg cpu.CacheConfig, workers int) ([][]*Profile, error) {
-	return BuildProfilesScopedCtx(ctx, "", streams, stage, cacheCfg, workers)
-}
-
-// BuildProfilesScopedCtx additionally attributes the build's simulated
-// work to the simprof profiler under the given kernel name: per-opcode
-// gate-eval cycles at this stage (phase "issue") and per-opcode cache
-// stall cycles (phase "mem"). With kernel == "" or the profiler
-// disabled, it is exactly BuildProfilesWorkersCtx — attribution never
-// changes the returned profiles (TestProfilesUnchangedBySimprof).
+//
+// With a non-empty kernel name and the simprof profiler enabled, the build
+// also attributes its simulated work to the profiler under that name:
+// per-opcode gate-eval cycles at this stage (phase "issue") and per-opcode
+// cache stall cycles (phase "mem"). Attribution never changes the
+// returned profiles (TestProfilesUnchangedBySimprof).
 func BuildProfilesScopedCtx(ctx context.Context, kernel string, streams []*workload.Stream, stage Stage, cacheCfg cpu.CacheConfig, workers int) ([][]*Profile, error) {
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("trace: no streams")
@@ -586,24 +557,9 @@ func BuildProfilesScopedCtx(ctx context.Context, kernel string, streams []*workl
 	defer obs.StartSpan("trace.build_profiles:" + stage.String()).End()
 	out := make([][]*Profile, len(streams))
 	cpis := make([][]float64, len(streams))
-	// Span IDs for the whole (thread, interval) grid are reserved up front
-	// so each interval-build span can record a happens-before edge to the
-	// same thread's previous interval — the program-order dependence SeekPC
-	// breaks for scheduling purposes, preserved for the sched analyzer's
-	// critical-path reconstruction. Nil (and free) while obs is off.
-	var ivSpanIDs [][]int64
-	if obs.Enabled() {
-		ivSpanIDs = make([][]int64, len(streams))
-	}
 	for t, s := range streams {
 		out[t] = make([]*Profile, len(s.Intervals))
 		cpis[t] = make([]float64, len(s.Intervals))
-		if ivSpanIDs != nil {
-			ivSpanIDs[t] = make([]int64, len(s.Intervals))
-			for ii := range s.Intervals {
-				ivSpanIDs[t][ii] = obs.ReserveSpanID()
-			}
-		}
 	}
 	g := pool.New(workers)
 	for t, s := range streams {
@@ -623,15 +579,7 @@ func BuildProfilesScopedCtx(ctx context.Context, kernel string, streams []*workl
 		})
 		for ii := range s.Intervals {
 			g.GoCtx(ctx, func() error {
-				var sid, dep int64
-				if ivSpanIDs != nil {
-					sid = ivSpanIDs[t][ii]
-					if ii > 0 {
-						dep = ivSpanIDs[t][ii-1]
-					}
-				}
-				bsp := obs.StartSpanID("trace.interval_build:"+stage.String(), sid)
-				bsp.DependsOn(dep)
+				bsp := obs.StartSpan("trace.interval_build:" + stage.String())
 				defer bsp.End()
 				sc := NewStageCircuit(stage)
 				ssp := bsp.Child("trace.seek_pc")

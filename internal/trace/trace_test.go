@@ -175,8 +175,8 @@ func TestEmptyProfile(t *testing.T) {
 	if p.Err(0.5) != 0 {
 		t.Error("empty profile must have zero error probability")
 	}
-	if p.MaxDelay() != 0 {
-		t.Error("empty profile MaxDelay must be 0")
+	if len(p.Levels) != 0 {
+		t.Error("empty profile must hold no delay levels")
 	}
 }
 
@@ -234,9 +234,9 @@ func oracleWindows(rng *rand.Rand) [][]float64 {
 }
 
 // Differential check of the compact profile against the sorted-float64
-// oracle: codes decode losslessly, Err and MaxDelay match exactly at every
-// limit equal to a level and just either side of it, and Cut splits each
-// window exactly where a float compare would.
+// oracle: codes decode losslessly, the top level is the largest delay, Err
+// matches exactly at every limit equal to a level and just either side of
+// it, and Cut splits each window exactly where a float compare would.
 func TestProfileMatchesSortedOracle(t *testing.T) {
 	const tcrit = 8 // a power of two, so r = limit/tcrit maps back exactly
 	rng := rand.New(rand.NewSource(14))
@@ -251,8 +251,8 @@ func TestProfileMatchesSortedOracle(t *testing.T) {
 				t.Fatalf("window %d: code %d of instruction %d decodes to %v, want %v", wi, c, i, p.Levels[c].Delay, delays[i])
 			}
 		}
-		if got, want := p.MaxDelay(), o.maxDelay(); got != want {
-			t.Fatalf("window %d: MaxDelay %v, oracle %v", wi, got, want)
+		if n := len(p.Levels); n > 0 && p.Levels[n-1].Delay != o.maxDelay() {
+			t.Fatalf("window %d: top level %v, oracle max %v", wi, p.Levels[n-1].Delay, o.maxDelay())
 		}
 		limits := []float64{-1, 0, 1e9}
 		for _, l := range p.Levels {
@@ -333,7 +333,7 @@ func TestBuildProfilesRetainsCompactProfiles(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	before := heap()
-	profs, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, cpu.DefaultL1(), 0)
+	profs, err := BuildProfilesScopedCtx(context.Background(), "", streams, SimpleALU, cpu.DefaultL1(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestBuildProfilesAllocationBound(t *testing.T) {
 		warmSlots(streams, stage)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		profs, err := BuildProfilesWorkersCtx(context.Background(), streams, stage, cpu.DefaultL1(), 0)
+		profs, err := BuildProfilesScopedCtx(context.Background(), "", streams, stage, cpu.DefaultL1(), 0)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -423,7 +423,7 @@ func TestBuildProfilesSlotBound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := BuildProfilesWorkersCtx(context.Background(), streams, stage, cpu.DefaultL1(), 4)
+			got, err := BuildProfilesScopedCtx(context.Background(), "", streams, stage, cpu.DefaultL1(), 4)
 			if err != nil {
 				t.Error(err)
 				return
@@ -549,7 +549,7 @@ func TestBuildProfilesEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	streams := workload.RunKernel(k, 4, 1, 42)
-	profs, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, cpu.DefaultL1(), 0)
+	profs, err := BuildProfilesScopedCtx(context.Background(), "", streams, SimpleALU, cpu.DefaultL1(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +568,7 @@ func TestBuildProfilesEndToEnd(t *testing.T) {
 			if p.CPIBase < 1 {
 				t.Fatalf("CPI %v < 1", p.CPIBase)
 			}
-			if p.MaxDelay() > p.TCrit {
+			if n := len(p.Levels); n > 0 && p.Levels[n-1].Delay > p.TCrit {
 				t.Fatalf("delay above critical path")
 			}
 		}
@@ -581,7 +581,7 @@ func TestBuildProfilesEndToEnd(t *testing.T) {
 func TestRadixHeterogeneityEndToEnd(t *testing.T) {
 	k, _ := workload.ByName("radix")
 	streams := workload.RunKernel(k, 4, 2, 42)
-	profs, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, cpu.DefaultL1(), 0)
+	profs, err := BuildProfilesScopedCtx(context.Background(), "", streams, SimpleALU, cpu.DefaultL1(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +611,7 @@ func TestBuildProfilesParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			par, err := BuildProfilesWorkersCtx(context.Background(), streams, stage, cpu.DefaultL1(), workers)
+			par, err := BuildProfilesScopedCtx(context.Background(), "", streams, stage, cpu.DefaultL1(), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -647,7 +647,7 @@ func TestSeekPCMatchesWalkedCircuit(t *testing.T) {
 }
 
 func TestBuildProfilesNoStreams(t *testing.T) {
-	if _, err := BuildProfilesWorkersCtx(context.Background(), nil, SimpleALU, cpu.DefaultL1(), 0); err == nil {
+	if _, err := BuildProfilesScopedCtx(context.Background(), "", nil, SimpleALU, cpu.DefaultL1(), 0); err == nil {
 		t.Error("a build with no streams must error")
 	}
 	if _, err := BuildProfilesSerial(nil, SimpleALU, cpu.DefaultL1()); err == nil {
@@ -659,7 +659,7 @@ func TestBuildProfilesBadCacheConfig(t *testing.T) {
 	k, _ := workload.ByName("ocean")
 	streams := workload.RunKernel(k, 2, 1, 1)
 	bad := cpu.CacheConfig{Lines: 3, LineBytes: 64, MissPenalty: 20}
-	if _, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, bad, 0); err == nil {
+	if _, err := BuildProfilesScopedCtx(context.Background(), "", streams, SimpleALU, bad, 0); err == nil {
 		t.Error("invalid cache config must propagate out of the worker pool")
 	}
 }
@@ -687,7 +687,7 @@ func BenchmarkBuildProfilesParallel(b *testing.B) {
 	streams := benchProfileStreams(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, cpu.DefaultL1(), 0); err != nil {
+		if _, err := BuildProfilesScopedCtx(context.Background(), "", streams, SimpleALU, cpu.DefaultL1(), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -696,7 +696,7 @@ func BenchmarkBuildProfilesParallel(b *testing.B) {
 func TestIntervalThreadsTranspose(t *testing.T) {
 	k, _ := workload.ByName("ocean")
 	streams := workload.RunKernel(k, 2, 1, 1)
-	profs, err := BuildProfilesWorkersCtx(context.Background(), streams, Decode, cpu.DefaultL1(), 0)
+	profs, err := BuildProfilesScopedCtx(context.Background(), "", streams, Decode, cpu.DefaultL1(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -729,7 +729,7 @@ func TestBuildProfilesUnchangedByInstrumentation(t *testing.T) {
 	}
 	obs.Enable()
 	defer obs.Disable()
-	got, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, cpu.DefaultL1(), 0)
+	got, err := BuildProfilesScopedCtx(context.Background(), "", streams, SimpleALU, cpu.DefaultL1(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -765,7 +765,7 @@ func TestProfilesUnchangedBySimprof(t *testing.T) {
 	}
 	streams := workload.RunKernel(k, 2, 1, 2016)
 	simprof.Disable()
-	ref, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, cpu.DefaultL1(), 0)
+	ref, err := BuildProfilesScopedCtx(context.Background(), "", streams, SimpleALU, cpu.DefaultL1(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -808,7 +808,7 @@ func BenchmarkBuildProfilesStats(b *testing.B) {
 	defer obs.Disable()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, cpu.DefaultL1(), 0); err != nil {
+		if _, err := BuildProfilesScopedCtx(context.Background(), "", streams, SimpleALU, cpu.DefaultL1(), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -816,7 +816,7 @@ func BenchmarkBuildProfilesStats(b *testing.B) {
 
 // The trace-level engine contract: for every stage, the levelized
 // reference and the bit-parallel + event-driven engine produce identical
-// per-instruction delay slices, and the process-wide engine selection
+// per-instruction delay slices, so the process-wide engine selection
 // never changes what DelayTrace returns.
 func TestDelayTraceEngineEquivalence(t *testing.T) {
 	k, err := workload.ByName("radix")
@@ -828,24 +828,16 @@ func TestDelayTraceEngineEquivalence(t *testing.T) {
 	for _, stage := range Stages() {
 		for _, s := range streams {
 			for ii, iv := range s.Intervals {
+				SetEngine(EngineLevelized)
 				ref := NewStageCircuit(stage)
 				ref.SeekPC(s.Intervals[:ii])
-				want := ref.DelayTraceLevelized(iv)
+				want := ref.DelayTrace(iv)
 
+				SetEngine(EngineEvent)
 				ev := NewStageCircuit(stage)
 				ev.SeekPC(s.Intervals[:ii])
-				got := ev.DelayTraceEvent(iv)
-				if !reflect.DeepEqual(want, got) {
+				if !reflect.DeepEqual(want, ev.DelayTrace(iv)) {
 					t.Fatalf("%v interval %d: event delays differ from levelized", stage, ii)
-				}
-
-				for _, eng := range []Engine{EngineLevelized, EngineEvent} {
-					SetEngine(eng)
-					sc := NewStageCircuit(stage)
-					sc.SeekPC(s.Intervals[:ii])
-					if !reflect.DeepEqual(want, sc.DelayTrace(iv)) {
-						t.Fatalf("%v interval %d: DelayTrace under %v differs", stage, ii, eng)
-					}
 				}
 			}
 		}
@@ -924,59 +916,5 @@ func TestParseEngine(t *testing.T) {
 	}
 	if CurrentEngine() != EngineEvent {
 		t.Error("default engine is not event")
-	}
-}
-
-// A profile build must wire each (thread, interval) build span to the same
-// thread's previous interval via a happens-before Deps edge — the logical
-// program order SeekPC breaks for scheduling, preserved so the sched
-// analyzer can reconstruct per-thread chains and the critical path.
-func TestBuildProfilesDepEdges(t *testing.T) {
-	k, err := workload.ByName("radix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams := workload.RunKernel(k, 4, 1, 42)
-	nThreads := len(streams)
-	nIv := 0
-	for _, s := range streams {
-		nIv += len(s.Intervals)
-	}
-	obs.Enable()
-	defer obs.Disable()
-	if _, err := BuildProfilesWorkersCtx(context.Background(), streams, SimpleALU, cpu.DefaultL1(), 0); err != nil {
-		t.Fatal(err)
-	}
-	recs, dropped := obs.Default().SpanRecords()
-	if dropped != 0 {
-		t.Fatalf("%d spans dropped", dropped)
-	}
-	builds := map[int64]obs.SpanRecord{}
-	withDep := 0
-	for _, r := range recs {
-		if r.Name != "trace.interval_build:SimpleALU" {
-			continue
-		}
-		builds[r.ID] = r
-		if len(r.Deps) > 1 {
-			t.Fatalf("span %d has %d deps, want at most 1 (previous interval)", r.ID, len(r.Deps))
-		}
-		if len(r.Deps) == 1 {
-			withDep++
-		}
-	}
-	if len(builds) != nIv {
-		t.Fatalf("recorded %d interval-build spans, want %d", len(builds), nIv)
-	}
-	// Every interval except each thread's first carries exactly one edge.
-	if want := nIv - nThreads; withDep != want {
-		t.Fatalf("%d spans carry a dep edge, want %d (all but the first interval per thread)", withDep, want)
-	}
-	for _, r := range builds {
-		if len(r.Deps) == 1 {
-			if _, ok := builds[r.Deps[0]]; !ok {
-				t.Fatalf("span %d depends on %d, which is not an interval-build span", r.ID, r.Deps[0])
-			}
-		}
 	}
 }

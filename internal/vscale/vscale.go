@@ -7,7 +7,7 @@
 // calibrated to reproduce the same table, and additionally embeds the paper's
 // exact table for experiments that must match it point for point.
 //
-// Two implementations of the Model interface are provided:
+// Two models are provided:
 //
 //   - AlphaPowerModel: t_d(V) ∝ V / (V - Vth)^alpha, the classic Sakurai–Newton
 //     alpha-power law. This is the "ring oscillator simulation" substitute.
@@ -23,17 +23,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Model maps a supply voltage to the nominal clock period multiplier relative
-// to the reference voltage. Implementations must be monotone: lower voltage
-// gives a strictly larger multiplier.
-type Model interface {
-	// TNom returns the nominal clock-period multiplier at voltage v.
-	// TNom(VRef()) == 1.
-	TNom(v float64) float64
-	// VRef returns the reference (nominal) supply voltage.
-	VRef() float64
-}
 
 // AlphaPowerModel is the Sakurai–Newton alpha-power-law delay model:
 //
@@ -53,9 +42,6 @@ func Default22nm() AlphaPowerModel {
 	return AlphaPowerModel{Vth: 0.47, Alpha: 1.30, VNom: 1.0}
 }
 
-// VRef returns the reference supply voltage.
-func (m AlphaPowerModel) VRef() float64 { return m.VNom }
-
 // TNom returns the clock-period multiplier at voltage v. It panics if v is
 // not above the threshold voltage, because the device does not switch there.
 func (m AlphaPowerModel) TNom(v float64) float64 {
@@ -69,14 +55,12 @@ func (m AlphaPowerModel) TNom(v float64) float64 {
 // TableModel interpolates the clock-period multiplier from explicit
 // (voltage, multiplier) calibration points, such as the paper's Table 5.1.
 type TableModel struct {
-	vs   []float64 // ascending voltages
-	ts   []float64 // corresponding multipliers (descending)
-	vref float64
+	vs []float64 // ascending voltages
+	ts []float64 // corresponding multipliers (descending)
 }
 
 // NewTable builds a TableModel from parallel slices of voltages and period
-// multipliers. The entry with multiplier closest to 1 defines the reference
-// voltage. It returns an error if the input is empty, mismatched, has
+// multipliers. It returns an error if the input is empty, mismatched, has
 // duplicate voltages, or is not monotone (lower voltage must mean a larger
 // multiplier).
 func NewTable(voltages, multipliers []float64) (*TableModel, error) {
@@ -100,14 +84,6 @@ func NewTable(voltages, multipliers []float64) (*TableModel, error) {
 		}
 		m.vs[i], m.ts[i] = p.v, p.t
 	}
-	// Reference voltage: the point whose multiplier is nearest 1.
-	best := 0
-	for i, t := range m.ts {
-		if math.Abs(t-1) < math.Abs(m.ts[best]-1) {
-			best = i
-		}
-	}
-	m.vref = m.vs[best]
 	return m, nil
 }
 
@@ -131,9 +107,6 @@ func PaperTable() *TableModel {
 	}
 	return m
 }
-
-// VRef returns the voltage whose multiplier is 1 (1.0 V for the paper table).
-func (m *TableModel) VRef() float64 { return m.vref }
 
 // TNom returns the clock-period multiplier at voltage v, interpolating
 // linearly between calibration points and extrapolating from the closest

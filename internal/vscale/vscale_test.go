@@ -18,11 +18,8 @@ func TestPaperTableRoundTrip(t *testing.T) {
 
 func TestPaperTableReference(t *testing.T) {
 	m := PaperTable()
-	if m.VRef() != 1.0 {
-		t.Fatalf("VRef = %v, want 1.0", m.VRef())
-	}
 	if m.TNom(1.0) != 1.0 {
-		t.Fatalf("TNom(VRef) = %v, want 1.0", m.TNom(1.0))
+		t.Fatalf("TNom(1.0) = %v, want 1.0", m.TNom(1.0))
 	}
 }
 
@@ -95,15 +92,12 @@ func TestNewTableSingleEntry(t *testing.T) {
 	if got := m.TNom(0.5); got != 1.0 {
 		t.Errorf("single-point table TNom(0.5) = %v, want 1.0", got)
 	}
-	if m.VRef() != 0.9 {
-		t.Errorf("VRef = %v, want 0.9", m.VRef())
-	}
 }
 
 func TestAlphaPowerReference(t *testing.T) {
 	m := Default22nm()
-	if got := m.TNom(m.VRef()); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("TNom(VRef) = %v, want 1", got)
+	if got := m.TNom(m.VNom); math.Abs(got-1) > 1e-12 {
+		t.Fatalf("TNom(VNom) = %v, want 1", got)
 	}
 }
 

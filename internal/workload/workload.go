@@ -163,31 +163,10 @@ func (tc *TC) And(a, b uint32) uint32 {
 	return r
 }
 
-// Or emits OR and returns a|b.
-func (tc *TC) Or(a, b uint32) uint32 {
-	r := a | b
-	tc.emit(isa.OR, a, b, 0, 0, 0, r)
-	return r
-}
-
-// Xor emits XOR and returns a^b.
-func (tc *TC) Xor(a, b uint32) uint32 {
-	r := a ^ b
-	tc.emit(isa.XOR, a, b, 0, 0, 0, r)
-	return r
-}
-
 // Slt emits SLT and returns 1 if int32(a) < int32(b), else 0.
 func (tc *TC) Slt(a, b uint32) uint32 {
 	r := isa.ALUResult(isa.SLT, a, b)
 	tc.emit(isa.SLT, a, b, 0, 0, 0, r)
-	return r
-}
-
-// Shl emits SHL and returns a << (sh & 31).
-func (tc *TC) Shl(a, sh uint32) uint32 {
-	r := a << (sh & 31)
-	tc.emit(isa.SHL, a, sh, 0, 0, 0, r)
 	return r
 }
 
