@@ -94,8 +94,12 @@ func main() {
 	}
 	for i := 0; i < limit; i++ {
 		in := iv[i]
+		c := in.C
+		if in.Op.IFormat() {
+			c = 0 // C holds the immediate, printed as imm
+		}
 		fmt.Printf("%6d  %-5s rd=%-2d rs=%-2d rt=%-2d imm=%04x  a=%08x b=%08x c=%08x addr=%08x -> %08x\n",
-			i, in.Op, in.Rd, in.Rs, in.Rt, in.Imm, in.A, in.B, in.C, in.Addr, in.Result)
+			i, in.Op, in.Rd, in.Rs, in.Rt, in.Imm(), in.A, in.B, c, in.Addr(), in.Result())
 	}
 	if limit < len(iv) {
 		fmt.Printf("... %d more\n", len(iv)-limit)

@@ -162,7 +162,7 @@ func MeasureCPIScoped(kernel string, coreID, interval int, stage string, iv []is
 			continue
 		}
 		res.Accesses++
-		if c.Access(in.Addr) {
+		if c.Access(in.Addr()) {
 			res.Hits++
 		} else {
 			res.Misses++

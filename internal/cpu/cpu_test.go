@@ -139,9 +139,9 @@ func TestMeasureCPI(t *testing.T) {
 	c, _ := NewCache(CacheConfig{Lines: 4, LineBytes: 16, MissPenalty: 10})
 	iv := []isa.Inst{
 		{Op: isa.ADD},
-		{Op: isa.LD, Addr: 0x100},
-		{Op: isa.LD, Addr: 0x100}, // hit
-		{Op: isa.ST, Addr: 0x200}, // miss
+		{Op: isa.LD, A: 0x100},
+		{Op: isa.LD, A: 0x100}, // hit
+		{Op: isa.ST, A: 0x200}, // miss
 		{Op: isa.MUL},
 	}
 	res := MeasureCPI(iv, c)
@@ -164,7 +164,7 @@ func TestMeasureCPIEmptyWindow(t *testing.T) {
 
 func TestMeasureCPIPersistsWarmth(t *testing.T) {
 	c, _ := NewCache(DefaultL1())
-	iv := []isa.Inst{{Op: isa.LD, Addr: 0x1000}}
+	iv := []isa.Inst{{Op: isa.LD, A: 0x1000}}
 	first := MeasureCPI(iv, c)
 	second := MeasureCPI(iv, c)
 	if first.Misses != 1 || second.Misses != 0 {
@@ -175,10 +175,10 @@ func TestMeasureCPIPersistsWarmth(t *testing.T) {
 func TestMeasureCPIHitMissCounts(t *testing.T) {
 	c, _ := NewCache(DefaultL1())
 	iv := []isa.Inst{
-		{Op: isa.LD, Addr: 0x1000},
-		{Op: isa.LD, Addr: 0x1004}, // same line: hit
-		{Op: isa.ADD},              // non-memory: no access
-		{Op: isa.ST, Addr: 0x2000},
+		{Op: isa.LD, A: 0x1000},
+		{Op: isa.LD, A: 0x1004}, // same line: hit
+		{Op: isa.ADD},           // non-memory: no access
+		{Op: isa.ST, A: 0x2000},
 	}
 	res := MeasureCPI(iv, c)
 	if res.Accesses != 3 || res.Hits != 1 || res.Misses != 2 {

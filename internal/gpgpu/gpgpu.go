@@ -323,8 +323,8 @@ type Homogeneity struct {
 
 // LaneErr returns each lane's empirical error probability at TSR r, from
 // the vector-ALU (SimpleALU netlist) delay trace of its work-item stream.
-// One buffer holds each lane's scalar instructions in turn: Profile keeps
-// no reference to the window it is given.
+// One buffer holds each lane's scalar instructions in turn:
+// (*StageCircuit).Profile keeps no reference to the window it is given.
 func LaneErr(p Program, r float64) [LaneCount]float64 {
 	var out [LaneCount]float64
 	iv := make([]isa.Inst, len(p.Insts))

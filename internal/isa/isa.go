@@ -95,17 +95,64 @@ func (o Op) Class() Class {
 
 // Inst is a dynamic instruction: the executed operation together with its
 // register fields and the operand *values* observed at execute time. The
-// values are what sensitise paths in the ALU netlists.
+// values are what sensitise paths in the ALU netlists. An I-format op
+// carries its immediate in C, which no I-format op uses as an operand; the
+// immediate, the effective address and the result are derived from the
+// stored fields (Imm, Addr, Result), so an instruction takes 16 bytes.
 type Inst struct {
-	Op     Op
-	Rd     uint8  // destination register (0..31)
-	Rs     uint8  // first source register
-	Rt     uint8  // second source register / store data register
-	Imm    uint16 // immediate (I-format ops)
-	A, B   uint32 // source operand values at execute
-	C      uint32 // third operand (MAC accumulator / store data)
-	Addr   uint32 // effective address (LD/ST)
-	Result uint32 // architectural result (for output-trace analyses)
+	Op   Op
+	Rd   uint8  // destination register (0..31)
+	Rs   uint8  // first source register
+	Rt   uint8  // second source register / store data register
+	A, B uint32 // source operand values at execute (A is the address for LD/ST)
+	C    uint32 // MAC accumulator; the zero-extended immediate for I-format ops
+}
+
+// IFormat reports whether the op encodes a 16-bit immediate instead of rt.
+func (o Op) IFormat() bool {
+	switch o {
+	case ADDI, LD, ST, BEQ, BNE, JMP:
+		return true
+	}
+	return false
+}
+
+// Imm returns the immediate of an I-format op and 0 for any other.
+func (in Inst) Imm() uint16 {
+	if in.Op.IFormat() {
+		return uint16(in.C)
+	}
+	return 0
+}
+
+// Addr returns the effective address of LD/ST and 0 for any other op.
+func (in Inst) Addr() uint32 {
+	if in.Op.Class() == ClassMem {
+		return in.A
+	}
+	return 0
+}
+
+// Result returns the architectural result: the ALU result of a
+// SimpleALU-class op, the low word of the product (plus C for MAC) of a
+// ComplexALU op, the outcome of a branch (1 = taken), and 0 for any other
+// op.
+func (in Inst) Result() uint32 {
+	switch in.Op.Class() {
+	case ClassSimple:
+		return ALUResult(in.Op, in.A, in.B)
+	case ClassComplex:
+		p := in.A * in.B
+		if in.Op == MAC {
+			p += in.C
+		}
+		return p
+	case ClassBranch:
+		if (in.A == in.B) == (in.Op == BEQ) {
+			return 1
+		}
+	}
+	return 0
 }
 
 // Encode packs the static fields into the 32-bit instruction word that the
@@ -114,27 +161,25 @@ func Encode(in Inst) uint32 {
 	w := uint32(in.Op&0x3f) << 26
 	w |= uint32(in.Rd&0x1f) << 21
 	w |= uint32(in.Rs&0x1f) << 16
-	switch in.Op {
-	case ADDI, LD, ST, BEQ, BNE, JMP:
-		w |= uint32(in.Imm)
-	default:
+	if in.Op.IFormat() {
+		w |= uint32(in.Imm())
+	} else {
 		w |= uint32(in.Rt&0x1f) << 11
 	}
 	return w
 }
 
-// Decode unpacks an instruction word into its static fields. Operand values
-// are, of course, not recoverable from the encoding.
+// Decode unpacks an instruction word into its static fields, the immediate
+// into C. Operand values are, of course, not recoverable from the encoding.
 func Decode(w uint32) Inst {
 	in := Inst{
 		Op: Op(w >> 26 & 0x3f),
 		Rd: uint8(w >> 21 & 0x1f),
 		Rs: uint8(w >> 16 & 0x1f),
 	}
-	switch in.Op {
-	case ADDI, LD, ST, BEQ, BNE, JMP:
-		in.Imm = uint16(w)
-	default:
+	if in.Op.IFormat() {
+		in.C = w & 0xffff
+	} else {
 		in.Rt = uint8(w >> 11 & 0x1f)
 	}
 	return in

@@ -3,6 +3,7 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestOpStringsAndValidity(t *testing.T) {
@@ -57,24 +58,25 @@ func TestEncodeFieldPlacement(t *testing.T) {
 		t.Errorf("rt field = %#x", w>>11&0x1f)
 	}
 	// I-format: imm occupies the low half.
-	w = Encode(Inst{Op: ADDI, Imm: 0xBEEF})
+	w = Encode(Inst{Op: ADDI, C: 0xBEEF})
 	if uint16(w) != 0xBEEF {
 		t.Errorf("imm field = %#x", uint16(w))
 	}
 }
 
+// The immediate round-trips through C; an R-format op decodes with C = 0.
 func TestDecodeIsEncodeInverse(t *testing.T) {
 	f := func(opRaw, rd, rs, rt uint8, imm uint16) bool {
-		in := Inst{Op: Op(opRaw % uint8(NumOps)), Rd: rd & 31, Rs: rs & 31, Rt: rt & 31, Imm: imm}
+		in := Inst{Op: Op(opRaw % uint8(NumOps)), Rd: rd & 31, Rs: rs & 31, Rt: rt & 31, C: uint32(imm)}
 		out := Decode(Encode(in))
 		if out.Op != in.Op || out.Rd != in.Rd || out.Rs != in.Rs {
 			return false
 		}
 		switch in.Op {
 		case ADDI, LD, ST, BEQ, BNE, JMP:
-			return out.Imm == in.Imm && out.Rt == 0
+			return out.C == uint32(imm) && out.Imm() == imm && out.Rt == 0
 		default:
-			return out.Rt == in.Rt && out.Imm == 0
+			return out.Rt == in.Rt && out.C == 0 && out.Imm() == 0
 		}
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -114,4 +116,44 @@ func TestALUResultPanicsOnNonSimple(t *testing.T) {
 		}
 	}()
 	ALUResult(MUL, 1, 2)
+}
+
+// A dynamic instruction takes 16 bytes: the immediate, the address and the
+// result are derived, not stored.
+func TestInstIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 16 {
+		t.Fatalf("Sizeof(Inst) = %d, want 16", got)
+	}
+}
+
+func TestDerivedFields(t *testing.T) {
+	cases := []struct {
+		in           Inst
+		imm          uint16
+		addr, result uint32
+	}{
+		{Inst{Op: ADD, A: 3, B: 4}, 0, 0, 7},
+		{Inst{Op: ADDI, A: 5, B: 0xFFFFFFFF, C: 0xFFFF}, 0xFFFF, 0, 4},
+		{Inst{Op: MUL, A: 0x10000, B: 0x10003}, 0, 0, 0x30000},
+		{Inst{Op: MAC, A: 6, B: 7, C: 8}, 0, 0, 50}, // C is the accumulator, not an immediate
+		{Inst{Op: LD, A: 0x1234, C: 0x34}, 0x34, 0x1234, 0},
+		{Inst{Op: ST, A: 0x2000}, 0, 0x2000, 0},
+		{Inst{Op: BEQ, A: 3, B: 3, C: 0xFFF0}, 0xFFF0, 0, 1},
+		{Inst{Op: BEQ, A: 3, B: 4, C: 0xFFF0}, 0xFFF0, 0, 0},
+		{Inst{Op: BNE, A: 3, B: 4, C: 0xFFF0}, 0xFFF0, 0, 1},
+		{Inst{Op: BNE, A: 3, B: 3, C: 0xFFF0}, 0xFFF0, 0, 0},
+		{Inst{Op: NOP}, 0, 0, 0},
+		{Inst{Op: JMP, C: 0x10}, 0x10, 0, 0},
+	}
+	for _, c := range cases {
+		if got := c.in.Imm(); got != c.imm {
+			t.Errorf("%+v: Imm() = %#x, want %#x", c.in, got, c.imm)
+		}
+		if got := c.in.Addr(); got != c.addr {
+			t.Errorf("%+v: Addr() = %#x, want %#x", c.in, got, c.addr)
+		}
+		if got := c.in.Result(); got != c.result {
+			t.Errorf("%+v: Result() = %#x, want %#x", c.in, got, c.result)
+		}
+	}
 }

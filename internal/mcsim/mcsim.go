@@ -137,7 +137,7 @@ func Run(in Input) (*Result, error) {
 			cycles := 0.0
 			for i, inst := range iv {
 				cycles++ // issue
-				if inst.Op.Class() == isa.ClassMem && !caches[t].Access(inst.Addr) {
+				if inst.Op.Class() == isa.ClassMem && !caches[t].Access(inst.Addr()) {
 					ci.Misses++
 					cycles += missPenalty
 				}

@@ -359,7 +359,7 @@ func TestDecodeImmediateSignExtension(t *testing.T) {
 		{isa.ADD, 0xFFFF, 0}, // R-format: imm bus isolated
 	}
 	for _, c := range cases {
-		w := isa.Encode(isa.Inst{Op: c.op, Imm: c.imm, Rt: 0x1f})
+		w := isa.Encode(isa.Inst{Op: c.op, C: uint32(c.imm), Rt: 0x1f})
 		n.SetBusUint(in, n.InputBus("instr"), uint64(w))
 		vals := n.Eval(in, nil)
 		if got := uint32(busUint(vals, n.OutputBus("imm"))); got != c.want {
@@ -402,14 +402,14 @@ func TestAreaPositiveAndOrdered(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(opRaw, rd, rs, rt uint8, imm uint16) bool {
 		op := isa.Op(uint8(opRaw) % uint8(isa.NumOps))
-		in := isa.Inst{Op: op, Rd: rd & 31, Rs: rs & 31, Rt: rt & 31, Imm: imm}
+		in := isa.Inst{Op: op, Rd: rd & 31, Rs: rs & 31, Rt: rt & 31, C: uint32(imm)}
 		out := isa.Decode(isa.Encode(in))
 		if out.Op != in.Op || out.Rd != in.Rd || out.Rs != in.Rs {
 			return false
 		}
 		switch op {
 		case isa.ADDI, isa.LD, isa.ST, isa.BEQ, isa.BNE, isa.JMP:
-			return out.Imm == in.Imm
+			return out.Imm() == imm
 		default:
 			return out.Rt == in.Rt
 		}

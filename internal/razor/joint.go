@@ -58,7 +58,7 @@ func JointReplayScoped(kernel string, stageNames []string, profiles []*trace.Pro
 	}
 	attr := kernel != "" && simprof.Enabled() && len(stageNames) == len(profiles)
 	for _, p := range profiles {
-		if len(p.Ops) != n {
+		if len(p.Insts) != n {
 			attr = false
 		}
 	}
@@ -75,11 +75,11 @@ func JointReplayScoped(kernel string, stageNames []string, profiles []*trace.Pro
 				res.StageErrors[s]++
 				flagged = true
 				if attr {
-					flags[s][p.Ops[i]]++
+					flags[s][p.Insts[i].Op]++
 				}
 			}
 			if attr {
-				instrs[s][p.Ops[i]]++
+				instrs[s][p.Insts[i].Op]++
 			}
 		}
 		if flagged {

@@ -62,14 +62,14 @@ type opAccum struct {
 // r * TCrit at the reference voltage). Each instruction issues in one
 // cycle; an instruction whose stage output settles after the clock edge —
 // its code is >= cut, the window's Profile.Cut(tclk) — is caught by the
-// shadow latch and costs cPenalty extra cycles. ops (aligned with codes)
-// is consulted only when acc is non-nil.
-func replayAttr(codes []uint32, ops []isa.Op, cut uint32, tclk float64, cPenalty float64, acc *opAccum) Result {
+// shadow latch and costs cPenalty extra cycles. insts (aligned with
+// codes) is consulted only when acc is non-nil.
+func replayAttr(codes []uint32, insts []isa.Inst, cut uint32, tclk float64, cPenalty float64, acc *opAccum) Result {
 	if tclk <= 0 {
 		panic(fmt.Sprintf("razor: non-positive clock period %v", tclk))
 	}
-	if acc != nil && len(ops) != len(codes) {
-		panic(fmt.Sprintf("razor: %d ops for %d codes", len(ops), len(codes)))
+	if acc != nil && len(insts) != len(codes) {
+		panic(fmt.Sprintf("razor: %d instructions for %d codes", len(insts), len(codes)))
 	}
 	res := Result{Instructions: len(codes)}
 	for i, c := range codes {
@@ -80,7 +80,7 @@ func replayAttr(codes []uint32, ops []isa.Op, cut uint32, tclk float64, cPenalty
 			res.Cycles += cPenalty
 		}
 		if acc != nil {
-			op := ops[i]
+			op := insts[i].Op
 			acc.instrs[op]++
 			if erred {
 				acc.errors[op]++
@@ -151,11 +151,11 @@ func (a *opAccum) flush(kernel, stage, phase string, coreID, interval int) {
 // cross-checks this).
 func ReplayProfileScoped(sc telemetry.Scope, solver string, p *trace.Profile, r float64, cPenalty float64) (Result, float64) {
 	var acc *opAccum
-	if simprof.Enabled() && !sc.Zero() && len(p.Ops) == len(p.Codes) {
+	if simprof.Enabled() && !sc.Zero() && len(p.Insts) == len(p.Codes) {
 		acc = &opAccum{}
 	}
 	tclk := r * p.TCrit
-	res := replayAttr(p.Codes, p.Ops, p.Cut(tclk), tclk, cPenalty, acc)
+	res := replayAttr(p.Codes, p.Insts, p.Cut(tclk), tclk, cPenalty, acc)
 	// Memory-stall cycles from the cache model apply identically in both.
 	stall := (p.CPIBase - 1) * float64(p.N)
 	res.Cycles += stall
@@ -321,7 +321,7 @@ func samplingStatsScoped(sc telemetry.Scope, profiles []*trace.Profile, tsrs []f
 			n = len(p.Codes)
 		}
 		var acc *opAccum
-		if simprof.Enabled() && !sc.Zero() && len(p.Ops) == len(p.Codes) {
+		if simprof.Enabled() && !sc.Zero() && len(p.Insts) == len(p.Codes) {
 			acc = &opAccum{}
 		}
 		for k, r := range tsrs {
@@ -335,11 +335,11 @@ func samplingStatsScoped(sc telemetry.Scope, profiles []*trace.Profile, tsrs []f
 			if hi > n {
 				hi = n
 			}
-			var ops []isa.Op
+			var insts []isa.Inst
 			if acc != nil {
-				ops = p.Ops[lo:hi]
+				insts = p.Insts[lo:hi]
 			}
-			res := replayAttr(p.Codes[lo:hi], ops, cuts[k], tclks[k], cPenalty, acc)
+			res := replayAttr(p.Codes[lo:hi], insts, cuts[k], tclks[k], cPenalty, acc)
 			st.Errs[k] += res.Errors
 			st.Counts[k] += res.Instructions
 			st.Cycles[k] += res.Cycles

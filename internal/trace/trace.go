@@ -179,8 +179,8 @@ func (sc *StageCircuit) Vector(in isa.Inst) []bool {
 		a, b := in.A, in.B
 		if in.Op.Class() == isa.ClassMem {
 			// Address generation: base + sign-extended displacement.
-			b = uint32(int32(int16(in.Imm)))
-			a = in.Addr - b
+			b = uint32(int32(int16(in.Imm())))
+			a = in.Addr() - b
 		}
 		n.SetBusUint(sc.in, sc.aBus, uint64(a))
 		n.SetBusUint(sc.in, sc.bBus, uint64(b))
@@ -199,12 +199,12 @@ func (sc *StageCircuit) Vector(in isa.Inst) []bool {
 
 // stepPC advances the synthetic fetch PC over one instruction. Fetch-path
 // model: the PC advances one word per instruction and jumps on taken
-// branches (recorded in Result by the workload runtime), so the Decode
-// target adder sees both incremental carries and the discontinuities of a
-// thread's real control flow.
+// branches (their Result is 1), so the Decode target adder sees both
+// incremental carries and the discontinuities of a thread's real control
+// flow.
 func (sc *StageCircuit) stepPC(in isa.Inst) {
-	if in.Op.Class() == isa.ClassBranch && in.Result == 1 {
-		sc.pc += uint32(int32(int16(in.Imm))) * 4
+	if in.Op.Class() == isa.ClassBranch && in.Result() == 1 {
+		sc.pc += uint32(int32(int16(in.Imm()))) * 4
 	} else {
 		sc.pc += 4
 	}
@@ -406,12 +406,13 @@ type Profile struct {
 	// A window can have more distinct delays than a uint16 holds (one
 	// ComplexALU window of the paper suite has 89,897), hence uint32.
 	Codes []uint32
-	// Ops holds each instruction's opcode, aligned with Codes, so replay
-	// sites can attribute errors and cycles to the opcode that caused them
-	// (the simprof profiler). Profile building always populates it,
-	// independent of whether profiling is enabled, so profiles compare
-	// DeepEqual either way.
-	Ops []isa.Op
+	// Insts is the window the profile was built from (the stream's own
+	// slice, not a copy), aligned with Codes, so replay sites can
+	// attribute errors and cycles to the opcode that caused them (the
+	// simprof profiler). The profile builders always set it, independent
+	// of whether profiling is enabled, so profiles compare DeepEqual
+	// either way; (*StageCircuit).Profile and NewProfile leave it nil.
+	Insts []isa.Inst
 }
 
 // Level is one distinct sensitized delay of a window.
@@ -422,7 +423,7 @@ type Level struct {
 
 // NewProfile compacts one window's per-instruction sensitized delays
 // (program order) into a profile with N = len(delays); the caller fills
-// in Thread, Interval, CPIBase and Ops. delays is not modified.
+// in Thread, Interval, CPIBase and Insts. delays is not modified.
 func NewProfile(tcrit float64, delays []float64) *Profile {
 	var nb numbering
 	nb.start(len(delays))
@@ -592,7 +593,7 @@ func BuildProfilesScopedCtx(ctx context.Context, kernel string, streams []*workl
 				if kernel != "" && simprof.Enabled() {
 					recordIssueAttr(kernel, t, ii, sc, iv)
 				}
-				p.Thread, p.Interval, p.Ops = t, ii, opsOf(iv)
+				p.Thread, p.Interval, p.Insts = t, ii, iv
 				out[t][ii] = p
 				return nil
 			})
@@ -607,15 +608,6 @@ func BuildProfilesScopedCtx(ctx context.Context, kernel string, streams []*workl
 		}
 	}
 	return out, nil
-}
-
-// opsOf extracts the opcode stream for Profile.Ops.
-func opsOf(iv []isa.Inst) []isa.Op {
-	ops := make([]isa.Op, len(iv))
-	for i, in := range iv {
-		ops[i] = in.Op
-	}
-	return ops
 }
 
 // recordIssueAttr attributes one interval's delay-trace work to simprof:
@@ -674,7 +666,7 @@ func BuildProfilesSerial(streams []*workload.Stream, stage Stage, cacheCfg cpu.C
 			p := sc.Profile(iv)
 			res := cpu.MeasureCPI(iv, cache)
 			recordCacheCounters(res)
-			p.Thread, p.Interval, p.CPIBase, p.Ops = t, ii, res.CPI, opsOf(iv)
+			p.Thread, p.Interval, p.CPIBase, p.Insts = t, ii, res.CPI, iv
 			out[t][ii] = p
 		}
 	}

@@ -88,14 +88,58 @@ func TestBranchRecordsOutcome(t *testing.T) {
 			t.Error("BranchNe(3,3) must not be taken")
 		}
 	})
-	if iv[0].Result != 1 {
+	if iv[0].Result() != 1 {
 		t.Error("taken branch must record Result=1")
 	}
-	if iv[1].Result != 0 {
+	if iv[1].Result() != 0 {
 		t.Error("not-taken branch must record Result=0")
 	}
-	if iv[0].Imm != branchImm {
-		t.Errorf("branch displacement = %#x, want %#x", iv[0].Imm, branchImm)
+	if iv[0].Imm() != branchImm {
+		t.Errorf("branch displacement = %#x, want %#x", iv[0].Imm(), branchImm)
+	}
+}
+
+// The immediate, the effective address and the result an instruction
+// reports are derived from its stored fields; each TC operation stores
+// them so they read back as the operation's own values.
+func TestEmittedDerivedFields(t *testing.T) {
+	iv := collect(func(tc *TC) {
+		tc.AddI(5, 0xFFF8) // 5 + (-8)
+		tc.Load(0x1234)
+		tc.Store(0x20FC)
+		tc.Mac(0x10000, 0x10000, 9) // product overflows the low word
+		tc.BranchEq(7, 7)
+		tc.BranchEq(7, 8)
+		tc.BranchNe(7, 8)
+		tc.BranchNe(7, 7)
+	})
+	cases := []struct {
+		op        isa.Op
+		imm       uint16
+		addr, res uint32
+		a, b, c   uint32
+	}{
+		{isa.ADDI, 0xFFF8, 0, 0xFFFFFFFD, 5, 0xFFFFFFF8, 0xFFF8},
+		{isa.LD, 0x34, 0x1234, 0, 0x1234, 0, 0x34},
+		{isa.ST, 0x7C, 0x20FC, 0, 0x20FC, 0, 0x7C},
+		{isa.MAC, 0, 0, 9, 0x10000, 0x10000, 9},
+		{isa.BEQ, branchImm, 0, 1, 7, 7, branchImm},
+		{isa.BEQ, branchImm, 0, 0, 7, 8, branchImm},
+		{isa.BNE, branchImm, 0, 1, 7, 8, branchImm},
+		{isa.BNE, branchImm, 0, 0, 7, 7, branchImm},
+	}
+	if len(iv) != len(cases) {
+		t.Fatalf("emitted %d instructions, want %d", len(iv), len(cases))
+	}
+	for i, c := range cases {
+		in := iv[i]
+		if in.Op != c.op || in.A != c.a || in.B != c.b || in.C != c.c {
+			t.Errorf("inst %d = %+v, want %v a=%#x b=%#x c=%#x", i, in, c.op, c.a, c.b, c.c)
+		}
+		if in.Imm() != c.imm || in.Addr() != c.addr || in.Result() != c.res {
+			t.Errorf("inst %d (%v): imm %#x addr %#x result %#x, want %#x %#x %#x",
+				i, in.Op, in.Imm(), in.Addr(), in.Result(), c.imm, c.addr, c.res)
+		}
 	}
 }
 

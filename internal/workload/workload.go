@@ -75,7 +75,7 @@ func (b *Barrier) Wait() {
 }
 
 // chunkSize is the length of the chunks a thread records its open barrier
-// interval in (8,192 instructions, 224 KiB).
+// interval in (8,192 instructions, 128 KiB).
 const chunkSize = 8192
 
 // TC is the per-thread context handed to kernel bodies. Every operation
@@ -115,16 +115,14 @@ func (tc *TC) regs() (rd, rs, rt uint8) {
 	return uint8(1 + n%30), uint8(1 + (n+7)%30), uint8(1 + (n+13)%30)
 }
 
-func (tc *TC) emit(op isa.Op, a, b, c uint32, imm uint16, addr, result uint32) {
+// emit records one instruction; c is the immediate of an I-format op.
+func (tc *TC) emit(op isa.Op, a, b, c uint32) {
 	rd, rs, rt := tc.regs()
 	k := tc.n / chunkSize
 	if k == len(tc.chunks) {
 		tc.chunks = append(tc.chunks, make([]isa.Inst, chunkSize))
 	}
-	tc.chunks[k][tc.n%chunkSize] = isa.Inst{
-		Op: op, Rd: rd, Rs: rs, Rt: rt, Imm: imm,
-		A: a, B: b, C: c, Addr: addr, Result: result,
-	}
+	tc.chunks[k][tc.n%chunkSize] = isa.Inst{Op: op, Rd: rd, Rs: rs, Rt: rt, A: a, B: b, C: c}
 	tc.n++
 }
 
@@ -144,60 +142,53 @@ func (tc *TC) seal() {
 
 // Add emits ADD and returns a+b.
 func (tc *TC) Add(a, b uint32) uint32 {
-	r := a + b
-	tc.emit(isa.ADD, a, b, 0, 0, 0, r)
-	return r
+	tc.emit(isa.ADD, a, b, 0)
+	return a + b
 }
 
 // Sub emits SUB and returns a-b.
 func (tc *TC) Sub(a, b uint32) uint32 {
-	r := a - b
-	tc.emit(isa.SUB, a, b, 0, 0, 0, r)
-	return r
+	tc.emit(isa.SUB, a, b, 0)
+	return a - b
 }
 
 // And emits AND and returns a&b.
 func (tc *TC) And(a, b uint32) uint32 {
-	r := a & b
-	tc.emit(isa.AND, a, b, 0, 0, 0, r)
-	return r
+	tc.emit(isa.AND, a, b, 0)
+	return a & b
 }
 
 // Slt emits SLT and returns 1 if int32(a) < int32(b), else 0.
 func (tc *TC) Slt(a, b uint32) uint32 {
-	r := isa.ALUResult(isa.SLT, a, b)
-	tc.emit(isa.SLT, a, b, 0, 0, 0, r)
-	return r
+	tc.emit(isa.SLT, a, b, 0)
+	return isa.ALUResult(isa.SLT, a, b)
 }
 
 // Shr emits SHR and returns a >> (sh & 31) (logical).
 func (tc *TC) Shr(a, sh uint32) uint32 {
-	r := a >> (sh & 31)
-	tc.emit(isa.SHR, a, sh, 0, 0, 0, r)
-	return r
+	tc.emit(isa.SHR, a, sh, 0)
+	return a >> (sh & 31)
 }
 
 // AddI emits ADDI and returns a plus the sign-extended immediate.
 func (tc *TC) AddI(a uint32, imm uint16) uint32 {
-	r := a + uint32(int32(int16(imm)))
-	tc.emit(isa.ADDI, a, uint32(int32(int16(imm))), 0, imm, 0, r)
-	return r
+	b := uint32(int32(int16(imm)))
+	tc.emit(isa.ADDI, a, b, uint32(imm))
+	return a + b
 }
 
 // Mul emits MUL and returns the full 64-bit unsigned product of the bit
 // patterns. Kernels that need signed semantics interpret the result
 // themselves; the circuit sees the raw operands either way.
 func (tc *TC) Mul(a, b uint32) uint64 {
-	p := uint64(a) * uint64(b)
-	tc.emit(isa.MUL, a, b, 0, 0, 0, uint32(p))
-	return p
+	tc.emit(isa.MUL, a, b, 0)
+	return uint64(a) * uint64(b)
 }
 
 // Mac emits MAC and returns a*b + c (low 64 bits).
 func (tc *TC) Mac(a, b, c uint32) uint64 {
-	p := uint64(a)*uint64(b) + uint64(c)
-	tc.emit(isa.MAC, a, b, c, 0, 0, uint32(p))
-	return p
+	tc.emit(isa.MAC, a, b, c)
+	return uint64(a)*uint64(b) + uint64(c)
 }
 
 // Load emits LD for the effective address; the datum itself lives in the
@@ -206,42 +197,33 @@ func (tc *TC) Mac(a, b, c uint32) uint64 {
 // fold into the instruction, with the bulk of the address in the base
 // register.
 func (tc *TC) Load(addr uint32) {
-	tc.emit(isa.LD, addr, 0, 0, uint16(addr&0x7C), addr, 0)
+	tc.emit(isa.LD, addr, 0, addr&0x7C)
 }
 
 // Store emits ST for the effective address.
 func (tc *TC) Store(addr uint32) {
-	tc.emit(isa.ST, addr, 0, 0, uint16(addr&0x7C), addr, 0)
+	tc.emit(isa.ST, addr, 0, addr&0x7C)
 }
 
 // branchImm is the canonical backward loop displacement encoded in branch
 // instructions (-16 words), so taken branches move the PC discontinuously.
 const branchImm = 0xFFF0
 
-// BranchEq emits BEQ and reports whether the branch is taken. Result
-// records the outcome (1 = taken) for the fetch-path model.
+// BranchEq emits BEQ and reports whether the branch is taken, which the
+// fetch-path model reads back from the operands (isa.Inst.Result).
 func (tc *TC) BranchEq(a, b uint32) bool {
-	taken := a == b
-	tc.emit(isa.BEQ, a, b, 0, branchImm, 0, boolBit(taken))
-	return taken
+	tc.emit(isa.BEQ, a, b, branchImm)
+	return a == b
 }
 
 // BranchNe emits BNE and reports whether the branch is taken.
 func (tc *TC) BranchNe(a, b uint32) bool {
-	taken := a != b
-	tc.emit(isa.BNE, a, b, 0, branchImm, 0, boolBit(taken))
-	return taken
-}
-
-func boolBit(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
+	tc.emit(isa.BNE, a, b, branchImm)
+	return a != b
 }
 
 // Nop emits NOP.
-func (tc *TC) Nop() { tc.emit(isa.NOP, 0, 0, 0, 0, 0, 0) }
+func (tc *TC) Nop() { tc.emit(isa.NOP, 0, 0, 0) }
 
 // Loop runs body(i) for i in [0,n) and emits the loop-control overhead a
 // compiled counted loop would execute: increment and backward branch per

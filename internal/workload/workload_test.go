@@ -72,11 +72,11 @@ func TestTCEmission(t *testing.T) {
 			t.Errorf("inst %d op = %v, want %v", i, iv[0][i].Op, want)
 		}
 	}
-	if iv[0][0].A != 3 || iv[0][0].B != 4 || iv[0][0].Result != 7 {
+	if iv[0][0].A != 3 || iv[0][0].B != 4 || iv[0][0].Result() != 7 {
 		t.Errorf("ADD operands not recorded: %+v", iv[0][0])
 	}
-	if iv[0][6].Addr != 0x1000 {
-		t.Errorf("LD addr = %#x", iv[0][6].Addr)
+	if iv[0][6].Addr() != 0x1000 {
+		t.Errorf("LD addr = %#x", iv[0][6].Addr())
 	}
 }
 
