@@ -49,6 +49,9 @@ func runExplainCmd(args []string, stdout, stderr io.Writer) error {
 	if *tracesIn != "" && *eventsIn == "" {
 		return fmt.Errorf("-traces needs -events (the join reads a recorded ledger)")
 	}
+	if err := checkThreads(*threads); err != nil {
+		return err
+	}
 
 	var stages []trace.Stage
 	if *stageName != "" {

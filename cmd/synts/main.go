@@ -200,19 +200,27 @@ func main() {
 	}
 }
 
-// unknownExperimentError distinguishes a usage error (exit 2, as before)
-// from an experiment failure (exit 1).
-type unknownExperimentError string
+// usageError distinguishes a usage error (exit 2: an unknown experiment
+// or a thread count no kernel can run with) from an experiment failure
+// (exit 1).
+type usageError string
 
-func (e unknownExperimentError) Error() string {
-	return fmt.Sprintf("unknown experiment %q", string(e))
-}
+func (e usageError) Error() string { return string(e) }
 
 func exitCode(err error) int {
-	if _, ok := err.(unknownExperimentError); ok {
+	if _, ok := err.(usageError); ok {
 		return 2
 	}
 	return 1
+}
+
+// checkThreads rejects a -threads value below 1, which would reach the
+// kernels and panic there.
+func checkThreads(n int) error {
+	if n < 1 {
+		return usageError(fmt.Sprintf("-threads %d: need at least 1 thread", n))
+	}
+	return nil
 }
 
 // runAll executes the named experiments on a bounded worker pool of the
@@ -234,10 +242,13 @@ func runAll(names []string, opts exp.Options, jobs int, verbose bool, stdout, st
 // to an uninterrupted run because the buffer is replayed verbatim in the
 // same request-order flush.
 func runAllCtx(ctx context.Context, names []string, opts exp.Options, jobs int, verbose bool, stdout, stderr io.Writer, store *ckpt.Store, resume bool) error {
+	if err := checkThreads(opts.Threads); err != nil {
+		return err
+	}
 	exps := make([]*experiment, len(names))
 	for i, name := range names {
 		if exps[i] = lookup(name); exps[i] == nil {
-			return unknownExperimentError(name)
+			return usageError(fmt.Sprintf("unknown experiment %q", name))
 		}
 	}
 	r := &runner{ctx: ctx, opts: opts, benches: exp.NewBenchCache()}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -92,6 +93,31 @@ func TestRunAllUnknownExperiment(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "nope") {
 		t.Errorf("error %q does not name the experiment", err)
+	}
+}
+
+// A thread count below 1 is a usage error caught before any kernel runs
+// (it used to fail the experiment with a recovered task panic), and
+// explain refuses it too.
+func TestRejectsThreadsBelowOne(t *testing.T) {
+	for _, threads := range []int{0, -1} {
+		opts := exp.DefaultOptions()
+		opts.Size, opts.Threads = 1, threads
+		var stdout bytes.Buffer
+		err := runAll([]string{"fig3.6"}, opts, 1, false, &stdout, io.Discard)
+		if err == nil || exitCode(err) != 2 {
+			t.Fatalf("-threads %d: error %v, exit %d, want a usage error (exit 2)", threads, err, exitCode(err))
+		}
+		if want := fmt.Sprintf("-threads %d", threads); !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("-threads %d: error %q, want one line naming the flag", threads, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-threads %d: stdout %q, want nothing", threads, stdout.String())
+		}
+		err = runExplainCmd([]string{"-size", "1", "-threads", fmt.Sprint(threads), "radix"}, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-threads") {
+			t.Errorf("explain -threads %d: error %v, want one naming the flag", threads, err)
+		}
 	}
 }
 

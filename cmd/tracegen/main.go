@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"synts/internal/isa"
@@ -18,35 +20,56 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "radix", "benchmark name")
-	threads := flag.Int("threads", 4, "thread count")
-	size := flag.Int("size", 2, "workload size knob")
-	seed := flag.Int64("seed", 2016, "workload data seed")
-	thread := flag.Int("thread", 0, "thread to dump")
-	interval := flag.Int("interval", 0, "barrier interval to dump")
-	n := flag.Int("n", 30, "instructions to dump (0 = all)")
-	summary := flag.Bool("summary", false, "print per-thread per-interval summary only")
-	out := flag.String("o", "", "save the streams to this file (gzip'd gob) instead of printing")
-	load := flag.String("load", "", "load streams from a file saved with -o instead of running the kernel")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams: it returns
+// 0 on success, 1 on a failure and 2 on a usage error, which it reports
+// before any kernel runs.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "radix", "benchmark name")
+	threads := fs.Int("threads", 4, "thread count")
+	size := fs.Int("size", 2, "workload size knob")
+	seed := fs.Int64("seed", 2016, "workload data seed")
+	thread := fs.Int("thread", 0, "thread to dump")
+	interval := fs.Int("interval", 0, "barrier interval to dump")
+	n := fs.Int("n", 30, "instructions to dump (0 = all)")
+	summary := fs.Bool("summary", false, "print per-thread per-interval summary only")
+	out := fs.String("o", "", "save the streams to this file (gzip'd gob) instead of printing")
+	load := fs.String("load", "", "load streams from a file saved with -o instead of running the kernel")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if *threads < 1 {
+		fmt.Fprintf(stderr, "tracegen: -threads %d: need at least 1 thread\n", *threads)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "tracegen:", err)
+		return 1
+	}
 
 	var streams []*workload.Stream
 	if *load != "" {
 		f, err := os.Open(*load)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		name, loaded, err := workload.LoadStreams(f)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		*bench = name
 		streams = loaded
 	} else {
 		k, err := workload.ByName(*bench)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		streams = workload.RunKernel(k, *threads, *size, *seed)
 	}
@@ -54,38 +77,38 @@ func main() {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := workload.SaveStreams(f, *bench, streams); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("saved %d threads of %s to %s\n", len(streams), *bench, *out)
-		return
+		fmt.Fprintf(stdout, "saved %d threads of %s to %s\n", len(streams), *bench, *out)
+		return 0
 	}
 
 	if *summary {
-		fmt.Printf("%s: %d threads, %d barrier intervals\n", *bench, len(streams), len(streams[0].Intervals))
+		fmt.Fprintf(stdout, "%s: %d threads, %d barrier intervals\n", *bench, len(streams), len(streams[0].Intervals))
 		for _, s := range streams {
-			fmt.Printf("thread %d:", s.Thread)
+			fmt.Fprintf(stdout, "thread %d:", s.Thread)
 			for _, iv := range s.Intervals {
 				mix := opMix(iv)
-				fmt.Printf("  [%d instr, %.0f%% simple, %.0f%% mul, %.0f%% mem]",
+				fmt.Fprintf(stdout, "  [%d instr, %.0f%% simple, %.0f%% mul, %.0f%% mem]",
 					len(iv), 100*mix[0], 100*mix[1], 100*mix[2])
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		return
+		return 0
 	}
 
 	if *thread < 0 || *thread >= len(streams) {
-		fatal(fmt.Errorf("thread %d out of range", *thread))
+		return fail(fmt.Errorf("thread %d out of range", *thread))
 	}
 	s := streams[*thread]
 	if *interval < 0 || *interval >= len(s.Intervals) {
-		fatal(fmt.Errorf("interval %d out of range (thread has %d)", *interval, len(s.Intervals)))
+		return fail(fmt.Errorf("interval %d out of range (thread has %d)", *interval, len(s.Intervals)))
 	}
 	iv := s.Intervals[*interval]
 	limit := len(iv)
@@ -98,12 +121,13 @@ func main() {
 		if in.Op.IFormat() {
 			c = 0 // C holds the immediate, printed as imm
 		}
-		fmt.Printf("%6d  %-5s rd=%-2d rs=%-2d rt=%-2d imm=%04x  a=%08x b=%08x c=%08x addr=%08x -> %08x\n",
+		fmt.Fprintf(stdout, "%6d  %-5s rd=%-2d rs=%-2d rt=%-2d imm=%04x  a=%08x b=%08x c=%08x addr=%08x -> %08x\n",
 			i, in.Op, in.Rd, in.Rs, in.Rt, in.Imm(), in.A, in.B, c, in.Addr(), in.Result())
 	}
 	if limit < len(iv) {
-		fmt.Printf("... %d more\n", len(iv)-limit)
+		fmt.Fprintf(stdout, "... %d more\n", len(iv)-limit)
 	}
+	return 0
 }
 
 func opMix(iv []isa.Inst) [3]float64 {
@@ -126,9 +150,4 @@ func opMix(iv []isa.Inst) [3]float64 {
 		out[i] = float64(c) / float64(len(iv))
 	}
 	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracegen:", err)
-	os.Exit(1)
 }

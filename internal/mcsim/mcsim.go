@@ -141,7 +141,7 @@ func Run(in Input) (*Result, error) {
 					ci.Misses++
 					cycles += missPenalty
 				}
-				if p.Codes[i] >= cut {
+				if p.Codes.At(i) >= cut {
 					ci.Errors++
 					cycles += in.Platform.CPenalty
 				}

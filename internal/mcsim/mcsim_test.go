@@ -281,8 +281,10 @@ func TestSwitchPenaltyChargesOnlyChanges(t *testing.T) {
 
 // Differential check of the simulator's code compare against a float64
 // count of delays above r * TCrit, at every TSR, on an empty window, an
-// all-zero window and random windows with heavy duplicates whose levels
-// include r * TCrit itself.
+// all-zero window, random windows with heavy duplicates whose levels
+// include r * TCrit itself, and windows of 256, 65,536 and 65,537 distinct
+// delays, whose codes take 1, 2 and 4 bytes and whose cut at r = 1 is
+// len(Levels).
 func TestRunErrorsMatchFloatReference(t *testing.T) {
 	cfg := platform()
 	const tcrit = 8 // a power of two, so r * tcrit is exact
@@ -302,6 +304,9 @@ func TestRunErrorsMatchFloatReference(t *testing.T) {
 		}
 		delays = append(delays, w)
 	}
+	delays = append(delays,
+		[][]float64{spreadWindow(rng, 1<<8, 1.0/32), spreadWindow(rng, 1<<16, 1.0/8192)},
+		[][]float64{spreadWindow(rng, 1<<16+1, 1.0/8192), make([]float64, 7)})
 	in := Input{Platform: cfg, Cache: cpu.DefaultL1()}
 	for c := 0; c < 2; c++ {
 		s := &workload.Stream{Thread: c}
@@ -333,4 +338,15 @@ func TestRunErrorsMatchFloatReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// spreadWindow returns a shuffled window holding exactly distinct
+// different multiples of step from 0, a third of them twice.
+func spreadWindow(rng *rand.Rand, distinct int, step float64) []float64 {
+	w := make([]float64, distinct+distinct/3)
+	for i := range w {
+		w[i] = float64(i%distinct) * step
+	}
+	rng.Shuffle(len(w), func(a, b int) { w[a], w[b] = w[b], w[a] })
+	return w
 }

@@ -48,11 +48,11 @@ func JointReplayScoped(kernel string, stageNames []string, profiles []*trace.Pro
 	if len(profiles) == 0 {
 		return JointResult{}, fmt.Errorf("razor: no stage profiles")
 	}
-	n := len(profiles[0].Codes)
+	n := profiles[0].Codes.Len()
 	cuts := make([]uint32, len(profiles))
 	for s, p := range profiles {
-		if len(p.Codes) != n {
-			return JointResult{}, fmt.Errorf("razor: stage windows differ in length: %d vs %d", len(p.Codes), n)
+		if p.Codes.Len() != n {
+			return JointResult{}, fmt.Errorf("razor: stage windows differ in length: %d vs %d", p.Codes.Len(), n)
 		}
 		cuts[s] = p.Cut(r * p.TCrit)
 	}
@@ -71,7 +71,7 @@ func JointReplayScoped(kernel string, stageNames []string, profiles []*trace.Pro
 	for i := 0; i < n; i++ {
 		flagged := false
 		for s, p := range profiles {
-			if p.Codes[i] >= cuts[s] {
+			if p.Codes.At(i) >= cuts[s] {
 				res.StageErrors[s]++
 				flagged = true
 				if attr {

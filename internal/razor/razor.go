@@ -64,17 +64,18 @@ type opAccum struct {
 // its code is >= cut, the window's Profile.Cut(tclk) — is caught by the
 // shadow latch and costs cPenalty extra cycles. insts (aligned with
 // codes) is consulted only when acc is non-nil.
-func replayAttr(codes []uint32, insts []isa.Inst, cut uint32, tclk float64, cPenalty float64, acc *opAccum) Result {
+func replayAttr(codes trace.Codes, insts []isa.Inst, cut uint32, tclk float64, cPenalty float64, acc *opAccum) Result {
 	if tclk <= 0 {
 		panic(fmt.Sprintf("razor: non-positive clock period %v", tclk))
 	}
-	if acc != nil && len(insts) != len(codes) {
-		panic(fmt.Sprintf("razor: %d instructions for %d codes", len(insts), len(codes)))
+	n := codes.Len()
+	if acc != nil && len(insts) != n {
+		panic(fmt.Sprintf("razor: %d instructions for %d codes", len(insts), n))
 	}
-	res := Result{Instructions: len(codes)}
-	for i, c := range codes {
+	res := Result{Instructions: n}
+	for i := 0; i < n; i++ {
 		res.Cycles++
-		erred := c >= cut
+		erred := codes.At(i) >= cut
 		if erred {
 			res.Errors++
 			res.Cycles += cPenalty
@@ -151,7 +152,7 @@ func (a *opAccum) flush(kernel, stage, phase string, coreID, interval int) {
 // cross-checks this).
 func ReplayProfileScoped(sc telemetry.Scope, solver string, p *trace.Profile, r float64, cPenalty float64) (Result, float64) {
 	var acc *opAccum
-	if simprof.Enabled() && !sc.Zero() && len(p.Insts) == len(p.Codes) {
+	if simprof.Enabled() && !sc.Zero() && len(p.Insts) == p.Codes.Len() {
 		acc = &opAccum{}
 	}
 	tclk := r * p.TCrit
@@ -317,11 +318,11 @@ func samplingStatsScoped(sc telemetry.Scope, profiles []*trace.Profile, tsrs []f
 		if n < 0 {
 			panic("razor: negative sampling budget")
 		}
-		if n > len(p.Codes) {
-			n = len(p.Codes)
+		if n > p.Codes.Len() {
+			n = p.Codes.Len()
 		}
 		var acc *opAccum
-		if simprof.Enabled() && !sc.Zero() && len(p.Insts) == len(p.Codes) {
+		if simprof.Enabled() && !sc.Zero() && len(p.Insts) == p.Codes.Len() {
 			acc = &opAccum{}
 		}
 		for k, r := range tsrs {
@@ -339,7 +340,7 @@ func samplingStatsScoped(sc telemetry.Scope, profiles []*trace.Profile, tsrs []f
 			if acc != nil {
 				insts = p.Insts[lo:hi]
 			}
-			res := replayAttr(p.Codes[lo:hi], insts, cuts[k], tclks[k], cPenalty, acc)
+			res := replayAttr(p.Codes.Slice(lo, hi), insts, cuts[k], tclks[k], cPenalty, acc)
 			st.Errs[k] += res.Errors
 			st.Counts[k] += res.Instructions
 			st.Cycles[k] += res.Cycles

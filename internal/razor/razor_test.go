@@ -271,9 +271,22 @@ func floatReplay(delays []float64, tclk, cPenalty float64) Result {
 	return res
 }
 
+// spreadWindow returns n shuffled delays holding exactly distinct
+// different multiples of step from 0 (n >= distinct).
+func spreadWindow(rng *rand.Rand, n, distinct int, step float64) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = float64(i%distinct) * step
+	}
+	rng.Shuffle(n, func(a, b int) { w[a], w[b] = w[b], w[a] })
+	return w
+}
+
 // stageWindows returns cases of three same-length stage windows: empty,
-// all-zero, and random windows drawing from a few levels (heavy
-// duplicates) that include 0.
+// all-zero, random windows drawing from a few levels (heavy duplicates)
+// that include 0, and windows of 256, 65,536 and 65,537 distinct delays,
+// whose codes take 1, 2 and 4 bytes, rotated so the first stage takes
+// each width once.
 func stageWindows(rng *rand.Rand) [][3][]float64 {
 	cases := [][3][]float64{{nil, nil, nil}, {make([]float64, 40), make([]float64, 40), make([]float64, 40)}}
 	for trial := 0; trial < 30; trial++ {
@@ -291,14 +304,39 @@ func stageWindows(rng *rand.Rand) [][3][]float64 {
 		}
 		cases = append(cases, c)
 	}
+	const n = 1<<16 + 1000
+	wide := [3][]float64{
+		spreadWindow(rng, n, 1<<8, 1.0/32), // tops at 7.97
+		spreadWindow(rng, n, 1<<16, 1.0/8192),
+		spreadWindow(rng, n, 1<<16+1, 1.0/8192), // tops at 8
+	}
+	for s := range wide {
+		cases = append(cases, [3][]float64{wide[s], wide[(s+1)%3], wide[(s+2)%3]})
+	}
 	return cases
+}
+
+// levelRatios returns r = delay/tcrit for the positive levels of p a
+// check visits: every one of a small table; for a large one a stride
+// through it plus the levels either side of each code width's limit and
+// the top, where the cut is len(Levels).
+func levelRatios(p *trace.Profile, tcrit float64) []float64 {
+	n := len(p.Levels)
+	var rs []float64
+	for k, l := range p.Levels {
+		edge := k == 255 || k == 256 || k == 1<<16-1 || k == 1<<16 || k == n-1
+		if l.Delay > 0 && (n <= 64 || k%(n/32) == 0 || edge) {
+			rs = append(rs, l.Delay/tcrit)
+		}
+	}
+	return rs
 }
 
 // Differential check of every replay over compact profiles against the
 // float64 reference: the replay loop, ReplayProfileScoped (cycles and
 // Eq. 4.1), the sampling phase's per-level counts and JointReplayScoped,
-// at clock periods
-// exactly equal to a delay level and at the paper's TSRs.
+// at clock periods exactly equal to a delay level and at the paper's
+// TSRs, over codes of every width.
 func TestReplaysMatchFloatReference(t *testing.T) {
 	tcrits := [3]float64{8, 16, 4} // powers of two: r*tcrit lands exactly on a level
 	const cPenalty, cpiBase, granule = 5.0, 1.25, 3
@@ -309,17 +347,12 @@ func TestReplaysMatchFloatReference(t *testing.T) {
 			ps[s] = trace.NewProfile(tcrits[s], c[s])
 			ps[s].CPIBase = cpiBase
 		}
-		rs := []float64{0.64, 0.784, 1.0}
-		for _, l := range ps[0].Levels {
-			if l.Delay > 0 {
-				rs = append(rs, l.Delay/tcrits[0])
-			}
-		}
+		rs := append([]float64{0.64, 0.784, 1.0}, levelRatios(ps[0], tcrits[0])...)
 		n := len(c[0])
 		for _, r := range rs {
 			tclk := r * tcrits[0]
 			want := floatReplay(c[0], tclk, cPenalty)
-			if got := replay(c[0], tclk, cPenalty); got != want {
+			if got := replayAttr(ps[0].Codes, nil, ps[0].Cut(tclk), tclk, cPenalty, nil); got != want {
 				t.Fatalf("case %d tclk %v: Replay %+v, reference %+v", ci, tclk, got, want)
 			}
 			res, analytic := ReplayProfileScoped(telemetry.Scope{}, "", ps[0], r, cPenalty)

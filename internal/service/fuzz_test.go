@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"testing"
+	"time"
 
 	"synts/internal/telemetry"
 )
@@ -130,6 +132,62 @@ func FuzzWarmBlob(f *testing.F) {
 		if resp.Schema != ResponseSchema || len(resp.Cores) != len(req.Cores) {
 			t.Fatalf("answer has schema %q and %d cores for a %d-core request; warm blob %q",
 				resp.Schema, len(resp.Cores), len(req.Cores), blob)
+		}
+	})
+}
+
+// FuzzLoadReport feeds arbitrary bytes to the reader behind obscheck
+// -load: JSON-decode into a LoadReport, then Validate. No input may
+// panic; an accepted report has no outcome count above requests and comes
+// back equal, and still valid, through json.Marshal and Unmarshal. The
+// seeds are the report of a real in-process RunLoad, its first half, and
+// (testdata/fuzz/FuzzLoadReport) a report whose outcome counts sum to
+// 2^64 + 1, which wrapped around int to requests and validated.
+func FuzzLoadReport(f *testing.F) {
+	svc, err := New(Config{Shards: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	svc.Register(mux)
+	srv := httptest.NewServer(mux)
+	rep, err := RunLoad(LoadOptions{URL: srv.URL, RPS: 100, Duration: 100 * time.Millisecond, Gen: GenOptions{Seed: 5, Cores: 2}})
+	srv.Close()
+	svc.Drain()
+	svc.Close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := rep.Validate(); err != nil {
+		f.Fatalf("the seed report does not validate: %v", err)
+	}
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(raw[:len(raw)/2])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r LoadReport
+		if json.Unmarshal(data, &r) != nil || r.Validate() != nil {
+			return
+		}
+		for _, v := range []int{r.OK, r.Shed, r.ClientErrors, r.Errors, r.Dropped} {
+			if v > r.Requests {
+				t.Fatalf("accepted a report with an outcome count %d above requests = %d: %s", v, r.Requests, data)
+			}
+		}
+		again, err := json.Marshal(&r)
+		if err != nil {
+			t.Fatalf("accepted report does not encode: %v", err)
+		}
+		var back LoadReport
+		if err := json.Unmarshal(again, &back); err != nil {
+			t.Fatalf("re-encoded report does not decode (%v): %s", err, again)
+		}
+		if err := back.Validate(); err != nil || !reflect.DeepEqual(back, r) {
+			t.Fatalf("report changed through a round trip (%v):\n%+v\n%+v", err, r, back)
 		}
 	})
 }

@@ -171,8 +171,20 @@ func (r *LoadReport) Validate() error {
 	if r.HedgeWins > r.Hedges {
 		return fmt.Errorf("hedge_wins %d exceeds hedges %d", r.HedgeWins, r.Hedges)
 	}
-	if sum := r.OK + r.Shed + r.ClientErrors + r.Errors + r.Dropped; sum != r.Requests {
-		return fmt.Errorf("outcome counts sum to %d, want requests = %d", sum, r.Requests)
+	// The outcome counts must sum to requests. Each is taken from what is
+	// left, so counts whose sum wraps around int cannot pass.
+	left := r.Requests
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"ok", r.OK}, {"shed", r.Shed}, {"client_errors", r.ClientErrors}, {"errors", r.Errors}, {"dropped", r.Dropped}} {
+		if c.v > left {
+			return fmt.Errorf("outcome counts exceed requests = %d at %s", r.Requests, c.name)
+		}
+		left -= c.v
+	}
+	if left != 0 {
+		return fmt.Errorf("outcome counts sum to %d, want requests = %d", r.Requests-left, r.Requests)
 	}
 	if r.Requests == 0 {
 		return fmt.Errorf("empty run: zero requests")

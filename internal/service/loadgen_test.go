@@ -94,6 +94,11 @@ func TestLoadReportValidateRejectsBadReports(t *testing.T) {
 		{"zero requests", func(r *LoadReport) { r.Requests = 0; r.OK = 0; r.Shed = 0 }},
 		{"no duration", func(r *LoadReport) { r.DurationMs = 0 }},
 		{"quantiles out of order", func(r *LoadReport) { r.Latency.P95 = 5 }},
+		// The outcome counts sum to 2^64 + 1, which wraps to requests in int.
+		{"outcome counts overflow", func(r *LoadReport) {
+			*r = LoadReport{Schema: LoadSchema, Requests: 1, OK: 1 << 62, Shed: 1 << 62, ClientErrors: 1 << 62, Errors: 1<<62 + 1,
+				DurationMs: 1, Latency: LatencySummary{P50: 1, P95: 1, P99: 1, Max: 1}}
+		}},
 	}
 	for _, b := range bad {
 		r := good

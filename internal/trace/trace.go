@@ -246,8 +246,8 @@ func (sc *StageCircuit) DelayTrace(iv []isa.Inst) []float64 {
 	defer s.release()
 	p := s.profile(sc, CurrentEngine(), iv)
 	delays := make([]float64, len(iv))
-	for i, c := range p.Codes {
-		delays[i] = p.Levels[c].Delay
+	for i := range delays {
+		delays[i] = p.Levels[p.Codes.At(i)].Delay
 	}
 	return delays
 }
@@ -402,10 +402,9 @@ type Profile struct {
 	// order, each with the number of instructions at or above it.
 	Levels []Level
 	// Codes holds each instruction's index into Levels in program order —
-	// what a Razor pipeline replay (or the online sampling phase) consumes.
-	// A window can have more distinct delays than a uint16 holds (one
-	// ComplexALU window of the paper suite has 89,897), hence uint32.
-	Codes []uint32
+	// what a Razor pipeline replay (or the online sampling phase) consumes —
+	// each in the fewest bytes the window's level count needs (see Codes).
+	Codes Codes
 	// Insts is the window the profile was built from (the stream's own
 	// slice, not a copy), aligned with Codes, so replay sites can
 	// attribute errors and cycles to the opcode that caused them (the
@@ -437,20 +436,22 @@ func NewProfile(tcrit float64, delays []float64) *Profile {
 // distinct delay an id in order of first arrival and writes each
 // instruction's id straight into the codes of the profile it will return,
 // then renumbers the ids ascending by delay, which sorts only the distinct
-// delays, not the whole window. The event engine hands over a block's
-// delays only after the held instructions interleaved with it, so delays
-// arrive out of program order; that does not change the result, because
-// an instruction's final code is the rank of its delay among the window's
-// distinct delays and each level's count is the number of instructions
-// with that delay. A slot keeps one, so a window's tables are not
-// allocated anew.
+// delays, not the whole window. The codes start one byte wide and widen
+// when the 257th or the 65,537th distinct delay arrives, so they end at
+// the width the window's level count needs and no wider buffer is kept.
+// The event engine hands over a block's delays only after the held
+// instructions interleaved with it, so delays arrive out of program order;
+// that does not change the result, because an instruction's final code is
+// the rank of its delay among the window's distinct delays and each
+// level's count is the number of instructions with that delay. A slot
+// keeps one, so a window's tables are not allocated anew.
 type numbering struct {
 	ids         map[float64]uint32 // delay -> first-arrival id
 	vals        []float64          // per id: the delay
 	counts      []int              // per id: instructions with that delay
 	order, rank []uint32
-	codes       []uint32 // the window's codes, first-arrival ids until profile
-	last        uint32   // id of the latest delay, so a run of equal delays costs no lookup
+	codes       Codes  // the window's codes, first-arrival ids until profile
+	last        uint32 // id of the latest delay, so a run of equal delays costs no lookup
 }
 
 // start begins a window of n instructions.
@@ -460,7 +461,7 @@ func (nb *numbering) start(n int) {
 	}
 	clear(nb.ids)
 	nb.vals, nb.counts = nb.vals[:0], nb.counts[:0]
-	nb.codes = make([]uint32, n)
+	nb.codes = Codes{b1: make([]uint8, n)}
 }
 
 // add numbers instruction i's delay d. Each instruction of the window is
@@ -471,13 +472,14 @@ func (nb *numbering) add(i int, d float64) {
 		var ok bool
 		if id, ok = nb.ids[d]; !ok {
 			id = uint32(len(nb.vals))
+			nb.codes.widen(id)
 			nb.ids[d] = id
 			nb.vals = append(nb.vals, d)
 			nb.counts = append(nb.counts, 0)
 		}
 		nb.last = id
 	}
-	nb.codes[i] = id
+	nb.codes.set(i, id)
 	nb.counts[id]++
 }
 
@@ -485,7 +487,7 @@ func (nb *numbering) add(i int, d float64) {
 // which takes the codes.
 func (nb *numbering) profile(tcrit float64) *Profile {
 	vals, counts, codes := nb.vals, nb.counts, nb.codes
-	nb.codes = nil
+	nb.codes = Codes{}
 	if uint64(len(vals)) > math.MaxUint32 {
 		panic(fmt.Sprintf("trace: %d distinct delays overflow uint32 codes", len(vals)))
 	}
@@ -504,10 +506,8 @@ func (nb *numbering) profile(tcrit float64) *Profile {
 		atLeast += counts[id]
 		levels[k] = Level{Delay: vals[id], AtLeast: atLeast}
 	}
-	for i, id := range codes {
-		codes[i] = rank[id]
-	}
-	return &Profile{N: len(codes), TCrit: tcrit, Levels: levels, Codes: codes}
+	codes.renumber(rank)
+	return &Profile{N: codes.Len(), TCrit: tcrit, Levels: levels, Codes: codes}
 }
 
 // Cut returns the index of the first level whose delay exceeds limit: an

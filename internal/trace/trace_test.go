@@ -215,8 +215,9 @@ func (o sortedOracle) maxDelay() float64 {
 }
 
 // oracleWindows returns delay windows that stress the compact form: empty,
-// all-zero, a single delay, and random windows drawing from a few levels
-// (heavy duplicates) that include 0.
+// all-zero, a single delay, random windows drawing from a few levels
+// (heavy duplicates) that include 0, and windows with 256, 257, 65,536 and
+// 65,537 distinct delays, either side of each code width's limit.
 func oracleWindows(rng *rand.Rand) [][]float64 {
 	ws := [][]float64{nil, {}, make([]float64, 100), {37.5}}
 	for trial := 0; trial < 40; trial++ {
@@ -230,33 +231,140 @@ func oracleWindows(rng *rand.Rand) [][]float64 {
 		}
 		ws = append(ws, w)
 	}
+	for _, distinct := range []int{256, 257, 1 << 16, 1<<16 + 1} {
+		ws = append(ws, distinctWindow(rng, distinct))
+	}
 	return ws
 }
 
+// distinctWindow returns a shuffled window holding exactly distinct
+// different delays (multiples of 1/4 from 0), each twice.
+func distinctWindow(rng *rand.Rand, distinct int) []float64 {
+	w := make([]float64, 2*distinct)
+	for i := range w {
+		w[i] = float64(i%distinct) * 0.25
+	}
+	rng.Shuffle(len(w), func(a, b int) { w[a], w[b] = w[b], w[a] })
+	return w
+}
+
+// codeWidth returns the bytes per code c stores.
+func codeWidth(c Codes) int {
+	switch {
+	case c.b1 != nil:
+		return 1
+	case c.b2 != nil:
+		return 2
+	case c.b4 != nil:
+		return 4
+	}
+	return 0
+}
+
+// narrowestWidth returns the fewest bytes (1, 2 or 4) that hold every
+// code of a window with the given number of levels.
+func narrowestWidth(levels int) int {
+	switch {
+	case levels <= 1<<8:
+		return 1
+	case levels <= 1<<16:
+		return 2
+	}
+	return 4
+}
+
+// sampleLevels returns the indexes of the levels whose limits a window's
+// check visits: all of a small table; for a large one a stride through it
+// plus the indexes either side of each code width's limit and the top.
+func sampleLevels(n int) []int {
+	if n <= 64 {
+		ks := make([]int, n)
+		for k := range ks {
+			ks[k] = k
+		}
+		return ks
+	}
+	var ks []int
+	for k := 0; k < n; k += n / 32 {
+		ks = append(ks, k)
+	}
+	for _, k := range []int{255, 256, 257, 1<<16 - 1, 1 << 16, 1<<16 + 1, n - 1} {
+		if k < n {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
+// streamedProfile numbers delays with nb in a shuffled arrival order, as
+// the event engine hands a window over out of program order, and reports
+// the arrival at which the codes first widened (-1 if they never did).
+func streamedProfile(nb *numbering, rng *rand.Rand, tcrit float64, delays []float64) (*Profile, int) {
+	order := rng.Perm(len(delays))
+	nb.start(len(delays))
+	widened := -1
+	for k, i := range order {
+		nb.add(i, delays[i])
+		if widened < 0 && nb.codes.b1 == nil {
+			widened = k
+		}
+	}
+	return nb.profile(tcrit), widened
+}
+
 // Differential check of the compact profile against the sorted-float64
-// oracle: codes decode losslessly, the top level is the largest delay, Err
-// matches exactly at every limit equal to a level and just either side of
-// it, and Cut splits each window exactly where a float compare would.
+// oracle: codes decode losslessly at the narrowest width the window's
+// level count allows, the top level is the largest delay, Err matches
+// exactly at every limit equal to a level and just either side of it, and
+// Cut splits each window exactly where a float compare would. The same
+// windows numbered in a shuffled arrival order, through one numbering
+// reused across them (as a slot's is), build DeepEqual profiles.
 func TestProfileMatchesSortedOracle(t *testing.T) {
 	const tcrit = 8 // a power of two, so r = limit/tcrit maps back exactly
 	rng := rand.New(rand.NewSource(14))
+	var nb numbering
 	for wi, delays := range oracleWindows(rng) {
 		p := NewProfile(tcrit, delays)
 		o := newSortedOracle(tcrit, delays)
-		if p.N != len(delays) || len(p.Codes) != len(delays) {
-			t.Fatalf("window %d: N %d, %d codes for %d delays", wi, p.N, len(p.Codes), len(delays))
+		if p.N != len(delays) || p.Codes.Len() != len(delays) {
+			t.Fatalf("window %d: N %d, %d codes for %d delays", wi, p.N, p.Codes.Len(), len(delays))
 		}
-		for i, c := range p.Codes {
-			if p.Levels[c].Delay != delays[i] {
+		if got, want := codeWidth(p.Codes), narrowestWidth(len(p.Levels)); got != want {
+			t.Fatalf("window %d: %d levels stored in %d-byte codes, want %d", wi, len(p.Levels), got, want)
+		}
+		for i := range delays {
+			if c := p.Codes.At(i); p.Levels[c].Delay != delays[i] {
 				t.Fatalf("window %d: code %d of instruction %d decodes to %v, want %v", wi, c, i, p.Levels[c].Delay, delays[i])
 			}
 		}
-		if n := len(p.Levels); n > 0 && p.Levels[n-1].Delay != o.maxDelay() {
+		streamed, widened := streamedProfile(&nb, rng, tcrit, delays)
+		if !reflect.DeepEqual(streamed, p) {
+			t.Fatalf("window %d: the profile numbered in arrival order differs from NewProfile", wi)
+		}
+		if codeWidth(p.Codes) > 1 && (widened <= 0 || widened >= len(delays)-1) {
+			t.Fatalf("window %d: codes widened at arrival %d of %d, want mid-window", wi, widened, len(delays))
+		}
+		n := len(p.Levels)
+		if n > 0 && p.Levels[n-1].Delay != o.maxDelay() {
 			t.Fatalf("window %d: top level %v, oracle max %v", wi, p.Levels[n-1].Delay, o.maxDelay())
 		}
+		// At the top delay the cut is len(Levels), 256 or 65,536 at a
+		// width's limit: it must flag nothing, where a cut truncated to
+		// the code width would flag every instruction.
+		if n > 0 {
+			if cut := p.Cut(o.maxDelay()); cut != uint32(n) {
+				t.Fatalf("window %d: cut at the top delay %d, want %d", wi, cut, n)
+			}
+			for i := range delays {
+				if c := p.Codes.At(i); c >= uint32(n) {
+					t.Fatalf("window %d: code %d of instruction %d is at the cut %d", wi, c, i, n)
+				}
+			}
+		}
 		limits := []float64{-1, 0, 1e9}
-		for _, l := range p.Levels {
-			limits = append(limits, l.Delay, math.Nextafter(l.Delay, math.Inf(-1)), math.Nextafter(l.Delay, math.Inf(1)))
+		for _, k := range sampleLevels(n) {
+			d := p.Levels[k].Delay
+			limits = append(limits, d, math.Nextafter(d, math.Inf(-1)), math.Nextafter(d, math.Inf(1)))
 		}
 		for _, limit := range limits {
 			r := limit / tcrit
@@ -265,8 +373,8 @@ func TestProfileMatchesSortedOracle(t *testing.T) {
 			}
 			cut := p.Cut(limit)
 			for i, d := range delays {
-				if (p.Codes[i] >= cut) != (d > limit) {
-					t.Fatalf("window %d: delay %v vs limit %v: code %d, cut %d", wi, d, limit, p.Codes[i], cut)
+				if (p.Codes.At(i) >= cut) != (d > limit) {
+					t.Fatalf("window %d: delay %v vs limit %v: code %d, cut %d", wi, d, limit, p.Codes.At(i), cut)
 				}
 			}
 		}
@@ -311,9 +419,9 @@ func TestStreamedProfileMatchesNewProfile(t *testing.T) {
 	}
 }
 
-// A profile retains its codes, opcodes and level table and nothing else:
-// at most 8 bytes per instruction (4 for the code, 1 for the opcode, the
-// rest for the levels), where two float64 copies of every delay took 17.
+// A profile retains its codes and level table and nothing else: at most 6
+// bytes per instruction (1 or 2 for the code on radix, the rest for the
+// levels), where two float64 copies of every delay took 17.
 func TestBuildProfilesRetainsCompactProfiles(t *testing.T) {
 	k, err := workload.ByName("radix")
 	if err != nil {
@@ -341,8 +449,8 @@ func TestBuildProfilesRetainsCompactProfiles(t *testing.T) {
 	runtime.KeepAlive(profs)
 	runtime.KeepAlive(streams) // counted in both readings, not freed between them
 	t.Logf("%d instructions retained %.2f bytes each", n, perInst)
-	if perInst > 8 {
-		t.Errorf("profiles retain %.2f bytes per instruction, want at most 8", perInst)
+	if perInst > 6 {
+		t.Errorf("profiles retain %.2f bytes per instruction, want at most 6", perInst)
 	}
 }
 
@@ -484,8 +592,8 @@ func TestSlotReuseMatchesFreshSlot(t *testing.T) {
 		before := obs.C("trace.gate_evals").Value()
 		p := s.profile(sc, CurrentEngine(), ivs[w.i])
 		delays := make([]float64, p.N)
-		for i, c := range p.Codes {
-			delays[i] = p.Levels[c].Delay
+		for i := range delays {
+			delays[i] = p.Levels[p.Codes.At(i)].Delay
 		}
 		return result{p, delays, sc.lastTouched, obs.C("trace.gate_evals").Value() - before}
 	}
