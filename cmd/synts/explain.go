@@ -49,7 +49,7 @@ func runExplainCmd(args []string, stdout, stderr io.Writer) error {
 	if *tracesIn != "" && *eventsIn == "" {
 		return fmt.Errorf("-traces needs -events (the join reads a recorded ledger)")
 	}
-	if err := checkThreads(*threads); err != nil {
+	if err := checkKernelFlags(*threads, *size); err != nil {
 		return err
 	}
 

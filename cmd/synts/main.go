@@ -111,7 +111,7 @@ func main() {
 	case "explain":
 		if err := runExplainCmd(flag.Args()[1:], os.Stdout, os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "synts explain: %v\n", err)
-			os.Exit(1)
+			os.Exit(exitCode(err))
 		}
 		return
 	case "trace":
@@ -201,8 +201,8 @@ func main() {
 }
 
 // usageError distinguishes a usage error (exit 2: an unknown experiment
-// or a thread count no kernel can run with) from an experiment failure
-// (exit 1).
+// or a thread count or size no kernel can run with) from an experiment
+// failure (exit 1).
 type usageError string
 
 func (e usageError) Error() string { return string(e) }
@@ -214,11 +214,14 @@ func exitCode(err error) int {
 	return 1
 }
 
-// checkThreads rejects a -threads value below 1, which would reach the
-// kernels and panic there.
-func checkThreads(n int) error {
-	if n < 1 {
-		return usageError(fmt.Sprintf("-threads %d: need at least 1 thread", n))
+// checkKernelFlags rejects a -threads value below 1 or a -size below 0,
+// which would reach the kernels and panic there.
+func checkKernelFlags(threads, size int) error {
+	if threads < 1 {
+		return usageError(fmt.Sprintf("-threads %d: need at least 1 thread", threads))
+	}
+	if size < 0 {
+		return usageError(fmt.Sprintf("-size %d: need a size of at least 0", size))
 	}
 	return nil
 }
@@ -242,7 +245,7 @@ func runAll(names []string, opts exp.Options, jobs int, verbose bool, stdout, st
 // to an uninterrupted run because the buffer is replayed verbatim in the
 // same request-order flush.
 func runAllCtx(ctx context.Context, names []string, opts exp.Options, jobs int, verbose bool, stdout, stderr io.Writer, store *ckpt.Store, resume bool) error {
-	if err := checkThreads(opts.Threads); err != nil {
+	if err := checkKernelFlags(opts.Threads, opts.Size); err != nil {
 		return err
 	}
 	exps := make([]*experiment, len(names))

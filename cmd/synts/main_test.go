@@ -121,6 +121,40 @@ func TestRejectsThreadsBelowOne(t *testing.T) {
 	}
 }
 
+// A negative -size is a usage error in the batch and in explain: one line
+// naming the flag, exit 2, nothing on stdout and no kernel run. -size 0
+// still runs.
+func TestRejectsNegativeSize(t *testing.T) {
+	opts := exp.DefaultOptions()
+	opts.Size = -1
+	var stdout bytes.Buffer
+	err := runAll([]string{"fig3.6"}, opts, 1, false, &stdout, io.Discard)
+	if err == nil || exitCode(err) != 2 {
+		t.Fatalf("-size -1: error %v, exit %d, want a usage error (exit 2)", err, exitCode(err))
+	}
+	if !strings.Contains(err.Error(), "-size -1") || strings.Contains(err.Error(), "\n") {
+		t.Errorf("-size -1: error %q, want one line naming the flag", err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("-size -1: stdout %q, want nothing", stdout.String())
+	}
+	err = runExplainCmd([]string{"-size", "-1", "radix"}, &stdout, io.Discard)
+	if err == nil || exitCode(err) != 2 || !strings.Contains(err.Error(), "-size -1") {
+		t.Errorf("explain -size -1: error %v, exit %d, want a usage error naming the flag", err, exitCode(err))
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("explain -size -1: stdout %q, want nothing", stdout.String())
+	}
+
+	opts.Size = 0
+	if err := runAll([]string{"fig3.6"}, opts, 1, false, &stdout, io.Discard); err != nil {
+		t.Errorf("-size 0: %v", err)
+	}
+	if err := runExplainCmd([]string{"-size", "0", "radix"}, io.Discard, io.Discard); err != nil {
+		t.Errorf("explain -size 0: %v", err)
+	}
+}
+
 // The CLI determinism golden test: the rendered byte stream must be
 // identical whether the experiments run strictly in order (-j 1) or
 // concurrently (-j 4). Proves the pipeline's parallelism never leaks into

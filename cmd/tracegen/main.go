@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"synts/internal/isa"
+	"synts/internal/tracefile"
 	"synts/internal/workload"
 )
 
@@ -48,6 +49,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tracegen: -threads %d: need at least 1 thread\n", *threads)
 		return 2
 	}
+	if *size < 0 {
+		fmt.Fprintf(stderr, "tracegen: -size %d: need a size of at least 0\n", *size)
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "tracegen:", err)
 		return 1
@@ -60,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		defer f.Close()
-		name, loaded, err := workload.LoadStreams(f)
+		name, loaded, err := tracefile.LoadStreams(f)
 		if err != nil {
 			return fail(err)
 		}
@@ -79,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		if err := workload.SaveStreams(f, *bench, streams); err != nil {
+		if err := tracefile.SaveStreams(f, *bench, streams); err != nil {
 			return fail(err)
 		}
 		if err := f.Close(); err != nil {

@@ -23,6 +23,25 @@ func TestRejectsThreadsBelowOne(t *testing.T) {
 	}
 }
 
+// A negative size is a usage error: one line on stderr, exit 2, nothing on
+// stdout, and no kernel run. Size 0 still runs.
+func TestRejectsNegativeSize(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-size", "-1", "-summary"}, &stdout, &stderr); code != 2 {
+		t.Errorf("-size -1: exit %d, want 2", code)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("-size -1: stdout %q, want nothing", stdout.String())
+	}
+	if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "-size -1") {
+		t.Errorf("-size -1: stderr %q, want one line naming the flag", msg)
+	}
+	stderr.Reset()
+	if code := run([]string{"-size", "0", "-summary"}, &stdout, &stderr); code != 0 {
+		t.Errorf("-size 0: exit %d: %s", code, stderr.String())
+	}
+}
+
 func TestSummary(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-bench", "radix", "-threads", "2", "-size", "1", "-summary"}, &stdout, &stderr); code != 0 {

@@ -56,7 +56,7 @@ func TSRs() []float64 {
 // Table 5.1 voltage levels with the stage's STA critical path as the
 // nominal period at 1.0 V.
 func Platform(stage trace.Stage, opts Options) *core.Config {
-	tcrit := trace.NewStageCircuit(stage).TCrit
+	tcrit := stage.TCrit()
 	table := vscale.PaperTable()
 	return &core.Config{
 		Voltages: vscale.PaperVoltages(),

@@ -12,6 +12,7 @@ import (
 	"synts/internal/core"
 	"synts/internal/isa"
 	"synts/internal/trace"
+	"synts/internal/vscale"
 )
 
 // testOptions shrinks the workloads so the full driver suite stays fast.
@@ -53,6 +54,22 @@ func TestPlatformValid(t *testing.T) {
 		ratio := cfg.TNom(0.65) / cfg.TNom(1.0)
 		if math.Abs(ratio-2.63) > 1e-9 {
 			t.Fatalf("%v: TNom ratio %v, want 2.63", st, ratio)
+		}
+	}
+}
+
+// Platform reads each stage's critical path from trace's table; its TNom
+// must be, bit for bit, the formula over a built netlist's STA result that
+// the daemon's answers were computed with.
+func TestPlatformTNomMatchesSTA(t *testing.T) {
+	table := vscale.PaperTable()
+	for _, st := range trace.Stages() {
+		cfg := Platform(st, testOptions())
+		tcrit := trace.NewStageCircuit(st).TCrit
+		for _, v := range vscale.PaperVoltages() {
+			if got, want := cfg.TNom(v), tcrit*table.TNom(v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%v at %v V: TNom %v, want %v", st, v, got, want)
+			}
 		}
 	}
 }

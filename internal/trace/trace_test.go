@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"synts/internal/netlist"
 	"synts/internal/obs"
 	"synts/internal/simprof"
+	"synts/internal/timing"
 	"synts/internal/workload"
 )
 
@@ -46,6 +48,39 @@ func TestStageCircuitCaching(t *testing.T) {
 	if &a.in[0] == &b.in[0] {
 		t.Error("stage circuits must not share scratch state")
 	}
+}
+
+// The TCrit table must hold, bit for bit, the STA critical path of each
+// stage's netlist, built afresh here rather than through buildStage.
+func TestStageTCritMatchesSTA(t *testing.T) {
+	build := map[Stage]func() *netlist.Netlist{
+		Decode:     netlist.NewDecode,
+		SimpleALU:  func() *netlist.Netlist { return netlist.NewSimpleALU(32) },
+		ComplexALU: func() *netlist.Netlist { return netlist.NewComplexALU(32) },
+	}
+	for _, s := range Stages() {
+		sta := timing.NewAnalyzer(build[s]()).CriticalPath()
+		if math.Float64bits(s.TCrit()) != math.Float64bits(sta) {
+			t.Errorf("%v: TCrit() = %v, STA = %v", s, s.TCrit(), sta)
+		}
+	}
+}
+
+// A table entry that drifts from STA stops the netlist build with a panic
+// naming the stage and both values.
+func TestBuildStagePanicsOnTableDrift(t *testing.T) {
+	want := stageTCrit[Decode]
+	stageTCrit[Decode] = math.Nextafter(want, math.Inf(1))
+	defer func() { stageTCrit[Decode] = want }()
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, part := range []string{"Decode", fmt.Sprint(want), fmt.Sprint(stageTCrit[Decode])} {
+			if !strings.Contains(msg, part) {
+				t.Errorf("panic %q does not name %s", msg, part)
+			}
+		}
+	}()
+	buildStage(Decode)
 }
 
 func TestDrives(t *testing.T) {

@@ -1,4 +1,12 @@
-package workload
+// Package tracefile is the on-disk format of a benchmark's instruction
+// streams: gzip-compressed gob. Characterising a benchmark (running the
+// kernel and the circuit-level delay analysis) is the expensive half of the
+// pipeline; persisting the instruction streams lets tools re-analyse a
+// fixed trace across circuit or solver changes — the same role gem5
+// checkpoint traces play in the paper's flow. cmd/tracegen writes and reads
+// these files; the synts binary does not import this package, so it does
+// not link encoding/gob.
+package tracefile
 
 import (
 	"compress/gzip"
@@ -7,21 +15,18 @@ import (
 	"io"
 
 	"synts/internal/isa"
+	"synts/internal/workload"
 )
 
-// Trace serialization. Characterising a benchmark (running the kernel and
-// the circuit-level delay analysis) is the expensive half of the pipeline;
-// persisting the instruction streams lets tools re-analyse a fixed trace
-// across circuit or solver changes — the same role gem5 checkpoint traces
-// play in the paper's flow.
-
 // traceFile is the on-disk envelope. Versioned so stale caches fail loudly
-// rather than silently misparse.
+// rather than silently misparse. gob writes the bare type names
+// (traceFile, Stream, Inst) into the file, not their packages: renaming
+// one of these types changes the bytes of every file saved.
 type traceFile struct {
 	Version int
 	Name    string
 	Threads int
-	Streams []*Stream
+	Streams []*workload.Stream
 }
 
 // traceVersion 2 stores isa.Inst in its 16-byte layout, the immediate in C;
@@ -29,9 +34,9 @@ type traceFile struct {
 const traceVersion = 2
 
 // SaveStreams writes the streams gzip-compressed to w.
-func SaveStreams(w io.Writer, name string, streams []*Stream) error {
+func SaveStreams(w io.Writer, name string, streams []*workload.Stream) error {
 	if len(streams) == 0 {
-		return fmt.Errorf("workload: no streams to save")
+		return fmt.Errorf("tracefile: no streams to save")
 	}
 	zw := gzip.NewWriter(w)
 	enc := gob.NewEncoder(zw)
@@ -42,7 +47,7 @@ func SaveStreams(w io.Writer, name string, streams []*Stream) error {
 		Streams: streams,
 	})
 	if err != nil {
-		return fmt.Errorf("workload: encoding trace: %w", err)
+		return fmt.Errorf("tracefile: encoding trace: %w", err)
 	}
 	return zw.Close()
 }
@@ -50,34 +55,34 @@ func SaveStreams(w io.Writer, name string, streams []*Stream) error {
 // LoadStreams reads streams previously written by SaveStreams and returns
 // the benchmark name they were recorded from. It rejects a file whose
 // streams no kernel run could have produced (see validateStreams).
-func LoadStreams(r io.Reader) (string, []*Stream, error) {
+func LoadStreams(r io.Reader) (string, []*workload.Stream, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
-		return "", nil, fmt.Errorf("workload: opening trace: %w", err)
+		return "", nil, fmt.Errorf("tracefile: opening trace: %w", err)
 	}
 	defer zr.Close()
 	var tf traceFile
 	if err := gob.NewDecoder(zr).Decode(&tf); err != nil {
-		return "", nil, fmt.Errorf("workload: decoding trace: %w", err)
+		return "", nil, fmt.Errorf("tracefile: decoding trace: %w", err)
 	}
 	if tf.Version != traceVersion {
-		return "", nil, fmt.Errorf("workload: trace version %d, want %d", tf.Version, traceVersion)
+		return "", nil, fmt.Errorf("tracefile: trace version %d, want %d", tf.Version, traceVersion)
 	}
 	if len(tf.Streams) != tf.Threads {
-		return "", nil, fmt.Errorf("workload: trace header says %d threads, found %d", tf.Threads, len(tf.Streams))
+		return "", nil, fmt.Errorf("tracefile: trace header says %d threads, found %d", tf.Threads, len(tf.Streams))
 	}
 	if err := validateStreams(tf.Streams); err != nil {
-		return "", nil, fmt.Errorf("workload: invalid trace: %w", err)
+		return "", nil, fmt.Errorf("tracefile: invalid trace: %w", err)
 	}
 	return tf.Name, tf.Streams, nil
 }
 
-// validateStreams checks what Run guarantees and the consumers index by:
-// at least one thread, each stream numbered by its position, the same
-// number of intervals on every thread, and instructions that are valid
-// ops with 5-bit register fields, C unused on R-format ops other than MAC
-// and at most 16 bits on I-format ops.
-func validateStreams(streams []*Stream) error {
+// validateStreams checks what workload.Run guarantees and the consumers
+// index by: at least one thread, each stream numbered by its position, the
+// same number of intervals on every thread, and instructions that are
+// valid ops with 5-bit register fields, C unused on R-format ops other
+// than MAC and at most 16 bits on I-format ops.
+func validateStreams(streams []*workload.Stream) error {
 	if len(streams) == 0 {
 		return fmt.Errorf("no threads")
 	}

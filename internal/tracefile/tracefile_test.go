@@ -1,4 +1,4 @@
-package workload
+package tracefile
 
 import (
 	"bytes"
@@ -9,14 +9,15 @@ import (
 	"testing"
 
 	"synts/internal/isa"
+	"synts/internal/workload"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	k, err := ByName("radix")
+	k, err := workload.ByName("radix")
 	if err != nil {
 		t.Fatal(err)
 	}
-	streams := RunKernel(k, 4, 1, 3)
+	streams := workload.RunKernel(k, 4, 1, 3)
 	var buf bytes.Buffer
 	if err := SaveStreams(&buf, "radix", streams); err != nil {
 		t.Fatal(err)
@@ -66,8 +67,8 @@ func TestLoadStreamsRejectsGarbage(t *testing.T) {
 }
 
 func TestLoadStreamsRejectsTruncated(t *testing.T) {
-	k, _ := ByName("ocean")
-	streams := RunKernel(k, 2, 1, 1)
+	k, _ := workload.ByName("ocean")
+	streams := workload.RunKernel(k, 2, 1, 1)
 	var buf bytes.Buffer
 	if err := SaveStreams(&buf, "ocean", streams); err != nil {
 		t.Fatal(err)
@@ -128,12 +129,12 @@ func v1Trace(t testing.TB) []byte {
 // smallRadix is a radix run cut to the first 16 instructions of every
 // interval: every thread and barrier interval of a real trace, small
 // enough to fuzz.
-func smallRadix(t testing.TB) []*Stream {
-	k, err := ByName("radix")
+func smallRadix(t testing.TB) []*workload.Stream {
+	k, err := workload.ByName("radix")
 	if err != nil {
 		t.Fatal(err)
 	}
-	streams := RunKernel(k, 2, 1, 1)
+	streams := workload.RunKernel(k, 2, 1, 1)
 	for _, s := range streams {
 		for ii, iv := range s.Intervals {
 			s.Intervals[ii] = iv[:min(len(iv), 16)]
@@ -143,20 +144,20 @@ func smallRadix(t testing.TB) []*Stream {
 }
 
 func TestLoadStreamsRejectsInvalid(t *testing.T) {
-	file := func(streams ...*Stream) []byte {
+	file := func(streams ...*workload.Stream) []byte {
 		return encodeTrace(t, traceFile{Version: traceVersion, Name: "x", Threads: len(streams), Streams: streams})
 	}
 	one := func(in isa.Inst) []byte {
-		return file(&Stream{Intervals: [][]isa.Inst{{in}}})
+		return file(&workload.Stream{Intervals: [][]isa.Inst{{in}}})
 	}
 	add := isa.Inst{Op: isa.ADD, Rd: 1, Rs: 2, Rt: 3, A: 4, B: 5}
 	cases := map[string][]byte{
 		"zero threads":        file(),
 		"version 1":           v1Trace(t),
-		"thread out of place": file(&Stream{Thread: 1, Intervals: [][]isa.Inst{{add}}}),
+		"thread out of place": file(&workload.Stream{Thread: 1, Intervals: [][]isa.Inst{{add}}}),
 		"uneven intervals": file(
-			&Stream{Thread: 0, Intervals: [][]isa.Inst{{add}, {add}}},
-			&Stream{Thread: 1, Intervals: [][]isa.Inst{{add}}},
+			&workload.Stream{Thread: 0, Intervals: [][]isa.Inst{{add}, {add}}},
+			&workload.Stream{Thread: 1, Intervals: [][]isa.Inst{{add}}},
 		),
 		"undefined op":        one(isa.Inst{Op: isa.Op(isa.NumOps)}),
 		"register field":      one(isa.Inst{Op: isa.ADD, Rt: 32}),
@@ -171,7 +172,7 @@ func TestLoadStreamsRejectsInvalid(t *testing.T) {
 		}
 	}
 	// MAC's C is its accumulator, and a 16-bit immediate is in range.
-	ok := file(&Stream{Intervals: [][]isa.Inst{{
+	ok := file(&workload.Stream{Intervals: [][]isa.Inst{{
 		{Op: isa.MAC, A: 2, B: 3, C: 0xFFFFFFFF},
 		{Op: isa.ADDI, Rd: 31, C: 0xFFFF},
 	}}})
@@ -182,7 +183,7 @@ func TestLoadStreamsRejectsInvalid(t *testing.T) {
 
 // sameStreams compares streams by content: gob does not tell an empty
 // interval from a nil one.
-func sameStreams(a, b []*Stream) bool {
+func sameStreams(a, b []*workload.Stream) bool {
 	if len(a) != len(b) {
 		return false
 	}
