@@ -23,10 +23,9 @@ import (
 func runLoadgenCmd(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	url := fs.String("url", "http://127.0.0.1:9187", "base URL of the synts serve instance (comma-separated `list` fans out over the fleet client's consistent-hash failover)")
-	timeout := fs.Duration("timeout", 0, "per-request deadline, retries and hedges included (0 = fleet client default 30s)")
+	url := fs.String("url", "http://127.0.0.1:9187", "base URL of one synts serve daemon, or of a synts route router in front of several")
+	timeout := fs.Duration("timeout", 0, "per-request deadline, retries included (0 = fleet client default 30s)")
 	retries := fs.Int("retries", 0, "extra attempts per logical request (seeded full-jitter backoff; 0 = single-shot)")
-	hedge := fs.Bool("hedge", false, "launch a hedged second attempt after the p95-derived delay")
 	rps := fs.Float64("rps", 50, "target open-loop arrival rate")
 	duration := fs.Duration("duration", 5*time.Second, "run length (request count = rps * duration, fixed up front)")
 	seed := fs.Int64("seed", 1, "request-stream seed (same seed = identical request bodies)")
@@ -58,7 +57,6 @@ func runLoadgenCmd(args []string, stdout, stderr io.Writer) error {
 		URL:      *url,
 		Timeout:  *timeout,
 		Retries:  *retries,
-		Hedge:    *hedge,
 		RPS:      *rps,
 		Duration: *duration,
 		Gen: service.GenOptions{
@@ -92,14 +90,13 @@ func runLoadgenCmd(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "synts loadgen: %d requests at %.1f rps (target %.1f): %d ok, %d shed, %d client errors, %d errors, %d dropped; p95 %.2f ms; SLO %s\n",
 		rep.Requests, rep.AchievedRPS, rep.TargetRPS, rep.OK, rep.Shed, rep.ClientErrors, rep.Errors, rep.Dropped,
 		rep.Latency.P95, map[bool]string{true: "pass", false: "FAIL"}[rep.SLOPass])
-	if rep.Retries+rep.Hedges+rep.Failovers > 0 {
-		fmt.Fprintf(stderr, "synts loadgen: resilience: %d retries, %d hedges (%d won), %d failovers\n",
-			rep.Retries, rep.Hedges, rep.HedgeWins, rep.Failovers)
+	if rep.Retries+rep.Failovers > 0 {
+		fmt.Fprintf(stderr, "synts loadgen: resilience: %d retries, %d failovers\n", rep.Retries, rep.Failovers)
 	}
 	if rep.OK > 0 {
 		hb := rep.HopBreakdown.P99
-		fmt.Fprintf(stderr, "synts loadgen: p99 attribution: total %.2f ms = client-queue %.2f + retry-wait %.2f + network %.2f + router %.2f + daemon-queue %.2f + solve %.2f (hedge overlap %.2f)\n",
-			hb.TotalMs, hb.ClientQueueMs, hb.RetryWaitMs, hb.NetworkMs, hb.RouterMs, hb.DaemonQueueMs, hb.SolveMs, hb.HedgeOverlapMs)
+		fmt.Fprintf(stderr, "synts loadgen: p99 attribution: total %.2f ms = client-queue %.2f + retry-wait %.2f + network %.2f + router %.2f + daemon-queue %.2f + solve %.2f\n",
+			hb.TotalMs, hb.ClientQueueMs, hb.RetryWaitMs, hb.NetworkMs, hb.RouterMs, hb.DaemonQueueMs, hb.SolveMs)
 	}
 	if *failOnSLO && !rep.SLOPass {
 		return fmt.Errorf("SLO gate failed (p95 %.2f ms vs %.2f ms max; error frac %.4f vs %.4f max)",

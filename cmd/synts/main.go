@@ -214,14 +214,15 @@ func exitCode(err error) int {
 	return 1
 }
 
-// checkKernelFlags rejects a -threads value below 1 or a -size below 0,
-// which would reach the kernels and panic there.
+// checkKernelFlags rejects a -threads value below 1 or a -size below 1,
+// which would reach the kernels and panic there (at size 0 some kernels
+// emit no instructions and raytrace draws from an empty range).
 func checkKernelFlags(threads, size int) error {
 	if threads < 1 {
 		return usageError(fmt.Sprintf("-threads %d: need at least 1 thread", threads))
 	}
-	if size < 0 {
-		return usageError(fmt.Sprintf("-size %d: need a size of at least 0", size))
+	if size < 1 {
+		return usageError(fmt.Sprintf("-size %d: need a size of at least 1", size))
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -121,37 +122,33 @@ func TestRejectsThreadsBelowOne(t *testing.T) {
 	}
 }
 
-// A negative -size is a usage error in the batch and in explain: one line
-// naming the flag, exit 2, nothing on stdout and no kernel run. -size 0
-// still runs.
+// A -size below 1 is a usage error in the batch and in explain: one line
+// naming the flag, exit 2, nothing on stdout and no kernel run. At size 0
+// raytrace panicked drawing from an empty range, and fmm, ocean and
+// raytrace emitted no instructions.
 func TestRejectsNegativeSize(t *testing.T) {
-	opts := exp.DefaultOptions()
-	opts.Size = -1
-	var stdout bytes.Buffer
-	err := runAll([]string{"fig3.6"}, opts, 1, false, &stdout, io.Discard)
-	if err == nil || exitCode(err) != 2 {
-		t.Fatalf("-size -1: error %v, exit %d, want a usage error (exit 2)", err, exitCode(err))
-	}
-	if !strings.Contains(err.Error(), "-size -1") || strings.Contains(err.Error(), "\n") {
-		t.Errorf("-size -1: error %q, want one line naming the flag", err)
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("-size -1: stdout %q, want nothing", stdout.String())
-	}
-	err = runExplainCmd([]string{"-size", "-1", "radix"}, &stdout, io.Discard)
-	if err == nil || exitCode(err) != 2 || !strings.Contains(err.Error(), "-size -1") {
-		t.Errorf("explain -size -1: error %v, exit %d, want a usage error naming the flag", err, exitCode(err))
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("explain -size -1: stdout %q, want nothing", stdout.String())
-	}
-
-	opts.Size = 0
-	if err := runAll([]string{"fig3.6"}, opts, 1, false, &stdout, io.Discard); err != nil {
-		t.Errorf("-size 0: %v", err)
-	}
-	if err := runExplainCmd([]string{"-size", "0", "radix"}, io.Discard, io.Discard); err != nil {
-		t.Errorf("explain -size 0: %v", err)
+	for _, size := range []int{-1, 0} {
+		arg := fmt.Sprintf("-size %d", size)
+		opts := exp.DefaultOptions()
+		opts.Size = size
+		var stdout bytes.Buffer
+		err := runAll([]string{"fig3.6", "fig6.14"}, opts, 1, false, &stdout, io.Discard)
+		if err == nil || exitCode(err) != 2 {
+			t.Fatalf("%s: error %v, exit %d, want a usage error (exit 2)", arg, err, exitCode(err))
+		}
+		if !strings.Contains(err.Error(), arg) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: error %q, want one line naming the flag", arg, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: stdout %q, want nothing", arg, stdout.String())
+		}
+		err = runExplainCmd([]string{"-size", strconv.Itoa(size), "raytrace"}, &stdout, io.Discard)
+		if err == nil || exitCode(err) != 2 || !strings.Contains(err.Error(), arg) {
+			t.Errorf("explain %s: error %v, exit %d, want a usage error naming the flag", arg, err, exitCode(err))
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("explain %s: stdout %q, want nothing", arg, stdout.String())
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"synts/internal/obs"
@@ -98,5 +99,23 @@ func TestRouteServesUntilStopped(t *testing.T) {
 	addr := strings.TrimSuffix(strings.Fields(rest)[0], ",")
 	if _, err := obs.ReadTraceFile(filepath.Join(dir, traceProcName("route", addr)+".trace.jsonl")); err != nil {
 		t.Errorf("trace artifact: %v\nstderr: %s", err, stderr.String())
+	}
+}
+
+// loadgen sends to one URL: a comma-separated list is refused before any
+// request leaves, with an error that points at the router.
+func TestLoadgenRefusesSeveralURLs(t *testing.T) {
+	var hits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+	}))
+	defer srv.Close()
+	var stdout bytes.Buffer
+	err := runLoadgenCmd([]string{"-url", srv.URL + "," + srv.URL, "-rps", "10", "-duration", "1s"}, &stdout, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "synts route") {
+		t.Fatalf("-url A,B: err = %v, want a refusal naming synts route", err)
+	}
+	if n := hits.Load(); n != 0 || stdout.Len() != 0 {
+		t.Errorf("-url A,B: %d requests sent, stdout %q; want none", n, stdout.String())
 	}
 }

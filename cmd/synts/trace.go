@@ -94,16 +94,16 @@ func renderTraceReport(w io.Writer, res *sched.StitchResult, rep *sched.TraceRep
 		return
 	}
 	fmt.Fprintf(w, "\ntail attribution (ms, per-hop serial components of the trace at each quantile):\n")
-	fmt.Fprintf(w, "  %-4s %9s %13s %11s %9s %8s %13s %8s %14s\n",
-		"q", "total", "client-queue", "retry-wait", "network", "router", "daemon-queue", "solve", "hedge-overlap")
+	fmt.Fprintf(w, "  %-4s %9s %13s %11s %9s %8s %13s %8s\n",
+		"q", "total", "client-queue", "retry-wait", "network", "router", "daemon-queue", "solve")
 	for _, row := range []struct {
 		name string
 		q    sched.TraceQuantile
 	}{{"p50", rep.P50}, {"p95", rep.P95}, {"p99", rep.P99}} {
 		c := row.q.TraceComponents
-		fmt.Fprintf(w, "  %-4s %9.3f %13.3f %11.3f %9.3f %8.3f %13.3f %8.3f %14.3f\n",
+		fmt.Fprintf(w, "  %-4s %9.3f %13.3f %11.3f %9.3f %8.3f %13.3f %8.3f\n",
 			row.name, ms(c.TotalNs), ms(c.ClientQueueNs), ms(c.RetryWaitNs), ms(c.NetworkNs),
-			ms(c.RouterNs), ms(c.DaemonQueueNs), ms(c.SolveNs), ms(c.HedgeOverlapNs))
+			ms(c.RouterNs), ms(c.DaemonQueueNs), ms(c.SolveNs))
 	}
 	fmt.Fprintf(w, "\ndominant p99 contributor: %s (trace %s)\n", rep.DominantP99, rep.P99.Trace)
 	fmt.Fprintf(w, "traces with a failover on the critical path: %d\n", rep.FailoverTraces)
@@ -122,7 +122,7 @@ func renderTraceReport(w io.Writer, res *sched.StitchResult, rep *sched.TraceRep
 	if top > len(slowest) {
 		top = len(slowest)
 	}
-	fmt.Fprintf(w, "\nslowest %d trace(s) (* = critical path):\n", top)
+	fmt.Fprintf(w, "\nslowest %d trace(s):\n", top)
 	for _, t := range slowest[:top] {
 		renderWaterfall(w, t)
 	}
@@ -164,17 +164,13 @@ func renderWaterfall(w io.Writer, t *sched.TraceTree) {
 			e = width
 		}
 		bar := strings.Repeat(" ", s) + strings.Repeat("#", e-s) + strings.Repeat(" ", width-e)
-		mark := " "
-		if n.OnPath {
-			mark = "*"
-		}
 		label := strings.Repeat("  ", depth) + n.Span.Name
 		detail := n.Span.Detail
 		if n.Span.Backend != "" {
 			detail += " " + n.Span.Backend
 		}
-		fmt.Fprintf(w, "  %-30s %-8s %s|%s| %9.3fms  %s\n",
-			label, n.Span.Kind, mark, bar, ms(n.Span.DurNs), strings.TrimSpace(detail))
+		fmt.Fprintf(w, "  %-30s %-8s |%s| %9.3fms  %s\n",
+			label, n.Span.Kind, bar, ms(n.Span.DurNs), strings.TrimSpace(detail))
 		for _, c := range n.Children {
 			rec(c, depth+1)
 		}

@@ -60,7 +60,7 @@ func writeScenarioDir(t *testing.T) string {
 }
 
 // The report surface CI greps: the failover and breaker-skip lines, the
-// dominant contributor, and a waterfall marking the critical path. The
+// dominant contributor, and a waterfall naming both. The
 // -merged artifact must read back as one canonical file holding every
 // per-process span.
 func TestTraceCmdReportAndMerge(t *testing.T) {

@@ -49,8 +49,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tracegen: -threads %d: need at least 1 thread\n", *threads)
 		return 2
 	}
-	if *size < 0 {
-		fmt.Fprintf(stderr, "tracegen: -size %d: need a size of at least 0\n", *size)
+	if *size < 1 {
+		fmt.Fprintf(stderr, "tracegen: -size %d: need a size of at least 1\n", *size)
 		return 2
 	}
 	fail := func(err error) int {

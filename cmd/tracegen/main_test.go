@@ -23,22 +23,20 @@ func TestRejectsThreadsBelowOne(t *testing.T) {
 	}
 }
 
-// A negative size is a usage error: one line on stderr, exit 2, nothing on
-// stdout, and no kernel run. Size 0 still runs.
+// A size below 1 is a usage error: one line on stderr, exit 2, nothing on
+// stdout, and no kernel run (at size 0 raytrace panicked).
 func TestRejectsNegativeSize(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-size", "-1", "-summary"}, &stdout, &stderr); code != 2 {
-		t.Errorf("-size -1: exit %d, want 2", code)
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("-size -1: stdout %q, want nothing", stdout.String())
-	}
-	if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "-size -1") {
-		t.Errorf("-size -1: stderr %q, want one line naming the flag", msg)
-	}
-	stderr.Reset()
-	if code := run([]string{"-size", "0", "-summary"}, &stdout, &stderr); code != 0 {
-		t.Errorf("-size 0: exit %d: %s", code, stderr.String())
+	for _, size := range []string{"-1", "0"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-bench", "raytrace", "-size", size, "-summary"}, &stdout, &stderr); code != 2 {
+			t.Errorf("-size %s: exit %d, want 2", size, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-size %s: stdout %q, want nothing", size, stdout.String())
+		}
+		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "-size "+size) {
+			t.Errorf("-size %s: stderr %q, want one line naming the flag", size, msg)
+		}
 	}
 }
 

@@ -329,6 +329,59 @@ func TestSolveOnlineNoisyEstimatesStillIdentifyCritical(t *testing.T) {
 	}
 }
 
+// SolveGuarded pins each thread whose rates the guard rejects to the
+// nominal point and solves the rest on their estimates; without a guard
+// it is SolvePoly over the estimated curves.
+func TestSolveGuardedPinsRejectedThreads(t *testing.T) {
+	c := testConfig()
+	rates := [][]float64{
+		{0.3, 0.1, 0.01, 0},
+		{math.NaN(), 0, 0, 0},
+		{0.1, 0.3, 0.01, 0},
+		{0.2, 0.05, 0, 0},
+	}
+	threads := func() []Thread {
+		ths := make([]Thread, len(rates))
+		for i := range ths {
+			ths[i] = Thread{N: 5000 * float64(i+1), CPIBase: 1.2}
+		}
+		return ths
+	}
+	ths := threads()
+	a, reasons := SolveGuarded(c, &GuardPolicy{}, ths, rates, 1)
+	for i, want := range []string{"", GuardNaN, GuardNonMonotone, ""} {
+		if reasons[i] != want {
+			t.Errorf("thread %d: reason %q, want %q", i, reasons[i], want)
+		}
+		if want == "" {
+			continue
+		}
+		if a.VIdx[i] != 0 || a.RIdx[i] != len(c.TSRs)-1 {
+			t.Errorf("rejected thread %d at (v %d, r %d), want the nominal point", i, a.VIdx[i], a.RIdx[i])
+		}
+		if ths[i].Err(c.TSRs[0]) != 1 || ths[i].Err(1) != 0 {
+			t.Errorf("rejected thread %d does not solve on the pessimal curve", i)
+		}
+	}
+
+	admitted := [][]float64{rates[0], rates[3]}
+	ths = threads()[:2]
+	a, reasons = SolveGuarded(c, nil, ths, admitted, 1)
+	ref := threads()[:2]
+	for i := range ref {
+		ref[i].Err = EstimatedErrFunc(c, admitted[i])
+	}
+	want, _ := SolvePoly(c, ref, 1)
+	if reasons != nil {
+		t.Errorf("no guard: reasons %v, want nil", reasons)
+	}
+	for i := range want.VIdx {
+		if a.VIdx[i] != want.VIdx[i] || a.RIdx[i] != want.RIdx[i] {
+			t.Errorf("no guard: thread %d at (%d, %d), SolvePoly says (%d, %d)", i, a.VIdx[i], a.RIdx[i], want.VIdx[i], want.RIdx[i])
+		}
+	}
+}
+
 func TestComputeOverheads(t *testing.T) {
 	in := DefaultOverheadInputs()
 	in.CombArea = 24000

@@ -69,10 +69,10 @@ type GuardPolicy struct {
 	Baseline func(level int) (float64, bool)
 }
 
-// check returns the first rejection reason for one thread's sampled
+// Check returns the first rejection reason for one thread's sampled
 // rates, or "" if they are plausible. rates[k] corresponds to c.TSRs[k],
 // ascending, ending at r = 1.
-func (g *GuardPolicy) check(c *Config, rates []float64) string {
+func (g *GuardPolicy) Check(c *Config, rates []float64) string {
 	maxNom := g.MaxErrAtNominal
 	if maxNom <= 0 {
 		maxNom = DefaultMaxErrAtNominal
@@ -112,28 +112,46 @@ func (g *GuardPolicy) check(c *Config, rates []float64) string {
 	return ""
 }
 
-// Check returns the first rejection reason for one set of sampled rates,
-// or "" if they are plausible. It is the exported face of the guard band
-// for callers that validate estimates outside SolveOnline — the solver
-// service screens client-supplied error curves with it before admitting a
-// request to a shard.
-func (g *GuardPolicy) Check(c *Config, rates []float64) string {
-	return g.check(c, rates)
-}
-
-// pessimalErr is the error function the solver sees for a fallback
+// PessimalErr is the error function the solver sees for a fallback
 // thread: safe only at r = 1. It steers SolvePoly's barrier-time view of
 // the thread toward the nominal point the fallback will pin anyway.
-func pessimalErr(r float64) float64 {
+func PessimalErr(r float64) float64 {
 	if r >= 1 {
 		return 0
 	}
 	return 1
 }
 
-// PessimalErr is the exported fallback error function: safe only at
-// r = 1, so a guarded-out core is pinned to the nominal operating point.
-func PessimalErr(r float64) float64 { return pessimalErr(r) }
+// SolveGuarded is the solve step the online flow and the solver daemon
+// share. It screens each thread's sampled rates (rates[i][k] at
+// c.TSRs[k]) with g, sets ths[i].Err to the estimated error function of
+// the rates, or to PessimalErr when g rejects them, solves with
+// SolvePoly, and pins each rejected thread to the nominal operating point
+// (Voltages[0], TSR 1), where err = 0 by construction: graceful
+// degradation, so an implausible sensor reading cannot drive the
+// schedule. reasons[i] is thread i's rejection reason ("" if admitted);
+// a nil g screens nothing and returns nil reasons.
+func SolveGuarded(c *Config, g *GuardPolicy, ths []Thread, rates [][]float64, theta float64) (a Assignment, reasons []string) {
+	if g != nil {
+		reasons = make([]string, len(ths))
+	}
+	for i := range ths {
+		ths[i].Err = PessimalErr
+		if g != nil {
+			reasons[i] = g.Check(c, rates[i])
+		}
+		if g == nil || reasons[i] == "" {
+			ths[i].Err = EstimatedErrFunc(c, rates[i])
+		}
+	}
+	a, _ = SolvePoly(c, ths, theta)
+	for i := range reasons {
+		if reasons[i] != "" {
+			a.VIdx[i], a.RIdx[i] = 0, len(c.TSRs)-1
+		}
+	}
+	return a, reasons
+}
 
 // nsampFor returns the sampling budget of thread i.
 func (oc OnlineConfig) nsampFor(i int) float64 {
@@ -235,38 +253,20 @@ func SolveOnline(c *Config, actual []Thread, est ErrEstimator, oc OnlineConfig, 
 
 	// Build estimated threads over the post-sampling remainder.
 	estThreads := make([]Thread, m)
-	estimates := make([]ErrFunc, m)
+	rates := make([][]float64, m)
 	sampTime := make([]float64, m)
 	sampEnergyPer := make([]float64, m)
 	sampEnergy := 0.0
-	var fallbacks []string
-	if oc.Guard != nil {
-		fallbacks = make([]string, m)
-	}
 	for i, th := range actual {
-		rates := make([]float64, len(c.TSRs))
+		rates[i] = make([]float64, len(c.TSRs))
 		for k := range c.TSRs {
-			rates[k] = est(i, k)
-		}
-		if oc.Guard != nil {
-			if reason := oc.Guard.check(c, rates); reason != "" {
-				// Graceful degradation: don't let an implausible sensor
-				// reading drive the schedule. The thread solves (and is then
-				// pinned) at the nominal point, where err = 0 structurally.
-				fallbacks[i] = reason
-				estimates[i] = pessimalErr
-			} else {
-				estimates[i] = EstimatedErrFunc(c, rates)
-			}
-		} else {
-			estimates[i] = EstimatedErrFunc(c, rates)
+			rates[i][k] = est(i, k)
 		}
 		nSamp := math.Min(oc.nsampFor(i), th.N)
 		if nSamp < 0 {
 			panic("core: negative per-thread NSamp")
 		}
-		rem := th.N - nSamp
-		estThreads[i] = Thread{N: rem, CPIBase: th.CPIBase, Err: estimates[i]}
+		estThreads[i] = Thread{N: th.N - nSamp, CPIBase: th.CPIBase}
 
 		// True sampling-phase cost: nSamp/S instructions at each (vsamp,
 		// R_k), with the thread's *actual* error behaviour.
@@ -278,12 +278,10 @@ func SolveOnline(c *Config, actual []Thread, est ErrEstimator, oc OnlineConfig, 
 		sampEnergy += sampEnergyPer[i]
 	}
 
-	a, _ := SolvePoly(c, estThreads, theta)
-	for i := range fallbacks {
-		if fallbacks[i] != "" {
-			a.VIdx[i] = 0
-			a.RIdx[i] = len(c.TSRs) - 1
-		}
+	a, fallbacks := SolveGuarded(c, oc.Guard, estThreads, rates, theta)
+	estimates := make([]ErrFunc, m)
+	for i := range estThreads {
+		estimates[i] = estThreads[i].Err
 	}
 
 	// Actual outcome of the remainder under the chosen assignment.

@@ -131,8 +131,8 @@ const ReqSlowDuration = 25 * time.Millisecond
 const BackendDownWindow = 5 * time.Second
 
 // NetSlowDuration is the latency an injected slow hop adds to one
-// router→backend attempt. Fixed, like ReqSlowDuration, so hedge and
-// timeout assertions have a known floor.
+// router→backend attempt. Fixed, like ReqSlowDuration, so timeout
+// assertions have a known floor.
 const NetSlowDuration = 20 * time.Millisecond
 
 // taskPanicRetries is the per-task budget of consecutive injected panics

@@ -34,7 +34,6 @@ func (s BreakerState) String() string {
 // ledger event reason (e.g. "open:consecutive-failures").
 const (
 	TransConsecutive = "consecutive-failures"
-	TransErrorRate   = "error-rate"
 	TransCooldown    = "cooldown"
 	TransProbeOK     = "probe-ok"
 	TransProbeFail   = "probe-fail"
@@ -46,13 +45,6 @@ type BreakerConfig struct {
 	// Failures opens the breaker after this many consecutive failures;
 	// <= 0 means 5.
 	Failures int
-	// Window is the rolling outcome-sample window for the error-rate
-	// gate; <= 0 means 20.
-	Window int
-	// ErrorRate opens the breaker when the failure fraction over a full
-	// Window reaches it; <= 0 disables the rate gate (consecutive
-	// failures still apply), and values > 1 are clamped to 1.
-	ErrorRate float64
 	// Cooldown is how long the breaker stays open before admitting a
 	// half-open probe; <= 0 means 2s.
 	Cooldown time.Duration
@@ -66,22 +58,18 @@ type BreakerConfig struct {
 	OnTransition func(from, to BreakerState, reason, trace string)
 }
 
-// Breaker is one per-backend circuit breaker: closed → open on
-// consecutive failures or a windowed error rate, open → half-open after a
-// cooldown, half-open → closed on a successful probe (or back to open on
-// a failed one). It is the client-side mirror of the paper's confidence
-// mechanism: stop speculating through a path that keeps mis-speculating,
-// re-test it cautiously, resume when it proves healthy.
+// Breaker is one per-backend circuit breaker of the router: closed →
+// open on consecutive failures, open → half-open after a cooldown,
+// half-open → closed on a successful probe (or back to open on a failed
+// one). It is the fleet's mirror of the paper's confidence mechanism:
+// stop speculating through a path that keeps mis-speculating, re-test it
+// cautiously, resume when it proves healthy.
 type Breaker struct {
 	cfg BreakerConfig
 
 	mu       sync.Mutex
 	state    BreakerState
-	consec   int    // consecutive failures while closed
-	window   []bool // rolling outcomes (true = failure)
-	wpos     int
-	wfilled  int
-	wfails   int
+	consec   int // consecutive failures while closed
 	openedAt time.Time
 	probing  bool // a half-open probe is in flight
 }
@@ -91,19 +79,13 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.Failures <= 0 {
 		cfg.Failures = 5
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 20
-	}
-	if cfg.ErrorRate > 1 {
-		cfg.ErrorRate = 1
-	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 2 * time.Second
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	return &Breaker{cfg: cfg, window: make([]bool, cfg.Window)}
+	return &Breaker{cfg: cfg}
 }
 
 // State returns the breaker's current position (open flips to half-open
@@ -116,8 +98,8 @@ func (b *Breaker) State() BreakerState {
 
 // Allow reports whether a request may proceed. While open it returns
 // false until the cooldown elapses, then transitions to half-open and
-// admits exactly one probe; the probe's Record settles the state. Every
-// true return must be followed by exactly one Record call.
+// admits exactly one probe; the probe's RecordT settles the state. Every
+// true return must be followed by exactly one RecordT call.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -141,12 +123,10 @@ func (b *Breaker) Allow() bool {
 	return false
 }
 
-// Record feeds one admitted request's outcome back.
-func (b *Breaker) Record(ok bool) { b.RecordT(ok, "") }
-
-// RecordT is Record carrying the distributed-trace ID of the request
-// whose outcome is being fed back, so a transition this outcome causes is
-// attributable to the trace in the ledger (ISSUE: ledger↔trace linking).
+// RecordT feeds one admitted request's outcome back, with the
+// distributed-trace ID of that request ("" when untraced), so a
+// transition this outcome causes is attributable to the trace in the
+// ledger.
 func (b *Breaker) RecordT(ok bool, trace string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -154,7 +134,7 @@ func (b *Breaker) RecordT(ok bool, trace string) {
 	case BreakerHalfOpen:
 		b.probing = false
 		if ok {
-			b.reset()
+			b.consec = 0
 			b.transition(BreakerClosed, TransProbeOK, trace)
 		} else {
 			b.openedAt = b.cfg.Now()
@@ -166,44 +146,12 @@ func (b *Breaker) RecordT(ok bool, trace string) {
 		} else {
 			b.consec++
 		}
-		b.observe(!ok)
 		if b.consec >= b.cfg.Failures {
 			b.openedAt = b.cfg.Now()
 			b.transition(BreakerOpen, TransConsecutive, trace)
-			return
-		}
-		if b.cfg.ErrorRate > 0 && b.wfilled == len(b.window) &&
-			float64(b.wfails) >= b.cfg.ErrorRate*float64(len(b.window)) {
-			b.openedAt = b.cfg.Now()
-			b.transition(BreakerOpen, TransErrorRate, trace)
 		}
 	case BreakerOpen:
 		// A straggler from before the trip; the cooldown already governs.
-	}
-}
-
-// observe pushes one outcome into the rolling window; callers hold b.mu.
-func (b *Breaker) observe(failed bool) {
-	if b.wfilled == len(b.window) {
-		if b.window[b.wpos] {
-			b.wfails--
-		}
-	} else {
-		b.wfilled++
-	}
-	b.window[b.wpos] = failed
-	if failed {
-		b.wfails++
-	}
-	b.wpos = (b.wpos + 1) % len(b.window)
-}
-
-// reset clears failure history on a close; callers hold b.mu.
-func (b *Breaker) reset() {
-	b.consec = 0
-	b.wpos, b.wfilled, b.wfails = 0, 0, 0
-	for i := range b.window {
-		b.window[i] = false
 	}
 }
 

@@ -95,20 +95,6 @@ func TestBreakerStateMachine(t *testing.T) {
 			wantLog: nil,
 		},
 		{
-			name: "error-rate gate trips without a consecutive run",
-			cfg:  BreakerConfig{Failures: 100, Window: 10, ErrorRate: 0.5, Cooldown: time.Second},
-			steps: []step{
-				// Alternate fail/ok: 50% error rate over a full window.
-				{op: "fail"}, {op: "ok"}, {op: "fail"}, {op: "ok"},
-				{op: "fail"}, {op: "ok"}, {op: "fail"}, {op: "ok"},
-				{op: "fail"},
-				{op: "state", want: BreakerClosed}, // window not full yet
-				{op: "ok"},
-				{op: "state", want: BreakerOpen},
-			},
-			wantLog: []string{"closed->open:error-rate"},
-		},
-		{
 			name: "probe success clears failure history",
 			cfg:  BreakerConfig{Failures: 2, Cooldown: time.Second},
 			steps: []step{
@@ -137,9 +123,9 @@ func TestBreakerStateMachine(t *testing.T) {
 			for i, s := range tc.steps {
 				switch s.op {
 				case "ok":
-					b.Record(true)
+					b.RecordT(true, "")
 				case "fail":
-					b.Record(false)
+					b.RecordT(false, "")
 				case "advance":
 					clk.advance(s.d)
 				case "allow":
@@ -170,7 +156,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-// A closed breaker admits everything; Record(true) keeps it closed
+// A closed breaker admits everything; RecordT(true, "") keeps it closed
 // forever — the common no-failure path allocates nothing and flips
 // nothing.
 func TestBreakerHappyPath(t *testing.T) {
@@ -179,7 +165,7 @@ func TestBreakerHappyPath(t *testing.T) {
 		if !b.Allow() {
 			t.Fatal("healthy breaker denied a request")
 		}
-		b.Record(true)
+		b.RecordT(true, "")
 	}
 	if b.State() != BreakerClosed {
 		t.Fatalf("state %s after all-success traffic", b.State())
@@ -190,7 +176,7 @@ func TestBreakerHappyPath(t *testing.T) {
 func TestBreakerLazyHalfOpen(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	b := NewBreaker(BreakerConfig{Failures: 1, Cooldown: time.Second, Now: clk.now})
-	b.Record(false)
+	b.RecordT(false, "")
 	clk.advance(2 * time.Second)
 	if got := b.State(); got != BreakerOpen {
 		t.Fatalf("state %s before Allow, want open", got)

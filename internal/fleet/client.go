@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -16,20 +15,15 @@ import (
 	"synts/internal/obs"
 )
 
-// ErrAllBreakersOpen is returned (after the retry budget is spent) when
-// every backend's circuit breaker rejected the request without an attempt.
-var ErrAllBreakersOpen = errors.New("fleet: all backend circuit breakers open")
-
-// ClientConfig tunes a resilient solve client. Zero fields get defaults
-// from NewClient.
+// ClientConfig tunes a solve client. Zero fields get defaults from
+// NewClient.
 type ClientConfig struct {
-	// URLs are the backend base URLs (e.g. http://127.0.0.1:9187). One
-	// entry — a single daemon or a router — is the common case; with
-	// several, requests consistent-hash onto them by body digest and fail
-	// over along the ring.
+	// URLs holds the one base URL the client sends to (e.g.
+	// http://127.0.0.1:9187): a single daemon, or a `synts route` router
+	// in front of several. NewClient refuses any other count.
 	URLs []string
 	// Timeout bounds one logical request end to end, including every
-	// retry and hedge; <= 0 means 30s.
+	// retry; <= 0 means 30s.
 	Timeout time.Duration
 	// Retries is the extra-attempt budget per request (0 = first attempt
 	// only). Retried-then-OK requests count once in load reports.
@@ -41,22 +35,6 @@ type ClientConfig struct {
 	BackoffCap  time.Duration
 	// Seed fixes the backoff jitter stream so chaos runs reproduce.
 	Seed int64
-	// Hedge enables hedged requests: if the first attempt has not
-	// answered after a p95-derived delay, an identical request races it
-	// and the first final answer wins. Safe because solves are
-	// idempotent (pure functions of the payload) and cheap because the
-	// loser usually coalesces or warm-starts server-side. Off by
-	// default: hedging is provably inert only when disabled, and ~5% of
-	// healthy requests exceed their own p95 by construction.
-	Hedge bool
-	// HedgeFloor is the minimum hedge delay, and the delay used until
-	// HedgeMinSamples latencies have been observed; <= 0 means 50ms.
-	HedgeFloor time.Duration
-	// HedgeMinSamples is how many successful-request latencies must be
-	// seen before the hedge delay tracks the observed p95; <= 0 means 20.
-	HedgeMinSamples int
-	// Breaker configures the per-backend circuit breakers.
-	Breaker BreakerConfig
 	// Trace enables distributed-trace propagation: every attempt carries
 	// X-Synts-Trace/-Parent-Span/-Hop headers (trace ID = the body
 	// digest, so a seeded stream reproduces the same traces run-to-run)
@@ -70,15 +48,14 @@ type ClientConfig struct {
 }
 
 // Breakdown decomposes one logical request's end-to-end latency into the
-// per-hop components of the `synts trace` attribution model. All serial
-// components (everything except HedgeOverlapNs, which is time two lanes
-// raced in parallel) sum to at most the end-to-end latency; the remainder
-// is ClientQueueNs, filled by the caller who owns the end-to-end clock.
+// per-hop components of the `synts trace` attribution model. The
+// components sum to at most the end-to-end latency; the remainder is
+// ClientQueueNs, filled by the caller who owns the end-to-end clock.
 type Breakdown struct {
-	// ClientQueueNs is end-to-end time not spent in the winning lane's
-	// attempts or backoffs (scheduling, breaker scans, hedge waits).
+	// ClientQueueNs is end-to-end time not spent in attempts or backoffs
+	// (scheduling, connection setup outside the attempt clock).
 	ClientQueueNs int64
-	// RetryWaitNs is backoff sleep on the winning lane.
+	// RetryWaitNs is backoff sleep between attempts.
 	RetryWaitNs int64
 	// NetworkNs is attempt wall time not accounted to the router or
 	// daemon by their timing headers — wire time plus failed attempts.
@@ -92,16 +69,13 @@ type Breakdown struct {
 	DaemonQueueNs int64
 	// SolveNs is the shard worker's solve time (X-Synts-Solve-Ns).
 	SolveNs int64
-	// HedgeOverlapNs is wall time the primary and hedge lanes overlapped
-	// (parallel, excluded from the serial sum).
-	HedgeOverlapNs int64
-	// AttemptsWallNs is total attempt wall time on the winning lane
-	// (bookkeeping for ClientQueueNs; not a report component itself).
+	// AttemptsWallNs is total attempt wall time (bookkeeping for
+	// ClientQueueNs; not a report component itself).
 	AttemptsWallNs int64
 }
 
-// Result is one logical request's outcome after all resilience machinery
-// ran. Exactly one of (Err != nil) and (Status != 0) holds.
+// Result is one logical request's outcome after every attempt ran.
+// Exactly one of (Err != nil) and (Status != 0) holds.
 type Result struct {
 	Status int
 	Header http.Header
@@ -109,15 +83,11 @@ type Result struct {
 	// Err is set only when no attempt produced a final HTTP response
 	// within the budget (transport failures, torn responses, deadline).
 	Err error
-	// Retries counts extra attempts beyond the first on the winning lane.
+	// Retries counts extra attempts beyond the first.
 	Retries int
-	// Failovers counts backend switches: client-side attempt switches
-	// plus any router-side hops reported via the X-Synts-Failover header.
+	// Failovers counts the backend switches a router reported via the
+	// X-Synts-Failover header (0 when the URL is a daemon).
 	Failovers int
-	// Hedged/HedgeWon: a hedge lane was launched / it produced the
-	// winning response.
-	Hedged   bool
-	HedgeWon bool
 	// Shed reports the shed reason header of the final response ("" if
 	// none): sheds are the service coping, not the client failing.
 	Shed string
@@ -127,31 +97,25 @@ type Result struct {
 	Breakdown Breakdown
 }
 
-// latWindow is the hedge-delay latency sample window size.
-const latWindow = 128
-
-// Client is the resilient solve client: per-request deadlines, bounded
-// seeded-jitter retries, optional hedging, per-backend circuit breakers
-// and consistent-hash failover. Zero overhead when nothing fails: a
-// healthy single-backend request is one POST, no extra allocation beyond
-// the report bookkeeping, and retries=hedges=failovers=0.
+// Client is the solve client: per-request deadlines and bounded
+// seeded-jitter retries against one URL. Spreading load over several
+// daemons, failing over between them and tripping breakers is the
+// router's job (`synts route`). Zero overhead when nothing fails: a
+// healthy request is one POST and retries = failovers = 0.
 type Client struct {
-	cfg      ClientConfig
-	hc       *http.Client
-	ring     *Ring
-	breakers []*Breaker
+	cfg ClientConfig
+	url string
+	hc  *http.Client
 
-	mu     sync.Mutex
-	rng    *rand.Rand
-	lats   [latWindow]float64 // successful-attempt latencies, ms
-	latPos int
-	latN   int
+	mu  sync.Mutex
+	rng *rand.Rand
 }
 
-// NewClient builds a client over cfg.URLs (at least one required).
+// NewClient builds a client over cfg.URLs, which must hold exactly one
+// URL.
 func NewClient(cfg ClientConfig) (*Client, error) {
-	if len(cfg.URLs) == 0 {
-		return nil, errors.New("fleet: client needs at least one backend URL")
+	if len(cfg.URLs) != 1 {
+		return nil, fmt.Errorf("fleet: client takes one URL, got %d; put several daemons behind synts route", len(cfg.URLs))
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
@@ -165,96 +129,19 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.BackoffCap <= 0 {
 		cfg.BackoffCap = time.Second
 	}
-	if cfg.HedgeFloor <= 0 {
-		cfg.HedgeFloor = 50 * time.Millisecond
-	}
-	if cfg.HedgeMinSamples <= 0 {
-		cfg.HedgeMinSamples = 20
-	}
-	c := &Client{
-		cfg:  cfg,
-		hc:   &http.Client{Transport: cfg.Transport},
-		ring: NewRing(cfg.URLs, 0),
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-	}
-	c.breakers = make([]*Breaker, len(cfg.URLs))
-	for i := range c.breakers {
-		c.breakers[i] = NewBreaker(cfg.Breaker)
-	}
-	return c, nil
+	return &Client{
+		cfg: cfg,
+		url: cfg.URLs[0],
+		hc:  &http.Client{Transport: cfg.Transport},
+		rng: rand.New(rand.NewSource(cfg.Seed)),
+	}, nil
 }
 
-// Do runs one logical solve request to completion: attempts, backoff,
-// failover and (if enabled) one hedge lane, all inside one deadline.
+// Do runs one logical solve request to completion: attempts and backoff,
+// all inside one deadline.
 func (c *Client) Do(body []byte) *Result {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
 	defer cancel()
-	if !c.cfg.Hedge {
-		return c.runLane(ctx, body, 0)
-	}
-
-	type lane struct {
-		res   *Result
-		hedge bool
-	}
-	ch := make(chan lane, 2)
-	go func() { ch <- lane{c.runLane(ctx, body, 0), false} }()
-	timer := time.NewTimer(c.hedgeDelay())
-	defer timer.Stop()
-	hedged := false
-	var hedgeStart time.Time
-	pending := 1
-	var winner lane
-	for winner.res == nil {
-		select {
-		case l := <-ch:
-			pending--
-			if l.res.Err == nil || pending == 0 {
-				winner = l
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				hedgeStart = time.Now()
-				pending++
-				obs.C("fleet.client.hedges").Add(1)
-				// The hedge lane starts one position further along the
-				// ring, so on a multi-backend client it tries a different
-				// backend first.
-				go func() { ch <- lane{c.runLane(ctx, body, 1), true} }()
-			}
-		}
-	}
-	res := winner.res
-	res.Hedged = hedged
-	if hedged {
-		// Both lanes raced from hedge launch to the winner's completion:
-		// parallel time, attributed as hedge-overlap and excluded from the
-		// serial latency decomposition.
-		if ov := time.Since(hedgeStart).Nanoseconds(); ov > 0 {
-			res.Breakdown.HedgeOverlapNs = ov
-		}
-		if winner.hedge && res.Err == nil {
-			res.HedgeWon = true
-			obs.C("fleet.client.hedge_wins").Add(1)
-		}
-		// Cancel the losing lane and wait for it to wind down so its trace
-		// spans are collected before the caller reads the artifact. The
-		// abort is immediate: the context cancellation fails the lane's
-		// in-flight POST.
-		cancel()
-		for ; pending > 0; pending-- {
-			<-ch
-		}
-	}
-	return res
-}
-
-// runLane is one attempt loop: pick a backend (honouring breakers), POST,
-// classify, maybe back off and fail over. laneOffset rotates the failover
-// sequence so hedge lanes lead with a different backend, and doubles as
-// the lane index (0 = primary, 1 = hedge) on trace spans.
-func (c *Client) runLane(ctx context.Context, body []byte, laneOffset int) *Result {
 	res := &Result{}
 	var trace uint64
 	if c.cfg.Trace {
@@ -262,13 +149,11 @@ func (c *Client) runLane(ctx context.Context, body []byte, laneOffset int) *Resu
 		res.Trace = obs.TraceHex(trace)
 	}
 	traceOn := c.cfg.Trace && obs.TraceEnabled()
-	seq := c.ring.Seq(BodyDigest(body))
-	attempts := c.cfg.Retries + 1
-	last := -1
 	var lastErr error
-	var lastShed *Result // a draining shed kept as the fallback answer
-	for a := 0; a < attempts; a++ {
+	for a := 0; a <= c.cfg.Retries; a++ {
+		hop := obs.HopFirst
 		if a > 0 {
+			hop = obs.HopRetry
 			res.Retries++
 			obs.C("fleet.client.retries").Add(1)
 			w0 := time.Now()
@@ -280,8 +165,8 @@ func (c *Client) runLane(ctx context.Context, body []byte, laneOffset int) *Resu
 			if traceOn {
 				obs.TraceRecord(obs.TraceSpan{
 					Trace: obs.TraceHex(trace), Parent: obs.TraceHex(trace),
-					Span: obs.TraceHex(obs.TraceDerive(trace, trace, obs.TSClientBackoff, laneOffset<<16|a)),
-					Name: obs.TSClientBackoff, Kind: obs.HopWait, Lane: laneOffset,
+					Span: obs.TraceHex(obs.TraceDerive(trace, trace, obs.TSClientBackoff, a)),
+					Name: obs.TSClientBackoff, Kind: obs.HopWait,
 				}, w0, time.Now())
 			}
 			if ctx.Err() != nil {
@@ -289,28 +174,9 @@ func (c *Client) runLane(ctx context.Context, body []byte, laneOffset int) *Resu
 				return res
 			}
 		}
-		idx := c.pickAllowed(seq, a+laneOffset)
-		if idx < 0 {
-			lastErr = ErrAllBreakersOpen
-			continue // the cooldown may elapse within the deadline
-		}
-		hop := obs.HopFirst
-		switch {
-		case a == 0 && laneOffset > 0:
-			hop = obs.HopHedge
-		case a > 0 && last >= 0 && idx != last:
-			hop = obs.HopFailover
-		case a > 0:
-			hop = obs.HopRetry
-		}
-		if last >= 0 && idx != last {
-			res.Failovers++
-			obs.C("fleet.client.failovers").Add(1)
-		}
-		last = idx
-		attemptSpan := obs.TraceDerive(trace, trace, obs.TSClientAttempt, laneOffset<<16|a)
+		attemptSpan := obs.TraceDerive(trace, trace, obs.TSClientAttempt, a)
 		t0 := time.Now()
-		status, header, respBody, err := c.attempt(ctx, idx, body, trace, attemptSpan, hop)
+		status, header, respBody, err := c.attempt(ctx, body, trace, attemptSpan, hop)
 		wall := time.Since(t0)
 		res.Breakdown.AttemptsWallNs += wall.Nanoseconds()
 		recordAttempt := func(detail string) {
@@ -320,13 +186,10 @@ func (c *Client) runLane(ctx context.Context, body []byte, laneOffset int) *Resu
 			obs.TraceRecord(obs.TraceSpan{
 				Trace: obs.TraceHex(trace), Parent: obs.TraceHex(trace),
 				Span: obs.TraceHex(attemptSpan), Name: obs.TSClientAttempt,
-				Kind: hop, Lane: laneOffset, Backend: c.cfg.URLs[idx],
-				Detail: detail,
+				Kind: hop, Backend: c.url, Detail: detail,
 			}, t0, t0.Add(wall))
 		}
-		br := c.breakers[idx]
 		if err != nil {
-			br.RecordT(false, res.Trace)
 			lastErr = err
 			if ctx.Err() != nil {
 				recordAttempt("cancelled")
@@ -338,19 +201,8 @@ func (c *Client) runLane(ctx context.Context, body []byte, laneOffset int) *Resu
 		}
 		shed := header.Get(HeaderShedReason)
 		if status >= 500 && shed == "" {
-			br.RecordT(false, res.Trace)
 			recordAttempt(fmt.Sprintf("status:%d", status))
-			lastErr = fmt.Errorf("fleet: backend %d answered %d", idx, status)
-			continue
-		}
-		br.RecordT(true, res.Trace)
-		if shed == ReasonDraining && len(seq) > 1 && a+1 < attempts {
-			// An orderly drain is not a failure — don't trip the breaker —
-			// but the work should land elsewhere. Remember the shed as the
-			// answer of last resort and fail over.
-			recordAttempt("shed:" + shed)
-			lastShed = &Result{Status: status, Header: header, Body: respBody, Shed: shed, Trace: res.Trace}
-			lastErr = nil
+			lastErr = fmt.Errorf("fleet: %s answered %d", c.url, status)
 			continue
 		}
 		detail := "ok"
@@ -360,16 +212,10 @@ func (c *Client) runLane(ctx context.Context, body []byte, laneOffset int) *Resu
 		recordAttempt(detail)
 		res.Status, res.Header, res.Body, res.Shed = status, header, respBody, shed
 		if n, err := strconv.Atoi(header.Get(HeaderFailover)); err == nil && n > 0 {
-			res.Failovers += n
+			res.Failovers = n
 		}
 		fillBreakdown(res)
 		return res
-	}
-	if lastShed != nil {
-		lastShed.Retries, lastShed.Failovers = res.Retries, res.Failovers
-		lastShed.Breakdown = res.Breakdown
-		fillBreakdown(lastShed)
-		return lastShed
 	}
 	if lastErr == nil {
 		lastErr = errors.New("fleet: request budget exhausted")
@@ -379,12 +225,9 @@ func (c *Client) runLane(ctx context.Context, body []byte, laneOffset int) *Resu
 }
 
 // fillBreakdown derives the network/router/daemon components from the
-// final response's timing headers and the lane's accumulated attempt wall
-// time. Pure header arithmetic — identical with tracing on or off.
+// final response's timing headers and the accumulated attempt wall time.
+// Pure header arithmetic — identical with tracing on or off.
 func fillBreakdown(res *Result) {
-	if res.Header == nil {
-		return
-	}
 	bd := &res.Breakdown
 	serverNs := headerNs(res.Header, HeaderServerNs)
 	routeNs := headerNs(res.Header, HeaderRouteNs)
@@ -404,25 +247,12 @@ func fillBreakdown(res *Result) {
 	}
 }
 
-// pickAllowed scans the failover sequence from position pos for the first
-// backend whose breaker admits the request; -1 when all reject.
-func (c *Client) pickAllowed(seq []int, pos int) int {
-	n := len(seq)
-	for k := 0; k < n; k++ {
-		idx := seq[(pos+k)%n]
-		if c.breakers[idx].Allow() {
-			return idx
-		}
-	}
-	return -1
-}
-
-// attempt is one POST to one backend. A response-body read error (the
-// resp-torn chaos class, or a connection cut mid-body) is an attempt
-// failure, not a final answer. With tracing on, the attempt's trace
-// context rides along so the downstream hop parents its spans correctly.
-func (c *Client) attempt(ctx context.Context, idx int, body []byte, trace, span uint64, hop string) (int, http.Header, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.URLs[idx]+SolvePath, bytes.NewReader(body))
+// attempt is one POST. A response-body read error (the resp-torn chaos
+// class, or a connection cut mid-body) is an attempt failure, not a final
+// answer. With tracing on, the attempt's trace context rides along so the
+// downstream hop parents its spans correctly.
+func (c *Client) attempt(ctx context.Context, body []byte, trace, span uint64, hop string) (int, http.Header, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url+SolvePath, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -430,7 +260,6 @@ func (c *Client) attempt(ctx context.Context, idx int, body []byte, trace, span 
 	if trace != 0 {
 		SetTraceHeaders(req.Header, trace, span, hop)
 	}
-	t0 := time.Now()
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return 0, nil, nil, err
@@ -438,10 +267,7 @@ func (c *Client) attempt(ctx context.Context, idx int, body []byte, trace, span 
 	respBody, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		return 0, nil, nil, fmt.Errorf("fleet: torn response from backend %d: %w", idx, err)
-	}
-	if resp.StatusCode == http.StatusOK {
-		c.observeLatency(float64(time.Since(t0)) / float64(time.Millisecond))
+		return 0, nil, nil, fmt.Errorf("fleet: torn response from %s: %w", c.url, err)
 	}
 	return resp.StatusCode, resp.Header, respBody, nil
 }
@@ -457,42 +283,5 @@ func (c *Client) backoff(a int) time.Duration {
 	c.mu.Lock()
 	d := time.Duration(c.rng.Float64() * float64(max))
 	c.mu.Unlock()
-	return d
-}
-
-// observeLatency feeds one successful-request latency into the hedge
-// window.
-func (c *Client) observeLatency(ms float64) {
-	c.mu.Lock()
-	c.lats[c.latPos] = ms
-	c.latPos = (c.latPos + 1) % latWindow
-	if c.latN < latWindow {
-		c.latN++
-	}
-	c.mu.Unlock()
-}
-
-// hedgeDelay is the observed p95 of recent successful requests (never
-// below HedgeFloor), or the floor until enough samples exist.
-func (c *Client) hedgeDelay() time.Duration {
-	c.mu.Lock()
-	n := c.latN
-	var buf []float64
-	if n >= c.cfg.HedgeMinSamples {
-		buf = append(buf, c.lats[:n]...)
-	}
-	c.mu.Unlock()
-	if buf == nil {
-		return c.cfg.HedgeFloor
-	}
-	sort.Float64s(buf)
-	i := (95*len(buf) + 99) / 100
-	if i > 0 {
-		i--
-	}
-	d := time.Duration(buf[i] * float64(time.Millisecond))
-	if d < c.cfg.HedgeFloor {
-		d = c.cfg.HedgeFloor
-	}
 	return d
 }

@@ -1,9 +1,9 @@
 package fleet
 
 import (
-	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,7 +33,7 @@ func TestClientInertWhenHealthy(t *testing.T) {
 		if res.Err != nil || res.Status != http.StatusOK {
 			t.Fatalf("healthy request failed: %+v", res)
 		}
-		if res.Retries != 0 || res.Failovers != 0 || res.Hedged || res.HedgeWon {
+		if res.Retries != 0 || res.Failovers != 0 {
 			t.Fatalf("resilience machinery fired on a healthy backend: %+v", res)
 		}
 	}
@@ -90,85 +90,6 @@ func TestClientTornResponseRetries(t *testing.T) {
 	}
 }
 
-// twoBackends starts a pair of test servers and arranges their handlers
-// so that `first` serves wherever body's failover sequence begins and
-// `second` serves the next hop — the URLs are dynamic, so which server is
-// first on the ring is only known after both are up.
-func twoBackends(t *testing.T, body []byte, first, second http.HandlerFunc) (urls []string, cleanup func()) {
-	t.Helper()
-	var h0, h1 atomic.Value
-	a := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h0.Load().(http.HandlerFunc)(w, r)
-	}))
-	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h1.Load().(http.HandlerFunc)(w, r)
-	}))
-	urls = []string{a.URL, b.URL}
-	if seq := NewRing(urls, 0).Seq(BodyDigest(body)); seq[0] == 0 {
-		h0.Store(first)
-		h1.Store(second)
-	} else {
-		h0.Store(second)
-		h1.Store(first)
-	}
-	return urls, func() { a.Close(); b.Close() }
-}
-
-// When the first backend on the ring dies, the retry lands on the next
-// one — a failover, counted as such.
-func TestClientFailover(t *testing.T) {
-	body := []byte(`{"id":"r4"}`)
-	urls, cleanup := twoBackends(t, body,
-		func(w http.ResponseWriter, r *http.Request) {
-			http.Error(w, "dead", http.StatusInternalServerError)
-		},
-		func(w http.ResponseWriter, r *http.Request) {
-			w.Write([]byte(`{"ok":true}`))
-		})
-	defer cleanup()
-	cfg := ClientConfig{URLs: urls, Retries: 2}
-	fastBackoff(&cfg)
-	c, _ := NewClient(cfg)
-	res := c.Do(body)
-	if res.Err != nil || res.Status != http.StatusOK {
-		t.Fatalf("want failover success, got %+v err=%v", res, res.Err)
-	}
-	if res.Failovers != 1 || res.Retries != 1 {
-		t.Fatalf("failovers=%d retries=%d, want 1/1", res.Failovers, res.Retries)
-	}
-}
-
-// A draining backend is not failing: the client fails over without
-// charging its breaker, and the drain shed is only surfaced if nobody
-// else can answer.
-func TestClientDrainFailover(t *testing.T) {
-	body := []byte(`{"id":"r5"}`)
-	urls, cleanup := twoBackends(t, body,
-		func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set(HeaderShedReason, ReasonDraining)
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-		},
-		func(w http.ResponseWriter, r *http.Request) {
-			w.Write([]byte(`{"ok":true}`))
-		})
-	defer cleanup()
-	cfg := ClientConfig{URLs: urls, Retries: 2}
-	fastBackoff(&cfg)
-	c, _ := NewClient(cfg)
-	res := c.Do(body)
-	if res.Err != nil || res.Status != http.StatusOK {
-		t.Fatalf("want failover around draining backend, got %+v err=%v", res, res.Err)
-	}
-	if res.Shed != "" {
-		t.Fatalf("shed %q surfaced though a live backend answered", res.Shed)
-	}
-	for i, br := range c.breakers {
-		if br.State() != BreakerClosed {
-			t.Fatalf("breaker %d %s: drains must not charge breakers", i, br.State())
-		}
-	}
-}
-
 // A shed that is NOT a drain (queue-full) is a final answer: the service
 // is coping, not broken, and hammering it with retries would make the
 // overload worse.
@@ -192,59 +113,7 @@ func TestClientShedIsFinal(t *testing.T) {
 	}
 }
 
-// Enough consecutive failures open the breaker; with every backend open
-// the client reports ErrAllBreakersOpen instead of hammering dead hosts.
-func TestClientBreakerOpens(t *testing.T) {
-	var hits int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		atomic.AddInt32(&hits, 1)
-		http.Error(w, "dead", http.StatusInternalServerError)
-	}))
-	defer srv.Close()
-	cfg := ClientConfig{
-		URLs:    []string{srv.URL},
-		Retries: 5,
-		Breaker: BreakerConfig{Failures: 2, Cooldown: time.Minute},
-	}
-	fastBackoff(&cfg)
-	c, _ := NewClient(cfg)
-	res := c.Do([]byte(`{"id":"r7"}`))
-	if !errors.Is(res.Err, ErrAllBreakersOpen) {
-		t.Fatalf("err = %v, want ErrAllBreakersOpen", res.Err)
-	}
-	if got := atomic.LoadInt32(&hits); got != 2 {
-		t.Fatalf("backend saw %d requests, want 2: the breaker must cut the rest", got)
-	}
-	if c.breakers[0].State() != BreakerOpen {
-		t.Fatalf("breaker %s, want open", c.breakers[0].State())
-	}
-}
-
-// Hedging races a second lane when the first stalls; the fast lane wins.
-func TestClientHedgeWins(t *testing.T) {
-	var n int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if atomic.AddInt32(&n, 1) == 1 {
-			time.Sleep(400 * time.Millisecond) // the stalled primary
-		}
-		w.Write([]byte(`{"ok":true}`))
-	}))
-	defer srv.Close()
-	c, _ := NewClient(ClientConfig{
-		URLs:       []string{srv.URL},
-		Hedge:      true,
-		HedgeFloor: 10 * time.Millisecond,
-	})
-	res := c.Do([]byte(`{"id":"r8"}`))
-	if res.Err != nil || res.Status != http.StatusOK {
-		t.Fatalf("want hedged success, got %+v err=%v", res, res.Err)
-	}
-	if !res.Hedged || !res.HedgeWon {
-		t.Fatalf("hedged=%v hedgeWon=%v, want true/true", res.Hedged, res.HedgeWon)
-	}
-}
-
-// The per-request deadline bounds everything: retries, backoff, hedges.
+// The per-request deadline bounds everything: retries and backoff.
 func TestClientDeadline(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(2 * time.Second)
@@ -260,5 +129,16 @@ func TestClientDeadline(t *testing.T) {
 	}
 	if el := time.Since(t0); el > time.Second {
 		t.Fatalf("Do took %v, deadline 50ms did not bound it", el)
+	}
+}
+
+// The client sends to one URL: zero or several are refused up front,
+// with an error that points at the router.
+func TestNewClientTakesOneURL(t *testing.T) {
+	for _, urls := range [][]string{nil, {"http://127.0.0.1:1", "http://127.0.0.1:2"}} {
+		_, err := NewClient(ClientConfig{URLs: urls})
+		if err == nil || !strings.Contains(err.Error(), "synts route") {
+			t.Errorf("%d URLs: err = %v, want a refusal naming synts route", len(urls), err)
+		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package fleet turns the single-box solver daemon of internal/service
 // into a fleet that survives the loss of any one member: a consistent-hash
 // router (`synts route`) spreads solve traffic over N `synts serve`
-// daemons and remaps it away from dead or draining backends, and a
-// resilient client (used by `synts loadgen`) retries, hedges and fails
-// over with per-backend circuit breakers.
+// daemons, remaps it away from dead or draining backends and trips a
+// circuit breaker per backend, and a client (used by `synts loadgen`)
+// sends to one URL, a daemon or the router, with deadlines and retries.
 //
 // The design is the system-level analogue of the paper's Razor loop:
 // speculate (send the request to the backend the hash picks), detect the
@@ -12,7 +12,7 @@
 // the ring) — keeping the client-visible error rate bounded the way
 // replay keeps the architectural state correct. Solve requests are pure
 // functions of their payload (the service's determinism contract), so a
-// replayed or hedged solve is always safe and, thanks to coalescing and
+// replayed or retried solve is always safe and, thanks to coalescing and
 // warm starts, usually cheap.
 //
 // Everything here follows the repository's determinism discipline: ring
@@ -41,7 +41,7 @@ const (
 	// before the request was served; its value is the failed-hop count.
 	HeaderFailover = "X-Synts-Failover"
 	// ReasonDraining is a backend's orderly-shutdown shed reason: the
-	// router and client fail such requests over instead of surfacing them.
+	// router fails such requests over instead of surfacing them.
 	ReasonDraining = "draining"
 	// ReasonNoBackends is the router's shed reason when no healthy,
 	// breaker-admitted backend remains.

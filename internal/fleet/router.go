@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -420,18 +421,17 @@ func (rt *Router) tryBackend(w http.ResponseWriter, b *backend, idx int, body []
 		}
 	}
 
-	req, err := http.NewRequest(http.MethodPost, b.url+SolvePath, io.NopCloser(newByteReader(body)))
+	req, err := http.NewRequest(http.MethodPost, b.url+SolvePath, bytes.NewReader(body))
 	if err != nil {
 		rt.failAttempt(b, red, "backend-error", trace)
 		recordHop("backend-error")
 		return false, false
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.ContentLength = int64(len(body))
 	if tr.tc.Valid() {
 		// Forward the trace: the hop span becomes the daemon's parent. The
-		// hop *kind* forwarded downstream keeps the client's first/retry/
-		// hedge label unless this hop is itself a failover replay.
+		// hop *kind* forwarded downstream keeps the client's first/retry
+		// label unless this hop is itself a failover replay.
 		fwdHop := tr.tc.Hop
 		if hops > 0 {
 			fwdHop = obs.HopFailover
@@ -540,22 +540,4 @@ func (rt *Router) recordFailover(b *backend, reason, trace string) {
 		Reason: reason,
 		Trace:  trace,
 	})
-}
-
-// newByteReader wraps body bytes for re-POSTing without aliasing issues.
-func newByteReader(b []byte) io.Reader {
-	return io.NewSectionReader(byteReaderAt(b), 0, int64(len(b)))
-}
-
-type byteReaderAt []byte
-
-func (b byteReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off >= int64(len(b)) {
-		return 0, io.EOF
-	}
-	n := copy(p, b[off:])
-	if off+int64(n) == int64(len(b)) {
-		return n, io.EOF
-	}
-	return n, nil
 }

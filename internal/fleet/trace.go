@@ -21,8 +21,8 @@ const (
 	// HeaderParentSpan carries the 16-hex span ID of the upstream hop
 	// (the client attempt or router hop that issued this request).
 	HeaderParentSpan = "X-Synts-Parent-Span"
-	// HeaderHop says how the request reached this process: first, retry,
-	// hedge or failover.
+	// HeaderHop says how the request reached this process: first, retry
+	// or failover.
 	HeaderHop = "X-Synts-Hop"
 
 	// HeaderServerNs is the daemon's total handling time in nanoseconds.
@@ -77,7 +77,7 @@ func ParseTraceHeaders(h http.Header) TraceCtx {
 		}
 	}
 	switch hop := h.Get(HeaderHop); hop {
-	case obs.HopFirst, obs.HopRetry, obs.HopHedge, obs.HopFailover:
+	case obs.HopFirst, obs.HopRetry, obs.HopFailover:
 		tc.Hop = hop
 	}
 	return tc

@@ -12,7 +12,7 @@ import (
 
 // Set → Parse is the identity for every hop kind the wire admits.
 func TestTraceHeadersRoundTrip(t *testing.T) {
-	for _, hop := range []string{obs.HopFirst, obs.HopRetry, obs.HopHedge, obs.HopFailover} {
+	for _, hop := range []string{obs.HopFirst, obs.HopRetry, obs.HopFailover} {
 		h := http.Header{}
 		SetTraceHeaders(h, 0xdeadbeef, 0x1234, hop)
 		tc := ParseTraceHeaders(h)
@@ -64,8 +64,8 @@ func FuzzParseTraceHeaders(f *testing.F) {
 	f.Add("", "", "", uint64(1), uint64(0), uint8(0))
 	f.Add("0", "not-hex", "teleport", uint64(1<<63), uint64(1), uint8(2))
 	f.Add("10000000000000000", "-1", obs.HopFailover, ^uint64(0), ^uint64(0), uint8(3))
-	f.Add("+ff", "0x10", " hedge", uint64(0xff), uint64(0x10), uint8(7))
-	hops := []string{obs.HopFirst, obs.HopRetry, obs.HopHedge, obs.HopFailover}
+	f.Add("+ff", "0x10", "hedge", uint64(0xff), uint64(0x10), uint8(7))
+	hops := []string{obs.HopFirst, obs.HopRetry, obs.HopFailover}
 	f.Fuzz(func(t *testing.T, trace, parent, hop string, id, span uint64, kind uint8) {
 		h := http.Header{}
 		h.Set(HeaderTrace, trace)
@@ -74,7 +74,7 @@ func FuzzParseTraceHeaders(f *testing.F) {
 		tc := ParseTraceHeaders(h)
 		if tc != (TraceCtx{}) {
 			switch tc.Hop {
-			case obs.HopFirst, obs.HopRetry, obs.HopHedge, obs.HopFailover:
+			case obs.HopFirst, obs.HopRetry, obs.HopFailover:
 			default:
 				t.Fatalf("headers %q %q %q parsed to hop kind %q", trace, parent, hop, tc.Hop)
 			}

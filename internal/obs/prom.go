@@ -85,12 +85,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-var (
-	promNameRe  = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-	promTypeRe  = regexp.MustCompile(`^(counter|gauge|histogram|summary|untyped)$`)
-	promLabelRe = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
-)
-
 // ValidatePrometheusText checks a payload against the text exposition
 // grammar (version 0.0.4): well-formed TYPE/HELP comments, legal metric
 // and label names, properly quoted/escaped label values, float sample
@@ -98,6 +92,11 @@ var (
 // belongs to a family declared by a preceding # TYPE line (the bridge
 // always declares, so an undeclared sample means a writer bug).
 func ValidatePrometheusText(payload []byte) error {
+	// Compiled here, not at package init: every synts process links obs,
+	// and only tests validate.
+	nameRe := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	typeRe := regexp.MustCompile(`^(counter|gauge|histogram|summary|untyped)$`)
+	labelRe := regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 	families := map[string]string{} // family -> type
 	lines := strings.Split(string(payload), "\n")
 	for i, line := range lines {
@@ -116,10 +115,10 @@ func ValidatePrometheusText(payload []byte) error {
 					return fmt.Errorf("line %d: malformed TYPE comment %q", lineNo, line)
 				}
 				name, typ := fields[2], fields[3]
-				if !promNameRe.MatchString(name) {
+				if !nameRe.MatchString(name) {
 					return fmt.Errorf("line %d: bad metric name %q in TYPE", lineNo, name)
 				}
-				if !promTypeRe.MatchString(typ) {
+				if !typeRe.MatchString(typ) {
 					return fmt.Errorf("line %d: bad metric type %q", lineNo, typ)
 				}
 				if _, dup := families[name]; dup {
@@ -130,17 +129,17 @@ func ValidatePrometheusText(payload []byte) error {
 				if len(fields) < 3 {
 					return fmt.Errorf("line %d: malformed HELP comment %q", lineNo, line)
 				}
-				if !promNameRe.MatchString(fields[2]) {
+				if !nameRe.MatchString(fields[2]) {
 					return fmt.Errorf("line %d: bad metric name %q in HELP", lineNo, fields[2])
 				}
 			}
 			continue
 		}
-		name, rest, err := splitPromSample(line)
+		name, rest, err := splitPromSample(line, labelRe)
 		if err != nil {
 			return fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		if !promNameRe.MatchString(name) {
+		if !nameRe.MatchString(name) {
 			return fmt.Errorf("line %d: bad metric name %q", lineNo, name)
 		}
 		if familyOf(name, families) == "" {
@@ -188,8 +187,9 @@ func familyOf(name string, families map[string]string) string {
 }
 
 // splitPromSample splits a sample line into the metric name and the
-// remainder after the optional label block, validating the labels.
-func splitPromSample(line string) (name, rest string, err error) {
+// remainder after the optional label block, validating the label names
+// with labelRe.
+func splitPromSample(line string, labelRe *regexp.Regexp) (name, rest string, err error) {
 	brace := strings.IndexByte(line, '{')
 	space := strings.IndexByte(line, ' ')
 	if brace < 0 || (space >= 0 && space < brace) {
@@ -209,7 +209,7 @@ func splitPromSample(line string) (name, rest string, err error) {
 		if j >= len(line) {
 			return "", "", fmt.Errorf("unterminated label block in %q", line)
 		}
-		if !promLabelRe.MatchString(line[i:j]) {
+		if !labelRe.MatchString(line[i:j]) {
 			return "", "", fmt.Errorf("bad label name %q", line[i:j])
 		}
 		// quoted value

@@ -38,7 +38,7 @@ const TraceSchema = "synts-trace/v1"
 
 // Span names. The producer vocabulary is closed so obscheck can validate
 // artifacts structurally: one client.request root per trace, client
-// attempt/backoff lanes under it, route.request → route.hop chains at the
+// attempts and backoffs under it, route.request → route.hop chains at the
 // router, and service.request → service.queue/service.solve at a daemon.
 const (
 	TSClientRequest  = "client.request"
@@ -51,13 +51,12 @@ const (
 	TSServiceSolve   = "service.solve"
 )
 
-// Hop kinds. first/retry/hedge/failover travel on the wire (X-Synts-Hop)
+// Hop kinds. first/retry/failover travel on the wire (X-Synts-Hop)
 // and describe how a request reached a process; the rest are span-local.
 const (
 	HopRoot     = "root"
 	HopFirst    = "first"
 	HopRetry    = "retry"
-	HopHedge    = "hedge"
 	HopFailover = "failover"
 	HopSkip     = "skip"
 	HopWait     = "retry-wait"
@@ -68,11 +67,11 @@ const (
 // traceSpanKinds maps each span name to its allowed hop kinds.
 var traceSpanKinds = map[string]map[string]bool{
 	TSClientRequest:  {HopRoot: true},
-	TSClientAttempt:  {HopFirst: true, HopRetry: true, HopHedge: true, HopFailover: true},
+	TSClientAttempt:  {HopFirst: true, HopRetry: true, HopFailover: true},
 	TSClientBackoff:  {HopWait: true},
-	TSRouteRequest:   {HopFirst: true, HopRetry: true, HopHedge: true, HopFailover: true},
+	TSRouteRequest:   {HopFirst: true, HopRetry: true, HopFailover: true},
 	TSRouteHop:       {HopFirst: true, HopFailover: true, HopSkip: true},
-	TSServiceRequest: {HopFirst: true, HopRetry: true, HopHedge: true, HopFailover: true},
+	TSServiceRequest: {HopFirst: true, HopRetry: true, HopFailover: true},
 	TSServiceQueue:   {HopQueue: true},
 	TSServiceSolve:   {HopSolve: true},
 }
@@ -88,7 +87,6 @@ type TraceSpan struct {
 	Name    string `json:"name"`
 	Kind    string `json:"kind"`
 	Proc    string `json:"proc"`
-	Lane    int    `json:"lane,omitempty"`
 	Backend string `json:"backend,omitempty"`
 	Detail  string `json:"detail,omitempty"`
 	StartNs int64  `json:"start_ns"`
@@ -219,9 +217,6 @@ func SortTraceSpans(spans []TraceSpan) {
 		}
 		if a.Kind != b.Kind {
 			return a.Kind < b.Kind
-		}
-		if a.Lane != b.Lane {
-			return a.Lane < b.Lane
 		}
 		if a.Backend != b.Backend {
 			return a.Backend < b.Backend
@@ -370,9 +365,6 @@ func (sp *TraceSpan) Validate() error {
 	if sp.Proc == "" {
 		return fmt.Errorf("trace span %s/%s: empty proc", sp.Trace, sp.Span)
 	}
-	if sp.Lane < 0 {
-		return fmt.Errorf("trace span %s/%s: negative lane %d", sp.Trace, sp.Span, sp.Lane)
-	}
 	if sp.StartNs < 0 || sp.DurNs < 0 {
 		return fmt.Errorf("trace span %s/%s: negative timing (start %d, dur %d)", sp.Trace, sp.Span, sp.StartNs, sp.DurNs)
 	}
@@ -390,8 +382,8 @@ func TraceCanon(spans []TraceSpan) []byte {
 	var b strings.Builder
 	for i := range sorted {
 		sp := &sorted[i]
-		fmt.Fprintf(&b, "%s %s %s %s %s lane=%d proc=%s backend=%s detail=%s\n",
-			sp.Trace, sp.Span, orDash(sp.Parent), sp.Name, sp.Kind, sp.Lane, sp.Proc, sp.Backend, sp.Detail)
+		fmt.Fprintf(&b, "%s %s %s %s %s proc=%s backend=%s detail=%s\n",
+			sp.Trace, sp.Span, orDash(sp.Parent), sp.Name, sp.Kind, sp.Proc, sp.Backend, sp.Detail)
 	}
 	return []byte(b.String())
 }

@@ -72,7 +72,7 @@ func TestTraceCollector(t *testing.T) {
 func TestTraceJSONLRoundTrip(t *testing.T) {
 	spans := []TraceSpan{
 		{Trace: TraceHex(3), Span: TraceHex(5), Name: TSClientRequest, Kind: HopRoot, Proc: "p", StartNs: 0, DurNs: 10},
-		{Trace: TraceHex(3), Span: TraceHex(4), Parent: TraceHex(5), Name: TSClientAttempt, Kind: HopFirst, Proc: "p", Lane: 1, Backend: "http://b", Detail: "ok", StartNs: 1, DurNs: 8},
+		{Trace: TraceHex(3), Span: TraceHex(4), Parent: TraceHex(5), Name: TSClientAttempt, Kind: HopFirst, Proc: "p", Backend: "http://b", Detail: "ok", StartNs: 1, DurNs: 8},
 	}
 	var buf bytes.Buffer
 	if err := WriteTraceJSONL(&buf, spans); err != nil {
@@ -100,9 +100,10 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 	if _, err := ReadTraceJSONL(strings.NewReader(bad)); err == nil {
 		t.Error("unknown span field accepted")
 	}
-	negLane := "{\"schema\":\"synts-trace/v1\"}\n{\"trace\":\"0000000000000001\",\"span\":\"0000000000000002\",\"name\":\"client.attempt\",\"kind\":\"first\",\"proc\":\"p\",\"lane\":-1,\"start_ns\":0,\"dur_ns\":0}\n"
-	if _, err := ReadTraceJSONL(strings.NewReader(negLane)); err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("span with a negative lane: err = %v, want a line-2 rejection", err)
+	// lane is not a span field, so an artifact carrying one is refused.
+	lane := "{\"schema\":\"synts-trace/v1\"}\n{\"trace\":\"0000000000000001\",\"span\":\"0000000000000002\",\"name\":\"client.attempt\",\"kind\":\"first\",\"proc\":\"p\",\"lane\":1,\"start_ns\":0,\"dur_ns\":0}\n"
+	if _, err := ReadTraceJSONL(strings.NewReader(lane)); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("span with a lane: err = %v, want a line-2 rejection", err)
 	}
 }
 

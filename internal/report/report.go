@@ -5,7 +5,6 @@
 package report
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -77,22 +76,6 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// WriteCSV emits the table as RFC-4180 CSV (header row first) for
-// downstream plotting tools.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Headers); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if err := cw.Write(r); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // Series is a titled multi-column numeric series keyed on an x value —
 // the textual form of a line plot.
 type Series struct {
@@ -130,12 +113,6 @@ func (s *Series) table() Table {
 func (s *Series) Render(w io.Writer) {
 	t := s.table()
 	t.Render(w)
-}
-
-// WriteCSV emits the series as CSV.
-func (s *Series) WriteCSV(w io.Writer) error {
-	t := s.table()
-	return t.WriteCSV(w)
 }
 
 // BarGroup renders grouped bars (e.g. normalized EDP per benchmark per

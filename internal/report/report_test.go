@@ -83,28 +83,3 @@ func TestBarGroupAllZeros(t *testing.T) {
 		t.Error("nothing rendered")
 	}
 }
-
-func TestTableWriteCSV(t *testing.T) {
-	tbl := &Table{Headers: []string{"a", "b"}}
-	tbl.AddRow(1.5, "x,y") // the comma must be quoted
-	var sb strings.Builder
-	if err := tbl.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\n1.5,\"x,y\"\n"
-	if sb.String() != want {
-		t.Fatalf("csv = %q, want %q", sb.String(), want)
-	}
-}
-
-func TestSeriesWriteCSV(t *testing.T) {
-	s := &Series{XLabel: "r", Names: []string{"err"}}
-	s.Add(0.5, 0.25)
-	var sb strings.Builder
-	if err := s.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != "r,err\n0.5,0.25\n" {
-		t.Fatalf("csv = %q", sb.String())
-	}
-}

@@ -15,8 +15,7 @@ import (
 func FuzzStitchArtifact(f *testing.F) {
 	seed := []obs.TraceSpan{
 		{Trace: hx(1), Span: hx(1), Name: obs.TSClientRequest, Kind: obs.HopRoot, Proc: "lg", Detail: "ok", StartNs: 0, DurNs: 2000},
-		{Trace: hx(1), Span: hx(10), Parent: hx(1), Name: obs.TSClientAttempt, Kind: obs.HopFirst, Proc: "lg", Lane: 0, Detail: "ok", StartNs: 10, DurNs: 1900},
-		{Trace: hx(1), Span: hx(11), Parent: hx(1), Name: obs.TSClientAttempt, Kind: obs.HopHedge, Proc: "lg", Lane: 1, Detail: "cancelled", StartNs: 500, DurNs: 300},
+		{Trace: hx(1), Span: hx(10), Parent: hx(1), Name: obs.TSClientAttempt, Kind: obs.HopFirst, Proc: "lg", Detail: "ok", StartNs: 10, DurNs: 1900},
 		{Trace: hx(1), Span: hx(30), Parent: hx(10), Name: obs.TSRouteRequest, Kind: obs.HopFirst, Proc: "rt", Detail: "ok", StartNs: 100, DurNs: 1800},
 		{Trace: hx(1), Span: hx(31), Parent: hx(30), Name: obs.TSRouteHop, Kind: obs.HopSkip, Proc: "rt", Backend: "http://b0", Detail: "breaker-open", StartNs: 105},
 		{Trace: hx(1), Span: hx(33), Parent: hx(30), Name: obs.TSRouteHop, Kind: obs.HopFailover, Proc: "rt", Backend: "http://b2", Detail: "ok", StartNs: 420, DurNs: 1400},

@@ -1,7 +1,9 @@
 // Package sched stitches per-process synts-trace/v1 span artifacts
 // (loadgen, router, daemons — each on its own monotonic clock) into
-// fleet-wide trace trees, marks each tree's critical path, and attributes
-// tail latency to the hops on it (`synts trace`, `obscheck -trace`).
+// fleet-wide trace trees and attributes tail latency to their hops
+// (`synts trace`, `obscheck -trace`). A client sends each attempt after
+// the last one ended and the router walks its ring one backend at a time,
+// so every span of a tree lies on the request's critical path.
 //
 // Span IDs are content-derived (obs.TraceDerive), so the parent/child
 // edges line up across artifacts without any runtime coordination; only
@@ -15,7 +17,6 @@ package sched
 import (
 	"math"
 	"sort"
-	"strings"
 
 	"synts/internal/obs"
 )
@@ -27,10 +28,6 @@ type TraceNode struct {
 	StartNs  int64 // normalized trace timeline
 	EndNs    int64
 	Children []*TraceNode
-	// OnPath marks the critical path: the serial chain of spans that
-	// determined when the root completed (winning lane only; a cancelled
-	// hedge lane is off-path by construction).
-	OnPath bool
 }
 
 // TraceComponents decomposes one stitched trace's end-to-end time into
@@ -38,14 +35,13 @@ type TraceNode struct {
 // from spans — so comparing the two is a genuine cross-artifact
 // reconciliation, not the same numbers copied twice.
 type TraceComponents struct {
-	TotalNs        int64 `json:"total_ns"`
-	ClientQueueNs  int64 `json:"client_queue_ns"`
-	RetryWaitNs    int64 `json:"retry_wait_ns"`
-	NetworkNs      int64 `json:"network_ns"`
-	RouterNs       int64 `json:"router_ns"`
-	DaemonQueueNs  int64 `json:"daemon_queue_ns"`
-	SolveNs        int64 `json:"solve_ns"`
-	HedgeOverlapNs int64 `json:"hedge_overlap_ns"` // parallel; outside the serial sum
+	TotalNs       int64 `json:"total_ns"`
+	ClientQueueNs int64 `json:"client_queue_ns"`
+	RetryWaitNs   int64 `json:"retry_wait_ns"`
+	NetworkNs     int64 `json:"network_ns"`
+	RouterNs      int64 `json:"router_ns"`
+	DaemonQueueNs int64 `json:"daemon_queue_ns"`
+	SolveNs       int64 `json:"solve_ns"`
 }
 
 // TraceTree is one logical request reassembled across processes.
@@ -54,12 +50,12 @@ type TraceTree struct {
 	Root  *TraceNode
 	Spans int // spans reachable from the root
 	Comp  TraceComponents
-	// FailoverOnPath reports a failover hop (client backend switch or
-	// router ring-walk replay) on the critical path: this request's tail
-	// latency is attributable to a recovery, the fleet analogue of the
-	// paper's detect-and-replay cost.
+	// FailoverOnPath reports a failover hop (a router ring-walk replay)
+	// on the critical path: this request's tail latency is attributable
+	// to a recovery, the fleet analogue of the paper's detect-and-replay
+	// cost.
 	FailoverOnPath bool
-	// BreakerSkipOnPath reports that the serving ring walk stepped over a
+	// BreakerSkipOnPath reports that the ring walk stepped over a
 	// breaker-open backend.
 	BreakerSkipOnPath bool
 }
@@ -172,110 +168,61 @@ func stitchOne(trace string, group []obs.TraceSpan) (*TraceTree, int) {
 	orphans += len(nodes) - reachable
 
 	tree := &TraceTree{Trace: trace, Root: root, Spans: reachable}
-	markCriticalPath(tree)
-	tree.Comp = components(tree)
+	attribute(tree)
 	return tree, orphans
 }
 
-// markCriticalPath marks the serial chain that determined the root's end
-// time: the winning client lane (every attempt and backoff on it — serial
-// by construction) and, below each attempt, the full downstream subtree
-// (ring-walk hops are serial, queue precedes solve). A losing hedge
-// lane's subtree stays off-path.
-func markCriticalPath(t *TraceTree) {
-	t.Root.OnPath = true
-	winLane := -1
-	var latest *TraceNode
-	for _, c := range t.Root.Children {
-		if c.Span.Name != obs.TSClientAttempt {
-			continue
-		}
-		d := c.Span.Detail
-		if d == "ok" || strings.HasPrefix(d, "shed:") {
-			winLane = c.Span.Lane
-			if d == "ok" {
-				break
-			}
-			continue
-		}
-		if d != "cancelled" && (latest == nil || c.EndNs > latest.EndNs) {
-			latest = c
-		}
-	}
-	if winLane < 0 {
-		if latest != nil {
-			winLane = latest.Span.Lane
-		} else {
-			winLane = 0
-		}
-	}
-	var markAll func(n *TraceNode)
-	markAll = func(n *TraceNode) {
-		n.OnPath = true
+// attribute derives the per-hop decomposition from the tree's spans,
+// mirroring the timing-header identity the fleet client uses: solve is the
+// shard worker time, daemon queue the rest of the daemon's handling,
+// router the route time net of daemon time, network the attempt time net
+// of remote time, retry-wait the backoff sleeps and client-queue the
+// residue. It also flags the failover hops and breaker-open skips.
+func attribute(t *TraceTree) {
+	c := TraceComponents{TotalNs: t.Root.Span.DurNs}
+	var attemptsWall int64
+	var visit func(n *TraceNode)
+	visit = func(n *TraceNode) {
 		switch {
 		case n.Span.Kind == obs.HopFailover:
 			t.FailoverOnPath = true
 		case n.Span.Kind == obs.HopSkip && n.Span.Detail == "breaker-open":
 			t.BreakerSkipOnPath = true
 		}
-		for _, c := range n.Children {
-			markAll(c)
-		}
-	}
-	for _, c := range t.Root.Children {
-		if c.Span.Lane == winLane {
-			markAll(c)
-		}
-	}
-}
-
-// components derives the per-hop decomposition from the on-path spans,
-// mirroring the timing-header identity the fleet client uses: solve is the
-// shard worker time, daemon queue the rest of the daemon's handling,
-// router the route time net of daemon time, network the attempt time net
-// of remote time, retry-wait the backoff sleeps, client-queue the
-// residue, and hedge-overlap the interval intersection of the two lanes.
-func components(t *TraceTree) TraceComponents {
-	c := TraceComponents{TotalNs: t.Root.Span.DurNs}
-	var attemptsWall int64
-	var visit func(n *TraceNode)
-	visit = func(n *TraceNode) {
-		if n.OnPath {
-			switch n.Span.Name {
-			case obs.TSClientAttempt:
-				attemptsWall += n.Span.DurNs
-				var remote int64
-				for _, ch := range n.Children {
-					remote += ch.Span.DurNs
-				}
-				if d := n.Span.DurNs - remote; d > 0 {
-					c.NetworkNs += d
-				}
-			case obs.TSClientBackoff:
-				c.RetryWaitNs += n.Span.DurNs
-			case obs.TSRouteRequest:
-				var served int64
-				for _, hop := range n.Children {
-					for _, sc := range hop.Children {
-						if sc.Span.Name == obs.TSServiceRequest {
-							served += sc.Span.DurNs
-						}
+		switch n.Span.Name {
+		case obs.TSClientAttempt:
+			attemptsWall += n.Span.DurNs
+			var remote int64
+			for _, ch := range n.Children {
+				remote += ch.Span.DurNs
+			}
+			if d := n.Span.DurNs - remote; d > 0 {
+				c.NetworkNs += d
+			}
+		case obs.TSClientBackoff:
+			c.RetryWaitNs += n.Span.DurNs
+		case obs.TSRouteRequest:
+			var served int64
+			for _, hop := range n.Children {
+				for _, sc := range hop.Children {
+					if sc.Span.Name == obs.TSServiceRequest {
+						served += sc.Span.DurNs
 					}
 				}
-				if d := n.Span.DurNs - served; d > 0 {
-					c.RouterNs += d
+			}
+			if d := n.Span.DurNs - served; d > 0 {
+				c.RouterNs += d
+			}
+		case obs.TSServiceRequest:
+			var solve int64
+			for _, ch := range n.Children {
+				if ch.Span.Name == obs.TSServiceSolve {
+					solve += ch.Span.DurNs
 				}
-			case obs.TSServiceRequest:
-				var solve int64
-				for _, ch := range n.Children {
-					if ch.Span.Name == obs.TSServiceSolve {
-						solve += ch.Span.DurNs
-					}
-				}
-				c.SolveNs += solve
-				if d := n.Span.DurNs - solve; d > 0 {
-					c.DaemonQueueNs += d
-				}
+			}
+			c.SolveNs += solve
+			if d := n.Span.DurNs - solve; d > 0 {
+				c.DaemonQueueNs += d
 			}
 		}
 		for _, ch := range n.Children {
@@ -287,45 +234,7 @@ func components(t *TraceTree) TraceComponents {
 	if c.ClientQueueNs < 0 {
 		c.ClientQueueNs = 0
 	}
-	c.HedgeOverlapNs = laneOverlap(t.Root)
-	return c
-}
-
-// laneOverlap is the intersection of the two client lanes' attempt
-// envelopes: the time both lanes were in flight at once.
-func laneOverlap(root *TraceNode) int64 {
-	type iv struct {
-		s, e int64
-		set  bool
-	}
-	var lanes [2]iv
-	for _, c := range root.Children {
-		if c.Span.Name != obs.TSClientAttempt || c.Span.Lane > 1 {
-			continue
-		}
-		l := &lanes[c.Span.Lane]
-		if !l.set || c.StartNs < l.s {
-			l.s = c.StartNs
-		}
-		if !l.set || c.EndNs > l.e {
-			l.e = c.EndNs
-		}
-		l.set = true
-	}
-	if !lanes[0].set || !lanes[1].set {
-		return 0
-	}
-	s, e := lanes[0].s, lanes[0].e
-	if lanes[1].s > s {
-		s = lanes[1].s
-	}
-	if lanes[1].e < e {
-		e = lanes[1].e
-	}
-	if e > s {
-		return e - s
-	}
-	return 0
+	t.Comp = c
 }
 
 // TraceQuantile is the decomposition of the trace sitting at one
@@ -392,8 +301,8 @@ func BuildTraceReport(res *StitchResult) *TraceReport {
 	return rep
 }
 
-// dominant names the largest serial component (hedge overlap is parallel
-// and excluded; ties resolve to the earliest in pipeline order).
+// dominant names the largest component (ties resolve to the earliest in
+// pipeline order).
 func dominant(c TraceComponents) string {
 	comps := []struct {
 		name string

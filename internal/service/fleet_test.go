@@ -202,11 +202,40 @@ func TestWarmDirRejectsCorruptEntries(t *testing.T) {
 	}
 }
 
-// The drain-during-retry contract, with real daemons: a backend drains
-// mid-run, the fleet client fails the request over, the answer comes from
-// the survivor — and the ledger holds exactly one set of decision events
-// for the request (the drained backend shed before solving, so nothing is
-// double-recorded).
+// newTestRouter fronts backends with a started router and waits until
+// its first probe cycle has seen every backend ready. With a long
+// ProbeInterval that first cycle is the only one, so the router learns
+// of a later drain from the drained backend's answer alone.
+func newTestRouter(t *testing.T, cfg fleet.RouterConfig) *httptest.Server {
+	t.Helper()
+	rt, err := fleet.NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	rt.Register(mux)
+	front := httptest.NewServer(mux)
+	rt.Start()
+	t.Cleanup(func() {
+		front.Close()
+		rt.Stop()
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.Healthy() < len(cfg.Backends) {
+		if time.Now().After(deadline) {
+			t.Fatal("router never saw every backend ready")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return front
+}
+
+// The drain-during-retry contract, with real daemons behind a router: a
+// backend drains after the router's last probe, the router fails the
+// request over, the answer comes from the survivor with the failover
+// reported to the client — and the ledger holds exactly one set of
+// decision events for the request (the drained backend shed before
+// solving, so nothing is double-recorded).
 func TestDrainDuringRetryFailsOverOnce(t *testing.T) {
 	telemetry.Enable()
 	defer telemetry.Disable()
@@ -214,8 +243,9 @@ func TestDrainDuringRetryFailsOverOnce(t *testing.T) {
 	svcB, srvB := newTestService(t, Config{Shards: 1, QueueLen: 8})
 
 	urls := []string{srvA.URL, srvB.URL}
-	// Find a request whose failover sequence starts at the backend we are
-	// about to drain (index 1), so the drain is actually in the path.
+	front := newTestRouter(t, fleet.RouterConfig{Backends: urls, ProbeInterval: time.Hour})
+	// Find a request whose ring walk starts at the backend we are about
+	// to drain (index 1), so the drain is actually in the path.
 	var body []byte
 	for seq := 0; ; seq++ {
 		b, err := json.Marshal(validRequest("drain-test", seq))
@@ -229,7 +259,7 @@ func TestDrainDuringRetryFailsOverOnce(t *testing.T) {
 	}
 	svcB.Drain()
 
-	c, err := fleet.NewClient(fleet.ClientConfig{URLs: urls, Retries: 2, BackoffBase: time.Millisecond})
+	c, err := fleet.NewClient(fleet.ClientConfig{URLs: []string{front.URL}, Retries: 2, BackoffBase: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +267,8 @@ func TestDrainDuringRetryFailsOverOnce(t *testing.T) {
 	if res.Err != nil || res.Status != http.StatusOK {
 		t.Fatalf("want failover success around draining backend, got %+v err=%v", res, res.Err)
 	}
-	if res.Failovers != 1 {
-		t.Fatalf("failovers = %d, want 1", res.Failovers)
+	if res.Failovers != 1 || res.Retries != 0 {
+		t.Fatalf("failovers = %d, retries = %d, want 1/0", res.Failovers, res.Retries)
 	}
 	if res.Shed != "" {
 		t.Fatalf("drain shed %q surfaced though the survivor answered", res.Shed)
@@ -267,7 +297,7 @@ func TestDrainDuringRetryFailsOverOnce(t *testing.T) {
 }
 
 // End-to-end inertness: a loadgen run through the fleet client against
-// one healthy daemon reports zero retries/hedges/failovers, keeps the
+// one healthy daemon reports zero retries and failovers, keeps the
 // count identity exact, and passes report validation — PR 8 behaviour,
 // bit for bit, when nothing fails.
 func TestLoadgenFleetClientInert(t *testing.T) {
@@ -285,7 +315,7 @@ func TestLoadgenFleetClientInert(t *testing.T) {
 	if err := rep.Validate(); err != nil {
 		t.Fatalf("report invalid: %v", err)
 	}
-	if rep.Retries != 0 || rep.Hedges != 0 || rep.HedgeWins != 0 || rep.Failovers != 0 {
+	if rep.Retries != 0 || rep.Failovers != 0 {
 		t.Fatalf("resilience counters nonzero on a healthy run: %+v", rep)
 	}
 	if rep.Errors != 0 || rep.Dropped != 0 {
@@ -293,16 +323,17 @@ func TestLoadgenFleetClientInert(t *testing.T) {
 	}
 }
 
-// Count identity under failover: with one of two backends draining, every
-// logical request still lands in exactly one outcome bucket and the
-// failover counter shows the remapping.
+// Count identity under failover: with one of two backends behind a
+// router draining, every logical request still lands in exactly one
+// outcome bucket and the failover counter shows the router's remapping.
 func TestLoadgenFailoverCountIdentity(t *testing.T) {
 	_, srvA := newTestService(t, Config{Shards: 2, QueueLen: 32})
 	svcB, srvB := newTestService(t, Config{Shards: 2, QueueLen: 32})
+	front := newTestRouter(t, fleet.RouterConfig{Backends: []string{srvA.URL, srvB.URL}, ProbeInterval: time.Hour})
 	svcB.Drain()
 
 	rep, err := RunLoad(LoadOptions{
-		URL:      srvA.URL + "," + srvB.URL,
+		URL:      front.URL,
 		RPS:      200,
 		Duration: 250 * time.Millisecond,
 		Retries:  2,
@@ -332,27 +363,11 @@ func TestOverflowingBodiesLeaveBreakersClosed(t *testing.T) {
 	defer obs.Disable()
 	_, srvA := newTestService(t, Config{Shards: 1, QueueLen: 8})
 	_, srvB := newTestService(t, Config{Shards: 1, QueueLen: 8})
-	rt, err := fleet.NewRouter(fleet.RouterConfig{
+	front := newTestRouter(t, fleet.RouterConfig{
 		Backends:      []string{srvA.URL, srvB.URL},
 		ProbeInterval: 10 * time.Millisecond,
 		Breaker:       fleet.BreakerConfig{Failures: 2},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := http.NewServeMux()
-	rt.Register(mux)
-	front := httptest.NewServer(mux)
-	defer front.Close()
-	rt.Start()
-	defer rt.Stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for rt.Healthy() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("router never saw both backends ready")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 
 	post := func(body string) (int, string) {
 		t.Helper()

@@ -20,21 +20,18 @@ const LoadSchema = "synts-load/v1"
 
 // LoadOptions configures one open-loop run against a live service.
 type LoadOptions struct {
-	// URL is the service base URL (e.g. http://127.0.0.1:8080); the
-	// generator POSTs to URL + "/v1/solve". A comma-separated list fans
-	// the run out over several backends through the fleet client's
-	// consistent-hash failover.
+	// URL is the base URL of one daemon or of a `synts route` router
+	// (e.g. http://127.0.0.1:8080); the generator POSTs to URL +
+	// "/v1/solve". A comma-separated list is refused: several daemons go
+	// behind the router.
 	URL string
-	// Timeout bounds one logical request end to end, retries and hedges
-	// included; <= 0 means 30s (the bare-client behaviour this replaced).
+	// Timeout bounds one logical request end to end, retries included;
+	// <= 0 means 30s (the bare-client behaviour this replaced).
 	Timeout time.Duration
 	// Retries is the fleet client's extra-attempt budget per request;
 	// 0 keeps the client single-shot. A retried-then-OK request counts
 	// once, as OK — the count identity is over logical requests.
 	Retries int
-	// Hedge enables hedged requests in the fleet client (off by default,
-	// so an idle-path run is provably inert).
-	Hedge bool
 	// RPS is the target open-loop arrival rate; <= 0 means 50.
 	RPS float64
 	// Duration bounds the run; <= 0 means 5s. The request count is
@@ -85,17 +82,14 @@ type LatencySummary struct {
 // (client_queue + retry_wait + network + router + daemon_queue + solve)
 // never exceed total_ms — every component is header-derived with clamps
 // that only shrink — and obscheck -load fails the artifact if they do.
-// hedge_overlap_ms ran in parallel with the winning lane and is excluded
-// from that envelope.
 type HopQuantile struct {
-	TotalMs        float64 `json:"total_ms"`
-	ClientQueueMs  float64 `json:"client_queue_ms"`
-	RetryWaitMs    float64 `json:"retry_wait_ms"`
-	NetworkMs      float64 `json:"network_ms"`
-	RouterMs       float64 `json:"router_ms"`
-	DaemonQueueMs  float64 `json:"daemon_queue_ms"`
-	SolveMs        float64 `json:"solve_ms"`
-	HedgeOverlapMs float64 `json:"hedge_overlap_ms"`
+	TotalMs       float64 `json:"total_ms"`
+	ClientQueueMs float64 `json:"client_queue_ms"`
+	RetryWaitMs   float64 `json:"retry_wait_ms"`
+	NetworkMs     float64 `json:"network_ms"`
+	RouterMs      float64 `json:"router_ms"`
+	DaemonQueueMs float64 `json:"daemon_queue_ms"`
+	SolveMs       float64 `json:"solve_ms"`
 }
 
 // HopBreakdown is the report's tail-attribution digest: the exact OK
@@ -127,14 +121,11 @@ type LoadReport struct {
 	CoalesceHits int `json:"coalesce_hits"`
 	WarmHits     int `json:"warm_hits"`
 
-	// Resilience counters: what the fleet client did beneath the logical
-	// requests above. Retries counts extra attempts, Failovers backend
-	// switches (client-side plus router-reported hops), Hedges launched
-	// hedge lanes and HedgeWins the hedges whose lane produced the answer.
-	// All zero on a healthy single-backend run — the inertness contract.
+	// Resilience counters: what the fleet client and router did beneath
+	// the logical requests above. Retries counts the client's extra
+	// attempts, Failovers the backend switches the router reported. Both
+	// zero on a healthy single-backend run — the inertness contract.
 	Retries   int `json:"retries"`
-	Hedges    int `json:"hedges"`
-	HedgeWins int `json:"hedge_wins"`
 	Failovers int `json:"failovers"`
 
 	Latency LatencySummary `json:"latency"`
@@ -161,15 +152,11 @@ func (r *LoadReport) Validate() error {
 		{"client_errors", r.ClientErrors}, {"errors", r.Errors},
 		{"dropped", r.Dropped},
 		{"coalesce_hits", r.CoalesceHits}, {"warm_hits", r.WarmHits},
-		{"retries", r.Retries}, {"hedges", r.Hedges},
-		{"hedge_wins", r.HedgeWins}, {"failovers", r.Failovers},
+		{"retries", r.Retries}, {"failovers", r.Failovers},
 	} {
 		if c.v < 0 {
 			return fmt.Errorf("negative %s count %d", c.name, c.v)
 		}
-	}
-	if r.HedgeWins > r.Hedges {
-		return fmt.Errorf("hedge_wins %d exceeds hedges %d", r.HedgeWins, r.Hedges)
 	}
 	// The outcome counts must sum to requests. Each is taken from what is
 	// left, so counts whose sum wraps around int cannot pass.
@@ -224,7 +211,7 @@ func (h *HopQuantile) validate() error {
 		{"total_ms", h.TotalMs}, {"client_queue_ms", h.ClientQueueMs},
 		{"retry_wait_ms", h.RetryWaitMs}, {"network_ms", h.NetworkMs},
 		{"router_ms", h.RouterMs}, {"daemon_queue_ms", h.DaemonQueueMs},
-		{"solve_ms", h.SolveMs}, {"hedge_overlap_ms", h.HedgeOverlapMs},
+		{"solve_ms", h.SolveMs},
 	}
 	for _, c := range comps {
 		if math.IsNaN(c.v) || c.v < 0 {
@@ -280,7 +267,6 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 		URLs:    urls,
 		Timeout: opts.Timeout,
 		Retries: opts.Retries,
-		Hedge:   opts.Hedge,
 		Seed:    opts.Gen.Seed,
 		Trace:   opts.Trace,
 	})
@@ -346,12 +332,6 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 			// even when the logical request ultimately failed.
 			rep.Retries += res.Retries
 			rep.Failovers += res.Failovers
-			if res.Hedged {
-				rep.Hedges++
-			}
-			if res.HedgeWon {
-				rep.HedgeWins++
-			}
 			// Exactly one outcome bucket per logical request: a
 			// retried-then-OK request is one OK, so the count identity
 			// Requests = OK + Shed + ClientErrors + Errors + Dropped holds
@@ -379,14 +359,13 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 					bd.ClientQueueNs = 0
 				}
 				samples = append(samples, HopQuantile{
-					TotalMs:        float64(lat) / float64(time.Millisecond),
-					ClientQueueMs:  float64(bd.ClientQueueNs) / 1e6,
-					RetryWaitMs:    float64(bd.RetryWaitNs) / 1e6,
-					NetworkMs:      float64(bd.NetworkNs) / 1e6,
-					RouterMs:       float64(bd.RouterNs) / 1e6,
-					DaemonQueueMs:  float64(bd.DaemonQueueNs) / 1e6,
-					SolveMs:        float64(bd.SolveNs) / 1e6,
-					HedgeOverlapMs: float64(bd.HedgeOverlapNs) / 1e6,
+					TotalMs:       float64(lat) / float64(time.Millisecond),
+					ClientQueueMs: float64(bd.ClientQueueNs) / 1e6,
+					RetryWaitMs:   float64(bd.RetryWaitNs) / 1e6,
+					NetworkMs:     float64(bd.NetworkNs) / 1e6,
+					RouterMs:      float64(bd.RouterNs) / 1e6,
+					DaemonQueueMs: float64(bd.DaemonQueueNs) / 1e6,
+					SolveMs:       float64(bd.SolveNs) / 1e6,
 				})
 			case res.Shed != "":
 				rep.Shed++

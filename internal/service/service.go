@@ -280,30 +280,22 @@ func (s *Service) runShard(sh *shard) {
 	}
 }
 
-// solve is the pure request → result function: guard-band screening,
-// SolvePoly over the admitted curves, fallback cores pinned to nominal,
-// per-core attribution via Breakdown. Identical payloads produce
-// byte-identical results at any shard count, which is what makes
-// coalescing, warm-starting and the determinism contract sound.
+// solve is the pure request → result function: core.SolveGuarded
+// (guard-band screening, SolvePoly over the admitted curves, fallback
+// cores pinned to nominal), then per-core attribution via Breakdown.
+// Identical payloads produce byte-identical results at any shard count,
+// which is what makes coalescing, warm-starting and the determinism
+// contract sound.
 func (s *Service) solve(r *SolveRequest) *solveResult {
 	cfg := s.stages[r.Stage]
 	m := len(r.Cores)
 	threads := make([]core.Thread, m)
-	fallbacks := make([]string, m)
+	rates := make([][]float64, m)
 	for i, cc := range r.Cores {
-		if reason := s.guard.Check(cfg, cc.Rates); reason != "" {
-			fallbacks[i] = reason
-			threads[i] = core.Thread{N: cc.N, CPIBase: cc.CPIBase, Err: core.PessimalErr}
-			continue
-		}
-		threads[i] = core.Thread{N: cc.N, CPIBase: cc.CPIBase, Err: core.EstimatedErrFunc(cfg, cc.Rates)}
+		threads[i] = core.Thread{N: cc.N, CPIBase: cc.CPIBase}
+		rates[i] = cc.Rates
 	}
-	a, _ := core.SolvePoly(cfg, threads, r.Theta)
-	for i, reason := range fallbacks {
-		if reason != "" {
-			a.VIdx[i], a.RIdx[i] = 0, len(cfg.TSRs)-1
-		}
-	}
+	a, fallbacks := core.SolveGuarded(cfg, &s.guard, threads, rates, r.Theta)
 	mtr := cfg.Evaluate(threads, a, r.Theta)
 	cores := make([]CoreResult, m)
 	for i, th := range threads {

@@ -42,7 +42,7 @@ func tracedLoad(t *testing.T, url string, seed int64) (*LoadReport, []obs.TraceS
 // The tentpole end to end in one process: a traced seeded load against a
 // live daemon yields spans on both sides of the HTTP hop that stitch into
 // exactly one tree per logical request — no orphans — each with one solve
-// span on its critical path, and the report's hop breakdown attributes
+// span, and the report's hop breakdown attributes
 // real solve time.
 func TestTracedLoadStitchesOneTreePerRequest(t *testing.T) {
 	_, srv := newTestService(t, Config{Shards: 2, QueueLen: 32})
@@ -65,23 +65,19 @@ func TestTracedLoadStitchesOneTreePerRequest(t *testing.T) {
 			len(res.Trees), res.Orphans, rep.Requests)
 	}
 	for _, tree := range res.Trees {
-		solves, onPath := 0, 0
+		solves := 0
 		var walk func(n *sched.TraceNode)
 		walk = func(n *sched.TraceNode) {
 			if n.Span.Name == obs.TSServiceSolve {
 				solves++
-				if n.OnPath {
-					onPath++
-				}
 			}
 			for _, c := range n.Children {
 				walk(c)
 			}
 		}
 		walk(tree.Root)
-		if solves != 1 || onPath != 1 {
-			t.Fatalf("trace %s: %d solve spans (%d on path), want exactly 1",
-				tree.Root.Span.Trace, solves, onPath)
+		if solves != 1 {
+			t.Fatalf("trace %s: %d solve spans, want exactly 1", tree.Root.Span.Trace, solves)
 		}
 		if tree.Comp.SolveNs <= 0 {
 			t.Fatalf("trace %s: no solve time attributed: %+v",
@@ -191,8 +187,7 @@ func TestTracedShedEventCarriesTraceID(t *testing.T) {
 
 // The obscheck -load envelope gate (the fix satellite): per-hop serial
 // components summing past the end-to-end quantile must fail validation,
-// as must NaN or negative components. Hedge overlap is parallel time and
-// exempt from the envelope.
+// as must NaN or negative components.
 func TestHopQuantileEnvelopeValidation(t *testing.T) {
 	good := LoadReport{
 		Schema: LoadSchema, Requests: 10, OK: 10,
@@ -201,7 +196,7 @@ func TestHopQuantileEnvelopeValidation(t *testing.T) {
 	}
 	good.HopBreakdown.P99 = HopQuantile{
 		TotalMs: 3, ClientQueueMs: 0.5, RetryWaitMs: 0.5, NetworkMs: 0.5,
-		RouterMs: 0.5, DaemonQueueMs: 0.5, SolveMs: 0.5, HedgeOverlapMs: 2.5,
+		RouterMs: 0.5, DaemonQueueMs: 0.5, SolveMs: 0.5,
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("tight-but-legal breakdown rejected: %v", err)

@@ -277,18 +277,11 @@ func (l *Ledger) Events() []Event {
 }
 
 // Dropped returns how many events the cap discarded (spilled events are
-// not dropped; see Spilled).
+// not dropped; AllEvents returns them).
 func (l *Ledger) Dropped() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.dropped
-}
-
-// Spilled returns how many events overflowed to the spill file.
-func (l *Ledger) Spilled() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.spilled
 }
 
 // Torn returns how many spill lines the chaos harness truncated at
@@ -354,9 +347,6 @@ func SetSpill(path string) error { return defaultLedger.SetSpill(path) }
 
 // Dropped returns the default ledger's dropped-event count.
 func Dropped() int64 { return defaultLedger.Dropped() }
-
-// Spilled returns the default ledger's spilled-event count.
-func Spilled() int64 { return defaultLedger.Spilled() }
 
 // Torn returns the default ledger's torn-spill-line count.
 func Torn() int64 { return defaultLedger.Torn() }

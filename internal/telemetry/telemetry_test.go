@@ -362,8 +362,8 @@ func TestLedgerSpillPreservesEventsAndOrder(t *testing.T) {
 	for _, e := range evs {
 		spilling.Record(e)
 	}
-	if got := spilling.Spilled(); got != 7 {
-		t.Fatalf("Spilled() = %d, want 7", got)
+	if got := len(spilling.Events()); got != 3 {
+		t.Fatalf("%d events in memory, want the cap, 3", got)
 	}
 	if got := spilling.Dropped(); got != 0 {
 		t.Fatalf("Dropped() = %d, want 0 with a spill configured", got)
@@ -373,7 +373,7 @@ func TestLedgerSpillPreservesEventsAndOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(all) != len(evs) {
-		t.Fatalf("AllEvents returned %d events, want %d", len(all), len(evs))
+		t.Fatalf("AllEvents returned %d events, want %d (7 of them spilled)", len(all), len(evs))
 	}
 
 	var fromSpill, uncapped bytes.Buffer
@@ -396,15 +396,15 @@ func TestLedgerResetRemovesSpillFile(t *testing.T) {
 	}
 	l.Record(Event{Kind: KindDecision})
 	l.Record(Event{Kind: KindBarrier, Core: -1})
-	if l.Spilled() != 1 {
-		t.Fatalf("Spilled() = %d, want 1", l.Spilled())
+	if all, err := l.AllEvents(); err != nil || len(all) != 2 {
+		t.Fatalf("AllEvents = %d events, err %v; want 2, one of them spilled", len(all), err)
 	}
 	l.Reset()
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("spill file still exists after Reset (stat err = %v)", err)
 	}
-	if l.Spilled() != 0 {
-		t.Error("Reset did not clear the spilled count")
+	if all, err := l.AllEvents(); err != nil || len(all) != 0 {
+		t.Errorf("AllEvents after Reset = %d events, err %v; want none", len(all), err)
 	}
 }
 
@@ -459,8 +459,8 @@ func TestSetMemCapForcesSpill(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		Record(Event{Kind: KindDecision, Bench: "b", Stage: "s", Interval: i})
 	}
-	if got := Spilled(); got != 3 {
-		t.Fatalf("Spilled() = %d, want 3 with cap 2 and 5 events", got)
+	if got := len(Events()); got != 2 {
+		t.Fatalf("%d events in memory, want the cap, 2", got)
 	}
 	all, err := defaultLedger.AllEvents()
 	if err != nil {
@@ -471,8 +471,10 @@ func TestSetMemCapForcesSpill(t *testing.T) {
 	}
 	SetMemCap(0)
 	Enable() // resets; the default cap is back
-	Record(Event{Kind: KindDecision})
-	if got := Spilled(); got != 0 {
-		t.Fatalf("Spilled() = %d after restoring the default cap", got)
+	for i := 0; i < 3; i++ {
+		Record(Event{Kind: KindDecision, Interval: i})
+	}
+	if got := len(Events()); got != 3 {
+		t.Fatalf("%d events in memory after restoring the default cap, want 3", got)
 	}
 }
