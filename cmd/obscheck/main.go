@@ -1,13 +1,13 @@
 // Command obscheck validates the observability artifacts a synts run
-// emits: the -stats-json snapshot, the -trace-out Chrome trace, the
-// -events-out decision ledger, the -simprof-out simulation profile and
-// the `synts loadgen` load report. CI runs it against freshly generated
+// emits: the -stats-json snapshot, the fleet's synts-trace/v1 artifacts,
+// the -events-out decision ledger, the -simprof-out simulation profile
+// and the `synts loadgen` load report. CI runs it against freshly generated
 // files so a schema regression fails the build instead of silently
 // shipping artifacts no dashboard can parse.
 //
 // Usage:
 //
-//	obscheck -stats stats.json -trace trace.json -events events.jsonl -ckpt ckptdir -simprof simprof.pb.gz -load load.json
+//	obscheck -stats stats.json -trace traces/ -events events.jsonl -ckpt ckptdir -simprof simprof.pb.gz -load load.json
 //
 // Any flag may be omitted to check only the others. When both -events and
 // -simprof are given, the profiler's replay- and sampling-phase totals are
@@ -37,7 +37,7 @@ import (
 
 func main() {
 	statsPath := flag.String("stats", "", "path to a -stats-json snapshot")
-	tracePath := flag.String("trace", "", "path to a -trace-out Chrome trace, a synts-trace/v1 artifact, or a -trace-dir directory (dispatched by content)")
+	tracePath := flag.String("trace", "", "path to a synts-trace/v1 artifact or a -trace-dir directory of them")
 	eventsPath := flag.String("events", "", "path to an -events-out decision ledger (synts-events/v1 JSONL)")
 	ckptPath := flag.String("ckpt", "", "path to a -checkpoint-dir directory (synts-ckpt/v1)")
 	simprofPath := flag.String("simprof", "", "path to a -simprof-out simulation profile (gzipped pprof profile.proto)")
@@ -90,7 +90,8 @@ func checkLoad(path string) error {
 // checkStats enforces the snapshot contract: parseable as obs.Snapshot,
 // a self-describing meta block (toolchain, platform, engine, workload
 // coordinates), pool queue-wait histogram with quantiles, the derived
-// BenchCache hit ratio in [0,1], and per-stage profile-build span totals.
+// BenchCache hit ratio in [0,1], and the per-stage profile-build region
+// histograms.
 func checkStats(path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -132,17 +133,17 @@ func checkStats(path string) error {
 	if ratio < 0 || ratio > 1 {
 		return fmt.Errorf("benchcache hit ratio %v outside [0,1]", ratio)
 	}
-	stageSpans := 0
-	for name, agg := range s.Spans {
+	stages := 0
+	for name, h := range s.Histograms {
 		if strings.HasPrefix(name, "trace.build_profiles:") {
-			stageSpans++
-			if agg.Count == 0 || agg.TotalNs <= 0 {
-				return fmt.Errorf("span %s has empty totals: %+v", name, agg)
+			stages++
+			if h.Count == 0 || h.Sum <= 0 {
+				return fmt.Errorf("histogram %s has empty totals: %+v", name, h)
 			}
 		}
 	}
-	if stageSpans == 0 {
-		return fmt.Errorf("no per-stage trace.build_profiles spans recorded")
+	if stages == 0 {
+		return fmt.Errorf("no per-stage trace.build_profiles histograms recorded")
 	}
 	for name, c := range s.Counters {
 		if c < 0 {
@@ -152,36 +153,15 @@ func checkStats(path string) error {
 	return nil
 }
 
-// checkTrace dispatches on content: a JSON array is the batch pipeline's
-// Chrome trace-event file (-trace-out); a directory of *.trace.jsonl
-// artifacts, or a single synts-trace/v1 JSONL (including the merged
-// artifact `synts trace -merged` writes), is the fleet tracing surface.
-func checkTrace(path string) error {
-	st, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	if st.IsDir() {
-		return checkFleetTrace(path)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if t := bytes.TrimLeft(raw, " \t\r\n"); len(t) > 0 && t[0] == '[' {
-		return checkChromeTrace(raw)
-	}
-	return checkFleetTrace(path)
-}
-
-// checkFleetTrace enforces the synts-trace/v1 contract over one artifact
-// or a -trace-dir full of them: every span parses against the closed
-// producer vocabulary, every file is in canonical order (verified by
-// re-serialising and byte-comparing, the same diffability contract the
-// events ledger has), and the union of artifacts stitches into complete
-// trees — a client.request root per trace and zero orphan spans, i.e.
+// checkTrace enforces the synts-trace/v1 contract over one artifact (the
+// merged one `synts trace -merged` writes included) or a -trace-dir full
+// of them: every span parses against the closed producer vocabulary,
+// every file is in canonical order (verified by re-serialising and
+// byte-comparing, the same diffability contract the events ledger has),
+// and the union of artifacts stitches into complete trees — a
+// client.request root per trace and zero orphan spans, i.e.
 // cross-process span IDs actually line up.
-func checkFleetTrace(path string) error {
+func checkTrace(path string) error {
 	st, err := os.Stat(path)
 	if err != nil {
 		return err
@@ -229,59 +209,6 @@ func checkFleetTrace(path string) error {
 	return nil
 }
 
-// checkChromeTrace enforces the Chrome trace-event contract: a JSON array
-// of complete events with name/ph/ts/dur/pid/tid, covering pool tasks,
-// profile builds and solver calls.
-func checkChromeTrace(raw []byte) error {
-	var events []map[string]any
-	if err := json.Unmarshal(raw, &events); err != nil {
-		return fmt.Errorf("not a trace-event array: %w", err)
-	}
-	if len(events) == 0 {
-		return fmt.Errorf("trace contains no events")
-	}
-	prefixes := map[string]bool{"pool.task": false, "trace.interval_build:": false, "exp.solve:": false}
-	for i, ev := range events {
-		for _, key := range []string{"name", "ph", "ts", "dur", "pid", "tid"} {
-			if _, ok := ev[key]; !ok {
-				return fmt.Errorf("event %d missing key %q", i, key)
-			}
-		}
-		if ev["ph"] != "X" {
-			return fmt.Errorf("event %d: ph %v, want X", i, ev["ph"])
-		}
-		name, _ := ev["name"].(string)
-		if name == "" {
-			return fmt.Errorf("event %d: empty name", i)
-		}
-		if ts, ok := ev["ts"].(float64); !ok || ts < 0 {
-			return fmt.Errorf("event %d: bad ts %v", i, ev["ts"])
-		}
-		if dur, ok := ev["dur"].(float64); !ok || dur < 0 {
-			return fmt.Errorf("event %d: bad dur %v", i, ev["dur"])
-		}
-		for p := range prefixes {
-			if strings.HasPrefix(name, p) {
-				prefixes[p] = true
-			}
-		}
-	}
-	for p, seen := range prefixes {
-		if !seen {
-			return fmt.Errorf("trace covers no %q events", p)
-		}
-	}
-	return nil
-}
-
-// checkEvents enforces the synts-events/v1 ledger contract: the schema
-// header, per-event field validity (kinds, probability ranges, sign
-// constraints), presence of each event kind -events-require names (the
-// batch pipeline promises decision/barrier/estimate, the default; a
-// router ledger promises breaker/failover instead), and —
-// by re-serialising and byte-comparing — that the file is in the
-// canonical order WriteJSONL defines, so ledgers stay diffable across
-// runs and -j values.
 // checkCkpt enforces the synts-ckpt/v1 contract over a checkpoint
 // directory: every .ckpt.json entry parses, carries the right schema
 // version, and is stored under its own experiment's file name. An empty
@@ -303,6 +230,14 @@ func checkCkpt(dir string) error {
 	return nil
 }
 
+// checkEvents enforces the synts-events/v1 ledger contract: the schema
+// header, per-event field validity (kinds, probability ranges, sign
+// constraints), presence of each event kind -events-require names (the
+// batch pipeline promises decision/barrier/estimate, the default; a
+// router ledger promises breaker/failover instead), and —
+// by re-serialising and byte-comparing — that the file is in the
+// canonical order WriteJSONL defines, so ledgers stay diffable across
+// runs and -j values.
 func checkEvents(path string, allowEmpty bool, require string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {

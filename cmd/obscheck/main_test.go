@@ -281,7 +281,7 @@ func statsFixture(t *testing.T, mutate func(s *obs.Snapshot)) string {
 	for i := 1; i <= 200; i++ {
 		obs.H("pool.queue_wait_ns").Observe(float64(i) * 1000)
 	}
-	obs.StartSpan("trace.build_profiles:SimpleALU").End()
+	obs.H("trace.build_profiles:SimpleALU").Observe(1e6)
 	s := obs.Default().Snapshot()
 	s.SetRunMeta("event", 2016, 1)
 	s.AddDerived("exp.benchcache.hit_ratio", 0.5)

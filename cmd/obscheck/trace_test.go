@@ -113,21 +113,3 @@ func TestCheckTraceFleetRejects(t *testing.T) {
 		}
 	})
 }
-
-// The batch pipeline's Chrome trace-event arrays still dispatch to the
-// old checker: content sniffing must not break -trace for -trace-out
-// files.
-func TestCheckTraceChromeDispatch(t *testing.T) {
-	events := `[
-{"name":"pool.task","ph":"X","ts":0,"dur":5,"pid":1,"tid":1},
-{"name":"trace.interval_build:fft","ph":"X","ts":5,"dur":5,"pid":1,"tid":1},
-{"name":"exp.solve:fft","ph":"X","ts":10,"dur":5,"pid":1,"tid":2}
-]`
-	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := os.WriteFile(path, []byte(events), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := checkTrace(path); err != nil {
-		t.Fatalf("valid Chrome trace rejected: %v", err)
-	}
-}

@@ -26,6 +26,8 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/pprof"
+	rtrace "runtime/trace"
 	"syscall"
 	"time"
 
@@ -49,20 +51,19 @@ var (
 	engine  = flag.String("engine", "event", "timing engine: event (bit-parallel + event-driven) or levelized (golden reference; output is identical either way)")
 	verbose = flag.Bool("v", false, "print progress to stderr")
 
-	stats      = flag.Bool("stats", false, "print end-of-run metrics/span table to stderr")
+	stats      = flag.Bool("stats", false, "print the end-of-run metrics table to stderr")
 	statsJSON  = flag.String("stats-json", "", "write the metrics snapshot as JSON to `file`")
-	traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON (chrome://tracing) to `file`")
+	traceOut   = flag.String("trace-out", "", "write a Go execution trace of the run (go tool trace) to `file`")
 	eventsOut  = flag.String("events-out", "", "write the simulation decision ledger (synts-events/v1 JSONL) to `file`")
 	eventsCap  = flag.Int("events-mem-cap", 0, "in-memory ledger event cap before spilling to disk (0 = default; needs -events-out)")
 	simprofOut = flag.String("simprof-out", "", "write the simulation-domain pprof profile to `file` (.gz) and folded stacks to `file`.folded")
 	cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to `file`")
 	memprofile = flag.String("memprofile", "", "write a pprof heap profile to `file`")
 
-	chaos        = flag.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (classes: sample-noise, sample-drop, sample-nan, replay-perturb, task-panic, task-stall, ckpt-write-fail, ledger-spill-torn)")
-	chaosSeed    = flag.Int64("chaos-seed", 1, "seed for the fault injector's decisions")
-	ckptDir      = flag.String("checkpoint-dir", "", "write each completed experiment's output to `dir` (synts-ckpt/v1, atomic)")
-	resume       = flag.Bool("resume", false, "replay experiments already completed in -checkpoint-dir instead of recomputing them")
-	stallTimeout = flag.Duration("stall-timeout", 0, "dump all goroutine stacks if one task runs longer than `d` (0 = off)")
+	chaos     = flag.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (classes: sample-noise, sample-drop, sample-nan, replay-perturb, task-panic, ckpt-write-fail, ledger-spill-torn)")
+	chaosSeed = flag.Int64("chaos-seed", 1, "seed for the fault injector's decisions")
+	ckptDir   = flag.String("checkpoint-dir", "", "write each completed experiment's output to `dir` (synts-ckpt/v1, atomic)")
+	resume    = flag.Bool("resume", false, "replay experiments already completed in -checkpoint-dir instead of recomputing them")
 )
 
 func main() {
@@ -149,9 +150,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "synts: -chaos: %v\n", err)
 		os.Exit(2)
 	}
-	if *stallTimeout > 0 {
-		pool.SetStallWatchdog(*stallTimeout, nil)
-	}
 	var store *ckpt.Store
 	if *ckptDir != "" {
 		var err error
@@ -169,14 +167,20 @@ func main() {
 	// work survives for a later -resume.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	stopCPU, err := startCPUProfile(*cpuprofile)
+	stopCPU, err := startRecorder(*cpuprofile, pprof.StartCPUProfile, pprof.StopCPUProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "synts: %v\n", err)
+		os.Exit(1)
+	}
+	stopTrace, err := startRecorder(*traceOut, rtrace.Start, rtrace.Stop)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "synts: %v\n", err)
 		os.Exit(1)
 	}
 	runErr := runAllCtx(ctx, names, opts, *jobs, *verbose, os.Stdout, os.Stderr, store, *resume)
+	stopTrace()
 	stopCPU()
-	if err := writeObsArtifacts(*stats, *statsJSON, *traceOut, os.Stderr); err != nil {
+	if err := writeObsArtifacts(*stats, *statsJSON, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "synts: %v\n", err)
 		os.Exit(1)
 	}
@@ -281,11 +285,11 @@ func runAllCtx(ctx context.Context, names []string, opts exp.Options, jobs int, 
 				}
 			}
 			g.GoCtx(ctx, func() error {
-				sp := obs.StartSpan("exp.run:" + e.name)
+				rg := obs.StartRegion("exp.run:" + e.name)
 				start := time.Now()
 				results[i].err = e.run(r, &results[i].buf)
 				results[i].took = time.Since(start)
-				sp.End()
+				rg.End()
 				if results[i].err == nil && store != nil {
 					// A failed checkpoint write must not fail the run: the
 					// output bytes are in hand and flushed below; only a

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	rtrace "runtime/trace"
 	"strconv"
 	"strings"
 	"testing"
@@ -177,9 +178,10 @@ func TestRunAllOutputIdenticalAcrossJobCounts(t *testing.T) {
 	}
 }
 
-// The instrumentation determinism golden: stdout with -stats semantics on
-// at -j 4 must be byte-identical to the plain -j 1 run. Stats go to stderr
-// and files only, so enabling them cannot perturb the artefact stream.
+// The instrumentation determinism golden: stdout with -stats semantics and
+// the execution tracer on at -j 4 must be byte-identical to the plain -j 1
+// run. Stats go to stderr and files only, so enabling them cannot perturb
+// the artefact stream.
 func TestRunAllOutputIdenticalWithStats(t *testing.T) {
 	opts := exp.DefaultOptions()
 	opts.Size = 1
@@ -192,15 +194,21 @@ func TestRunAllOutputIdenticalWithStats(t *testing.T) {
 
 	obs.Enable()
 	defer obs.Disable()
+	stop, err := startRecorder(filepath.Join(t.TempDir(), "trace.out"), rtrace.Start, rtrace.Stop)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var instrumented, stderr bytes.Buffer
-	if err := runAll(names, opts, 4, false, &instrumented, io.Discard); err != nil {
+	err = runAll(names, opts, 4, false, &instrumented, io.Discard)
+	stop()
+	if err != nil {
 		t.Fatalf("instrumented run: %v", err)
 	}
-	if err := writeObsArtifacts(true, "", "", &stderr); err != nil {
+	if err := writeObsArtifacts(true, "", &stderr); err != nil {
 		t.Fatal(err)
 	}
 	if plain.String() != instrumented.String() {
-		t.Error("stdout with -stats at -j 4 differs from plain -j 1 run")
+		t.Error("stdout with -stats and -trace-out at -j 4 differs from plain -j 1 run")
 	}
 	if !strings.Contains(stderr.String(), "run stats") || !strings.Contains(stderr.String(), "exp.run:table5.1") {
 		t.Errorf("stats table missing expected content:\n%s", stderr.String())
@@ -208,23 +216,30 @@ func TestRunAllOutputIdenticalWithStats(t *testing.T) {
 }
 
 // The -stats-json schema the issue promises: pool queue-wait p95, the
-// BenchCache hit ratio, and per-stage span totals must all be present in
-// the emitted snapshot.
+// BenchCache hit ratio, and the per-stage region histograms must all be
+// present in the emitted snapshot, and -trace-out must write a Go
+// execution trace that names the regions.
 func TestStatsJSONAndTraceOutSchemas(t *testing.T) {
 	opts := exp.DefaultOptions()
 	opts.Size = 1
 	obs.Enable()
 	defer obs.Disable()
+	dir := t.TempDir()
+	statsPath := filepath.Join(dir, "stats.json")
+	tracePath := filepath.Join(dir, "trace.out")
+	stop, err := startRecorder(tracePath, rtrace.Start, rtrace.Stop)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// fig3.5 twice at -j 1: the second, strictly-later lookup hits the
 	// bench and profile caches (at higher -j it would be a singleflight
 	// wait), making the hit ratio deterministically positive.
-	if err := runAll([]string{"fig3.5", "fig3.5"}, opts, 1, false, io.Discard, io.Discard); err != nil {
+	err = runAll([]string{"fig3.5", "fig3.5"}, opts, 1, false, io.Discard, io.Discard)
+	stop()
+	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	statsPath := filepath.Join(dir, "stats.json")
-	tracePath := filepath.Join(dir, "trace.json")
-	if err := writeObsArtifacts(false, statsPath, tracePath, io.Discard); err != nil {
+	if err := writeObsArtifacts(false, statsPath, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
@@ -235,6 +250,9 @@ func TestStatsJSONAndTraceOutSchemas(t *testing.T) {
 	var snap obs.Snapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatalf("stats-json is not a snapshot: %v", err)
+	}
+	if bytes.Contains(raw, []byte(`"spans"`)) {
+		t.Error("stats-json has a spans key; region timings are histograms")
 	}
 	if snap.Meta == nil {
 		t.Fatal("stats-json is missing the self-describing meta block")
@@ -262,42 +280,19 @@ func TestStatsJSONAndTraceOutSchemas(t *testing.T) {
 	if ratio <= 0 || ratio > 1 {
 		t.Errorf("hit ratio = %v, want in (0,1] after a repeated experiment", ratio)
 	}
-	if agg := snap.Spans["trace.build_profiles:SimpleALU"]; agg.Count != 1 || agg.TotalNs <= 0 {
-		t.Errorf("per-stage build span totals = %+v, want exactly one SimpleALU build", agg)
+	if h := snap.Histograms["trace.build_profiles:SimpleALU"]; h.Count != 1 || h.Sum <= 0 {
+		t.Errorf("per-stage build region histogram = %+v, want exactly one SimpleALU build", h)
 	}
 
 	rawTrace, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []map[string]any
-	if err := json.Unmarshal(rawTrace, &events); err != nil {
-		t.Fatalf("trace-out is not a JSON array: %v", err)
+	if !bytes.HasPrefix(rawTrace, []byte("go 1.")) {
+		t.Errorf("trace-out does not start with the execution-trace header: %q", rawTrace[:min(len(rawTrace), 16)])
 	}
-	seen := map[string]bool{}
-	for i, ev := range events {
-		for _, key := range []string{"name", "ph", "ts", "dur", "pid", "tid"} {
-			if _, ok := ev[key]; !ok {
-				t.Fatalf("event %d missing %q", i, key)
-			}
-		}
-		if ev["ph"] != "X" {
-			t.Fatalf("event %d: ph = %v", i, ev["ph"])
-		}
-		name := ev["name"].(string)
-		switch {
-		case name == "pool.task":
-			seen["pool"] = true
-		case strings.HasPrefix(name, "trace.interval_build:"):
-			seen["build"] = true
-		case strings.HasPrefix(name, "exp.run:"):
-			seen["exp"] = true
-		}
-	}
-	for _, kind := range []string{"pool", "build", "exp"} {
-		if !seen[kind] {
-			t.Errorf("trace covers no %s events", kind)
-		}
+	if !bytes.Contains(rawTrace, []byte("trace.build_profiles:SimpleALU")) {
+		t.Error("execution trace names no trace.build_profiles:SimpleALU region")
 	}
 }
 

@@ -1,7 +1,8 @@
 package main
 
 // Observability wiring for cmd/synts: the -stats / -stats-json / -trace-out
-// flags turn the obs layer on for the run and export it afterwards,
+// flags turn the obs layer on for the run (-stats and -stats-json export
+// it afterwards, -trace-out records the run in a Go execution trace),
 // -events-out records the decision ledger for batch runs and daemons
 // alike, and -cpuprofile / -memprofile expose the stdlib pprof profilers.
 // Everything here writes to stderr or to named files — stdout carries only
@@ -38,10 +39,10 @@ func obsSnapshot() *obs.Snapshot {
 	return s
 }
 
-// writeObsArtifacts emits the end-of-run stats table (-stats), JSON
-// snapshot (-stats-json) and Chrome trace (-trace-out).
-func writeObsArtifacts(stats bool, statsJSON, traceOut string, stderr io.Writer) error {
-	if !obsRequested(stats, statsJSON, traceOut) {
+// writeObsArtifacts emits the end-of-run stats table (-stats) and JSON
+// snapshot (-stats-json).
+func writeObsArtifacts(stats bool, statsJSON string, stderr io.Writer) error {
+	if !stats && statsJSON == "" {
 		return nil
 	}
 	snap := obsSnapshot()
@@ -54,19 +55,6 @@ func writeObsArtifacts(stats bool, statsJSON, traceOut string, stderr io.Writer)
 			return err
 		}
 		if err := snap.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		if err := obs.Default().WriteChromeTrace(f); err != nil {
 			f.Close()
 			return err
 		}
@@ -108,9 +96,12 @@ func startEventsLedger(path string, memCap int, who string, stderr io.Writer) (f
 	}, nil
 }
 
-// startCPUProfile begins a pprof CPU profile; the returned stop function
-// is safe to call exactly once.
-func startCPUProfile(path string) (stop func(), err error) {
+// startRecorder creates path and starts a whole-run recorder writing to
+// it: pprof's CPU profiler for -cpuprofile, the Go execution tracer (whose
+// regions are the obs.Region stages) for -trace-out. The returned stop
+// ends the recorder and closes the file; call it once, after the run. An
+// empty path records nothing.
+func startRecorder(path string, start func(io.Writer) error, end func()) (stop func(), err error) {
 	if path == "" {
 		return func() {}, nil
 	}
@@ -118,12 +109,12 @@ func startCPUProfile(path string) (stop func(), err error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := pprof.StartCPUProfile(f); err != nil {
+	if err := start(f); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return func() {
-		pprof.StopCPUProfile()
+		end()
 		f.Close()
 	}, nil
 }

@@ -68,9 +68,9 @@ func newServeMux(svc *service.Service) *http.ServeMux {
 
 // metricsHandler is /metrics for both daemons: it counts the scrape under
 // scrapes, refreshes the ledger-size gauge and writes the registry's
-// Prometheus text exposition. It records no span: a daemon runs for as
-// long as it is scraped, and a span per scrape would grow the span store
-// and every later scrape's copy of it.
+// Prometheus text exposition. It records no timing: a daemon is scraped
+// for as long as it runs, and a timed scrape would add a summary family
+// to every later scrape.
 func metricsHandler(scrapes string) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		obs.C(scrapes).Add(1)

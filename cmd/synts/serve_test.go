@@ -254,8 +254,9 @@ func TestDrainServe(t *testing.T) {
 	}
 }
 
-// However often a daemon is scraped, /metrics records no span: the span
-// store stays empty and the exposition carries no span family.
+// However often a daemon is scraped, /metrics records no timing: the
+// registry gains no histogram and the exposition carries no summary
+// family.
 func TestScrapesRecordNoSpan(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -276,12 +277,12 @@ func TestScrapesRecordNoSpan(t *testing.T) {
 				t.Fatalf("%s /metrics status %d", d.name, last.Code)
 			}
 		}
-		if spans, _ := obs.Default().SpanRecords(); len(spans) != 0 {
-			t.Errorf("%d %s scrapes left %d span records", n, d.name, len(spans))
+		if hists := obs.Default().Snapshot().Histograms; len(hists) != 0 {
+			t.Errorf("%d %s scrapes recorded %d histograms: %v", n, d.name, len(hists), hists)
 		}
 		body := last.Body.String()
-		if strings.Contains(body, "synts_span_") {
-			t.Errorf("%s /metrics carries a span family:\n%s", d.name, body)
+		if strings.Contains(body, " summary\n") {
+			t.Errorf("%s /metrics carries a summary family:\n%s", d.name, body)
 		}
 		if want := fmt.Sprintf("\nsynts_%s_scrapes_total %d\n", d.name, n); !strings.Contains(body, want) {
 			t.Errorf("%s /metrics missing %q", d.name, strings.TrimSpace(want))

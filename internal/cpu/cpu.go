@@ -121,13 +121,6 @@ func (c *Cache) Access(addr uint32) bool {
 	return false
 }
 
-// Flush invalidates all lines.
-func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-}
-
 // CPIResult reports the baseline (error-free) CPI of an instruction window
 // together with the cache outcome that produced it, so observability
 // counters (obs "cpu.cache.*") can be fed from the same simulation pass

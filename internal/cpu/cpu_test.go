@@ -126,15 +126,6 @@ func TestAssociativityReducesConflictMisses(t *testing.T) {
 	}
 }
 
-func TestCacheFlush(t *testing.T) {
-	c, _ := NewCache(CacheConfig{Lines: 4, LineBytes: 16, MissPenalty: 10})
-	c.Access(0x100)
-	c.Flush()
-	if c.Access(0x100) {
-		t.Error("post-flush access must miss")
-	}
-}
-
 func TestMeasureCPI(t *testing.T) {
 	c, _ := NewCache(CacheConfig{Lines: 4, LineBytes: 16, MissPenalty: 10})
 	iv := []isa.Inst{

@@ -125,7 +125,7 @@ func TestBenchCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b, err := c.Load("ocean", opts)
+			b, err := c.LoadCtx(context.Background(), "ocean", opts)
 			if err != nil {
 				t.Error(err)
 				return
@@ -145,7 +145,7 @@ func TestBenchCacheSingleflight(t *testing.T) {
 	// A different options key is a different benchmark run.
 	opts2 := opts
 	opts2.Seed++
-	b2, err := c.Load("ocean", opts2)
+	b2, err := c.LoadCtx(context.Background(), "ocean", opts2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestBenchCacheSingleflight(t *testing.T) {
 
 func TestBenchCacheUnknownBench(t *testing.T) {
 	c := NewBenchCache()
-	if _, err := c.Load("nope", testOptions()); err == nil {
+	if _, err := c.LoadCtx(context.Background(), "nope", testOptions()); err == nil {
 		t.Fatal("unknown benchmark must error")
 	}
 }
@@ -193,7 +193,7 @@ func TestBenchCacheLoadCtxCancelDoesNotPoison(t *testing.T) {
 	if _, err := c.LoadCtx(ctx, "ocean", testOptions()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled load err = %v, want context.Canceled", err)
 	}
-	b, err := c.Load("ocean", testOptions())
+	b, err := c.LoadCtx(context.Background(), "ocean", testOptions())
 	if err != nil {
 		t.Fatalf("retry after cancellation failed: %v", err)
 	}

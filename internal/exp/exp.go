@@ -139,7 +139,7 @@ func (b *Bench) Profiles(stage trace.Stage) ([][]*trace.Profile, error) {
 // rebuilds from scratch.
 func (b *Bench) ProfilesCtx(ctx context.Context, stage trace.Stage) ([][]*trace.Profile, error) {
 	p, err, out := b.profiles.Do(stage, func() ([][]*trace.Profile, error) {
-		defer obs.StartSpan("exp.profiles.build:" + b.Name + ":" + stage.String()).End()
+		defer obs.StartRegion("exp.profiles.build:" + b.Name + ":" + stage.String()).End()
 		return buildProfiles(ctx, b.Name, b.Streams, stage, b.Opts.Cache)
 	})
 	classifyLookup("exp.profiles", out)
@@ -170,22 +170,17 @@ func NewBenchCache() *BenchCache {
 	return &BenchCache{}
 }
 
-// Load returns the cached benchmark for (name, opts), running the kernel
-// on first use. Every caller with the same key gets the same *Bench.
-func (c *BenchCache) Load(name string, opts Options) (*Bench, error) {
-	return c.LoadCtx(context.Background(), name, opts)
-}
-
-// LoadCtx is Load with a cancellation context: an already-cancelled ctx
-// skips the kernel run, and a cancellation observed by the builder does
-// not poison the cache entry.
+// LoadCtx returns the cached benchmark for (name, opts), running the
+// kernel on first use; every caller with the same key gets the same
+// *Bench. An already-cancelled ctx skips the kernel run, and a
+// cancellation observed by the builder does not poison the cache entry.
 func (c *BenchCache) LoadCtx(ctx context.Context, name string, opts Options) (*Bench, error) {
 	key := benchKey{name: name, opts: opts}
 	b, err, out := c.m.Do(key, func() (*Bench, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		defer obs.StartSpan("exp.bench.load:" + name).End()
+		defer obs.StartRegion("exp.bench.load:" + name).End()
 		return loadBenchImpl(name, opts)
 	})
 	classifyLookup("exp.benchcache", out)
@@ -294,11 +289,12 @@ func SolveAllScopedCtx(ctx context.Context, sc telemetry.Scope, solver string, c
 	return tot, nil
 }
 
-// TimedSolveAll is SolveAllScoped wrapped in an obs span named after the
-// solver, so per-theta solver calls show up in the -stats span totals and
-// as events in the Chrome trace, and their decisions land in the ledger.
+// TimedSolveAll is SolveAllScoped wrapped in an obs region named after
+// the solver, so per-theta solver calls show up in the -stats histograms
+// and the -trace-out execution trace, and their decisions land in the
+// ledger.
 func TimedSolveAll(sc telemetry.Scope, name string, cfg *core.Config, intervals [][]core.Thread, solve func(*core.Config, []core.Thread, float64) (core.Assignment, core.Metrics), theta float64) Totals {
-	defer obs.StartSpan("exp.solve:" + name).End()
+	defer obs.StartRegion("exp.solve:" + name).End()
 	return SolveAllScoped(sc, name, cfg, intervals, solve, theta)
 }
 

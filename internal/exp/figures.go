@@ -362,7 +362,7 @@ func Pareto(b *Bench, stage trace.Stage) (*ParetoResult, error) {
 // points not yet submitted when ctx is cancelled are skipped and ctx's
 // error is returned.
 func ParetoCtx(ctx context.Context, b *Bench, stage trace.Stage) (*ParetoResult, error) {
-	defer obs.StartSpan("exp.pareto:" + b.Name + ":" + stage.String()).End()
+	defer obs.StartRegion("exp.pareto:" + b.Name + ":" + stage.String()).End()
 	ivs, err := b.IntervalsCtx(ctx, stage)
 	if err != nil {
 		return nil, err
@@ -621,7 +621,7 @@ func SolveOnlineAll(b *Bench, cfg *core.Config, stage trace.Stage, theta float64
 // SolveOnlineAllCtx is SolveOnlineAll with a cancellation context, checked
 // between barrier intervals.
 func SolveOnlineAllCtx(ctx context.Context, b *Bench, cfg *core.Config, stage trace.Stage, theta float64) (Totals, error) {
-	defer obs.StartSpan("exp.solve:SynTS-online").End()
+	defer obs.StartRegion("exp.solve:SynTS-online").End()
 	profs, err := b.ProfilesCtx(ctx, stage)
 	if err != nil {
 		return Totals{}, err

@@ -1,7 +1,7 @@
 // Package faults is the repository's deterministic fault-injection layer:
 // a seeded chaos harness that can corrupt or drop online sampling
-// estimates, perturb Razor replay error counts, and panic or stall worker
-// pool tasks, so the pipeline's failure handling (panic isolation in
+// estimates, perturb Razor replay error counts, and panic worker pool
+// tasks, so the pipeline's failure handling (panic isolation in
 // internal/pool, the estimate guard band in core.SolveOnline) can be
 // exercised on demand instead of waiting for real faults.
 //
@@ -18,7 +18,7 @@
 //
 //	spec    := "off" | class[=rate] ("," class[=rate])*
 //	class   := sample-noise | sample-drop | sample-nan |
-//	           replay-perturb | task-panic | task-stall |
+//	           replay-perturb | task-panic |
 //	           ckpt-write-fail | ledger-spill-torn |
 //	           req-slow | req-drop |
 //	           backend-down | backend-flap | resp-torn | net-slow
@@ -55,9 +55,6 @@ const (
 	// panic into an error (and retries injected panics, which fire before
 	// the task body runs and so are side-effect free).
 	TaskPanic = "task-panic"
-	// TaskStall sleeps a worker-pool task at start for StallDuration,
-	// exercising the pool's stall watchdog.
-	TaskStall = "task-stall"
 	// CkptWriteFail fails a checkpoint save after the .tmp file is
 	// written but before the atomic rename — the disk-full / yanked-volume
 	// case the tmp-then-rename protocol exists for. The run must continue
@@ -102,22 +99,19 @@ const (
 
 // Classes lists every fault class, in spec order.
 func Classes() []string {
-	return []string{SampleNoise, SampleDrop, SampleNaN, ReplayPerturb, TaskPanic, TaskStall, CkptWriteFail, LedgerSpillTorn, ReqSlow, ReqDrop, BackendDown, BackendFlap, RespTorn, NetSlow}
+	return []string{SampleNoise, SampleDrop, SampleNaN, ReplayPerturb, TaskPanic, CkptWriteFail, LedgerSpillTorn, ReqSlow, ReqDrop, BackendDown, BackendFlap, RespTorn, NetSlow}
 }
 
 // DefaultRate is the per-hook injection probability used when the spec
 // gives a class without an explicit rate.
 func DefaultRate(class string) float64 {
 	switch class {
-	case TaskPanic, TaskStall:
+	case TaskPanic:
 		return 0.05 // tasks are plentiful; a few percent exercises recovery
 	default:
 		return 0.25 // estimates are few; corrupt a visible fraction
 	}
 }
-
-// StallDuration is how long an injected task stall sleeps.
-const StallDuration = 10 * time.Millisecond
 
 // ReqSlowDuration is how long an injected request slowdown delays a
 // solver-service request. It is fixed (not shaped by hash bits) so
@@ -483,9 +477,8 @@ func IsInjectedPanic(v any) bool {
 // deterministic.
 func NextTaskID() uint64 { return taskSeq.Add(1) }
 
-// TaskStart runs the task-start fault hooks for one attempt of a task:
-// task-stall sleeps StallDuration, task-panic panics with an
-// InjectedPanic. Callers must invoke it before the task body so an
+// TaskStart runs the task-start fault hook for one attempt of a task:
+// task-panic panics with an InjectedPanic. Callers must invoke it before the task body so an
 // injected panic never interrupts real work (which makes retrying safe
 // even for non-idempotent tasks).
 func TaskStart(task uint64, attempt int) {
@@ -496,11 +489,7 @@ func TaskStart(task uint64, attempt int) {
 	if c == nil {
 		return
 	}
-	args := []uint64{task, uint64(uint32(attempt))}
-	if on, _ := c.fire(TaskStall, args...); on {
-		time.Sleep(StallDuration)
-	}
-	if on, _ := c.fire(TaskPanic, args...); on {
+	if on, _ := c.fire(TaskPanic, task, uint64(uint32(attempt))); on {
 		panic(InjectedPanic{Task: task, Attempt: attempt})
 	}
 }

@@ -21,7 +21,7 @@ func TestParseSpec(t *testing.T) {
 		{spec: "sample-noise,task-panic"},
 		{spec: "sample-nan=0.5"},
 		{spec: "replay-perturb=1"},
-		{spec: "task-stall=0.01, task-panic=0.02"},
+		{spec: "sample-drop=0.01, task-panic=0.02"},
 		{spec: "bogus", wantErr: "unknown class"},
 		{spec: "sample-noise=0", wantErr: "want a float in (0,1]"},
 		{spec: "sample-noise=1.5", wantErr: "want a float in (0,1]"},
@@ -71,7 +71,7 @@ func TestDisabledHooksAreIdentity(t *testing.T) {
 	if got := ReplayErrors(7, 100, 42); got != 7 {
 		t.Errorf("ReplayErrors = %v, want passthrough", got)
 	}
-	TaskStart(1, 0) // must not panic or stall
+	TaskStart(1, 0) // must not panic
 }
 
 // Same seed and arguments must make identical decisions regardless of

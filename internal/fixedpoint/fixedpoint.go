@@ -37,14 +37,6 @@ func FromFloat(f float64) Q {
 // Float converts back to float64 (for reporting only; kernels never use it).
 func (q Q) Float() float64 { return float64(q) / float64(One) }
 
-// Int returns the integer part, truncating toward zero.
-func (q Q) Int() int {
-	if q < 0 {
-		return -int(-int64(q) >> 16) // via int64: -q overflows int32 at MinInt32
-	}
-	return int(q >> 16)
-}
-
 // Mul multiplies two fixed-point values with a 64-bit intermediate.
 func Mul(a, b Q) Q {
 	return Q((int64(a) * int64(b)) >> 16)
@@ -106,9 +98,9 @@ func Max(a, b Q) Q {
 	return b
 }
 
-// Sin returns sin(q) for q in radians, using a 7th-order odd polynomial
+// sin returns sin(q) for q in radians, using a 7th-order odd polynomial
 // after range reduction to [-pi, pi]. Accuracy ~1e-3, ample for the kernels.
-func Sin(q Q) Q {
+func sin(q Q) Q {
 	const pi = Q(205887)    // pi * 2^16
 	const twoPi = Q(411775) // 2*pi * 2^16
 	// Range-reduce to [-pi, pi].
@@ -135,7 +127,7 @@ func Sin(q Q) Q {
 // Cos returns cos(q) via the sine identity.
 func Cos(q Q) Q {
 	const halfPi = Q(102944)
-	return Sin(q + halfPi)
+	return sin(q + halfPi)
 }
 
 // Bits returns the raw 32-bit pattern; the kernels pass this to the emitter

@@ -8,8 +8,8 @@ import (
 
 func TestFromIntRoundTrip(t *testing.T) {
 	for _, i := range []int{0, 1, -1, 100, -100, 0x7FFF, -0x8000} {
-		if got := FromInt(i).Int(); got != i {
-			t.Errorf("FromInt(%d).Int() = %d", i, got)
+		if got := FromInt(i).Float(); got != float64(i) {
+			t.Errorf("FromInt(%d).Float() = %v", i, got)
 		}
 	}
 }
@@ -101,8 +101,8 @@ func TestSinCosAccuracy(t *testing.T) {
 	for deg := -720; deg <= 720; deg += 5 {
 		rad := float64(deg) * math.Pi / 180
 		q := FromFloat(rad)
-		if got, want := Sin(q).Float(), math.Sin(rad); math.Abs(got-want) > 5e-3 {
-			t.Fatalf("Sin(%d deg) = %v, want %v", deg, got, want)
+		if got, want := sin(q).Float(), math.Sin(rad); math.Abs(got-want) > 5e-3 {
+			t.Fatalf("sin(%d deg) = %v, want %v", deg, got, want)
 		}
 		if got, want := Cos(q).Float(), math.Cos(rad); math.Abs(got-want) > 5e-3 {
 			t.Fatalf("Cos(%d deg) = %v, want %v", deg, got, want)
@@ -127,15 +127,6 @@ func TestMulAlgebraProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIntTruncatesTowardZero(t *testing.T) {
-	if got := FromFloat(-1.5).Int(); got != -1 {
-		t.Errorf("Int(-1.5) = %d, want -1", got)
-	}
-	if got := FromFloat(1.5).Int(); got != 1 {
-		t.Errorf("Int(1.5) = %d, want 1", got)
 	}
 }
 

@@ -92,9 +92,6 @@ func NewRing(backends []string, replicas int) *Ring {
 	return r
 }
 
-// Len returns the backend count.
-func (r *Ring) Len() int { return r.n }
-
 // start returns the index into points of the first virtual node at or
 // after key, wrapping at the top of the ring.
 func (r *Ring) start(key uint64) int {

@@ -132,10 +132,3 @@ func (m *Memo[K, V]) DiscardIf(key K, pred func(error) bool) {
 		delete(m.m, key)
 	}
 }
-
-// Len returns the number of live entries (cached or in flight).
-func (m *Memo[K, V]) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.m)
-}

@@ -27,8 +27,8 @@ func TestDoMemoizes(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("fn ran %d times, want 1", calls.Load())
 	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", m.Len())
+	if m.len() != 1 {
+		t.Fatalf("Len = %d, want 1", m.len())
 	}
 }
 
@@ -94,8 +94,8 @@ func TestForgetRecomputes(t *testing.T) {
 		t.Fatalf("first = %d, want 1", v)
 	}
 	m.Forget("k")
-	if m.Len() != 0 {
-		t.Fatalf("Len after Forget = %d, want 0", m.Len())
+	if m.len() != 0 {
+		t.Fatalf("Len after Forget = %d, want 0", m.len())
 	}
 	v, _, out := m.Do("k", fn)
 	if v != 2 || out != Miss {
@@ -110,14 +110,14 @@ func TestDiscardIfEvictsCanceled(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	m.DiscardIf("k", func(e error) bool { return errors.Is(e, context.Canceled) })
-	if m.Len() != 0 {
-		t.Fatalf("canceled entry not evicted, Len = %d", m.Len())
+	if m.len() != 0 {
+		t.Fatalf("canceled entry not evicted, Len = %d", m.len())
 	}
 	// A successful entry must survive the same predicate.
 	m.Do("k", func() (int, error) { return 5, nil })
 	m.DiscardIf("k", func(e error) bool { return errors.Is(e, context.Canceled) })
-	if m.Len() != 1 {
-		t.Fatalf("successful entry evicted, Len = %d", m.Len())
+	if m.len() != 1 {
+		t.Fatalf("successful entry evicted, Len = %d", m.len())
 	}
 }
 
@@ -135,8 +135,8 @@ func TestDistinctKeysIndependent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if m.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", m.Len())
+	if m.len() != 8 {
+		t.Fatalf("Len = %d, want 8", m.len())
 	}
 }
 
@@ -160,4 +160,11 @@ func ExampleMemo() {
 	// Output:
 	// hello miss
 	// hello hit
+}
+
+// len returns the number of live entries (cached or in flight).
+func (m *Memo[K, V]) len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.m)
 }

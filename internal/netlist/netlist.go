@@ -184,12 +184,6 @@ func (b *Builder) newNet() Net {
 	return t
 }
 
-// Input declares a single-bit primary input and returns its net.
-func (b *Builder) Input(name string) Net {
-	bus := b.InputBusN(name, 1)
-	return bus.Nets[0]
-}
-
 // InputBusN declares a width-bit primary input bus (bit 0 first).
 func (b *Builder) InputBusN(name string, width int) Bus {
 	bus := Bus{Name: name, Nets: make([]Net, width)}

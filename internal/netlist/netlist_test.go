@@ -22,8 +22,8 @@ func busUint(vals []bool, bus Bus) uint64 {
 
 func TestBuilderSingleGate(t *testing.T) {
 	b := NewBuilder("t")
-	a := b.Input("a")
-	x := b.Input("b")
+	a := input(b, "a")
+	x := input(b, "b")
 	y := b.Gate(gates.AND2, a, x)
 	b.Output("y", y)
 	n, err := b.Build()
@@ -54,7 +54,7 @@ func TestBuilderRejectsEmpty(t *testing.T) {
 		t.Error("empty netlist must not build")
 	}
 	b := NewBuilder("t")
-	b.Input("a")
+	input(b, "a")
 	if _, err := b.Build(); err == nil {
 		t.Error("netlist without outputs must not build")
 	}
@@ -67,7 +67,7 @@ func TestBuilderGateArityPanics(t *testing.T) {
 		}
 	}()
 	b := NewBuilder("t")
-	a := b.Input("a")
+	a := input(b, "a")
 	b.Gate(gates.AND2, a) // missing second input
 }
 
@@ -248,7 +248,7 @@ func TestBarrelShifterStandalone(t *testing.T) {
 	b := NewBuilder("shift")
 	a := b.InputBusN("a", 16)
 	sh := b.InputBusN("sh", 4)
-	dir := b.Input("dir")
+	dir := input(b, "dir")
 	y := BarrelShifter(b, a.Nets, sh.Nets, dir)
 	b.OutputBusN("y", y)
 	n := b.MustBuild()
@@ -448,3 +448,6 @@ func TestConnectivityPrecompute(t *testing.T) {
 		}
 	}
 }
+
+// input declares a single-bit primary input and returns its net.
+func input(b *Builder, name string) Net { return b.InputBusN(name, 1).Nets[0] }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"time"
 )
 
@@ -19,14 +18,6 @@ type HistSummary struct {
 	P50   float64 `json:"p50"`
 	P95   float64 `json:"p95"`
 	P99   float64 `json:"p99"`
-}
-
-// SpanSummary aggregates all completed spans sharing a name.
-type SpanSummary struct {
-	Count   int   `json:"count"`
-	TotalNs int64 `json:"total_ns"`
-	MinNs   int64 `json:"min_ns"`
-	MaxNs   int64 `json:"max_ns"`
 }
 
 // RunMeta makes an artifact self-describing: the toolchain, platform and
@@ -48,15 +39,13 @@ type RunMeta struct {
 // Snapshot is the machine-readable state of a registry, written by
 // -stats-json and rendered by the -stats table.
 type Snapshot struct {
-	Timestamp    string                 `json:"timestamp"`
-	GoMaxProcs   int                    `json:"gomaxprocs"`
-	Meta         *RunMeta               `json:"meta,omitempty"`
-	Counters     map[string]int64       `json:"counters"`
-	Gauges       map[string]float64     `json:"gauges"`
-	Histograms   map[string]HistSummary `json:"histograms"`
-	Spans        map[string]SpanSummary `json:"spans"`
-	Derived      map[string]float64     `json:"derived"`
-	SpansDropped int64                  `json:"spans_dropped,omitempty"`
+	Timestamp  string                 `json:"timestamp"`
+	GoMaxProcs int                    `json:"gomaxprocs"`
+	Meta       *RunMeta               `json:"meta,omitempty"`
+	Counters   map[string]int64       `json:"counters"`
+	Gauges     map[string]float64     `json:"gauges"`
+	Histograms map[string]HistSummary `json:"histograms"`
+	Derived    map[string]float64     `json:"derived"`
 }
 
 // SetRunMeta attaches the self-describing meta block (see RunMeta); the
@@ -82,7 +71,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		Counters:   map[string]int64{},
 		Gauges:     map[string]float64{},
 		Histograms: map[string]HistSummary{},
-		Spans:      map[string]SpanSummary{},
 		Derived:    map[string]float64{},
 	}
 	r.mu.RLock()
@@ -105,23 +93,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 	}
 	r.mu.RUnlock()
-	recs, dropped := r.SpanRecords()
-	s.SpansDropped = dropped
-	for _, rec := range recs {
-		agg, ok := s.Spans[rec.Name]
-		if !ok {
-			agg = SpanSummary{MinNs: rec.DurNs, MaxNs: rec.DurNs}
-		}
-		agg.Count++
-		agg.TotalNs += rec.DurNs
-		if rec.DurNs < agg.MinNs {
-			agg.MinNs = rec.DurNs
-		}
-		if rec.DurNs > agg.MaxNs {
-			agg.MaxNs = rec.DurNs
-		}
-		s.Spans[rec.Name] = agg
-	}
 	return s
 }
 
@@ -170,16 +141,8 @@ func (s *Snapshot) WriteTable(w io.Writer) {
 		fmt.Fprintln(w, "histograms (ns):")
 		for _, name := range sortedNames(s.Histograms) {
 			h := s.Histograms[name]
-			fmt.Fprintf(w, "  %-42s n=%-8d p50=%-11s p95=%-11s p99=%-11s max=%s\n",
-				name, h.Count, fmtNs(h.P50), fmtNs(h.P95), fmtNs(h.P99), fmtNs(h.Max))
-		}
-	}
-	if len(s.Spans) > 0 {
-		fmt.Fprintln(w, "spans:")
-		for _, name := range sortedNames(s.Spans) {
-			sp := s.Spans[name]
-			fmt.Fprintf(w, "  %-42s n=%-8d total=%-11s mean=%s\n",
-				name, sp.Count, fmtNs(float64(sp.TotalNs)), fmtNs(float64(sp.TotalNs)/float64(sp.Count)))
+			fmt.Fprintf(w, "  %-42s n=%-8d sum=%-11s p50=%-11s p95=%-11s p99=%-11s max=%s\n",
+				name, h.Count, fmtNs(h.Sum), fmtNs(h.P50), fmtNs(h.P95), fmtNs(h.P99), fmtNs(h.Max))
 		}
 	}
 	if len(s.Derived) > 0 {
@@ -188,111 +151,8 @@ func (s *Snapshot) WriteTable(w io.Writer) {
 			fmt.Fprintf(w, "  %-42s %12.4f\n", name, s.Derived[name])
 		}
 	}
-	if s.SpansDropped > 0 {
-		fmt.Fprintf(w, "spans dropped (store cap): %d\n", s.SpansDropped)
-	}
 }
 
 func fmtNs(ns float64) string {
 	return time.Duration(ns).Round(time.Microsecond).String()
-}
-
-// TraceEvent is one Chrome trace-event ("X" = complete event with
-// duration). The JSON array format loads directly in chrome://tracing and
-// Perfetto.
-type TraceEvent struct {
-	Name string  `json:"name"`
-	Ph   string  `json:"ph"`
-	Ts   float64 `json:"ts"`  // microseconds since run start
-	Dur  float64 `json:"dur"` // microseconds
-	Pid  int     `json:"pid"`
-	Tid  int     `json:"tid"`
-}
-
-// ChromeTraceEvents converts the registry's span records into trace
-// events. Spans with an explicit TID (pool workers) keep their row.
-// Unattributed spans are assigned by goroutine: a span recorded on the
-// same goroutine as an explicit-TID span lands on that worker's row (the
-// smallest time-enclosing one when the goroutine carried several tasks);
-// goroutines that never carried an explicit row — the main goroutine,
-// HTTP handlers under `serve`, any concurrency outside internal/pool —
-// each get a fresh row reserved through NextTIDBlock, in order of their
-// first span start, so concurrent non-pool work never collapses onto one
-// misleading row.
-func (r *Registry) ChromeTraceEvents() []TraceEvent {
-	recs, _ := r.SpanRecords()
-	type holder struct {
-		start, end int64
-		tid        int
-	}
-	explicit := make(map[int64][]holder)
-	for _, rec := range recs {
-		if rec.TID >= 0 && rec.Gid != 0 {
-			explicit[rec.Gid] = append(explicit[rec.Gid],
-				holder{rec.StartNs, rec.StartNs + rec.DurNs, rec.TID})
-		}
-	}
-	// Reserve rows for goroutines with no explicit-TID span, in first-
-	// start order (deterministic for a deterministic span set). Going
-	// through NextTIDBlock keeps the rows disjoint from every pool's.
-	orphanRow := make(map[int64]int)
-	ordered := append([]SpanRecord(nil), recs...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].StartNs < ordered[j].StartNs })
-	for _, rec := range ordered {
-		if rec.TID >= 0 || rec.Gid == 0 {
-			continue
-		}
-		if _, ok := explicit[rec.Gid]; ok {
-			continue
-		}
-		if _, ok := orphanRow[rec.Gid]; !ok {
-			orphanRow[rec.Gid] = r.NextTIDBlock(1)
-		}
-	}
-	events := make([]TraceEvent, 0, len(recs))
-	for _, rec := range recs {
-		tid := rec.TID
-		if tid < 0 {
-			tid = 0
-			if hs, ok := explicit[rec.Gid]; ok {
-				// Same goroutine as a worker: the smallest task span
-				// enclosing this one in time is the task it ran inside.
-				best := int64(-1)
-				end := rec.StartNs + rec.DurNs
-				for _, h := range hs {
-					if h.start <= rec.StartNs && h.end >= end {
-						if d := h.end - h.start; best < 0 || d < best {
-							best, tid = d, h.tid
-						}
-					}
-				}
-				if best < 0 {
-					tid = hs[0].tid
-				}
-			} else if row, ok := orphanRow[rec.Gid]; ok {
-				tid = row
-			}
-		}
-		events = append(events, TraceEvent{
-			Name: rec.Name,
-			Ph:   "X",
-			Ts:   float64(rec.StartNs) / 1e3,
-			Dur:  float64(rec.DurNs) / 1e3,
-			Pid:  1,
-			Tid:  tid,
-		})
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].Ts != events[j].Ts {
-			return events[i].Ts < events[j].Ts
-		}
-		return events[i].Dur > events[j].Dur
-	})
-	return events
-}
-
-// WriteChromeTrace writes the span tree as Chrome trace-event JSON.
-func (r *Registry) WriteChromeTrace(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(r.ChromeTraceEvents())
 }

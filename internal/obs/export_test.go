@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 )
 
 // The snapshot must round-trip through JSON with the documented schema
@@ -16,9 +15,6 @@ func TestSnapshotJSONSchema(t *testing.T) {
 	r.Counter("exp.benchcache.hit").Add(3)
 	r.Counter("exp.benchcache.miss").Add(1)
 	r.Histogram("pool.queue_wait_ns").Observe(1500)
-	sp := r.StartSpan("trace.build_profiles:SimpleALU")
-	time.Sleep(time.Millisecond)
-	sp.End()
 
 	s := r.Snapshot()
 	s.AddDerived("exp.benchcache.hit_ratio", s.Ratio("exp.benchcache.hit", "exp.benchcache.hit", "exp.benchcache.miss"))
@@ -31,10 +27,13 @@ func TestSnapshotJSONSchema(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v", err)
 	}
-	for _, key := range []string{"timestamp", "gomaxprocs", "counters", "gauges", "histograms", "spans", "derived"} {
+	for _, key := range []string{"timestamp", "gomaxprocs", "counters", "gauges", "histograms", "derived"} {
 		if _, ok := decoded[key]; !ok {
 			t.Errorf("snapshot JSON missing top-level key %q", key)
 		}
+	}
+	if _, ok := decoded["spans"]; ok {
+		t.Error("snapshot JSON has a spans key; region timings are histograms")
 	}
 	var hists map[string]HistSummary
 	if err := json.Unmarshal(decoded["histograms"], &hists); err != nil {
@@ -54,13 +53,6 @@ func TestSnapshotJSONSchema(t *testing.T) {
 	if got := derived["exp.benchcache.hit_ratio"]; got != 0.75 {
 		t.Errorf("hit ratio = %v, want 0.75", got)
 	}
-	var spans map[string]SpanSummary
-	if err := json.Unmarshal(decoded["spans"], &spans); err != nil {
-		t.Fatal(err)
-	}
-	if agg := spans["trace.build_profiles:SimpleALU"]; agg.Count != 1 || agg.TotalNs <= 0 {
-		t.Errorf("span summary = %+v, want one span with positive total", agg)
-	}
 }
 
 func TestSnapshotRatioZeroDenominator(t *testing.T) {
@@ -73,115 +65,15 @@ func TestSnapshotRatioZeroDenominator(t *testing.T) {
 func TestWriteTableMentionsSections(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(1)
-	r.Histogram("h").Observe(10)
-	sp := r.StartSpan("s")
-	sp.End()
+	r.Histogram("h").Observe(10e3)
 	s := r.Snapshot()
 	s.AddDerived("d", 0.5)
 	var buf bytes.Buffer
 	s.WriteTable(&buf)
 	out := buf.String()
-	for _, want := range []string{"counters:", "histograms", "spans:", "derived:", "GOMAXPROCS"} {
+	for _, want := range []string{"counters:", "histograms", "sum=10µs", "derived:", "GOMAXPROCS"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats table missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// Chrome trace export: valid trace-event JSON (array of {name,ph,ts,dur,
-// pid,tid}), with unattributed spans assigned rows by goroutine — spans
-// on a worker's goroutine land on the worker's explicit row, and spans on
-// goroutines that never carried an explicit row get a fresh row each.
-func TestChromeTraceSchemaAndGoroutineRows(t *testing.T) {
-	r := NewRegistry()
-	workerRow := r.NextTIDBlock(1)
-	worker := r.StartSpan("pool.task")
-	worker.SetTID(workerRow)
-	inner := r.StartSpan("trace.interval_build") // no TID: same goroutine -> worker's row
-	time.Sleep(2 * time.Millisecond)
-	inner.End()
-	worker.End()
-
-	// Two spans on a second goroutine with no explicit-TID span: both get
-	// the same fresh row, distinct from the worker's.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		a := r.StartSpan("serve.scrape")
-		a.End()
-		b := r.StartSpan("serve.scrape")
-		b.End()
-	}()
-	<-done
-
-	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("trace is not a JSON array: %v", err)
-	}
-	if len(events) != 4 {
-		t.Fatalf("got %d events, want 4", len(events))
-	}
-	for _, ev := range events {
-		for _, key := range []string{"name", "ph", "ts", "dur", "pid", "tid"} {
-			if _, ok := ev[key]; !ok {
-				t.Errorf("event missing key %q: %v", key, ev)
-			}
-		}
-		if ev["ph"] != "X" {
-			t.Errorf("event ph = %v, want X", ev["ph"])
-		}
-	}
-	byName := map[string][]float64{}
-	for _, ev := range events {
-		name := ev["name"].(string)
-		byName[name] = append(byName[name], ev["tid"].(float64))
-	}
-	if got := byName["pool.task"]; len(got) != 1 || got[0] != float64(workerRow) {
-		t.Errorf("pool.task tids = %v, want [%d]", got, workerRow)
-	}
-	if got := byName["trace.interval_build"]; len(got) != 1 || got[0] != float64(workerRow) {
-		t.Errorf("same-goroutine span tids = %v, want worker row %d", got, workerRow)
-	}
-	scrapes := byName["serve.scrape"]
-	if len(scrapes) != 2 || scrapes[0] != scrapes[1] {
-		t.Fatalf("orphan-goroutine spans on rows %v, want one shared row", scrapes)
-	}
-	if scrapes[0] == float64(workerRow) || scrapes[0] == 0 {
-		t.Errorf("orphan-goroutine row = %v, want a fresh row (not 0, not the worker's)", scrapes[0])
-	}
-}
-
-// A span on the main test goroutine that starts after the worker's task
-// ended still lands on the worker's row when it shares the goroutine —
-// the goroutine, not time containment, is the attribution key.
-func TestChromeTraceSameGoroutineFallback(t *testing.T) {
-	r := NewRegistry()
-	worker := r.StartSpan("pool.task")
-	worker.SetTID(7)
-	worker.End()
-	later := r.StartSpan("exp.run")
-	later.End()
-	for _, ev := range r.ChromeTraceEvents() {
-		if ev.Name == "exp.run" && ev.Tid != 7 {
-			t.Errorf("same-goroutine later span tid = %d, want 7", ev.Tid)
-		}
-	}
-}
-
-func TestChromeTraceEventsSortedByTs(t *testing.T) {
-	r := NewRegistry()
-	for i := 0; i < 5; i++ {
-		sp := r.StartSpan("s")
-		sp.End()
-	}
-	ev := r.ChromeTraceEvents()
-	for i := 1; i < len(ev); i++ {
-		if ev[i].Ts < ev[i-1].Ts {
-			t.Fatalf("events not sorted by ts at %d", i)
 		}
 	}
 }

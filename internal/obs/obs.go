@@ -1,16 +1,16 @@
 // Package obs is the repository's instrumentation layer: race-safe atomic
 // counters, gauges, streaming histograms with quantile estimates, and
-// scoped Span timers that export to an end-of-run stats table, a
-// machine-readable JSON snapshot, and Chrome trace-event JSON
-// (chrome://tracing / Perfetto).
+// Region timers that record into a histogram of their name and mark the
+// Go execution trace. The registry exports to an end-of-run stats table,
+// a machine-readable JSON snapshot and the Prometheus text format.
 //
 // The package is stdlib-only and built around one invariant: when
 // instrumentation is disabled (the default) every call site costs a single
-// atomic load and a nil check. The accessors C, G, H and StartSpan return
-// nil while disabled, and every method is nil-receiver-safe, so hot paths
-// write
+// atomic load and a nil check. The accessors C, G, H and StartRegion
+// return nil while disabled, and every method is nil-receiver-safe, so hot
+// paths write
 //
-//	defer obs.StartSpan("trace.interval_build").End()
+//	defer obs.StartRegion("trace.interval_build").End()
 //	obs.C("pool.tasks.completed").Add(1)
 //
 // unconditionally. Recording never touches experiment output (stdout), so
@@ -21,7 +21,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // enabled gates all recording. Off by default; cmd/synts switches it on
@@ -33,9 +32,8 @@ var enabled atomic.Bool
 // the disabled path free of clock reads.
 func Enabled() bool { return enabled.Load() }
 
-// Enable resets the default registry and starts recording. The reset makes
-// the registry's epoch the start of the observed run, so Chrome-trace
-// timestamps are run-relative.
+// Enable resets the default registry and starts recording, so a snapshot
+// covers only the observed run.
 func Enable() {
 	Default().reset()
 	enabled.Store(true)
@@ -44,10 +42,6 @@ func Enable() {
 // Disable stops recording. Already-collected data stays readable.
 func Disable() { enabled.Store(false) }
 
-// maxSpans bounds the span store so a pathological caller cannot grow it
-// without limit; overflow is counted, not silently dropped.
-const maxSpans = 1 << 20
-
 // Registry holds one instrumentation namespace. The package-level
 // accessors use Default(); tests may construct private registries.
 type Registry struct {
@@ -55,12 +49,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-
-	spanMu  sync.Mutex
-	spans   []SpanRecord
-	dropped int64
-	epoch   time.Time
-	nextTID atomic.Int64
 }
 
 var defaultRegistry = NewRegistry()
@@ -68,30 +56,22 @@ var defaultRegistry = NewRegistry()
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
 
-// NewRegistry returns an empty registry with its epoch set to now.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{
+	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		epoch:    time.Now(),
 	}
-	return r
 }
 
-// reset drops all recorded data and restarts the epoch.
+// reset drops all recorded data.
 func (r *Registry) reset() {
 	r.mu.Lock()
 	r.counters = make(map[string]*Counter)
 	r.gauges = make(map[string]*Gauge)
 	r.hists = make(map[string]*Histogram)
 	r.mu.Unlock()
-	r.spanMu.Lock()
-	r.spans = nil
-	r.dropped = 0
-	r.epoch = time.Now()
-	r.spanMu.Unlock()
-	r.nextTID.Store(0)
 }
 
 // Counter is a monotonically named atomic counter.
@@ -216,20 +196,6 @@ func H(name string) *Histogram {
 		return nil
 	}
 	return defaultRegistry.Histogram(name)
-}
-
-// NextTIDBlock reserves n consecutive Chrome-trace thread ids (rows) on r
-// and returns the first. Worker pools call it once per pool so every
-// worker of every pool gets a distinct trace row; the export allocates
-// one-row blocks for goroutines that never ran under a pool. The first
-// reserved id is 1; row 0 is the main/unattributed row.
-func (r *Registry) NextTIDBlock(n int) int {
-	return int(r.nextTID.Add(int64(n))-int64(n)) + 1
-}
-
-// NextTIDBlock reserves trace rows on the default registry.
-func NextTIDBlock(n int) int {
-	return defaultRegistry.NextTIDBlock(n)
 }
 
 // sortedNames returns the map keys in deterministic order.

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 // Disabled instrumentation must hand out nil handles whose methods are all
@@ -22,8 +23,8 @@ func TestDisabledAccessorsAreNilAndSafe(t *testing.T) {
 	if h := H("x"); h != nil {
 		t.Error("H must be nil while disabled")
 	}
-	if s := StartSpan("x"); s != nil {
-		t.Error("StartSpan must be nil while disabled")
+	if rg := StartRegion("x"); rg != nil {
+		t.Error("StartRegion must be nil while disabled")
 	}
 	var c *Counter
 	c.Add(1)
@@ -40,16 +41,12 @@ func TestDisabledAccessorsAreNilAndSafe(t *testing.T) {
 	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Mean() != 0 {
 		t.Error("nil histogram must read as empty")
 	}
-	var s *Span
-	s.End()
-	s.SetTID(1)
-	if s.Child("y") != nil {
-		t.Error("nil span child must be nil")
-	}
+	var rg *Region
+	rg.End()
 	for name, f := range map[string]func(){
-		"C(n).Add(1)":        func() { C("x").Add(1) },
-		"H(n).Observe(1)":    func() { H("x").Observe(1) },
-		"StartSpan(n).End()": func() { StartSpan("x").End() },
+		"C(n).Add(1)":          func() { C("x").Add(1) },
+		"H(n).Observe(1)":      func() { H("x").Observe(1) },
+		"StartRegion(n).End()": func() { StartRegion("x").End() },
 	} {
 		if allocs := testing.AllocsPerRun(1000, f); allocs != 0 {
 			t.Errorf("disabled %s allocates %.1f/op, want 0", name, allocs)
@@ -75,10 +72,26 @@ func TestEnableResetsAndRecords(t *testing.T) {
 	}
 }
 
-// The concurrency hammer of the issue checklist: counters, gauges and
-// histograms pounded from GOMAXPROCS goroutines under -race, with exact
-// count/sum invariants checked afterwards.
+// A region records its duration in the default registry's histogram of
+// the same name.
+func TestRegionRecordsHistogram(t *testing.T) {
+	Enable()
+	defer Disable()
+	rg := StartRegion("trace.build_profiles:SimpleALU")
+	time.Sleep(time.Millisecond)
+	rg.End()
+	h := Default().Snapshot().Histograms["trace.build_profiles:SimpleALU"]
+	if h.Count != 1 || h.Sum < float64(time.Millisecond) {
+		t.Errorf("region histogram = %+v, want one observation of at least 1ms", h)
+	}
+}
+
+// The concurrency hammer of the issue checklist: counters, gauges,
+// histograms and nested regions pounded from GOMAXPROCS goroutines under
+// -race, with exact count/sum invariants checked afterwards.
 func TestConcurrentRecording(t *testing.T) {
+	Enable()
+	defer Disable()
 	r := NewRegistry()
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
@@ -94,9 +107,9 @@ func TestConcurrentRecording(t *testing.T) {
 				r.Counter("c").Add(1)
 				r.Gauge("g").Set(float64(i))
 				r.Histogram("h").Observe(float64(i))
-				sp := r.StartSpan("s")
-				sp.Child("child").End()
-				sp.End()
+				rg := StartRegion("s")
+				StartRegion("child").End()
+				rg.End()
 			}
 		}()
 	}
@@ -116,12 +129,10 @@ func TestConcurrentRecording(t *testing.T) {
 	if h.Min() != 1 || h.Max() != perWorker {
 		t.Errorf("min/max = %g/%g, want 1/%d", h.Min(), h.Max(), perWorker)
 	}
-	recs, dropped := r.SpanRecords()
-	if dropped != 0 {
-		t.Errorf("dropped %d spans", dropped)
-	}
-	if len(recs) != 2*int(total) {
-		t.Errorf("span records = %d, want %d", len(recs), 2*total)
+	for _, name := range []string{"s", "child"} {
+		if got := Default().Histogram(name).Count(); got != total {
+			t.Errorf("region %s observations = %d, want %d", name, got, total)
+		}
 	}
 }
 
@@ -173,16 +184,6 @@ func TestHistogramZeroAndNegative(t *testing.T) {
 	}
 }
 
-func TestNextTIDBlockDistinct(t *testing.T) {
-	Enable()
-	defer Disable()
-	a := NextTIDBlock(4)
-	b := NextTIDBlock(2)
-	if a < 1 || b < a+4 {
-		t.Errorf("tid blocks overlap: a=%d b=%d", a, b)
-	}
-}
-
 // The zero-cost-when-disabled contract, benchmarked: the disabled path is
 // an atomic load plus nil-check per call site.
 func BenchmarkDisabledCounter(b *testing.B) {
@@ -193,11 +194,11 @@ func BenchmarkDisabledCounter(b *testing.B) {
 	}
 }
 
-func BenchmarkDisabledSpan(b *testing.B) {
+func BenchmarkDisabledRegion(b *testing.B) {
 	Disable()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		StartSpan("bench.span").End()
+		StartRegion("bench.region").End()
 	}
 }
 

@@ -12,10 +12,9 @@ import (
 // This file bridges the registry to the Prometheus text exposition format
 // (version 0.0.4), so `synts serve` can expose /metrics to any scraper
 // without importing a client library. Counters map to counters
-// (`synts_<name>_total`), gauges to gauges, histograms to summaries with
-// quantile labels, and span aggregates to a pair of labelled counter
-// families. ValidatePrometheusText is a small in-repo grammar check used
-// by the tests (and obscheck) in place of a real scraper.
+// (`synts_<name>_total`), gauges to gauges, and histograms to summaries
+// with quantile labels. ValidatePrometheusText is a small in-repo grammar
+// check the tests use in place of a real scraper.
 
 // promName sanitises a dotted metric name into the Prometheus name
 // alphabet ([a-zA-Z0-9_:], not starting with a digit) under the synts_
@@ -32,12 +31,6 @@ func promName(name string) string {
 		}
 	}
 	return b.String()
-}
-
-// promLabel escapes a label value per the exposition format.
-func promLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
 }
 
 func promFloat(v float64) string {
@@ -71,16 +64,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		fmt.Fprintf(bw, "%s_sum %s\n", fam, promFloat(h.Sum))
 		fmt.Fprintf(bw, "%s_count %d\n", fam, h.Count)
-	}
-	if len(s.Spans) > 0 {
-		fmt.Fprintf(bw, "# TYPE synts_span_count_total counter\n")
-		for _, name := range sortedNames(s.Spans) {
-			fmt.Fprintf(bw, "synts_span_count_total{span=\"%s\"} %d\n", promLabel(name), s.Spans[name].Count)
-		}
-		fmt.Fprintf(bw, "# TYPE synts_span_duration_ns_total counter\n")
-		for _, name := range sortedNames(s.Spans) {
-			fmt.Fprintf(bw, "synts_span_duration_ns_total{span=\"%s\"} %d\n", promLabel(name), s.Spans[name].TotalNs)
-		}
 	}
 	return bw.Flush()
 }

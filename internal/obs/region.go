@@ -1,0 +1,38 @@
+package obs
+
+import (
+	"context"
+	"runtime/trace"
+	"time"
+)
+
+// Region times one named stage of a batch run. StartRegion opens it and
+// End closes it: the duration lands in the default registry's histogram
+// of the same name, and a Go execution trace (-trace-out, or a daemon's
+// /debug/pprof/trace) shows the region under that name on the timeline
+// of the goroutine that ran it. A region must end on the goroutine that
+// started it; regions opened inside one another nest.
+type Region struct {
+	h     *Histogram
+	start time.Time
+	tr    *trace.Region
+}
+
+// StartRegion opens a region; it returns nil (safe to End) while
+// instrumentation is disabled.
+func StartRegion(name string) *Region {
+	if !enabled.Load() {
+		return nil
+	}
+	return &Region{h: defaultRegistry.Histogram(name), start: time.Now(), tr: trace.StartRegion(context.Background(), name)}
+}
+
+// End records the region's duration and closes it in the execution trace;
+// nil-safe, so `defer obs.StartRegion(x).End()` is always legal.
+func (r *Region) End() {
+	if r == nil {
+		return
+	}
+	r.h.Observe(float64(time.Since(r.start)))
+	r.tr.End()
+}

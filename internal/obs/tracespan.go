@@ -17,14 +17,15 @@ import (
 // Fleet-wide distributed tracing.
 //
 // A TraceSpan is one hop-scoped timing record tied to a logical request
-// (a trace). Unlike the in-process batch Span (span.go), which carries no
-// ID at all, trace spans carry content-derived 64-bit IDs:
-// the trace ID is the FNV-1a digest of the request body (unique per
-// request in a seeded loadgen stream, reproducible run-to-run) and every
-// span ID is derived by hashing (trace, parent, name, index). Two runs of
-// the same seeded stream therefore produce the same span *structure* —
-// only the timing fields differ — which is what lets obscheck and CI
-// compare traces across runs and shard counts.
+// (a trace), and the package's only span type: batch stages are timed by
+// Regions (region.go), which carry no ID at all. Trace spans carry
+// content-derived 64-bit IDs: the trace ID is the FNV-1a digest of the
+// request body (unique per request in a seeded loadgen stream,
+// reproducible run-to-run) and every span ID is derived by hashing
+// (trace, parent, name, index). Two runs of the same seeded stream
+// therefore produce the same span *structure* — only the timing fields
+// differ — which is what lets obscheck and CI compare traces across runs
+// and shard counts.
 //
 // Each process (loadgen, router, daemon) collects its own spans and
 // writes a synts-trace/v1 JSONL artifact into -trace-dir at shutdown;
@@ -93,7 +94,8 @@ type TraceSpan struct {
 	DurNs   int64  `json:"dur_ns"`
 }
 
-// maxTraceSpans bounds the collector like maxSpans bounds the span store.
+// maxTraceSpans bounds the collector so a pathological caller cannot grow
+// it without limit; overflow is counted, not silently dropped.
 const maxTraceSpans = 1 << 20
 
 // traceCollector is the process-wide trace-span store, separate from the

@@ -9,28 +9,22 @@
 // carrying the goroutine stack, and treated like any other first error —
 // the slot is released and Wait returns instead of deadlocking. GoCtx and
 // ForEachCtx stop admitting tasks once their context.Context is
-// cancelled, so SIGINT/SIGTERM unwinds the whole pipeline promptly. An
-// optional stall watchdog (SetStallWatchdog) dumps all goroutine stacks
-// when a single task runs past a deadline. Injected panics from the
-// internal/faults chaos harness fire before the task body and are retried
-// within a small budget.
+// cancelled, so SIGINT/SIGTERM unwinds the whole pipeline promptly.
+// Injected panics from the internal/faults chaos harness fire before the
+// task body and are retried within a small budget.
 //
 // When the obs layer is enabled the pool reports tasks
 // submitted/completed/dropped, queue wait (submission to slot acquisition)
-// and worker busy time, and wraps every task in a span pinned to its
-// worker's Chrome-trace row; with obs disabled the added cost is one
-// atomic load per GoCtx call.
+// and worker busy time; with obs disabled the added cost is one atomic
+// load per GoCtx call.
 package pool
 
 import (
 	"context"
 	"fmt"
-	"io"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"synts/internal/faults"
@@ -48,45 +42,6 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("pool: task panicked: %v\n%s", e.Value, e.Stack)
 }
 
-// Stall watchdog state. The deadline is an atomic so the per-task gate is
-// one load; the writer is only touched when a dump actually fires.
-var (
-	stallDeadline atomic.Int64 // nanoseconds; 0 = watchdog off
-	stallMu       sync.Mutex
-	stallWriter   io.Writer   = os.Stderr
-	stallFired    atomic.Bool // at most one dump per process
-)
-
-// SetStallWatchdog arms (d > 0) or disarms (d <= 0) the stall watchdog: a
-// task running longer than d triggers a single full goroutine-stack dump
-// to w (nil = os.Stderr), identifying where a wedged pipeline is stuck.
-// The dump fires at most once per process.
-func SetStallWatchdog(d time.Duration, w io.Writer) {
-	stallMu.Lock()
-	if w != nil {
-		stallWriter = w
-	} else {
-		stallWriter = os.Stderr
-	}
-	stallMu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	stallDeadline.Store(int64(d))
-	stallFired.Store(false)
-}
-
-func dumpStalledStacks(d time.Duration) {
-	if !stallFired.CompareAndSwap(false, true) {
-		return
-	}
-	buf := make([]byte, 1<<20)
-	n := runtime.Stack(buf, true)
-	stallMu.Lock()
-	defer stallMu.Unlock()
-	fmt.Fprintf(stallWriter, "pool: watchdog: task still running after %v; goroutine dump:\n%s\n", d, buf[:n])
-}
-
 // Group runs tasks on at most limit goroutines at a time. GoCtx blocks the
 // submitting goroutine while the pool is full, so submission order is also
 // start order; with limit 1 the tasks run strictly sequentially. After a
@@ -94,12 +49,11 @@ func dumpStalledStacks(d time.Duration) {
 // cancelled), subsequent GoCtx calls skip their task and Wait returns the
 // first error.
 type Group struct {
-	sem  chan int // worker slot ids; receive to acquire, send back to release
+	sem  chan struct{} // one token per running task
 	wg   sync.WaitGroup
 	once sync.Once
 	err  error
 	done chan struct{}
-	tid0 int // first Chrome-trace row of this pool's workers (0 = untracked)
 }
 
 // New returns a Group limited to the given number of concurrently running
@@ -108,17 +62,10 @@ func New(limit int) *Group {
 	if limit <= 0 {
 		limit = runtime.GOMAXPROCS(0)
 	}
-	g := &Group{
-		sem:  make(chan int, limit),
+	return &Group{
+		sem:  make(chan struct{}, limit),
 		done: make(chan struct{}),
 	}
-	for i := 0; i < limit; i++ {
-		g.sem <- i
-	}
-	if obs.Enabled() {
-		g.tid0 = obs.NextTIDBlock(limit)
-	}
-	return g
 }
 
 // fail records the group's first error and cancels the group.
@@ -158,7 +105,6 @@ func (g *Group) GoCtx(ctx context.Context, fn func() error) {
 		return
 	default:
 	}
-	var slot int
 	select {
 	case <-g.done:
 		drop(nil)
@@ -166,18 +112,15 @@ func (g *Group) GoCtx(ctx context.Context, fn func() error) {
 	case <-ctx.Done():
 		drop(ctx.Err())
 		return
-	case slot = <-g.sem:
+	case g.sem <- struct{}{}:
 	}
 	if !submitted.IsZero() {
 		obs.H("pool.queue_wait_ns").Observe(float64(time.Since(submitted)))
 	}
 	g.wg.Add(1)
 	go func() {
-		var sp *obs.Span
 		var started time.Time
 		if obs.Enabled() {
-			sp = obs.StartSpan("pool.task")
-			sp.SetTID(g.tid0 + slot)
 			started = time.Now()
 		}
 		defer func() {
@@ -185,8 +128,7 @@ func (g *Group) GoCtx(ctx context.Context, fn func() error) {
 				obs.H("pool.worker_busy_ns").Observe(float64(time.Since(started)))
 				obs.C("pool.tasks.completed").Add(1)
 			}
-			sp.End()
-			g.sem <- slot
+			<-g.sem
 			g.wg.Done()
 		}()
 		if err := runTask(fn); err != nil {
@@ -245,12 +187,8 @@ func errAsPanic(err error, out **PanicError) bool {
 }
 
 // runAttempt runs one attempt of a task, converting a panic (injected or
-// real) into a *PanicError. The watchdog timer spans the attempt.
+// real) into a *PanicError.
 func runAttempt(task uint64, attempt int, fn func() error) (err error) {
-	if d := time.Duration(stallDeadline.Load()); d > 0 {
-		t := time.AfterFunc(d, func() { dumpStalledStacks(d) })
-		defer t.Stop()
-	}
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Value: v, Stack: debug.Stack()}
@@ -261,10 +199,6 @@ func runAttempt(task uint64, attempt int, fn func() error) (err error) {
 	}
 	return fn()
 }
-
-// Done is closed when a task fails; long-running tasks may poll it to bail
-// out early.
-func (g *Group) Done() <-chan struct{} { return g.done }
 
 // Wait blocks until every started task has finished and returns the first
 // error, if any.

@@ -149,7 +149,10 @@ func (b *BarGroup) Render(w io.Writer) {
 	}
 	for i, g := range b.Groups {
 		for j, v := range b.Values[i] {
-			n := int(v / max * 40)
+			n := 0
+			if x := v / max * 40; x > 0 { // a negative or NaN value draws no bar
+				n = int(min(x, 40))
+			}
 			fmt.Fprintf(w, "  %-12s %-14s %s %.3f\n", g, b.Names[j], strings.Repeat("#", n), v)
 		}
 	}

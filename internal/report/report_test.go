@@ -1,6 +1,7 @@
 package report
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -81,5 +82,33 @@ func TestBarGroupAllZeros(t *testing.T) {
 	bg.Render(&sb) // must not divide by zero
 	if sb.Len() == 0 {
 		t.Error("nothing rendered")
+	}
+}
+
+// A negative or NaN value draws no bar instead of panicking in
+// strings.Repeat; the positive value beside it still gets the full 40.
+func TestBarGroupRenderOutOfRangeValues(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		vals []float64
+	}{
+		{"negative", []float64{1, -0.5}},
+		{"NaN", []float64{1, math.NaN()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bg := &BarGroup{Groups: []string{"g"}, Names: []string{"a", "b"}, Values: [][]float64{tc.vals}}
+			var sb strings.Builder
+			bg.Render(&sb)
+			lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
+			if len(lines) < 2 {
+				t.Fatalf("too few lines:\n%s", sb.String())
+			}
+			if got := strings.Count(lines[len(lines)-2], "#"); got != 40 {
+				t.Errorf("bar for 1 has %d marks, want 40", got)
+			}
+			if strings.Contains(lines[len(lines)-1], "#") {
+				t.Errorf("bar drawn for %v: %q", tc.vals[1], lines[len(lines)-1])
+			}
+		})
 	}
 }

@@ -87,18 +87,6 @@ func HammingHistogram(outputs []uint32) *Histogram {
 	return h
 }
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // Percentile returns the p-quantile (0..1) of xs by nearest-rank on a
 // sorted copy. It panics on empty input.
 func Percentile(xs []float64, p float64) float64 {

@@ -87,16 +87,6 @@ func TestHammingHistogram(t *testing.T) {
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); got != 5 {
-		t.Fatalf("mean = %v", got)
-	}
-	if Mean(nil) != 0 {
-		t.Fatal("empty slices must give 0")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	if got := Percentile(xs, 0); got != 1 {

@@ -18,7 +18,7 @@ func barrel32() *netlist.Netlist {
 	b := netlist.NewBuilder("barrel32")
 	a := b.InputBusN("a", 32)
 	sh := b.InputBusN("sh", 5)
-	dir := b.Input("dir")
+	dir := input(b, "dir")
 	b.OutputBusN("y", netlist.BarrelShifter(b, a.Nets, sh.Nets, dir))
 	return b.MustBuild()
 }
@@ -192,8 +192,8 @@ func TestIncrementalEnginesRequireReset(t *testing.T) {
 func TestIncrementalMaskedTransition(t *testing.T) {
 	b := netlist.NewBuilder("mask")
 	b.SetVariation(0)
-	a := b.Input("a")
-	x := b.Input("b")
+	a := input(b, "a")
+	x := input(b, "b")
 	b.Output("y", b.Gate(gates.AND2, a, x))
 	n := b.MustBuild()
 

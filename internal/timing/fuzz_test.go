@@ -75,13 +75,13 @@ func TestRandomNetlistCrossValidation(t *testing.T) {
 			}
 			ref = n.Eval(in, ref)
 			for net := 0; net < n.NumNets(); net++ {
-				if lv.Values()[net] != ref[net] {
+				if lv.vals[net] != ref[net] {
 					t.Fatalf("trial %d step %d: levelized net %d = %v, Eval says %v",
-						trial, step, net, lv.Values()[net], ref[net])
+						trial, step, net, lv.vals[net], ref[net])
 				}
-				if ev.Values()[net] != ref[net] {
+				if ev.vals[net] != ref[net] {
 					t.Fatalf("trial %d step %d: event net %d = %v, Eval says %v",
-						trial, step, net, ev.Values()[net], ref[net])
+						trial, step, net, ev.vals[net], ref[net])
 				}
 			}
 		}

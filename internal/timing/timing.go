@@ -61,9 +61,6 @@ func NewAnalyzer(n *netlist.Netlist) *Analyzer {
 	return a
 }
 
-// Netlist returns the netlist under analysis.
-func (a *Analyzer) Netlist() *netlist.Netlist { return a.n }
-
 // CriticalPath returns the STA longest path from any input to any output,
 // in picoseconds at nominal voltage. This is t_nom for the stage.
 func (a *Analyzer) CriticalPath() float64 {
@@ -164,9 +161,6 @@ func (a *Analyzer) Step(in []bool) float64 {
 	}
 	return delay
 }
-
-// Values returns the current settled net values (valid after Reset/Step).
-func (a *Analyzer) Values() []bool { return a.vals }
 
 // EventSim is an exact transport-delay event-driven simulator. It models
 // glitches: an output that toggles and settles back still registers its
@@ -307,6 +301,3 @@ func (s *EventSim) Step(in []bool) float64 {
 	s.h = h
 	return settle
 }
-
-// Values returns the current settled net values.
-func (s *EventSim) Values() []bool { return s.vals }

@@ -13,7 +13,7 @@ import (
 func chain(n int) *netlist.Netlist {
 	b := netlist.NewBuilder("chain")
 	b.SetVariation(0) // exact library delays for closed-form assertions
-	t := b.Input("a")
+	t := input(b, "a")
 	for i := 0; i < n; i++ {
 		t = b.Gate(gates.INV, t)
 	}
@@ -33,8 +33,8 @@ func TestCriticalPathChain(t *testing.T) {
 func TestCriticalPathSingleGate(t *testing.T) {
 	b := netlist.NewBuilder("t")
 	b.SetVariation(0)
-	x := b.Input("a")
-	y := b.Input("b")
+	x := input(b, "a")
+	y := input(b, "b")
 	b.Output("y", b.Gate(gates.NAND2, x, y))
 	n := b.MustBuild()
 	if got := NewAnalyzer(n).CriticalPath(); got != gates.NAND2.Delay() {
@@ -68,8 +68,8 @@ func TestLevelizedMaskedTransition(t *testing.T) {
 	// y = AND(a, b) with b=0: toggling a never reaches the output.
 	b := netlist.NewBuilder("mask")
 	b.SetVariation(0)
-	a := b.Input("a")
-	x := b.Input("b")
+	a := input(b, "a")
+	x := input(b, "b")
 	b.Output("y", b.Gate(gates.AND2, a, x))
 	n := b.MustBuild()
 	an := NewAnalyzer(n)
@@ -132,7 +132,7 @@ func TestEventSimGlitchExceedsLevelized(t *testing.T) {
 	// levelized pass reports 0 (no final change); the event sim must not.
 	b := netlist.NewBuilder("glitch")
 	b.SetVariation(0)
-	a := b.Input("a")
+	a := input(b, "a")
 	inv := b.Gate(gates.INV, b.Gate(gates.INV, b.Gate(gates.INV, a)))
 	b.Output("y", b.Gate(gates.XOR2, a, inv))
 	n := b.MustBuild()
@@ -213,10 +213,10 @@ func TestDelayOrderingProperty(t *testing.T) {
 		// holds a1+b1.
 		var sum uint8
 		for i, net := range n.OutputBus("s").Nets {
-			if lv.Values()[net] != ev.Values()[net] {
+			if lv.vals[net] != ev.vals[net] {
 				return false
 			}
-			if lv.Values()[net] {
+			if lv.vals[net] {
 				sum |= 1 << i
 			}
 		}
@@ -239,8 +239,8 @@ func TestAnalyzerValuesMatchEval(t *testing.T) {
 		an.Step(in)
 		ref = n.Eval(in, ref)
 		for t2 := 0; t2 < n.NumNets(); t2++ {
-			if an.Values()[t2] != ref[t2] {
-				t.Fatalf("step %d: net %d: analyzer %v, eval %v", i, t2, an.Values()[t2], ref[t2])
+			if an.vals[t2] != ref[t2] {
+				t.Fatalf("step %d: net %d: analyzer %v, eval %v", i, t2, an.vals[t2], ref[t2])
 			}
 		}
 	}
@@ -278,3 +278,6 @@ func TestMultiplierSensitizedBelowCritical(t *testing.T) {
 		t.Errorf("random vectors should not reach the exact critical path (got %v of %v)", maxd, crit)
 	}
 }
+
+// input declares a single-bit primary input and returns its net.
+func input(b *netlist.Builder, name string) netlist.Net { return b.InputBusN(name, 1).Nets[0] }

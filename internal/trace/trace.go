@@ -571,7 +571,7 @@ func BuildProfilesScopedCtx(ctx context.Context, kernel string, streams []*workl
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("trace: no streams")
 	}
-	defer obs.StartSpan("trace.build_profiles:" + stage.String()).End()
+	defer obs.StartRegion("trace.build_profiles:" + stage.String()).End()
 	out := make([][]*Profile, len(streams))
 	cpis := make([][]float64, len(streams))
 	for t, s := range streams {
@@ -581,8 +581,7 @@ func BuildProfilesScopedCtx(ctx context.Context, kernel string, streams []*workl
 	g := pool.New(workers)
 	for t, s := range streams {
 		g.GoCtx(ctx, func() error {
-			sp := obs.StartSpan("trace.cpi_measure:" + stage.String())
-			defer sp.End()
+			defer obs.StartRegion("trace.cpi_measure:" + stage.String()).End()
 			cache, err := cpu.NewCache(cacheCfg)
 			if err != nil {
 				return err
@@ -596,16 +595,15 @@ func BuildProfilesScopedCtx(ctx context.Context, kernel string, streams []*workl
 		})
 		for ii := range s.Intervals {
 			g.GoCtx(ctx, func() error {
-				bsp := obs.StartSpan("trace.interval_build:" + stage.String())
-				defer bsp.End()
+				defer obs.StartRegion("trace.interval_build:" + stage.String()).End()
 				sc := NewStageCircuit(stage)
-				ssp := bsp.Child("trace.seek_pc")
+				seek := obs.StartRegion("trace.seek_pc")
 				sc.SeekPC(s.Intervals[:ii])
-				ssp.End()
+				seek.End()
 				iv := s.Intervals[ii]
-				dsp := bsp.Child("trace.delay_trace")
+				delay := obs.StartRegion("trace.delay_trace")
 				p := sc.Profile(iv)
-				dsp.End()
+				delay.End()
 				if kernel != "" && simprof.Enabled() {
 					recordIssueAttr(kernel, t, ii, sc, iv)
 				}
@@ -669,7 +667,7 @@ func BuildProfilesSerial(streams []*workload.Stream, stage Stage, cacheCfg cpu.C
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("trace: no streams")
 	}
-	defer obs.StartSpan("trace.build_profiles:" + stage.String()).End()
+	defer obs.StartRegion("trace.build_profiles:" + stage.String()).End()
 	out := make([][]*Profile, len(streams))
 	for t, s := range streams {
 		sc := NewStageCircuit(stage)

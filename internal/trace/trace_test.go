@@ -886,14 +886,14 @@ func TestBuildProfilesUnchangedByInstrumentation(t *testing.T) {
 	if snap.Counters["cpu.cache.hits"]+snap.Counters["cpu.cache.misses"] != snap.Counters["cpu.cache.accesses"] {
 		t.Error("cache hit+miss counters must partition accesses")
 	}
-	if snap.Spans["trace.build_profiles:SimpleALU"].Count == 0 {
-		t.Error("build span not recorded")
+	if snap.Histograms["trace.build_profiles:SimpleALU"].Count == 0 {
+		t.Error("build region not recorded")
 	}
-	if snap.Spans["trace.interval_build:SimpleALU"].Count == 0 {
-		t.Error("interval spans not recorded")
+	if snap.Histograms["trace.interval_build:SimpleALU"].Count == 0 {
+		t.Error("interval regions not recorded")
 	}
-	if snap.Spans["trace.cpi_measure:SimpleALU"].Count == 0 {
-		t.Error("CPI spans not recorded")
+	if snap.Histograms["trace.cpi_measure:SimpleALU"].Count == 0 {
+		t.Error("CPI regions not recorded")
 	}
 }
 
