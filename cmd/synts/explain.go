@@ -117,9 +117,9 @@ func runExplainCmd(args []string, stdout, stderr io.Writer) error {
 	if *eventsIn == "" {
 		renderSimprofHeatmap(stdout, bench)
 	}
-	// Surface in-memory ledger overflow from a live run: analysis above is
-	// incomplete if the cap discarded events (batch runs avoid this by
-	// spilling to disk when -events-out is set).
+	// Surface ledger overflow from a live run: the analysis above is
+	// incomplete if the cap discarded events (the -events-out finish step
+	// reports the same count).
 	if *eventsIn == "" {
 		if dropped := telemetry.Dropped(); dropped > 0 {
 			fmt.Fprintf(stdout, "ledger overflow: %d events dropped past the in-memory cap; the analysis above is partial\n", dropped)

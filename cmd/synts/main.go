@@ -55,12 +55,11 @@ var (
 	statsJSON  = flag.String("stats-json", "", "write the metrics snapshot as JSON to `file`")
 	traceOut   = flag.String("trace-out", "", "write a Go execution trace of the run (go tool trace) to `file`")
 	eventsOut  = flag.String("events-out", "", "write the simulation decision ledger (synts-events/v1 JSONL) to `file`")
-	eventsCap  = flag.Int("events-mem-cap", 0, "in-memory ledger event cap before spilling to disk (0 = default; needs -events-out)")
 	simprofOut = flag.String("simprof-out", "", "write the simulation-domain pprof profile to `file` (.gz) and folded stacks to `file`.folded")
 	cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to `file`")
 	memprofile = flag.String("memprofile", "", "write a pprof heap profile to `file`")
 
-	chaos     = flag.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (classes: sample-noise, sample-drop, sample-nan, replay-perturb, task-panic, ckpt-write-fail, ledger-spill-torn)")
+	chaos     = flag.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (classes: sample-noise, sample-drop, sample-nan, replay-perturb, task-panic, ckpt-write-fail)")
 	chaosSeed = flag.Int64("chaos-seed", 1, "seed for the fault injector's decisions")
 	ckptDir   = flag.String("checkpoint-dir", "", "write each completed experiment's output to `dir` (synts-ckpt/v1, atomic)")
 	resume    = flag.Bool("resume", false, "replay experiments already completed in -checkpoint-dir instead of recomputing them")
@@ -138,7 +137,7 @@ func main() {
 	if obsRequested(*stats, *statsJSON, *traceOut) {
 		obs.Enable()
 	}
-	finishEvents, err := startEventsLedger(*eventsOut, *eventsCap, "synts", os.Stderr)
+	finishEvents, err := startEventsLedger(*eventsOut, "synts", os.Stderr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "synts: %v\n", err)
 		os.Exit(1)
@@ -285,7 +284,7 @@ func runAllCtx(ctx context.Context, names []string, opts exp.Options, jobs int, 
 				}
 			}
 			g.GoCtx(ctx, func() error {
-				rg := obs.StartRegion("exp.run:" + e.name)
+				rg := obs.StartRegion("exp.run:", e.name)
 				start := time.Now()
 				results[i].err = e.run(r, &results[i].buf)
 				results[i].took = time.Since(start)

@@ -65,34 +65,27 @@ func writeObsArtifacts(stats bool, statsJSON string, stderr io.Writer) error {
 	return nil
 }
 
-// startEventsLedger begins one process's -events-out lifecycle: it turns
-// the decision ledger on, keeps up to memCap events in memory (0 = the
-// 2^21 default) and spills the overflow to path.spill. The returned
-// finish writes the canonical ledger to path and reports torn spill lines
-// on stderr under the who prefix. With path empty the ledger stays off —
+// startEventsLedger begins one process's -events-out lifecycle: it
+// creates path, so a path that cannot be written fails before the run,
+// and turns the decision ledger on. The returned finish writes the
+// canonical ledger into it and reports on stderr, under the who prefix,
+// any events the cap dropped. With path empty the ledger stays off —
 // nothing would ever read it — and finish does nothing.
-func startEventsLedger(path string, memCap int, who string, stderr io.Writer) (finish func() error, err error) {
+func startEventsLedger(path, who string, stderr io.Writer) (finish func() error, err error) {
 	if path == "" {
 		return func() error { return nil }, nil
 	}
-	telemetry.Enable()
-	// Past the in-memory cap, overflow streams to a spill file beside the
-	// ledger; the final write merges it back in canonical order.
-	if err := telemetry.SetSpill(path + ".spill"); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
 		return nil, fmt.Errorf("-events-out: %w", err)
 	}
-	if memCap > 0 {
-		telemetry.SetMemCap(memCap)
-	}
+	telemetry.Enable()
 	return func() error {
-		if err := telemetry.WriteJSONLFile(path); err != nil {
+		if err := telemetry.WriteLedger(f, who, stderr); err != nil {
+			f.Close()
 			return err
 		}
-		if torn := telemetry.Torn(); torn > 0 {
-			fmt.Fprintf(stderr, "%s: %d spill line(s) torn by fault injection; unparseable lines were skipped (%d) in the final merge\n",
-				who, torn, telemetry.SpillSkipped())
-		}
-		return nil
+		return f.Close()
 	}, nil
 }
 

@@ -8,9 +8,8 @@ package main
 // on a seeded-jitter loop. The router carries the same observability
 // surface as serve — /metrics Prometheus exposition, per-backend RED
 // metrics, breaker/failover events in the synts-events/v1 ledger when
-// -events-out names a file — and the same deterministic -chaos injector,
-// extended with the fleet classes (backend-down, backend-flap, resp-torn,
-// net-slow) so a kill-a-backend drill is reproducible from a seed.
+// -events-out names a file. It injects no faults: a failover drill kills
+// a real daemon.
 //
 // -plan N skips serving entirely: it prints the routing plan for the
 // first N seeded loadgen request bodies (the same stream `synts loadgen
@@ -28,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"synts/internal/faults"
 	"synts/internal/fleet"
 	"synts/internal/obs"
 	"synts/internal/service"
@@ -43,8 +41,6 @@ func runRouteCmd(args []string, stop <-chan os.Signal, stdout, stderr io.Writer)
 	probeSeed := fs.Int64("probe-seed", 1, "seed for the probe loop's jitter")
 	breakerFailures := fs.Int("breaker-failures", 0, "consecutive failures that open a backend's breaker (0 = default 5)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default 2s)")
-	chaosSpec := fs.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (fleet classes: backend-down, backend-flap, resp-torn, net-slow)")
-	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the fault injector's decisions")
 	eventsOut := fs.String("events-out", "", "record the router ledger and write it (synts-events/v1 JSONL, breaker + failover events) to `file` on shutdown; without it no ledger is recorded")
 	traceDir := fs.String("trace-dir", "", "record distributed-trace context on routed requests and write the router's synts-trace/v1 artifact into `dir` on shutdown")
 	plan := fs.Int("plan", 0, "print the routing plan for the first `N` seeded loadgen bodies and exit (no server)")
@@ -85,8 +81,8 @@ func runRouteCmd(args []string, stop <-chan os.Signal, stdout, stderr io.Writer)
 
 	if *plan > 0 {
 		// Placement is a pure function of the bodies and the backend list:
-		// no probes, no chaos, no server. The stream is the one loadgen
-		// replays for the same seed, so the plan predicts a real run.
+		// no probes, no server. The stream is the one loadgen replays for
+		// the same seed, so the plan predicts a real run.
 		reqs := service.GenStream(service.GenOptions{Seed: *planSeed}, *plan)
 		// Bodies are rendered exactly the way loadgen renders them
 		// (json.Marshal of the SolveRequest), so the plan's digests match
@@ -108,12 +104,9 @@ func runRouteCmd(args []string, stop <-chan os.Signal, stdout, stderr io.Writer)
 	// As in serve: the metrics registry is always on, the ledger only
 	// when -events-out names a file.
 	obs.Enable()
-	finishEvents, err := startEventsLedger(*eventsOut, 0, "synts route", stderr)
+	finishEvents, err := startEventsLedger(*eventsOut, "synts route", stderr)
 	if err != nil {
 		return err
-	}
-	if err := faults.Enable(*chaosSpec, *chaosSeed); err != nil {
-		return fmt.Errorf("-chaos: %w", err)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -94,7 +94,6 @@ func runServeCmd(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 	addr := fs.String("addr", "127.0.0.1:9187", "listen address for /v1/solve, /metrics, /debug/vars, /debug/pprof/")
 	shards := fs.Int("shards", runtime.NumCPU(), "solver service worker shards")
 	queueLen := fs.Int("queue", 64, "per-shard bounded queue length (full queues shed with 429)")
-	tenantCap := fs.Int("max-inflight-per-tenant", 0, "per-tenant in-flight admission cap (429/tenant-cap beyond it; 0 = off)")
 	warmDir := fs.String("warm-dir", "", "persist the solve warm-start cache to `dir` (synts-ckpt/v1)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before aborting (0 = forever)")
 	chaosSpec := fs.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (adds req-slow, req-drop to the batch classes)")
@@ -113,7 +112,7 @@ func runServeCmd(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 	}
 
 	obs.Enable()
-	finishEvents, err := startEventsLedger(*eventsOut, 0, "synts serve", stderr)
+	finishEvents, err := startEventsLedger(*eventsOut, "synts serve", stderr)
 	if err != nil {
 		return err
 	}
@@ -121,7 +120,7 @@ func runServeCmd(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 		return fmt.Errorf("-chaos: %w", err)
 	}
 
-	svc, err := service.New(service.Config{Shards: *shards, QueueLen: *queueLen, WarmDir: *warmDir, TenantCap: *tenantCap})
+	svc, err := service.New(service.Config{Shards: *shards, QueueLen: *queueLen, WarmDir: *warmDir})
 	if err != nil {
 		return err
 	}

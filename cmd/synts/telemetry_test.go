@@ -186,11 +186,11 @@ func TestServeWithoutEventsOutRecordsNoLedger(t *testing.T) {
 
 // The -events-out lifecycle shared by batch runs, serve and route: an
 // empty path leaves the ledger off and finish does nothing; a path turns
-// it on, and finish writes every event — those spilled past the
-// in-memory cap included — as a readable ledger and removes the spill.
+// it on, and finish writes every event as a readable ledger and warns
+// about nothing, since the cap dropped nothing.
 func TestStartEventsLedger(t *testing.T) {
 	telemetry.Disable()
-	finish, err := startEventsLedger("", 0, "synts", io.Discard)
+	finish, err := startEventsLedger("", "synts", io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,16 +202,16 @@ func TestStartEventsLedger(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "events.jsonl")
-	finish, err = startEventsLedger(path, 2, "synts", io.Discard)
+	var stderr bytes.Buffer
+	finish, err = startEventsLedger(path, "synts", &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer telemetry.Disable()
-	defer telemetry.SetMemCap(0)
 	if !telemetry.Enabled() {
 		t.Fatal("-events-out did not turn the ledger on")
 	}
-	const n = 5 // two held in memory, three spilled past the cap
+	const n = 5
 	for i := 0; i < n; i++ {
 		telemetry.Record(telemetry.Event{Kind: telemetry.KindDecision, Bench: "b", Stage: "s", Solver: "SynTS", Core: i})
 	}
@@ -225,8 +225,24 @@ func TestStartEventsLedger(t *testing.T) {
 	if len(events) != n {
 		t.Errorf("ledger holds %d events, want %d", len(events), n)
 	}
-	if _, err := os.Stat(path + ".spill"); !os.IsNotExist(err) {
-		t.Errorf("spill file left behind (stat err %v)", err)
+	if stderr.Len() != 0 {
+		t.Errorf("finish warned %q with nothing dropped", stderr.String())
+	}
+	if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
+		t.Errorf("the ledger's directory holds %d entries (err %v), want only the ledger", len(entries), err)
+	}
+}
+
+// A path that cannot be created fails at start, before any run: the
+// ledger is not left to fail after the work that fills it.
+func TestStartEventsLedgerRefusesUnwritablePath(t *testing.T) {
+	telemetry.Disable()
+	path := filepath.Join(t.TempDir(), "no-such-dir", "events.jsonl")
+	if _, err := startEventsLedger(path, "synts", io.Discard); err == nil {
+		t.Fatal("an -events-out in a missing directory was accepted")
+	}
+	if telemetry.Enabled() {
+		t.Error("a refused -events-out turned the ledger on")
 	}
 }
 

@@ -30,7 +30,7 @@ func fleetScenario() map[string][]obs.TraceSpan {
 		"route.trace.jsonl": {
 			{Trace: hx(3), Span: hx(30), Parent: hx(10), Name: obs.TSRouteRequest, Kind: obs.HopFirst, Proc: "route", Detail: "ok", StartNs: 100, DurNs: 1800},
 			{Trace: hx(3), Span: hx(31), Parent: hx(30), Name: obs.TSRouteHop, Kind: obs.HopSkip, Proc: "route", Backend: "b0", Detail: "breaker-open", StartNs: 105, DurNs: 0},
-			{Trace: hx(3), Span: hx(32), Parent: hx(30), Name: obs.TSRouteHop, Kind: obs.HopFirst, Proc: "route", Backend: "b1", Detail: "backend-down", StartNs: 110, DurNs: 300},
+			{Trace: hx(3), Span: hx(32), Parent: hx(30), Name: obs.TSRouteHop, Kind: obs.HopFirst, Proc: "route", Backend: "b1", Detail: "backend-error", StartNs: 110, DurNs: 300},
 			{Trace: hx(3), Span: hx(33), Parent: hx(30), Name: obs.TSRouteHop, Kind: obs.HopFailover, Proc: "route", Backend: "b2", Detail: "ok", StartNs: 420, DurNs: 1400},
 		},
 		"serve-d2.trace.jsonl": {

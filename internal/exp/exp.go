@@ -139,7 +139,7 @@ func (b *Bench) Profiles(stage trace.Stage) ([][]*trace.Profile, error) {
 // rebuilds from scratch.
 func (b *Bench) ProfilesCtx(ctx context.Context, stage trace.Stage) ([][]*trace.Profile, error) {
 	p, err, out := b.profiles.Do(stage, func() ([][]*trace.Profile, error) {
-		defer obs.StartRegion("exp.profiles.build:" + b.Name + ":" + stage.String()).End()
+		defer obs.StartRegion("exp.profiles.build:", b.Name, ":", stage.String()).End()
 		return buildProfiles(ctx, b.Name, b.Streams, stage, b.Opts.Cache)
 	})
 	classifyLookup("exp.profiles", out)
@@ -180,7 +180,7 @@ func (c *BenchCache) LoadCtx(ctx context.Context, name string, opts Options) (*B
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		defer obs.StartRegion("exp.bench.load:" + name).End()
+		defer obs.StartRegion("exp.bench.load:", name).End()
 		return loadBenchImpl(name, opts)
 	})
 	classifyLookup("exp.benchcache", out)
@@ -294,7 +294,7 @@ func SolveAllScopedCtx(ctx context.Context, sc telemetry.Scope, solver string, c
 // and the -trace-out execution trace, and their decisions land in the
 // ledger.
 func TimedSolveAll(sc telemetry.Scope, name string, cfg *core.Config, intervals [][]core.Thread, solve func(*core.Config, []core.Thread, float64) (core.Assignment, core.Metrics), theta float64) Totals {
-	defer obs.StartRegion("exp.solve:" + name).End()
+	defer obs.StartRegion("exp.solve:", name).End()
 	return SolveAllScoped(sc, name, cfg, intervals, solve, theta)
 }
 

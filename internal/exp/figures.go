@@ -362,7 +362,7 @@ func Pareto(b *Bench, stage trace.Stage) (*ParetoResult, error) {
 // points not yet submitted when ctx is cancelled are skipped and ctx's
 // error is returned.
 func ParetoCtx(ctx context.Context, b *Bench, stage trace.Stage) (*ParetoResult, error) {
-	defer obs.StartRegion("exp.pareto:" + b.Name + ":" + stage.String()).End()
+	defer obs.StartRegion("exp.pareto:", b.Name, ":", stage.String()).End()
 	ivs, err := b.IntervalsCtx(ctx, stage)
 	if err != nil {
 		return nil, err

@@ -1,9 +1,11 @@
 // Package faults is the repository's deterministic fault-injection layer:
 // a seeded chaos harness that can corrupt or drop online sampling
-// estimates, perturb Razor replay error counts, and panic worker pool
-// tasks, so the pipeline's failure handling (panic isolation in
-// internal/pool, the estimate guard band in core.SolveOnline) can be
-// exercised on demand instead of waiting for real faults.
+// estimates, perturb Razor replay error counts, panic worker pool tasks,
+// fail checkpoint saves, and slow or drop solver-service requests, so the
+// pipeline's failure handling (panic isolation in internal/pool, the
+// estimate guard band in core.SolveOnline, the checkpoint's
+// tmp-then-rename commit, the daemon's shedding) can be exercised on
+// demand instead of waiting for real faults.
 //
 // The package follows the obs/telemetry discipline: injection is gated on
 // one atomic load, every hook is safe (and a no-op) while disabled, and
@@ -18,10 +20,8 @@
 //
 //	spec    := "off" | class[=rate] ("," class[=rate])*
 //	class   := sample-noise | sample-drop | sample-nan |
-//	           replay-perturb | task-panic |
-//	           ckpt-write-fail | ledger-spill-torn |
-//	           req-slow | req-drop |
-//	           backend-down | backend-flap | resp-torn | net-slow
+//	           replay-perturb | task-panic | ckpt-write-fail |
+//	           req-slow | req-drop
 //	rate    := float in (0, 1]   (default per class, see DefaultRate)
 //
 // e.g. `-chaos sample-noise,task-panic` or `-chaos sample-nan=0.5`.
@@ -61,11 +61,6 @@ const (
 	// (the checkpoint is just lost) and the stray .tmp must be ignored by
 	// validation and resume.
 	CkptWriteFail = "ckpt-write-fail"
-	// LedgerSpillTorn truncates a telemetry ledger spill line mid-record
-	// (torn write: the process or disk died between write and flush). The
-	// spill-merge path must skip the torn record, count it, and keep every
-	// intact one.
-	LedgerSpillTorn = "ledger-spill-torn"
 	// ReqSlow makes a solver-service request's solve take ReqSlowDuration
 	// longer on its shard worker (a degraded or contended solver). The
 	// penalty consumes real shard capacity, so injected slowness surfaces
@@ -76,30 +71,11 @@ const (
 	// response or a worker crash from the client's point of view); the
 	// service answers 503 and records a fallback event for the request.
 	ReqDrop = "req-drop"
-	// BackendDown takes a fleet backend offline for whole
-	// BackendDownWindow epochs (connection refused from the router's point
-	// of view): the machine rebooted, the process was OOM-killed. Keyed on
-	// (backend, epoch), so the outage has a deterministic victim and a
-	// bounded, visible duration.
-	BackendDown = "backend-down"
-	// BackendFlap inverts individual /readyz probe results (an oscillating
-	// readiness endpoint: a backend stuck in a crash loop or a flaky
-	// health check). Keyed on (backend, probe tick).
-	BackendFlap = "backend-flap"
-	// RespTorn truncates a proxied response body mid-write (the router or
-	// backend died between write and flush — the network twin of
-	// ledger-spill-torn). The client must treat the torn body as a failed
-	// attempt and retry, never parse a prefix.
-	RespTorn = "resp-torn"
-	// NetSlow adds NetSlowDuration of latency to one router→backend hop (a
-	// congested link, a bad switch port). Keyed on (backend, request
-	// digest).
-	NetSlow = "net-slow"
 )
 
 // Classes lists every fault class, in spec order.
 func Classes() []string {
-	return []string{SampleNoise, SampleDrop, SampleNaN, ReplayPerturb, TaskPanic, CkptWriteFail, LedgerSpillTorn, ReqSlow, ReqDrop, BackendDown, BackendFlap, RespTorn, NetSlow}
+	return []string{SampleNoise, SampleDrop, SampleNaN, ReplayPerturb, TaskPanic, CkptWriteFail, ReqSlow, ReqDrop}
 }
 
 // DefaultRate is the per-hook injection probability used when the spec
@@ -117,17 +93,6 @@ func DefaultRate(class string) float64 {
 // solver-service request. It is fixed (not shaped by hash bits) so
 // latency assertions in tests and CI have a known floor.
 const ReqSlowDuration = 25 * time.Millisecond
-
-// BackendDownWindow is the epoch length of an injected backend outage:
-// the router quantises elapsed time by it and asks BackendDownAt per
-// (backend, epoch), so an outage lasts whole windows — long enough to
-// trip a breaker, short enough that the drill sees the recovery too.
-const BackendDownWindow = 5 * time.Second
-
-// NetSlowDuration is the latency an injected slow hop adds to one
-// router→backend attempt. Fixed, like ReqSlowDuration, so timeout
-// assertions have a known floor.
-const NetSlowDuration = 20 * time.Millisecond
 
 // taskPanicRetries is the per-task budget of consecutive injected panics
 // the pool will retry before giving up; exported for the pool via
@@ -306,15 +271,6 @@ func strHash(s string) uint64 {
 	return h
 }
 
-// bytesHash is strHash over a byte slice.
-func bytesHash(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 0x100000001b3
-	}
-	return h
-}
-
 // CkptSaveFail decides whether the checkpoint save for an experiment
 // should fail with an injected I/O error (ckpt-write-fail). Keyed on the
 // experiment name only, so the same experiments lose their checkpoints
@@ -329,26 +285,6 @@ func CkptSaveFail(experiment string) bool {
 	}
 	on, _ := c.fire(CkptWriteFail, strHash(experiment))
 	return on
-}
-
-// SpillTear decides how many bytes of one ledger spill line reach the
-// disk (ledger-spill-torn). It returns len(line) when the class is
-// inactive or this line is spared; a torn line keeps a strict prefix
-// (possibly zero bytes). Keyed on the line content, never on write
-// order.
-func SpillTear(line []byte) int {
-	if !enabled.Load() {
-		return len(line)
-	}
-	c := current.Load()
-	if c == nil {
-		return len(line)
-	}
-	on, shape := c.fire(LedgerSpillTorn, bytesHash(line))
-	if !on {
-		return len(line)
-	}
-	return int(unit(shape) * float64(len(line)))
 }
 
 // RequestDelay returns how long the solver service should slow one
@@ -383,73 +319,6 @@ func RequestDrop(digest uint64) bool {
 	}
 	on, _ := c.fire(ReqDrop, digest)
 	return on
-}
-
-// BackendDownAt decides whether fleet backend is offline for outage
-// epoch window (backend-down). A pure function of (seed, backend,
-// window): every router replica sees the same backend die and come back
-// at the same epoch boundaries.
-func BackendDownAt(backend, window uint64) bool {
-	if !enabled.Load() {
-		return false
-	}
-	c := current.Load()
-	if c == nil {
-		return false
-	}
-	on, _ := c.fire(BackendDown, backend, window)
-	return on
-}
-
-// BackendFlapAt decides whether probe number probe of a backend's
-// readiness check has its result inverted (backend-flap).
-func BackendFlapAt(backend, probe uint64) bool {
-	if !enabled.Load() {
-		return false
-	}
-	c := current.Load()
-	if c == nil {
-		return false
-	}
-	on, _ := c.fire(BackendFlap, backend, probe)
-	return on
-}
-
-// RespTear decides how many bytes of a proxied response body actually
-// reach the client (resp-torn). It returns len(body) when the class is
-// inactive or this response is spared; a torn response keeps a strict
-// prefix. Keyed on the body content, never on send order — the same
-// response tears the same way on every replay.
-func RespTear(body []byte) int {
-	if !enabled.Load() {
-		return len(body)
-	}
-	c := current.Load()
-	if c == nil {
-		return len(body)
-	}
-	on, shape := c.fire(RespTorn, bytesHash(body))
-	if !on {
-		return len(body)
-	}
-	return int(unit(shape) * float64(len(body)))
-}
-
-// HopDelay returns the injected latency for one router→backend hop
-// (net-slow): NetSlowDuration when the class fires for this (backend,
-// request digest) pair, zero otherwise.
-func HopDelay(backend, digest uint64) time.Duration {
-	if !enabled.Load() {
-		return 0
-	}
-	c := current.Load()
-	if c == nil {
-		return 0
-	}
-	if on, _ := c.fire(NetSlow, backend, digest); on {
-		return NetSlowDuration
-	}
-	return 0
 }
 
 // InjectedPanic is the value an injected task panic carries; the pool

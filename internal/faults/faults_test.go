@@ -23,6 +23,12 @@ func TestParseSpec(t *testing.T) {
 		{spec: "replay-perturb=1"},
 		{spec: "sample-drop=0.01, task-panic=0.02"},
 		{spec: "bogus", wantErr: "unknown class"},
+		// Retired class names are refused, not silently ignored.
+		{spec: "ledger-spill-torn", wantErr: "unknown class"},
+		{spec: "backend-down", wantErr: "unknown class"},
+		{spec: "backend-flap", wantErr: "unknown class"},
+		{spec: "resp-torn", wantErr: "unknown class"},
+		{spec: "net-slow", wantErr: "unknown class"},
 		{spec: "sample-noise=0", wantErr: "want a float in (0,1]"},
 		{spec: "sample-noise=1.5", wantErr: "want a float in (0,1]"},
 		{spec: "sample-noise=x", wantErr: "want a float in (0,1]"},
@@ -230,42 +236,10 @@ func TestCkptSaveFailDeterministicByName(t *testing.T) {
 	}
 }
 
-// ledger-spill-torn keeps a strict prefix of a torn line, decides per
-// line content (never per call), and spares some lines at rate 0.5.
-func TestSpillTearStrictPrefixAndDeterminism(t *testing.T) {
-	if err := Enable(LedgerSpillTorn+"=0.5", 11); err != nil {
-		t.Fatal(err)
-	}
-	defer Disable()
-	torn, intact := 0, 0
-	for i := 0; i < 40; i++ {
-		line := []byte(fmt.Sprintf(`{"kind":"decision","interval":%d}`, i))
-		keep := SpillTear(line)
-		if keep < 0 || keep > len(line) {
-			t.Fatalf("SpillTear kept %d of %d bytes", keep, len(line))
-		}
-		if again := SpillTear(line); again != keep {
-			t.Fatalf("SpillTear(%q) changed between calls: %d then %d", line, keep, again)
-		}
-		if keep < len(line) {
-			torn++
-		} else {
-			intact++
-		}
-	}
-	if torn == 0 || intact == 0 {
-		t.Fatalf("rate 0.5 tore %d/40 lines; decisions are not spread", torn)
-	}
-}
-
-// The I/O fault hooks must be strict no-ops while injection is disabled.
+// The I/O fault hook must be a strict no-op while injection is disabled.
 func TestIOFaultHooksDisabledIdentity(t *testing.T) {
 	Disable()
 	if CkptSaveFail("table5.1") {
 		t.Error("CkptSaveFail fired while disabled")
-	}
-	line := []byte(`{"kind":"replay"}`)
-	if got := SpillTear(line); got != len(line) {
-		t.Errorf("SpillTear returned %d of %d bytes while disabled", got, len(line))
 	}
 }

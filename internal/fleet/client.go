@@ -247,9 +247,8 @@ func fillBreakdown(res *Result) {
 	}
 }
 
-// attempt is one POST. A response-body read error (the resp-torn chaos
-// class, or a connection cut mid-body) is an attempt failure, not a final
-// answer. With tracing on, the attempt's trace context rides along so the
+// attempt is one POST. A response-body read error (a connection cut
+// mid-body) is an attempt failure, not a final answer. With tracing on, the attempt's trace context rides along so the
 // downstream hop parents its spans correctly.
 func (c *Client) attempt(ctx context.Context, body []byte, trace, span uint64, hop string) (int, http.Header, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url+SolvePath, bytes.NewReader(body))

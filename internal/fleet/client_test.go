@@ -65,8 +65,8 @@ func TestClientRetriesUntilSuccess(t *testing.T) {
 	}
 }
 
-// A torn response body (resp-torn chaos, or a crash mid-write) is an
-// attempt failure, never a parseable answer.
+// A torn response body (a backend that crashed mid-write) is an attempt
+// failure, never a parseable answer.
 func TestClientTornResponseRetries(t *testing.T) {
 	var n int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -17,10 +17,8 @@
 //
 // Everything here follows the repository's determinism discipline: ring
 // placement is a pure function of the backend list, routing of a request
-// is a pure function of its body bytes, retry jitter is seeded, and the
-// chaos classes that exercise the failure paths (internal/faults
-// backend-down, backend-flap, resp-torn, net-slow) hash seed+site like
-// every other injector in the repo.
+// is a pure function of its body bytes, and retry and probe jitter are
+// seeded.
 package fleet
 
 import "sort"
@@ -32,7 +30,7 @@ const (
 	// SolvePath is the solve endpoint every backend and the router mount.
 	SolvePath = "/v1/solve"
 	// HeaderShedReason marks a 429/503 as deliberate load shedding; its
-	// value is the reason (queue-full, draining, tenant-cap, no-backends).
+	// value is the reason (queue-full, draining, no-backends).
 	HeaderShedReason = "X-Synts-Shed-Reason"
 	// HeaderBackend is set by the router: the backend index that served
 	// the request.

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"synts/internal/faults"
 	"synts/internal/obs"
 	"synts/internal/telemetry"
 )
@@ -72,7 +71,6 @@ type Router struct {
 	ring     *Ring
 	backends []*backend
 	hc       *http.Client
-	start    time.Time
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -89,11 +87,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg.ProbeInterval = 500 * time.Millisecond
 	}
 	rt := &Router{
-		cfg:   cfg,
-		ring:  NewRing(cfg.Backends, 0),
-		hc:    &http.Client{Transport: cfg.Transport},
-		start: time.Now(),
-		stop:  make(chan struct{}),
+		cfg:  cfg,
+		ring: NewRing(cfg.Backends, 0),
+		hc:   &http.Client{Transport: cfg.Transport},
+		stop: make(chan struct{}),
 	}
 	for i, u := range cfg.Backends {
 		name := u
@@ -132,7 +129,7 @@ func (rt *Router) Start() {
 	go func() {
 		defer rt.wg.Done()
 		for tick := uint64(0); ; tick++ {
-			rt.probeAll(tick)
+			rt.probeAll()
 			d := rt.cfg.ProbeInterval + rt.probeJitter(tick)
 			select {
 			case <-rt.stop:
@@ -150,7 +147,8 @@ func (rt *Router) Stop() {
 }
 
 // probeJitter is the seeded per-cycle jitter in [0, interval/4): a pure
-// function of (seed, tick), so a chaos drill's probe schedule replays.
+// function of (seed, tick), so a given seed replays the same probe
+// schedule.
 func (rt *Router) probeJitter(tick uint64) time.Duration {
 	x := uint64(rt.cfg.ProbeSeed) ^ (tick+1)*0x9e3779b97f4a7c15
 	x ^= x >> 30
@@ -162,22 +160,10 @@ func (rt *Router) probeJitter(tick uint64) time.Duration {
 	return time.Duration(frac * float64(rt.cfg.ProbeInterval) / 4)
 }
 
-// probeAll checks every backend's /readyz once. The backend-flap chaos
-// class inverts individual probe results (an oscillating readiness
-// endpoint); backend-down makes the probe fail outright for its window.
-func (rt *Router) probeAll(tick uint64) {
-	window := rt.chaosWindow()
+// probeAll checks every backend's /readyz once.
+func (rt *Router) probeAll() {
 	for i, b := range rt.backends {
 		ready := rt.probe(b)
-		if faults.Enabled() {
-			if faults.BackendDownAt(uint64(i), window) {
-				ready = false
-			}
-			if faults.BackendFlapAt(uint64(i), tick) {
-				ready = !ready
-				obs.C("route.chaos.backend_flap").Add(1)
-			}
-		}
 		b.mu.Lock()
 		was := b.ready
 		b.ready = ready
@@ -207,12 +193,6 @@ func (rt *Router) probe(b *backend) bool {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
-}
-
-// chaosWindow is the backend-down epoch index: time quantised so an
-// injected outage lasts a visible, bounded window.
-func (rt *Router) chaosWindow() uint64 {
-	return uint64(time.Since(rt.start) / faults.BackendDownWindow)
 }
 
 // Healthy counts ready backends.
@@ -273,7 +253,6 @@ func (rt *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "unreadable or oversized body", http.StatusBadRequest)
 		return
 	}
-	digest := BodyDigest(body)
 
 	// Incoming distributed-trace context. The route.request trace span
 	// parents one route.hop per backend examined (skips included, as
@@ -293,8 +272,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 
-	seq := rt.ring.Seq(digest)
-	window := rt.chaosWindow()
+	seq := rt.ring.Seq(BodyDigest(body))
 	hops := 0
 	for _, idx := range seq {
 		b := rt.backends[idx]
@@ -308,7 +286,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 			tr.recordSkip(b, "breaker-open")
 			continue
 		}
-		ok, done := rt.tryBackend(w, b, idx, body, digest, window, hops, start, tr)
+		ok, done := rt.tryBackend(w, b, idx, body, hops, start, tr)
 		if done {
 			return
 		}
@@ -381,7 +359,7 @@ func hexOrEmpty(id uint64) string {
 // tryBackend proxies the request to one backend. Returns done=true when a
 // response (success or passthrough) was written; ok=false when the
 // attempt failed and the caller should fail over.
-func (rt *Router) tryBackend(w http.ResponseWriter, b *backend, idx int, body []byte, digest, window uint64, hops int, start time.Time, tr *routeTrace) (ok, done bool) {
+func (rt *Router) tryBackend(w http.ResponseWriter, b *backend, idx int, body []byte, hops int, start time.Time, tr *routeTrace) (ok, done bool) {
 	red := "route.backend.b" + strconv.Itoa(idx)
 	obs.C(red + ".requests").Add(1)
 
@@ -407,19 +385,6 @@ func (rt *Router) tryBackend(w http.ResponseWriter, b *backend, idx int, body []
 		}, hopStart, time.Now())
 	}
 	trace := tr.tc.TraceHex()
-
-	if faults.Enabled() {
-		if d := faults.HopDelay(uint64(idx), digest); d > 0 {
-			obs.C("route.chaos.net_slow").Add(1)
-			time.Sleep(d)
-		}
-		if faults.BackendDownAt(uint64(idx), window) {
-			obs.C("route.chaos.backend_down").Add(1)
-			rt.failAttempt(b, red, "backend-down", trace)
-			recordHop("backend-down")
-			return false, false
-		}
-	}
 
 	req, err := http.NewRequest(http.MethodPost, b.url+SolvePath, bytes.NewReader(body))
 	if err != nil {
@@ -500,19 +465,9 @@ func (rt *Router) tryBackend(w http.ResponseWriter, b *backend, idx int, body []
 	}
 	tr.detail = detail
 	recordHop(detail)
-	keep := len(respBody)
-	if faults.Enabled() {
-		if k := faults.RespTear(respBody); k < keep {
-			// Torn response chaos: promise the full length, deliver a
-			// prefix. The HTTP server aborts the connection, so the client
-			// sees an unexpected EOF — exactly what a mid-write crash does.
-			obs.C("route.chaos.resp_torn").Add(1)
-			keep = k
-		}
-	}
 	h.Set("Content-Length", strconv.Itoa(len(respBody)))
 	w.WriteHeader(resp.StatusCode)
-	w.Write(respBody[:keep])
+	w.Write(respBody)
 	return true, true
 }
 

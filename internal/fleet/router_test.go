@@ -59,7 +59,7 @@ func newTestRouter(t *testing.T, backends []*testBackend, cfg RouterConfig) (*Ro
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.probeAll(0)
+	rt.probeAll()
 	mux := http.NewServeMux()
 	rt.Register(mux)
 	front := httptest.NewServer(mux)
@@ -258,7 +258,7 @@ func TestRouterReadinessAndShed(t *testing.T) {
 	rt, front := newTestRouter(t, backends, RouterConfig{})
 
 	backends[0].ready.Store(false)
-	rt.probeAll(1)
+	rt.probeAll()
 	if got := rt.Healthy(); got != 1 {
 		t.Fatalf("healthy = %d, want 1", got)
 	}
@@ -273,7 +273,7 @@ func TestRouterReadinessAndShed(t *testing.T) {
 	}
 
 	backends[1].ready.Store(false)
-	rt.probeAll(2)
+	rt.probeAll()
 	resp = postSolve(t, front.URL, `{"id":"u2"}`)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()

@@ -10,11 +10,13 @@
 // return nil while disabled, and every method is nil-receiver-safe, so hot
 // paths write
 //
-//	defer obs.StartRegion("trace.interval_build").End()
+//	defer obs.StartRegion("trace.interval_build:", stage.String()).End()
 //	obs.C("pool.tasks.completed").Add(1)
 //
-// unconditionally. Recording never touches experiment output (stdout), so
-// enabling stats cannot perturb the deterministic artefact stream.
+// unconditionally. StartRegion takes a composed name in parts and joins
+// them only while enabled, so a disabled call allocates nothing.
+// Recording never touches experiment output (stdout), so enabling stats
+// cannot perturb the deterministic artefact stream.
 package obs
 
 import (

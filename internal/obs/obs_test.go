@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -43,10 +44,14 @@ func TestDisabledAccessorsAreNilAndSafe(t *testing.T) {
 	}
 	var rg *Region
 	rg.End()
+	// A composed name, as the stage regions build theirs: the suffix is
+	// not a constant, so concatenating it would allocate on every call.
+	suffix := strings.Repeat("y", 3)
 	for name, f := range map[string]func(){
-		"C(n).Add(1)":          func() { C("x").Add(1) },
-		"H(n).Observe(1)":      func() { H("x").Observe(1) },
-		"StartRegion(n).End()": func() { StartRegion("x").End() },
+		"C(n).Add(1)":                  func() { C("x").Add(1) },
+		"H(n).Observe(1)":              func() { H("x").Observe(1) },
+		"StartRegion(n).End()":         func() { StartRegion("x").End() },
+		"StartRegion(n, suffix).End()": func() { StartRegion("x:", suffix).End() },
 	} {
 		if allocs := testing.AllocsPerRun(1000, f); allocs != 0 {
 			t.Errorf("disabled %s allocates %.1f/op, want 0", name, allocs)
@@ -73,11 +78,11 @@ func TestEnableResetsAndRecords(t *testing.T) {
 }
 
 // A region records its duration in the default registry's histogram of
-// the same name.
+// the same name, its parts joined.
 func TestRegionRecordsHistogram(t *testing.T) {
 	Enable()
 	defer Disable()
-	rg := StartRegion("trace.build_profiles:SimpleALU")
+	rg := StartRegion("trace.build_profiles:", "SimpleALU")
 	time.Sleep(time.Millisecond)
 	rg.End()
 	h := Default().Snapshot().Histograms["trace.build_profiles:SimpleALU"]

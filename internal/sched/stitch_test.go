@@ -115,7 +115,7 @@ func TestStitchFailoverAcrossBackends(t *testing.T) {
 		{Trace: hx(3), Span: hx(10), Parent: hx(3), Name: obs.TSClientAttempt, Kind: obs.HopFirst, Proc: "lg", Detail: "ok", StartNs: 10, DurNs: 1900},
 		{Trace: hx(3), Span: hx(30), Parent: hx(10), Name: obs.TSRouteRequest, Kind: obs.HopFirst, Proc: "rt", Detail: "ok", StartNs: 100, DurNs: 1800},
 		{Trace: hx(3), Span: hx(31), Parent: hx(30), Name: obs.TSRouteHop, Kind: obs.HopSkip, Proc: "rt", Backend: "http://b0", Detail: "breaker-open", StartNs: 105, DurNs: 0},
-		{Trace: hx(3), Span: hx(32), Parent: hx(30), Name: obs.TSRouteHop, Kind: obs.HopFirst, Proc: "rt", Backend: "http://b1", Detail: "backend-down", StartNs: 110, DurNs: 300},
+		{Trace: hx(3), Span: hx(32), Parent: hx(30), Name: obs.TSRouteHop, Kind: obs.HopFirst, Proc: "rt", Backend: "http://b1", Detail: "backend-error", StartNs: 110, DurNs: 300},
 		{Trace: hx(3), Span: hx(33), Parent: hx(30), Name: obs.TSRouteHop, Kind: obs.HopFailover, Proc: "rt", Backend: "http://b2", Detail: "ok", StartNs: 420, DurNs: 1400},
 		{Trace: hx(3), Span: hx(40), Parent: hx(33), Name: obs.TSServiceRequest, Kind: obs.HopFailover, Proc: "d2", Detail: "ok", StartNs: 7, DurNs: 1300},
 		{Trace: hx(3), Span: hx(41), Parent: hx(40), Name: obs.TSServiceSolve, Kind: obs.HopSolve, Proc: "d2", StartNs: 20, DurNs: 1000},

@@ -18,98 +18,6 @@ import (
 	"synts/internal/telemetry"
 )
 
-// One noisy tenant at its in-flight cap sheds with 429/tenant-cap before
-// reaching the shard queues; releasing the slot re-admits the tenant.
-func TestTenantCapSheds(t *testing.T) {
-	telemetry.Enable()
-	defer telemetry.Disable()
-	svc, srv := newTestService(t, Config{Shards: 1, QueueLen: 4, TenantCap: 1})
-
-	// Hold the only shard's worker so the first noisy request stays in
-	// flight (and in the tenant's slot) while the second arrives.
-	block := make(chan struct{})
-	running := make(chan struct{})
-	busy := &job{run: func() *solveResult { close(running); <-block; return nil }, done: make(chan struct{})}
-	svc.shards[0].jobs <- busy
-	<-running
-
-	first := make(chan *http.Response, 1)
-	go func() {
-		resp, err := http.Post(srv.URL+"/v1/solve", "application/json",
-			marshalReq(t, validRequest("noisy", 0)))
-		if err != nil {
-			first <- nil
-			return
-		}
-		first <- resp
-	}()
-	// Wait until the first request owns the tenant slot (it is queued
-	// behind busy on the shard).
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		svc.tenantMu.Lock()
-		n := svc.tenantLoad["noisy"]
-		svc.tenantMu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first noisy request never acquired its tenant slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	resp := postSolve(t, srv.URL, validRequest("noisy", 1))
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("capped tenant status %d, want 429", resp.StatusCode)
-	}
-	if got := resp.Header.Get(HeaderShedReason); got != ShedTenantCap {
-		t.Errorf("%s = %q, want %q", HeaderShedReason, got, ShedTenantCap)
-	}
-
-	close(block)
-	<-busy.done
-	if r := <-first; r == nil {
-		t.Fatal("first noisy request failed")
-	} else {
-		decodeSolve(t, r)
-	}
-
-	// Slot released: the tenant is admitted again.
-	resp = postSolve(t, srv.URL, validRequest("noisy", 2))
-	decodeSolve(t, resp)
-
-	found := false
-	for _, e := range telemetry.Events() {
-		if e.Kind == telemetry.KindShed && e.Reason == ShedTenantCap && e.Bench == "noisy" {
-			if err := e.Validate(); err != nil {
-				t.Errorf("tenant-cap shed event invalid: %v", err)
-			}
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no tenant-cap shed event in the ledger")
-	}
-}
-
-// With no cap configured the tenant bookkeeping is inert.
-func TestTenantCapOffByDefault(t *testing.T) {
-	svc, srv := newTestService(t, Config{Shards: 1, QueueLen: 4})
-	for i := 0; i < 4; i++ {
-		resp := postSolve(t, srv.URL, validRequest("anyone", i))
-		decodeSolve(t, resp)
-	}
-	svc.tenantMu.Lock()
-	n := len(svc.tenantLoad)
-	svc.tenantMu.Unlock()
-	if n != 0 {
-		t.Fatalf("tenantLoad has %d entries with the cap disabled", n)
-	}
-}
-
 func marshalReq(t *testing.T, r *SolveRequest) io.Reader {
 	t.Helper()
 	b, err := json.Marshal(r)
@@ -120,7 +28,7 @@ func marshalReq(t *testing.T, r *SolveRequest) io.Reader {
 }
 
 // A shared warm dir is never trusted blindly: torn blobs (a writer died
-// mid-write, resp-torn style), foreign-but-parseable blobs and plausible
+// mid-write), foreign-but-parseable blobs and plausible
 // results that do not fit the request they are filed under are rejected
 // entry by entry, counted, and re-solved — never served.
 func TestWarmDirRejectsCorruptEntries(t *testing.T) {
@@ -149,7 +57,7 @@ func TestWarmDirRejectsCorruptEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tear the blob mid-bytes, the way resp-torn tears a response.
+	// Tear the blob mid-bytes, the way a writer that died mid-write does.
 	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}

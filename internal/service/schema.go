@@ -103,10 +103,6 @@ const (
 const (
 	ShedQueueFull = "queue-full"
 	ShedDraining  = fleet.ReasonDraining
-	// ShedTenantCap rejects a request because its tenant already has the
-	// configured maximum of requests in flight — per-tenant backpressure
-	// before one noisy tenant monopolises the shard queues.
-	ShedTenantCap = "tenant-cap"
 	// ReasonReqDrop is the fallback-event reason for a request failed by
 	// the req-drop chaos class.
 	ReasonReqDrop = "req-drop"

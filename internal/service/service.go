@@ -74,10 +74,6 @@ type Config struct {
 	WarmDir string
 	// WarmCap bounds the in-memory warm cache; <= 0 means 4096 entries.
 	WarmCap int
-	// TenantCap bounds one tenant's in-flight requests; <= 0 disables the
-	// cap. A tenant at its cap sheds 429/tenant-cap before touching shard
-	// queues, so one noisy tenant cannot monopolise them.
-	TenantCap int
 }
 
 // outcome is what coalesced requests share: the solve result plus how the
@@ -132,9 +128,6 @@ type Service struct {
 	admitMu  sync.RWMutex
 	draining atomic.Bool
 	inFlight sync.WaitGroup
-
-	tenantMu   sync.Mutex
-	tenantLoad map[string]int // tenant -> in-flight count (TenantCap > 0)
 }
 
 // New builds the platform configs (one solver Config per pipe stage, the
@@ -149,10 +142,9 @@ func New(cfg Config) (*Service, error) {
 	}
 	opts := exp.DefaultOptions()
 	s := &Service{
-		cfg:        cfg,
-		stages:     make(map[string]*core.Config),
-		tsrs:       exp.TSRs(),
-		tenantLoad: make(map[string]int),
+		cfg:    cfg,
+		stages: make(map[string]*core.Config),
+		tsrs:   exp.TSRs(),
 	}
 	s.levels = len(s.tsrs)
 	for _, st := range trace.Stages() {
@@ -398,12 +390,6 @@ func (s *Service) process(r *SolveRequest, w http.ResponseWriter, tc fleet.Trace
 	}
 	defer s.inFlight.Done()
 
-	if !s.tenantAcquire(r.Tenant) {
-		detail = "shed:" + ShedTenantCap
-		return s.shed(r, w, trace, start, ShedTenantCap, http.StatusTooManyRequests)
-	}
-	defer s.tenantRelease(r.Tenant)
-
 	reqDig := requestDigest(r)
 	if faults.RequestDrop(reqDig) {
 		obs.C("service.chaos.req_drop").Add(1)
@@ -543,35 +529,6 @@ func (s *Service) recordTraceSpans(tc fleet.TraceCtx, start, end time.Time, deta
 	}, out.started, out.finished)
 }
 
-// tenantAcquire reserves one of the tenant's in-flight slots; with no cap
-// configured it is a no-op that always admits.
-func (s *Service) tenantAcquire(tenant string) bool {
-	if s.cfg.TenantCap <= 0 {
-		return true
-	}
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	if s.tenantLoad[tenant] >= s.cfg.TenantCap {
-		return false
-	}
-	s.tenantLoad[tenant]++
-	return true
-}
-
-// tenantRelease returns a slot taken by tenantAcquire.
-func (s *Service) tenantRelease(tenant string) {
-	if s.cfg.TenantCap <= 0 {
-		return
-	}
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	if n := s.tenantLoad[tenant] - 1; n > 0 {
-		s.tenantLoad[tenant] = n
-	} else {
-		delete(s.tenantLoad, tenant)
-	}
-}
-
 // shed rejects one request before solving: explicit status, a reason
 // header the load generator keys on, a shed counter, and a shed ledger
 // event (carrying the request's trace ID when it had one) so overload
@@ -582,8 +539,6 @@ func (s *Service) shed(r *SolveRequest, w http.ResponseWriter, trace string, sta
 		obs.C("service.shed.queue_full").Add(1)
 	case ShedDraining:
 		obs.C("service.shed.draining").Add(1)
-	case ShedTenantCap:
-		obs.C("service.shed.tenant_cap").Add(1)
 	}
 	if telemetry.Enabled() {
 		telemetry.Record(telemetry.Event{

@@ -64,7 +64,7 @@ func (w *warmCache) persisted() int {
 // validated result is promoted into memory.
 // Writes are tmp-then-rename atomic, so a sharer normally only ever sees
 // whole entries; the read-side checks are the defence for everything
-// abnormal (crashed writers, stray files, resp-torn-style corruption).
+// abnormal (crashed writers, stray files, torn or corrupted bytes).
 func (w *warmCache) get(key uint64, cores int) (*solveResult, bool) {
 	w.mu.Lock()
 	r, ok := w.m[key]

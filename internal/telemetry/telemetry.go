@@ -26,8 +26,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"synts/internal/faults"
 )
 
 // SchemaVersion identifies the ledger layout; the first JSONL line is a
@@ -67,8 +65,8 @@ const (
 	KindBreaker = "breaker"
 	// KindFailover is one fleet failover: a request attempt lost its
 	// backend (Bench) and was replayed elsewhere — the system-level Razor
-	// replay. Reason names the cause (backend-error, backend-down,
-	// draining), Core = -1.
+	// replay. Reason names the cause (backend-error or draining),
+	// Core = -1.
 	KindFailover = "failover"
 )
 
@@ -137,8 +135,9 @@ type Event struct {
 }
 
 // maxEvents bounds the ledger so a pathological loop cannot grow it
-// without limit; overflow spills to disk when a spill file is configured
-// (SetSpill) and is counted as dropped otherwise — never silently lost.
+// without limit; past it Record counts each event as dropped, and the
+// -events-out finish step reports the count. A size-2 `synts all` records
+// about 6,600 events and a daemon about 28 per request.
 const maxEvents = 1 << 21
 
 // Ledger is one event store. The package-level functions use a process
@@ -147,57 +146,7 @@ type Ledger struct {
 	mu       sync.Mutex
 	events   []Event
 	dropped  int64
-	spilled  int64
-	torn     int64 // spill lines truncated by the chaos harness at write time
-	skipped  int64 // spill lines the merge could not parse (torn/corrupt)
-	capacity int   // in-memory cap; 0 means maxEvents (tests shrink it)
-
-	spillPath string
-	spillF    *os.File
-	spillW    *bufio.Writer
-}
-
-func (l *Ledger) memCap() int {
-	if l.capacity > 0 {
-		return l.capacity
-	}
-	return maxEvents
-}
-
-// SetSpill directs overflow past the in-memory cap into an incremental
-// JSONL spill file instead of dropping it. The spill holds raw events in
-// arrival order; the canonical-order guarantee is preserved because the
-// flush path merges spilled and in-memory events and re-sorts the union.
-// Call after Enable — Enable's Reset also clears spill state.
-func (l *Ledger) SetSpill(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.closeSpillLocked()
-	l.spillPath, l.spillF, l.spillW = path, f, bufio.NewWriter(f)
-	return nil
-}
-
-// closeSpillLocked flushes, closes and removes the spill file; callers
-// hold l.mu.
-func (l *Ledger) closeSpillLocked() {
-	if l.spillF == nil {
-		return
-	}
-	l.spillW.Flush()
-	l.spillF.Close()
-	os.Remove(l.spillPath)
-	l.spillPath, l.spillF, l.spillW = "", nil, nil
-}
-
-// CloseSpill removes the spill file (after the ledger has been written).
-func (l *Ledger) CloseSpill() {
-	l.mu.Lock()
-	l.closeSpillLocked()
-	l.mu.Unlock()
+	capacity int // event cap; 0 means maxEvents (tests lower it)
 }
 
 var (
@@ -227,45 +176,31 @@ func Record(e Event) {
 	defaultLedger.Record(e)
 }
 
-// Record appends an event to l; past the in-memory cap it streams the
-// event to the spill file if one is configured, else counts it dropped.
+// Record appends an event to l; past the cap it counts the event as
+// dropped instead.
 func (l *Ledger) Record(e Event) {
 	l.mu.Lock()
-	switch {
-	case len(l.events) < l.memCap():
+	if len(l.events) < l.limit() {
 		l.events = append(l.events, e)
-	case l.spillW != nil:
-		if b, err := json.Marshal(&e); err == nil {
-			if faults.Enabled() {
-				// Chaos harness: a torn spill write loses the record's
-				// tail. The line is still terminated so subsequent
-				// records stay intact — only this one is damaged.
-				if keep := faults.SpillTear(b); keep < len(b) {
-					b = b[:keep]
-					l.torn++
-				}
-			}
-			l.spillW.Write(b)
-			l.spillW.WriteByte('\n')
-			l.spilled++
-		} else {
-			l.dropped++
-		}
-	default:
+	} else {
 		l.dropped++
 	}
 	l.mu.Unlock()
 }
 
-// Reset drops all recorded events and any spill state.
+// limit is the ledger's event cap.
+func (l *Ledger) limit() int {
+	if l.capacity > 0 {
+		return l.capacity
+	}
+	return maxEvents
+}
+
+// Reset drops all recorded events and the dropped count.
 func (l *Ledger) Reset() {
 	l.mu.Lock()
 	l.events = nil
 	l.dropped = 0
-	l.spilled = 0
-	l.torn = 0
-	l.skipped = 0
-	l.closeSpillLocked()
 	l.mu.Unlock()
 }
 
@@ -276,94 +211,18 @@ func (l *Ledger) Events() []Event {
 	return append([]Event(nil), l.events...)
 }
 
-// Dropped returns how many events the cap discarded (spilled events are
-// not dropped; AllEvents returns them).
+// Dropped returns how many events the cap discarded.
 func (l *Ledger) Dropped() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.dropped
 }
 
-// Torn returns how many spill lines the chaos harness truncated at
-// write time (ledger-spill-torn injections).
-func (l *Ledger) Torn() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.torn
-}
-
-// SpillSkipped returns how many spill lines the merge (AllEvents) could
-// not parse and skipped — torn or corrupt records.
-func (l *Ledger) SpillSkipped() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.skipped
-}
-
-// AllEvents returns the in-memory events plus any spilled ones. The
-// combined slice is unsorted (arrival order within each part); WriteJSONL
-// re-sorts canonically, so a run that spilled serialises byte-identically
-// to one whose cap was never reached.
-func (l *Ledger) AllEvents() ([]Event, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := append([]Event(nil), l.events...)
-	if l.spillF == nil || l.spilled == 0 {
-		return out, nil
-	}
-	if err := l.spillW.Flush(); err != nil {
-		return nil, err
-	}
-	f, err := os.Open(l.spillPath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			// A torn or corrupt spill record (crash or chaos mid-write)
-			// must not lose the intact remainder of the ledger: skip it,
-			// count it, keep merging. SpillSkipped surfaces the count.
-			l.skipped++
-			continue
-		}
-		out = append(out, e)
-	}
-	return out, sc.Err()
-}
-
 // Events returns a copy of the default ledger's events.
 func Events() []Event { return defaultLedger.Events() }
 
-// SetSpill configures overflow spilling on the default ledger.
-func SetSpill(path string) error { return defaultLedger.SetSpill(path) }
-
 // Dropped returns the default ledger's dropped-event count.
 func Dropped() int64 { return defaultLedger.Dropped() }
-
-// Torn returns the default ledger's torn-spill-line count.
-func Torn() int64 { return defaultLedger.Torn() }
-
-// SpillSkipped returns the default ledger's count of unparseable spill
-// lines skipped during merge.
-func SpillSkipped() int64 { return defaultLedger.SpillSkipped() }
-
-// SetMemCap shrinks the default ledger's in-memory cap to n events (0
-// restores the maxEvents default). A testing and chaos-engineering aid:
-// the spill and torn-spill paths are unreachable in small runs at the
-// default 2^21 cap, so CI lowers it to force them.
-func SetMemCap(n int) {
-	defaultLedger.mu.Lock()
-	defaultLedger.capacity = n
-	defaultLedger.mu.Unlock()
-}
 
 // Len returns the default ledger's event count (cheap, for live gauges).
 func Len() int {
@@ -447,26 +306,17 @@ func WriteJSONL(w io.Writer, events []Event) error {
 	return bw.Flush()
 }
 
-// WriteJSONLFile writes the default ledger's events — including any
-// spilled past the in-memory cap — to path in canonical order, then
-// removes the spill file.
-func WriteJSONLFile(path string) error {
-	events, err := defaultLedger.AllEvents()
-	if err != nil {
+// WriteLedger writes the default ledger's events to w in canonical order
+// (WriteJSONL): the -events-out finish step of every synts process. The
+// events the cap dropped are not in it, so when there are any, one line
+// on warn, under the who prefix, says how many.
+func WriteLedger(w io.Writer, who string, warn io.Writer) error {
+	if err := WriteJSONL(w, Events()); err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	if n := Dropped(); n > 0 {
+		fmt.Fprintf(warn, "%s: the ledger is partial: %d event(s) past its %d-event cap were dropped\n", who, n, defaultLedger.limit())
 	}
-	if err := WriteJSONL(f, events); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	defaultLedger.CloseSpill()
 	return nil
 }
 

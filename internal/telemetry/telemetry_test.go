@@ -4,13 +4,9 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-
-	"synts/internal/faults"
 )
 
 // sampleEvents builds a mixed-kind event set spread over two benches, two
@@ -346,135 +342,41 @@ func TestPercentilesNearestRank(t *testing.T) {
 	}
 }
 
-// With a spill file configured, overflow past the in-memory cap streams to
-// disk instead of dropping, and the flush-time merge serialises the same
-// bytes as a ledger that never overflowed.
-func TestLedgerSpillPreservesEventsAndOrder(t *testing.T) {
-	evs := make([]Event, 10)
-	for i := range evs {
-		evs[i] = Event{Kind: KindDecision, Bench: "b", Stage: "s", Solver: "SynTS", Interval: 9 - i, TSR: 0.5}
-	}
-
-	spilling := Ledger{capacity: 3}
-	if err := spilling.SetSpill(filepath.Join(t.TempDir(), "spill.jsonl")); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range evs {
-		spilling.Record(e)
-	}
-	if got := len(spilling.Events()); got != 3 {
-		t.Fatalf("%d events in memory, want the cap, 3", got)
-	}
-	if got := spilling.Dropped(); got != 0 {
-		t.Fatalf("Dropped() = %d, want 0 with a spill configured", got)
-	}
-	all, err := spilling.AllEvents()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != len(evs) {
-		t.Fatalf("AllEvents returned %d events, want %d (7 of them spilled)", len(all), len(evs))
-	}
-
-	var fromSpill, uncapped bytes.Buffer
-	if err := WriteJSONL(&fromSpill, all); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSONL(&uncapped, evs); err != nil {
-		t.Fatal(err)
-	}
-	if fromSpill.String() != uncapped.String() {
-		t.Error("spilled ledger serialises differently from an uncapped one")
-	}
-}
-
-func TestLedgerResetRemovesSpillFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "spill.jsonl")
-	l := Ledger{capacity: 1}
-	if err := l.SetSpill(path); err != nil {
-		t.Fatal(err)
-	}
-	l.Record(Event{Kind: KindDecision})
-	l.Record(Event{Kind: KindBarrier, Core: -1})
-	if all, err := l.AllEvents(); err != nil || len(all) != 2 {
-		t.Fatalf("AllEvents = %d events, err %v; want 2, one of them spilled", len(all), err)
-	}
-	l.Reset()
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("spill file still exists after Reset (stat err = %v)", err)
-	}
-	if all, err := l.AllEvents(); err != nil || len(all) != 0 {
-		t.Errorf("AllEvents after Reset = %d events, err %v; want none", len(all), err)
-	}
-}
-
-// Under ledger-spill-torn chaos, truncated spill lines are counted at
-// write time, skipped (not fatal) at merge time, and every intact line
-// survives — the union stays serialisable.
-func TestLedgerSpillTornLinesSkippedInMerge(t *testing.T) {
-	if err := faults.Enable(faults.LedgerSpillTorn+"=0.5", 3); err != nil {
-		t.Fatal(err)
-	}
-	defer faults.Disable()
-	l := Ledger{capacity: 2}
-	if err := l.SetSpill(filepath.Join(t.TempDir(), "spill.jsonl")); err != nil {
-		t.Fatal(err)
-	}
-	const total = 10
-	for i := 0; i < total; i++ {
-		l.Record(Event{Kind: KindDecision, Bench: "b", Stage: "s", Interval: i})
-	}
-	torn := l.Torn()
-	if torn == 0 || torn == total-2 {
-		t.Fatalf("rate 0.5 tore %d/%d spill lines; pick a seed that spreads decisions", torn, total-2)
-	}
-	all, err := l.AllEvents()
-	if err != nil {
-		t.Fatalf("merge failed over torn lines: %v", err)
-	}
-	// A torn line keeps a strict prefix, so it can never parse as a full
-	// event: exactly the torn records are lost.
-	if want := total - int(torn); len(all) != want {
-		t.Fatalf("AllEvents returned %d events, want %d (%d torn)", len(all), want, torn)
-	}
-	if skipped := l.SpillSkipped(); skipped > torn {
-		t.Errorf("SpillSkipped() = %d > torn %d", skipped, torn)
-	}
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, all); err != nil {
-		t.Fatalf("surviving events do not serialise: %v", err)
-	}
-}
-
-// SetMemCap lowers the default ledger's in-memory cap so small runs can
-// reach the spill path; 0 restores the default.
-func TestSetMemCapForcesSpill(t *testing.T) {
+// WriteLedger, the -events-out finish step, writes what the cap kept and
+// reports what it dropped in one warning line; with nothing dropped it
+// warns nothing. The test lowers the default ledger's cap rather than
+// recording 2^21 events.
+func TestWriteLedgerReportsDropped(t *testing.T) {
 	Enable()
 	defer Disable()
-	defer SetMemCap(0)
-	SetMemCap(2)
-	if err := SetSpill(filepath.Join(t.TempDir(), "spill.jsonl")); err != nil {
-		t.Fatal(err)
-	}
+	defer func() { defaultLedger.capacity = 0 }()
+	defaultLedger.capacity = 2
 	for i := 0; i < 5; i++ {
 		Record(Event{Kind: KindDecision, Bench: "b", Stage: "s", Interval: i})
 	}
-	if got := len(Events()); got != 2 {
-		t.Fatalf("%d events in memory, want the cap, 2", got)
-	}
-	all, err := defaultLedger.AllEvents()
-	if err != nil {
+	var ledger, warn bytes.Buffer
+	if err := WriteLedger(&ledger, "synts", &warn); err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 5 {
-		t.Fatalf("AllEvents returned %d events, want 5", len(all))
+	events, err := ReadJSONL(&ledger)
+	if err != nil {
+		t.Fatalf("ledger not readable: %v", err)
 	}
-	SetMemCap(0)
-	Enable() // resets; the default cap is back
-	for i := 0; i < 3; i++ {
-		Record(Event{Kind: KindDecision, Interval: i})
+	if len(events) != 2 {
+		t.Errorf("ledger holds %d events, want the cap, 2", len(events))
 	}
-	if got := len(Events()); got != 3 {
-		t.Fatalf("%d events in memory after restoring the default cap, want 3", got)
+	if msg := warn.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "synts: ") || !strings.Contains(msg, " 3 event(s) ") {
+		t.Errorf("warning %q, want one line under the synts prefix naming 3 dropped events", msg)
+	}
+
+	Enable() // resets the events and the dropped count
+	Record(Event{Kind: KindDecision, Bench: "b", Stage: "s"})
+	ledger.Reset()
+	warn.Reset()
+	if err := WriteLedger(&ledger, "synts", &warn); err != nil {
+		t.Fatal(err)
+	}
+	if warn.Len() != 0 {
+		t.Errorf("warning %q with nothing dropped, want none", warn.String())
 	}
 }

@@ -571,7 +571,7 @@ func BuildProfilesScopedCtx(ctx context.Context, kernel string, streams []*workl
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("trace: no streams")
 	}
-	defer obs.StartRegion("trace.build_profiles:" + stage.String()).End()
+	defer obs.StartRegion("trace.build_profiles:", stage.String()).End()
 	out := make([][]*Profile, len(streams))
 	cpis := make([][]float64, len(streams))
 	for t, s := range streams {
@@ -581,7 +581,7 @@ func BuildProfilesScopedCtx(ctx context.Context, kernel string, streams []*workl
 	g := pool.New(workers)
 	for t, s := range streams {
 		g.GoCtx(ctx, func() error {
-			defer obs.StartRegion("trace.cpi_measure:" + stage.String()).End()
+			defer obs.StartRegion("trace.cpi_measure:", stage.String()).End()
 			cache, err := cpu.NewCache(cacheCfg)
 			if err != nil {
 				return err
@@ -595,7 +595,7 @@ func BuildProfilesScopedCtx(ctx context.Context, kernel string, streams []*workl
 		})
 		for ii := range s.Intervals {
 			g.GoCtx(ctx, func() error {
-				defer obs.StartRegion("trace.interval_build:" + stage.String()).End()
+				defer obs.StartRegion("trace.interval_build:", stage.String()).End()
 				sc := NewStageCircuit(stage)
 				seek := obs.StartRegion("trace.seek_pc")
 				sc.SeekPC(s.Intervals[:ii])
@@ -667,7 +667,7 @@ func BuildProfilesSerial(streams []*workload.Stream, stage Stage, cacheCfg cpu.C
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("trace: no streams")
 	}
-	defer obs.StartRegion("trace.build_profiles:" + stage.String()).End()
+	defer obs.StartRegion("trace.build_profiles:", stage.String()).End()
 	out := make([][]*Profile, len(streams))
 	for t, s := range streams {
 		sc := NewStageCircuit(stage)
