@@ -31,7 +31,7 @@ func runLoadgenCmd(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Int64("seed", 1, "request-stream seed (same seed = identical request bodies)")
 	tenants := fs.Int("tenants", 0, "tenant count drawn from the kernel suite (0 = all ten)")
 	cores := fs.Int("cores", 4, "cores per solve request")
-	repeat := fs.Float64("repeat", 0, "fraction of requests reusing an earlier payload (exercises coalesce/warm; 0 = default 0.25, negative disables)")
+	repeat := fs.Float64("repeat", 0, "fraction of requests reusing an earlier payload (exercises the warm cache; 0 = default 0.25, negative disables)")
 	maxInflight := fs.Int("max-inflight", 256, "outstanding-request bound (arrivals beyond it are counted dropped)")
 	sloP95 := fs.Float64("slo-p95-ms", 0, "SLO: fail if p95 latency exceeds `ms` (0 = no latency gate)")
 	sloErr := fs.Float64("slo-max-error-frac", 0, "SLO: fail if (errors+dropped)/requests exceeds this fraction")

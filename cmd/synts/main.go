@@ -28,6 +28,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
+	"sync"
 	"syscall"
 	"time"
 
@@ -247,7 +248,12 @@ func runAll(names []string, opts exp.Options, jobs int, verbose bool, stdout, st
 // with resume also set, experiments whose checkpoint already exists replay
 // their stored bytes instead of recomputing — stdout stays byte-identical
 // to an uninterrupted run because the buffer is replayed verbatim in the
-// same request-order flush.
+// same request-order commit.
+//
+// Output is committed in request order by whichever goroutine finishes an
+// experiment: under one mutex it writes every finished experiment from
+// the first unwritten one on, so an experiment's bytes reach stdout before
+// its pool slot is released.
 func runAllCtx(ctx context.Context, names []string, opts exp.Options, jobs int, verbose bool, stdout, stderr io.Writer, store *ckpt.Store, resume bool) error {
 	if err := checkKernelFlags(opts.Threads, opts.Size); err != nil {
 		return err
@@ -265,91 +271,91 @@ func runAllCtx(ctx context.Context, names []string, opts exp.Options, jobs int, 
 		ckptErr error // checkpoint write failed; the run itself succeeded
 		took    time.Duration
 		cached  bool
+		done    bool // finished or accounted for; set under mu
 	}
-	results := make([]*result, len(exps))
-	ready := make([]chan struct{}, len(exps))
-	for i := range exps {
-		results[i] = &result{}
-		ready[i] = make(chan struct{})
+	results := make([]result, len(exps))
+	var (
+		mu       sync.Mutex
+		next     int // first experiment not yet committed
+		firstErr error
+	)
+	// commit marks experiment i finished and writes every finished
+	// experiment from next on, stopping at the first unfinished one.
+	commit := func(i int) {
+		mu.Lock()
+		defer mu.Unlock()
+		results[i].done = true
+		for ; next < len(exps) && results[next].done; next++ {
+			if firstErr != nil {
+				continue // print nothing after the first error
+			}
+			res := &results[next]
+			if res.err != nil {
+				firstErr = fmt.Errorf("%s: %w", names[next], res.err)
+				continue
+			}
+			if _, err := io.Copy(stdout, &res.buf); err != nil {
+				firstErr = err
+				continue
+			}
+			if res.ckptErr != nil {
+				fmt.Fprintf(stderr, "synts: checkpoint %s: %v (resume will recompute it)\n", names[next], res.ckptErr)
+			}
+			if verbose {
+				if res.cached {
+					fmt.Fprintf(stderr, "[%s replayed from checkpoint]\n", names[next])
+				} else {
+					fmt.Fprintf(stderr, "[%s done in %v]\n", names[next], res.took.Round(time.Millisecond))
+				}
+			}
+			fmt.Fprintln(stdout)
+		}
 	}
 	g := pool.New(jobs)
-	go func() {
-		for i, e := range exps {
-			if resume {
-				if out, ok := store.Load(e.name); ok {
-					results[i].buf.Write(out)
-					results[i].cached = true
-					close(ready[i])
-					continue
-				}
-			}
-			g.GoCtx(ctx, func() error {
-				rg := obs.StartRegion("exp.run:", e.name)
-				start := time.Now()
-				results[i].err = e.run(r, &results[i].buf)
-				results[i].took = time.Since(start)
-				rg.End()
-				if results[i].err == nil && store != nil {
-					// A failed checkpoint write must not fail the run: the
-					// output bytes are in hand and flushed below; only a
-					// later -resume loses the shortcut. Surfaced as a
-					// warning in the (deterministic) flush loop.
-					results[i].ckptErr = store.Save(e.name, results[i].buf.Bytes())
-				}
-				close(ready[i])
-				return nil // errors surface in request order below
-			})
-		}
-		// Settle the pipeline, then account for every task that never got
-		// to close its ready channel: dropped after cancellation or a
-		// first-error stop, or unwound by a panic before reaching the
-		// close. Without this the flush loop below would block forever on
-		// exactly the failures this layer exists to surface.
-		werr := g.Wait()
-		for i := range exps {
-			select {
-			case <-ready[i]:
-			default:
-				if results[i].err == nil {
-					switch {
-					case werr != nil:
-						results[i].err = werr
-					case ctx.Err() != nil:
-						results[i].err = ctx.Err()
-					default:
-						results[i].err = errors.New("pool: task dropped")
-					}
-				}
-				close(ready[i])
+	for i, e := range exps {
+		res := &results[i]
+		if resume {
+			if out, err := store.Load(e.name); err == nil {
+				res.buf.Write(out)
+				res.cached = true
+				commit(i)
+				continue
 			}
 		}
-	}()
-	var firstErr error
-	for i := range exps {
-		<-ready[i]
-		if firstErr != nil {
-			continue // drain remaining experiments, print nothing further
-		}
-		res := results[i]
-		if res.err != nil {
-			firstErr = fmt.Errorf("%s: %w", names[i], res.err)
+		g.GoCtx(ctx, func() error {
+			rg := obs.StartRegion("exp.run:", e.name)
+			start := time.Now()
+			res.err = e.run(r, &res.buf)
+			res.took = time.Since(start)
+			rg.End()
+			if res.err == nil && store != nil {
+				// A failed checkpoint write must not fail the run: the
+				// output bytes are in hand and committed below; only a
+				// later -resume loses the shortcut. Surfaced as a warning
+				// in the (deterministic) request-order commit.
+				res.ckptErr = store.Save(e.name, res.buf.Bytes())
+			}
+			commit(i)
+			return nil // errors surface in request order
+		})
+	}
+	// Settle the pipeline, then account for every task that never
+	// committed: dropped after cancellation or a first-error stop, or
+	// unwound by a panic before reaching its commit.
+	werr := g.Wait()
+	for i := range results {
+		if results[i].done {
 			continue
 		}
-		if _, err := io.Copy(stdout, &res.buf); err != nil {
-			firstErr = err
-			continue
+		switch {
+		case werr != nil:
+			results[i].err = werr
+		case ctx.Err() != nil:
+			results[i].err = ctx.Err()
+		default:
+			results[i].err = errors.New("pool: task dropped")
 		}
-		if res.ckptErr != nil {
-			fmt.Fprintf(stderr, "synts: checkpoint %s: %v (resume will recompute it)\n", names[i], res.ckptErr)
-		}
-		if verbose {
-			if res.cached {
-				fmt.Fprintf(stderr, "[%s replayed from checkpoint]\n", names[i])
-			} else {
-				fmt.Fprintf(stderr, "[%s done in %v]\n", names[i], res.took.Round(time.Millisecond))
-			}
-		}
-		fmt.Fprintln(stdout)
+		commit(i)
 	}
 	return firstErr
 }

@@ -9,9 +9,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	rtrace "runtime/trace"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"synts/internal/ckpt"
@@ -293,6 +295,60 @@ func TestStatsJSONAndTraceOutSchemas(t *testing.T) {
 	}
 	if !bytes.Contains(rawTrace, []byte("trace.build_profiles:SimpleALU")) {
 		t.Error("execution trace names no trace.build_profiles:SimpleALU region")
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe to write and read concurrently.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// At -j 1 each experiment's bytes reach stdout before the next experiment
+// starts, even on one P: the goroutine that finishes an experiment writes
+// it before its pool slot frees up for the next one.
+func TestRunAllWritesEachOutputBeforeTheNextStarts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	saved := experiments
+	defer func() { experiments = saved }()
+	var out lockedBuffer
+	var names []string
+	want := ""
+	for i := range 4 {
+		name := fmt.Sprintf("step%d", i)
+		before := want // what stdout must hold when this experiment starts
+		experiments = append(experiments, experiment{name, "ordering probe", func(_ *runner, w io.Writer) error {
+			if got := out.String(); got != before {
+				return fmt.Errorf("started with stdout %q, want %q", got, before)
+			}
+			fmt.Fprintln(w, name)
+			return nil
+		}})
+		names = append(names, name)
+		want += name + "\n\n"
+	}
+	opts := exp.DefaultOptions()
+	opts.Size = 1
+	for run := range 20 {
+		out = lockedBuffer{}
+		if err := runAll(names, opts, 1, false, &out, io.Discard); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if got := out.String(); got != want {
+			t.Fatalf("run %d: stdout %q, want %q", run, got, want)
+		}
 	}
 }
 

@@ -1,12 +1,12 @@
 package main
 
 // `synts serve` is the solver daemon: it answers POST /v1/solve, backed
-// by internal/service's sharded workers with coalescing, warm starts and
-// load shedding, the request online SynTS makes at every barrier
-// interval. Its instrumentation can be watched live — Prometheus text
-// exposition at /metrics (bridged from internal/obs), the stdlib expvar
-// JSON at /debug/vars, net/http/pprof at /debug/pprof/, and /healthz +
-// /readyz for orchestration.
+// by internal/service's sharded workers with warm starts and load
+// shedding, the request online SynTS makes at every barrier interval.
+// Its instrumentation can be watched live — Prometheus text exposition
+// at /metrics (bridged from internal/obs), the stdlib expvar JSON at
+// /debug/vars, net/http/pprof at /debug/pprof/, and /healthz + /readyz
+// for orchestration.
 //
 // Shutdown drains instead of aborting (serveUntilStopped, shared with
 // `synts route`): the first SIGINT/SIGTERM stops admission (new solve
@@ -94,7 +94,6 @@ func runServeCmd(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 	addr := fs.String("addr", "127.0.0.1:9187", "listen address for /v1/solve, /metrics, /debug/vars, /debug/pprof/")
 	shards := fs.Int("shards", runtime.NumCPU(), "solver service worker shards")
 	queueLen := fs.Int("queue", 64, "per-shard bounded queue length (full queues shed with 429)")
-	warmDir := fs.String("warm-dir", "", "persist the solve warm-start cache to `dir` (synts-ckpt/v1)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before aborting (0 = forever)")
 	chaosSpec := fs.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (adds req-slow, req-drop to the batch classes)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the fault injector's decisions")
@@ -120,7 +119,7 @@ func runServeCmd(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 		return fmt.Errorf("-chaos: %w", err)
 	}
 
-	svc, err := service.New(service.Config{Shards: *shards, QueueLen: *queueLen, WarmDir: *warmDir})
+	svc, err := service.New(service.Config{Shards: *shards, QueueLen: *queueLen})
 	if err != nil {
 		return err
 	}

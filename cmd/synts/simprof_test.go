@@ -151,7 +151,7 @@ func TestRunAllCtxCheckpointFaultIsolated(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "fig6.18.ckpt.json")); !os.IsNotExist(err) {
 		t.Errorf("checkpoint file must not exist after an injected write fault (err = %v)", err)
 	}
-	if _, ok := store.Load("fig6.18"); ok {
+	if _, err := store.Load("fig6.18"); err == nil {
 		t.Error("Load returned a checkpoint that was never durably written")
 	}
 }

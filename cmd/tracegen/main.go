@@ -1,6 +1,7 @@
 // Command tracegen dumps a benchmark's dynamic instruction streams — the
 // artefact the architectural half of the methodology produces — as text or
-// summary statistics, for inspection and for feeding external tools.
+// summary statistics, for inspection. It runs the kernel each time: a
+// paper kernel at size 2 takes tens of milliseconds.
 //
 // Usage:
 //
@@ -16,7 +17,6 @@ import (
 	"os"
 
 	"synts/internal/isa"
-	"synts/internal/tracefile"
 	"synts/internal/workload"
 )
 
@@ -38,8 +38,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	interval := fs.Int("interval", 0, "barrier interval to dump")
 	n := fs.Int("n", 30, "instructions to dump (0 = all)")
 	summary := fs.Bool("summary", false, "print per-thread per-interval summary only")
-	out := fs.String("o", "", "save the streams to this file (gzip'd gob) instead of printing")
-	load := fs.String("load", "", "load streams from a file saved with -o instead of running the kernel")
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return 0
 	} else if err != nil {
@@ -58,41 +56,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var streams []*workload.Stream
-	if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			return fail(err)
-		}
-		defer f.Close()
-		name, loaded, err := tracefile.LoadStreams(f)
-		if err != nil {
-			return fail(err)
-		}
-		*bench = name
-		streams = loaded
-	} else {
-		k, err := workload.ByName(*bench)
-		if err != nil {
-			return fail(err)
-		}
-		streams = workload.RunKernel(k, *threads, *size, *seed)
+	k, err := workload.ByName(*bench)
+	if err != nil {
+		return fail(err)
 	}
-
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return fail(err)
-		}
-		if err := tracefile.SaveStreams(f, *bench, streams); err != nil {
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "saved %d threads of %s to %s\n", len(streams), *bench, *out)
-		return 0
-	}
+	streams := workload.RunKernel(k, *threads, *size, *seed)
 
 	if *summary {
 		fmt.Fprintf(stdout, "%s: %d threads, %d barrier intervals\n", *bench, len(streams), len(streams[0].Intervals))

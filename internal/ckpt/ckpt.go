@@ -62,65 +62,30 @@ func (s *Store) path(experiment string) string {
 	return filepath.Join(s.dir, experiment+".ckpt.json")
 }
 
-// Load returns the stored output for experiment, or ok = false when no
-// usable checkpoint exists — missing, unreadable, wrong schema, another
-// experiment's file, or a different workload configuration. A resume must
-// then recompute; it never fails over a bad checkpoint.
-func (s *Store) Load(experiment string) ([]byte, bool) {
-	out, ok, _ := s.LoadChecked(experiment)
-	return out, ok
-}
-
-// LoadChecked is Load with the cause surfaced: ok-and-nil-error on a
-// usable checkpoint, a nil error when the file simply does not exist, and
-// a descriptive error when a file is present but unusable (torn JSON, a
-// foreign experiment's bytes, another configuration's key). Callers that
-// share a directory with other writers — the solver service's warm dir
-// hosts N daemons at once — use the distinction to count rejected blobs
-// instead of silently treating damage as a miss.
-func (s *Store) LoadChecked(experiment string) ([]byte, bool, error) {
+// Load returns the stored output for experiment. It errors when no usable
+// checkpoint exists: the os.ReadFile error when the file is missing
+// (errors.Is fs.ErrNotExist) or unreadable, and a descriptive error when
+// a file is present but unusable (torn JSON, wrong schema, another
+// experiment's bytes, another workload configuration's key). A resume
+// then recomputes; it never fails over a bad checkpoint.
+func (s *Store) Load(experiment string) ([]byte, error) {
 	raw, err := os.ReadFile(s.path(experiment))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
-		}
-		return nil, false, err
+		return nil, err
 	}
 	var e Entry
 	if err := json.Unmarshal(raw, &e); err != nil {
-		return nil, false, fmt.Errorf("ckpt: %s: torn or foreign blob: %w", experiment, err)
+		return nil, fmt.Errorf("ckpt: %s: torn or foreign blob: %w", experiment, err)
 	}
 	switch {
 	case e.Schema != SchemaVersion:
-		return nil, false, fmt.Errorf("ckpt: %s: schema %q, want %q", experiment, e.Schema, SchemaVersion)
+		return nil, fmt.Errorf("ckpt: %s: schema %q, want %q", experiment, e.Schema, SchemaVersion)
 	case e.Experiment != experiment:
-		return nil, false, fmt.Errorf("ckpt: %s: entry names experiment %q", experiment, e.Experiment)
+		return nil, fmt.Errorf("ckpt: %s: entry names experiment %q", experiment, e.Experiment)
 	case e.Key != s.key:
-		return nil, false, fmt.Errorf("ckpt: %s: written under another workload key", experiment)
+		return nil, fmt.Errorf("ckpt: %s: written under another workload key", experiment)
 	}
-	return e.Output, true, nil
-}
-
-// Names lists the experiments with a usable checkpoint under this store's
-// key, sorted. Unreadable files, stale .tmp leftovers and entries written
-// under another configuration are skipped, mirroring Load — the solver
-// service uses this at startup to report how many warm-start entries it
-// inherited without trusting any of them blindly.
-func (s *Store) Names() []string {
-	paths, err := filepath.Glob(filepath.Join(s.dir, "*.ckpt.json"))
-	if err != nil {
-		return nil
-	}
-	sort.Strings(paths)
-	var names []string
-	for _, p := range paths {
-		name := filepath.Base(p)
-		name = name[:len(name)-len(".ckpt.json")]
-		if _, ok := s.Load(name); ok {
-			names = append(names, name)
-		}
-	}
-	return names
+	return e.Output, nil
 }
 
 // Save atomically records experiment's rendered output: the entry is

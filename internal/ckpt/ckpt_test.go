@@ -1,6 +1,8 @@
 package ckpt
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,16 +18,16 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Load("fig6.11"); ok {
-		t.Fatal("empty store must not load")
+	if _, err := s.Load("fig6.11"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("empty store loads with error %v, want fs.ErrNotExist", err)
 	}
 	out := []byte("Fig 6.11: rendered bytes\nwith newlines\n")
 	if err := s.Save("fig6.11", out); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Load("fig6.11")
-	if !ok {
-		t.Fatal("saved checkpoint must load")
+	got, err := s.Load("fig6.11")
+	if err != nil {
+		t.Fatalf("saved checkpoint must load: %v", err)
 	}
 	if string(got) != string(out) {
 		t.Fatalf("round trip changed bytes: %q != %q", got, out)
@@ -49,11 +51,11 @@ func TestLoadRejectsMismatchedKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s2.Load("table5.1"); ok {
+	if _, err := s2.Load("table5.1"); err == nil {
 		t.Error("checkpoint with a different key must not load")
 	}
-	if _, ok := s.Load("table5.1"); !ok {
-		t.Error("original key must still load")
+	if _, err := s.Load("table5.1"); err != nil {
+		t.Errorf("original key must still load: %v", err)
 	}
 }
 
@@ -66,8 +68,8 @@ func TestLoadRejectsCorruptFile(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "fig1.2.ckpt.json"), []byte("{truncated"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Load("fig1.2"); ok {
-		t.Error("corrupt checkpoint must not load")
+	if _, err := s.Load("fig1.2"); err == nil || errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("corrupt checkpoint loads with error %v, want a present-but-unusable error", err)
 	}
 }
 
@@ -83,9 +85,9 @@ func TestSaveIsAtomicReplacement(t *testing.T) {
 	if err := s.Save("overhead", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Load("overhead")
-	if !ok || string(got) != "v2" {
-		t.Fatalf("load after overwrite = %q, %v", got, ok)
+	got, err := s.Load("overhead")
+	if err != nil || string(got) != "v2" {
+		t.Fatalf("load after overwrite = %q, %v", got, err)
 	}
 	// No .tmp residue after successful saves.
 	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) != 0 {
@@ -167,7 +169,7 @@ func TestSaveInjectedWriteFaultLeavesTmp(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "fig1.2.ckpt.json.tmp")); err != nil {
 		t.Errorf("stray .tmp missing after injected fault: %v", err)
 	}
-	if _, ok := s.Load("fig1.2"); ok {
+	if _, err := s.Load("fig1.2"); err == nil {
 		t.Error("Load returned a checkpoint that was never renamed into place")
 	}
 	entries, err := ValidateDir(dir)
@@ -181,7 +183,7 @@ func TestSaveInjectedWriteFaultLeavesTmp(t *testing.T) {
 	if err := s.Save("fig1.2", []byte("rendered\n")); err != nil {
 		t.Fatalf("Save after the fault cleared: %v", err)
 	}
-	if out, ok := s.Load("fig1.2"); !ok || string(out) != "rendered\n" {
-		t.Fatalf("Load after recovery = %q, %v", out, ok)
+	if out, err := s.Load("fig1.2"); err != nil || string(out) != "rendered\n" {
+		t.Fatalf("Load after recovery = %q, %v", out, err)
 	}
 }

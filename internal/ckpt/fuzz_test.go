@@ -3,17 +3,18 @@ package ckpt
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 // FuzzLoadChecked files arbitrary bytes as one experiment's checkpoint
-// entry and reads them back the way -resume and the solver's warm dir do.
-// Whatever the bytes, LoadChecked must not panic and must never report a
-// present file as missing; an entry it accepts must also pass ValidateFile
-// (what obscheck -ckpt runs), and saving the accepted output must load
-// back byte-equal.
+// entry and reads them back the way -resume does. Whatever the bytes,
+// Load must not panic and must never report a present file as missing; an
+// entry it accepts must also pass ValidateFile (what obscheck -ckpt runs),
+// and saving the accepted output must load back byte-equal.
 func FuzzLoadChecked(f *testing.F) {
 	const name = "table5.1"
 	key := Key{Size: 1, Seed: 2016, Threads: 4, Intervals: 2}
@@ -63,22 +64,22 @@ func FuzzLoadChecked(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, ok, err := s.LoadChecked(name)
-		if !ok {
-			if err == nil {
-				t.Fatalf("present entry %q read as missing", raw)
-			}
+		out, err := s.Load(name)
+		if errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("present entry %q read as missing", raw)
+		}
+		if err != nil {
 			return
 		}
 		if _, err := ValidateFile(path); err != nil {
-			t.Fatalf("LoadChecked accepted %q but ValidateFile rejects it: %v", raw, err)
+			t.Fatalf("Load accepted %q but ValidateFile rejects it: %v", raw, err)
 		}
 		if err := s.Save(name, out); err != nil {
 			t.Fatal(err)
 		}
-		again, ok, err := s.LoadChecked(name)
-		if !ok || err != nil || !bytes.Equal(again, out) {
-			t.Fatalf("saved output %q loads back as %q (ok %v, err %v)", out, again, ok, err)
+		again, err := s.Load(name)
+		if err != nil || !bytes.Equal(again, out) {
+			t.Fatalf("saved output %q loads back as %q (err %v)", out, again, err)
 		}
 	})
 }

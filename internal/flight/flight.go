@@ -1,23 +1,11 @@
 // Package flight is the repository's generic singleflight layer: a
 // concurrency-safe memo that guarantees exactly one execution per key
 // while concurrent callers for the same key block on (and share) that
-// execution's result. It generalises the pattern that grew up twice in
-// internal/exp — BenchCache (kernel runs shared across experiments) and
-// the per-stage profile memo inside Bench — and adds the third user the
-// solver service needs: in-flight request coalescing, where the entry is
-// forgotten once the shared computation completes so the memo holds only
-// work that is currently running.
-//
-// Two usage modes fall out of one type:
-//
-//   - cache mode (BenchCache, profile builds): call Do and keep the entry;
-//     later callers are hits. DiscardIf drops entries whose computation was
-//     aborted (context cancellation must not poison the cache).
-//   - coalesce mode (the solve service): the winning caller runs the
-//     computation and calls Forget when done; every caller that joined
-//     mid-flight shares the result, and the next request for the same key
-//     computes afresh (a separate warm cache decides whether that is
-//     cheap).
+// execution's result. It serves the two memos of internal/exp:
+// BenchCache (kernel runs shared across experiments) and the per-stage
+// profile memo inside Bench. Do keeps each entry, so later callers are
+// hits; DiscardIf drops entries whose computation was aborted (context
+// cancellation must not poison the cache).
 package flight
 
 import "sync"
@@ -101,21 +89,11 @@ func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error, Outcome) {
 	return c.v, c.err, outcome
 }
 
-// Forget removes key's entry. Callers already sharing the in-flight
-// computation are unaffected (they hold the call, not the map slot); the
-// next Do for the key computes afresh. This is the coalesce-mode
-// completion hook.
-func (m *Memo[K, V]) Forget(key K) {
-	m.mu.Lock()
-	delete(m.m, key)
-	m.mu.Unlock()
-}
-
 // DiscardIf removes key's entry if pred approves its recorded error.
-// Cache-mode users call it after Do with a predicate matching
-// context-cancellation errors, so an aborted computation does not poison
-// the memo: the entry is discarded only while it is still the one this
-// caller observed, never a fresh replacement.
+// Callers use it after Do with a predicate matching context-cancellation
+// errors, so an aborted computation does not poison the memo: the entry
+// is discarded only while it is still the one this caller observed, never
+// a fresh replacement.
 func (m *Memo[K, V]) DiscardIf(key K, pred func(error) bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

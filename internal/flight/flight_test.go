@@ -85,24 +85,6 @@ func TestConcurrentSingleExecution(t *testing.T) {
 	}
 }
 
-func TestForgetRecomputes(t *testing.T) {
-	var m Memo[string, int]
-	n := 0
-	fn := func() (int, error) { n++; return n, nil }
-	v, _, _ := m.Do("k", fn)
-	if v != 1 {
-		t.Fatalf("first = %d, want 1", v)
-	}
-	m.Forget("k")
-	if m.len() != 0 {
-		t.Fatalf("Len after Forget = %d, want 0", m.len())
-	}
-	v, _, out := m.Do("k", fn)
-	if v != 2 || out != Miss {
-		t.Fatalf("after Forget = (%d, %v), want (2, Miss)", v, out)
-	}
-}
-
 func TestDiscardIfEvictsCanceled(t *testing.T) {
 	var m Memo[string, int]
 	_, err, _ := m.Do("k", func() (int, error) { return 0, context.Canceled })

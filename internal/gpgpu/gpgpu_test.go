@@ -38,7 +38,7 @@ func TestProgramsGenerate(t *testing.T) {
 		}
 		seen[p.Name] = true
 		for _, vi := range p.Insts {
-			if !vi.Op.Valid() {
+			if int(vi.Op) >= isa.NumOps {
 				t.Fatalf("%s: invalid op", p.Name)
 			}
 		}

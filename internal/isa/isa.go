@@ -62,9 +62,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// Valid reports whether o is a defined operation.
-func (o Op) Valid() bool { return o < numOps }
-
 // Class buckets operations by the pipe stage that executes them.
 type Class uint8
 

@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -25,89 +23,6 @@ func marshalReq(t *testing.T, r *SolveRequest) io.Reader {
 		t.Fatal(err)
 	}
 	return bytes.NewReader(b)
-}
-
-// A shared warm dir is never trusted blindly: torn blobs (a writer died
-// mid-write), foreign-but-parseable blobs and plausible
-// results that do not fit the request they are filed under are rejected
-// entry by entry, counted, and re-solved — never served.
-func TestWarmDirRejectsCorruptEntries(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	dir := t.TempDir()
-
-	// A first daemon persists one legit entry.
-	req := validRequest("shared", 0)
-	key := payloadDigest(req)
-	{
-		svc, err := New(Config{Shards: 1, QueueLen: 4, WarmDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := svc.warm.get(key, len(req.Cores)); ok {
-			t.Fatal("warm hit before any solve")
-		}
-		svc.warm.put(key, svc.solve(req))
-		svc.Drain()
-		svc.Close()
-	}
-	path := filepath.Join(dir, entryName(key)+".ckpt.json")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Tear the blob mid-bytes, the way a writer that died mid-write does.
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	svc2, err := New(Config{Shards: 1, QueueLen: 4, WarmDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { svc2.Drain(); svc2.Close() }()
-	before := obs.C("service.warm.rejected").Value()
-	if _, ok := svc2.warm.get(key, len(req.Cores)); ok {
-		t.Fatal("torn warm entry was served")
-	}
-	if got := obs.C("service.warm.rejected").Value(); got != before+1 {
-		t.Fatalf("warm.rejected = %d after torn blob, want %d", got, before+1)
-	}
-
-	// Blobs that parse as JSON under the right ckpt key but are not a
-	// plausible answer to this two-core request (a foreign writer, or
-	// another request's result) are rejected too.
-	oneCore := *svc2.solve(req)
-	oneCore.Cores = oneCore.Cores[:1]
-	badVIdx := *svc2.solve(req)
-	badVIdx.Cores[1].VIdx = svc2.warm.voltages
-	for i, bogus := range []*solveResult{
-		{Schema: ResultSchema}, // zero cores
-		&oneCore,
-		&badVIdx,
-	} {
-		raw, _ := json.Marshal(bogus)
-		if err := svc2.warm.store.Save(entryName(key), raw); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := svc2.warm.get(key, len(req.Cores)); ok {
-			t.Fatalf("implausible warm entry %d (%d cores) was served", i, len(bogus.Cores))
-		}
-		if got, want := obs.C("service.warm.rejected").Value(), before+2+int64(i); got != want {
-			t.Fatalf("warm.rejected = %d after implausible blob %d, want %d", got, i, want)
-		}
-	}
-
-	// A fresh, whole entry is still accepted afterwards.
-	svc2.warm.put(key, svc2.solve(req))
-	svc3, err := New(Config{Shards: 1, QueueLen: 4, WarmDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { svc3.Drain(); svc3.Close() }()
-	if _, ok := svc3.warm.get(key, len(req.Cores)); !ok {
-		t.Fatal("repaired warm entry not served")
-	}
 }
 
 // newTestRouter fronts backends with a started router and waits until

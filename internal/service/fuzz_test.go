@@ -3,15 +3,11 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"reflect"
 	"testing"
 	"time"
-
-	"synts/internal/telemetry"
 )
 
 // FuzzSolveHandler drives /v1/solve through the real handler: one Service
@@ -54,84 +50,6 @@ func FuzzSolveHandler(f *testing.F) {
 		if resp.Schema != ResponseSchema || resp.Tenant != req.Tenant || resp.Seq != req.Seq {
 			t.Fatalf("200 body has schema %q, tenant %q, seq %d; want %q, %q, %d",
 				resp.Schema, resp.Tenant, resp.Seq, ResponseSchema, req.Tenant, req.Seq)
-		}
-	})
-}
-
-// FuzzWarmBlob files each input as the Output of a valid synts-ckpt/v1
-// entry under a four-core request's payload digest, in a fresh warm dir
-// each time, and POSTs that request through the real handler with the
-// ledger recording. Whatever the blob holds, the answer is a 200
-// SolveResponse with one core per request core: a blob that does not fit
-// the request is rejected and the request solved fresh, never answered
-// with a 500 or a panic. The seeds are a genuine result, the same result
-// cut to one core, zero cores, NaN and negative energy, and a v_idx of -1.
-func FuzzWarmBlob(f *testing.F) {
-	svc, err := New(Config{Shards: 1})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() {
-		svc.Drain()
-		svc.Close()
-		telemetry.Disable()
-	})
-	mux := http.NewServeMux()
-	svc.Register(mux)
-	req := GenStream(GenOptions{Seed: 1, RepeatFrac: -1}, 1)[0]
-	body, err := json.Marshal(&req)
-	if err != nil {
-		f.Fatal(err)
-	}
-	key := payloadDigest(&req)
-
-	genuine := svc.solve(&req)
-	seed := func(mutate func(r *solveResult)) {
-		r := *genuine
-		r.Cores = append([]CoreResult(nil), genuine.Cores...)
-		mutate(&r)
-		raw, err := json.Marshal(&r)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
-	}
-	seed(func(*solveResult) {})
-	seed(func(r *solveResult) { r.Cores = r.Cores[:1] })
-	seed(func(r *solveResult) { r.Cores = []CoreResult{} })
-	seed(func(r *solveResult) { r.Energy = -1 })
-	seed(func(r *solveResult) { r.Cores[0].VIdx = -1 })
-	cores, _ := json.Marshal(genuine.Cores)
-	f.Add([]byte(fmt.Sprintf(`{"schema":%q,"cores":%s,"energy":NaN,"t_exec":1,"cost":1}`, ResultSchema, cores)))
-
-	f.Fuzz(func(t *testing.T, blob []byte) {
-		// Not t.TempDir: under -fuzz it stalls the worker's exec reports.
-		dir, err := os.MkdirTemp("", "warm")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		warm, err := newWarmCache(dir, 0, svc.gridKey(), svc.warm.voltages, svc.warm.levels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := warm.store.Save(entryName(key), blob); err != nil {
-			t.Fatal(err)
-		}
-		svc.warm = warm
-		telemetry.Enable() // a fresh ledger for each input
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status %d for warm blob %q\nresponse: %s", rec.Code, blob, rec.Body.Bytes())
-		}
-		var resp SolveResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatalf("200 body does not decode (%v): %s", err, rec.Body.Bytes())
-		}
-		if resp.Schema != ResponseSchema || len(resp.Cores) != len(req.Cores) {
-			t.Fatalf("answer has schema %q and %d cores for a %d-core request; warm blob %q",
-				resp.Schema, len(resp.Cores), len(req.Cores), blob)
 		}
 	})
 }

@@ -21,8 +21,8 @@ type GenOptions struct {
 	// platform's exp.TSRs() grid).
 	Levels int
 	// RepeatFrac is the probability a request reuses an earlier payload
-	// under a fresh seq — the knob that exercises coalescing and warm
-	// starts; 0 means the 0.25 default, < 0 disables repeats.
+	// under a fresh seq — the knob that exercises warm starts; 0 means
+	// the 0.25 default, < 0 disables repeats.
 	RepeatFrac float64
 }
 

@@ -118,8 +118,7 @@ type LoadReport struct {
 	Errors       int `json:"errors"` // transport failures + unexpected statuses
 	Dropped      int `json:"dropped"`
 
-	CoalesceHits int `json:"coalesce_hits"`
-	WarmHits     int `json:"warm_hits"`
+	WarmHits int `json:"warm_hits"`
 
 	// Resilience counters: what the fleet client and router did beneath
 	// the logical requests above. Retries counts the client's extra
@@ -151,7 +150,7 @@ func (r *LoadReport) Validate() error {
 		{"requests", r.Requests}, {"ok", r.OK}, {"shed", r.Shed},
 		{"client_errors", r.ClientErrors}, {"errors", r.Errors},
 		{"dropped", r.Dropped},
-		{"coalesce_hits", r.CoalesceHits}, {"warm_hits", r.WarmHits},
+		{"warm_hits", r.WarmHits},
 		{"retries", r.Retries}, {"failovers", r.Failovers},
 	} {
 		if c.v < 0 {
@@ -344,9 +343,6 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 			switch {
 			case res.Status == http.StatusOK:
 				rep.OK++
-				if res.Header.Get(HeaderCoalesced) != "" {
-					rep.CoalesceHits++
-				}
 				if res.Header.Get(HeaderWarm) != "" {
 					rep.WarmHits++
 				}

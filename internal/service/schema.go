@@ -10,12 +10,10 @@ import (
 )
 
 // Schema identifiers. A response carries ResponseSchema so clients can
-// reject payloads from a future incompatible server; warm-start blobs
-// carry ResultSchema inside the ckpt entry.
+// reject payloads from a future incompatible server.
 const (
 	RequestSchema  = "synts-solve-req/v1"
 	ResponseSchema = "synts-solve/v1"
-	ResultSchema   = "synts-solve-result/v1"
 )
 
 // MaxCores bounds the per-request core count; the paper's platform is a
@@ -62,17 +60,14 @@ type CoreResult struct {
 }
 
 // solveResult is the request-independent part of an answer: a pure
-// function of (stage, theta, cores). It is what the coalescer shares
-// between identical in-flight requests and what the warm cache persists;
-// the response envelope (id, tenant, seq) is rebuilt per request so
-// coalescing and warm starts can never leak one tenant's identity into
-// another's body.
+// function of (stage, theta, cores). It is what the warm cache keeps; the
+// response envelope (id, tenant, seq) is rebuilt per request so a warm
+// start can never leak one tenant's identity into another's body.
 type solveResult struct {
-	Schema string       `json:"schema"`
-	Cores  []CoreResult `json:"cores"`
-	Energy float64      `json:"energy"`
-	TExec  float64      `json:"t_exec"`
-	Cost   float64      `json:"cost"`
+	Cores  []CoreResult
+	Energy float64
+	TExec  float64
+	Cost   float64
 }
 
 // SolveResponse is one /v1/solve 200 body.
@@ -92,10 +87,12 @@ type SolveResponse struct {
 // Response headers the service sets so clients (and the load generator)
 // can observe cache behaviour without it ever entering the body. The shed
 // header is shared fleet-wide (router and client key on it too), so its
-// definition lives in internal/fleet and is aliased here.
+// definition lives in internal/fleet and is aliased here. No daemon sets
+// HeaderCoalesced, since concurrent copies of one payload each solve; the
+// benchmark's load client still reads it.
 const (
-	HeaderCoalesced  = "X-Synts-Coalesced" // "1": shared an in-flight solve
-	HeaderWarm       = "X-Synts-Warm"      // "1": served from the warm-start cache
+	HeaderCoalesced  = "X-Synts-Coalesced"
+	HeaderWarm       = "X-Synts-Warm" // "1": served from the warm-start cache
 	HeaderShedReason = fleet.HeaderShedReason
 )
 
@@ -145,7 +142,7 @@ func (d *digester) u64(v uint64) {
 func (d *digester) f64(v float64) { d.u64(math.Float64bits(v)) }
 
 // payloadDigest fingerprints the solve payload only (stage, theta,
-// curves) — the coalesce and warm-start key: two requests with equal
+// curves) — the warm-start and shard key: two requests with equal
 // payload digests have byte-identical solveResults.
 func payloadDigest(r *SolveRequest) uint64 {
 	d := newDigester()
@@ -174,8 +171,8 @@ func requestDigest(r *SolveRequest) uint64 {
 	return d.h
 }
 
-// DigestID formats a digest the way responses and warm-store entries
-// name it: 16 lowercase hex digits.
+// DigestID formats a digest the way responses name it: 16 lowercase hex
+// digits.
 func DigestID(d uint64) string { return fmt.Sprintf("%016x", d) }
 
 // validate screens a request against the platform (one solver config per

@@ -7,19 +7,17 @@
 // attribution.
 //
 // The request path is: admit (drain gate + per-request chaos hooks) →
-// coalesce (identical in-flight payloads share one solve, via
-// internal/flight) → warm-start (completed payloads served from an
-// internal/ckpt-backed cache) → shard (payload-keyed dispatch onto
-// bounded per-shard queues; a full queue sheds the request with 429) →
-// solve (guard-band screening, then SolvePoly under pool.Run) →
-// respond. Every stage is observable: RED metrics, queue-depth /
-// shed / coalesce / warm-start series and a latency histogram through
-// internal/obs, synts-trace/v1 request/queue/solve spans for traced
-// callers while the trace collector is on, and — while the ledger
-// records — telemetry events (estimate/decision/barrier per solve,
-// fallback for guard rejections and chaos drops, shed for admission
-// rejections) in the same canonical synts-events/v1 ledger as the batch
-// experiments.
+// warm-start (payloads already answered are served from a bounded
+// in-memory cache) → shard (payload-keyed dispatch onto bounded per-shard
+// queues; a full queue sheds the request with 429) → solve (guard-band
+// screening, then SolvePoly under pool.Run) → respond. Every stage is
+// observable: RED metrics, queue-depth / shed / warm-start series and a
+// latency histogram through internal/obs, synts-trace/v1
+// request/queue/solve spans for traced callers while the trace collector
+// is on, and — while the ledger records — telemetry events
+// (estimate/decision/barrier per solve, fallback for guard rejections and
+// chaos drops, shed for admission rejections) in the same canonical
+// synts-events/v1 ledger as the batch experiments.
 package service
 
 import (
@@ -36,12 +34,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"synts/internal/ckpt"
 	"synts/internal/core"
 	"synts/internal/exp"
 	"synts/internal/faults"
 	"synts/internal/fleet"
-	"synts/internal/flight"
 	"synts/internal/obs"
 	"synts/internal/pool"
 	"synts/internal/telemetry"
@@ -69,32 +65,14 @@ type Config struct {
 	// When a shard's queue is full new requests shed with 429 — explicit
 	// backpressure instead of collapse.
 	QueueLen int
-	// WarmDir optionally persists the warm-start cache through an
-	// internal/ckpt store in this directory.
-	WarmDir string
 	// WarmCap bounds the in-memory warm cache; <= 0 means 4096 entries.
 	WarmCap int
 }
 
-// outcome is what coalesced requests share: the solve result plus how the
-// winning caller obtained it. For a fresh solve the shard timing rides
-// along so the winning request can report queue/solve time (headers and
-// trace spans); followers and warm hits report zero — their cost is
-// waiting on the shared result, which the breakdown attributes to
-// daemon-queue.
-type outcome struct {
-	res   *solveResult
-	warm  bool // served from the warm-start cache, no fresh solve
-	fresh bool // this outcome's winner paid a shard solve
-	// enq/started/finished bound the fresh solve's shard queue wait
-	// (enq → started) and worker solve (started → finished).
-	enq      time.Time
-	started  time.Time
-	finished time.Time
-}
-
 // job is one queued unit of shard work. run is a closure (rather than the
-// request itself) so tests can occupy a shard deterministically.
+// request itself) so tests can occupy a shard deterministically. Its
+// timestamps bound the shard queue wait (enq → started) and the worker
+// solve (started → finished) that a fresh answer reports.
 type job struct {
 	run      func() *solveResult
 	res      *solveResult
@@ -115,15 +93,13 @@ type shard struct {
 type Service struct {
 	cfg    Config
 	stages map[string]*core.Config
-	levels int
 	tsrs   []float64
 	guard  core.GuardPolicy
 
 	shards   []*shard
 	workerWg sync.WaitGroup
 
-	inflight flight.Memo[uint64, *outcome]
-	warm     *warmCache
+	warm *warmCache
 
 	admitMu  sync.RWMutex
 	draining atomic.Bool
@@ -132,7 +108,7 @@ type Service struct {
 
 // New builds the platform configs (one solver Config per pipe stage, the
 // paper's voltage table with each stage's STA critical path), opens the
-// warm-start layer, and starts the shard workers.
+// warm-start cache, and starts the shard workers.
 func New(cfg Config) (*Service, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
@@ -145,23 +121,14 @@ func New(cfg Config) (*Service, error) {
 		cfg:    cfg,
 		stages: make(map[string]*core.Config),
 		tsrs:   exp.TSRs(),
+		warm:   newWarmCache(cfg.WarmCap),
 	}
-	s.levels = len(s.tsrs)
 	for _, st := range trace.Stages() {
 		c := exp.Platform(st, opts)
 		if err := c.Validate(); err != nil {
 			return nil, fmt.Errorf("service: stage %s platform: %w", st, err)
 		}
 		s.stages[st.String()] = c
-	}
-	platform := s.stages[trace.Stages()[0].String()]
-	warm, err := newWarmCache(cfg.WarmDir, cfg.WarmCap, s.gridKey(), len(platform.Voltages), s.levels)
-	if err != nil {
-		return nil, fmt.Errorf("service: warm dir: %w", err)
-	}
-	s.warm = warm
-	if n := warm.persisted(); n > 0 {
-		obs.G("service.warm.persisted").Set(float64(n))
 	}
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
@@ -174,35 +141,6 @@ func New(cfg Config) (*Service, error) {
 		go s.runShard(sh)
 	}
 	return s, nil
-}
-
-// gridKey fingerprints the solver platform for the warm-start store: a
-// warm dir written under different voltage/TSR tables, stage timings or
-// penalty must be ignored, because payload digests would then map to
-// different answers.
-func (s *Service) gridKey() ckpt.Key {
-	d := newDigester()
-	for _, st := range trace.Stages() {
-		c := s.stages[st.String()]
-		d.str(st.String())
-		d.f64(c.CPenalty)
-		d.f64(c.Alpha)
-		d.f64(c.Leakage)
-		for _, v := range c.Voltages {
-			d.f64(v)
-			d.f64(c.TNom(v))
-		}
-		for _, r := range c.TSRs {
-			d.f64(r)
-		}
-	}
-	anyCfg := s.stages[trace.Stages()[0].String()]
-	return ckpt.Key{
-		Size:      len(anyCfg.Voltages),
-		Seed:      int64(d.h),
-		Threads:   MaxCores,
-		Intervals: s.levels,
-	}
 }
 
 // Register mounts the service endpoints on mux: POST /v1/solve, plus
@@ -276,8 +214,7 @@ func (s *Service) runShard(sh *shard) {
 // (guard-band screening, SolvePoly over the admitted curves, fallback
 // cores pinned to nominal), then per-core attribution via Breakdown.
 // Identical payloads produce byte-identical results at any shard count,
-// which is what makes coalescing, warm-starting and the determinism
-// contract sound.
+// which is what makes warm-starting and the determinism contract sound.
 func (s *Service) solve(r *SolveRequest) *solveResult {
 	cfg := s.stages[r.Stage]
 	m := len(r.Cores)
@@ -301,7 +238,6 @@ func (s *Service) solve(r *SolveRequest) *solveResult {
 		}
 	}
 	return &solveResult{
-		Schema: ResultSchema,
 		Cores:  cores,
 		Energy: mtr.Energy,
 		TExec:  mtr.TExec,
@@ -369,7 +305,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// process runs one validated request through admit → coalesce → shard →
+// process runs one validated request through admit → warm-start → shard →
 // solve → respond and returns the HTTP status it wrote. tc is the parsed
 // incoming trace context (zero for untraced callers); every exit stamps
 // X-Synts-Server-Ns so clients can attribute latency without tracing,
@@ -378,10 +314,10 @@ func (s *Service) handleSolve(w http.ResponseWriter, req *http.Request) {
 func (s *Service) process(r *SolveRequest, w http.ResponseWriter, tc fleet.TraceCtx, start time.Time) int {
 	trace := tc.TraceHex()
 	detail := "error"
-	var traceOut *outcome
+	var fresh *job // the shard solve that answered, nil for a warm hit
 	if tc.Valid() && obs.TraceEnabled() {
 		defer func() {
-			s.recordTraceSpans(tc, start, time.Now(), detail, traceOut)
+			s.recordTraceSpans(tc, start, time.Now(), detail, fresh)
 		}()
 	}
 	if !s.admit() {
@@ -413,44 +349,30 @@ func (s *Service) process(r *SolveRequest, w http.ResponseWriter, tc fleet.Trace
 	}
 
 	key := payloadDigest(r)
-	out, err, kind := s.inflight.Do(key, func() (*outcome, error) {
-		if cached, ok := s.warm.get(key, len(r.Cores)); ok {
-			obs.C("service.warm.hit").Add(1)
-			return &outcome{res: cached, warm: true}, nil
-		}
+	res, warm := s.warm.get(key)
+	if warm {
+		obs.C("service.warm.hit").Add(1)
+	} else {
 		obs.C("service.warm.miss").Add(1)
 		jb, err := s.dispatch(key, r, delay)
-		if err != nil {
-			return nil, err
-		}
-		s.warm.put(key, jb.res)
-		return &outcome{
-			res: jb.res, fresh: true,
-			enq: jb.enq, started: jb.started, finished: jb.finished,
-		}, nil
-	})
-	if kind == flight.Miss {
-		// Coalesce in-flight work only: the entry is forgotten once the
-		// shared solve completes; repeats hit the warm cache instead.
-		s.inflight.Forget(key)
-	} else {
-		obs.C("service.coalesce.hit").Add(1)
-	}
-	if err != nil {
 		if errors.Is(err, errQueueFull) {
 			detail = "shed:" + ShedQueueFull
 			return s.shed(r, w, trace, start, ShedQueueFull, http.StatusTooManyRequests)
 		}
-		obs.C("service.solve.errors").Add(1)
-		// The error may carry a recovered panic's stack: it is for the
-		// operator's log, not the client's body.
-		log.Printf("service: solve %s failed: %v", DigestID(reqDig), err)
-		stampServerNs(w, start)
-		http.Error(w, "solve failed: internal error", http.StatusInternalServerError)
-		return http.StatusInternalServerError
+		if err != nil {
+			obs.C("service.solve.errors").Add(1)
+			// The error may carry a recovered panic's stack: it is for the
+			// operator's log, not the client's body.
+			log.Printf("service: solve %s failed: %v", DigestID(reqDig), err)
+			stampServerNs(w, start)
+			http.Error(w, "solve failed: internal error", http.StatusInternalServerError)
+			return http.StatusInternalServerError
+		}
+		fresh, res = jb, jb.res
+		s.warm.put(key, res)
 	}
 
-	s.recordSolve(r, out.res, trace)
+	s.recordSolve(r, res, trace)
 	resp := SolveResponse{
 		Schema: ResponseSchema,
 		ID:     DigestID(reqDig),
@@ -458,35 +380,25 @@ func (s *Service) process(r *SolveRequest, w http.ResponseWriter, tc fleet.Trace
 		Seq:    r.Seq,
 		Stage:  r.Stage,
 		Theta:  r.Theta,
-		Cores:  out.res.Cores,
-		Energy: out.res.Energy,
-		TExec:  out.res.TExec,
-		Cost:   out.res.Cost,
+		Cores:  res.Cores,
+		Energy: res.Energy,
+		TExec:  res.TExec,
+		Cost:   res.Cost,
 	}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(&resp); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return http.StatusInternalServerError
 	}
-	switch {
-	case kind != flight.Miss:
-		detail = "coalesced"
-		w.Header().Set(HeaderCoalesced, "1")
-	case out.warm:
+	if warm {
 		detail = "warm"
-	default:
-		detail = "ok"
-	}
-	if out.warm {
 		w.Header().Set(HeaderWarm, "1")
-	}
-	if kind == flight.Miss && out.fresh {
-		// Only the winner that paid the shard solve reports queue/solve
-		// time (and records the queue/solve trace spans): followers and
-		// warm hits paid a wait, not a solve.
-		traceOut = out
-		w.Header().Set(fleet.HeaderQueueNs, strconv.FormatInt(out.started.Sub(out.enq).Nanoseconds(), 10))
-		w.Header().Set(fleet.HeaderSolveNs, strconv.FormatInt(out.finished.Sub(out.started).Nanoseconds(), 10))
+	} else {
+		// Only a fresh answer reports queue/solve time (and records the
+		// queue/solve trace spans): a warm hit paid no solve.
+		detail = "ok"
+		w.Header().Set(fleet.HeaderQueueNs, strconv.FormatInt(fresh.started.Sub(fresh.enq).Nanoseconds(), 10))
+		w.Header().Set(fleet.HeaderSolveNs, strconv.FormatInt(fresh.finished.Sub(fresh.started).Nanoseconds(), 10))
 	}
 	stampServerNs(w, start)
 	w.Header().Set("Content-Type", "application/json")
@@ -503,9 +415,9 @@ func stampServerNs(w http.ResponseWriter, start time.Time) {
 
 // recordTraceSpans records the request's trace spans at exit: one
 // service.request span (kind = how the hop arrived), plus service.queue
-// and service.solve children when this request's winner paid a fresh
-// shard solve.
-func (s *Service) recordTraceSpans(tc fleet.TraceCtx, start, end time.Time, detail string, out *outcome) {
+// and service.solve children when the request paid a fresh shard solve
+// (fresh is non-nil).
+func (s *Service) recordTraceSpans(tc fleet.TraceCtx, start, end time.Time, detail string, fresh *job) {
 	trace := tc.TraceHex()
 	parent := ""
 	if tc.Parent != 0 {
@@ -516,17 +428,17 @@ func (s *Service) recordTraceSpans(tc fleet.TraceCtx, start, end time.Time, deta
 		Trace: trace, Span: obs.TraceHex(reqID), Parent: parent,
 		Name: obs.TSServiceRequest, Kind: tc.Hop, Detail: detail,
 	}, start, end)
-	if out == nil || !out.fresh {
+	if fresh == nil {
 		return
 	}
 	obs.TraceRecord(obs.TraceSpan{
 		Trace: trace, Span: obs.TraceHex(obs.TraceDerive(tc.Trace, reqID, obs.TSServiceQueue, 0)),
 		Parent: obs.TraceHex(reqID), Name: obs.TSServiceQueue, Kind: obs.HopQueue,
-	}, out.enq, out.started)
+	}, fresh.enq, fresh.started)
 	obs.TraceRecord(obs.TraceSpan{
 		Trace: trace, Span: obs.TraceHex(obs.TraceDerive(tc.Trace, reqID, obs.TSServiceSolve, 0)),
 		Parent: obs.TraceHex(reqID), Name: obs.TSServiceSolve, Kind: obs.HopSolve,
-	}, out.started, out.finished)
+	}, fresh.started, fresh.finished)
 }
 
 // shed rejects one request before solving: explicit status, a reason
@@ -583,8 +495,8 @@ func (s *Service) recordFallback(r *SolveRequest, coreIdx int, reason, trace str
 // and one barrier event. Events are derived from (request, result) only —
 // never from scheduling — so the ledger multiset is identical at any
 // shard count and the canonical sort makes the bytes identical too.
-// Coalesced and warm-started requests emit the same events a fresh solve
-// would: the ledger records intent served, not solver invocations.
+// Warm-started requests emit the same events a fresh solve would: the
+// ledger records intent served, not solver invocations.
 // trace (a pure function of the request body) rides on the fallback
 // events only — the traceable kinds — keeping the rest of the multiset
 // identical with tracing on or off for distinct requests.

@@ -236,7 +236,7 @@ func TestGuardFallback(t *testing.T) {
 	if c.Fallback == "" {
 		t.Fatalf("core 0 should have fallen back: %+v", c)
 	}
-	if c.VIdx != 0 || c.RIdx != svc.levels-1 {
+	if c.VIdx != 0 || c.RIdx != len(svc.tsrs)-1 {
 		t.Errorf("fallback core not pinned to nominal: %+v", c)
 	}
 	if sr.Cores[1].Fallback != "" {
@@ -271,82 +271,90 @@ func TestWarmStartRepeat(t *testing.T) {
 	}
 }
 
-// A warm dir shared between two service instances carries solves across
-// restarts: the second instance answers a payload the first solved with a
-// warm hit on its very first request.
-func TestWarmStartPersistsAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
-	req := validRequest("barnes", 0)
+// Concurrent copies of one payload are not coalesced: each solves on the
+// shard they share and answers the same bytes, the warm cache keeps one
+// entry, and the ledger records every request. The only worker is held
+// until every copy is queued, so none of them can be a warm hit.
+func TestConcurrentCopiesOfOnePayload(t *testing.T) {
+	telemetry.Enable()
+	defer telemetry.Disable()
+	const n = 8
+	svc, srv := newTestService(t, Config{Shards: 1, QueueLen: n})
 
-	svc1, err := New(Config{Shards: 1, QueueLen: 4, WarmDir: dir})
+	block := make(chan struct{})
+	running := make(chan struct{})
+	busy := &job{run: func() *solveResult { close(running); <-block; return nil }, done: make(chan struct{})}
+	svc.shards[0].jobs <- busy
+	<-running
+
+	req := validRequest("lu", 4)
+	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux1 := http.NewServeMux()
-	svc1.Register(mux1)
-	srv1 := httptest.NewServer(mux1)
-	s1 := decodeSolve(t, postSolve(t, srv1.URL, req))
-	srv1.Close()
-	svc1.Drain()
-	svc1.Close()
-
-	_, srv2 := newTestService(t, Config{Shards: 1, QueueLen: 4, WarmDir: dir})
-	r2 := postSolve(t, srv2.URL, req)
-	if r2.Header.Get(HeaderWarm) != "1" {
-		t.Errorf("restarted service missed the persisted warm entry")
+	type answer struct {
+		status int
+		warm   string
+		body   []byte
 	}
-	s2 := decodeSolve(t, r2)
-	if s1.Energy != s2.Energy || s1.TExec != s2.TExec || len(s1.Cores) != len(s2.Cores) {
-		t.Errorf("persisted solve differs: %+v vs %+v", s1, s2)
+	answers := make(chan answer, n)
+	for range n {
+		go func() {
+			resp, err := http.Post(srv.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				answers <- answer{}
+				return
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			answers <- answer{resp.StatusCode, resp.Header.Get(HeaderWarm), raw}
+		}()
 	}
-}
-
-// Coalescing, deterministically: the test itself holds the in-flight
-// entry for a payload, so the HTTP request is guaranteed to join it as a
-// waiter and must come back marked coalesced with the held result.
-func TestCoalesceJoinsInFlightSolve(t *testing.T) {
-	svc, srv := newTestService(t, Config{Shards: 1, QueueLen: 4})
-	req := validRequest("water-sp", 7)
-	key := payloadDigest(req)
-	want := svc.solve(req)
-
-	hold := make(chan struct{})
-	started := make(chan struct{})
-	go svc.inflight.Do(key, func() (*outcome, error) {
-		close(started)
-		<-hold
-		return &outcome{res: want}, nil
-	})
-	<-started
-
-	done := make(chan *http.Response, 1)
-	go func() {
-		body, _ := json.Marshal(req)
-		resp, err := http.Post(srv.URL+"/v1/solve", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Error(err)
-			close(done)
-			return
+	for deadline := time.Now().Add(10 * time.Second); len(svc.shards[0].jobs) < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(block)
+			t.Fatalf("%d of %d copies queued on the shard", len(svc.shards[0].jobs), n)
 		}
-		done <- resp
-	}()
-	// The request must be blocked on the shared call, not answered.
-	select {
-	case <-done:
-		t.Fatal("request completed while its solve was still held")
-	case <-time.After(50 * time.Millisecond):
 	}
-	close(hold)
-	resp := <-done
-	if resp == nil {
-		t.Fatal("request failed")
+	close(block)
+
+	var first []byte
+	for i := range n {
+		a := <-answers
+		if a.status != http.StatusOK {
+			t.Fatalf("copy %d: status %d, body %s", i, a.status, a.body)
+		}
+		if a.warm != "" {
+			t.Errorf("copy %d answered warm, but every copy was queued before any solved", i)
+		}
+		if first == nil {
+			first = a.body
+		} else if !bytes.Equal(a.body, first) {
+			t.Errorf("copy %d body differs:\n%s\nvs\n%s", i, a.body, first)
+		}
 	}
-	if resp.Header.Get(HeaderCoalesced) != "1" {
-		t.Errorf("missing %s header", HeaderCoalesced)
+	svc.warm.mu.Lock()
+	entries := len(svc.warm.m)
+	svc.warm.mu.Unlock()
+	if entries != 1 {
+		t.Errorf("%d warm entries, want 1", entries)
 	}
-	sr := decodeSolve(t, resp)
-	if sr.Energy != want.Energy || sr.TExec != want.TExec {
-		t.Errorf("coalesced response differs from the shared solve")
+	// Each answer records one estimate per (core, rate), one decision per
+	// core and one barrier.
+	perRequest := len(req.Cores)*(len(req.Cores[0].Rates)+1) + 1
+	events := telemetry.Events()
+	barriers := 0
+	for _, e := range events {
+		if e.Kind == telemetry.KindBarrier {
+			barriers++
+		}
+	}
+	if barriers != n || len(events) != n*perRequest {
+		t.Errorf("ledger holds %d events with %d barriers, want %d with %d", len(events), barriers, n*perRequest, n)
 	}
 }
 
@@ -676,6 +684,6 @@ func TestGenStreamDeterministicAndValid(t *testing.T) {
 		seen[key] = true
 	}
 	if repeated == 0 {
-		t.Errorf("stream has no repeated payloads; coalesce/warm paths never exercised")
+		t.Errorf("stream has no repeated payloads; the warm path is never exercised")
 	}
 }

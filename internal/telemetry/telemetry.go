@@ -236,11 +236,11 @@ type header struct {
 	Schema string `json:"schema"`
 }
 
-// sortEvents orders events canonically: by experiment coordinates first,
-// with the serialised line as the final tiebreak, so any two runs that
-// record the same multiset of events (e.g. -j 1 vs -j 4) serialise to
-// byte-identical ledgers.
-func sortEvents(events []Event, lines [][]byte) {
+// canonicalOrder returns the indices of events in canonical order: by
+// experiment coordinates first, with the serialised line as the final
+// tiebreak, so any two runs that record the same multiset of events (e.g.
+// -j 1 vs -j 4) serialise to byte-identical ledgers.
+func canonicalOrder(events []Event, lines [][]byte) []int {
 	idx := make([]int, len(events))
 	for i := range idx {
 		idx[i] = i
@@ -269,13 +269,7 @@ func sortEvents(events []Event, lines [][]byte) {
 		}
 	}
 	sort.SliceStable(idx, func(i, j int) bool { return less(idx[i], idx[j]) })
-	se := make([]Event, len(events))
-	sl := make([][]byte, len(lines))
-	for to, from := range idx {
-		se[to], sl[to] = events[from], lines[from]
-	}
-	copy(events, se)
-	copy(lines, sl)
+	return idx
 }
 
 // WriteJSONL writes the schema header plus one canonical-ordered JSON
@@ -283,15 +277,13 @@ func sortEvents(events []Event, lines [][]byte) {
 // no timestamps, no map iteration, shortest-round-trip float encoding.
 func WriteJSONL(w io.Writer, events []Event) error {
 	lines := make([][]byte, len(events))
-	evs := append([]Event(nil), events...)
-	for i := range evs {
-		b, err := json.Marshal(&evs[i])
+	for i := range events {
+		b, err := json.Marshal(&events[i])
 		if err != nil {
 			return err
 		}
 		lines[i] = b
 	}
-	sortEvents(evs, lines)
 	bw := bufio.NewWriter(w)
 	hb, err := json.Marshal(header{Schema: SchemaVersion})
 	if err != nil {
@@ -299,8 +291,8 @@ func WriteJSONL(w io.Writer, events []Event) error {
 	}
 	bw.Write(hb)
 	bw.WriteByte('\n')
-	for _, line := range lines {
-		bw.Write(line)
+	for _, i := range canonicalOrder(events, lines) {
+		bw.Write(lines[i])
 		bw.WriteByte('\n')
 	}
 	return bw.Flush()
@@ -311,11 +303,17 @@ func WriteJSONL(w io.Writer, events []Event) error {
 // events the cap dropped are not in it, so when there are any, one line
 // on warn, under the who prefix, says how many.
 func WriteLedger(w io.Writer, who string, warn io.Writer) error {
-	if err := WriteJSONL(w, Events()); err != nil {
+	// Record only appends and Reset only drops the slice, so the events
+	// in hand never change after the lock is released: they are written
+	// without a copy.
+	defaultLedger.mu.Lock()
+	events, dropped := defaultLedger.events, defaultLedger.dropped
+	defaultLedger.mu.Unlock()
+	if err := WriteJSONL(w, events); err != nil {
 		return err
 	}
-	if n := Dropped(); n > 0 {
-		fmt.Fprintf(warn, "%s: the ledger is partial: %d event(s) past its %d-event cap were dropped\n", who, n, defaultLedger.limit())
+	if dropped > 0 {
+		fmt.Fprintf(warn, "%s: the ledger is partial: %d event(s) past its %d-event cap were dropped\n", who, dropped, defaultLedger.limit())
 	}
 	return nil
 }

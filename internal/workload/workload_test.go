@@ -191,7 +191,7 @@ func TestAllKernelsRun(t *testing.T) {
 						t.Fatalf("thread %d interval %d: cap %d, len %d", s.Thread, ii, cap(iv), len(iv))
 					}
 					for _, in := range iv {
-						if !in.Op.Valid() {
+						if int(in.Op) >= isa.NumOps {
 							t.Fatalf("invalid op %d", in.Op)
 						}
 					}
