@@ -39,25 +39,38 @@ type Program struct {
 	Insts []VInst
 }
 
-// vecBuilder accumulates a Program from per-lane fixed-point helpers.
+// vecBuilder records a generator's vector instructions. ProgramByName runs
+// a generator twice: a counting pass (insts nil) only counts its
+// instructions, and a recording pass writes them into a slice of exactly
+// that length.
 type vecBuilder struct {
-	prog Program
+	insts []VInst
+	n     int
 }
 
 func (vb *vecBuilder) emit(op isa.Op, a, b [LaneCount]uint32) [LaneCount]uint32 {
-	vb.prog.Insts = append(vb.prog.Insts, VInst{Op: op, A: a, B: b})
+	if vb.n < len(vb.insts) {
+		vb.insts[vb.n] = VInst{Op: op, A: a, B: b}
+	}
+	vb.n++
 	var out [LaneCount]uint32
 	for l := 0; l < LaneCount; l++ {
-		switch op.Class() {
-		case isa.ClassSimple:
-			out[l] = isa.ALUResult(op, a[l], b[l])
-		case isa.ClassComplex:
-			out[l] = uint32(uint64(a[l]) * uint64(b[l]))
-		default:
-			out[l] = a[l]
-		}
+		out[l] = laneResult(op, a[l], b[l])
 	}
 	return out
+}
+
+// laneResult is one lane's output of op: the SimpleALU result, the low
+// word of a ComplexALU product, or the first operand of any other op.
+func laneResult(op isa.Op, a, b uint32) uint32 {
+	switch op.Class() {
+	case isa.ClassSimple:
+		return isa.ALUResult(op, a, b)
+	case isa.ClassComplex:
+		return uint32(uint64(a) * uint64(b))
+	default:
+		return a
+	}
 }
 
 type vec = [LaneCount]uint32
@@ -73,12 +86,13 @@ func qv(f func(l int) fixedpoint.Q) vec {
 func (vb *vecBuilder) qop(op isa.Op, a, b vec) vec { return vb.emit(op, a, b) }
 
 // catalog lists the benchmark set of §5.5. Each generator seeds its own
-// rand source from seed+k, and n is the iteration count (the thesis
-// analyses 16k instructions per VALU). Adjacent lanes process adjacent
-// work-items, the source of the homogeneity.
+// rand source from seed+k, so it emits the same instructions on every
+// call, and n is the iteration count (the thesis analyses 16k
+// instructions per VALU). Adjacent lanes process adjacent work-items, the
+// source of the homogeneity.
 var catalog = []struct {
 	name string
-	gen  func(n int, seed int64) Program
+	gen  func(vb *vecBuilder, n int, seed int64)
 }{
 	{"BlackScholes", blackScholes},
 	{"MatrixMult", matrixMult},
@@ -91,20 +105,24 @@ var catalog = []struct {
 	{"X264", x264},
 }
 
-// ProgramByName generates the named program of the catalog.
+// ProgramByName generates the named program of the catalog into one
+// exactly sized slice: a counting pass of its generator sizes it.
 func ProgramByName(name string, n int, seed int64) (Program, error) {
 	for _, c := range catalog {
 		if c.name == name {
-			return c.gen(n, seed), nil
+			count := &vecBuilder{}
+			c.gen(count, n, seed)
+			rec := &vecBuilder{insts: make([]VInst, count.n)}
+			c.gen(rec, n, seed)
+			return Program{Name: name, Insts: rec.insts}, nil
 		}
 	}
 	return Program{}, fmt.Errorf("gpgpu: unknown program %q", name)
 }
 
 // blackScholes prices adjacent strikes per lane: mul/div-heavy.
-func blackScholes(n int, seed int64) Program {
+func blackScholes(vb *vecBuilder, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	vb := &vecBuilder{prog: Program{Name: "BlackScholes"}}
 	for i := 0; i < n; i++ {
 		// Adjacent work-items price adjacent options: same distribution,
 		// slightly different draws per lane.
@@ -117,13 +135,11 @@ func blackScholes(n int, seed int64) Program {
 		vb.qop(isa.SHR, d2, allLanes(16))
 		vb.qop(isa.ADD, d, strike)
 	}
-	return vb.prog
 }
 
 // matrixMult computes adjacent output elements as MAC chains.
-func matrixMult(n int, seed int64) Program {
+func matrixMult(vb *vecBuilder, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed + 1))
-	vb := &vecBuilder{prog: Program{Name: "MatrixMult"}}
 	var acc vec
 	for i := 0; i < n; i++ {
 		a := qv(func(l int) fixedpoint.Q { return fixedpoint.FromFloat(rng.Float64()*4 - 2) })
@@ -131,13 +147,11 @@ func matrixMult(n int, seed int64) Program {
 		p := vb.qop(isa.MUL, a, b)
 		acc = vb.qop(isa.ADD, acc, p)
 	}
-	return vb.prog
 }
 
 // binarySearch: adjacent keys, compare-and-halve index arithmetic.
-func binarySearch(n int, seed int64) Program {
+func binarySearch(vb *vecBuilder, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed + 2))
-	vb := &vecBuilder{prog: Program{Name: "BinarySearch"}}
 	var lo, hi vec
 	for l := range hi {
 		hi[l] = 1 << 20
@@ -158,13 +172,11 @@ func binarySearch(n int, seed int64) Program {
 			}
 		}
 	}
-	return vb.prog
 }
 
 // fftG: butterfly arithmetic on adjacent bins.
-func fftG(n int, seed int64) Program {
+func fftG(vb *vecBuilder, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed + 3))
-	vb := &vecBuilder{prog: Program{Name: "FFT"}}
 	for i := 0; i < n; i++ {
 		// Fresh full-scale bins each butterfly: lock-step lanes over
 		// identically distributed data.
@@ -176,13 +188,11 @@ func fftG(n int, seed int64) Program {
 		vb.qop(isa.ADD, re, ti)
 		vb.qop(isa.SUB, im, tr)
 	}
-	return vb.prog
 }
 
 // eigenValue: power-iteration style normalize-and-multiply.
-func eigenValue(n int, seed int64) Program {
+func eigenValue(vb *vecBuilder, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed + 4))
-	vb := &vecBuilder{prog: Program{Name: "EigenValue"}}
 	x := qv(func(l int) fixedpoint.Q { return fixedpoint.FromFloat(1 + rng.Float64()*0.1) })
 	for i := 0; i < n; i++ {
 		a := qv(func(l int) fixedpoint.Q { return fixedpoint.FromFloat(rng.Float64() + 0.5) })
@@ -190,13 +200,11 @@ func eigenValue(n int, seed int64) Program {
 		s := vb.qop(isa.SHR, y, allLanes(8))
 		x = vb.qop(isa.OR, s, allLanes(1))
 	}
-	return vb.prog
 }
 
 // streamCluster: distance computations to adjacent cluster centres.
-func streamCluster(n int, seed int64) Program {
+func streamCluster(vb *vecBuilder, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed + 5))
-	vb := &vecBuilder{prog: Program{Name: "StreamCluster"}}
 	for i := 0; i < n; i++ {
 		p := qv(func(l int) fixedpoint.Q { return fixedpoint.FromFloat(rng.Float64() * 50) })
 		c := qv(func(l int) fixedpoint.Q { return fixedpoint.FromFloat(25 + rng.Float64()*2) })
@@ -204,13 +212,11 @@ func streamCluster(n int, seed int64) Program {
 		d2 := vb.qop(isa.MUL, d, d)
 		vb.qop(isa.ADD, d2, d)
 	}
-	return vb.prog
 }
 
 // raytraceG: packetised ray-sphere discriminants — adjacent rays per lane.
-func raytraceG(n int, seed int64) Program {
+func raytraceG(vb *vecBuilder, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed + 6))
-	vb := &vecBuilder{prog: Program{Name: "Raytrace"}}
 	for i := 0; i < n; i++ {
 		dx := qv(func(l int) fixedpoint.Q { return fixedpoint.FromFloat(rng.Float64()*8 - 4) })
 		dy := qv(func(l int) fixedpoint.Q { return fixedpoint.FromFloat(rng.Float64()*8 - 4) })
@@ -221,13 +227,11 @@ func raytraceG(n int, seed int64) Program {
 		s := vb.qop(isa.ADD, d2, e2)
 		vb.qop(isa.SUB, dc, s) // discriminant core
 	}
-	return vb.prog
 }
 
 // swaptions: discounted cash-flow accumulation per lane.
-func swaptions(n int, seed int64) Program {
+func swaptions(vb *vecBuilder, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed + 7))
-	vb := &vecBuilder{prog: Program{Name: "Swaptions"}}
 	var acc vec
 	for i := 0; i < n; i++ {
 		rate := qv(func(l int) fixedpoint.Q { return fixedpoint.FromFloat(0.97 + rng.Float64()*0.02) })
@@ -238,13 +242,11 @@ func swaptions(n int, seed int64) Program {
 			acc = vb.qop(isa.SHR, acc, allLanes(4)) // renormalise
 		}
 	}
-	return vb.prog
 }
 
 // x264: sum-of-absolute-differences motion estimation per lane.
-func x264(n int, seed int64) Program {
+func x264(vb *vecBuilder, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed + 8))
-	vb := &vecBuilder{prog: Program{Name: "X264"}}
 	var sad vec
 	for i := 0; i < n; i++ {
 		// 8-bit pixel blocks: narrow operands, like real SAD kernels.
@@ -265,7 +267,6 @@ func x264(n int, seed int64) Program {
 			sad = vb.qop(isa.AND, sad, allLanes(0xFFFF)) // block boundary
 		}
 	}
-	return vb.prog
 }
 
 func allLanes(v uint32) vec {
@@ -276,36 +277,23 @@ func allLanes(v uint32) vec {
 	return out
 }
 
-// LaneOutputs executes the program and returns each lane's result stream.
-func LaneOutputs(p Program) [LaneCount][]uint32 {
-	var out [LaneCount][]uint32
-	for l := 0; l < LaneCount; l++ {
-		out[l] = make([]uint32, 0, len(p.Insts))
-	}
-	for _, vi := range p.Insts {
-		for l := 0; l < LaneCount; l++ {
-			var r uint32
-			switch vi.Op.Class() {
-			case isa.ClassSimple:
-				r = isa.ALUResult(vi.Op, vi.A[l], vi.B[l])
-			case isa.ClassComplex:
-				r = uint32(uint64(vi.A[l]) * uint64(vi.B[l]))
-			default:
-				r = vi.A[l]
-			}
-			out[l] = append(out[l], r)
-		}
-	}
-	return out
-}
-
 // HammingHistograms returns the Fig 5.10 artefact: each lane's histogram of
-// consecutive-output Hamming distances.
+// consecutive-output Hamming distances. One walk of the program executes
+// every lane and keeps only each lane's previous output.
 func HammingHistograms(p Program) [LaneCount]*stats.Histogram {
-	outs := LaneOutputs(p)
 	var hs [LaneCount]*stats.Histogram
-	for l := range outs {
-		hs[l] = stats.HammingHistogram(outs[l])
+	for l := range hs {
+		hs[l] = stats.NewHistogram(33)
+	}
+	var prev [LaneCount]uint32
+	for i, vi := range p.Insts {
+		for l := range hs {
+			r := laneResult(vi.Op, vi.A[l], vi.B[l])
+			if i > 0 {
+				hs[l].Add(stats.HammingDistance(prev[l], r))
+			}
+			prev[l] = r
+		}
 	}
 	return hs
 }

@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"synts/internal/isa"
+	"synts/internal/stats"
 	"synts/internal/trace"
 )
 
@@ -51,18 +53,38 @@ func TestProgramByName(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := c.gen(50, 3); !reflect.DeepEqual(got, want) || got.Name != c.name {
-			t.Errorf("ProgramByName(%q) differs from its generator's program %q", c.name, want.Name)
+		vb := &vecBuilder{insts: make([]VInst, len(got.Insts)+1)}
+		c.gen(vb, 50, 3)
+		if vb.n != len(got.Insts) || !reflect.DeepEqual(got.Insts, vb.insts[:vb.n]) || got.Name != c.name {
+			t.Errorf("ProgramByName(%q) differs from its generator's program", c.name)
 		}
 	}
 	if _, err := ProgramByName("nope", 10, 1); err == nil {
 		t.Fatal("unknown program must error")
 	}
-	// Only the named program is built.
-	one := testing.AllocsPerRun(5, func() { matrixMult(200, 1) })
-	byName := testing.AllocsPerRun(5, func() { ProgramByName("MatrixMult", 200, 1) })
-	if byName > one+4 {
-		t.Errorf("ProgramByName allocates %v times, building MatrixMult alone %v", byName, one)
+}
+
+// Each Fig 5.10 program at the batch size is generated into one exactly
+// sized slice: ProgramByName allocates at most 1.1 times the bytes of the
+// instructions it keeps, so the slice is never regrown. The test is not
+// parallel, so the TotalAlloc delta is this call's.
+func TestProgramByNameAllocationBound(t *testing.T) {
+	for _, name := range []string{"BlackScholes", "MatrixMult", "BinarySearch", "FFT", "EigenValue", "StreamCluster"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := ProgramByName(name, 16000/6, 2016)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Insts) != cap(p.Insts) {
+			t.Errorf("%s: len %d, cap %d", name, len(p.Insts), cap(p.Insts))
+		}
+		ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(uintptr(len(p.Insts))*unsafe.Sizeof(VInst{}))
+		t.Logf("%s: %d vector instructions, %.3fx their bytes allocated", name, len(p.Insts), ratio)
+		if ratio > 1.1 {
+			t.Errorf("%s: ProgramByName allocated %.2fx the bytes of its instructions, want at most 1.1x", name, ratio)
+		}
 	}
 }
 
@@ -81,24 +103,48 @@ func TestProgramsDeterministic(t *testing.T) {
 	}
 }
 
-func TestLaneOutputsLockStep(t *testing.T) {
-	p, err := ProgramByName("MatrixMult", 50, 1)
+// Each lane's histogram is that of the outputs the lane computes from its
+// own operands, in program order: the SimpleALU result (isa.ALUResult) or
+// the low word of a MUL's product.
+func TestHammingHistogramsLaneSemantics(t *testing.T) {
+	for _, p := range programs(t, 50, 1) {
+		hs := HammingHistograms(p)
+		for l := 0; l < LaneCount; l++ {
+			outs := make([]uint32, len(p.Insts))
+			for i, vi := range p.Insts {
+				switch {
+				case vi.Op == isa.MUL:
+					outs[i] = vi.A[l] * vi.B[l]
+				case vi.Op.Class() == isa.ClassSimple:
+					outs[i] = isa.ALUResult(vi.Op, vi.A[l], vi.B[l])
+				default:
+					t.Fatalf("%s: unexpected op %v", p.Name, vi.Op)
+				}
+			}
+			if want := stats.HammingHistogram(outs); !reflect.DeepEqual(hs[l], want) {
+				t.Fatalf("%s lane %d: histogram %v, want %v", p.Name, l, hs[l].Counts, want.Counts)
+			}
+		}
+	}
+}
+
+// HammingHistograms keeps no per-lane copy of the outputs: a call
+// allocates less than one lane's output stream would take.
+func TestHammingHistogramsAllocationBound(t *testing.T) {
+	p, err := ProgramByName("BlackScholes", 16000/6, 2016)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := LaneOutputs(p)
-	for l := 0; l < LaneCount; l++ {
-		if len(outs[l]) != len(p.Insts) {
-			t.Fatalf("lane %d has %d outputs, want %d", l, len(outs[l]), len(p.Insts))
-		}
+	const calls = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		HammingHistograms(p)
 	}
-	// Spot-check lane semantics against the ISA reference.
-	vi := p.Insts[0]
-	if vi.Op.Class() == isa.ClassSimple {
-		want := isa.ALUResult(vi.Op, vi.A[3], vi.B[3])
-		if outs[3][0] != want {
-			t.Fatalf("lane 3 inst 0 = %#x, want %#x", outs[3][0], want)
-		}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	if lane := uint64(len(p.Insts)) * 4; perCall >= lane {
+		t.Errorf("HammingHistograms allocates %d bytes per call, one lane's outputs take %d", perCall, lane)
 	}
 }
 

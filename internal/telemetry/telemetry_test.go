@@ -243,6 +243,7 @@ func TestLedgerCapCountsDrops(t *testing.T) {
 func TestRecordConcurrent(t *testing.T) {
 	Enable()
 	defer Disable()
+	defer defaultLedger.Reset()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -352,6 +353,7 @@ func TestPercentilesNearestRank(t *testing.T) {
 func TestWriteLedgerReportsDropped(t *testing.T) {
 	Enable()
 	defer Disable()
+	defer defaultLedger.Reset()
 	defer func() { defaultLedger.capacity = 0 }()
 	defaultLedger.capacity = 2
 	for i := 0; i < 5; i++ {

@@ -1,15 +1,22 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"synts/internal/fixedpoint"
 	"synts/internal/isa"
 )
 
+// same is the body factory for a body that keeps no state of its own: it
+// hands Run the same body on both passes.
+func same(body func(tc *TC)) func() func(tc *TC) {
+	return func() func(tc *TC) { return body }
+}
+
 // collect runs a single-thread body and returns the emitted ops.
 func collect(body func(tc *TC)) []isa.Inst {
-	streams := Run(1, 1, body)
+	streams := Run(1, 1, same(body))
 	var out []isa.Inst
 	for _, iv := range streams[0].Intervals {
 		out = append(out, iv...)
@@ -144,23 +151,23 @@ func TestEmittedDerivedFields(t *testing.T) {
 }
 
 func TestRunTrimsTrailingEmptyInterval(t *testing.T) {
-	streams := Run(2, 1, func(tc *TC) {
+	streams := Run(2, 1, same(func(tc *TC) {
 		tc.Add(1, 1)
 		tc.Barrier() // body ends exactly at a barrier
-	})
+	}))
 	for _, s := range streams {
 		if len(s.Intervals) != 1 {
 			t.Fatalf("thread %d has %d intervals, want 1 (trailing empty trimmed)", s.Thread, len(s.Intervals))
 		}
 	}
 	// But an uneven trailing interval must be kept.
-	streams = Run(2, 1, func(tc *TC) {
+	streams = Run(2, 1, same(func(tc *TC) {
 		tc.Add(1, 1)
 		tc.Barrier()
 		if tc.ID() == 0 {
 			tc.Add(2, 2)
 		}
-	})
+	}))
 	for _, s := range streams {
 		if len(s.Intervals) != 2 {
 			t.Fatalf("thread %d has %d intervals, want 2 (non-empty tail kept)", s.Thread, len(s.Intervals))
@@ -168,15 +175,14 @@ func TestRunTrimsTrailingEmptyInterval(t *testing.T) {
 	}
 }
 
-// Intervals whose lengths sit on and around the chunk boundaries come back
-// whole and in order on every thread, from chunks reused across intervals
-// of different lengths, and an empty interval is nil. Each instruction's
-// operands encode its thread, interval and index.
-func TestIntervalsCrossChunkBoundaries(t *testing.T) {
-	lens := []int{0, 1, chunkSize - 1, chunkSize, chunkSize + 1, 3*chunkSize + 5}
+// Every interval comes back whole, in order and at its exact size on every
+// thread, whatever its length, and an empty interval is nil. Each
+// instruction's operands encode its thread, interval and index.
+func TestIntervalsExactlySized(t *testing.T) {
+	lens := []int{0, 1, 8191, 8192, 8193, 24581}
 	const threads = 3
 	length := func(thread, k int) int { return lens[(k+thread)%len(lens)] }
-	streams := Run(threads, 1, func(tc *TC) {
+	streams := Run(threads, 1, same(func(tc *TC) {
 		for k := range lens {
 			if k > 0 {
 				tc.Barrier()
@@ -185,7 +191,7 @@ func TestIntervalsCrossChunkBoundaries(t *testing.T) {
 				tc.Add(uint32(tc.ID()<<8|k), uint32(i))
 			}
 		}
-	})
+	}))
 	for _, s := range streams {
 		if len(s.Intervals) != len(lens) {
 			t.Fatalf("thread %d has %d intervals, want %d", s.Thread, len(s.Intervals), len(lens))
@@ -207,12 +213,39 @@ func TestIntervalsCrossChunkBoundaries(t *testing.T) {
 	}
 }
 
+// A body whose second pass emits one instruction more than its first
+// makes Run panic, naming the thread and interval.
+func TestRunPanicsWhenPassesDisagree(t *testing.T) {
+	passes := 0
+	newBody := func() func(tc *TC) {
+		passes++
+		extra := passes == 2
+		return func(tc *TC) {
+			tc.Add(1, 1)
+			tc.Barrier()
+			tc.Add(2, 2)
+			if extra && tc.ID() == 1 {
+				tc.Nop()
+			}
+			tc.Barrier()
+			tc.Add(3, 3)
+		}
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "thread 1 interval 1 ") {
+			t.Fatalf("panic %q, want one naming thread 1 interval 1", msg)
+		}
+	}()
+	Run(2, 1, newBody)
+}
+
 func TestRngIsPerThreadDeterministic(t *testing.T) {
 	vals := make([][]int, 2)
 	for trial := 0; trial < 2; trial++ {
-		streams := Run(2, 7, func(tc *TC) {
+		streams := Run(2, 7, same(func(tc *TC) {
 			tc.AddI(uint32(tc.Rng().Intn(1000)), 1)
-		})
+		}))
 		for _, s := range streams {
 			vals[trial] = append(vals[trial], int(s.Intervals[0][0].A))
 		}

@@ -7,7 +7,7 @@ import (
 
 // Kernel is one benchmark in the suite. Make builds the shared data
 // structures (sized by size, seeded by seed) and returns the per-thread
-// body; Run in this package executes it under the barrier runtime.
+// body; RunKernel executes it under the barrier runtime.
 type Kernel struct {
 	Name        string
 	Description string
@@ -46,9 +46,10 @@ func ByName(name string) (Kernel, error) {
 	return k, nil
 }
 
-// RunKernel executes a kernel and returns the per-thread streams.
+// RunKernel executes a kernel and returns the per-thread streams. It calls
+// Make once for each of Run's two passes, so each starts from fresh data.
 func RunKernel(k Kernel, threads, size int, seed int64) []*Stream {
-	return Run(threads, seed, k.Make(threads, size, seed))
+	return Run(threads, seed, func() func(tc *TC) { return k.Make(threads, size, seed) })
 }
 
 // PaperSuite lists the seven heterogeneous benchmarks whose results the

@@ -74,28 +74,24 @@ func (b *Barrier) Wait() {
 	b.mu.Unlock()
 }
 
-// chunkSize is the length of the chunks a thread records its open barrier
-// interval in (8,192 instructions, 128 KiB).
-const chunkSize = 8192
-
 // TC is the per-thread context handed to kernel bodies. Every operation
-// method computes the architectural result in Go *and* appends the dynamic
-// instruction (with live operand values) to the thread's trace.
-// TC is not safe for concurrent use; each thread owns its own.
-//
-// The open interval is recorded in fixed-size chunks that the thread
-// reuses from one interval to the next, and a barrier seals it into one
-// exactly sized slice, so a kernel run allocates about twice the
-// instruction bytes it keeps instead of regrowing every interval.
+// method computes the architectural result in Go *and* records the dynamic
+// instruction (with live operand values) in the thread's trace.
+// TC is not safe for concurrent use; each thread owns its own. Run gives
+// each thread one TC per pass: on the counting pass it only counts, on the
+// recording pass it writes each interval into a slice of exactly the
+// counted length.
 type TC struct {
 	id      int
 	threads int
 	barrier *Barrier
 	rng     *rand.Rand
-	chunks  [][]isa.Inst // each chunkSize long; chunk k holds instructions k*chunkSize...
-	n       int          // instructions in the open interval
-	out     *Stream
 	regCtr  uint32
+	counts  []int      // per-interval counts: appended on the counting pass, read on the recording pass
+	out     *Stream    // nil on the counting pass
+	iv      []isa.Inst // the open interval on the recording pass, sized by counts
+	n       int        // instructions emitted into the open interval
+	diff    string     // the first interval whose passes disagree, "" while they agree
 }
 
 // ID returns the thread index in [0, NumThreads).
@@ -115,29 +111,41 @@ func (tc *TC) regs() (rd, rs, rt uint8) {
 	return uint8(1 + n%30), uint8(1 + (n+7)%30), uint8(1 + (n+13)%30)
 }
 
-// emit records one instruction; c is the immediate of an I-format op.
+// emit records one instruction; c is the immediate of an I-format op. On
+// the counting pass, and past the counted length, it only counts.
 func (tc *TC) emit(op isa.Op, a, b, c uint32) {
 	rd, rs, rt := tc.regs()
-	k := tc.n / chunkSize
-	if k == len(tc.chunks) {
-		tc.chunks = append(tc.chunks, make([]isa.Inst, chunkSize))
+	if tc.n < len(tc.iv) {
+		tc.iv[tc.n] = isa.Inst{Op: op, Rd: rd, Rs: rs, Rt: rt, A: a, B: b, C: c}
 	}
-	tc.chunks[k][tc.n%chunkSize] = isa.Inst{Op: op, Rd: rd, Rs: rs, Rt: rt, A: a, B: b, C: c}
 	tc.n++
 }
 
-// seal appends the open interval to the stream as one exactly sized slice
-// (nil when empty) and starts the next interval in the same chunks.
-func (tc *TC) seal() {
-	var iv []isa.Inst
-	if tc.n > 0 {
-		iv = make([]isa.Inst, tc.n)
-		for off := 0; off < tc.n; off += chunkSize {
-			copy(iv[off:], tc.chunks[off/chunkSize])
-		}
+// open starts interval k of the recording pass at its counted length: nil
+// when the count is 0 or the counting pass sealed no interval k.
+func (tc *TC) open(k int) {
+	tc.iv, tc.n = nil, 0
+	if k < len(tc.counts) && tc.counts[k] > 0 {
+		tc.iv = make([]isa.Inst, tc.counts[k])
 	}
-	tc.out.Intervals = append(tc.out.Intervals, iv)
-	tc.n = 0
+}
+
+// seal closes the open interval: the counting pass keeps its length, the
+// recording pass appends it to the stream, noting the first interval
+// whose length differs from its count, and opens the next.
+func (tc *TC) seal() {
+	if tc.out == nil {
+		tc.counts = append(tc.counts, tc.n)
+		tc.n = 0
+		return
+	}
+	k := len(tc.out.Intervals)
+	if tc.diff == "" && tc.n != len(tc.iv) {
+		tc.diff = fmt.Sprintf("thread %d interval %d emitted %d instructions on the recording pass, %d on the counting pass",
+			tc.id, k, tc.n, len(tc.iv))
+	}
+	tc.out.Intervals = append(tc.out.Intervals, tc.iv)
+	tc.open(k + 1)
 }
 
 // Add emits ADD and returns a+b.
@@ -237,8 +245,8 @@ func (tc *TC) Loop(n int, body func(i int)) {
 	}
 }
 
-// Barrier ends the current barrier interval: the buffered instructions are
-// sealed into the stream and the thread blocks until all threads arrive.
+// Barrier ends the current barrier interval: the open interval is sealed
+// and the thread blocks until all threads arrive.
 func (tc *TC) Barrier() {
 	tc.seal()
 	tc.barrier.Wait()
@@ -308,34 +316,35 @@ func (tc *TC) QSqrt(a fixedpoint.Q) fixedpoint.Q {
 	return exact
 }
 
-// Run executes body on `threads` goroutine-threads with a shared barrier and
-// returns the per-thread streams. seed makes the data deterministic. The
-// final (possibly empty) interval is sealed automatically so every stream
-// has the same number of intervals.
-func Run(threads int, seed int64, body func(tc *TC)) []*Stream {
+// Run executes a kernel body on `threads` goroutine-threads with a shared
+// barrier and returns the per-thread streams. seed makes the data
+// deterministic. Run makes two passes, each with a body from newBody (a
+// kernel's body mutates the data its Make built, so each pass needs a
+// fresh one): the first counts each thread's instructions per interval,
+// the second records every interval into a slice of exactly that length.
+// Kernels are deterministic, so the passes agree; a thread that emits a
+// different count on the second pass makes Run panic, naming the thread
+// and interval. The final (possibly empty) interval is sealed
+// automatically so every stream has the same number of intervals.
+func Run(threads int, seed int64, newBody func() func(tc *TC)) []*Stream {
 	if threads <= 0 {
 		panic(fmt.Sprintf("workload: invalid thread count %d", threads))
 	}
-	streams := make([]*Stream, threads)
-	bar := NewBarrier(threads)
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		streams[t] = &Stream{Thread: t}
-		tc := &TC{
-			id:      t,
-			threads: threads,
-			barrier: bar,
-			rng:     rand.New(rand.NewSource(seed*7919 + int64(t)*104729 + 1)),
-			out:     streams[t],
-		}
-		wg.Add(1)
-		go func(tc *TC) {
-			defer wg.Done()
-			body(tc)
-			tc.seal()
-		}(tc)
+	counts := make([][]int, threads)
+	for t, tc := range runPass(threads, seed, newBody(), nil) {
+		counts[t] = tc.counts
 	}
-	wg.Wait()
+	streams := make([]*Stream, threads)
+	for t, tc := range runPass(threads, seed, newBody(), counts) {
+		if tc.diff == "" && len(tc.out.Intervals) != len(counts[t]) {
+			tc.diff = fmt.Sprintf("thread %d sealed %d intervals on the recording pass, %d on the counting pass",
+				t, len(tc.out.Intervals), len(counts[t]))
+		}
+		if tc.diff != "" {
+			panic("workload: kernel is not deterministic: " + tc.diff)
+		}
+		streams[t] = tc.out
+	}
 	// Kernels that end exactly at a barrier leave a trailing interval that
 	// is empty on every thread; drop it so downstream consumers see only
 	// real barrier intervals.
@@ -353,4 +362,35 @@ func Run(threads int, seed int64, body func(tc *TC)) []*Stream {
 		}
 	}
 	return streams
+}
+
+// runPass runs body once on fresh thread contexts and returns them after
+// every thread has finished. With counts nil the contexts only count;
+// otherwise thread t records intervals of the lengths counts[t] holds.
+func runPass(threads int, seed int64, body func(tc *TC), counts [][]int) []*TC {
+	tcs := make([]*TC, threads)
+	bar := NewBarrier(threads)
+	var wg sync.WaitGroup
+	for t := range tcs {
+		tc := &TC{
+			id:      t,
+			threads: threads,
+			barrier: bar,
+			rng:     rand.New(rand.NewSource(seed*7919 + int64(t)*104729 + 1)),
+		}
+		if counts != nil {
+			tc.counts = counts[t]
+			tc.out = &Stream{Thread: t, Intervals: make([][]isa.Inst, 0, len(counts[t]))}
+			tc.open(0)
+		}
+		tcs[t] = tc
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body(tc)
+			tc.seal()
+		}()
+	}
+	wg.Wait()
+	return tcs
 }

@@ -37,7 +37,7 @@ func TestBarrierAllArrive(t *testing.T) {
 }
 
 func TestTCEmission(t *testing.T) {
-	streams := Run(1, 1, func(tc *TC) {
+	streams := Run(1, 1, same(func(tc *TC) {
 		if got := tc.Add(3, 4); got != 7 {
 			t.Errorf("Add = %d", got)
 		}
@@ -58,7 +58,7 @@ func TestTCEmission(t *testing.T) {
 		}
 		tc.Load(0x1000)
 		tc.Store(0x2000)
-	})
+	}))
 	iv := streams[0].Intervals
 	if len(iv) != 1 {
 		t.Fatalf("intervals = %d, want 1", len(iv))
@@ -81,9 +81,9 @@ func TestTCEmission(t *testing.T) {
 }
 
 func TestTCLoopEmitsControl(t *testing.T) {
-	streams := Run(1, 1, func(tc *TC) {
+	streams := Run(1, 1, same(func(tc *TC) {
 		tc.Loop(3, func(i int) { tc.Nop() })
-	})
+	}))
 	var nops, addis, bnes int
 	for _, in := range streams[0].Intervals[0] {
 		switch in.Op {
@@ -101,12 +101,12 @@ func TestTCLoopEmitsControl(t *testing.T) {
 }
 
 func TestQMulEmitsMulAndRealign(t *testing.T) {
-	streams := Run(1, 1, func(tc *TC) {
+	streams := Run(1, 1, same(func(tc *TC) {
 		got := tc.QMul(fixedpoint.FromFloat(2.5), fixedpoint.FromFloat(4))
 		if got != fixedpoint.FromFloat(10) {
 			t.Errorf("QMul = %v", got.Float())
 		}
-	})
+	}))
 	iv := streams[0].Intervals[0]
 	if len(iv) != 2 || iv[0].Op != isa.MUL || iv[1].Op != isa.SHR {
 		t.Fatalf("QMul emission = %v", iv)
@@ -114,12 +114,12 @@ func TestQMulEmitsMulAndRealign(t *testing.T) {
 }
 
 func TestBarrierSplitsIntervals(t *testing.T) {
-	streams := Run(2, 1, func(tc *TC) {
+	streams := Run(2, 1, same(func(tc *TC) {
 		tc.Add(1, 1)
 		tc.Barrier()
 		tc.Add(2, 2)
 		tc.Add(3, 3)
-	})
+	}))
 	for _, s := range streams {
 		if len(s.Intervals) != 2 {
 			t.Fatalf("thread %d intervals = %d, want 2", s.Thread, len(s.Intervals))
@@ -272,5 +272,5 @@ func TestRunPanicsOnZeroThreads(t *testing.T) {
 			t.Fatal("Run(0) did not panic")
 		}
 	}()
-	Run(0, 1, func(tc *TC) {})
+	Run(0, 1, same(func(tc *TC) {}))
 }
