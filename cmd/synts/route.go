@@ -4,8 +4,8 @@ package main
 // internal/fleet consistent-hash router: request bodies are mapped onto
 // backends by digest, unhealthy or breaker-opened backends are routed
 // around deterministically (the ring-walk failover order is a pure
-// function of the body), and /readyz probes keep the health view fresh
-// on a seeded-jitter loop. The router carries the same observability
+// function of the body), and a /readyz probe of every backend each
+// -probe-interval keeps the health view fresh. The router carries the same observability
 // surface as serve — /metrics Prometheus exposition, per-backend RED
 // metrics, breaker/failover events in the synts-events/v1 ledger when
 // -events-out names a file. It injects no faults: a failover drill kills
@@ -37,8 +37,7 @@ func runRouteCmd(args []string, stop <-chan os.Signal, stdout, stderr io.Writer)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:9186", "listen address for the routed /v1/solve and /metrics")
 	backends := fs.String("backends", "", "comma-separated `list` of synts serve base URLs (required)")
-	probeInterval := fs.Duration("probe-interval", 500*time.Millisecond, "/readyz probe period (plus seeded jitter)")
-	probeSeed := fs.Int64("probe-seed", 1, "seed for the probe loop's jitter")
+	probeInterval := fs.Duration("probe-interval", 500*time.Millisecond, "/readyz probe period")
 	breakerFailures := fs.Int("breaker-failures", 0, "consecutive failures that open a backend's breaker (0 = default 5)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default 2s)")
 	eventsOut := fs.String("events-out", "", "record the router ledger and write it (synts-events/v1 JSONL, breaker + failover events) to `file` on shutdown; without it no ledger is recorded")
@@ -69,7 +68,6 @@ func runRouteCmd(args []string, stop <-chan os.Signal, stdout, stderr io.Writer)
 	rt, err := fleet.NewRouter(fleet.RouterConfig{
 		Backends:      urls,
 		ProbeInterval: *probeInterval,
-		ProbeSeed:     *probeSeed,
 		Breaker: fleet.BreakerConfig{
 			Failures: *breakerFailures,
 			Cooldown: *breakerCooldown,

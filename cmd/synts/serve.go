@@ -1,7 +1,7 @@
 package main
 
 // `synts serve` is the solver daemon: it answers POST /v1/solve, backed
-// by internal/service's sharded workers with warm starts and load
+// by internal/service's solver workers with warm starts and load
 // shedding, the request online SynTS makes at every barrier interval.
 // Its instrumentation can be watched live — Prometheus text exposition
 // at /metrics (bridged from internal/obs), the stdlib expvar JSON at
@@ -92,8 +92,8 @@ func runServeCmd(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:9187", "listen address for /v1/solve, /metrics, /debug/vars, /debug/pprof/")
-	shards := fs.Int("shards", runtime.NumCPU(), "solver service worker shards")
-	queueLen := fs.Int("queue", 64, "per-shard bounded queue length (full queues shed with 429)")
+	shards := fs.Int("shards", runtime.NumCPU(), "solver worker count")
+	queueLen := fs.Int("queue", 64, "solve-queue slots per worker (a full queue sheds with 429)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before aborting (0 = forever)")
 	chaosSpec := fs.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (adds req-slow, req-drop to the batch classes)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the fault injector's decisions")
@@ -139,7 +139,7 @@ func runServeCmd(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 		return err
 	}
 	if clean {
-		// Only a fully drained service can close its shard queues safely.
+		// Only a fully drained service can close its solve queue safely.
 		svc.Close()
 	}
 	if err := finishEvents(); err != nil {

@@ -164,7 +164,7 @@ func TestRouteMetricsScrape(t *testing.T) {
 
 	// Pick one body the ring maps to each backend, so both RED families
 	// exist and the bad-first body provably walks bad → good.
-	ring := fleet.NewRing(urls, 0)
+	ring := fleet.NewRing(urls)
 	bodyTo := map[int][]byte{}
 	for i := 0; len(bodyTo) < 2; i++ {
 		b := []byte(fmt.Sprintf(`{"id":%d}`, i))

@@ -18,8 +18,8 @@ import (
 )
 
 func main() {
-	program := flag.String("program", "BlackScholes", "kernel: BlackScholes, MatrixMult, BinarySearch, FFT, EigenValue, StreamCluster")
-	n := flag.Int("n", 2000, "vector instructions to execute")
+	program := flag.String("program", "BlackScholes", "kernel: BlackScholes, MatrixMult, BinarySearch, FFT, EigenValue, StreamCluster, Raytrace, Swaptions, X264")
+	n := flag.Int("n", 2000, "generator iterations (each emits several vector instructions)")
 	seed := flag.Int64("seed", 2016, "data seed")
 	flag.Parse()
 

@@ -67,22 +67,14 @@ func (s *Store) path(experiment string) string {
 // (errors.Is fs.ErrNotExist) or unreadable, and a descriptive error when
 // a file is present but unusable (torn JSON, wrong schema, another
 // experiment's bytes, another workload configuration's key). A resume
-// then recomputes; it never fails over a bad checkpoint.
+// then recomputes; it never fails over a bad checkpoint. The entry is
+// decoded by ValidateFile, whose file-name check pins the experiment.
 func (s *Store) Load(experiment string) ([]byte, error) {
-	raw, err := os.ReadFile(s.path(experiment))
+	e, err := ValidateFile(s.path(experiment))
 	if err != nil {
 		return nil, err
 	}
-	var e Entry
-	if err := json.Unmarshal(raw, &e); err != nil {
-		return nil, fmt.Errorf("ckpt: %s: torn or foreign blob: %w", experiment, err)
-	}
-	switch {
-	case e.Schema != SchemaVersion:
-		return nil, fmt.Errorf("ckpt: %s: schema %q, want %q", experiment, e.Schema, SchemaVersion)
-	case e.Experiment != experiment:
-		return nil, fmt.Errorf("ckpt: %s: entry names experiment %q", experiment, e.Experiment)
-	case e.Key != s.key:
+	if e.Key != s.key {
 		return nil, fmt.Errorf("ckpt: %s: written under another workload key", experiment)
 	}
 	return e.Output, nil

@@ -59,17 +59,26 @@ func TestLoadRejectsMismatchedKey(t *testing.T) {
 	}
 }
 
+// A torn entry, one of another schema and one naming another experiment
+// are present but unusable: Load refuses each and does not report it
+// missing.
 func TestLoadRejectsCorruptFile(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, testKey())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "fig1.2.ckpt.json"), []byte("{truncated"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Load("fig1.2"); err == nil || errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("corrupt checkpoint loads with error %v, want a present-but-unusable error", err)
+	for _, raw := range []string{
+		"{truncated",
+		`{"schema":"synts-ckpt/v0","experiment":"fig1.2","key":{"size":1,"seed":2016,"threads":4,"intervals":3},"output":"eA=="}`,
+		`{"schema":"synts-ckpt/v1","experiment":"fig5.9","key":{"size":1,"seed":2016,"threads":4,"intervals":3},"output":"eA=="}`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, "fig1.2.ckpt.json"), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Load("fig1.2"); err == nil || errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("checkpoint %s loads with error %v, want a present-but-unusable error", raw, err)
+		}
 	}
 }
 

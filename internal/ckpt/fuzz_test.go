@@ -12,9 +12,8 @@ import (
 
 // FuzzLoadChecked files arbitrary bytes as one experiment's checkpoint
 // entry and reads them back the way -resume does. Whatever the bytes,
-// Load must not panic and must never report a present file as missing; an
-// entry it accepts must also pass ValidateFile (what obscheck -ckpt runs),
-// and saving the accepted output must load back byte-equal.
+// Load must not panic and must never report a present file as missing,
+// and saving an accepted output must load back byte-equal.
 func FuzzLoadChecked(f *testing.F) {
 	const name = "table5.1"
 	key := Key{Size: 1, Seed: 2016, Threads: 4, Intervals: 2}
@@ -70,9 +69,6 @@ func FuzzLoadChecked(f *testing.F) {
 		}
 		if err != nil {
 			return
-		}
-		if _, err := ValidateFile(path); err != nil {
-			t.Fatalf("Load accepted %q but ValidateFile rejects it: %v", raw, err)
 		}
 		if err := s.Save(name, out); err != nil {
 			t.Fatal(err)

@@ -309,7 +309,11 @@ func Fig47(opts Options, intervalN float64) *report.Table {
 
 // Fig510 regenerates the Fig 5.10 GPGPU study: per-VALU Hamming-distance
 // histograms (compacted to coarse bins) for the first 6 lanes plus the
-// cross-lane homogeneity summary.
+// cross-lane homogeneity summary. n is the program generator's iteration
+// count (gpgpu.ProgramByName), and each iteration emits several vector
+// instructions: BlackScholes holds 10,664 at n = 2,666. The table title
+// still labels n "vector instructions", because the batch goldens pin
+// that title.
 func Fig510(program string, n int, seed int64) (*report.Table, gpgpu.Homogeneity, error) {
 	p, err := gpgpu.ProgramByName(program, n, seed)
 	if err != nil {

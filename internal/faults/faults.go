@@ -62,8 +62,8 @@ const (
 	// validation and resume.
 	CkptWriteFail = "ckpt-write-fail"
 	// ReqSlow makes a solver-service request's solve take ReqSlowDuration
-	// longer on its shard worker (a degraded or contended solver). The
-	// penalty consumes real shard capacity, so injected slowness surfaces
+	// longer on its solver worker (a degraded or contended solver). The
+	// penalty consumes real solver capacity, so injected slowness surfaces
 	// as queue depth, latency and ultimately queue-full sheds — the whole
 	// overload path, exercised deterministically.
 	ReqSlow = "req-slow"

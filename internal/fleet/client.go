@@ -63,11 +63,11 @@ type Breakdown struct {
 	// RouterNs is router handling time beyond the backend's own
 	// (X-Synts-Route-Ns − X-Synts-Server-Ns); 0 for direct requests.
 	RouterNs int64
-	// DaemonQueueNs is daemon handling time outside the shard solve
-	// (X-Synts-Server-Ns − X-Synts-Solve-Ns): shard-queue wait plus
+	// DaemonQueueNs is daemon handling time outside the worker solve
+	// (X-Synts-Server-Ns − X-Synts-Solve-Ns): solve-queue wait plus
 	// handler overhead.
 	DaemonQueueNs int64
-	// SolveNs is the shard worker's solve time (X-Synts-Solve-Ns).
+	// SolveNs is the solver worker's solve time (X-Synts-Solve-Ns).
 	SolveNs int64
 	// AttemptsWallNs is total attempt wall time (bookkeeping for
 	// ClientQueueNs; not a report component itself).

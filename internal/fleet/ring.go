@@ -1,27 +1,28 @@
 // Package fleet turns the single-box solver daemon of internal/service
-// into a fleet that survives the loss of any one member: a consistent-hash
-// router (`synts route`) spreads solve traffic over N `synts serve`
-// daemons, remaps it away from dead or draining backends and trips a
-// circuit breaker per backend, and a client (used by `synts loadgen`)
-// sends to one URL, a daemon or the router, with deadlines and retries.
+// into a fleet that survives the loss of any one member: a router
+// (`synts route`) hashes solve traffic onto N `synts serve` daemons,
+// fails it over away from dead or draining backends and trips a circuit
+// breaker per backend, and a client (used by `synts loadgen`) sends to
+// one URL, a daemon or the router, with deadlines and retries.
 //
 // The design is the system-level analogue of the paper's Razor loop:
 // speculate (send the request to the backend the hash picks), detect the
 // mis-speculation (a refused connection, a torn response, a readiness
-// probe failure), and replay elsewhere (failover to the next backend on
-// the ring) — keeping the client-visible error rate bounded the way
+// probe failure), and replay elsewhere (failover to the body's next
+// backend) — keeping the client-visible error rate bounded the way
 // replay keeps the architectural state correct. Solve requests are pure
 // functions of their payload (the service's determinism contract), so a
-// replayed or retried solve is always safe and, thanks to coalescing and
-// warm starts, usually cheap.
+// replayed or retried solve is always safe.
 //
-// Everything here follows the repository's determinism discipline: ring
+// Everything here follows the repository's determinism discipline:
 // placement is a pure function of the backend list, routing of a request
-// is a pure function of its body bytes, and retry and probe jitter are
-// seeded.
+// is a pure function of its body bytes, and retry jitter is seeded.
 package fleet
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Wire constants shared by the router, the client and internal/service.
 // They live here (the leaf package) so service can alias them without an
@@ -46,116 +47,47 @@ const (
 	ReasonNoBackends = "no-backends"
 )
 
-// defaultReplicas is the virtual-node count per backend. 64 points per
-// backend keeps the load split within a few percent of even for small
-// fleets while the ring stays tiny (N*64 points).
-const defaultReplicas = 64
-
-// ringPoint is one virtual node: a hash position owned by a backend.
-type ringPoint struct {
-	h   uint64
-	idx int
-}
-
-// Ring is a consistent-hash ring over backend indices. Placement depends
-// only on the backend name list and the replica count — never on call
-// order or time — so two routers configured with the same backend set
-// route every request identically, and adding or removing one backend
-// moves only ~1/N of the keyspace.
+// Ring is the fleet's consistent-hash placement, by rendezvous
+// (highest-random-weight) hashing: backend i's weight for a key is
+// mix(BodyDigest(url_i), key), and Seq lists the backends by descending
+// weight. Placement depends only on the backend URLs — never on call
+// order or time — so two routers configured with the same backend list
+// route every request identically. Skipping a backend moves only the
+// keys it heads, each to its next backend in the order, and adding one
+// moves only the keys the newcomer outweighs every other backend on.
 type Ring struct {
-	points []ringPoint
-	n      int
+	digests []uint64 // BodyDigest of each backend URL
 }
 
-// NewRing places replicas virtual nodes per backend (replicas <= 0 uses
-// the default). Backend identity is the name string, so the same list
-// always yields the same ring.
-func NewRing(backends []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
-	r := &Ring{n: len(backends), points: make([]ringPoint, 0, len(backends)*replicas)}
+// NewRing digests the backend URLs. Backend identity is the URL string,
+// so the same list always yields the same placement.
+func NewRing(backends []string) *Ring {
+	r := &Ring{digests: make([]uint64, len(backends))}
 	for i, b := range backends {
-		h := stringDigest(b)
-		for v := 0; v < replicas; v++ {
-			r.points = append(r.points, ringPoint{h: mix(h, uint64(v)), idx: i})
-		}
+		r.digests[i] = BodyDigest([]byte(b))
 	}
-	sort.Slice(r.points, func(a, b int) bool {
-		if r.points[a].h != r.points[b].h {
-			return r.points[a].h < r.points[b].h
-		}
-		return r.points[a].idx < r.points[b].idx
-	})
 	return r
 }
 
-// start returns the index into points of the first virtual node at or
-// after key, wrapping at the top of the ring.
-func (r *Ring) start(key uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= key })
-	if i == len(r.points) {
-		i = 0
-	}
-	return i
-}
-
-// Pick maps key to a backend, skipping backends ok rejects (nil accepts
-// all). Walking the ring past a rejected backend is the deterministic
-// remap: every router holding the same ring and the same health view
-// sends the key to the same survivor. Returns -1 when ok rejects every
-// backend.
-func (r *Ring) Pick(key uint64, ok func(int) bool) int {
-	if len(r.points) == 0 {
-		return -1
-	}
-	seen := make([]bool, r.n)
-	left := r.n
-	for i := r.start(key); left > 0; i = (i + 1) % len(r.points) {
-		idx := r.points[i].idx
-		if seen[idx] {
-			continue
-		}
-		seen[idx] = true
-		left--
-		if ok == nil || ok(idx) {
-			return idx
-		}
-	}
-	return -1
-}
-
-// Seq returns every backend index in ring-walk order from key: the
-// failover order for the key. Seq(key)[0] == Pick(key, nil).
+// Seq returns every backend index in descending weight for key: the
+// key's failover order, led by the backend the key is placed on. Equal
+// weights (a 2^-64 event) keep index order.
 func (r *Ring) Seq(key uint64) []int {
-	if len(r.points) == 0 {
-		return nil
+	w := make([]uint64, len(r.digests))
+	seq := make([]int, len(r.digests))
+	for i, d := range r.digests {
+		w[i], seq[i] = mix(d, key), i
 	}
-	seq := make([]int, 0, r.n)
-	seen := make([]bool, r.n)
-	for i := r.start(key); len(seq) < r.n; i = (i + 1) % len(r.points) {
-		idx := r.points[i].idx
-		if !seen[idx] {
-			seen[idx] = true
-			seq = append(seq, idx)
-		}
-	}
+	slices.SortFunc(seq, func(a, b int) int {
+		return cmp.Or(cmp.Compare(w[b], w[a]), cmp.Compare(a, b))
+	})
 	return seq
 }
 
-// stringDigest is FNV-1a over s.
-func stringDigest(s string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 0x100000001b3
-	}
-	return h
-}
-
-// BodyDigest fingerprints a request body. The router keys its ring on
-// this (it never needs to parse the JSON): identical bodies — which the
-// seeded load generator replays and the service solves identically — hash
-// to the same backend.
+// BodyDigest is FNV-1a over a request body (or a backend URL). The
+// router keys placement on it (it never needs to parse the JSON):
+// identical bodies — which the seeded load generator replays and the
+// service solves identically — go to the same backend.
 func BodyDigest(body []byte) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	for _, b := range body {
@@ -164,8 +96,8 @@ func BodyDigest(body []byte) uint64 {
 	return h
 }
 
-// mix folds v into h with the splitmix64 finalizer, spreading FNV's
-// clustered vnode hashes uniformly around the ring.
+// mix folds v into h with the splitmix64 finalizer, so a backend's
+// weights for nearby keys are uncorrelated with another backend's.
 func mix(h, v uint64) uint64 {
 	x := h ^ (v+1)*0x9e3779b97f4a7c15
 	x ^= x >> 30

@@ -13,20 +13,15 @@ func testBackends(n int) []string {
 	return out
 }
 
-// The ring must split the keyspace roughly evenly: with 64 vnodes per
-// backend no member should see less than half or more than double its
-// fair share.
+// Placement must split the keyspace roughly evenly: no member should see
+// less than half or more than double its fair share.
 func TestRingDistribution(t *testing.T) {
 	const keys = 20000
 	for _, n := range []int{2, 3, 5} {
-		r := NewRing(testBackends(n), 0)
+		r := NewRing(testBackends(n))
 		counts := make([]int, n)
 		for k := 0; k < keys; k++ {
-			idx := r.Pick(mix(uint64(k), 7), nil)
-			if idx < 0 || idx >= n {
-				t.Fatalf("n=%d key %d: pick %d out of range", n, k, idx)
-			}
-			counts[idx]++
+			counts[r.Seq(mix(uint64(k), 7))[0]]++
 		}
 		fair := keys / n
 		for i, c := range counts {
@@ -40,52 +35,48 @@ func TestRingDistribution(t *testing.T) {
 // Placement is a pure function of the backend list: two rings built from
 // the same list agree on every key.
 func TestRingDeterministic(t *testing.T) {
-	a := NewRing(testBackends(4), 0)
-	b := NewRing(testBackends(4), 0)
+	a := NewRing(testBackends(4))
+	b := NewRing(testBackends(4))
 	for k := uint64(0); k < 5000; k++ {
 		key := mix(k, 3)
-		if a.Pick(key, nil) != b.Pick(key, nil) {
+		if a.Seq(key)[0] != b.Seq(key)[0] {
 			t.Fatalf("key %d: rings disagree", k)
 		}
 	}
 }
 
-// Rejecting one backend remaps only its keys, each to the next live
-// backend on the ring — and every key not owned by the dead backend stays
-// put. That is the deterministic remap two independent routers must agree
-// on.
+// Skipping one backend remaps only its keys, each to the key's next
+// backend in its order — and every key not owned by the skipped backend
+// stays put. The survivor is the backend a ring built without the
+// skipped one places the key on, so a router that walks past a dead
+// backend routes exactly as one that never listed it.
 func TestRingRemapOnReject(t *testing.T) {
-	r := NewRing(testBackends(3), 0)
+	urls := testBackends(3)
 	const dead = 1
-	ok := func(idx int) bool { return idx != dead }
+	r := NewRing(urls)
+	survivors := []string{urls[0], urls[2]}
+	without := NewRing(survivors)
 	moved := 0
 	for k := uint64(0); k < 5000; k++ {
 		key := mix(k, 11)
-		before := r.Pick(key, nil)
-		after := r.Pick(key, ok)
+		seq := r.Seq(key)
+		after := seq[0]
 		if after == dead {
-			t.Fatalf("key %d still mapped to rejected backend", k)
-		}
-		if before != dead && after != before {
-			t.Fatalf("key %d moved %d -> %d though its backend is alive", k, before, after)
-		}
-		if before == dead {
 			moved++
-			// The survivor must be the next distinct backend on the walk.
-			if want := r.Seq(key)[1]; after != want {
-				t.Fatalf("key %d: remapped to %d, want next-on-ring %d", k, after, want)
-			}
+			after = seq[1]
+		}
+		if got := survivors[without.Seq(key)[0]]; got != urls[after] {
+			t.Fatalf("key %d: skipping backend %d walks to %s, a ring without it places the key on %s", k, dead, urls[after], got)
 		}
 	}
 	if moved == 0 {
-		t.Fatal("no key was owned by the rejected backend; distribution broken")
+		t.Fatal("no key was owned by the skipped backend; distribution broken")
 	}
 }
 
-// Seq is the full failover order: all distinct backends, led by Pick's
-// choice.
+// Seq is the full failover order: a permutation of all backends.
 func TestRingSeq(t *testing.T) {
-	r := NewRing(testBackends(4), 0)
+	r := NewRing(testBackends(4))
 	for k := uint64(0); k < 2000; k++ {
 		key := mix(k, 5)
 		seq := r.Seq(key)
@@ -99,23 +90,24 @@ func TestRingSeq(t *testing.T) {
 			}
 			seen[idx] = true
 		}
-		if seq[0] != r.Pick(key, nil) {
-			t.Fatalf("key %d: seq[0]=%d, Pick=%d", k, seq[0], r.Pick(key, nil))
-		}
 	}
 }
 
-// Growing the fleet by one moves only a minority of the keyspace — the
-// consistent-hashing property that makes warm caches survive scale-out.
+// Growing the fleet by one moves only a minority of the keyspace, and
+// every key that moves goes to the new member — the consistent-hashing
+// property that keeps the other backends' warm caches warm.
 func TestRingStability(t *testing.T) {
-	small := NewRing(testBackends(3), 0)
-	big := NewRing(testBackends(4), 0)
+	small := NewRing(testBackends(3))
+	big := NewRing(testBackends(4))
 	const keys = 5000
 	moved := 0
 	for k := uint64(0); k < keys; k++ {
 		key := mix(k, 13)
-		if small.Pick(key, nil) != big.Pick(key, nil) {
+		if before, after := small.Seq(key)[0], big.Seq(key)[0]; before != after {
 			moved++
+			if after != 3 {
+				t.Fatalf("key %d moved %d -> %d, not to the new backend", k, before, after)
+			}
 		}
 	}
 	// The ideal is 1/4 of keys; allow generous slack but far below a full
@@ -125,14 +117,6 @@ func TestRingStability(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Fatal("adding a backend moved nothing; the new member gets no traffic")
-	}
-}
-
-// Pick returns -1 only when every backend is rejected.
-func TestRingAllRejected(t *testing.T) {
-	r := NewRing(testBackends(3), 0)
-	if got := r.Pick(42, func(int) bool { return false }); got != -1 {
-		t.Fatalf("Pick with all rejected = %d, want -1", got)
 	}
 }
 

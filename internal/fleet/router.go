@@ -26,17 +26,11 @@ const attemptTimeout = 10 * time.Second
 
 // RouterConfig sizes a consistent-hash solve router.
 type RouterConfig struct {
-	// Backends are the daemon base URLs traffic is hashed onto, each
-	// placed on the ring at the package's default virtual-node count.
+	// Backends are the daemon base URLs traffic is hashed onto (Ring).
 	// Required.
 	Backends []string
 	// ProbeInterval is the /readyz health-check period; <= 0 means 500ms.
-	// Each cycle adds a seeded jitter in [0, interval/4) so a fleet of
-	// routers never probes in lockstep and a given seed reproduces the
-	// same probe schedule.
 	ProbeInterval time.Duration
-	// ProbeSeed seeds the probe jitter (and nothing else).
-	ProbeSeed int64
 	// Breaker configures the per-backend circuit breakers.
 	Breaker BreakerConfig
 	// Transport overrides the proxy HTTP transport (tests).
@@ -59,18 +53,17 @@ func (b *backend) isReady() bool {
 	return b.ready
 }
 
-// Router is the consistent-hash front of a solver fleet: it maps each
-// request's body digest onto the ring, probes every backend's /readyz on
-// a seeded-jitter loop, routes around unhealthy or breaker-open members
-// deterministically, and fails a request over to the next backend on the
-// ring when an attempt dies under it — the Razor replay of the fleet
-// layer. Create with NewRouter, start the probe loop with Start, mount
-// with Register, stop with Stop.
+// Router is the consistent-hash front of a solver fleet: it orders the
+// backends for each request by its body digest (Ring), probes every
+// backend's /readyz once per ProbeInterval, routes around unhealthy or
+// breaker-open members deterministically, and fails a request over to
+// its next backend when an attempt dies under it — the Razor replay of
+// the fleet layer. Create with NewRouter, start the probe loop with
+// Start, mount with Register, stop with Stop.
 type Router struct {
 	cfg      RouterConfig
 	ring     *Ring
 	backends []*backend
-	hc       *http.Client
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -88,8 +81,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:  cfg,
-		ring: NewRing(cfg.Backends, 0),
-		hc:   &http.Client{Transport: cfg.Transport},
+		ring: NewRing(cfg.Backends),
 		stop: make(chan struct{}),
 	}
 	for i, u := range cfg.Backends {
@@ -123,18 +115,18 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return rt, nil
 }
 
-// Start launches the health-probe loop (first cycle immediately).
+// Start launches the health-probe loop: the first cycle immediately,
+// then one every ProbeInterval.
 func (rt *Router) Start() {
 	rt.wg.Add(1)
 	go func() {
 		defer rt.wg.Done()
-		for tick := uint64(0); ; tick++ {
+		for {
 			rt.probeAll()
-			d := rt.cfg.ProbeInterval + rt.probeJitter(tick)
 			select {
 			case <-rt.stop:
 				return
-			case <-time.After(d):
+			case <-time.After(rt.cfg.ProbeInterval):
 			}
 		}
 	}()
@@ -144,20 +136,6 @@ func (rt *Router) Start() {
 func (rt *Router) Stop() {
 	close(rt.stop)
 	rt.wg.Wait()
-}
-
-// probeJitter is the seeded per-cycle jitter in [0, interval/4): a pure
-// function of (seed, tick), so a given seed replays the same probe
-// schedule.
-func (rt *Router) probeJitter(tick uint64) time.Duration {
-	x := uint64(rt.cfg.ProbeSeed) ^ (tick+1)*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	frac := float64(x>>11) / (1 << 53)
-	return time.Duration(frac * float64(rt.cfg.ProbeInterval) / 4)
 }
 
 // probeAll checks every backend's /readyz once.
@@ -212,7 +190,7 @@ func (rt *Router) Healthy() int {
 func (rt *Router) Plan(bodies [][]byte) []int {
 	out := make([]int, len(bodies))
 	for i, body := range bodies {
-		out[i] = rt.ring.Pick(BodyDigest(body), nil)
+		out[i] = rt.ring.Seq(BodyDigest(body))[0]
 	}
 	return out
 }
@@ -234,8 +212,8 @@ func (rt *Router) Register(mux *http.ServeMux) {
 	})
 }
 
-// handleSolve proxies one solve: hash the body onto the ring, walk the
-// failover sequence past unready or breaker-rejected members, try each
+// handleSolve proxies one solve: order the backends by the body's digest,
+// walk that order past unready or breaker-rejected members, try each
 // admitted backend until one answers, and pass the answer through with
 // X-Synts-Backend / X-Synts-Failover stamped on. A request only fails
 // toward the client when every backend is gone — and even then it fails
@@ -364,7 +342,7 @@ func (rt *Router) tryBackend(w http.ResponseWriter, b *backend, idx int, body []
 	obs.C(red + ".requests").Add(1)
 
 	// One route.hop span per attempted backend: kind "first" for the hash
-	// pick, "failover" for every replay further along the ring.
+	// pick, "failover" for every replay further along the ring walk.
 	hopKind := obs.HopFirst
 	if hops > 0 {
 		hopKind = obs.HopFailover

@@ -146,7 +146,7 @@ func TestRouterFailover(t *testing.T) {
 	var body string
 	for i := 0; ; i++ {
 		b := fmt.Sprintf(`{"id":"kill-%d"}`, i)
-		if rt.ring.Pick(BodyDigest([]byte(b)), nil) == 0 {
+		if rt.ring.Seq(BodyDigest([]byte(b)))[0] == 0 {
 			body = b
 			break
 		}
@@ -194,7 +194,7 @@ func TestRouterBreakerTripsAndRecovers(t *testing.T) {
 		Breaker: BreakerConfig{Failures: 2, Cooldown: 50 * time.Millisecond},
 	})
 	body := `{"id":"trip"}`
-	first := rt.ring.Pick(BodyDigest([]byte(body)), nil)
+	first := rt.ring.Seq(BodyDigest([]byte(body)))[0]
 	backends[first].solve.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "dying", http.StatusInternalServerError)
 	}))
@@ -316,25 +316,5 @@ func TestRouterShedPassthrough(t *testing.T) {
 	}
 	if got := rt.backends[0].breaker.State(); got != BreakerClosed {
 		t.Fatalf("breaker %s: sheds are not failures", got)
-	}
-}
-
-// The probe jitter is a pure function of (seed, tick) and stays within
-// [0, interval/4).
-func TestRouterProbeJitterDeterministic(t *testing.T) {
-	backends := []*testBackend{newTestBackend(t)}
-	rt1, _ := newTestRouter(t, backends, RouterConfig{ProbeSeed: 42})
-	rt2, err := NewRouter(RouterConfig{Backends: rt1.cfg.Backends, ProbeSeed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tick := uint64(0); tick < 100; tick++ {
-		j1, j2 := rt1.probeJitter(tick), rt2.probeJitter(tick)
-		if j1 != j2 {
-			t.Fatalf("tick %d: jitter %v vs %v", tick, j1, j2)
-		}
-		if j1 < 0 || j1 >= rt1.cfg.ProbeInterval/4 {
-			t.Fatalf("tick %d: jitter %v outside [0, %v)", tick, j1, rt1.cfg.ProbeInterval/4)
-		}
 	}
 }

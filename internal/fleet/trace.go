@@ -27,9 +27,9 @@ const (
 
 	// HeaderServerNs is the daemon's total handling time in nanoseconds.
 	HeaderServerNs = "X-Synts-Server-Ns"
-	// HeaderQueueNs is the time the solve waited in a shard queue.
+	// HeaderQueueNs is the time the solve waited in the daemon's queue.
 	HeaderQueueNs = "X-Synts-Queue-Ns"
-	// HeaderSolveNs is the shard worker's solve time.
+	// HeaderSolveNs is the solver worker's solve time.
 	HeaderSolveNs = "X-Synts-Solve-Ns"
 	// HeaderRouteNs is the router's total handling time (network to the
 	// backend plus ring-walk overhead is HeaderRouteNs − HeaderServerNs).

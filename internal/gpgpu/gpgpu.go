@@ -106,7 +106,9 @@ var catalog = []struct {
 }
 
 // ProgramByName generates the named program of the catalog into one
-// exactly sized slice: a counting pass of its generator sizes it.
+// exactly sized slice: a counting pass of its generator sizes it. n is
+// the generator's iteration count, not the program's length: each
+// iteration emits several vector instructions (four for BlackScholes).
 func ProgramByName(name string, n int, seed int64) (Program, error) {
 	for _, c := range catalog {
 		if c.name == name {

@@ -24,13 +24,6 @@ func fullAdder(b *Builder, a, x, cin Net) (sum, cout Net) {
 	return sum, cout
 }
 
-// halfAdder returns (sum, carry) for two bits.
-func halfAdder(b *Builder, a, x Net) (sum, cout Net) {
-	sum = b.Gate(gates.XOR2, a, x)
-	cout = b.Gate(gates.AND2, a, x)
-	return sum, cout
-}
-
 // RippleAdder instantiates a width-bit ripple-carry adder. It returns the
 // sum bits and the carry-out net. The carry chain through all width stages
 // is the structural critical path, but it is only sensitised when operand
@@ -207,15 +200,6 @@ func bitwise(b *Builder, k gates.Kind, a, x []Net) []Net {
 	out := make([]Net, len(a))
 	for i := range a {
 		out[i] = b.Gate(k, a[i], x[i])
-	}
-	return out
-}
-
-// invert instantiates one inverter per bit.
-func invert(b *Builder, a []Net) []Net {
-	out := make([]Net, len(a))
-	for i := range a {
-		out[i] = b.Gate(gates.INV, a[i])
 	}
 	return out
 }

@@ -25,7 +25,7 @@ import (
 // (trace, parent, name, index). Two runs of the same seeded stream
 // therefore produce the same span *structure* — only the timing fields
 // differ — which is what lets obscheck and CI compare traces across runs
-// and shard counts.
+// and worker counts.
 //
 // Each process (loadgen, router, daemon) collects its own spans and
 // writes a synts-trace/v1 JSONL artifact into -trace-dir at shutdown;
@@ -201,7 +201,7 @@ func TraceDerive(trace, parent uint64, name string, idx int) uint64 {
 
 // SortTraceSpans puts spans into canonical artifact order: a total order
 // over the deterministic fields first (so one run's artifact is
-// byte-identical at any -j / shard count), timing as the final tiebreak.
+// byte-identical at any -j / worker count), timing as the final tiebreak.
 func SortTraceSpans(spans []TraceSpan) {
 	sort.Slice(spans, func(i, j int) bool {
 		a, b := &spans[i], &spans[j]
@@ -273,8 +273,9 @@ func WriteTraceFile(path string) error {
 }
 
 // ReadTraceJSONL parses a synts-trace/v1 artifact, rejecting unknown
-// schemas, unknown span fields and spans that fail Validate, so every
-// reader sees only spans inside the closed vocabulary.
+// schemas, unknown fields, data after a line's JSON value and spans that
+// fail Validate, so every reader sees only spans inside the closed
+// vocabulary.
 func ReadTraceJSONL(r io.Reader) ([]TraceSpan, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -287,7 +288,7 @@ func ReadTraceJSONL(r io.Reader) ([]TraceSpan, error) {
 	var hdr struct {
 		Schema string `json:"schema"`
 	}
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
+	if err := DecodeLine(sc.Bytes(), &hdr); err != nil {
 		return nil, fmt.Errorf("trace artifact: bad schema header: %w", err)
 	}
 	if hdr.Schema != TraceSchema {
@@ -301,10 +302,8 @@ func ReadTraceJSONL(r io.Reader) ([]TraceSpan, error) {
 		if len(text) == 0 {
 			continue
 		}
-		dec := json.NewDecoder(bytes.NewReader(text))
-		dec.DisallowUnknownFields()
 		var sp TraceSpan
-		if err := dec.Decode(&sp); err != nil {
+		if err := DecodeLine(text, &sp); err != nil {
 			return nil, fmt.Errorf("trace artifact line %d: %w", line, err)
 		}
 		if err := sp.Validate(); err != nil {
@@ -316,6 +315,22 @@ func ReadTraceJSONL(r io.Reader) ([]TraceSpan, error) {
 		return nil, err
 	}
 	return spans, nil
+}
+
+// DecodeLine decodes one JSONL line's JSON value into v, rejecting
+// unknown fields and anything after the value. It is the line decoder of
+// both JSONL readers, ReadTraceJSONL and the decision ledger's
+// telemetry.ReadJSONL, so schema drift fails loudly in either.
+func DecodeLine(line []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("data after the JSON value")
+	}
+	return nil
 }
 
 // ReadTraceFile reads one synts-trace/v1 artifact from disk.

@@ -105,6 +105,16 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 	if _, err := ReadTraceJSONL(strings.NewReader(lane)); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("span with a lane: err = %v, want a line-2 rejection", err)
 	}
+	// Lines decode as strictly as the ledger's: data after a span's JSON
+	// value and an unknown header field are refused.
+	header, body, _ := strings.Cut(buf.String(), "\n")
+	first, rest, _ := strings.Cut(body, "\n")
+	if _, err := ReadTraceJSONL(strings.NewReader(header + "\n" + first + ` {"junk":1}` + "\n" + rest)); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("data after a span: err = %v, want a line-2 rejection", err)
+	}
+	if _, err := ReadTraceJSONL(strings.NewReader(strings.TrimSuffix(header, "}") + `,"extra":1}` + "\n" + body)); err == nil {
+		t.Error("unknown header field accepted")
+	}
 }
 
 // Validate enforces the closed vocabulary: IDs are 16 lowercase hex,

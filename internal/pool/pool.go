@@ -142,7 +142,7 @@ func (g *Group) GoCtx(ctx context.Context, fn func() error) {
 // the pool.worker_busy_ns histogram while obs is enabled, the chaos
 // harness's task-start hooks with the injected-panic retry budget, and
 // panic recovery into *PanicError. It is for long-lived workers that keep
-// their own queues (the solver service's shards): a Group's first-error
+// their own queue (the solver service's workers): a Group's first-error
 // cancellation would poison every later task, and a panic in one task must
 // never take the worker down.
 func Run(fn func() error) error {

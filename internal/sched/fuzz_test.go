@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"synts/internal/obs"
@@ -27,6 +28,12 @@ func FuzzStitchArtifact(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// A span line with data after its JSON value, and a header with an
+	// unknown field: the reader refuses both.
+	header, spans, _ := strings.Cut(buf.String(), "\n")
+	first, rest, _ := strings.Cut(spans, "\n")
+	f.Add([]byte(header + "\n" + first + ` {"junk":1}` + "\n" + rest))
+	f.Add([]byte(strings.TrimSuffix(header, "}") + `,"extra":1}` + "\n" + spans))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spans, err := obs.ReadTraceJSONL(bytes.NewReader(data))
 		if err != nil {

@@ -174,7 +174,7 @@ func stitchOne(trace string, group []obs.TraceSpan) (*TraceTree, int) {
 
 // attribute derives the per-hop decomposition from the tree's spans,
 // mirroring the timing-header identity the fleet client uses: solve is the
-// shard worker time, daemon queue the rest of the daemon's handling,
+// solver worker time, daemon queue the rest of the daemon's handling,
 // router the route time net of daemon time, network the attempt time net
 // of remote time, retry-wait the backoff sleeps and client-queue the
 // residue. It also flags the failover hops and breaker-open skips.

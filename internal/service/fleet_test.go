@@ -75,7 +75,7 @@ func TestDrainDuringRetryFailsOverOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fleet.NewRing(urls, 0).Seq(fleet.BodyDigest(b))[0] == 1 {
+		if fleet.NewRing(urls).Seq(fleet.BodyDigest(b))[0] == 1 {
 			body = b
 			break
 		}

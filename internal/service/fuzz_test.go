@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzSolveHandler drives /v1/solve through the real handler: one Service
-// (one shard) and its mux per process, each input POSTed as the body
+// (one worker) and its mux per process, each input POSTed as the body
 // through httptest. Any body answers 200, 400, 429 or 503, never 500, and
 // a 200 body is a SolveResponse of ResponseSchema that echoes the
 // request's tenant and seq. The seeds in testdata/fuzz/FuzzSolveHandler

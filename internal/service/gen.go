@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"synts/internal/exp"
 	"synts/internal/trace"
 	"synts/internal/workload"
 )
@@ -17,9 +18,6 @@ type GenOptions struct {
 	Tenants int
 	// Cores is the per-request core count; <= 0 means 4 (the paper's CMP).
 	Cores int
-	// Levels is the TSR-level count each curve samples; <= 0 means 6 (the
-	// platform's exp.TSRs() grid).
-	Levels int
 	// RepeatFrac is the probability a request reuses an earlier payload
 	// under a fresh seq — the knob that exercises warm starts; 0 means
 	// the 0.25 default, < 0 disables repeats.
@@ -32,7 +30,9 @@ type GenOptions struct {
 // seq increases per tenant; stages and thetas vary per request; error
 // curves are plausible (monotone non-increasing in TSR, zero at the
 // nominal level) so they pass the guard band and exercise the real
-// solver, with an occasional NaN curve to exercise the fallback path.
+// solver, with an occasional out-of-range curve to exercise the fallback
+// path. Each curve samples every level of the platform's exp.TSRs()
+// grid, the rate count a daemon accepts.
 func GenStream(opts GenOptions, n int) []SolveRequest {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	tenants := workload.FullSuite()
@@ -43,10 +43,7 @@ func GenStream(opts GenOptions, n int) []SolveRequest {
 	if cores <= 0 {
 		cores = 4
 	}
-	levels := opts.Levels
-	if levels <= 0 {
-		levels = 6
-	}
+	levels := len(exp.TSRs())
 	repeat := opts.RepeatFrac
 	if repeat == 0 {
 		repeat = 0.25

@@ -142,7 +142,7 @@ func (d *digester) u64(v uint64) {
 func (d *digester) f64(v float64) { d.u64(math.Float64bits(v)) }
 
 // payloadDigest fingerprints the solve payload only (stage, theta,
-// curves) — the warm-start and shard key: two requests with equal
+// curves) — the warm-start key: two requests with equal
 // payload digests have byte-identical solveResults.
 func payloadDigest(r *SolveRequest) uint64 {
 	d := newDigester()

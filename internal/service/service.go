@@ -8,8 +8,8 @@
 //
 // The request path is: admit (drain gate + per-request chaos hooks) →
 // warm-start (payloads already answered are served from a bounded
-// in-memory cache) → shard (payload-keyed dispatch onto bounded per-shard
-// queues; a full queue sheds the request with 429) → solve (guard-band
+// in-memory cache) → queue (one bounded queue read by the solver
+// workers; a full queue sheds the request with 429) → solve (guard-band
 // screening, then SolvePoly under pool.Run) → respond. Every stage is
 // observable: RED metrics, queue-depth / shed / warm-start series and a
 // latency histogram through internal/obs, synts-trace/v1
@@ -52,40 +52,38 @@ const SolverName = "service-poly"
 const maxBodyBytes = 1 << 20
 
 // errQueueFull is the dispatch error behind a 429.
-var errQueueFull = errors.New("service: shard queue full")
+var errQueueFull = errors.New("service: solve queue full")
 
 // errDropped is the injected req-drop failure behind a chaos 503.
 var errDropped = errors.New("service: request dropped by fault injection")
+
+// queueDepth is the gauge of jobs waiting in the solve queue.
+const queueDepth = "service.queue_depth"
 
 // Config sizes the daemon.
 type Config struct {
 	// Shards is the solver worker count; <= 0 means GOMAXPROCS.
 	Shards int
-	// QueueLen is the per-shard bounded queue capacity; <= 0 means 64.
-	// When a shard's queue is full new requests shed with 429 — explicit
-	// backpressure instead of collapse.
+	// QueueLen is the solve queue's capacity per worker; <= 0 means 64.
+	// The one queue holds Shards × QueueLen jobs, and when it is full new
+	// requests shed with 429 — explicit backpressure instead of collapse.
 	QueueLen int
 	// WarmCap bounds the in-memory warm cache; <= 0 means 4096 entries.
 	WarmCap int
 }
 
-// job is one queued unit of shard work. run is a closure (rather than the
-// request itself) so tests can occupy a shard deterministically. Its
-// timestamps bound the shard queue wait (enq → started) and the worker
-// solve (started → finished) that a fresh answer reports.
+// job is one queued unit of solver work. run is a closure (rather than
+// the request itself) so tests can occupy a worker deterministically. Its
+// timestamps bound the queue wait (enq → started) and the worker solve
+// (started → finished) that a fresh answer reports.
 type job struct {
 	run      func() *solveResult
 	res      *solveResult
 	err      error
 	done     chan struct{}
 	enq      time.Time // when dispatch enqueued the job
-	started  time.Time // when the shard worker picked it up
+	started  time.Time // when a worker picked it up
 	finished time.Time // when the solve completed
-}
-
-type shard struct {
-	jobs  chan *job
-	depth string // gauge name, precomputed
 }
 
 // Service is one solver daemon instance. Create with New, mount with
@@ -96,7 +94,7 @@ type Service struct {
 	tsrs   []float64
 	guard  core.GuardPolicy
 
-	shards   []*shard
+	jobs     chan *job
 	workerWg sync.WaitGroup
 
 	warm *warmCache
@@ -108,7 +106,7 @@ type Service struct {
 
 // New builds the platform configs (one solver Config per pipe stage, the
 // paper's voltage table with each stage's STA critical path), opens the
-// warm-start cache, and starts the shard workers.
+// warm-start cache, and starts the solver workers.
 func New(cfg Config) (*Service, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
@@ -130,15 +128,11 @@ func New(cfg Config) (*Service, error) {
 		}
 		s.stages[st.String()] = c
 	}
-	s.shards = make([]*shard, cfg.Shards)
-	for i := range s.shards {
-		sh := &shard{
-			jobs:  make(chan *job, cfg.QueueLen),
-			depth: fmt.Sprintf("service.queue_depth.s%d", i),
-		}
-		s.shards[i] = sh
-		s.workerWg.Add(1)
-		go s.runShard(sh)
+	// The buffer is the admission bound: dispatch sheds once it is full.
+	s.jobs = make(chan *job, cfg.Shards*cfg.QueueLen)
+	s.workerWg.Add(cfg.Shards)
+	for range cfg.Shards {
+		go s.runWorker()
 	}
 	return s, nil
 }
@@ -182,21 +176,19 @@ func (s *Service) Drain() {
 	s.inFlight.Wait()
 }
 
-// Close stops the shard workers. Call after Drain; queued jobs still
+// Close stops the solver workers. Call after Drain; queued jobs still
 // complete (their requests are what Drain waited for).
 func (s *Service) Close() {
-	for _, sh := range s.shards {
-		close(sh.jobs)
-	}
+	close(s.jobs)
 	s.workerWg.Wait()
 }
 
-// runShard is one shard's worker loop: dequeue, solve under pool.Run,
+// runWorker is one solver worker's loop: dequeue, solve under pool.Run,
 // hand the result back.
-func (s *Service) runShard(sh *shard) {
+func (s *Service) runWorker() {
 	defer s.workerWg.Done()
-	for jb := range sh.jobs {
-		obs.G(sh.depth).Set(float64(len(sh.jobs)))
+	for jb := range s.jobs {
+		obs.G(queueDepth).Set(float64(len(s.jobs)))
 		jb.started = time.Now()
 		err := pool.Run(func() error {
 			jb.res = jb.run()
@@ -213,7 +205,7 @@ func (s *Service) runShard(sh *shard) {
 // solve is the pure request → result function: core.SolveGuarded
 // (guard-band screening, SolvePoly over the admitted curves, fallback
 // cores pinned to nominal), then per-core attribution via Breakdown.
-// Identical payloads produce byte-identical results at any shard count,
+// Identical payloads produce byte-identical results at any worker count,
 // which is what makes warm-starting and the determinism contract sound.
 func (s *Service) solve(r *SolveRequest) *solveResult {
 	cfg := s.stages[r.Stage]
@@ -245,12 +237,11 @@ func (s *Service) solve(r *SolveRequest) *solveResult {
 	}
 }
 
-// dispatch enqueues one solve on its payload-keyed shard and waits.
-// A full queue returns errQueueFull immediately — bounded queues shed,
-// they do not build unbounded latency. delay is the req-slow chaos
-// penalty, paid on the worker so it consumes real shard capacity.
-func (s *Service) dispatch(key uint64, r *SolveRequest, delay time.Duration) (*job, error) {
-	sh := s.shards[key%uint64(len(s.shards))]
+// dispatch enqueues one solve and waits. A full queue returns
+// errQueueFull immediately — a bounded queue sheds, it does not build
+// unbounded latency. delay is the req-slow chaos penalty, paid on the
+// worker so it consumes real solver capacity.
+func (s *Service) dispatch(r *SolveRequest, delay time.Duration) (*job, error) {
 	jb := &job{run: func() *solveResult {
 		if delay > 0 {
 			time.Sleep(delay)
@@ -258,8 +249,8 @@ func (s *Service) dispatch(key uint64, r *SolveRequest, delay time.Duration) (*j
 		return s.solve(r)
 	}, done: make(chan struct{}), enq: time.Now()}
 	select {
-	case sh.jobs <- jb:
-		obs.G(sh.depth).Set(float64(len(sh.jobs)))
+	case s.jobs <- jb:
+		obs.G(queueDepth).Set(float64(len(s.jobs)))
 	default:
 		return nil, errQueueFull
 	}
@@ -305,7 +296,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// process runs one validated request through admit → warm-start → shard →
+// process runs one validated request through admit → warm-start → queue →
 // solve → respond and returns the HTTP status it wrote. tc is the parsed
 // incoming trace context (zero for untraced callers); every exit stamps
 // X-Synts-Server-Ns so clients can attribute latency without tracing,
@@ -314,7 +305,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, req *http.Request) {
 func (s *Service) process(r *SolveRequest, w http.ResponseWriter, tc fleet.TraceCtx, start time.Time) int {
 	trace := tc.TraceHex()
 	detail := "error"
-	var fresh *job // the shard solve that answered, nil for a warm hit
+	var fresh *job // the worker solve that answered, nil for a warm hit
 	if tc.Valid() && obs.TraceEnabled() {
 		defer func() {
 			s.recordTraceSpans(tc, start, time.Now(), detail, fresh)
@@ -339,7 +330,7 @@ func (s *Service) process(r *SolveRequest, w http.ResponseWriter, tc fleet.Trace
 	}
 
 	// req-slow makes this request's solve slow on the worker (not a sleep
-	// in the handler: the point is to consume shard capacity, so injected
+	// in the handler: the point is to consume solver capacity, so injected
 	// slowness surfaces as queue depth and ultimately sheds, like a real
 	// degraded solver would). Warm hits skip it — cached answers cost no
 	// solver time.
@@ -354,7 +345,7 @@ func (s *Service) process(r *SolveRequest, w http.ResponseWriter, tc fleet.Trace
 		obs.C("service.warm.hit").Add(1)
 	} else {
 		obs.C("service.warm.miss").Add(1)
-		jb, err := s.dispatch(key, r, delay)
+		jb, err := s.dispatch(r, delay)
 		if errors.Is(err, errQueueFull) {
 			detail = "shed:" + ShedQueueFull
 			return s.shed(r, w, trace, start, ShedQueueFull, http.StatusTooManyRequests)
@@ -415,7 +406,7 @@ func stampServerNs(w http.ResponseWriter, start time.Time) {
 
 // recordTraceSpans records the request's trace spans at exit: one
 // service.request span (kind = how the hop arrived), plus service.queue
-// and service.solve children when the request paid a fresh shard solve
+// and service.solve children when the request paid a fresh worker solve
 // (fresh is non-nil).
 func (s *Service) recordTraceSpans(tc fleet.TraceCtx, start, end time.Time, detail string, fresh *job) {
 	trace := tc.TraceHex()
@@ -494,7 +485,7 @@ func (s *Service) recordFallback(r *SolveRequest, coreIdx int, reason, trace str
 // a decision event per core, fallback events for guard-rejected cores,
 // and one barrier event. Events are derived from (request, result) only —
 // never from scheduling — so the ledger multiset is identical at any
-// shard count and the canonical sort makes the bytes identical too.
+// worker count and the canonical sort makes the bytes identical too.
 // Warm-started requests emit the same events a fresh solve would: the
 // ledger records intent served, not solver invocations.
 // trace (a pure function of the request body) rides on the fallback

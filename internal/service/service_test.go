@@ -271,10 +271,10 @@ func TestWarmStartRepeat(t *testing.T) {
 	}
 }
 
-// Concurrent copies of one payload are not coalesced: each solves on the
-// shard they share and answers the same bytes, the warm cache keeps one
-// entry, and the ledger records every request. The only worker is held
-// until every copy is queued, so none of them can be a warm hit.
+// Concurrent copies of one payload are not coalesced: each solves on its
+// own and answers the same bytes, the warm cache keeps one entry, and
+// the ledger records every request. The only worker is held until every
+// copy is queued, so none of them can be a warm hit.
 func TestConcurrentCopiesOfOnePayload(t *testing.T) {
 	telemetry.Enable()
 	defer telemetry.Disable()
@@ -284,7 +284,7 @@ func TestConcurrentCopiesOfOnePayload(t *testing.T) {
 	block := make(chan struct{})
 	running := make(chan struct{})
 	busy := &job{run: func() *solveResult { close(running); <-block; return nil }, done: make(chan struct{})}
-	svc.shards[0].jobs <- busy
+	svc.jobs <- busy
 	<-running
 
 	req := validRequest("lu", 4)
@@ -314,10 +314,10 @@ func TestConcurrentCopiesOfOnePayload(t *testing.T) {
 			answers <- answer{resp.StatusCode, resp.Header.Get(HeaderWarm), raw}
 		}()
 	}
-	for deadline := time.Now().Add(10 * time.Second); len(svc.shards[0].jobs) < n; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); len(svc.jobs) < n; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			close(block)
-			t.Fatalf("%d of %d copies queued on the shard", len(svc.shards[0].jobs), n)
+			t.Fatalf("%d of %d copies queued", len(svc.jobs), n)
 		}
 	}
 	close(block)
@@ -358,28 +358,43 @@ func TestConcurrentCopiesOfOnePayload(t *testing.T) {
 	}
 }
 
-// Queue-full shedding, deterministically: the only shard's worker is
-// occupied and its queue filled by test-injected jobs, so the next
-// request must shed with 429, the reason header, and a shed ledger event.
+// Queue-full shedding, deterministically: both workers are occupied and
+// the queue's Shards × QueueLen slots filled by test-injected jobs, so the
+// next request must shed with 429, the reason header, and a shed ledger
+// event.
 func TestQueueFullSheds(t *testing.T) {
 	telemetry.Enable()
 	defer telemetry.Disable()
-	svc, srv := newTestService(t, Config{Shards: 1, QueueLen: 1})
+	const shards, queueLen = 2, 1
+	svc, srv := newTestService(t, Config{Shards: shards, QueueLen: queueLen})
 
 	block := make(chan struct{})
-	running := make(chan struct{})
-	busy := &job{run: func() *solveResult { close(running); <-block; return nil }, done: make(chan struct{})}
-	filler := &job{run: func() *solveResult { return nil }, done: make(chan struct{})}
-	svc.shards[0].jobs <- busy
-	<-running // worker is now blocked inside busy
-	svc.shards[0].jobs <- filler
+	var jobs []*job
+	for range shards {
+		running := make(chan struct{})
+		busy := &job{run: func() *solveResult { close(running); <-block; return nil }, done: make(chan struct{})}
+		svc.jobs <- busy
+		<-running // a worker is now blocked inside busy
+		jobs = append(jobs, busy)
+	}
+	for i := range shards * queueLen {
+		filler := &job{run: func() *solveResult { return nil }, done: make(chan struct{})}
+		select {
+		case svc.jobs <- filler:
+		default:
+			close(block)
+			t.Fatalf("queue full after %d fillers, want room for %d", i, shards*queueLen)
+		}
+		jobs = append(jobs, filler)
+	}
 
 	resp := postSolve(t, srv.URL, validRequest("cholesky", 2))
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	close(block)
-	<-busy.done
-	<-filler.done
+	for _, jb := range jobs {
+		<-jb.done
+	}
 
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("status %d, want 429", resp.StatusCode)
@@ -412,7 +427,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	block := make(chan struct{})
 	running := make(chan struct{})
 	busy := &job{run: func() *solveResult { close(running); <-block; return nil }, done: make(chan struct{})}
-	svc.shards[0].jobs <- busy
+	svc.jobs <- busy
 	<-running
 
 	inflightDone := make(chan *http.Response, 1)
@@ -426,12 +441,12 @@ func TestDrainCompletesInFlight(t *testing.T) {
 		}
 		inflightDone <- resp
 	}()
-	// Wait until the request's job sits in the shard queue: it has been
+	// Wait until the request's job sits in the queue: it has been
 	// admitted and is blocked behind the busy worker.
 	deadline := time.Now().Add(5 * time.Second)
-	for len(svc.shards[0].jobs) == 0 {
+	for len(svc.jobs) == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("request never reached the shard queue")
+			t.Fatal("request never reached the queue")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -493,7 +508,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 // per request ID, delay/fail at the request layer, and leave an auditable
 // fallback event behind.
 func TestChaosRequestClasses(t *testing.T) {
-	// req-drop rejects the request before it reaches a shard: 503, a shed
+	// req-drop rejects the request before it reaches the queue: 503, a shed
 	// header naming the class, and a validated fallback event in the ledger.
 	t.Run("req-drop", func(t *testing.T) {
 		telemetry.Enable()
@@ -528,7 +543,7 @@ func TestChaosRequestClasses(t *testing.T) {
 		}
 	})
 
-	// req-slow pays its penalty on the shard worker, so the request still
+	// req-slow pays its penalty on the solver worker, so the request still
 	// succeeds — just no faster than ReqSlowDuration end to end.
 	t.Run("req-slow", func(t *testing.T) {
 		if err := faults.Enable("req-slow=1", 42); err != nil {
@@ -552,7 +567,7 @@ func TestChaosRequestClasses(t *testing.T) {
 	})
 }
 
-// Satellite: a seeded stream replayed against a 1-shard and a 4-shard
+// Satellite: a seeded stream replayed against a 1-worker and a 4-worker
 // instance must produce byte-identical response bodies and an identical
 // canonical-order event ledger.
 func TestDeterminismAcrossShardCounts(t *testing.T) {
@@ -587,7 +602,7 @@ func TestDeterminismAcrossShardCounts(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(ledger1, ledger4) {
-		t.Errorf("canonical ledgers differ between shard counts (%d vs %d bytes)", len(ledger1), len(ledger4))
+		t.Errorf("canonical ledgers differ between worker counts (%d vs %d bytes)", len(ledger1), len(ledger4))
 	}
 	if len(ledger1) == 0 {
 		t.Errorf("empty ledger")

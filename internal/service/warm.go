@@ -8,7 +8,7 @@ import (
 
 // warmCache is the repeat-tenant warm-start layer: completed solveResults
 // keyed by payload digest, held in a bounded in-memory map. A repeated
-// payload answers from here without a shard solve.
+// payload answers from here without a solve.
 type warmCache struct {
 	mu  sync.Mutex
 	m   map[uint64]*solveResult

@@ -26,6 +26,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"synts/internal/obs"
 )
 
 // SchemaVersion identifies the ledger layout; the first JSONL line is a
@@ -329,7 +331,7 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		return nil, fmt.Errorf("telemetry: empty ledger (missing schema header)")
 	}
 	var h header
-	if err := decodeLine(sc.Bytes(), &h); err != nil {
+	if err := obs.DecodeLine(sc.Bytes(), &h); err != nil {
 		return nil, fmt.Errorf("telemetry: bad schema header: %w", err)
 	}
 	if h.Schema != SchemaVersion {
@@ -342,7 +344,7 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 			continue
 		}
 		var e Event
-		if err := decodeLine(line, &e); err != nil {
+		if err := obs.DecodeLine(line, &e); err != nil {
 			return nil, fmt.Errorf("telemetry: line %d: %w", lineNo, err)
 		}
 		if err := e.Validate(); err != nil {
@@ -354,20 +356,6 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		return nil, err
 	}
 	return events, nil
-}
-
-// decodeLine decodes one ledger line's JSON value into v, rejecting
-// unknown fields and anything after the value.
-func decodeLine(line []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("data after the JSON value")
-	}
-	return nil
 }
 
 // ReadJSONLFile reads a ledger file.
