@@ -178,7 +178,7 @@ func BenchmarkFig3_6(b *testing.B) {
 
 func BenchmarkFig4_7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := exp.Fig47(benchOpts(), 50000)
+		t := exp.Fig47(50000)
 		emit("Fig 4.7", func() { t.Render(os.Stdout) })
 	}
 }

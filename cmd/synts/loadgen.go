@@ -29,10 +29,7 @@ func runLoadgenCmd(args []string, stdout, stderr io.Writer) error {
 	rps := fs.Float64("rps", 50, "target open-loop arrival rate")
 	duration := fs.Duration("duration", 5*time.Second, "run length (request count = rps * duration, fixed up front)")
 	seed := fs.Int64("seed", 1, "request-stream seed (same seed = identical request bodies)")
-	tenants := fs.Int("tenants", 0, "tenant count drawn from the kernel suite (0 = all ten)")
-	cores := fs.Int("cores", 4, "cores per solve request")
 	repeat := fs.Float64("repeat", 0, "fraction of requests reusing an earlier payload (exercises the warm cache; 0 = default 0.25, negative disables)")
-	maxInflight := fs.Int("max-inflight", 256, "outstanding-request bound (arrivals beyond it are counted dropped)")
 	sloP95 := fs.Float64("slo-p95-ms", 0, "SLO: fail if p95 latency exceeds `ms` (0 = no latency gate)")
 	sloErr := fs.Float64("slo-max-error-frac", 0, "SLO: fail if (errors+dropped)/requests exceeds this fraction")
 	out := fs.String("o", "", "write the synts-load/v1 report to `file` (default stdout)")
@@ -59,15 +56,9 @@ func runLoadgenCmd(args []string, stdout, stderr io.Writer) error {
 		Retries:  *retries,
 		RPS:      *rps,
 		Duration: *duration,
-		Gen: service.GenOptions{
-			Seed:       *seed,
-			Tenants:    *tenants,
-			Cores:      *cores,
-			RepeatFrac: *repeat,
-		},
-		MaxInFlight: *maxInflight,
-		SLO:         service.SLO{P95MaxMs: *sloP95, MaxErrorFrac: *sloErr},
-		Trace:       *traceDir != "",
+		Gen:      service.GenOptions{Seed: *seed, RepeatFrac: *repeat},
+		SLO:      service.SLO{P95MaxMs: *sloP95, MaxErrorFrac: *sloErr},
+		Trace:    *traceDir != "",
 	})
 	if err != nil {
 		return err

@@ -231,24 +231,19 @@ func checkKernelFlags(threads, size int) error {
 	return nil
 }
 
-// runAll executes the named experiments on a bounded worker pool of the
-// given size and writes their rendered artefacts to stdout in the requested
-// order. Every experiment renders into a private buffer, so tables never
-// interleave and the byte stream does not depend on the job count. The
-// first error (in request order) is returned after all started work
-// settles.
-func runAll(names []string, opts exp.Options, jobs int, verbose bool, stdout, stderr io.Writer) error {
-	return runAllCtx(context.Background(), names, opts, jobs, verbose, stdout, stderr, nil, false)
-}
-
-// runAllCtx is runAll with cancellation and checkpointing. Once ctx is
-// cancelled, experiments not yet running are dropped (and reported with
-// ctx's error) while in-flight ones finish. With a non-nil store, each
-// successfully completed experiment's buffer is checkpointed atomically;
-// with resume also set, experiments whose checkpoint already exists replay
-// their stored bytes instead of recomputing — stdout stays byte-identical
-// to an uninterrupted run because the buffer is replayed verbatim in the
-// same request-order commit.
+// runAllCtx executes the named experiments on a bounded worker pool of
+// the given size and writes their rendered artefacts to stdout in the
+// requested order. Every experiment renders into a private buffer, so
+// tables never interleave and the byte stream does not depend on the job
+// count. The first error (in request order) is returned after all started
+// work settles. Once ctx is cancelled, experiments not yet running are
+// dropped (and reported with ctx's error) while in-flight ones finish.
+// With a non-nil store, each successfully completed experiment's buffer
+// is checkpointed atomically; with resume also set, experiments whose
+// checkpoint already exists replay their stored bytes instead of
+// recomputing — stdout stays byte-identical to an uninterrupted run
+// because the buffer is replayed verbatim in the same request-order
+// commit.
 //
 // Output is committed in request order by whichever goroutine finishes an
 // experiment: under one mutex it writes every finished experiment from
@@ -486,7 +481,7 @@ var experiments = []experiment{
 		return nil
 	}},
 	{"fig4.7", "online sampling-phase schedule", func(r *runner, w io.Writer) error {
-		exp.Fig47(r.opts, 50000).Render(w)
+		exp.Fig47(50000).Render(w)
 		return nil
 	}},
 	{"fig5.10", "GPGPU VALU Hamming-distance homogeneity study", func(r *runner, w io.Writer) error {

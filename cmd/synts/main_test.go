@@ -88,7 +88,7 @@ func TestFastExperimentsRun(t *testing.T) {
 }
 
 func TestRunAllUnknownExperiment(t *testing.T) {
-	err := runAll([]string{"table5.1", "nope"}, exp.DefaultOptions(), 1, false, io.Discard, io.Discard)
+	err := runAllCtx(context.Background(), []string{"table5.1", "nope"}, exp.DefaultOptions(), 1, false, io.Discard, io.Discard, nil, false)
 	if err == nil {
 		t.Fatal("unknown experiment must error")
 	}
@@ -108,7 +108,7 @@ func TestRejectsThreadsBelowOne(t *testing.T) {
 		opts := exp.DefaultOptions()
 		opts.Size, opts.Threads = 1, threads
 		var stdout bytes.Buffer
-		err := runAll([]string{"fig3.6"}, opts, 1, false, &stdout, io.Discard)
+		err := runAllCtx(context.Background(), []string{"fig3.6"}, opts, 1, false, &stdout, io.Discard, nil, false)
 		if err == nil || exitCode(err) != 2 {
 			t.Fatalf("-threads %d: error %v, exit %d, want a usage error (exit 2)", threads, err, exitCode(err))
 		}
@@ -135,7 +135,7 @@ func TestRejectsNegativeSize(t *testing.T) {
 		opts := exp.DefaultOptions()
 		opts.Size = size
 		var stdout bytes.Buffer
-		err := runAll([]string{"fig3.6", "fig6.14"}, opts, 1, false, &stdout, io.Discard)
+		err := runAllCtx(context.Background(), []string{"fig3.6", "fig6.14"}, opts, 1, false, &stdout, io.Discard, nil, false)
 		if err == nil || exitCode(err) != 2 {
 			t.Fatalf("%s: error %v, exit %d, want a usage error (exit 2)", arg, err, exitCode(err))
 		}
@@ -165,7 +165,7 @@ func TestRunAllOutputIdenticalAcrossJobCounts(t *testing.T) {
 	names := []string{"table5.1", "fig3.6"}
 	run := func(jobs int) string {
 		var out bytes.Buffer
-		if err := runAll(names, opts, jobs, false, &out, io.Discard); err != nil {
+		if err := runAllCtx(context.Background(), names, opts, jobs, false, &out, io.Discard, nil, false); err != nil {
 			t.Fatalf("-j %d: %v", jobs, err)
 		}
 		return out.String()
@@ -190,7 +190,7 @@ func TestRunAllOutputIdenticalWithStats(t *testing.T) {
 	names := []string{"table5.1", "fig3.6"}
 
 	var plain bytes.Buffer
-	if err := runAll(names, opts, 1, false, &plain, io.Discard); err != nil {
+	if err := runAllCtx(context.Background(), names, opts, 1, false, &plain, io.Discard, nil, false); err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
 
@@ -201,7 +201,7 @@ func TestRunAllOutputIdenticalWithStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	var instrumented, stderr bytes.Buffer
-	err = runAll(names, opts, 4, false, &instrumented, io.Discard)
+	err = runAllCtx(context.Background(), names, opts, 4, false, &instrumented, io.Discard, nil, false)
 	stop()
 	if err != nil {
 		t.Fatalf("instrumented run: %v", err)
@@ -236,7 +236,7 @@ func TestStatsJSONAndTraceOutSchemas(t *testing.T) {
 	// fig3.5 twice at -j 1: the second, strictly-later lookup hits the
 	// bench and profile caches (at higher -j it would be a singleflight
 	// wait), making the hit ratio deterministically positive.
-	err = runAll([]string{"fig3.5", "fig3.5"}, opts, 1, false, io.Discard, io.Discard)
+	err = runAllCtx(context.Background(), []string{"fig3.5", "fig3.5"}, opts, 1, false, io.Discard, io.Discard, nil, false)
 	stop()
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +343,7 @@ func TestRunAllWritesEachOutputBeforeTheNextStarts(t *testing.T) {
 	opts.Size = 1
 	for run := range 20 {
 		out = lockedBuffer{}
-		if err := runAll(names, opts, 1, false, &out, io.Discard); err != nil {
+		if err := runAllCtx(context.Background(), names, opts, 1, false, &out, io.Discard, nil, false); err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
 		if got := out.String(); got != want {
@@ -360,7 +360,7 @@ func TestRunAllCheckpointResumeByteIdentical(t *testing.T) {
 	opts.Size = 1
 	names := []string{"table5.1", "fig3.6", "fig4.7"}
 	var golden bytes.Buffer
-	if err := runAll(names, opts, 2, false, &golden, io.Discard); err != nil {
+	if err := runAllCtx(context.Background(), names, opts, 2, false, &golden, io.Discard, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	key := ckpt.Key{Size: opts.Size, Seed: opts.Seed, Threads: opts.Threads, Intervals: opts.MaxIntervals}
@@ -435,7 +435,7 @@ func TestRunAllInjectedPanicSurfaces(t *testing.T) {
 	defer faults.Disable()
 	opts := exp.DefaultOptions()
 	opts.Size = 1
-	err := runAll([]string{"table5.1"}, opts, 1, false, io.Discard, io.Discard)
+	err := runAllCtx(context.Background(), []string{"table5.1"}, opts, 1, false, io.Discard, io.Discard, nil, false)
 	var pe *pool.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a *pool.PanicError", err)

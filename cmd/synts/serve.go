@@ -95,7 +95,7 @@ func runServeCmd(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 	shards := fs.Int("shards", runtime.NumCPU(), "solver worker count")
 	queueLen := fs.Int("queue", 64, "solve-queue slots per worker (a full queue sheds with 429)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before aborting (0 = forever)")
-	chaosSpec := fs.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (adds req-slow, req-drop to the batch classes)")
+	chaosSpec := fs.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (adds req-slow to the batch classes)")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the fault injector's decisions")
 	eventsOut := fs.String("events-out", "", "record the decision ledger and write it (synts-events/v1 JSONL) to `file` on shutdown; without it no ledger is recorded")
 	traceDir := fs.String("trace-dir", "", "record incoming distributed-trace context and write this daemon's synts-trace/v1 artifact into `dir` on shutdown")

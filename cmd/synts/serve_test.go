@@ -45,7 +45,7 @@ func TestServeMuxMountsService(t *testing.T) {
 		}
 	}
 
-	reqs := service.GenStream(service.GenOptions{Seed: 1, Cores: 2}, 1)
+	reqs := service.GenStream(service.GenOptions{Seed: 1}, 1)
 	body, _ := json.Marshal(&reqs[0])
 	resp, err := http.Post(srv.URL+"/v1/solve", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -88,7 +88,7 @@ func TestMetricsUnderConcurrentScrapeAndWrite(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			reqs := service.GenStream(service.GenOptions{Seed: seed, Cores: 2}, 50)
+			reqs := service.GenStream(service.GenOptions{Seed: seed}, 50)
 			for i := 0; ; i = (i + 1) % len(reqs) {
 				select {
 				case <-stop:

@@ -51,7 +51,7 @@ func TestWriteSimprofArtifacts(t *testing.T) {
 	}
 }
 
-// simprofRun executes runAll over the named experiments and returns the
+// simprofRun executes runAllCtx over the named experiments and returns the
 // profiler artifacts (when recording) plus the stdout stream.
 func simprofRun(t *testing.T, names []string, jobs int, profile bool) (pb, folded, stdout []byte) {
 	t.Helper()
@@ -64,7 +64,7 @@ func simprofRun(t *testing.T, names []string, jobs int, profile bool) (pb, folde
 		defer simprof.Disable()
 	}
 	var out bytes.Buffer
-	if err := runAll(names, opts, jobs, false, &out, io.Discard); err != nil {
+	if err := runAllCtx(context.Background(), names, opts, jobs, false, &out, io.Discard, nil, false); err != nil {
 		t.Fatalf("-j %d: %v", jobs, err)
 	}
 	if profile {

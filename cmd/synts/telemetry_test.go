@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -26,7 +27,7 @@ func ledgerFor(t *testing.T, names []string, jobs int) (ledger, stdout []byte) {
 	telemetry.Enable()
 	defer telemetry.Disable()
 	var out bytes.Buffer
-	if err := runAll(names, opts, jobs, false, &out, io.Discard); err != nil {
+	if err := runAllCtx(context.Background(), names, opts, jobs, false, &out, io.Discard, nil, false); err != nil {
 		t.Fatalf("-j %d: %v", jobs, err)
 	}
 	var led bytes.Buffer

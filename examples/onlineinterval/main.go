@@ -50,11 +50,11 @@ func main() {
 			nMin = ps[t].N
 		}
 	}
-	nsamp := int(opts.NSampFrac * float64(nMin))
+	nsamp := int(exp.NSampFrac * float64(nMin))
 	est := razor.SamplingEstimator(ps, cfg.TSRs, nsamp, cfg.CPenalty)
 
 	fmt.Printf("%s barrier %d: sampling %d instructions per thread (%.0f%% of the smallest)\n\n",
-		*bench, *interval, nsamp, opts.NSampFrac*100)
+		*bench, *interval, nsamp, exp.NSampFrac*100)
 	fmt.Println("estimated vs actual error probability:")
 	for t := range ps {
 		fmt.Printf("  thread %d (N=%6d):", t, ps[t].N)
@@ -65,7 +65,11 @@ func main() {
 	}
 
 	theta := exp.ThetaGrid(cfg, [][]core.Thread{ths}, []float64{1})[0]
-	res := core.SolveOnline(cfg, ths, est, core.OnlineConfig{NSamp: float64(nsamp), VSampIdx: 0}, theta)
+	budgets := make([]float64, len(ths))
+	for t := range budgets {
+		budgets[t] = float64(nsamp)
+	}
+	res := core.SolveOnline(cfg, ths, est, core.OnlineConfig{NSamp: budgets}, theta)
 	_, off := core.SolvePoly(cfg, ths, theta)
 
 	fmt.Println("\nchosen configuration for the remainder of the interval:")

@@ -23,7 +23,6 @@ func main() {
 		TNom:     func(v float64) float64 { return 1000 * table.TNom(v) }, // ps
 		TSRs:     []float64{0.64, 0.712, 0.784, 0.856, 0.928, 1.0},
 		CPenalty: 5, // Razor replay cycles
-		Alpha:    1,
 	}
 
 	critical := core.Thread{N: 100000, CPIBase: 1.2, Err: core.ConstErr(0.95, 0.4)}

@@ -23,7 +23,6 @@ func testConfig() *Config {
 		},
 		TSRs:     []float64{0.64, 0.78, 0.92, 1.0},
 		CPenalty: 5,
-		Alpha:    1,
 	}
 }
 
@@ -55,7 +54,6 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.TSRs = []float64{-0.1, 1.0} },
 		func(c *Config) { c.TNom = nil },
 		func(c *Config) { c.CPenalty = -1 },
-		func(c *Config) { c.Alpha = 0 },
 	}
 	for i, mut := range bad {
 		c := testConfig()
@@ -85,7 +83,7 @@ func TestEnergyMatchesEquation43(t *testing.T) {
 	c := testConfig()
 	th := Thread{N: 100, CPIBase: 2, Err: ZeroErr}
 	got := c.ThreadEnergy(th, 0.8, 1)
-	want := c.Alpha * 0.8 * 0.8 * 100 * 2
+	want := 0.8 * 0.8 * 100 * 2.0
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("energy = %v, want %v", got, want)
 	}
@@ -263,7 +261,7 @@ func TestEstimatedErrFuncLookup(t *testing.T) {
 
 func TestSamplingSchedule(t *testing.T) {
 	c := testConfig()
-	slots := SamplingSchedule(c, OnlineConfig{NSamp: 4000})
+	slots := SamplingSchedule(c, 4000)
 	if len(slots) != len(c.TSRs) {
 		t.Fatalf("slots = %d", len(slots))
 	}
@@ -279,13 +277,22 @@ func TestSamplingSchedule(t *testing.T) {
 	}
 }
 
+// uniformBudget gives each of n threads the same sampling budget.
+func uniformBudget(n int, nSamp float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = nSamp
+	}
+	return out
+}
+
 func TestSolveOnlinePerfectEstimatesMatchOffline(t *testing.T) {
 	// With NSamp = 0 and estimates equal to the true rates, online must
 	// reproduce the offline decision and cost exactly.
 	c := testConfig()
 	ths := randThreads(rand.New(rand.NewSource(5)), 4)
 	est := func(i, k int) float64 { return ths[i].Err(c.TSRs[k]) }
-	res := SolveOnline(c, ths, est, OnlineConfig{NSamp: 0, VSampIdx: 0}, 1)
+	res := SolveOnline(c, ths, est, OnlineConfig{NSamp: make([]float64, len(ths))}, 1)
 	_, off := SolvePoly(c, ths, 1)
 	if math.Abs(res.Metrics.Cost-off.Cost) > 1e-9*off.Cost {
 		t.Fatalf("online (no sampling, perfect est) cost %v != offline %v", res.Metrics.Cost, off.Cost)
@@ -296,7 +303,7 @@ func TestSolveOnlineChargesSamplingOverhead(t *testing.T) {
 	c := testConfig()
 	ths := randThreads(rand.New(rand.NewSource(6)), 4)
 	est := func(i, k int) float64 { return ths[i].Err(c.TSRs[k]) }
-	res := SolveOnline(c, ths, est, OnlineConfig{NSamp: 500, VSampIdx: 0}, 1)
+	res := SolveOnline(c, ths, est, OnlineConfig{NSamp: uniformBudget(len(ths), 500)}, 1)
 	_, off := SolvePoly(c, ths, 1)
 	if res.Metrics.Cost < off.Cost*(1-1e-9) {
 		t.Fatalf("online cost %v cannot beat offline %v", res.Metrics.Cost, off.Cost)
@@ -322,7 +329,7 @@ func TestSolveOnlineNoisyEstimatesStillIdentifyCritical(t *testing.T) {
 		noise := 0.8 + 0.4*rng.Float64()
 		return ths[i].Err(c.TSRs[k]) * noise
 	}
-	res := SolveOnline(c, ths, est, OnlineConfig{NSamp: 100, VSampIdx: 0}, 1)
+	res := SolveOnline(c, ths, est, OnlineConfig{NSamp: uniformBudget(len(ths), 100)}, 1)
 	_, off := SolvePoly(c, ths, 1)
 	if res.Metrics.Cost > off.Cost*1.25 {
 		t.Fatalf("noisy online cost %v too far above offline %v", res.Metrics.Cost, off.Cost)
@@ -378,6 +385,47 @@ func TestSolveGuardedPinsRejectedThreads(t *testing.T) {
 	for i := range want.VIdx {
 		if a.VIdx[i] != want.VIdx[i] || a.RIdx[i] != want.RIdx[i] {
 			t.Errorf("no guard: thread %d at (%d, %d), SolvePoly says (%d, %d)", i, a.VIdx[i], a.RIdx[i], want.VIdx[i], want.RIdx[i])
+		}
+	}
+}
+
+// GuardPolicy.Check returns each of its five rejection reasons, and its
+// two thresholds accept a rate exactly at the bound and reject the next
+// float64 above it. The divergence rows use a baseline of 0.25, so the
+// bound 0.25 + DefaultMaxDivergence = 0.75 is exact.
+func TestGuardCheckReasonsAndThresholds(t *testing.T) {
+	c := testConfig()
+	flat := func(base float64) func(int) (float64, bool) {
+		return func(int) (float64, bool) { return base, true }
+	}
+	none := func(int) (float64, bool) { return 0, false }
+	nom := DefaultMaxErrAtNominal
+	base := 0.25
+	div := base + DefaultMaxDivergence // the float64 sum Check compares with
+	if div != 0.75 {
+		t.Fatalf("0.25 + DefaultMaxDivergence = %v, want exactly 0.75", div)
+	}
+	for _, tc := range []struct {
+		name     string
+		rates    []float64
+		baseline func(int) (float64, bool)
+		want     string
+	}{
+		{"plausible", []float64{0.3, 0.1, 0.01, 0}, nil, ""},
+		{"nan", []float64{math.NaN(), 0, 0, 0}, nil, GuardNaN},
+		{"inf", []float64{math.Inf(1), 0, 0, 0}, nil, GuardNaN},
+		{"lost measurement", []float64{-1, -1, -1, -1}, nil, GuardOutOfRange},
+		{"above one", []float64{1.5, 0.1, 0, 0}, nil, GuardOutOfRange},
+		{"non-monotone", []float64{0.1, 0.3, 0.01, 0}, nil, GuardNonMonotone},
+		{"nominal at bound", []float64{0.1, 0.01, 0.001, nom}, nil, ""},
+		{"nominal above bound", []float64{0.1, 0.01, 0.001, math.Nextafter(nom, 1)}, nil, GuardAtNominal},
+		{"divergence at bound", []float64{div, 0.5, 0.25, 0}, flat(base), ""},
+		{"divergence above bound", []float64{math.Nextafter(div, 1), 0.5, 0.25, 0}, flat(base), GuardDivergence},
+		{"no baseline yet", []float64{0.9, 0.5, 0.25, 0}, none, ""},
+	} {
+		g := &GuardPolicy{Baseline: tc.baseline}
+		if got := g.Check(c, tc.rates); got != tc.want {
+			t.Errorf("%s: Check(%v) = %q, want %q", tc.name, tc.rates, got, tc.want)
 		}
 	}
 }

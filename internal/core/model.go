@@ -44,16 +44,6 @@ type Config struct {
 	TSRs []float64
 	// CPenalty is the error-recovery penalty in cycles (5 for Razor).
 	CPenalty float64
-	// Alpha is the average switching capacitance (energy scale factor).
-	Alpha float64
-	// Leakage is the static-power coefficient of the extended energy model
-	// (the thesis notes Eq. 4.3 "can be easily extended" to cover leakage):
-	// each thread additionally dissipates Leakage * V * t while executing.
-	// Zero (the default) reproduces the thesis' dynamic-only model. Leakage
-	// while idling at the barrier is not modelled — it would couple threads
-	// through t_exec and break the per-thread separability SynTS-Poly's
-	// optimality proof rests on.
-	Leakage float64
 }
 
 // Validate reports whether the configuration is usable by the solvers.
@@ -89,12 +79,6 @@ func (c *Config) Validate() error {
 	if c.CPenalty < 0 {
 		return fmt.Errorf("core: negative recovery penalty")
 	}
-	if c.Alpha <= 0 {
-		return fmt.Errorf("core: Alpha must be positive")
-	}
-	if c.Leakage < 0 {
-		return fmt.Errorf("core: negative Leakage coefficient")
-	}
 	return nil
 }
 
@@ -112,16 +96,12 @@ func (c *Config) ThreadTime(th Thread, v, r float64) float64 {
 	return th.N * c.SPI(th, v, r)
 }
 
-// ThreadEnergy returns the energy of a thread's interval at (v, r) —
-// Eq. 4.3: en = alpha V^2 N (p_err C_penalty + CPI_base), plus the optional
-// leakage extension Leakage * V * t_thread.
+// ThreadEnergy returns the dynamic energy of a thread's interval at
+// (v, r) in units of the switching capacitance alpha — Eq. 4.3 with
+// alpha = 1: en = V^2 N (p_err C_penalty + CPI_base).
 func (c *Config) ThreadEnergy(th Thread, v, r float64) float64 {
 	perr := th.Err(r)
-	en := c.Alpha * v * v * th.N * (perr*c.CPenalty + th.CPIBase)
-	if c.Leakage > 0 {
-		en += c.Leakage * v * c.ThreadTime(th, v, r)
-	}
-	return en
+	return v * v * th.N * (perr*c.CPenalty + th.CPIBase)
 }
 
 // Assignment is a per-thread choice of voltage and TSR levels, stored as

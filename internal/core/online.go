@@ -5,33 +5,33 @@ import (
 	"math"
 )
 
-// OnlineConfig holds the knobs of the online sampling phase (§4.3).
+// OnlineConfig holds the knobs of the online sampling phase (§4.3). All
+// threads sample at the nominal chip voltage Voltages[0], as the thesis
+// does.
 type OnlineConfig struct {
-	// NSamp is the number of instructions each thread spends sampling at
-	// the start of the barrier interval (the thesis uses 10% of the
-	// interval, 50K instructions for long intervals, 10K for FMM).
-	NSamp float64
-	// NSampPer optionally overrides NSamp per thread. Strongly imbalanced
-	// intervals want each thread to sample a fraction of its *own* work:
-	// a single budget either starves the large threads' estimates or burns
-	// a disproportionate share of the small threads' instructions at the
-	// sampling voltage.
-	NSampPer []float64
-	// VSampIdx indexes Config.Voltages: the fixed voltage all threads use
-	// while sampling (the thesis uses the nominal chip voltage, index 0).
-	VSampIdx int
+	// NSamp holds each thread's sampling budget: the instructions it
+	// spends sampling at the start of the barrier interval. The thesis
+	// uses 10% of the interval; each thread samples a fraction of its own
+	// work, since with strongly imbalanced intervals a single budget either
+	// starves the large threads' estimates or burns a disproportionate
+	// share of the small threads' instructions at the sampling voltage.
+	NSamp []float64
 	// Guard optionally screens the sampled estimates before the solver may
 	// act on them (graceful degradation; see GuardPolicy). Nil = no guard.
 	Guard *GuardPolicy
 }
 
-// Guard-band defaults. MaxErrAtNominal exploits the structural invariant
-// that a delay trace's error probability is exactly 0 at r = 1 (no
-// sensitized delay exceeds the critical path), so even a tiny epsilon is
-// false-positive-free on genuine estimates. MaxDivergence is deliberately
-// generous: genuine per-interval estimates drift, and only a corrupted
-// sensor jumps half the whole probability range above the running
-// aggregate.
+// Guard-band thresholds. DefaultMaxErrAtNominal bounds the estimate at
+// the r = 1 level: it exploits the structural invariant that a delay
+// trace's error probability is exactly 0 there (no sensitized delay
+// exceeds the critical path), so even a tiny epsilon is
+// false-positive-free on genuine estimates. DefaultMaxDivergence bounds
+// how far an estimate may sit *above* the running aggregate of previously
+// accepted estimates at the same TSR level (one-sided: injected noise
+// pushes rates up; genuine drift downward is harmless). It is
+// deliberately generous: genuine per-interval estimates drift, and only a
+// corrupted sensor jumps half the whole probability range above the
+// running aggregate.
 const (
 	DefaultMaxErrAtNominal = 1e-6
 	DefaultMaxDivergence   = 0.5
@@ -54,18 +54,10 @@ const (
 // assignment, since err(1) = 0 by construction — rather than letting a
 // corrupted sensor drive the whole chip's schedule.
 type GuardPolicy struct {
-	// MaxErrAtNominal bounds the estimate at the r = 1 level, where the
-	// true error probability is exactly 0. <= 0 means the default.
-	MaxErrAtNominal float64
-	// MaxDivergence bounds how far an estimate may sit *above* the running
-	// aggregate of previously accepted estimates at the same TSR level
-	// (one-sided: injected noise pushes rates up; genuine drift downward is
-	// harmless). <= 0 means the default. Only applied when Baseline
-	// reports a value.
-	MaxDivergence float64
 	// Baseline returns the running aggregate estimate for a TSR level from
 	// earlier intervals (the caller typically feeds it from the telemetry
-	// ledger) and whether any baseline exists yet.
+	// ledger) and whether any baseline exists yet. The divergence check
+	// only applies where it reports a value.
 	Baseline func(level int) (float64, bool)
 }
 
@@ -73,14 +65,6 @@ type GuardPolicy struct {
 // rates, or "" if they are plausible. rates[k] corresponds to c.TSRs[k],
 // ascending, ending at r = 1.
 func (g *GuardPolicy) Check(c *Config, rates []float64) string {
-	maxNom := g.MaxErrAtNominal
-	if maxNom <= 0 {
-		maxNom = DefaultMaxErrAtNominal
-	}
-	maxDiv := g.MaxDivergence
-	if maxDiv <= 0 {
-		maxDiv = DefaultMaxDivergence
-	}
 	for _, r := range rates {
 		if math.IsNaN(r) || math.IsInf(r, 0) {
 			return GuardNaN
@@ -99,12 +83,12 @@ func (g *GuardPolicy) Check(c *Config, rates []float64) string {
 			return GuardNonMonotone
 		}
 	}
-	if rates[len(rates)-1] > maxNom {
+	if rates[len(rates)-1] > DefaultMaxErrAtNominal {
 		return GuardAtNominal
 	}
 	if g.Baseline != nil {
 		for k, r := range rates {
-			if base, ok := g.Baseline(k); ok && r > base+maxDiv {
+			if base, ok := g.Baseline(k); ok && r > base+DefaultMaxDivergence {
 				return GuardDivergence
 			}
 		}
@@ -153,14 +137,6 @@ func SolveGuarded(c *Config, g *GuardPolicy, ths []Thread, rates [][]float64, th
 	return a, reasons
 }
 
-// nsampFor returns the sampling budget of thread i.
-func (oc OnlineConfig) nsampFor(i int) float64 {
-	if oc.NSampPer != nil {
-		return oc.NSampPer[i]
-	}
-	return oc.NSamp
-}
-
 // ErrEstimator reports the error rate observed for a thread while sampling
 // at TSR index rIdx. Implementations measure this by running the thread's
 // first instructions speculatively and counting Razor error events (the
@@ -173,13 +149,14 @@ type SampleSlot struct {
 	Instrs float64
 }
 
-// SamplingSchedule returns the per-thread schedule of the sampling phase:
-// NSamp/S instructions at each of the S TSR levels (Fig 4.7).
-func SamplingSchedule(c *Config, oc OnlineConfig) []SampleSlot {
+// SamplingSchedule returns the per-thread schedule of a sampling phase
+// of nSamp instructions: nSamp/S instructions at each of the S TSR levels
+// (Fig 4.7).
+func SamplingSchedule(c *Config, nSamp float64) []SampleSlot {
 	s := len(c.TSRs)
 	slots := make([]SampleSlot, s)
 	for k := range slots {
-		slots[k] = SampleSlot{RIdx: k, Instrs: oc.NSamp / float64(s)}
+		slots[k] = SampleSlot{RIdx: k, Instrs: nSamp / float64(s)}
 	}
 	return slots
 }
@@ -231,24 +208,18 @@ type OnlineResult struct {
 }
 
 // SolveOnline runs the practical SynTS flow for one barrier interval:
-// sample error rates per TSR level at V_samp, optimise with SynTS-Poly on
-// the estimates, then charge the true cost of both the sampling phase and
-// the optimised remainder (§4.3, evaluated in §6.2).
+// sample error rates per TSR level at the nominal voltage, optimise with
+// SynTS-Poly on the estimates, then charge the true cost of both the
+// sampling phase and the optimised remainder (§4.3, evaluated in §6.2).
 func SolveOnline(c *Config, actual []Thread, est ErrEstimator, oc OnlineConfig, theta float64) OnlineResult {
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
-	if oc.NSamp < 0 {
-		panic("core: negative NSamp")
-	}
-	if oc.NSampPer != nil && len(oc.NSampPer) != len(actual) {
-		panic(fmt.Sprintf("core: %d per-thread sampling budgets for %d threads", len(oc.NSampPer), len(actual)))
-	}
-	if oc.VSampIdx < 0 || oc.VSampIdx >= len(c.Voltages) {
-		panic(fmt.Sprintf("core: VSampIdx %d out of range", oc.VSampIdx))
+	if len(oc.NSamp) != len(actual) {
+		panic(fmt.Sprintf("core: %d per-thread sampling budgets for %d threads", len(oc.NSamp), len(actual)))
 	}
 	m := len(actual)
-	vsamp := c.Voltages[oc.VSampIdx]
+	vsamp := c.Voltages[0]
 	nLevels := float64(len(c.TSRs))
 
 	// Build estimated threads over the post-sampling remainder.
@@ -262,9 +233,9 @@ func SolveOnline(c *Config, actual []Thread, est ErrEstimator, oc OnlineConfig, 
 		for k := range c.TSRs {
 			rates[i][k] = est(i, k)
 		}
-		nSamp := math.Min(oc.nsampFor(i), th.N)
+		nSamp := math.Min(oc.NSamp[i], th.N)
 		if nSamp < 0 {
-			panic("core: negative per-thread NSamp")
+			panic("core: negative NSamp")
 		}
 		estThreads[i] = Thread{N: th.N - nSamp, CPIBase: th.CPIBase}
 
@@ -287,7 +258,7 @@ func SolveOnline(c *Config, actual []Thread, est ErrEstimator, oc OnlineConfig, 
 	// Actual outcome of the remainder under the chosen assignment.
 	actualRem := make([]Thread, m)
 	for i, th := range actual {
-		nSamp := math.Min(oc.nsampFor(i), th.N)
+		nSamp := math.Min(oc.NSamp[i], th.N)
 		actualRem[i] = Thread{N: th.N - nSamp, CPIBase: th.CPIBase, Err: th.Err}
 	}
 	run := c.Evaluate(actualRem, a, theta)

@@ -144,15 +144,8 @@ func GranuleAblation(b *Bench, stage trace.Stage, interval int) (*report.Table, 
 		ps[t] = profs[t][interval]
 		ths[t] = ps[t].CoreThread()
 	}
-	budgets := samplingBudgets(ps, b.Opts.NSampFrac)
-	per := make([]float64, len(budgets))
-	nsamp := 0
-	for i, bn := range budgets {
-		per[i] = float64(bn)
-		if bn > nsamp {
-			nsamp = bn
-		}
-	}
+	budgets, per := samplingBudgets(ps)
+	nsamp := maxIntSlice(budgets)
 	_, off := core.SolvePoly(cfg, ths, ThetaGrid(cfg, [][]core.Thread{ths}, []float64{1})[0])
 	theta := ThetaGrid(cfg, [][]core.Thread{ths}, []float64{1})[0]
 
@@ -178,7 +171,7 @@ func GranuleAblation(b *Bench, stage trace.Stage, interval int) (*report.Table, 
 				cnt++
 			}
 		}
-		res := core.SolveOnline(cfg, ths, est, core.OnlineConfig{NSampPer: per, VSampIdx: 0}, theta)
+		res := core.SolveOnline(cfg, ths, est, core.OnlineConfig{NSamp: per}, theta)
 		label := fmt.Sprint(g)
 		if g == nsamp/len(cfg.TSRs)+1 {
 			label += " (contiguous slots)"
@@ -322,11 +315,7 @@ func PredictionStudy(b *Bench, stage trace.Stage) (*report.Table, error) {
 					pc.p.Observe(ti, actual[ti].N)
 				}
 			}
-			budgets := samplingBudgets(ps, b.Opts.NSampFrac)
-			per := make([]float64, len(budgets))
-			for i, bn := range budgets {
-				per[i] = float64(bn)
-			}
+			budgets, per := samplingBudgets(ps)
 			est := razor.SamplingEstimatorBudgets(ps, cfg.TSRs, budgets, cfg.CPenalty, razor.SamplingGranule)
 			// Decide with predicted N, charge with actual N: substitute the
 			// predicted workload into the solver inputs only.
@@ -337,7 +326,7 @@ func PredictionStudy(b *Bench, stage trace.Stage) (*report.Table, error) {
 					rates[k] = est(ti, k)
 				}
 				estForSolve[ti] = core.Thread{
-					N:       solveWith[ti].N * (1 - b.Opts.NSampFrac),
+					N:       solveWith[ti].N * (1 - NSampFrac),
 					CPIBase: solveWith[ti].CPIBase,
 					Err:     core.EstimatedErrFunc(cfg, rates),
 				}
@@ -345,7 +334,7 @@ func PredictionStudy(b *Bench, stage trace.Stage) (*report.Table, error) {
 			a, _ := core.SolvePoly(cfg, estForSolve, theta)
 			// Charge: sampling at nominal V plus the remainder at `a`,
 			// against the actual workload.
-			res := core.SolveOnline(cfg, actual, est, core.OnlineConfig{NSampPer: per, VSampIdx: 0}, theta)
+			res := core.SolveOnline(cfg, actual, est, core.OnlineConfig{NSamp: per}, theta)
 			_ = res
 			actRem := make([]core.Thread, nThreads)
 			for ti := range actual {

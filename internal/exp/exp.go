@@ -26,14 +26,17 @@ type Options struct {
 	Seed         int64 // data seed
 	MaxIntervals int   // barrier intervals analysed per benchmark (3 in §5.2)
 	Cache        cpu.CacheConfig
-	// NSampFrac is the sampling-phase fraction for online SynTS (10%).
-	NSampFrac float64
-	// CPenalty is the Razor recovery penalty in cycles.
-	CPenalty float64
 }
 
-// DefaultOptions mirrors §5: 4 cores, 3 barrier intervals, 10% sampling,
-// 5-cycle recovery.
+// The thesis' online-SynTS and Razor constants (§5): each thread samples
+// NSampFrac of its interval, and a timing error costs CPenalty cycles of
+// recovery.
+const (
+	NSampFrac = 0.10
+	CPenalty  = 5
+)
+
+// DefaultOptions mirrors §5: 4 cores and 3 barrier intervals.
 func DefaultOptions() Options {
 	return Options{
 		Threads:      4,
@@ -41,8 +44,6 @@ func DefaultOptions() Options {
 		Seed:         2016,
 		MaxIntervals: 3,
 		Cache:        cpu.DefaultL1(),
-		NSampFrac:    0.10,
-		CPenalty:     5,
 	}
 }
 
@@ -54,16 +55,16 @@ func TSRs() []float64 {
 
 // Platform builds the solver configuration for a pipe stage: the paper's
 // Table 5.1 voltage levels with the stage's STA critical path as the
-// nominal period at 1.0 V.
-func Platform(stage trace.Stage, opts Options) *core.Config {
+// nominal period at 1.0 V, and the CPenalty recovery cost. No option
+// changes the platform; the Options argument stays for callers.
+func Platform(stage trace.Stage, _ Options) *core.Config {
 	tcrit := stage.TCrit()
 	table := vscale.PaperTable()
 	return &core.Config{
 		Voltages: vscale.PaperVoltages(),
 		TNom:     func(v float64) float64 { return tcrit * table.TNom(v) },
 		TSRs:     TSRs(),
-		CPenalty: opts.CPenalty,
-		Alpha:    1,
+		CPenalty: CPenalty,
 	}
 }
 

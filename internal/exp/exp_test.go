@@ -253,7 +253,7 @@ func TestFig36StepsImprove(t *testing.T) {
 }
 
 func TestFig47Schedule(t *testing.T) {
-	tbl := Fig47(testOptions(), 50000)
+	tbl := Fig47(50000)
 	if len(tbl.Rows) != len(TSRs()) {
 		t.Fatalf("slots = %d", len(tbl.Rows))
 	}

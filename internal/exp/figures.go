@@ -222,7 +222,6 @@ func Fig36(b *Bench, stage trace.Stage, interval int) (*report.Table, error) {
 		TNom:     func(v float64) float64 { return tcrit * table.TNom(v) },
 		TSRs:     platform.TSRs,
 		CPenalty: platform.CPenalty,
-		Alpha:    1,
 	}
 	ths := make([]core.Thread, len(profs))
 	for t := range profs {
@@ -292,13 +291,14 @@ func Fig36(b *Bench, stage trace.Stage, interval int) (*report.Table, error) {
 	return tbl, nil
 }
 
-// Fig47 regenerates the Fig 4.7 sampling-phase schedule.
-func Fig47(opts Options, intervalN float64) *report.Table {
-	cfg := Platform(trace.SimpleALU, opts)
-	nsamp := opts.NSampFrac * intervalN
-	slots := core.SamplingSchedule(cfg, core.OnlineConfig{NSamp: nsamp, VSampIdx: 0})
+// Fig47 regenerates the Fig 4.7 sampling-phase schedule for an interval
+// of intervalN instructions.
+func Fig47(intervalN float64) *report.Table {
+	cfg := Platform(trace.SimpleALU, DefaultOptions())
+	nsamp := NSampFrac * intervalN
+	slots := core.SamplingSchedule(cfg, nsamp)
 	t := &report.Table{
-		Title:   fmt.Sprintf("Fig 4.7: Sampling phase schedule (N_samp = %.0f = %.0f%% of interval)", nsamp, opts.NSampFrac*100),
+		Title:   fmt.Sprintf("Fig 4.7: Sampling phase schedule (N_samp = %.0f = %.0f%% of interval)", nsamp, NSampFrac*100),
 		Headers: []string{"slot", "TSR", "instructions", "voltage"},
 	}
 	for i, sl := range slots {
@@ -505,7 +505,7 @@ func Fig617(b *Bench, stage trace.Stage, interval int) (*report.Series, error) {
 	for t := range profs {
 		ps[t] = profs[t][interval]
 	}
-	budgets := samplingBudgets(ps, b.Opts.NSampFrac)
+	budgets, _ := samplingBudgets(ps)
 	est := razor.SamplingEstimatorBudgets(ps, cfg.TSRs, budgets, cfg.CPenalty, razor.SamplingGranule)
 	names := []string{}
 	for t := range ps {
@@ -580,16 +580,19 @@ func Fig618Ctx(ctx context.Context, benches []*Bench, stage trace.Stage) ([]EDPR
 }
 
 // samplingBudgets sizes N_samp per thread for one barrier interval: each
-// thread samples the configured fraction of its own instruction count, so
-// that — as the thesis does for FMM's short intervals — short threads keep
-// their sampling proportionate while long threads still collect enough
-// error events for tight estimates.
-func samplingBudgets(ps []*trace.Profile, frac float64) []int {
-	out := make([]int, len(ps))
+// thread samples NSampFrac of its own instruction count, so that — as the
+// thesis does for FMM's short intervals — short threads keep their
+// sampling proportionate while long threads still collect enough error
+// events for tight estimates. It returns the budgets as the sampling
+// estimators count them and as core.OnlineConfig takes them.
+func samplingBudgets(ps []*trace.Profile) (budgets []int, nSamp []float64) {
+	budgets = make([]int, len(ps))
+	nSamp = make([]float64, len(ps))
 	for i, p := range ps {
-		out[i] = int(frac * float64(p.N))
+		budgets[i] = int(NSampFrac * float64(p.N))
+		nSamp[i] = float64(budgets[i])
 	}
-	return out
+	return budgets, nSamp
 }
 
 func minIntSlice(xs []int) int {
@@ -667,13 +670,9 @@ func SolveOnlineAllCtx(ctx context.Context, b *Bench, cfg *core.Config, stage tr
 		if nMax == 0 {
 			continue
 		}
-		budgets := samplingBudgets(ps, b.Opts.NSampFrac)
+		budgets, per := samplingBudgets(ps)
 		est := razor.SamplingEstimatorScoped(sc, ps, cfg.TSRs, budgets, cfg.CPenalty, razor.SamplingGranule)
-		per := make([]float64, len(budgets))
-		for i, bn := range budgets {
-			per[i] = float64(bn)
-		}
-		res := core.SolveOnline(cfg, ths, est, core.OnlineConfig{NSampPer: per, VSampIdx: 0, Guard: guard}, theta)
+		res := core.SolveOnline(cfg, ths, est, core.OnlineConfig{NSamp: per, Guard: guard}, theta)
 		tot.Energy += res.Metrics.Energy
 		tot.Time += res.Metrics.TExec
 		for i := range ths {

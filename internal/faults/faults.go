@@ -1,7 +1,7 @@
 // Package faults is the repository's deterministic fault-injection layer:
 // a seeded chaos harness that can corrupt or drop online sampling
 // estimates, perturb Razor replay error counts, panic worker pool tasks,
-// fail checkpoint saves, and slow or drop solver-service requests, so the
+// fail checkpoint saves, and slow solver-service requests, so the
 // pipeline's failure handling (panic isolation in internal/pool, the
 // estimate guard band in core.SolveOnline, the checkpoint's
 // tmp-then-rename commit, the daemon's shedding) can be exercised on
@@ -21,7 +21,7 @@
 //	spec    := "off" | class[=rate] ("," class[=rate])*
 //	class   := sample-noise | sample-drop | sample-nan |
 //	           replay-perturb | task-panic | ckpt-write-fail |
-//	           req-slow | req-drop
+//	           req-slow
 //	rate    := float in (0, 1]   (default per class, see DefaultRate)
 //
 // e.g. `-chaos sample-noise,task-panic` or `-chaos sample-nan=0.5`.
@@ -67,15 +67,11 @@ const (
 	// as queue depth, latency and ultimately queue-full sheds — the whole
 	// overload path, exercised deterministically.
 	ReqSlow = "req-slow"
-	// ReqDrop fails a solver-service request after admission (a lost
-	// response or a worker crash from the client's point of view); the
-	// service answers 503 and records a fallback event for the request.
-	ReqDrop = "req-drop"
 )
 
 // Classes lists every fault class, in spec order.
 func Classes() []string {
-	return []string{SampleNoise, SampleDrop, SampleNaN, ReplayPerturb, TaskPanic, CkptWriteFail, ReqSlow, ReqDrop}
+	return []string{SampleNoise, SampleDrop, SampleNaN, ReplayPerturb, TaskPanic, CkptWriteFail, ReqSlow}
 }
 
 // DefaultRate is the per-hook injection probability used when the spec
@@ -304,21 +300,6 @@ func RequestDelay(digest uint64) time.Duration {
 		return ReqSlowDuration
 	}
 	return 0
-}
-
-// RequestDrop decides whether the solver service should fail one admitted
-// request with an injected error (req-drop). Keyed on the request's
-// content digest, like RequestDelay.
-func RequestDrop(digest uint64) bool {
-	if !enabled.Load() {
-		return false
-	}
-	c := current.Load()
-	if c == nil {
-		return false
-	}
-	on, _ := c.fire(ReqDrop, digest)
-	return on
 }
 
 // InjectedPanic is the value an injected task panic carries; the pool

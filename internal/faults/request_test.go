@@ -8,14 +8,11 @@ func TestRequestHooksDisabled(t *testing.T) {
 	if d := RequestDelay(12345); d != 0 {
 		t.Errorf("delay %v while disabled", d)
 	}
-	if RequestDrop(12345) {
-		t.Errorf("drop while disabled")
-	}
 }
 
 // Rate 1 fires on every request; the delay is the fixed ReqSlowDuration.
 func TestRequestHooksAlwaysFire(t *testing.T) {
-	if err := Enable("req-slow=1,req-drop=1", 7); err != nil {
+	if err := Enable("req-slow=1", 7); err != nil {
 		t.Fatal(err)
 	}
 	defer Disable()
@@ -23,44 +20,27 @@ func TestRequestHooksAlwaysFire(t *testing.T) {
 		if d := RequestDelay(digest); d != ReqSlowDuration {
 			t.Errorf("digest %x: delay %v, want %v", digest, d, ReqSlowDuration)
 		}
-		if !RequestDrop(digest) {
-			t.Errorf("digest %x: not dropped at rate 1", digest)
-		}
 	}
 }
 
 // Decisions are a pure function of (seed, class, digest): repeated calls
-// agree, the two classes decide independently, and a fractional rate
-// fires on some but not all requests.
+// agree, and a fractional rate fires on some but not all requests.
 func TestRequestHooksDeterministic(t *testing.T) {
-	if err := Enable("req-slow=0.5,req-drop=0.5", 1234); err != nil {
+	if err := Enable("req-slow=0.5", 1234); err != nil {
 		t.Fatal(err)
 	}
 	defer Disable()
-	slow, drop, differ := 0, 0, false
+	slow := 0
 	for digest := uint64(0); digest < 500; digest++ {
 		d1, d2 := RequestDelay(digest), RequestDelay(digest)
 		if d1 != d2 {
 			t.Fatalf("digest %d: delay not deterministic", digest)
 		}
-		p1, p2 := RequestDrop(digest), RequestDrop(digest)
-		if p1 != p2 {
-			t.Fatalf("digest %d: drop not deterministic", digest)
-		}
 		if d1 > 0 {
 			slow++
 		}
-		if p1 {
-			drop++
-		}
-		if (d1 > 0) != p1 {
-			differ = true
-		}
 	}
-	if slow == 0 || slow == 500 || drop == 0 || drop == 500 {
-		t.Errorf("rate 0.5 fired slow=%d/500 drop=%d/500", slow, drop)
-	}
-	if !differ {
-		t.Errorf("req-slow and req-drop decisions are identical; classes not independent")
+	if slow == 0 || slow == 500 {
+		t.Errorf("rate 0.5 fired slow=%d/500", slow)
 	}
 }

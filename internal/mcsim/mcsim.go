@@ -32,7 +32,7 @@ type Input struct {
 	// delays, indexed [thread][interval]; stages other than the speculated
 	// one are assumed timing-safe, as in the thesis' per-stage analysis.
 	Profiles [][]*trace.Profile
-	// Platform supplies voltages, periods, penalty and energy scale.
+	// Platform supplies voltages, periods and the recovery penalty.
 	Platform *core.Config
 	// Cache configures each core's private data cache.
 	Cache cpu.CacheConfig
@@ -147,10 +147,7 @@ func Run(in Input) (*Result, error) {
 				}
 			}
 			ci.Busy += cycles * tclk
-			ci.Energy = in.Platform.Alpha * v * v * cycles
-			if in.Platform.Leakage > 0 {
-				ci.Energy += in.Platform.Leakage * v * ci.Busy
-			}
+			ci.Energy = v * v * cycles
 			if finish := now + ci.Busy; finish > barrier {
 				barrier = finish
 			}

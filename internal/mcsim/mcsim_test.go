@@ -24,7 +24,6 @@ func platform() *core.Config {
 		TNom:     func(v float64) float64 { return tcrit * table.TNom(v) },
 		TSRs:     []float64{0.64, 0.712, 0.784, 0.856, 0.928, 1.0},
 		CPenalty: 5,
-		Alpha:    1,
 	}
 }
 

@@ -149,7 +149,6 @@ func milpTestConfig() *core.Config {
 		},
 		TSRs:     []float64{0.7, 1.0},
 		CPenalty: 5,
-		Alpha:    1,
 	}
 }
 
@@ -195,7 +194,6 @@ func TestSynTSMILPFourThreadsFullPlatform(t *testing.T) {
 		},
 		TSRs:     []float64{0.64, 0.76, 0.88, 1.0},
 		CPenalty: 5,
-		Alpha:    1,
 	}
 	rng := rand.New(rand.NewSource(13))
 	ths := make([]core.Thread, 4)

@@ -130,7 +130,7 @@ func TestLoadgenFleetClientInert(t *testing.T) {
 		RPS:      200,
 		Duration: 250 * time.Millisecond,
 		Retries:  3,
-		Gen:      GenOptions{Seed: 11, Tenants: 2},
+		Gen:      GenOptions{Seed: 11},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestLoadgenFailoverCountIdentity(t *testing.T) {
 		RPS:      200,
 		Duration: 250 * time.Millisecond,
 		Retries:  2,
-		Gen:      GenOptions{Seed: 13, Tenants: 3},
+		Gen:      GenOptions{Seed: 13},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -69,7 +69,7 @@ func FuzzLoadReport(f *testing.F) {
 	mux := http.NewServeMux()
 	svc.Register(mux)
 	srv := httptest.NewServer(mux)
-	rep, err := RunLoad(LoadOptions{URL: srv.URL, RPS: 100, Duration: 100 * time.Millisecond, Gen: GenOptions{Seed: 5, Cores: 2}})
+	rep, err := RunLoad(LoadOptions{URL: srv.URL, RPS: 100, Duration: 100 * time.Millisecond, Gen: GenOptions{Seed: 5}})
 	srv.Close()
 	svc.Drain()
 	svc.Close()

@@ -9,15 +9,14 @@ import (
 	"synts/internal/workload"
 )
 
+// genCores is every generated request's core count: the paper's 4-core
+// CMP.
+const genCores = 4
+
 // GenOptions seeds the deterministic request generator.
 type GenOptions struct {
 	// Seed fixes the whole stream: same seed, same n → identical requests.
 	Seed int64
-	// Tenants bounds how many of the ten suite kernels appear as tenants;
-	// <= 0 or > len(suite) means all of them.
-	Tenants int
-	// Cores is the per-request core count; <= 0 means 4 (the paper's CMP).
-	Cores int
 	// RepeatFrac is the probability a request reuses an earlier payload
 	// under a fresh seq — the knob that exercises warm starts; 0 means
 	// the 0.25 default, < 0 disables repeats.
@@ -26,7 +25,8 @@ type GenOptions struct {
 
 // GenStream deterministically generates n solve requests: the synthetic
 // per-interval solver inputs the load generator replays and the
-// determinism tests replay twice. Requests rotate tenants round-robin;
+// determinism tests replay twice. Requests rotate round-robin over the
+// ten suite kernels as tenants and carry genCores cores each;
 // seq increases per tenant; stages and thetas vary per request; error
 // curves are plausible (monotone non-increasing in TSR, zero at the
 // nominal level) so they pass the guard band and exercise the real
@@ -36,13 +36,6 @@ type GenOptions struct {
 func GenStream(opts GenOptions, n int) []SolveRequest {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	tenants := workload.FullSuite()
-	if opts.Tenants > 0 && opts.Tenants < len(tenants) {
-		tenants = tenants[:opts.Tenants]
-	}
-	cores := opts.Cores
-	if cores <= 0 {
-		cores = 4
-	}
 	levels := len(exp.TSRs())
 	repeat := opts.RepeatFrac
 	if repeat == 0 {
@@ -70,7 +63,7 @@ func GenStream(opts GenOptions, n int) []SolveRequest {
 		} else {
 			p.stage = stages[rng.Intn(len(stages))].String()
 			p.theta = math.Round(rng.Float64()*2000) / 1000 // [0, 2], 3 decimals
-			p.cores = make([]CoreCurve, cores)
+			p.cores = make([]CoreCurve, genCores)
 			for c := range p.cores {
 				p.cores[c] = genCurve(rng, levels)
 			}

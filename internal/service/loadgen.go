@@ -18,6 +18,11 @@ import (
 // LoadSchema identifies a load-generator report.
 const LoadSchema = "synts-load/v1"
 
+// maxInFlight bounds a run's concurrent outstanding requests. An arrival
+// finding no free slot is counted Dropped, not delayed — the open-loop
+// contract.
+const maxInFlight = 256
+
 // LoadOptions configures one open-loop run against a live service.
 type LoadOptions struct {
 	// URL is the base URL of one daemon or of a `synts route` router
@@ -42,10 +47,6 @@ type LoadOptions struct {
 	// Gen seeds the request stream (see GenStream); Gen.Seed also stamps
 	// the report.
 	Gen GenOptions
-	// MaxInFlight bounds concurrent outstanding requests; <= 0 means 256.
-	// An arrival finding no free slot is counted Dropped, not delayed —
-	// the open-loop contract again.
-	MaxInFlight int
 	// SLO is the pass/fail gate stamped into the report.
 	SLO SLO
 	// Trace injects X-Synts-Trace headers on every request and records a
@@ -228,7 +229,7 @@ func (h *HopQuantile) validate() error {
 
 // RunLoad executes one seeded open-loop run: request i fires at
 // start + i/RPS regardless of how earlier requests fared, bounded only
-// by MaxInFlight. The request mix is GenStream's, so two runs with equal
+// by maxInFlight. The request mix is GenStream's, so two runs with equal
 // options replay byte-identical request bodies in the same order.
 func RunLoad(opts LoadOptions) (*LoadReport, error) {
 	rps := opts.RPS
@@ -238,10 +239,6 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 	dur := opts.Duration
 	if dur <= 0 {
 		dur = 5 * time.Second
-	}
-	maxIF := opts.MaxInFlight
-	if maxIF <= 0 {
-		maxIF = 256
 	}
 	n := int(rps * dur.Seconds())
 	if n < 1 {
@@ -283,7 +280,7 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 	var wg sync.WaitGroup
 	latencies := make([]float64, 0, n)
 	samples := make([]HopQuantile, 0, n) // OK requests only, ms
-	slots := make(chan struct{}, maxIF)
+	slots := make(chan struct{}, maxInFlight)
 	interval := time.Duration(float64(time.Second) / rps)
 	start := time.Now()
 	for i := 0; i < n; i++ {

@@ -13,12 +13,11 @@ import (
 func TestRunLoadAgainstLiveService(t *testing.T) {
 	_, srv := newTestService(t, Config{Shards: 2, QueueLen: 32})
 	rep, err := RunLoad(LoadOptions{
-		URL:         srv.URL,
-		RPS:         200,
-		Duration:    500 * time.Millisecond,
-		Gen:         GenOptions{Seed: 11, Cores: 2},
-		MaxInFlight: 64,
-		SLO:         SLO{P95MaxMs: 5000, MaxErrorFrac: 0},
+		URL:      srv.URL,
+		RPS:      200,
+		Duration: 500 * time.Millisecond,
+		Gen:      GenOptions{Seed: 11},
+		SLO:      SLO{P95MaxMs: 5000, MaxErrorFrac: 0},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +56,7 @@ func TestRunLoadObservesShedding(t *testing.T) {
 		URL:      srv.URL,
 		RPS:      100,
 		Duration: 200 * time.Millisecond,
-		Gen:      GenOptions{Seed: 3, Cores: 1},
+		Gen:      GenOptions{Seed: 3},
 		SLO:      SLO{MaxErrorFrac: 0},
 	})
 	if err != nil {

@@ -100,9 +100,6 @@ const (
 const (
 	ShedQueueFull = "queue-full"
 	ShedDraining  = fleet.ReasonDraining
-	// ReasonReqDrop is the fallback-event reason for a request failed by
-	// the req-drop chaos class.
-	ReasonReqDrop = "req-drop"
 )
 
 // fnvOffset/fnvPrime are the FNV-1a constants; the digests below fold a
@@ -161,8 +158,8 @@ func payloadDigest(r *SolveRequest) uint64 {
 }
 
 // requestDigest fingerprints the whole request including its identity —
-// the request ID in responses and the key of the per-request chaos hooks,
-// so req-slow/req-drop decisions are per request, not per payload.
+// the request ID in responses and the key of the req-slow chaos hook, so
+// its decisions are per request, not per payload.
 func requestDigest(r *SolveRequest) uint64 {
 	d := newDigester()
 	d.str(r.Tenant)

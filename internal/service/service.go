@@ -54,9 +54,6 @@ const maxBodyBytes = 1 << 20
 // errQueueFull is the dispatch error behind a 429.
 var errQueueFull = errors.New("service: solve queue full")
 
-// errDropped is the injected req-drop failure behind a chaos 503.
-var errDropped = errors.New("service: request dropped by fault injection")
-
 // queueDepth is the gauge of jobs waiting in the solve queue.
 const queueDepth = "service.queue_depth"
 
@@ -318,17 +315,6 @@ func (s *Service) process(r *SolveRequest, w http.ResponseWriter, tc fleet.Trace
 	defer s.inFlight.Done()
 
 	reqDig := requestDigest(r)
-	if faults.RequestDrop(reqDig) {
-		obs.C("service.chaos.req_drop").Add(1)
-		obs.C("service.requests.dropped").Add(1)
-		s.recordFallback(r, -1, ReasonReqDrop, trace)
-		detail = "shed:" + ReasonReqDrop
-		w.Header().Set(HeaderShedReason, ReasonReqDrop)
-		stampServerNs(w, start)
-		http.Error(w, errDropped.Error(), http.StatusServiceUnavailable)
-		return http.StatusServiceUnavailable
-	}
-
 	// req-slow makes this request's solve slow on the worker (not a sleep
 	// in the handler: the point is to consume solver capacity, so injected
 	// slowness surfaces as queue depth and ultimately sheds, like a real
@@ -462,24 +448,6 @@ func (s *Service) shed(r *SolveRequest, w http.ResponseWriter, trace string, sta
 	return status
 }
 
-// recordFallback emits one fallback ledger event for a request.
-func (s *Service) recordFallback(r *SolveRequest, coreIdx int, reason, trace string) {
-	if !telemetry.Enabled() {
-		return
-	}
-	telemetry.Record(telemetry.Event{
-		Kind:     telemetry.KindFallback,
-		Bench:    r.Tenant,
-		Stage:    r.Stage,
-		Solver:   SolverName,
-		Theta:    r.Theta,
-		Interval: r.Seq,
-		Core:     coreIdx,
-		Reason:   reason,
-		Trace:    trace,
-	})
-}
-
 // recordSolve emits the ledger view of one answered request: estimate
 // events for every plausible (core, TSR level) rate the client supplied,
 // a decision event per core, fallback events for guard-rejected cores,
@@ -530,7 +498,12 @@ func (s *Service) recordSolve(r *SolveRequest, res *solveResult, trace string) {
 		e.IntervalCycles = cc.N * cc.CPIBase
 		telemetry.Record(e)
 		if cr.Fallback != "" {
-			s.recordFallback(r, i, cr.Fallback, trace)
+			e := base
+			e.Kind = telemetry.KindFallback
+			e.Core = i
+			e.Reason = cr.Fallback
+			e.Trace = trace
+			telemetry.Record(e)
 		}
 	}
 	e := base

@@ -25,7 +25,7 @@ func tracedLoad(t *testing.T, url string, seed int64) (*LoadReport, []obs.TraceS
 		// Repeats would map two logical requests onto one body digest
 		// (same trace ID, duplicate root span); the determinism and
 		// stitching contracts are scoped to repeat-free streams.
-		Gen:   GenOptions{Seed: seed, Cores: 2, RepeatFrac: -1},
+		Gen:   GenOptions{Seed: seed, RepeatFrac: -1},
 		SLO:   SLO{MaxErrorFrac: 0},
 		Trace: true,
 	})
@@ -133,7 +133,7 @@ func TestUntracedClientRecordsNoDaemonSpans(t *testing.T) {
 		URL:      srv.URL,
 		RPS:      100,
 		Duration: 200 * time.Millisecond,
-		Gen:      GenOptions{Seed: 7, Cores: 1},
+		Gen:      GenOptions{Seed: 7},
 	})
 	if err != nil {
 		t.Fatal(err)
