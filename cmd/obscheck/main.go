@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	obscheck -stats stats.json -trace traces/ -events events.jsonl -ckpt ckptdir -simprof simprof.pb.gz -load load.json
+//	obscheck -stats stats.json -trace traces/ -events events.jsonl -simprof simprof.pb.gz -load load.json
 //
 // Any flag may be omitted to check only the others. When both -events and
 // -simprof are given, the profiler's replay- and sampling-phase totals are
@@ -25,7 +25,6 @@ import (
 	"sort"
 	"strings"
 
-	"synts/internal/ckpt"
 	"synts/internal/isa"
 	"synts/internal/obs"
 	"synts/internal/sched"
@@ -39,14 +38,13 @@ func main() {
 	statsPath := flag.String("stats", "", "path to a -stats-json snapshot")
 	tracePath := flag.String("trace", "", "path to a synts-trace/v1 artifact or a -trace-dir directory of them")
 	eventsPath := flag.String("events", "", "path to an -events-out decision ledger (synts-events/v1 JSONL)")
-	ckptPath := flag.String("ckpt", "", "path to a -checkpoint-dir directory (synts-ckpt/v1)")
 	simprofPath := flag.String("simprof", "", "path to a -simprof-out simulation profile (gzipped pprof profile.proto)")
 	loadPath := flag.String("load", "", "path to a `synts loadgen` report (synts-load/v1)")
 	allowEmpty := flag.Bool("allow-empty", false, "accept a ledger or profile with zero events/samples (schema is still enforced)")
 	eventsRequire := flag.String("events-require", "decision,barrier,estimate", "comma-separated event `kinds` the -events ledger must contain (a router ledger carries breaker,failover instead of the batch kinds)")
 	flag.Parse()
-	if *statsPath == "" && *tracePath == "" && *eventsPath == "" && *ckptPath == "" && *simprofPath == "" && *loadPath == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (need -stats, -trace, -events, -ckpt, -simprof and/or -load)")
+	if *statsPath == "" && *tracePath == "" && *eventsPath == "" && *simprofPath == "" && *loadPath == "" {
+		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (need -stats, -trace, -events, -simprof and/or -load)")
 		os.Exit(2)
 	}
 	failed := false
@@ -64,7 +62,6 @@ func main() {
 	check(*statsPath, checkStats)
 	check(*tracePath, checkTrace)
 	check(*eventsPath, func(p string) error { return checkEvents(p, *allowEmpty, *eventsRequire) })
-	check(*ckptPath, checkCkpt)
 	check(*simprofPath, func(p string) error { return checkSimprof(p, *eventsPath, *allowEmpty) })
 	check(*loadPath, checkLoad)
 	if failed {
@@ -205,27 +202,6 @@ func checkTrace(path string) error {
 	}
 	if res.Orphans > 0 {
 		return fmt.Errorf("stitch left %d orphan span(s) across %d trace(s): per-process artifacts do not line up", res.Orphans, len(res.Trees))
-	}
-	return nil
-}
-
-// checkCkpt enforces the synts-ckpt/v1 contract over a checkpoint
-// directory: every .ckpt.json entry parses, carries the right schema
-// version, and is stored under its own experiment's file name. An empty
-// directory is an error — a resume pointed here would silently recompute
-// everything.
-func checkCkpt(dir string) error {
-	entries, err := ckpt.ValidateDir(dir)
-	if err != nil {
-		return err
-	}
-	if len(entries) == 0 {
-		return fmt.Errorf("no checkpoints in %s", dir)
-	}
-	for _, e := range entries {
-		if len(e.Output) == 0 {
-			return fmt.Errorf("checkpoint %s has empty output", e.Experiment)
-		}
 	}
 	return nil
 }

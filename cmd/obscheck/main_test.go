@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"synts/internal/ckpt"
 	"synts/internal/obs"
 	"synts/internal/simprof"
 	"synts/internal/telemetry"
@@ -246,30 +245,6 @@ func TestCheckSimprofNotAProfile(t *testing.T) {
 	}
 	if err := checkSimprof(path, "", false); err == nil {
 		t.Fatal("accepted a non-profile file")
-	}
-}
-
-func TestCheckCkpt(t *testing.T) {
-	dir := t.TempDir()
-	if err := checkCkpt(dir); err == nil {
-		t.Fatal("accepted an empty checkpoint directory")
-	}
-	s, err := ckpt.Open(dir, ckpt.Key{Size: 1, Seed: 2016, Threads: 4, Intervals: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save("table5.1", []byte("rendered table\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := checkCkpt(dir); err != nil {
-		t.Fatalf("rejected a valid checkpoint dir: %v", err)
-	}
-	bad := `{"schema":"synts-ckpt/v0","experiment":"x","key":{},"output":"eA=="}` + "\n"
-	if err := os.WriteFile(filepath.Join(dir, "x.ckpt.json"), []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := checkCkpt(dir); err == nil {
-		t.Fatal("accepted a checkpoint with the wrong schema version")
 	}
 }
 

@@ -28,11 +28,10 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
+	"strings"
 	"sync"
 	"syscall"
-	"time"
 
-	"synts/internal/ckpt"
 	"synts/internal/exp"
 	"synts/internal/faults"
 	"synts/internal/obs"
@@ -50,7 +49,6 @@ var (
 	maxIv   = flag.Int("intervals", 3, "barrier intervals analysed per benchmark")
 	jobs    = flag.Int("j", runtime.NumCPU(), "experiments run concurrently (1 = serial; output is identical at any -j)")
 	engine  = flag.String("engine", "event", "timing engine: event (bit-parallel + event-driven) or levelized (golden reference; output is identical either way)")
-	verbose = flag.Bool("v", false, "print progress to stderr")
 
 	stats      = flag.Bool("stats", false, "print the end-of-run metrics table to stderr")
 	statsJSON  = flag.String("stats-json", "", "write the metrics snapshot as JSON to `file`")
@@ -60,11 +58,13 @@ var (
 	cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to `file`")
 	memprofile = flag.String("memprofile", "", "write a pprof heap profile to `file`")
 
-	chaos     = flag.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (classes: sample-noise, sample-drop, sample-nan, replay-perturb, task-panic, ckpt-write-fail)")
+	chaos     = flag.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (classes: "+strings.Join(batchChaos, ", ")+")")
 	chaosSeed = flag.Int64("chaos-seed", 1, "seed for the fault injector's decisions")
-	ckptDir   = flag.String("checkpoint-dir", "", "write each completed experiment's output to `dir` (synts-ckpt/v1, atomic)")
-	resume    = flag.Bool("resume", false, "replay experiments already completed in -checkpoint-dir instead of recomputing them")
 )
+
+// batchChaos are the fault classes whose hooks a batch run reaches: the
+// online sampling estimates, the Razor replays and the worker pool.
+var batchChaos = []string{faults.SampleNoise, faults.SampleDrop, faults.SampleNaN, faults.ReplayPerturb, faults.TaskPanic}
 
 func main() {
 	flag.Usage = func() {
@@ -146,25 +146,13 @@ func main() {
 	if *simprofOut != "" {
 		simprof.Enable()
 	}
-	if err := faults.Enable(*chaos, *chaosSeed); err != nil {
+	if err := faults.Enable(*chaos, *chaosSeed, batchChaos); err != nil {
 		fmt.Fprintf(os.Stderr, "synts: -chaos: %v\n", err)
 		os.Exit(2)
 	}
-	var store *ckpt.Store
-	if *ckptDir != "" {
-		var err error
-		store, err = ckpt.Open(*ckptDir, ckpt.Key{Size: *size, Seed: *seed, Threads: *threads, Intervals: *maxIv})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "synts: -checkpoint-dir: %v\n", err)
-			os.Exit(1)
-		}
-	} else if *resume {
-		fmt.Fprintln(os.Stderr, "synts: -resume requires -checkpoint-dir")
-		os.Exit(2)
-	}
 	// SIGINT/SIGTERM cancel the batch pipeline: in-flight experiments
-	// finish or unwind, queued ones are dropped, and already-checkpointed
-	// work survives for a later -resume.
+	// finish or unwind, queued ones are dropped, and stdout keeps the
+	// experiments committed before the first dropped one.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	stopCPU, err := startRecorder(*cpuprofile, pprof.StartCPUProfile, pprof.StopCPUProfile)
@@ -177,7 +165,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "synts: %v\n", err)
 		os.Exit(1)
 	}
-	runErr := runAllCtx(ctx, names, opts, *jobs, *verbose, os.Stdout, os.Stderr, store, *resume)
+	runErr := runAllCtx(ctx, names, opts, *jobs, os.Stdout)
 	stopTrace()
 	stopCPU()
 	if err := writeObsArtifacts(*stats, *statsJSON, os.Stderr); err != nil {
@@ -237,19 +225,15 @@ func checkKernelFlags(threads, size int) error {
 // tables never interleave and the byte stream does not depend on the job
 // count. The first error (in request order) is returned after all started
 // work settles. Once ctx is cancelled, experiments not yet running are
-// dropped (and reported with ctx's error) while in-flight ones finish.
-// With a non-nil store, each successfully completed experiment's buffer
-// is checkpointed atomically; with resume also set, experiments whose
-// checkpoint already exists replay their stored bytes instead of
-// recomputing — stdout stays byte-identical to an uninterrupted run
-// because the buffer is replayed verbatim in the same request-order
-// commit.
+// dropped (and reported with ctx's error) while in-flight ones finish, so
+// stdout holds whole experiments only, up to the first dropped or failed
+// one, which the returned error names.
 //
 // Output is committed in request order by whichever goroutine finishes an
 // experiment: under one mutex it writes every finished experiment from
 // the first unwritten one on, so an experiment's bytes reach stdout before
 // its pool slot is released.
-func runAllCtx(ctx context.Context, names []string, opts exp.Options, jobs int, verbose bool, stdout, stderr io.Writer, store *ckpt.Store, resume bool) error {
+func runAllCtx(ctx context.Context, names []string, opts exp.Options, jobs int, stdout io.Writer) error {
 	if err := checkKernelFlags(opts.Threads, opts.Size); err != nil {
 		return err
 	}
@@ -261,12 +245,9 @@ func runAllCtx(ctx context.Context, names []string, opts exp.Options, jobs int, 
 	}
 	r := &runner{ctx: ctx, opts: opts, benches: exp.NewBenchCache()}
 	type result struct {
-		buf     bytes.Buffer
-		err     error
-		ckptErr error // checkpoint write failed; the run itself succeeded
-		took    time.Duration
-		cached  bool
-		done    bool // finished or accounted for; set under mu
+		buf  bytes.Buffer
+		err  error
+		done bool // finished or accounted for; set under mu
 	}
 	results := make([]result, len(exps))
 	var (
@@ -293,43 +274,16 @@ func runAllCtx(ctx context.Context, names []string, opts exp.Options, jobs int, 
 				firstErr = err
 				continue
 			}
-			if res.ckptErr != nil {
-				fmt.Fprintf(stderr, "synts: checkpoint %s: %v (resume will recompute it)\n", names[next], res.ckptErr)
-			}
-			if verbose {
-				if res.cached {
-					fmt.Fprintf(stderr, "[%s replayed from checkpoint]\n", names[next])
-				} else {
-					fmt.Fprintf(stderr, "[%s done in %v]\n", names[next], res.took.Round(time.Millisecond))
-				}
-			}
 			fmt.Fprintln(stdout)
 		}
 	}
 	g := pool.New(jobs)
 	for i, e := range exps {
 		res := &results[i]
-		if resume {
-			if out, err := store.Load(e.name); err == nil {
-				res.buf.Write(out)
-				res.cached = true
-				commit(i)
-				continue
-			}
-		}
 		g.GoCtx(ctx, func() error {
 			rg := obs.StartRegion("exp.run:", e.name)
-			start := time.Now()
 			res.err = e.run(r, &res.buf)
-			res.took = time.Since(start)
 			rg.End()
-			if res.err == nil && store != nil {
-				// A failed checkpoint write must not fail the run: the
-				// output bytes are in hand and committed below; only a
-				// later -resume loses the shortcut. Surfaced as a warning
-				// in the (deterministic) request-order commit.
-				res.ckptErr = store.Save(e.name, res.buf.Bytes())
-			}
 			commit(i)
 			return nil // errors surface in request order
 		})

@@ -5,18 +5,19 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	rtrace "runtime/trace"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
-	"synts/internal/ckpt"
 	"synts/internal/exp"
 	"synts/internal/faults"
 	"synts/internal/obs"
@@ -88,7 +89,7 @@ func TestFastExperimentsRun(t *testing.T) {
 }
 
 func TestRunAllUnknownExperiment(t *testing.T) {
-	err := runAllCtx(context.Background(), []string{"table5.1", "nope"}, exp.DefaultOptions(), 1, false, io.Discard, io.Discard, nil, false)
+	err := runAllCtx(context.Background(), []string{"table5.1", "nope"}, exp.DefaultOptions(), 1, io.Discard)
 	if err == nil {
 		t.Fatal("unknown experiment must error")
 	}
@@ -108,7 +109,7 @@ func TestRejectsThreadsBelowOne(t *testing.T) {
 		opts := exp.DefaultOptions()
 		opts.Size, opts.Threads = 1, threads
 		var stdout bytes.Buffer
-		err := runAllCtx(context.Background(), []string{"fig3.6"}, opts, 1, false, &stdout, io.Discard, nil, false)
+		err := runAllCtx(context.Background(), []string{"fig3.6"}, opts, 1, &stdout)
 		if err == nil || exitCode(err) != 2 {
 			t.Fatalf("-threads %d: error %v, exit %d, want a usage error (exit 2)", threads, err, exitCode(err))
 		}
@@ -135,7 +136,7 @@ func TestRejectsNegativeSize(t *testing.T) {
 		opts := exp.DefaultOptions()
 		opts.Size = size
 		var stdout bytes.Buffer
-		err := runAllCtx(context.Background(), []string{"fig3.6", "fig6.14"}, opts, 1, false, &stdout, io.Discard, nil, false)
+		err := runAllCtx(context.Background(), []string{"fig3.6", "fig6.14"}, opts, 1, &stdout)
 		if err == nil || exitCode(err) != 2 {
 			t.Fatalf("%s: error %v, exit %d, want a usage error (exit 2)", arg, err, exitCode(err))
 		}
@@ -165,7 +166,7 @@ func TestRunAllOutputIdenticalAcrossJobCounts(t *testing.T) {
 	names := []string{"table5.1", "fig3.6"}
 	run := func(jobs int) string {
 		var out bytes.Buffer
-		if err := runAllCtx(context.Background(), names, opts, jobs, false, &out, io.Discard, nil, false); err != nil {
+		if err := runAllCtx(context.Background(), names, opts, jobs, &out); err != nil {
 			t.Fatalf("-j %d: %v", jobs, err)
 		}
 		return out.String()
@@ -190,7 +191,7 @@ func TestRunAllOutputIdenticalWithStats(t *testing.T) {
 	names := []string{"table5.1", "fig3.6"}
 
 	var plain bytes.Buffer
-	if err := runAllCtx(context.Background(), names, opts, 1, false, &plain, io.Discard, nil, false); err != nil {
+	if err := runAllCtx(context.Background(), names, opts, 1, &plain); err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
 
@@ -201,7 +202,7 @@ func TestRunAllOutputIdenticalWithStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	var instrumented, stderr bytes.Buffer
-	err = runAllCtx(context.Background(), names, opts, 4, false, &instrumented, io.Discard, nil, false)
+	err = runAllCtx(context.Background(), names, opts, 4, &instrumented)
 	stop()
 	if err != nil {
 		t.Fatalf("instrumented run: %v", err)
@@ -236,7 +237,7 @@ func TestStatsJSONAndTraceOutSchemas(t *testing.T) {
 	// fig3.5 twice at -j 1: the second, strictly-later lookup hits the
 	// bench and profile caches (at higher -j it would be a singleflight
 	// wait), making the hit ratio deterministically positive.
-	err = runAllCtx(context.Background(), []string{"fig3.5", "fig3.5"}, opts, 1, false, io.Discard, io.Discard, nil, false)
+	err = runAllCtx(context.Background(), []string{"fig3.5", "fig3.5"}, opts, 1, io.Discard)
 	stop()
 	if err != nil {
 		t.Fatal(err)
@@ -343,72 +344,12 @@ func TestRunAllWritesEachOutputBeforeTheNextStarts(t *testing.T) {
 	opts.Size = 1
 	for run := range 20 {
 		out = lockedBuffer{}
-		if err := runAllCtx(context.Background(), names, opts, 1, false, &out, io.Discard, nil, false); err != nil {
+		if err := runAllCtx(context.Background(), names, opts, 1, &out); err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
 		if got := out.String(); got != want {
 			t.Fatalf("run %d: stdout %q, want %q", run, got, want)
 		}
-	}
-}
-
-// An interrupted checkpointed run, resumed, must reproduce the
-// uninterrupted byte stream exactly: the resumed experiments replay their
-// stored buffers and the rest recompute into the same request-order flush.
-func TestRunAllCheckpointResumeByteIdentical(t *testing.T) {
-	opts := exp.DefaultOptions()
-	opts.Size = 1
-	names := []string{"table5.1", "fig3.6", "fig4.7"}
-	var golden bytes.Buffer
-	if err := runAllCtx(context.Background(), names, opts, 2, false, &golden, io.Discard, nil, false); err != nil {
-		t.Fatal(err)
-	}
-	key := ckpt.Key{Size: opts.Size, Seed: opts.Seed, Threads: opts.Threads, Intervals: opts.MaxIntervals}
-	store, err := ckpt.Open(t.TempDir(), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate an interrupted run: only the first two experiments completed
-	// and were checkpointed before the process died.
-	var partial bytes.Buffer
-	if err := runAllCtx(context.Background(), names[:2], opts, 2, false, &partial, io.Discard, store, false); err != nil {
-		t.Fatal(err)
-	}
-	var resumed bytes.Buffer
-	if err := runAllCtx(context.Background(), names, opts, 2, false, &resumed, io.Discard, store, true); err != nil {
-		t.Fatal(err)
-	}
-	if golden.String() != resumed.String() {
-		t.Errorf("resumed output differs from uninterrupted run:\n--- golden ---\n%s\n--- resumed ---\n%s", golden.String(), resumed.String())
-	}
-}
-
-// A checkpoint written under a different workload key must be recomputed,
-// never replayed.
-func TestRunAllResumeIgnoresMismatchedKey(t *testing.T) {
-	opts := exp.DefaultOptions()
-	opts.Size = 1
-	dir := t.TempDir()
-	stale, err := ckpt.Open(dir, ckpt.Key{Size: 99, Seed: 1, Threads: 1, Intervals: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stale.Save("table5.1", []byte("STALE BYTES\n")); err != nil {
-		t.Fatal(err)
-	}
-	store, err := ckpt.Open(dir, ckpt.Key{Size: opts.Size, Seed: opts.Seed, Threads: opts.Threads, Intervals: opts.MaxIntervals})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := runAllCtx(context.Background(), []string{"table5.1"}, opts, 1, false, &out, io.Discard, store, true); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out.String(), "STALE BYTES") {
-		t.Error("stale checkpoint bytes replayed despite key mismatch")
-	}
-	if !strings.Contains(out.String(), "Table 5.1") {
-		t.Error("experiment was not recomputed")
 	}
 }
 
@@ -419,9 +360,138 @@ func TestRunAllCtxCancelledNoDeadlock(t *testing.T) {
 	opts.Size = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := runAllCtx(ctx, []string{"table5.1", "fig4.7"}, opts, 1, false, io.Discard, io.Discard, nil, false)
+	err := runAllCtx(ctx, []string{"table5.1", "fig4.7"}, opts, 1, io.Discard)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// A run cancelled from inside one experiment keeps two promises: stdout
+// holds whole experiments only, as a prefix of the uninterrupted output,
+// and the error names the first experiment missing from it. The
+// cancelling probe either finishes anyway or fails with ctx's error. At
+// -j > 1 every probe may have started before the cancel, and then a run
+// whose probes all finish succeeds.
+func TestRunAllCancelledMidRunKeepsWholeExperiments(t *testing.T) {
+	saved := experiments
+	defer func() { experiments = saved }()
+	const cancelAt = 2
+	var (
+		cancel       context.CancelFunc
+		failOnCancel bool
+		names        []string
+		prefixes     = []string{""} // prefixes[k]: stdout of the first k probes
+	)
+	for i := range 6 {
+		name := fmt.Sprintf("probe%d", i)
+		experiments = append(experiments, experiment{name, "interrupt probe", func(r *runner, w io.Writer) error {
+			fmt.Fprintln(w, name)
+			if i == cancelAt {
+				cancel()
+				if failOnCancel {
+					return r.context().Err()
+				}
+			}
+			return nil
+		}})
+		names = append(names, name)
+		prefixes = append(prefixes, prefixes[i]+name+"\n\n")
+	}
+	opts := exp.DefaultOptions()
+	opts.Size = 1
+
+	cancel = func() {}
+	var out bytes.Buffer
+	if err := runAllCtx(context.Background(), names, opts, 1, &out); err != nil || out.String() != prefixes[len(names)] {
+		t.Fatalf("uninterrupted run: err %v, stdout %q, want %q", err, out.String(), prefixes[len(names)])
+	}
+	for _, fail := range []bool{false, true} {
+		for _, jobs := range []int{1, 2, 4} {
+			var ctx context.Context
+			ctx, cancel = context.WithCancel(context.Background())
+			failOnCancel = fail
+			out.Reset()
+			err := runAllCtx(ctx, names, opts, jobs, &out)
+			cancel()
+			k := slices.Index(prefixes, out.String())
+			if k < 0 {
+				t.Fatalf("fail=%v -j %d: stdout %q is not a whole-experiment prefix of the uninterrupted output", fail, jobs, out.String())
+			}
+			switch {
+			case err == nil && k != len(names):
+				t.Errorf("fail=%v -j %d: nil error with %d of %d experiments on stdout", fail, jobs, k, len(names))
+			case err != nil && (!errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), names[k]+": ")):
+				t.Errorf("fail=%v -j %d: error %v, want context.Canceled naming %s, the first experiment missing from stdout", fail, jobs, err, names[k])
+			case fail && k != cancelAt:
+				t.Errorf("fail=%v -j %d: %d experiments on stdout, want the %d before the failed one", fail, jobs, k, cancelAt)
+			case !fail && k <= cancelAt:
+				t.Errorf("fail=%v -j %d: %d experiments on stdout, want the cancelling one among them", fail, jobs, k)
+			}
+		}
+	}
+}
+
+// Each command accepts exactly the chaos classes whose hooks it reaches:
+// the batch the sampling, replay and task hooks, a daemon the task hook
+// and the request slowdown. Any other class is refused with an error that
+// names the accepted set, and each -chaos help lists exactly that set.
+func TestChaosClassesPerCommand(t *testing.T) {
+	defer faults.Disable()
+	defer obs.Disable()
+	cases := []struct {
+		class        string
+		batch, serve bool
+	}{
+		{faults.SampleNoise, true, false},
+		{faults.SampleDrop, true, false},
+		{faults.SampleNaN, true, false},
+		{faults.ReplayPerturb, true, false},
+		{faults.TaskPanic, true, true},
+		{faults.ReqSlow, false, true},
+		{"bogus", false, false},
+	}
+	var batchSet, serveSet []string
+	for _, tc := range cases {
+		if tc.batch {
+			batchSet = append(batchSet, tc.class)
+		}
+		if tc.serve {
+			serveSet = append(serveSet, tc.class)
+		}
+	}
+	var serveHelp bytes.Buffer
+	runServeCmd([]string{"-h"}, nil, &serveHelp)
+	for _, c := range []struct {
+		cmd, help string
+		set       []string
+	}{
+		{"synts", flag.Lookup("chaos").Usage, batchSet},
+		{"synts serve", serveHelp.String(), serveSet},
+	} {
+		if want := "(classes: " + strings.Join(c.set, ", ") + ")"; !strings.Contains(c.help, want) {
+			t.Errorf("%s -chaos help does not list exactly %s:\n%s", c.cmd, want, c.help)
+		}
+	}
+	for _, tc := range cases {
+		batchErr := faults.Enable(tc.class, 1, batchChaos)
+		var stderr bytes.Buffer
+		serveErr := runServeCmd([]string{"-addr", "127.0.0.1:0", "-shards", "1", "-chaos", tc.class}, interrupted(), &stderr)
+		for _, c := range []struct {
+			cmd    string
+			err    error
+			accept bool
+			set    []string
+		}{
+			{"synts", batchErr, tc.batch, batchSet},
+			{"synts serve", serveErr, tc.serve, serveSet},
+		} {
+			if (c.err == nil) != c.accept {
+				t.Errorf("%s -chaos %s: err %v, want accepted=%v", c.cmd, tc.class, c.err, c.accept)
+			}
+			if c.err != nil && !strings.Contains(c.err.Error(), "want one of "+strings.Join(c.set, ", ")+")") {
+				t.Errorf("%s -chaos %s: error %q does not name the accepted set", c.cmd, tc.class, c.err)
+			}
+		}
 	}
 }
 
@@ -429,13 +499,13 @@ func TestRunAllCtxCancelledNoDeadlock(t *testing.T) {
 // *pool.PanicError carrying a stack, with the experiment named — the
 // "stack trace instead of a hang" acceptance criterion at the CLI layer.
 func TestRunAllInjectedPanicSurfaces(t *testing.T) {
-	if err := faults.Enable("task-panic=1", 7); err != nil {
+	if err := faults.Enable("task-panic=1", 7, batchChaos); err != nil {
 		t.Fatal(err)
 	}
 	defer faults.Disable()
 	opts := exp.DefaultOptions()
 	opts.Size = 1
-	err := runAllCtx(context.Background(), []string{"table5.1"}, opts, 1, false, io.Discard, io.Discard, nil, false)
+	err := runAllCtx(context.Background(), []string{"table5.1"}, opts, 1, io.Discard)
 	var pe *pool.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a *pool.PanicError", err)

@@ -33,6 +33,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"synts/internal/faults"
@@ -85,6 +86,10 @@ func metricsHandler(scrapes string) http.HandlerFunc {
 	}
 }
 
+// serveChaos are the fault classes whose hooks a daemon reaches: its
+// solver workers' task-start hook and the request slowdown.
+var serveChaos = []string{faults.TaskPanic, faults.ReqSlow}
+
 // runServeCmd implements the serve subcommand. It serves until the first
 // value on stop, drains, shuts the listener down and writes the
 // -events-out ledger and -trace-dir artifact if they were requested.
@@ -95,7 +100,7 @@ func runServeCmd(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 	shards := fs.Int("shards", runtime.NumCPU(), "solver worker count")
 	queueLen := fs.Int("queue", 64, "solve-queue slots per worker (a full queue sheds with 429)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before aborting (0 = forever)")
-	chaosSpec := fs.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (adds req-slow to the batch classes)")
+	chaosSpec := fs.String("chaos", "off", "deterministic fault injection `spec`: class[=rate],... (classes: "+strings.Join(serveChaos, ", ")+")")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the fault injector's decisions")
 	eventsOut := fs.String("events-out", "", "record the decision ledger and write it (synts-events/v1 JSONL) to `file` on shutdown; without it no ledger is recorded")
 	traceDir := fs.String("trace-dir", "", "record incoming distributed-trace context and write this daemon's synts-trace/v1 artifact into `dir` on shutdown")
@@ -115,7 +120,7 @@ func runServeCmd(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := faults.Enable(*chaosSpec, *chaosSeed); err != nil {
+	if err := faults.Enable(*chaosSpec, *chaosSeed, serveChaos); err != nil {
 		return fmt.Errorf("-chaos: %w", err)
 	}
 

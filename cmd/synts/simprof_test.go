@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -11,9 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"synts/internal/ckpt"
 	"synts/internal/exp"
-	"synts/internal/faults"
 	"synts/internal/simprof"
 )
 
@@ -64,7 +61,7 @@ func simprofRun(t *testing.T, names []string, jobs int, profile bool) (pb, folde
 		defer simprof.Disable()
 	}
 	var out bytes.Buffer
-	if err := runAllCtx(context.Background(), names, opts, jobs, false, &out, io.Discard, nil, false); err != nil {
+	if err := runAllCtx(context.Background(), names, opts, jobs, &out); err != nil {
 		t.Fatalf("-j %d: %v", jobs, err)
 	}
 	if profile {
@@ -113,46 +110,6 @@ func TestSimprofArtifactsIdenticalAcrossJobCounts(t *testing.T) {
 	}
 	if len(prof.Samples) == 0 {
 		t.Fatal("profiled run emitted no samples")
-	}
-}
-
-// An injected checkpoint-write fault must not fail the run: the result
-// still streams to stdout, the fault is reported on stderr, and the
-// store is left with only the orphaned .tmp file (so resume recomputes).
-func TestRunAllCtxCheckpointFaultIsolated(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full experiment")
-	}
-	dir := t.TempDir()
-	store, err := ckpt.Open(dir, ckpt.Key{Size: 1, Seed: 2016, Threads: 4, Intervals: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults.Enable("ckpt-write-fail=1", 1)
-	defer faults.Disable()
-
-	opts := exp.DefaultOptions()
-	opts.Size = 1
-	opts.MaxIntervals = 1
-	var out, errb bytes.Buffer
-	err = runAllCtx(context.Background(), []string{"fig6.18"}, opts, 1, false, &out, &errb, store, false)
-	if err != nil {
-		t.Fatalf("checkpoint fault must not fail the run: %v", err)
-	}
-	if out.Len() == 0 {
-		t.Error("run produced no stdout")
-	}
-	if !strings.Contains(errb.String(), "checkpoint fig6.18") {
-		t.Errorf("stderr missing checkpoint warning: %q", errb.String())
-	}
-	if _, err := os.Stat(filepath.Join(dir, "fig6.18.ckpt.json.tmp")); err != nil {
-		t.Errorf("orphaned .tmp missing: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "fig6.18.ckpt.json")); !os.IsNotExist(err) {
-		t.Errorf("checkpoint file must not exist after an injected write fault (err = %v)", err)
-	}
-	if _, err := store.Load("fig6.18"); err == nil {
-		t.Error("Load returned a checkpoint that was never durably written")
 	}
 }
 

@@ -27,7 +27,7 @@ func ledgerFor(t *testing.T, names []string, jobs int) (ledger, stdout []byte) {
 	telemetry.Enable()
 	defer telemetry.Disable()
 	var out bytes.Buffer
-	if err := runAllCtx(context.Background(), names, opts, jobs, false, &out, io.Discard, nil, false); err != nil {
+	if err := runAllCtx(context.Background(), names, opts, jobs, &out); err != nil {
 		t.Fatalf("-j %d: %v", jobs, err)
 	}
 	var led bytes.Buffer

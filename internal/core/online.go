@@ -207,6 +207,29 @@ type OnlineResult struct {
 	Fallbacks []string
 }
 
+// SamplingCost returns each thread's true sampling-phase time and energy:
+// min(nSamp[i], N) instructions split evenly over the S TSR levels, run
+// at the sampling voltage Voltages[0] with the thread's actual error
+// function (§4.3).
+func SamplingCost(c *Config, actual []Thread, nSamp []float64) (time, energy []float64) {
+	vsamp := c.Voltages[0]
+	nLevels := float64(len(c.TSRs))
+	time = make([]float64, len(actual))
+	energy = make([]float64, len(actual))
+	for i, th := range actual {
+		n := math.Min(nSamp[i], th.N)
+		if n < 0 {
+			panic("core: negative NSamp")
+		}
+		for k := range c.TSRs {
+			sub := Thread{N: n / nLevels, CPIBase: th.CPIBase, Err: th.Err}
+			time[i] += c.ThreadTime(sub, vsamp, c.TSRs[k])
+			energy[i] += c.ThreadEnergy(sub, vsamp, c.TSRs[k])
+		}
+	}
+	return time, energy
+}
+
 // SolveOnline runs the practical SynTS flow for one barrier interval:
 // sample error rates per TSR level at the nominal voltage, optimise with
 // SynTS-Poly on the estimates, then charge the true cost of both the
@@ -219,47 +242,31 @@ func SolveOnline(c *Config, actual []Thread, est ErrEstimator, oc OnlineConfig, 
 		panic(fmt.Sprintf("core: %d per-thread sampling budgets for %d threads", len(oc.NSamp), len(actual)))
 	}
 	m := len(actual)
-	vsamp := c.Voltages[0]
-	nLevels := float64(len(c.TSRs))
-
-	// Build estimated threads over the post-sampling remainder.
-	estThreads := make([]Thread, m)
-	rates := make([][]float64, m)
-	sampTime := make([]float64, m)
-	sampEnergyPer := make([]float64, m)
+	sampTime, sampEnergyPer := SamplingCost(c, actual, oc.NSamp)
 	sampEnergy := 0.0
+	for _, e := range sampEnergyPer {
+		sampEnergy += e
+	}
+
+	// The post-sampling remainder: estimated threads to solve on, and the
+	// actual ones to charge.
+	estThreads := make([]Thread, m)
+	actualRem := make([]Thread, m)
+	rates := make([][]float64, m)
 	for i, th := range actual {
 		rates[i] = make([]float64, len(c.TSRs))
 		for k := range c.TSRs {
 			rates[i][k] = est(i, k)
 		}
-		nSamp := math.Min(oc.NSamp[i], th.N)
-		if nSamp < 0 {
-			panic("core: negative NSamp")
-		}
-		estThreads[i] = Thread{N: th.N - nSamp, CPIBase: th.CPIBase}
-
-		// True sampling-phase cost: nSamp/S instructions at each (vsamp,
-		// R_k), with the thread's *actual* error behaviour.
-		for k := range c.TSRs {
-			sub := Thread{N: nSamp / nLevels, CPIBase: th.CPIBase, Err: th.Err}
-			sampTime[i] += c.ThreadTime(sub, vsamp, c.TSRs[k])
-			sampEnergyPer[i] += c.ThreadEnergy(sub, vsamp, c.TSRs[k])
-		}
-		sampEnergy += sampEnergyPer[i]
+		rem := th.N - math.Min(oc.NSamp[i], th.N)
+		estThreads[i] = Thread{N: rem, CPIBase: th.CPIBase}
+		actualRem[i] = Thread{N: rem, CPIBase: th.CPIBase, Err: th.Err}
 	}
 
 	a, fallbacks := SolveGuarded(c, oc.Guard, estThreads, rates, theta)
 	estimates := make([]ErrFunc, m)
 	for i := range estThreads {
 		estimates[i] = estThreads[i].Err
-	}
-
-	// Actual outcome of the remainder under the chosen assignment.
-	actualRem := make([]Thread, m)
-	for i, th := range actual {
-		nSamp := math.Min(oc.NSamp[i], th.N)
-		actualRem[i] = Thread{N: th.N - nSamp, CPIBase: th.CPIBase, Err: th.Err}
 	}
 	run := c.Evaluate(actualRem, a, theta)
 

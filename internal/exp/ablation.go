@@ -334,8 +334,11 @@ func PredictionStudy(b *Bench, stage trace.Stage) (*report.Table, error) {
 			a, _ := core.SolvePoly(cfg, estForSolve, theta)
 			// Charge: sampling at nominal V plus the remainder at `a`,
 			// against the actual workload.
-			res := core.SolveOnline(cfg, actual, est, core.OnlineConfig{NSamp: per}, theta)
-			_ = res
+			sampTime, sampEnergyPer := core.SamplingCost(cfg, actual, per)
+			sampEnergy := 0.0
+			for _, e := range sampEnergyPer {
+				sampEnergy += e
+			}
 			actRem := make([]core.Thread, nThreads)
 			for ti := range actual {
 				nS := per[ti]
@@ -345,10 +348,10 @@ func PredictionStudy(b *Bench, stage trace.Stage) (*report.Table, error) {
 				actRem[ti] = core.Thread{N: actual[ti].N - nS, CPIBase: actual[ti].CPIBase, Err: actual[ti].Err}
 			}
 			run := cfg.Evaluate(actRem, a, theta)
-			tot.Energy += run.Energy + res.SamplingEnergy
+			tot.Energy += run.Energy + sampEnergy
 			tExec := 0.0
 			for ti := range actual {
-				if tt := res.SamplingTime[ti] + run.ThreadTimes[ti]; tt > tExec {
+				if tt := sampTime[ti] + run.ThreadTimes[ti]; tt > tExec {
 					tExec = tt
 				}
 			}

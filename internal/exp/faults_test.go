@@ -41,7 +41,7 @@ func TestSolveOnlineFallbackUnderEachFaultClass(t *testing.T) {
 	b := loadBench(t, "ocean", testOptions())
 	for _, spec := range []string{"sample-nan=1", "sample-drop=1", "sample-noise=1", "replay-perturb=1"} {
 		t.Run(spec, func(t *testing.T) {
-			if err := faults.Enable(spec, 42); err != nil {
+			if err := faults.Enable(spec, 42, []string{faults.SampleNaN, faults.SampleDrop, faults.SampleNoise, faults.ReplayPerturb}); err != nil {
 				t.Fatal(err)
 			}
 			defer faults.Disable()

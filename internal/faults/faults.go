@@ -1,11 +1,10 @@
 // Package faults is the repository's deterministic fault-injection layer:
 // a seeded chaos harness that can corrupt or drop online sampling
-// estimates, perturb Razor replay error counts, panic worker pool tasks,
-// fail checkpoint saves, and slow solver-service requests, so the
-// pipeline's failure handling (panic isolation in internal/pool, the
-// estimate guard band in core.SolveOnline, the checkpoint's
-// tmp-then-rename commit, the daemon's shedding) can be exercised on
-// demand instead of waiting for real faults.
+// estimates, perturb Razor replay error counts, panic worker pool tasks
+// and slow solver-service requests, so the pipeline's failure handling
+// (panic isolation in internal/pool, the estimate guard band in
+// core.SolveOnline, the daemon's shedding) can be exercised on demand
+// instead of waiting for real faults.
 //
 // The package follows the obs/telemetry discipline: injection is gated on
 // one atomic load, every hook is safe (and a no-op) while disabled, and
@@ -20,16 +19,19 @@
 //
 //	spec    := "off" | class[=rate] ("," class[=rate])*
 //	class   := sample-noise | sample-drop | sample-nan |
-//	           replay-perturb | task-panic | ckpt-write-fail |
-//	           req-slow
+//	           replay-perturb | task-panic | req-slow
 //	rate    := float in (0, 1]   (default per class, see DefaultRate)
 //
-// e.g. `-chaos sample-noise,task-panic` or `-chaos sample-nan=0.5`.
+// e.g. `-chaos sample-noise,task-panic` or `-chaos sample-nan=0.5`. Each
+// command accepts only the classes whose hooks it reaches (Enable's
+// accept set): a batch run has no request to slow, and a daemon samples
+// no estimates and replays nothing.
 package faults
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -55,12 +57,6 @@ const (
 	// panic into an error (and retries injected panics, which fire before
 	// the task body runs and so are side-effect free).
 	TaskPanic = "task-panic"
-	// CkptWriteFail fails a checkpoint save after the .tmp file is
-	// written but before the atomic rename — the disk-full / yanked-volume
-	// case the tmp-then-rename protocol exists for. The run must continue
-	// (the checkpoint is just lost) and the stray .tmp must be ignored by
-	// validation and resume.
-	CkptWriteFail = "ckpt-write-fail"
 	// ReqSlow makes a solver-service request's solve take ReqSlowDuration
 	// longer on its solver worker (a degraded or contended solver). The
 	// penalty consumes real solver capacity, so injected slowness surfaces
@@ -68,11 +64,6 @@ const (
 	// overload path, exercised deterministically.
 	ReqSlow = "req-slow"
 )
-
-// Classes lists every fault class, in spec order.
-func Classes() []string {
-	return []string{SampleNoise, SampleDrop, SampleNaN, ReplayPerturb, TaskPanic, CkptWriteFail, ReqSlow}
-}
 
 // DefaultRate is the per-hook injection probability used when the spec
 // gives a class without an explicit rate.
@@ -117,9 +108,10 @@ var (
 // only cost every hook pays while the injector is off.
 func Enabled() bool { return enabled.Load() }
 
-// Enable parses a spec and starts injecting. "off" (or "") disables.
-func Enable(spec string, seed int64) error {
-	c, err := parseSpec(spec, seed)
+// Enable parses a spec and starts injecting. "off" (or "") disables. A
+// class outside accept is refused, with an error that names accept.
+func Enable(spec string, seed int64, accept []string) error {
+	c, err := parseSpec(spec, seed, accept)
 	if err != nil {
 		return err
 	}
@@ -136,15 +128,12 @@ func Enable(spec string, seed int64) error {
 // Disable stops all injection.
 func Disable() { enabled.Store(false) }
 
-// parseSpec validates the grammar; a nil config means "off".
-func parseSpec(spec string, seed int64) (*config, error) {
+// parseSpec validates the grammar against the accepted classes; a nil
+// config means "off".
+func parseSpec(spec string, seed int64, accept []string) (*config, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || spec == "off" {
 		return nil, nil
-	}
-	known := map[string]bool{}
-	for _, cl := range Classes() {
-		known[cl] = true
 	}
 	rates := map[string]float64{}
 	for _, part := range strings.Split(spec, ",") {
@@ -153,9 +142,9 @@ func parseSpec(spec string, seed int64) (*config, error) {
 			return nil, fmt.Errorf("faults: empty class in spec %q", spec)
 		}
 		class, rateStr, hasRate := strings.Cut(part, "=")
-		if !known[class] {
-			return nil, fmt.Errorf("faults: unknown class %q (want one of %s)",
-				class, strings.Join(Classes(), ", "))
+		if !slices.Contains(accept, class) {
+			return nil, fmt.Errorf("faults: class %q not accepted (want one of %s)",
+				class, strings.Join(accept, ", "))
 		}
 		rate := DefaultRate(class)
 		if hasRate {
@@ -255,32 +244,6 @@ func ReplayErrors(errors, instrs int, tclkBits uint64) int {
 		return instrs
 	}
 	return errors + extra
-}
-
-// strHash folds a string into one uint64 hook argument (FNV-1a), so
-// content-keyed hooks stay pure functions of their inputs.
-func strHash(s string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 0x100000001b3
-	}
-	return h
-}
-
-// CkptSaveFail decides whether the checkpoint save for an experiment
-// should fail with an injected I/O error (ckpt-write-fail). Keyed on the
-// experiment name only, so the same experiments lose their checkpoints
-// at any -j and on a resumed run.
-func CkptSaveFail(experiment string) bool {
-	if !enabled.Load() {
-		return false
-	}
-	c := current.Load()
-	if c == nil {
-		return false
-	}
-	on, _ := c.fire(CkptWriteFail, strHash(experiment))
-	return on
 }
 
 // RequestDelay returns how long the solver service should slow one

@@ -12,7 +12,7 @@ func TestRequestHooksDisabled(t *testing.T) {
 
 // Rate 1 fires on every request; the delay is the fixed ReqSlowDuration.
 func TestRequestHooksAlwaysFire(t *testing.T) {
-	if err := Enable("req-slow=1", 7); err != nil {
+	if err := Enable("req-slow=1", 7, allClasses); err != nil {
 		t.Fatal(err)
 	}
 	defer Disable()
@@ -26,7 +26,7 @@ func TestRequestHooksAlwaysFire(t *testing.T) {
 // Decisions are a pure function of (seed, class, digest): repeated calls
 // agree, and a fractional rate fires on some but not all requests.
 func TestRequestHooksDeterministic(t *testing.T) {
-	if err := Enable("req-slow=0.5", 1234); err != nil {
+	if err := Enable("req-slow=0.5", 1234, allClasses); err != nil {
 		t.Fatal(err)
 	}
 	defer Disable()

@@ -380,7 +380,7 @@ func TestPoolMetricsDroppedOnCtxCancel(t *testing.T) {
 // Injected panics (chaos harness) fire before the task body and are
 // retried within the budget, so a moderate injection rate still completes.
 func TestInjectedPanicsRetried(t *testing.T) {
-	if err := faults.Enable("task-panic=0.5", 1); err != nil {
+	if err := faults.Enable("task-panic=0.5", 1, []string{faults.TaskPanic}); err != nil {
 		t.Fatal(err)
 	}
 	defer faults.Disable()
@@ -399,7 +399,7 @@ func TestInjectedPanicsRetried(t *testing.T) {
 // With rate 1 every retry panics too; the budget must bound the loop and
 // surface the injected panic as a PanicError.
 func TestInjectedPanicBudgetExhausted(t *testing.T) {
-	if err := faults.Enable("task-panic=1", 1); err != nil {
+	if err := faults.Enable("task-panic=1", 1, []string{faults.TaskPanic}); err != nil {
 		t.Fatal(err)
 	}
 	defer faults.Disable()
@@ -418,7 +418,7 @@ func TestInjectedPanicBudgetExhausted(t *testing.T) {
 // A real panic from the task body must never be retried, even with the
 // chaos harness active.
 func TestRealPanicNotRetried(t *testing.T) {
-	if err := faults.Enable("replay-perturb", 1); err != nil { // harness on, task classes off
+	if err := faults.Enable("replay-perturb", 1, []string{faults.ReplayPerturb}); err != nil { // harness on, task classes off
 		t.Fatal(err)
 	}
 	defer faults.Disable()

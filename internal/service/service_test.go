@@ -206,7 +206,7 @@ func TestSolvePanicAnswersFixed500(t *testing.T) {
 	var logged bytes.Buffer
 	defer log.SetOutput(log.Writer())
 	log.SetOutput(&logged)
-	if err := faults.Enable("task-panic=1", 42); err != nil {
+	if err := faults.Enable("task-panic=1", 42, []string{faults.TaskPanic}); err != nil {
 		t.Fatal(err)
 	}
 	defer faults.Disable()
@@ -510,7 +510,7 @@ func TestChaosRequestClasses(t *testing.T) {
 	// req-slow pays its penalty on the solver worker, so the request still
 	// succeeds — just no faster than ReqSlowDuration end to end.
 	t.Run("req-slow", func(t *testing.T) {
-		if err := faults.Enable("req-slow=1", 42); err != nil {
+		if err := faults.Enable("req-slow=1", 42, []string{faults.ReqSlow}); err != nil {
 			t.Fatal(err)
 		}
 		defer faults.Disable()
