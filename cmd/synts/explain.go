@@ -9,13 +9,13 @@ package main
 // solvers itself with the ledger enabled.
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 
-	"synts/internal/core"
 	"synts/internal/exp"
 	"synts/internal/isa"
 	"synts/internal/report"
@@ -176,9 +176,11 @@ func renderTraceJoin(w io.Writer, events []telemetry.Event, tracesPath string) e
 	return nil
 }
 
-// explainLedger runs the benchmark's solvers — the four offline
-// approaches and online SynTS with its sampling phase — at the balanced
-// theta with the ledger recording, and returns the recorded events.
+// explainLedger runs the fig6.18 comparison for the benchmark on each
+// stage — the four offline approaches and online SynTS with its sampling
+// phase, at the balanced theta — with the ledger recording, and returns
+// the recorded events: the ledger a -events-out run of fig6.18 records
+// for that benchmark.
 func explainLedger(bench string, opts exp.Options, stages []trace.Stage) ([]telemetry.Event, error) {
 	b, err := exp.LoadBench(bench, opts)
 	if err != nil {
@@ -191,17 +193,7 @@ func explainLedger(bench string, opts exp.Options, stages []trace.Stage) ([]tele
 	simprof.Enable()
 	defer simprof.Disable()
 	for _, st := range stages {
-		ivs, err := b.Intervals(st)
-		if err != nil {
-			return nil, err
-		}
-		cfg := exp.Platform(st, b.Opts)
-		theta := exp.ThetaGrid(cfg, ivs, []float64{1})[0]
-		sc := telemetry.Scope{Bench: b.Name, Stage: st.String()}
-		for _, solver := range core.Solvers() {
-			exp.TimedSolveAll(sc, solver.Name, cfg, ivs, solver.Solve, theta)
-		}
-		if _, err := exp.SolveOnlineAll(b, cfg, st, theta); err != nil {
+		if _, err := exp.Fig618Ctx(context.Background(), []*exp.Bench{b}, st); err != nil {
 			return nil, err
 		}
 	}

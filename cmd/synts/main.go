@@ -5,10 +5,14 @@
 //
 //	synts [flags] <experiment> [experiment ...]
 //	synts [flags] all
+//	synts serve|route|loadgen|explain|trace [subcommand flags] ...
 //
-// Experiments: table5.1, fig1.2, fig1.4, fig3.5, fig3.6, fig4.7, fig5.10,
-// fig6.11, fig6.12, fig6.13, fig6.14, fig6.15, fig6.16, fig6.17, fig6.18,
-// overhead.
+// Experiments: table5.1, fig1.2, fig1.3, fig1.4, fig3.5, fig3.6, fig4.7,
+// fig5.10, fig6.11, fig6.12, fig6.13, fig6.14, fig6.15, fig6.16, fig6.17,
+// fig6.18, overhead, ablation, joint, prediction.
+//
+// The flags above are the batch's; a subcommand takes its own after its
+// name and refuses any given before it.
 //
 // Experiments run concurrently on -j workers (default: NumCPU; -j 1 runs
 // them strictly in order). Each experiment renders into its own buffer and
@@ -80,48 +84,28 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if sub := flag.Arg(0); subcommands[sub] != nil {
+		// The flags parsed so far are the batch's, and no subcommand reads
+		// them: refuse them rather than run with settings the user did not
+		// get.
+		if flag.NFlag() > 0 {
+			var set []string
+			flag.Visit(func(f *flag.Flag) { set = append(set, "-"+f.Name) })
+			fmt.Fprintf(os.Stderr, "synts %s: batch flags before the subcommand are not read (%s); give %s its flags after its name\n", sub, strings.Join(set, " "), sub)
+			os.Exit(2)
+		}
+		if err := subcommands[sub](flag.Args()[1:]); err != nil {
+			fmt.Fprintf(os.Stderr, "synts %s: %v\n", sub, err)
+			os.Exit(exitCode(err))
+		}
+		return
+	}
 	eng, err := trace.ParseEngine(*engine)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "synts: %v\n", err)
 		os.Exit(2)
 	}
 	trace.SetEngine(eng)
-	switch flag.Arg(0) {
-	case "serve", "route":
-		// A daemon's first SIGINT/SIGTERM drains it; a second abandons the
-		// drain (serveUntilStopped).
-		stop := make(chan os.Signal, 1)
-		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-		var err error
-		if flag.Arg(0) == "serve" {
-			err = runServeCmd(flag.Args()[1:], stop, os.Stderr)
-		} else {
-			err = runRouteCmd(flag.Args()[1:], stop, os.Stdout, os.Stderr)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "synts %s: %v\n", flag.Arg(0), err)
-			os.Exit(1)
-		}
-		return
-	case "loadgen":
-		if err := runLoadgenCmd(flag.Args()[1:], os.Stdout, os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "synts loadgen: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "explain":
-		if err := runExplainCmd(flag.Args()[1:], os.Stdout, os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "synts explain: %v\n", err)
-			os.Exit(exitCode(err))
-		}
-		return
-	case "trace":
-		if err := runTraceCmd(flag.Args()[1:], os.Stdout, os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "synts trace: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	opts := exp.DefaultOptions()
 	opts.Size = *size
 	opts.Seed = *seed
@@ -135,6 +119,12 @@ func main() {
 			names = append(names, e.name)
 		}
 	}
+	// -chaos is checked before -events-out creates its file, so a refused
+	// spec leaves an existing ledger at that path untouched.
+	if err := faults.Enable(*chaos, *chaosSeed, batchChaos); err != nil {
+		fmt.Fprintf(os.Stderr, "synts: -chaos: %v\n", err)
+		os.Exit(2)
+	}
 	if obsRequested(*stats, *statsJSON, *traceOut) {
 		obs.Enable()
 	}
@@ -145,10 +135,6 @@ func main() {
 	}
 	if *simprofOut != "" {
 		simprof.Enable()
-	}
-	if err := faults.Enable(*chaos, *chaosSeed, batchChaos); err != nil {
-		fmt.Fprintf(os.Stderr, "synts: -chaos: %v\n", err)
-		os.Exit(2)
 	}
 	// SIGINT/SIGTERM cancel the batch pipeline: in-flight experiments
 	// finish or unwind, queued ones are dropped, and stdout keeps the
@@ -190,6 +176,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "synts: %v\n", runErr)
 		os.Exit(exitCode(runErr))
 	}
+}
+
+// subcommands run beside the batch, each on the arguments after its name.
+var subcommands = map[string]func(args []string) error{
+	"serve":   func(args []string) error { return runServeCmd(args, stopSignals(), os.Stderr) },
+	"route":   func(args []string) error { return runRouteCmd(args, stopSignals(), os.Stdout, os.Stderr) },
+	"loadgen": func(args []string) error { return runLoadgenCmd(args, os.Stdout, os.Stderr) },
+	"explain": func(args []string) error { return runExplainCmd(args, os.Stdout, os.Stderr) },
+	"trace":   func(args []string) error { return runTraceCmd(args, os.Stdout, os.Stderr) },
+}
+
+// stopSignals is a daemon's stop channel: its first SIGINT/SIGTERM drains
+// the daemon, a second abandons the drain (serveUntilStopped).
+func stopSignals() <-chan os.Signal {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	return stop
 }
 
 // usageError distinguishes a usage error (exit 2: an unknown experiment

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"synts/internal/exp"
 	"synts/internal/faults"
@@ -491,6 +492,39 @@ func TestChaosClassesPerCommand(t *testing.T) {
 			if c.err != nil && !strings.Contains(c.err.Error(), "want one of "+strings.Join(c.set, ", ")+")") {
 				t.Errorf("%s -chaos %s: error %q does not name the accepted set", c.cmd, tc.class, c.err)
 			}
+		}
+	}
+}
+
+// serve checks -chaos before -events-out creates its file, so a refused
+// spec leaves an existing ledger at that path with its bytes; and once
+// the spec is accepted, a start-up step that fails switches the injector
+// off again and stops the solver workers it started.
+func TestServeRefusedChaosKeepsLedgerFile(t *testing.T) {
+	defer faults.Disable()
+	defer obs.Disable()
+	path := filepath.Join(t.TempDir(), "led.jsonl")
+	if err := os.WriteFile(path, []byte("keep\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := runServeCmd([]string{"-addr", "127.0.0.1:0", "-events-out", path, "-chaos", "typo"}, interrupted(), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-chaos") {
+		t.Fatalf("serve -chaos typo: err = %v, want a -chaos error", err)
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "keep\n" {
+		t.Fatalf("after a refused -chaos the ledger file reads %q (err %v), want its old bytes", b, err)
+	}
+	const shards = 32
+	before := runtime.NumGoroutine()
+	if err := runServeCmd([]string{"-addr", "127.0.0.1:-1", "-shards", strconv.Itoa(shards), "-chaos", faults.ReqSlow}, interrupted(), io.Discard); err == nil {
+		t.Fatal("serve started on port -1")
+	}
+	if faults.Enabled() {
+		t.Fatal("a failed serve start-up left the fault injector on")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() >= before+shards; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("a failed serve start-up left its %d solver workers running", shards)
 		}
 	}
 }

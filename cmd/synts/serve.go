@@ -115,13 +115,17 @@ func runServeCmd(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 
+	// -chaos is checked first, so a refused spec leaves an existing ledger
+	// at the -events-out path untouched. The injector is this daemon's: it
+	// goes off again when serve returns, a failed start-up included.
+	if err := faults.Enable(*chaosSpec, *chaosSeed, serveChaos); err != nil {
+		return fmt.Errorf("-chaos: %w", err)
+	}
+	defer faults.Disable()
 	obs.Enable()
 	finishEvents, err := startEventsLedger(*eventsOut, "synts serve", stderr)
 	if err != nil {
 		return err
-	}
-	if err := faults.Enable(*chaosSpec, *chaosSeed, serveChaos); err != nil {
-		return fmt.Errorf("-chaos: %w", err)
 	}
 
 	svc, err := service.New(service.Config{Shards: *shards, QueueLen: *queueLen})
@@ -129,13 +133,17 @@ func runServeCmd(args []string, stop <-chan os.Signal, stderr io.Writer) error {
 		return err
 	}
 
+	// Until the listener is up no request can reach the solve queue, so
+	// a failed start-up closes it and its workers exit.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
+		svc.Close()
 		return err
 	}
 	finishTrace, err := startTraceArtifact(*traceDir, "serve", traceProcName("serve", ln.Addr().String()), stderr)
 	if err != nil {
 		ln.Close()
+		svc.Close()
 		return err
 	}
 	fmt.Fprintf(stderr, "synts serve: listening on http://%s (/v1/solve, /metrics, /debug/vars, /debug/pprof/)\n", ln.Addr())

@@ -9,9 +9,10 @@
 //
 // The public surface lives in the internal packages by design — the
 // repository is organised as a reproduction whose entry points are the
-// cmd/synts experiment runner, the cmd/stagesim and cmd/tracegen tools, the
-// examples/ programs, and the top-level benchmark harness (bench_test.go),
-// which regenerates every table and figure of the thesis' evaluation.
+// cmd/synts experiment runner, which regenerates every table and figure
+// of the thesis' evaluation, the cmd/stagesim and cmd/tracegen tools and
+// the examples/ programs. The top-level bench_test.go holds
+// micro-benchmarks of the solver, delay-trace and sampling layers.
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for
 // paper-versus-measured results.
 package synts

@@ -18,6 +18,7 @@ import (
 	"synts/internal/core"
 	"synts/internal/exp"
 	"synts/internal/razor"
+	"synts/internal/telemetry"
 	"synts/internal/trace"
 )
 
@@ -51,7 +52,12 @@ func main() {
 		}
 	}
 	nsamp := int(exp.NSampFrac * float64(nMin))
-	est := razor.SamplingEstimator(ps, cfg.TSRs, nsamp, cfg.CPenalty)
+	budgets := make([]int, len(ps))
+	per := make([]float64, len(ps))
+	for t := range budgets {
+		budgets[t], per[t] = nsamp, float64(nsamp)
+	}
+	est := razor.SamplingEstimator(telemetry.Scope{}, ps, cfg.TSRs, budgets, cfg.CPenalty, razor.SamplingGranule)
 
 	fmt.Printf("%s barrier %d: sampling %d instructions per thread (%.0f%% of the smallest)\n\n",
 		*bench, *interval, nsamp, exp.NSampFrac*100)
@@ -65,11 +71,7 @@ func main() {
 	}
 
 	theta := exp.ThetaGrid(cfg, [][]core.Thread{ths}, []float64{1})[0]
-	budgets := make([]float64, len(ths))
-	for t := range budgets {
-		budgets[t] = float64(nsamp)
-	}
-	res := core.SolveOnline(cfg, ths, est, core.OnlineConfig{NSamp: budgets}, theta)
+	res := core.SolveOnline(cfg, ths, est, core.OnlineConfig{NSamp: per}, theta)
 	_, off := core.SolvePoly(cfg, ths, theta)
 
 	fmt.Println("\nchosen configuration for the remainder of the interval:")

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -33,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pr, err := exp.Pareto(b, st)
+	pr, err := exp.ParetoCtx(context.Background(), b, st)
 	if err != nil {
 		log.Fatal(err)
 	}

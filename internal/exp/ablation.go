@@ -2,12 +2,15 @@ package exp
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"synts/internal/core"
 	"synts/internal/isa"
 	"synts/internal/netlist"
 	"synts/internal/razor"
 	"synts/internal/report"
+	"synts/internal/telemetry"
 	"synts/internal/timing"
 	"synts/internal/trace"
 )
@@ -116,16 +119,9 @@ func DelayModelAblation(b *Bench, window int) (*report.Table, error) {
 	t.AddRow("err(0.64)", pl.Err(0.64), pe.Err(0.64))
 	t.AddRow("err(0.784)", pl.Err(0.784), pe.Err(0.784))
 	t.AddRow("err(0.928)", pl.Err(0.928), pe.Err(0.928))
-	t.AddRow("exact agreement", fmt.Sprintf("%.1f%%", 100*float64(agree)/float64(maxInt(len(dl), 1))), "-")
+	t.AddRow("exact agreement", fmt.Sprintf("%.1f%%", 100*float64(agree)/float64(max(len(dl), 1))), "-")
 	t.AddRow("max |gap| (ps)", maxGap, "-")
 	return t, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // GranuleAblation sweeps the sampling-rotation granule and reports the mean
@@ -145,7 +141,7 @@ func GranuleAblation(b *Bench, stage trace.Stage, interval int) (*report.Table, 
 		ths[t] = ps[t].CoreThread()
 	}
 	budgets, per := samplingBudgets(ps)
-	nsamp := maxIntSlice(budgets)
+	nsamp := slices.Max(budgets)
 	_, off := core.SolvePoly(cfg, ths, ThetaGrid(cfg, [][]core.Thread{ths}, []float64{1})[0])
 	theta := ThetaGrid(cfg, [][]core.Thread{ths}, []float64{1})[0]
 
@@ -158,7 +154,7 @@ func GranuleAblation(b *Bench, stage trace.Stage, interval int) (*report.Table, 
 		if g <= 0 {
 			continue
 		}
-		est := razor.SamplingEstimatorBudgets(ps, cfg.TSRs, budgets, cfg.CPenalty, g)
+		est := razor.SamplingEstimator(telemetry.Scope{}, ps, cfg.TSRs, budgets, cfg.CPenalty, g)
 		var mae float64
 		var cnt int
 		for ti := range ps {
@@ -176,7 +172,7 @@ func GranuleAblation(b *Bench, stage trace.Stage, interval int) (*report.Table, 
 		if g == nsamp/len(cfg.TSRs)+1 {
 			label += " (contiguous slots)"
 		}
-		t.AddRow(label, mae/float64(maxInt(cnt, 1)), res.Metrics.Cost/off.Cost)
+		t.AddRow(label, mae/float64(max(cnt, 1)), res.Metrics.Cost/off.Cost)
 	}
 	return t, nil
 }
@@ -309,14 +305,14 @@ func PredictionStudy(b *Bench, stage trace.Stage) (*report.Table, error) {
 				solveWith = core.PredictThreads(pc.p, actual)
 				for ti := range actual {
 					if actual[ti].N > 0 {
-						nErrSum += abs(solveWith[ti].N-actual[ti].N) / actual[ti].N
+						nErrSum += math.Abs(solveWith[ti].N-actual[ti].N) / actual[ti].N
 						nErrCnt++
 					}
 					pc.p.Observe(ti, actual[ti].N)
 				}
 			}
 			budgets, per := samplingBudgets(ps)
-			est := razor.SamplingEstimatorBudgets(ps, cfg.TSRs, budgets, cfg.CPenalty, razor.SamplingGranule)
+			est := razor.SamplingEstimator(telemetry.Scope{}, ps, cfg.TSRs, budgets, cfg.CPenalty, razor.SamplingGranule)
 			// Decide with predicted N, charge with actual N: substitute the
 			// predicted workload into the solver inputs only.
 			estForSolve := make([]core.Thread, nThreads)
@@ -367,13 +363,6 @@ func PredictionStudy(b *Bench, stage trace.Stage) (*report.Table, error) {
 		t.AddRow(pc.name, meanErr, tot.EDP()/oracleEDP)
 	}
 	return t, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // VariationAblation reports how the process-variation sigma used when

@@ -1,6 +1,6 @@
 // Package exp wires the substrates together into the thesis' experiments:
 // each table and figure of the evaluation has a driver here that produces
-// its data, and the cmd/synts tool and the benchmark harness render them.
+// its data, and the cmd/synts tool renders them.
 package exp
 
 import (
@@ -218,32 +218,29 @@ func (t Totals) EDP() float64 { return t.Energy * t.Time }
 // execution time (Eq. 4.2's "total execution time is the sum over barrier
 // intervals").
 func SolveAll(cfg *core.Config, intervals [][]core.Thread, solve func(*core.Config, []core.Thread, float64) (core.Assignment, core.Metrics), theta float64) Totals {
-	return SolveAllScoped(telemetry.Scope{}, "", cfg, intervals, solve, theta)
+	return solveAll(telemetry.Scope{}, "", cfg, intervals, solve, theta)
 }
 
-// SolveAllScoped is SolveAll with ledger attribution: when the telemetry
-// ledger is recording, the scope is non-zero and a solver name is given,
-// every (core, interval) operating-point choice is recorded as a decision
-// event (via core.Config.Breakdown, evaluated only at emission time — the
-// solver hot path allocates nothing extra) and every interval as a
-// barrier event. Offline solvers see the oracle error functions, so their
-// decisions record est_err == act_err; the online driver emits its own
-// decisions with the genuine estimate/truth split.
-func SolveAllScoped(sc telemetry.Scope, solver string, cfg *core.Config, intervals [][]core.Thread, solve func(*core.Config, []core.Thread, float64) (core.Assignment, core.Metrics), theta float64) Totals {
-	tot, _ := SolveAllScopedCtx(context.Background(), sc, solver, cfg, intervals, solve, theta)
-	return tot
+// TimedSolveAll is SolveAll inside an obs region named after the solver,
+// so per-theta solver calls show up in the -stats histograms and the
+// -trace-out execution trace. When the telemetry ledger is recording and
+// sc is non-zero, every (core, interval) operating-point choice is
+// recorded as a decision event (via core.Config.Breakdown, evaluated only
+// at emission time — the solver hot path allocates nothing extra) and
+// every interval as a barrier event. Offline solvers see the oracle error
+// functions, so their decisions record est_err == act_err; the online
+// driver emits its own decisions with the genuine estimate/truth split.
+func TimedSolveAll(sc telemetry.Scope, name string, cfg *core.Config, intervals [][]core.Thread, solve func(*core.Config, []core.Thread, float64) (core.Assignment, core.Metrics), theta float64) Totals {
+	defer obs.StartRegion("exp.solve:", name).End()
+	return solveAll(sc, name, cfg, intervals, solve, theta)
 }
 
-// SolveAllScopedCtx is SolveAllScoped with a cancellation context, checked
-// between barrier intervals: a cancelled solve returns ctx's error and
-// partial totals that callers must discard.
-func SolveAllScopedCtx(ctx context.Context, sc telemetry.Scope, solver string, cfg *core.Config, intervals [][]core.Thread, solve func(*core.Config, []core.Thread, float64) (core.Assignment, core.Metrics), theta float64) (Totals, error) {
+// solveAll is the loop behind SolveAll and TimedSolveAll; it records
+// ledger events only for a named solver under a non-zero scope.
+func solveAll(sc telemetry.Scope, solver string, cfg *core.Config, intervals [][]core.Thread, solve func(*core.Config, []core.Thread, float64) (core.Assignment, core.Metrics), theta float64) Totals {
 	var tot Totals
 	emit := solver != "" && !sc.Zero() && telemetry.Enabled()
 	for iv, ths := range intervals {
-		if err := ctx.Err(); err != nil {
-			return tot, err
-		}
 		if emptyInterval(ths) {
 			continue
 		}
@@ -287,16 +284,7 @@ func SolveAllScopedCtx(ctx context.Context, sc telemetry.Scope, solver string, c
 			Time:     m.TExec,
 		})
 	}
-	return tot, nil
-}
-
-// TimedSolveAll is SolveAllScoped wrapped in an obs region named after
-// the solver, so per-theta solver calls show up in the -stats histograms
-// and the -trace-out execution trace, and their decisions land in the
-// ledger.
-func TimedSolveAll(sc telemetry.Scope, name string, cfg *core.Config, intervals [][]core.Thread, solve func(*core.Config, []core.Thread, float64) (core.Assignment, core.Metrics), theta float64) Totals {
-	defer obs.StartRegion("exp.solve:", name).End()
-	return SolveAllScoped(sc, name, cfg, intervals, solve, theta)
+	return tot
 }
 
 func emptyInterval(ths []core.Thread) bool {

@@ -274,7 +274,7 @@ func TestFig510Homogeneous(t *testing.T) {
 
 func TestParetoSynTSDominatesPerCore(t *testing.T) {
 	b := loadBench(t, "fmm", testOptions())
-	pr, err := Pareto(b, trace.SimpleALU)
+	pr, err := ParetoCtx(context.Background(), b, trace.SimpleALU)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"synts/internal/core"
 	"synts/internal/gpgpu"
@@ -355,16 +356,11 @@ type ParetoResult struct {
 	Curves map[string][]ParetoPoint
 }
 
-// Pareto sweeps theta and solves every approach offline (Figs 6.11–6.16).
-// The (solver, theta) grid fans out over the worker pool; every point lands
-// at its own index, so the curves are identical to a serial sweep.
-func Pareto(b *Bench, stage trace.Stage) (*ParetoResult, error) {
-	return ParetoCtx(context.Background(), b, stage)
-}
-
-// ParetoCtx is Pareto with a cancellation context: (solver, theta) grid
-// points not yet submitted when ctx is cancelled are skipped and ctx's
-// error is returned.
+// ParetoCtx sweeps theta and solves every approach offline (Figs
+// 6.11–6.16). The (solver, theta) grid fans out over the worker pool;
+// every point lands at its own index, so the curves are identical to a
+// serial sweep. Grid points not yet submitted when ctx is cancelled are
+// skipped and ctx's error is returned.
 func ParetoCtx(ctx context.Context, b *Bench, stage trace.Stage) (*ParetoResult, error) {
 	defer obs.StartRegion("exp.pareto:", b.Name, ":", stage.String()).End()
 	ivs, err := b.IntervalsCtx(ctx, stage)
@@ -506,14 +502,14 @@ func Fig617(b *Bench, stage trace.Stage, interval int) (*report.Series, error) {
 		ps[t] = profs[t][interval]
 	}
 	budgets, _ := samplingBudgets(ps)
-	est := razor.SamplingEstimatorBudgets(ps, cfg.TSRs, budgets, cfg.CPenalty, razor.SamplingGranule)
+	est := razor.SamplingEstimator(telemetry.Scope{}, ps, cfg.TSRs, budgets, cfg.CPenalty, razor.SamplingGranule)
 	names := []string{}
 	for t := range ps {
 		names = append(names, fmt.Sprintf("T%d", t), fmt.Sprintf("T%d est", t))
 	}
 	s := &report.Series{
 		Title: fmt.Sprintf("Fig 6.17: Actual vs estimated error probability (%s, %s, barrier %d, Nsamp=%d..%d)",
-			b.Name, stage, interval, minIntSlice(budgets), maxIntSlice(budgets)),
+			b.Name, stage, interval, slices.Min(budgets), slices.Max(budgets)),
 		XLabel: "TSR",
 		Names:  names,
 	}
@@ -595,38 +591,13 @@ func samplingBudgets(ps []*trace.Profile) (budgets []int, nSamp []float64) {
 	return budgets, nSamp
 }
 
-func minIntSlice(xs []int) int {
-	m := xs[0]
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxIntSlice(xs []int) int {
-	m := xs[0]
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// SolveOnlineAll runs online SynTS (sampling + Poly) over every interval.
-// When the telemetry ledger is recording, each interval contributes its
-// estimate events (from the scoped sampling estimator), one decision
-// event per core — with the genuine estimated-vs-replayed error split the
-// offline solvers cannot have — one replay event per core (the full-trace
-// replay at the chosen TSR that grounds act_err), and a barrier event.
-func SolveOnlineAll(b *Bench, cfg *core.Config, stage trace.Stage, theta float64) (Totals, error) {
-	return SolveOnlineAllCtx(context.Background(), b, cfg, stage, theta)
-}
-
-// SolveOnlineAllCtx is SolveOnlineAll with a cancellation context, checked
-// between barrier intervals.
+// SolveOnlineAllCtx runs online SynTS (sampling + Poly) over every
+// interval, checking ctx between barrier intervals. When the telemetry
+// ledger is recording, each interval contributes its estimate events
+// (from the sampling estimator), one decision event per core — with the
+// genuine estimated-vs-replayed error split the offline solvers cannot
+// have — one replay event per core (the full-trace replay at the chosen
+// TSR that grounds act_err), and a barrier event.
 func SolveOnlineAllCtx(ctx context.Context, b *Bench, cfg *core.Config, stage trace.Stage, theta float64) (Totals, error) {
 	defer obs.StartRegion("exp.solve:SynTS-online").End()
 	profs, err := b.ProfilesCtx(ctx, stage)
@@ -671,7 +642,7 @@ func SolveOnlineAllCtx(ctx context.Context, b *Bench, cfg *core.Config, stage tr
 			continue
 		}
 		budgets, per := samplingBudgets(ps)
-		est := razor.SamplingEstimatorScoped(sc, ps, cfg.TSRs, budgets, cfg.CPenalty, razor.SamplingGranule)
+		est := razor.SamplingEstimator(sc, ps, cfg.TSRs, budgets, cfg.CPenalty, razor.SamplingGranule)
 		res := core.SolveOnline(cfg, ths, est, core.OnlineConfig{NSamp: per, Guard: guard}, theta)
 		tot.Energy += res.Metrics.Energy
 		tot.Time += res.Metrics.TExec

@@ -39,11 +39,6 @@ type Input struct {
 	// Assignments picks each interval's per-core (voltage, TSR) levels.
 	// A single-element slice is broadcast to every interval.
 	Assignments []core.Assignment
-	// SwitchPenalty is the time (same units as Platform.TNom) a core stalls
-	// when its voltage or TSR changes at an interval boundary — the DVFS
-	// regulator/PLL relock cost the analytic model ignores. Zero (the
-	// default) reproduces the thesis' instantaneous-switch assumption.
-	SwitchPenalty float64
 }
 
 // CoreInterval reports one core's execution of one barrier interval.
@@ -107,8 +102,6 @@ func Run(in Input) (*Result, error) {
 	}
 	now := 0.0
 	missPenalty := float64(in.Cache.MissPenalty)
-	prevV := make([]int, nCores)
-	prevR := make([]int, nCores)
 	for ii := 0; ii < nIv; ii++ {
 		a := in.Assignments[0]
 		if len(in.Assignments) == nIv {
@@ -129,10 +122,6 @@ func Run(in Input) (*Result, error) {
 			}
 			ci := &res.Cores[ii][t]
 			ci.Instructions = len(iv)
-			if ii > 0 && (a.VIdx[t] != prevV[t] || a.RIdx[t] != prevR[t]) {
-				ci.Busy += in.SwitchPenalty // regulator/PLL relock stall
-			}
-			prevV[t], prevR[t] = a.VIdx[t], a.RIdx[t]
 			cut := p.Cut(r * p.TCrit)
 			cycles := 0.0
 			for i, inst := range iv {
@@ -146,7 +135,7 @@ func Run(in Input) (*Result, error) {
 					cycles += in.Platform.CPenalty
 				}
 			}
-			ci.Busy += cycles * tclk
+			ci.Busy = cycles * tclk
 			ci.Energy = v * v * cycles
 			if finish := now + ci.Busy; finish > barrier {
 				barrier = finish

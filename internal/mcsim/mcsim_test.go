@@ -229,55 +229,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestSwitchPenaltyChargesOnlyChanges(t *testing.T) {
-	in := loadInput(t, "ocean")
-	cfg := in.Platform
-	nIv := len(in.Streams[0].Intervals)
-	if nIv < 2 {
-		t.Skip("need at least two intervals")
-	}
-	// Uniform assignment: no switches, so the penalty must not change
-	// anything.
-	in.Assignments = []core.Assignment{uniform(cfg, 4, 0, 5)}
-	base, err := Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.SwitchPenalty = 1e6
-	same, err := Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same.TotalTime != base.TotalTime {
-		t.Fatalf("uniform assignment must not pay switch penalties: %v vs %v", same.TotalTime, base.TotalTime)
-	}
-	// Alternating assignments: every interval boundary switches every core.
-	assigns := make([]core.Assignment, nIv)
-	for ii := range assigns {
-		if ii%2 == 0 {
-			assigns[ii] = uniform(cfg, 4, 0, 5)
-		} else {
-			assigns[ii] = uniform(cfg, 4, 1, 4)
-		}
-	}
-	in.Assignments = assigns
-	in.SwitchPenalty = 0
-	alt0, err := Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.SwitchPenalty = 1e6
-	alt1, err := Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantExtra := float64(nIv-1) * 1e6 // every boundary, all cores in lockstep
-	if got := alt1.TotalTime - alt0.TotalTime; got < wantExtra-1e-6 {
-		t.Fatalf("switch penalties undercharged: extra %v, want >= %v", got, wantExtra)
-	}
-	in.SwitchPenalty = 0
-}
-
 // Differential check of the simulator's code compare against a float64
 // count of delays above r * TCrit, at every TSR, on an empty window, an
 // all-zero window, random windows with heavy duplicates whose levels

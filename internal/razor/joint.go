@@ -102,16 +102,9 @@ func JointReplayScoped(kernel string, stageNames []string, profiles []*trace.Pro
 	// Independence prediction from the same window's marginals.
 	ind := 1.0
 	for s := range profiles {
-		ps := float64(res.StageErrors[s]) / float64(maxIntJ(n, 1))
+		ps := float64(res.StageErrors[s]) / float64(max(n, 1))
 		ind *= 1 - ps
 	}
 	res.Independent = 1 - ind
 	return res, nil
-}
-
-func maxIntJ(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

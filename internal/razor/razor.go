@@ -201,50 +201,30 @@ func ReplayProfileScoped(sc telemetry.Scope, solver string, p *trace.Profile, r 
 const SamplingGranule = 8
 
 // SamplingEstimator builds a core.ErrEstimator over one barrier interval's
-// per-thread profiles. Thread i's first min(nSamp, N) instructions are
-// split evenly across the TSR levels (Fig 4.7), rotating level every
-// SamplingGranule instructions; level k's error counter replays at tsrs[k].
-// The per-level rates are made monotone (non-increasing in r) by pooling,
-// since sampling noise can otherwise invert neighbouring levels.
-func SamplingEstimator(profiles []*trace.Profile, tsrs []float64, nSamp int, cPenalty float64) core.ErrEstimator {
-	return SamplingEstimatorGranule(profiles, tsrs, nSamp, cPenalty, SamplingGranule)
-}
-
-// SamplingEstimatorGranule is SamplingEstimator with an explicit rotation
-// granule, used by the granularity ablation: granule >= nSamp degenerates
-// to the contiguous-slot schedule of Fig 4.7.
-func SamplingEstimatorGranule(profiles []*trace.Profile, tsrs []float64, nSamp int, cPenalty float64, granule int) core.ErrEstimator {
-	budgets := make([]int, len(profiles))
-	for i := range budgets {
-		budgets[i] = nSamp
-	}
-	return SamplingEstimatorBudgets(profiles, tsrs, budgets, cPenalty, granule)
-}
-
-// SamplingEstimatorBudgets is the general form with a per-thread sampling
-// budget. With strongly imbalanced barrier intervals (a panel-owner thread
-// executing 100x the instructions of its siblings) a single N_samp either
-// starves the big threads' estimates or over-samples the small ones; the
-// per-thread-fraction policy the experiment drivers use passes
-// budgets[i] = frac * N_i here.
-func SamplingEstimatorBudgets(profiles []*trace.Profile, tsrs []float64, budgets []int, cPenalty float64, granule int) core.ErrEstimator {
-	stats := samplingStats(profiles, tsrs, budgets, cPenalty, granule)
-	return func(thread, rIdx int) float64 {
-		return faults.Estimate(thread, rIdx, stats[thread].Rates[rIdx])
-	}
-}
-
-// SamplingEstimatorScoped is SamplingEstimatorBudgets with ledger
-// attribution: when the telemetry ledger is recording and the scope is
-// non-zero, each (thread, TSR level) measurement is recorded as one
-// estimate event carrying the pooled estimate, the full-trace truth, the
-// instructions sampled at the level and the cycle cost of sampling them —
-// the raw material of the §6.3 overhead fraction and the Fig 6.17
-// divergence analysis. The returned estimator is identical to the
-// unscoped one. When the simprof profiler is enabled, the sampling
-// replays are additionally attributed per opcode under phase "sampling".
-func SamplingEstimatorScoped(sc telemetry.Scope, profiles []*trace.Profile, tsrs []float64, budgets []int, cPenalty float64, granule int) core.ErrEstimator {
-	stats := samplingStatsScoped(sc, profiles, tsrs, budgets, cPenalty, granule)
+// per-thread profiles. Thread i's first min(budgets[i], N) instructions
+// are split evenly across the TSR levels (Fig 4.7), rotating level every
+// granule instructions (SamplingGranule in the paper's drivers; a granule
+// of budget/S, rounded up, gives Fig 4.7's S contiguous slots); level k's
+// error counter replays at tsrs[k]. The per-level rates are made monotone
+// (non-increasing in r) by pooling, since sampling noise can otherwise
+// invert neighbouring levels.
+//
+// The budget is per thread because with strongly imbalanced barrier
+// intervals (a panel-owner thread executing 100x the instructions of its
+// siblings) a single N_samp either starves the big threads' estimates or
+// over-samples the small ones; the experiment drivers pass a fixed
+// fraction of each thread's instruction count.
+//
+// When the telemetry ledger is recording and sc is non-zero, each
+// (thread, TSR level) measurement is recorded as one estimate event
+// carrying the pooled estimate, the full-trace truth, the instructions
+// sampled at the level and the cycle cost of sampling them — the raw
+// material of the §6.3 overhead fraction and the Fig 6.17 divergence
+// analysis. When the simprof profiler is enabled, the sampling replays
+// are attributed per opcode under phase "sampling". Neither changes the
+// returned estimator.
+func SamplingEstimator(sc telemetry.Scope, profiles []*trace.Profile, tsrs []float64, budgets []int, cPenalty float64, granule int) core.ErrEstimator {
+	stats := samplingStats(sc, profiles, tsrs, budgets, cPenalty, granule)
 	if telemetry.Enabled() && !sc.Zero() {
 		for i, p := range profiles {
 			st := stats[i]
@@ -283,16 +263,10 @@ type threadSampling struct {
 }
 
 // samplingStats runs the Fig 4.7 sampling schedule over every profile and
-// returns the per-thread, per-level measurements shared by the estimator
-// constructors.
-func samplingStats(profiles []*trace.Profile, tsrs []float64, budgets []int, cPenalty float64, granule int) []threadSampling {
-	return samplingStatsScoped(telemetry.Scope{}, profiles, tsrs, budgets, cPenalty, granule)
-}
-
-// samplingStatsScoped is samplingStats with optional simprof attribution
-// (phase "sampling", all TSR levels merged per opcode). The returned
-// measurements never depend on whether attribution ran.
-func samplingStatsScoped(sc telemetry.Scope, profiles []*trace.Profile, tsrs []float64, budgets []int, cPenalty float64, granule int) []threadSampling {
+// returns the per-thread, per-level measurements, with optional simprof
+// attribution (phase "sampling", all TSR levels merged per opcode). The
+// returned measurements never depend on whether attribution ran.
+func samplingStats(sc telemetry.Scope, profiles []*trace.Profile, tsrs []float64, budgets []int, cPenalty float64, granule int) []threadSampling {
 	if len(budgets) != len(profiles) {
 		panic(fmt.Sprintf("razor: %d budgets for %d profiles", len(budgets), len(profiles)))
 	}

@@ -107,7 +107,7 @@ func TestSamplingEstimatorConvergesToTruth(t *testing.T) {
 	// Uniform delays: Err(r) = 1 - r, an easy truth to estimate.
 	p := syntheticProfile(rng, 60000, 100, 1)
 	tsrs := []float64{0.64, 0.8, 1.0}
-	est := SamplingEstimator([]*trace.Profile{p}, tsrs, 60000, 5)
+	est := SamplingEstimator(telemetry.Scope{}, []*trace.Profile{p}, tsrs, []int{60000}, 5, SamplingGranule)
 	for k, r := range tsrs {
 		got := est(0, k)
 		want := 1 - r
@@ -126,7 +126,7 @@ func TestSamplingEstimatorUsesOnlyPrefix(t *testing.T) {
 		delays[i] = 99
 	}
 	p := cpiOneProfile(100, delays)
-	est := SamplingEstimator([]*trace.Profile{p}, []float64{0.5, 1.0}, n/2, 5)
+	est := SamplingEstimator(telemetry.Scope{}, []*trace.Profile{p}, []float64{0.5, 1.0}, []int{n / 2}, 5, SamplingGranule)
 	if got := est(0, 0); got != 0 {
 		t.Fatalf("prefix-only sampling must see no errors, got %v", got)
 	}
@@ -136,7 +136,7 @@ func TestSamplingEstimatorShortInterval(t *testing.T) {
 	// NSamp larger than the interval: clamp, don't panic.
 	rng := rand.New(rand.NewSource(6))
 	p := syntheticProfile(rng, 30, 100, 1)
-	est := SamplingEstimator([]*trace.Profile{p}, []float64{0.5, 0.75, 1.0}, 1000, 5)
+	est := SamplingEstimator(telemetry.Scope{}, []*trace.Profile{p}, []float64{0.5, 0.75, 1.0}, []int{1000}, 5, SamplingGranule)
 	for k := 0; k < 3; k++ {
 		if r := est(0, k); r < 0 || r > 1 {
 			t.Fatalf("rate out of range: %v", r)
@@ -155,7 +155,7 @@ func TestSamplingIdentifiesCriticalThread(t *testing.T) {
 		// Scale down the cold thread's delays so it errs less.
 		cold := syntheticProfile(rng, 8000, 100, 0.5)
 		tsrs := []float64{0.64, 0.8, 1.0}
-		est := SamplingEstimator([]*trace.Profile{hot, cold}, tsrs, 800, 5)
+		est := SamplingEstimator(telemetry.Scope{}, []*trace.Profile{hot, cold}, tsrs, []int{800, 800}, 5, SamplingGranule)
 		if est(0, 0) <= est(1, 0) {
 			t.Fatalf("trial %d: sampling failed to identify the critical thread", trial)
 		}
@@ -389,7 +389,7 @@ func TestReplaysMatchFloatReference(t *testing.T) {
 		}
 
 		budget := rng.Intn(n + 10)
-		st := samplingStats(ps[:1], rs, []int{budget}, cPenalty, granule)[0]
+		st := samplingStats(telemetry.Scope{}, ps[:1], rs, []int{budget}, cPenalty, granule)[0]
 		errs, counts, cycles := make([]int, len(rs)), make([]int, len(rs)), make([]float64, len(rs))
 		for g := 0; g*granule < min(budget, n); g++ {
 			k := g % len(rs)

@@ -1,7 +1,6 @@
 // Package report renders the evaluation artefacts — tables, (x,y) series
 // and bar groups — as aligned ASCII, so every table and figure of the
-// thesis can be regenerated as text by the cmd/synts tool and the
-// benchmark harness.
+// thesis can be regenerated as text by the cmd/synts tool.
 package report
 
 import (

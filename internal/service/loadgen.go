@@ -13,6 +13,7 @@ import (
 
 	"synts/internal/fleet"
 	"synts/internal/obs"
+	"synts/internal/stats"
 )
 
 // LoadSchema identifies a load-generator report.
@@ -377,38 +378,24 @@ func RunLoad(opts LoadOptions) (*LoadReport, error) {
 	rep.AchievedRPS = float64(n-rep.Dropped) / elapsed.Seconds()
 	sort.Float64s(latencies)
 	rep.Latency = LatencySummary{
-		P50: quantile(latencies, 0.50),
-		P95: quantile(latencies, 0.95),
-		P99: quantile(latencies, 0.99),
+		P50: stats.NearestRank(latencies, 0.50),
+		P95: stats.NearestRank(latencies, 0.95),
+		P99: stats.NearestRank(latencies, 0.99),
 	}
 	if len(latencies) > 0 {
 		rep.Latency.Max = latencies[len(latencies)-1]
 	}
+	// Each hop quantile is the sample at the nearest-rank quantile of the
+	// sorted-by-total slice: the decomposition of one real request, not an
+	// average over a band.
 	sort.Slice(samples, func(i, j int) bool { return samples[i].TotalMs < samples[j].TotalMs })
 	rep.HopBreakdown = HopBreakdown{
-		P50: hopQuantile(samples, 0.50),
-		P95: hopQuantile(samples, 0.95),
-		P99: hopQuantile(samples, 0.99),
+		P50: stats.NearestRank(samples, 0.50),
+		P95: stats.NearestRank(samples, 0.95),
+		P99: stats.NearestRank(samples, 0.99),
 	}
 	rep.SLOPass = rep.slo()
 	return rep, nil
-}
-
-// hopQuantile picks the sample at the exact nearest-rank quantile of the
-// sorted-by-total slice: the decomposition of one real request, not an
-// average over a band.
-func hopQuantile(sorted []HopQuantile, q float64) HopQuantile {
-	if len(sorted) == 0 {
-		return HopQuantile{}
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // slo evaluates the report against its SLO gate.
@@ -418,19 +405,4 @@ func (r *LoadReport) slo() bool {
 	}
 	frac := float64(r.Errors+r.Dropped) / float64(r.Requests)
 	return frac <= r.SLO.MaxErrorFrac
-}
-
-// quantile is the exact nearest-rank quantile of a sorted sample.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

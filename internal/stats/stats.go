@@ -1,6 +1,7 @@
 // Package stats provides the small statistical utilities the evaluation
 // uses: Hamming-distance histograms (the GPGPU homogeneity analysis of
-// Fig 5.10), descriptive moments, and histogram similarity measures.
+// Fig 5.10), descriptive moments, histogram similarity measures and
+// quantiles.
 package stats
 
 import (
@@ -87,8 +88,20 @@ func HammingHistogram(outputs []uint32) *Histogram {
 	return h
 }
 
-// Percentile returns the p-quantile (0..1) of xs by nearest-rank on a
-// sorted copy. It panics on empty input.
+// NearestRank returns the exact nearest-rank q-quantile (0..1) of an
+// ascending slice: the element at rank ceil(q*n), clamped to [1, n]. An
+// empty slice yields the zero value.
+func NearestRank[T any](sorted []T, q float64) T {
+	if len(sorted) == 0 {
+		var zero T
+		return zero
+	}
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[min(max(i, 0), len(sorted)-1)]
+}
+
+// Percentile returns the p-quantile (0..1) of xs on a sorted copy, taking
+// the element at index floor(p*(n-1)). It panics on empty input.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		panic("stats: percentile of empty slice")

@@ -109,6 +109,27 @@ func TestPercentileEmptyPanics(t *testing.T) {
 	Percentile(nil, 0.5)
 }
 
+// NearestRank takes rank ceil(q*n), where Percentile takes index
+// floor(q*(n-1)): on four elements p30 is the second against the first.
+func TestNearestRank(t *testing.T) {
+	xs := []float64{1, 2, 3, 4}
+	for _, c := range []struct{ q, want float64 }{{0, 1}, {0.25, 1}, {0.5, 2}, {0.75, 3}, {0.76, 4}, {1, 4}} {
+		if got := NearestRank(xs, c.q); got != c.want {
+			t.Errorf("NearestRank(%v, %v) = %v, want %v", xs, c.q, got, c.want)
+		}
+	}
+	if got := NearestRank(xs, 0.3); got != 2 {
+		t.Errorf("NearestRank(%v, 0.3) = %v, want 2", xs, got)
+	}
+	if got := Percentile(xs, 0.3); got != 1 {
+		t.Errorf("Percentile(%v, 0.3) = %v, want 1", xs, got)
+	}
+	type sample struct{ ms float64 }
+	if got := NearestRank([]sample(nil), 0.5); got != (sample{}) {
+		t.Errorf("NearestRank of an empty slice = %v, want the zero value", got)
+	}
+}
+
 // Property: Hamming distance is a metric-ish symmetric function bounded by
 // 32, and HD(a,a) == 0.
 func TestHammingProperty(t *testing.T) {

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"math"
 	"sort"
+
+	"synts/internal/stats"
 )
 
 // Percentiles summarises a sample of absolute estimator divergences
@@ -236,17 +238,9 @@ func percentiles(xs []float64) Percentiles {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	rank := func(q float64) float64 {
-		i := int(math.Ceil(q*float64(len(sorted)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return sorted[i]
-	}
-	p.P50, p.P95, p.P99 = rank(0.50), rank(0.95), rank(0.99)
+	p.P50 = stats.NearestRank(sorted, 0.50)
+	p.P95 = stats.NearestRank(sorted, 0.95)
+	p.P99 = stats.NearestRank(sorted, 0.99)
 	p.Max = sorted[len(sorted)-1]
 	return p
 }

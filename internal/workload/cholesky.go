@@ -50,7 +50,7 @@ func makeCholesky(threads, size int, seed int64) func(tc *TC) {
 		a[i] = make([]fixedpoint.Q, n)
 		for j := range a[i] {
 			var s float64
-			for k := 0; k <= minInt(i, j); k++ {
+			for k := 0; k <= min(i, j); k++ {
 				s += l0[i][k] * l0[j][k]
 			}
 			a[i][j] = fixedpoint.FromFloat(s / float64(n)) // keep in Q16.16 range
@@ -122,11 +122,4 @@ func makeCholesky(threads, size int, seed int64) func(tc *TC) {
 			tc.Barrier()
 		}
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -38,7 +38,7 @@ func makeRadix(threads, size int, seed int64) func(tc *TC) {
 	// with t. Thread 0: up to 2^31; last thread: up to 2^10.
 	keys := make([][]uint32, threads)
 	for t := 0; t < threads; t++ {
-		bits := 31 - t*21/maxInt(threads-1, 1) // 31 down to 10
+		bits := 31 - t*21/max(threads-1, 1) // 31 down to 10
 		keys[t] = make([]uint32, n)
 		for i := range keys[t] {
 			keys[t][i] = uint32(rng.Int63()) & (1<<uint(bits) - 1)
@@ -141,11 +141,4 @@ func stableByDigit(keys []uint32, shift uint32) {
 		pos[b]++
 	}
 	copy(keys, out)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
